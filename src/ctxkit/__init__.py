@@ -43,9 +43,7 @@ from .exact import (
     ExactMatrix,
     ExactScalar,
     ExactVector,
-    born_probability,
     canonical_ray,
-    density_from_pure,
     gram_schmidt,
     inner_product,
     mixture,
@@ -54,7 +52,6 @@ from .exact import (
     parse_vector,
     rank,
     rank1_projector,
-    same_ray,
     vec,
 )
 from .hardy import (
@@ -66,7 +63,6 @@ from .hardy import (
     crosscheck_reference_observables,
     derive_paradoxes,
     replay_contradiction,
-    success_probability,
     verify_observable,
 )
 from .sampling import SimulationResult, Xoshiro256StarStar, simulate_measurement

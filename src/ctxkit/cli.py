@@ -1,8 +1,11 @@
 """Command line front end.
 
 Every command loads a scenario (a file path or the name of a bundled
-scenario such as ``yu-oh``), runs the requested analysis and writes a
-deterministic text or JSON report to stdout or ``--out``.
+scenario such as ``yu-oh``) and writes a deterministic text or JSON
+report to stdout or ``--out``.  Each run builds one cached analysis of
+the scenario (:class:`_Analysis`), whose pipeline stages are computed on
+first use and then kept; every command is a view of that object, so no
+stage runs twice in one command.
 
 Exit codes (also in ``--help``): 0 success, 2 parse/usage error, 3
 validation error, 4 unknown ray label, 5 I/O error, 1 anything else.
@@ -13,12 +16,14 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 
 from . import report as rp
-from .assignments import enumerate_assignments
+from .assignments import KSAssignment, enumerate_assignments
 from .contextuality import (
+    PureStateSearch,
     QuantumState,
     analyze_mixed_states,
     check_witnesses_basis_free,
@@ -32,6 +37,11 @@ from .contextuality import (
 from .errors import CtxkitError, UnknownLabelError, ValidationError
 from .exact import ExactMatrix, parse_scalar, rank1_projector
 from .hardy import (
+    HardyParadox,
+    ObservableVerification,
+    ParadoxDerivation,
+    ReferenceCrossCheck,
+    WitnessObservable,
     build_witness_observable,
     crosscheck_reference_observables,
     derive_paradoxes,
@@ -39,6 +49,7 @@ from .hardy import (
 )
 from .sampling import simulate_measurement
 from .scenario import (
+    ComplementCheck,
     Scenario,
     basis_membership,
     bundled_scenario_names,
@@ -130,22 +141,102 @@ def _load_scenario(config: RunConfig) -> Scenario:
     raise FileNotFoundError(f"scenario file not found: {config.scenario_path}")
 
 
-def _load_state(config: RunConfig, scenario: Scenario) -> QuantumState:
-    if config.state_spec is not None and config.density_path is not None:
-        raise ValidationError("--state and --density are mutually exclusive")
-    if config.state_spec is not None:
-        return parse_state(config.state_spec, scenario.dim, scenario.field)
-    if config.density_path is not None:
-        text = Path(config.density_path).read_text(encoding="utf-8")
-        return parse_density(text, scenario.dim, scenario.field)
-    raise ValidationError("a state is required: pass --state or --density")
-
-
 def _emit(config: RunConfig, text_output: str):
     if config.out_path is not None:
         Path(config.out_path).write_text(text_output, encoding="utf-8")
     else:
         sys.stdout.write(text_output)
+
+
+def _text(*blocks: list[str]) -> str:
+    """Text report: the blocks' lines, with one blank line between blocks."""
+    return "\n\n".join("\n".join(block) for block in blocks) + "\n"
+
+
+class _Analysis:
+    """The pipeline of one run; each stage is computed on first use, then kept."""
+
+    def __init__(self, config: RunConfig, scenario: Scenario):
+        self.config = config
+        self.scenario = scenario
+
+    def json(self, **sections) -> str:
+        """JSON report: the sections under the common schema/command/scenario envelope."""
+        return rp.render_json(
+            {
+                "schema": rp.SCHEMA,
+                "command": self.config.command,
+                "scenario": rp.scenario_json(self.scenario),
+                **sections,
+            }
+        )
+
+    @cached_property
+    def state(self) -> QuantumState:
+        config, scenario = self.config, self.scenario
+        if config.state_spec is not None and config.density_path is not None:
+            raise ValidationError("--state and --density are mutually exclusive")
+        if config.state_spec is not None:
+            return parse_state(config.state_spec, scenario.dim, scenario.field)
+        if config.density_path is not None:
+            text = Path(config.density_path).read_text(encoding="utf-8")
+            return parse_density(text, scenario.dim, scenario.field)
+        raise ValidationError("a state is required: pass --state or --density")
+
+    @cached_property
+    def complement_check(self) -> ComplementCheck | None:
+        enumerate_contexts(self.scenario)
+        return check_distinct_complements(self.scenario) if self.scenario.dim == 3 else None
+
+    @cached_property
+    def assignments(self) -> list[KSAssignment]:
+        return enumerate_assignments(self.scenario)
+
+    @cached_property
+    def search(self) -> PureStateSearch:
+        return find_contextual_pure_states(self.scenario, self.assignments)
+
+    @cached_property
+    def derivations(self) -> list[ParadoxDerivation]:
+        """One derivation for the given state, or one per contextual pure state."""
+        if self.config.state_spec is None and self.config.density_path is None:
+            states = [QuantumState.pure(w.state) for w in self.search.states]
+        else:
+            states = [self.state]
+        return [derive_paradoxes(self.scenario, s, self.assignments) for s in states]
+
+    @cached_property
+    def numbered(self) -> list[tuple[int, HardyParadox]]:
+        return list(enumerate((p for d in self.derivations for p in d.paradoxes), start=1))
+
+    @cached_property
+    def skipped(self) -> list[str]:
+        return [d.reason for d in self.derivations if d.reason is not None]
+
+    @property
+    def none_reason(self) -> str | None:
+        return "; ".join(self.skipped) if self.skipped and not self.numbered else None
+
+    @cached_property
+    def observables(self) -> list[tuple[int, HardyParadox, WitnessObservable, ObservableVerification]]:
+        out = []
+        for idx, paradox in self.numbered:
+            observable = build_witness_observable(self.scenario, paradox, self.config.eigenvalues)
+            out.append((idx, paradox, observable, verify_observable(paradox, observable)))
+        return out
+
+    @cached_property
+    def crosscheck(self) -> ReferenceCrossCheck | None:
+        """The reference crosscheck, or None where the scenario has no reference rows."""
+        try:
+            return crosscheck_reference_observables(self.scenario, self.assignments)
+        except (ValidationError, UnknownLabelError):
+            return None
+
+    def crosscheck_json(self) -> dict:
+        if self.crosscheck is None:
+            return {}
+        return {"reference_crosscheck": rp.crosscheck_json(self.crosscheck)}
 
 
 def run(config: RunConfig) -> int:
@@ -167,166 +258,72 @@ def run(config: RunConfig) -> int:
 
 
 def _cmd_contexts(config: RunConfig, scenario: Scenario) -> str:
-    enumerate_contexts(scenario)
-    check = check_distinct_complements(scenario) if scenario.dim == 3 else None
+    a = _Analysis(config, scenario)
     if config.fmt == "json":
-        return rp.render_json(
-            {
-                "schema": rp.SCHEMA,
-                "command": "contexts",
-                "scenario": rp.scenario_json(scenario),
-                "contexts": rp.contexts_json(scenario, check),
-            }
-        )
-    lines = rp.scenario_lines(scenario) + [""] + rp.contexts_lines(scenario, check)
-    return "\n".join(lines) + "\n"
+        return a.json(contexts=rp.contexts_json(scenario, a.complement_check))
+    return _text(rp.scenario_lines(scenario), rp.contexts_lines(scenario, a.complement_check))
 
 
 def _cmd_assignments(config: RunConfig, scenario: Scenario) -> str:
-    assignments = enumerate_assignments(scenario)
+    a = _Analysis(config, scenario)
     if config.fmt == "json":
-        return rp.render_json(
-            {
-                "schema": rp.SCHEMA,
-                "command": "assignments",
-                "scenario": rp.scenario_json(scenario),
-                "assignments": rp.assignments_json(scenario, assignments),
-            }
-        )
-    lines = rp.assignments_lines(scenario, assignments)
-    return "\n".join(lines) + "\n"
-
-
-def _basis_free_rays(scenario: Scenario) -> list[int]:
-    counts = basis_membership(scenario)
-    return [i for i, c in enumerate(counts) if c == 0]
+        return a.json(assignments=rp.assignments_json(scenario, a.assignments))
+    return _text(rp.assignments_lines(scenario, a.assignments))
 
 
 def _cmd_states(config: RunConfig, scenario: Scenario) -> str:
-    assignments = enumerate_assignments(scenario)
-    search = find_contextual_pure_states(scenario, assignments)
-    basis_free = check_witnesses_basis_free(scenario, search)
+    a = _Analysis(config, scenario)
+    basis_free = check_witnesses_basis_free(scenario, a.search)
     if config.fmt == "json":
-        obj = rp.states_json(scenario, search)
-        obj["witnesses_basis_free"] = basis_free
-        return rp.render_json(
-            {
-                "schema": rp.SCHEMA,
-                "command": "states",
-                "scenario": rp.scenario_json(scenario),
-                "search": obj,
-            }
-        )
-    lines = rp.states_lines(scenario, search)
-    lines.append(f"all witnesses basis-free: {'yes' if basis_free else 'NO'}")
-    return "\n".join(lines) + "\n"
+        return a.json(search={**rp.states_json(scenario, a.search), "witnesses_basis_free": basis_free})
+    basis_free_line = f"all witnesses basis-free: {'yes' if basis_free else 'NO'}"
+    return _text(rp.states_lines(scenario, a.search) + [basis_free_line])
 
 
 def _cmd_check(config: RunConfig, scenario: Scenario) -> str:
-    state = _load_state(config, scenario)
-    assignments = enumerate_assignments(scenario)
-    verdict = is_logically_contextual(scenario, state, assignments)
-    oracle = noncontextuality_oracle(scenario, state, assignments)
+    a = _Analysis(config, scenario)
+    state = a.state
+    verdict = is_logically_contextual(scenario, state, a.assignments)
+    oracle = noncontextuality_oracle(scenario, state, a.assignments)
     model = possibilistic_model(scenario, state)
     if config.fmt == "json":
         obj = rp.verdict_json(scenario, state, verdict, oracle)
         obj["model"] = {scenario.rays[i].label: v for i, v in enumerate(model.values)}
-        return rp.render_json(
-            {
-                "schema": rp.SCHEMA,
-                "command": "check",
-                "scenario": rp.scenario_json(scenario),
-                "verdict": obj,
-            }
-        )
-    lines = rp.model_lines(scenario, model) + rp.verdict_lines(scenario, state, verdict, oracle)
-    return "\n".join(lines) + "\n"
-
-
-def _states_for_paradoxes(config: RunConfig, scenario: Scenario) -> list[QuantumState]:
-    if config.state_spec is not None or config.density_path is not None:
-        return [_load_state(config, scenario)]
-    assignments = enumerate_assignments(scenario)
-    search = find_contextual_pure_states(scenario, assignments)
-    return [QuantumState.pure(w.state) for w in search.states]
-
-
-def _collect_paradoxes(config: RunConfig, scenario: Scenario):
-    assignments = enumerate_assignments(scenario)
-    numbered = []
-    reasons = []
-    idx = 0
-    for state in _states_for_paradoxes(config, scenario):
-        derivation = derive_paradoxes(scenario, state, assignments)
-        if derivation.reason is not None:
-            reasons.append(derivation.reason)
-        for p in derivation.paradoxes:
-            idx += 1
-            numbered.append((idx, p))
-    return numbered, reasons
+        return a.json(verdict=obj)
+    return _text(rp.model_lines(scenario, model) + rp.verdict_lines(scenario, state, verdict, oracle))
 
 
 def _cmd_paradoxes(config: RunConfig, scenario: Scenario) -> str:
-    numbered, reasons = _collect_paradoxes(config, scenario)
-    reason = "; ".join(reasons) if not numbered and reasons else None
+    a = _Analysis(config, scenario)
     if config.fmt == "json":
-        return rp.render_json(
-            {
-                "schema": rp.SCHEMA,
-                "command": "paradoxes",
-                "scenario": rp.scenario_json(scenario),
-                "paradoxes": [rp.paradox_json(scenario, i, p) for i, p in numbered],
-                "skipped": reasons,
-            }
+        return a.json(
+            paradoxes=[rp.paradox_json(scenario, i, p) for i, p in a.numbered],
+            skipped=a.skipped,
         )
-    lines = rp.paradox_lines(scenario, numbered, reason)
-    return "\n".join(lines) + "\n"
+    return _text(rp.paradox_lines(scenario, a.numbered, a.none_reason))
 
 
 def _cmd_observables(config: RunConfig, scenario: Scenario) -> str:
-    numbered, reasons = _collect_paradoxes(config, scenario)
-    blocks = []
-    objs = []
-    for idx, paradox in numbered:
-        observable = build_witness_observable(scenario, paradox, config.eigenvalues)
-        verification = verify_observable(paradox, observable)
-        blocks.append(rp.observable_lines(scenario, idx, paradox, observable, verification))
-        objs.append(rp.observable_json(scenario, idx, paradox, observable, verification))
-    crosscheck = _try_crosscheck(scenario)
+    a = _Analysis(config, scenario)
     if config.fmt == "json":
-        doc = {
-            "schema": rp.SCHEMA,
-            "command": "observables",
-            "scenario": rp.scenario_json(scenario),
-            "observables": objs,
-            "skipped": reasons,
-        }
-        if crosscheck is not None:
-            doc["reference_crosscheck"] = rp.crosscheck_json(crosscheck)
-        return rp.render_json(doc)
-    lines: list[str] = []
-    if not numbered and reasons:
-        lines.append("observables: none (" + "; ".join(reasons) + ")")
-    for block in blocks:
-        lines += block
-    if crosscheck is not None:
-        lines.append("")
-        lines += rp.crosscheck_lines(crosscheck)
-    return "\n".join(lines) + "\n"
-
-
-def _try_crosscheck(scenario: Scenario):
-    try:
-        return crosscheck_reference_observables(scenario)
-    except (ValidationError, UnknownLabelError):
-        return None
+        return a.json(
+            observables=[rp.observable_json(scenario, *o) for o in a.observables],
+            skipped=a.skipped,
+            **a.crosscheck_json(),
+        )
+    lines = [] if a.none_reason is None else [f"observables: none ({a.none_reason})"]
+    for o in a.observables:
+        lines += rp.observable_lines(scenario, *o)
+    if a.crosscheck is not None:
+        lines += ["", *rp.crosscheck_lines(a.crosscheck)]
+    return _text(lines)
 
 
 def _cmd_simulate(config: RunConfig, scenario: Scenario) -> str:
-    state = _load_state(config, scenario)
-    assignments = enumerate_assignments(scenario)
+    a = _Analysis(config, scenario)
+    state = a.state
     witness_idx = scenario.ray_index(config.witness)
-    derivation = derive_paradoxes(scenario, state, assignments)
+    (derivation,) = a.derivations
     paradox = next((p for p in derivation.paradoxes if p.witness == witness_idx), None)
     if paradox is None:
         detail = derivation.reason or f"no paradox with witness {config.witness!r} for this state"
@@ -339,77 +336,46 @@ def _cmd_simulate(config: RunConfig, scenario: Scenario) -> str:
     witness_names = [config.witness, "complement"]
     outcome_names = [f"a{i}={rp.fraction_str(e)}" for i, e in enumerate(observable.eigenvalues, start=1)]
     if config.fmt == "json":
-        return rp.render_json(
-            {
-                "schema": rp.SCHEMA,
-                "command": "simulate",
-                "scenario": rp.scenario_json(scenario),
-                "paradox": rp.paradox_json(scenario, 1, paradox),
-                "witness_measurement": rp.simulation_json(witness_names, witness_sim),
-                "observable_measurement": rp.simulation_json(outcome_names, observable_sim),
-            }
+        return a.json(
+            paradox=rp.paradox_json(scenario, 1, paradox),
+            witness_measurement=rp.simulation_json(witness_names, witness_sim),
+            observable_measurement=rp.simulation_json(outcome_names, observable_sim),
         )
-    lines = [f"paradox: {rp.paradox_header(scenario, paradox)}"]
-    lines += rp.simulation_lines("witness-event measurement", witness_names, witness_sim)
-    lines += rp.simulation_lines("witness-observable measurement", outcome_names, observable_sim)
-    return "\n".join(lines) + "\n"
+    return _text(
+        [f"paradox: {rp.paradox_header(scenario, paradox)}"]
+        + rp.simulation_lines("witness-event measurement", witness_names, witness_sim)
+        + rp.simulation_lines("witness-observable measurement", outcome_names, observable_sim)
+    )
 
 
 def _cmd_report(config: RunConfig, scenario: Scenario) -> str:
-    enumerate_contexts(scenario)
-    check = check_distinct_complements(scenario) if scenario.dim == 3 else None
-    assignments = enumerate_assignments(scenario)
-    search = find_contextual_pure_states(scenario, assignments)
-    mixed = analyze_mixed_states(scenario, assignments)
-    basis_free_rays = _basis_free_rays(scenario)
-    numbered = []
-    idx = 0
-    for witnessed in search.states:
-        state = QuantumState.pure(witnessed.state)
-        derivation = derive_paradoxes(scenario, state, assignments)
-        for p in derivation.paradoxes:
-            idx += 1
-            numbered.append((idx, p))
-    observables = []
-    for idx_, paradox in numbered:
-        observable = build_witness_observable(scenario, paradox, config.eigenvalues)
-        verification = verify_observable(paradox, observable)
-        observables.append((idx_, paradox, observable, verification))
-    crosscheck = _try_crosscheck(scenario)
+    a = _Analysis(config, scenario)
+    mixed = analyze_mixed_states(scenario, a.assignments)
+    basis_free_rays = [i for i, count in enumerate(basis_membership(scenario)) if count == 0]
     if config.fmt == "json":
-        doc = {
-            "schema": rp.SCHEMA,
-            "command": "report",
-            "seed": config.seed,
-            "scenario": rp.scenario_json(scenario),
-            "contexts": rp.contexts_json(scenario, check),
-            "assignments": rp.assignments_json(scenario, assignments),
-            "global_events": rp.global_events_json(scenario, assignments, basis_free_rays),
-            "states": rp.states_json(scenario, search),
-            "witnesses_basis_free": check_witnesses_basis_free(scenario, search),
-            "mixed_analysis": rp.mixed_json(scenario, mixed),
-            "paradoxes": [rp.paradox_json(scenario, i, p) for i, p in numbered],
-            "observables": [
-                rp.observable_json(scenario, i, p, o, v) for i, p, o, v in observables
-            ],
-        }
-        if crosscheck is not None:
-            doc["reference_crosscheck"] = rp.crosscheck_json(crosscheck)
-        return rp.render_json(doc)
-    sections = [
+        return a.json(
+            seed=config.seed,
+            contexts=rp.contexts_json(scenario, a.complement_check),
+            assignments=rp.assignments_json(scenario, a.assignments),
+            global_events=rp.global_events_json(scenario, a.assignments, basis_free_rays),
+            states=rp.states_json(scenario, a.search),
+            witnesses_basis_free=check_witnesses_basis_free(scenario, a.search),
+            mixed_analysis=rp.mixed_json(scenario, mixed),
+            paradoxes=[rp.paradox_json(scenario, i, p) for i, p in a.numbered],
+            observables=[rp.observable_json(scenario, *o) for o in a.observables],
+            **a.crosscheck_json(),
+        )
+    return _text(
         rp.scenario_lines(scenario),
-        rp.contexts_lines(scenario, check),
-        rp.assignments_lines(scenario, assignments),
-        rp.global_event_lines(scenario, assignments, basis_free_rays),
-        rp.states_lines(scenario, search),
+        rp.contexts_lines(scenario, a.complement_check),
+        rp.assignments_lines(scenario, a.assignments),
+        rp.global_event_lines(scenario, a.assignments, basis_free_rays),
+        rp.states_lines(scenario, a.search),
         rp.mixed_lines(scenario, mixed),
-        rp.paradox_lines(scenario, numbered, None),
-    ]
-    for idx_, paradox, observable, verification in observables:
-        sections.append(rp.observable_lines(scenario, idx_, paradox, observable, verification))
-    if crosscheck is not None:
-        sections.append(rp.crosscheck_lines(crosscheck))
-    return "\n\n".join("\n".join(block) for block in sections) + "\n"
+        rp.paradox_lines(scenario, a.numbered, a.none_reason),
+        *(rp.observable_lines(scenario, *o) for o in a.observables),
+        *([] if a.crosscheck is None else [rp.crosscheck_lines(a.crosscheck)]),
+    )
 
 
 def main(argv: list[str] | None = None) -> int:

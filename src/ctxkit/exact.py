@@ -327,10 +327,6 @@ def canonical_ray(v: ExactVector) -> ExactVector:
     )
 
 
-def same_ray(u: ExactVector, v: ExactVector) -> bool:
-    return canonical_ray(u) == canonical_ray(v)
-
-
 # ---------------------------------------------------------------------------
 # elimination: rank, nullspace, Gram-Schmidt
 # ---------------------------------------------------------------------------
@@ -564,29 +560,6 @@ def validate_density(rho: ExactMatrix):
             raise InvalidDensityError("principal minor of a Hermitian matrix must be real")
         if minor.re < 0:
             raise InvalidDensityError(f"principal minor {idx} is negative: matrix is not PSD")
-
-
-def born_probability(rho: ExactMatrix, v: ExactVector) -> ExactScalar:
-    """Exact outcome probability ``tr(rho |v><v| / ||v||^2)``.
-
-    Validates ``rho`` as a density operator on every call; for a pure state
-    ``rho = |psi><psi|/||psi||^2`` the value equals
-    ``|<v|psi>|^2 / (||v||^2 ||psi||^2)``.
-    """
-    validate_density(rho)
-    if v.is_zero:
-        raise ValidationError("events must be non-zero vectors")
-    if rho.cols != v.dim:
-        raise DimensionMismatchError("state and event dimensions differ")
-    value = inner_product(v, rho.apply(v))
-    if not value.is_real:
-        raise AssertionError("Born probability of a Hermitian state must be real")
-    return ExactScalar(value.re / v.norm_sq())
-
-
-def density_from_pure(psi: ExactVector) -> ExactMatrix:
-    """Density operator of the pure state with ray ``psi``."""
-    return rank1_projector(psi)
 
 
 def mixture(parts: Sequence[tuple[RationalLike, ExactMatrix]]) -> ExactMatrix:

@@ -110,11 +110,6 @@ def _minimum_hitting_set(hit_lists: list[list[int]]) -> tuple[int, ...]:
     raise AssertionError("hitting-set search called with an un-hittable event")
 
 
-def success_probability(paradox: HardyParadox) -> Fraction:
-    """The exact probability of the paradox's single non-zero condition."""
-    return paradox.sp
-
-
 def percent(value: Fraction) -> str:
     """Display helper: rational probability as a 3-significant-figure percentage."""
     return f"{float(value) * 100:.3g}%"
@@ -361,15 +356,17 @@ def crosscheck_reference_observables(
         assignments = enumerate_assignments(scenario)
     results = []
     errata = []
+    derivations: dict[tuple[int, int, int], ParadoxDerivation] = {}
     for ref in REFERENCE_OBSERVABLES:
         state = QuantumState.pure(vec(*ref.state))
         witness_idx = scenario.ray_index(ref.witness)
         zeros = tuple(sorted(scenario.ray_index(z) for z in ref.zeros))
-        derivation = derive_paradoxes(scenario, state, assignments)
+        if ref.state not in derivations:
+            derivations[ref.state] = derive_paradoxes(scenario, state, assignments)
         paradox = next(
             (
                 p
-                for p in derivation.paradoxes
+                for p in derivations[ref.state].paradoxes
                 if p.witness == witness_idx and p.zero_set == zeros
             ),
             None,

@@ -6,7 +6,11 @@ import json
 import subprocess
 import sys
 
-from ctxkit import enumerate_assignments, load_bundled, support_labels
+import pytest
+
+import ctxkit.assignments
+import ctxkit.hardy
+from ctxkit import cli, enumerate_assignments, load_bundled, support_labels
 
 
 def run_cli(*args, **kwargs):
@@ -166,6 +170,33 @@ def test_report_stable_under_comment_shuffle(tmp_path):
     assert run_cli("report", "--scenario", str(plain), "--out", str(out_a)).returncode == 0
     assert run_cli("report", "--scenario", str(commented), "--out", str(out_b)).returncode == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+# --- work done per command --------------------------------------------------------
+
+
+def count_calls(monkeypatch, function) -> list:
+    """Wrap ``function`` wherever a ctxkit module binds it; the list grows by one per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ctxkit") and getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["observables", "report"])
+def test_command_enumerates_once_and_derives_each_state_once(monkeypatch, tmp_path, command):
+    enumerations = count_calls(monkeypatch, ctxkit.assignments.enumerate_assignments)
+    derivations = count_calls(monkeypatch, ctxkit.hardy.derive_paradoxes)
+    assert cli.main([command, "--scenario", "yu-oh", "--out", str(tmp_path / "out")]) == 0
+    assert len(enumerations) == 1
+    # 4 contextual states, each derived once by the command and once by the crosscheck
+    assert len(derivations) <= 8
 
 
 # --- exit codes ----------------------------------------------------------------

@@ -18,7 +18,6 @@ from ctxkit import (
     analyze_mixed_states,
     canonical_ray,
     check_witnesses_basis_free,
-    density_from_pure,
     enumerate_assignments,
     enumerate_contexts,
     find_contextual_pure_states,
@@ -29,6 +28,7 @@ from ctxkit import (
     parse_density,
     parse_state,
     possibilistic_model,
+    rank1_projector,
     vec,
 )
 from ctxkit.scenario import Ray
@@ -150,7 +150,7 @@ def test_mixture_zero_iff_all_components_zero(yu_oh):
         if any(w == 0 for w in weights):
             continue
         rho = QuantumState.density(
-            mixture([(w, density_from_pure(p)) for w, p in zip(weights, pures)])
+            mixture([(w, rank1_projector(p)) for w, p in zip(weights, pures)])
         )
         mixed_model = possibilistic_model(yu_oh, rho)
         pure_models = [possibilistic_model(yu_oh, QuantumState.pure(p)) for p in pures]

@@ -16,10 +16,9 @@ from ctxkit import (
     InvalidDensityError,
     LinearDependenceError,
     ParseError,
+    QuantumState,
     ValidationError,
-    born_probability,
     canonical_ray,
-    density_from_pure,
     gram_schmidt,
     inner_product,
     mixture,
@@ -28,7 +27,6 @@ from ctxkit import (
     parse_vector,
     rank,
     rank1_projector,
-    same_ray,
     vec,
 )
 
@@ -169,7 +167,6 @@ def test_canonical_ray_gaussian():
 @given(nonzero_vectors, nonzero_scalars)
 def test_canonical_ray_scale_invariant(v, c):
     assert canonical_ray(v) == canonical_ray(v.scale(c))
-    assert same_ray(v, v.scale(c))
 
 
 def test_canonical_ray_rejects_zero():
@@ -288,35 +285,35 @@ def test_rank1_projector_rejects_zero():
 
 
 def test_born_probability_examples():
-    rho = density_from_pure(vec(1, 1, 1))
-    assert born_probability(rho, vec(-1, 1, 1)) == ExactScalar(Fraction(1, 9))
-    assert born_probability(rho, vec(1, 0, -1)).is_zero
-    assert born_probability(density_from_pure(vec(1, 0, 0)), vec(1, 0, 0)) == ExactScalar(1)
+    state = QuantumState.density(rank1_projector(vec(1, 1, 1)))
+    assert state.probability(vec(-1, 1, 1)) == Fraction(1, 9)
+    assert state.probability(vec(1, 0, -1)) == 0
+    assert QuantumState.density(rank1_projector(vec(1, 0, 0))).probability(vec(1, 0, 0)) == 1
 
 
 def test_born_probability_sums_to_one_over_basis():
-    rho = density_from_pure(vec(2, -3, 5))
+    state = QuantumState.density(rank1_projector(vec(2, -3, 5)))
     basis = gram_schmidt([vec(1, 0, -1), vec(1, -1, 0), vec(-1, 1, 1)])
-    total = sum((born_probability(rho, b).as_fraction() for b in basis), Fraction(0))
+    total = sum((state.probability(b) for b in basis), Fraction(0))
     assert total == 1
 
 
 def test_born_probability_validates_density():
     not_trace_one = ExactMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
     with pytest.raises(InvalidDensityError):
-        born_probability(not_trace_one, vec(1, 0, 0))
+        QuantumState.density(not_trace_one)
     not_hermitian = ExactMatrix.from_rows([[1, 1, 0], [0, 0, 0], [0, 0, 0]])
     with pytest.raises(InvalidDensityError):
-        born_probability(not_hermitian, vec(1, 0, 0))
+        QuantumState.density(not_hermitian)
     # leading principal minors are all >= 0 here, yet the matrix is not PSD
     indefinite = ExactMatrix.from_rows([[2, 0, 0], [0, 0, 0], [0, 0, -1]])
     with pytest.raises(InvalidDensityError):
-        born_probability(indefinite, vec(1, 0, 0))
+        QuantumState.density(indefinite)
 
 
 def test_mixture_validation():
-    p1 = density_from_pure(vec(1, 0, 0))
-    p2 = density_from_pure(vec(0, 1, 0))
+    p1 = rank1_projector(vec(1, 0, 0))
+    p2 = rank1_projector(vec(0, 1, 0))
     mixed = mixture([(Fraction(1, 2), p1), (Fraction(1, 2), p2)])
     assert mixed.trace() == ExactScalar(1)
     with pytest.raises(ValidationError):
@@ -328,6 +325,6 @@ def test_mixture_validation():
 @settings(max_examples=25)
 @given(nonzero_vectors, nonzero_vectors)
 def test_born_probability_matches_pure_formula(u, psi):
-    rho = density_from_pure(psi)
+    state = QuantumState.density(rank1_projector(psi))
     expected = inner_product(u, psi).abs2() / (u.norm_sq() * psi.norm_sq())
-    assert born_probability(rho, u).as_fraction() == expected
+    assert state.probability(u) == expected

@@ -20,7 +20,6 @@ from ctxkit import (
     load_scenario,
     rank1_projector,
     replay_contradiction,
-    success_probability,
     vec,
     verify_observable,
 )
@@ -65,7 +64,7 @@ def test_success_probability_is_one_ninth_everywhere(yu_oh, yu_oh_assignments):
     paradoxes = all_twelve(yu_oh, yu_oh_assignments)
     assert len(paradoxes) == 12
     for p in paradoxes:
-        assert success_probability(p) == Fraction(1, 9)
+        assert p.sp == Fraction(1, 9)
     witnesses = [yu_oh.rays[p.witness].label for p in paradoxes]
     assert {w: witnesses.count(w) for w in set(witnesses)} == {
         "vA": 3, "vB": 3, "vC": 3, "vD": 3,
