@@ -73,7 +73,6 @@ from .scenario import (
     Ray,
     Scenario,
     check_distinct_complements,
-    classify_rays,
     enumerate_contexts,
     load_bundled,
     load_scenario,

@@ -32,7 +32,6 @@ from .contextuality import (
     noncontextuality_oracle,
     parse_density,
     parse_state,
-    possibilistic_model,
 )
 from .errors import CtxkitError, UnknownLabelError, ValidationError
 from .exact import ExactMatrix, parse_scalar, rank1_projector
@@ -285,12 +284,11 @@ def _cmd_check(config: RunConfig, scenario: Scenario) -> str:
     state = a.state
     verdict = is_logically_contextual(scenario, state, a.assignments)
     oracle = noncontextuality_oracle(scenario, state, a.assignments)
-    model = possibilistic_model(scenario, state)
     if config.fmt == "json":
         obj = rp.verdict_json(scenario, state, verdict, oracle)
-        obj["model"] = {scenario.rays[i].label: v for i, v in enumerate(model.values)}
+        obj["model"] = {scenario.rays[i].label: v for i, v in enumerate(verdict.model.values)}
         return a.json(verdict=obj)
-    return _text(rp.model_lines(scenario, model) + rp.verdict_lines(scenario, state, verdict, oracle))
+    return _text(rp.model_lines(scenario, verdict.model) + rp.verdict_lines(scenario, state, verdict, oracle))
 
 
 def _cmd_paradoxes(config: RunConfig, scenario: Scenario) -> str:

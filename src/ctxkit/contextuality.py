@@ -11,6 +11,9 @@ equivalent decision procedures are implemented:
   contains an impossible ray (a "blocker").  Witnesses whose global-event
   set is empty are excluded: the universal condition would hold vacuously,
   and such rays cannot start the contradiction the verdict certifies.
+  The scan for such witnesses, :func:`_blocked_witnesses`, is shared with
+  :func:`ctxkit.hardy.derive_paradoxes`: the verdict reports its first
+  witness, the derivation turns every witness into a paradox.
 * :func:`noncontextuality_oracle` builds the canonical candidate
   distribution (an event is possible iff all its member rays are) and
   checks the marginal equations directly.  It must equal the negation of
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .assignments import KSAssignment, enumerate_assignments
+from .assignments import KSAssignment, events_containing
 from .errors import DimensionMismatchError, ValidationError
 from .exact import (
     ExactMatrix,
@@ -141,18 +144,46 @@ def possibilistic_model(scenario: Scenario, state: QuantumState) -> Possibilisti
 
 @dataclass(frozen=True)
 class ContextualityVerdict:
-    """Outcome of the witness search, with one blocker per global event."""
+    """Outcome of the witness search, with one blocker per global event.
+
+    ``model`` is the possibilistic model the verdict was decided on, kept
+    so that callers need not compute it again.
+    """
 
     contextual: bool
     witness: int | None
     blockers: tuple[tuple[KSAssignment, int], ...]
+    model: PossibilisticModel
 
     def __bool__(self) -> bool:
         return self.contextual
 
 
+def _blocked_witnesses(
+    scenario: Scenario, model: PossibilisticModel, assignments: list[KSAssignment]
+):
+    """Each possible ray whose global events are non-empty and all blocked.
+
+    Yields ``(k, events, hits)`` in ray order: ``events`` are the global
+    events containing ray ``k`` and ``hits[j]`` lists, in ray order, the
+    impossible rays of ``events[j]`` other than ``k``.  A ray is dropped
+    at its first event with no impossible ray.
+    """
+    for k in model.possible():
+        events = events_containing(scenario, assignments, k)
+        hits = []
+        for event in events:
+            blocked = [i for i in event.support if i != k and model.value(i) == 0]
+            if not blocked:
+                break
+            hits.append(blocked)
+        else:
+            if events:
+                yield k, events, hits
+
+
 def is_logically_contextual(
-    scenario: Scenario, state: QuantumState, assignments: list[KSAssignment] | None = None
+    scenario: Scenario, state: QuantumState, assignments: list[KSAssignment]
 ) -> ContextualityVerdict:
     """Witness-based contextuality decision.
 
@@ -161,30 +192,15 @@ def is_logically_contextual(
     contains a different ray with model value 0.  The first witness in ray
     order is reported together with the first blocker of each event.
     """
-    if assignments is None:
-        assignments = enumerate_assignments(scenario)
     model = possibilistic_model(scenario, state)
-    for k in range(len(scenario.rays)):
-        if model.value(k) != 1:
-            continue
-        events = [a for a in assignments if a.bits[k] == 1]
-        if not events:
-            continue
-        blockers = []
-        for event in events:
-            blocker = next(
-                (i for i in event.support if i != k and model.value(i) == 0), None
-            )
-            if blocker is None:
-                break
-            blockers.append((event, blocker))
-        else:
-            return ContextualityVerdict(contextual=True, witness=k, blockers=tuple(blockers))
-    return ContextualityVerdict(contextual=False, witness=None, blockers=())
+    for k, events, hits in _blocked_witnesses(scenario, model, assignments):
+        blockers = tuple((event, blocked[0]) for event, blocked in zip(events, hits))
+        return ContextualityVerdict(contextual=True, witness=k, blockers=blockers, model=model)
+    return ContextualityVerdict(contextual=False, witness=None, blockers=(), model=model)
 
 
 def noncontextuality_oracle(
-    scenario: Scenario, state: QuantumState, assignments: list[KSAssignment] | None = None
+    scenario: Scenario, state: QuantumState, assignments: list[KSAssignment]
 ) -> bool:
     """Direct marginal check of the canonical candidate distribution.
 
@@ -193,8 +209,6 @@ def noncontextuality_oracle(
     marginal over each ray's events reproduces the model.  True means the
     state is logically non-contextual.
     """
-    if assignments is None:
-        assignments = enumerate_assignments(scenario)
     model = possibilistic_model(scenario, state)
     weight = {
         a: 1 if all(model.value(i) == 1 for i in a.support) else 0 for a in assignments
@@ -240,20 +254,15 @@ class PureStateSearch:
     undetermined: tuple[UndeterminedFamily, ...]
 
 
-def _selection_sets(scenario: Scenario, events: list[KSAssignment], k: int):
-    """Distinct collapsed selections (one pick per event, minus the witness)."""
+def _selections(events: list[KSAssignment], k: int):
+    """Each pick of one non-witness ray per event, with its collapsed selection."""
     pick_lists = [[i for i in e.support if i != k] for e in events]
-    seen: set[tuple[int, ...]] = set()
     for picks in product(*pick_lists):
-        collapsed = tuple(sorted(set(picks)))
-        if collapsed in seen:
-            continue
-        seen.add(collapsed)
-        yield collapsed
+        yield picks, tuple(sorted(set(picks)))
 
 
 def find_contextual_pure_states(
-    scenario: Scenario, assignments: list[KSAssignment] | None = None
+    scenario: Scenario, assignments: list[KSAssignment]
 ) -> PureStateSearch:
     """Exhaust the logically contextual pure states of the scenario.
 
@@ -264,17 +273,15 @@ def find_contextual_pure_states(
     witness are collected, deduplicated by canonical form and re-verified
     with :func:`is_logically_contextual`.
     """
-    if assignments is None:
-        assignments = enumerate_assignments(scenario)
     found: list[WitnessedState] = []
     undetermined: list[UndeterminedFamily] = []
     seen_states: set[ExactVector] = set()
     for k in range(len(scenario.rays)):
-        events = [a for a in assignments if a.bits[k] == 1]
+        events = events_containing(scenario, assignments, k)
         if not events:
             continue
         witness_vector = scenario.rays[k].vector
-        for selection in _selection_sets(scenario, events, k):
+        for selection in dict.fromkeys(s for _, s in _selections(events, k)):
             basis = nullspace([scenario.rays[i].vector for i in selection], dim=scenario.dim)
             if len(basis) >= 2:
                 undetermined.append(UndeterminedFamily(k, selection, len(basis)))
@@ -338,17 +345,15 @@ class MixedAnalysisReport:
 
 
 def analyze_mixed_states(
-    scenario: Scenario, assignments: list[KSAssignment] | None = None
+    scenario: Scenario, assignments: list[KSAssignment]
 ) -> MixedAnalysisReport:
-    if assignments is None:
-        assignments = enumerate_assignments(scenario)
     counts = basis_membership(scenario)
     triples: list[TripleAnalysis] = []
     violations: list[tuple[int, tuple[int, ...]]] = []
     for k in range(len(scenario.rays)):
         if counts[k] != 0:
             continue
-        events = [a for a in assignments if a.bits[k] == 1]
+        events = events_containing(scenario, assignments, k)
         if not events:
             continue
         common = set(events[0].support)
@@ -357,10 +362,8 @@ def analyze_mixed_states(
         common.discard(k)
         if common:
             violations.append((k, tuple(sorted(common))))
-        pick_lists = [[i for i in e.support if i != k] for e in events]
         rank_cache: dict[tuple[int, ...], int] = {}
-        for picks in product(*pick_lists):
-            selection = tuple(sorted(set(picks)))
+        for picks, selection in _selections(events, k):
             if selection not in rank_cache:
                 rank_cache[selection] = rank(
                     [scenario.rays[i].vector for i in selection], dim=scenario.dim

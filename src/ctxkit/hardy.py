@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .assignments import KSAssignment, enumerate_assignments
-from .contextuality import QuantumState, is_logically_contextual, possibilistic_model
+from .assignments import KSAssignment, events_containing
+from .contextuality import QuantumState, _blocked_witnesses, possibilistic_model
 from .errors import LinearDependenceError, ValidationError
 from .exact import ExactMatrix, gram_schmidt, rank, rank1_projector, vec
 from .scenario import Scenario
@@ -56,7 +56,7 @@ class ParadoxDerivation:
 
 
 def derive_paradoxes(
-    scenario: Scenario, state: QuantumState, assignments: list[KSAssignment] | None = None
+    scenario: Scenario, state: QuantumState, assignments: list[KSAssignment]
 ) -> ParadoxDerivation:
     """Construct every Hardy-type paradox the state supports.
 
@@ -66,37 +66,23 @@ def derive_paradoxes(
     are not logically contextual yield no paradoxes; the derivation then
     carries the reason instead.
     """
-    if assignments is None:
-        assignments = enumerate_assignments(scenario)
-    verdict = is_logically_contextual(scenario, state, assignments)
-    if not verdict.contextual:
-        return ParadoxDerivation(
-            paradoxes=(),
-            reason=f"state {state.describe()} is not logically contextual on {scenario.name!r}",
-        )
     model = possibilistic_model(scenario, state)
     paradoxes = []
-    for k in range(len(scenario.rays)):
-        if model.value(k) != 1:
-            continue
-        events = [a for a in assignments if a.bits[k] == 1]
-        if not events:
-            continue
-        hit_lists = [
-            [i for i in e.support if i != k and model.value(i) == 0] for e in events
-        ]
-        if not all(hit_lists):
-            continue
-        zero_set = _minimum_hitting_set(hit_lists)
+    for k, _, hits in _blocked_witnesses(scenario, model, assignments):
         paradox = HardyParadox(
             state=state,
             witness=k,
-            zero_set=zero_set,
+            zero_set=_minimum_hitting_set(hits),
             sp=state.probability(scenario.rays[k].vector),
         )
         if not replay_contradiction(scenario, assignments, paradox):
             raise AssertionError("derived paradox failed the contradiction replay")
         paradoxes.append(paradox)
+    if not paradoxes:
+        return ParadoxDerivation(
+            paradoxes=(),
+            reason=f"state {state.describe()} is not logically contextual on {scenario.name!r}",
+        )
     return ParadoxDerivation(paradoxes=tuple(paradoxes))
 
 
@@ -128,7 +114,7 @@ def replay_contradiction(
     if paradox.sp <= 0:
         return False
     zero = set(paradox.zero_set)
-    witness_events = [a for a in assignments if a.bits[paradox.witness] == 1]
+    witness_events = events_containing(scenario, assignments, paradox.witness)
     if not witness_events:
         return False
     return all(zero.intersection(a.support) for a in witness_events)
@@ -342,25 +328,40 @@ class ReferenceCrossCheck:
     errata: tuple[int, ...]
 
 
+def _unmatched(ref: ReferenceRow) -> ValidationError:
+    return ValidationError(
+        f"reference row {ref.row} has no matching paradox; "
+        "the cross-check needs the bundled 13-ray scenario"
+    )
+
+
 def crosscheck_reference_observables(
-    scenario: Scenario, assignments: list[KSAssignment] | None = None
+    scenario: Scenario, assignments: list[KSAssignment]
 ) -> ReferenceCrossCheck:
     """Re-derive every reference row and flag inconsistent printings.
 
     A printed row is *consistent* when its three matrices are mutually
     orthogonal projectors summing to identity and reproduce outcome
     probabilities (0, 0, 1) under the row's state; inconsistent rows are
-    the errata.  Derived matrices are authoritative either way.
+    the errata.  Derived matrices are authoritative either way.  Before
+    anything is derived, every row's zero rays must be impossible and its
+    witness possible under the row's state, so a scenario that only shares
+    the reference labels is rejected at once.
     """
-    if assignments is None:
-        assignments = enumerate_assignments(scenario)
-    results = []
-    errata = []
-    derivations: dict[tuple[int, int, int], ParadoxDerivation] = {}
+    rows = []
     for ref in REFERENCE_OBSERVABLES:
         state = QuantumState.pure(vec(*ref.state))
         witness_idx = scenario.ray_index(ref.witness)
         zeros = tuple(sorted(scenario.ray_index(z) for z in ref.zeros))
+        if state.probability(scenario.rays[witness_idx].vector) == 0 or any(
+            state.probability(scenario.rays[z].vector) != 0 for z in zeros
+        ):
+            raise _unmatched(ref)
+        rows.append((ref, state, witness_idx, zeros))
+    results = []
+    errata = []
+    derivations: dict[tuple[int, int, int], ParadoxDerivation] = {}
+    for ref, state, witness_idx, zeros in rows:
         if ref.state not in derivations:
             derivations[ref.state] = derive_paradoxes(scenario, state, assignments)
         paradox = next(
@@ -372,10 +373,7 @@ def crosscheck_reference_observables(
             None,
         )
         if paradox is None:
-            raise ValidationError(
-                f"reference row {ref.row} has no matching paradox; "
-                "the cross-check needs the bundled 13-ray scenario"
-            )
+            raise _unmatched(ref)
         derived = build_witness_observable(scenario, paradox)
         failures = _projector_algebra_failures(ref.printed, scenario.dim)
         probs = [_outcome_probability(state, p) for p in ref.printed]

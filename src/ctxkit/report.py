@@ -16,7 +16,7 @@ import json
 from fractions import Fraction
 from math import gcd
 
-from .assignments import KSAssignment, support_labels
+from .assignments import KSAssignment, events_containing, support_labels
 from .contextuality import (
     ContextualityVerdict,
     MixedAnalysisReport,
@@ -171,7 +171,7 @@ def assignments_json(scenario: Scenario, assignments: list[KSAssignment]) -> dic
 def global_event_lines(scenario: Scenario, assignments: list[KSAssignment], rays: list[int]) -> list[str]:
     lines = ["global-event sets:"]
     for i in rays:
-        events = [a for a in assignments if a.bits[i] == 1]
+        events = events_containing(scenario, assignments, i)
         rendered = ", ".join(_labels(scenario, a.support) for a in events)
         lines.append(f"  S_Λ({scenario.rays[i].label}) = {rendered}")
     return lines
@@ -180,7 +180,7 @@ def global_event_lines(scenario: Scenario, assignments: list[KSAssignment], rays
 def global_events_json(scenario: Scenario, assignments: list[KSAssignment], rays: list[int]) -> dict:
     return {
         scenario.rays[i].label: [
-            list(support_labels(scenario, a)) for a in assignments if a.bits[i] == 1
+            list(support_labels(scenario, a)) for a in events_containing(scenario, assignments, i)
         ]
         for i in rays
     }

@@ -262,20 +262,13 @@ def _bron_kerbosch(scenario: Scenario, r: set[int], p: set[int], x: set[int], ou
         x.add(v)
 
 
-def classify_rays(scenario: Scenario) -> dict[str, int]:
-    """Number of basis contexts each ray belongs to, keyed by label."""
-    scenario.require_contexts()
-    counts = {r.label: 0 for r in scenario.rays}
+def basis_membership(scenario: Scenario) -> tuple[int, ...]:
+    """Number of basis contexts each ray belongs to, indexed by ray position."""
+    counts = [0] * len(scenario.rays)
     for c in scenario.basis_contexts():
         for i in c.members:
-            counts[scenario.rays[i].label] += 1
-    return counts
-
-
-def basis_membership(scenario: Scenario) -> tuple[int, ...]:
-    """Same counts as :func:`classify_rays`, indexed by ray position."""
-    counts = classify_rays(scenario)
-    return tuple(counts[r.label] for r in scenario.rays)
+            counts[i] += 1
+    return tuple(counts)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import ctxkit.assignments
+import ctxkit.contextuality
 import ctxkit.hardy
 from ctxkit import cli, enumerate_assignments, load_bundled, support_labels
 
@@ -197,6 +198,15 @@ def test_command_enumerates_once_and_derives_each_state_once(monkeypatch, tmp_pa
     assert len(enumerations) == 1
     # 4 contextual states, each derived once by the command and once by the crosscheck
     assert len(derivations) <= 8
+
+
+@pytest.mark.parametrize("command, models", [("check", 2), ("paradoxes", 1)])
+def test_command_computes_the_model_once_per_consumer(monkeypatch, tmp_path, command, models):
+    # check: the verdict and the independent oracle; paradoxes: the derivation
+    computed = count_calls(monkeypatch, ctxkit.contextuality.possibilistic_model)
+    argv = [command, "--scenario", "yu-oh", "--state", "1,1,1", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    assert len(computed) == models
 
 
 # --- exit codes ----------------------------------------------------------------

@@ -192,7 +192,7 @@ def test_witnesses_are_basis_free(yu_oh, yu_oh_assignments):
 def test_search_on_single_basis_scenario():
     s = load_scenario("scenario basis dim 3 field rational\na: 1,0,0\nb: 0,1,0\nc: 0,0,1")
     enumerate_contexts(s)
-    search = find_contextual_pure_states(s)
+    search = find_contextual_pure_states(s, enumerate_assignments(s))
     assert search.states == ()
     assert check_witnesses_basis_free(s, search)
 

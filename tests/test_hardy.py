@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
 
+import ctxkit.hardy
 from ctxkit import (
     ExactMatrix,
     HardyParadox,
@@ -16,7 +19,9 @@ from ctxkit import (
     build_witness_observable,
     crosscheck_reference_observables,
     derive_paradoxes,
+    enumerate_assignments,
     enumerate_contexts,
+    events_containing,
     load_scenario,
     rank1_projector,
     replay_contradiction,
@@ -83,20 +88,59 @@ def test_noncontextual_state_gives_reason(yu_oh, yu_oh_assignments):
     assert "not logically contextual" in derivation.reason
 
 
+def box_d3_m2_prefix():
+    """The first 32 rays of the integer box {-2..2}^3 (primitive, leading entry positive)."""
+    rays = [
+        v
+        for v in product(range(-2, 3), repeat=3)
+        if any(v) and gcd(*v) == 1 and next(x for x in v if x) > 0
+    ][:32]
+    lines = [f"r{i}: {','.join(map(str, v))}" for i, v in enumerate(rays, start=1)]
+    s = load_scenario("\n".join(["scenario box-d3-m2-n32 dim 3 field rational", *lines]))
+    enumerate_contexts(s)
+    return s
+
+
 def test_paradoxes_exist_iff_state_is_contextual(yu_oh, yu_oh_assignments):
     # a paradox is exactly the witnessed contradiction, so the derivation is
     # non-empty precisely for logically contextual states
     from ctxkit import is_logically_contextual
     from test_contextuality import random_rational_states
 
-    states = [QuantumState.pure(vec(*c)) for c in EXPECTED_PARADOXES]
-    states += [QuantumState.pure(r.vector) for r in yu_oh.rays]
-    states += random_rational_states(40, seed=99173)
-    for state in states:
-        verdict = is_logically_contextual(yu_oh, state, yu_oh_assignments)
-        derivation = derive_paradoxes(yu_oh, state, yu_oh_assignments)
-        assert bool(derivation.paradoxes) == verdict.contextual
-        assert (derivation.reason is None) == verdict.contextual
+    # on the box prefix 8 rays lie in no global event, so the verdict and the
+    # derivation must both skip possible rays whose event set is empty
+    box = box_d3_m2_prefix()
+    box_assignments = enumerate_assignments(box)
+    assert len(box_assignments) == 1024
+    assert sum(1 for i in range(len(box.rays)) if not events_containing(box, box_assignments, i)) == 8
+
+    yu_oh_states = [QuantumState.pure(vec(*c)) for c in EXPECTED_PARADOXES]
+    yu_oh_states += [QuantumState.pure(r.vector) for r in yu_oh.rays]
+    yu_oh_states += random_rational_states(40, seed=99173)
+    box_states = [QuantumState.pure(r.vector) for r in box.rays]
+    box_states += random_rational_states(12, seed=99173)
+    contextual_on_box = 0
+    for scenario, assignments, states in (
+        (yu_oh, yu_oh_assignments, yu_oh_states),
+        (box, box_assignments, box_states),
+    ):
+        for state in states:
+            verdict = is_logically_contextual(scenario, state, assignments)
+            derivation = derive_paradoxes(scenario, state, assignments)
+            assert bool(derivation.paradoxes) == verdict.contextual
+            assert (derivation.reason is None) == verdict.contextual
+            if scenario is box and verdict.contextual:
+                contextual_on_box += 1
+                first = derivation.paradoxes[0]
+                assert first.witness == verdict.witness
+                for event, blocker in verdict.blockers:
+                    hits = [
+                        i
+                        for i in event.support
+                        if i != first.witness and verdict.model.value(i) == 0
+                    ]
+                    assert blocker in hits
+    assert contextual_on_box > 0
 
 
 def test_replay_contradiction(yu_oh, yu_oh_assignments):
@@ -278,3 +322,19 @@ def test_crosscheck_derived_rows_always_verify(yu_oh, yu_oh_assignments):
         derived = row.derived
         total = derived.projectors[0] + derived.projectors[1] + derived.projectors[2]
         assert total == ExactMatrix.identity(3)
+
+
+def test_crosscheck_rejects_foreign_rays_before_deriving(monkeypatch, yu_oh):
+    # yu-oh's labels on rays whose last coordinate changed sign: row 1's zero
+    # ray v5 = (1,0,1) is no longer orthogonal to its state (1,1,1)
+    from test_cli import count_calls
+
+    lines = ["scenario yu-oh-flipped dim 3 field rational"]
+    for ray in yu_oh.rays:
+        x, y, z = ray.vector.coords
+        lines.append(f"{ray.label}: {x},{y},{-z}")
+    flipped = load_scenario("\n".join(lines))
+    derivations = count_calls(monkeypatch, ctxkit.hardy.derive_paradoxes)
+    with pytest.raises(ValidationError, match="reference row 1 has no matching paradox"):
+        crosscheck_reference_observables(flipped, enumerate_assignments(flipped))
+    assert derivations == []

@@ -12,12 +12,12 @@ from ctxkit import (
     ValidationError,
     canonical_ray,
     check_distinct_complements,
-    classify_rays,
     enumerate_contexts,
     inner_product,
     load_scenario,
     vec,
 )
+from ctxkit.scenario import basis_membership
 
 # complements of the twelve two-member contexts, keyed by member labels
 PAIR_COMPLEMENTS = {
@@ -197,14 +197,15 @@ def test_contexts_sorted_deterministically(yu_oh):
 
 
 def test_classify_rays(yu_oh):
-    counts = classify_rays(yu_oh)
-    assert counts["v1"] == counts["v2"] == counts["v3"] == 2
-    assert all(counts[f"v{i}"] == 1 for i in range(4, 10))
-    assert all(counts[v] == 0 for v in ("vA", "vB", "vC", "vD"))
+    counts = basis_membership(yu_oh)
+    at = yu_oh.ray_index
+    assert counts[at("v1")] == counts[at("v2")] == counts[at("v3")] == 2
+    assert all(counts[at(f"v{i}")] == 1 for i in range(4, 10))
+    assert all(counts[at(v)] == 0 for v in ("vA", "vB", "vC", "vD"))
     # the counts are exactly the basis-membership indicator sums
     bases = [c for c in yu_oh.require_contexts() if c.kind is ContextKind.BASIS]
-    for i, ray in enumerate(yu_oh.rays):
-        assert counts[ray.label] == sum(1 for c in bases if i in c.members)
+    for i in range(len(yu_oh.rays)):
+        assert counts[i] == sum(1 for c in bases if i in c.members)
 
 
 def test_singleton_scenario():
