@@ -227,8 +227,9 @@ class _Analysis:
     @cached_property
     def crosscheck(self) -> ReferenceCrossCheck | None:
         """The reference crosscheck, or None where the scenario has no reference rows."""
+        derivations = self.derivations
         try:
-            return crosscheck_reference_observables(self.scenario, self.assignments)
+            return crosscheck_reference_observables(self.scenario, self.assignments, derivations)
         except (ValidationError, UnknownLabelError):
             return None
 

@@ -42,6 +42,8 @@ from .exact import (
     canonical_ray,
     inner_product,
     nullspace,
+    orthogonal,
+    overlap,
     parse_scalar,
     rank,
     rank1_projector,
@@ -85,7 +87,7 @@ class QuantumState:
         if v.is_zero:
             raise ValidationError("events must be non-zero vectors")
         if self.psi is not None:
-            return inner_product(v, self.psi).abs2() / (v.norm_sq() * self.psi.norm_sq())
+            return overlap(v, self.psi)
         value = inner_product(v, self.rho.apply(v))
         return value.as_fraction() / v.norm_sq()
 
@@ -134,9 +136,16 @@ class PossibilisticModel:
 
 
 def possibilistic_model(scenario: Scenario, state: QuantumState) -> PossibilisticModel:
-    """Map each ray to 1 iff its Born probability under ``state`` is non-zero."""
+    """Map each ray to 1 iff its Born probability under ``state`` is non-zero.
+
+    For a pure state that is the ray not being orthogonal to the state.
+    """
     if state.dim != scenario.dim:
         raise DimensionMismatchError("state dimension does not match the scenario")
+    if state.psi is not None:
+        return PossibilisticModel(
+            tuple(0 if orthogonal(r.vector, state.psi) else 1 for r in scenario.rays)
+        )
     return PossibilisticModel(
         tuple(0 if state.probability(r.vector) == 0 else 1 for r in scenario.rays)
     )
@@ -289,7 +298,7 @@ def find_contextual_pure_states(
             if len(basis) != 1:
                 continue
             psi = basis[0]
-            if inner_product(witness_vector, psi).is_zero:
+            if orthogonal(witness_vector, psi):
                 continue
             if psi in seen_states:
                 continue

@@ -12,11 +12,17 @@ the entries, then rotate by a unit in ``{1, -1, i, -i}`` so the first
 non-zero coordinate has positive real part (and non-negative imaginary
 part).  Structural equality of canonical forms then decides ray equality.
 
-The elimination routines use ordinary exact Gauss-Jordan reduction;
-``Fraction`` keeps every intermediate in lowest terms, which bounds growth
-at the small matrix sizes this toolkit works with.  The density-operator
-validity check (Hermitian, unit trace, all principal minors non-negative)
-enumerates subsets and is likewise intended for small dimensions.
+Ray linear algebra runs on Gaussian integers.  Every vector caches its
+:attr:`ExactVector.integer_form`, a positive rational multiple with
+coprime ``(re, im)`` int parts; such a multiple spans the same ray, so
+orthogonality, rank and nullspace can be decided on it.  :func:`rank` and
+:func:`nullspace` use fraction-free Gauss-Jordan elimination over Z[i]
+(Bareiss 1968), dividing each updated row by the integer gcd of its parts
+to limit growth.  ``Fraction`` values are built only where an exact value
+leaves this layer: Born probabilities (:func:`overlap`), Gram-Schmidt and
+matrices.  The density-operator validity check (Hermitian, unit trace, all
+principal minors non-negative) enumerates subsets and is intended for
+small dimensions.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -220,6 +227,18 @@ class ExactVector:
     def norm_sq(self) -> Fraction:
         return sum((c.abs2() for c in self.coords), _ZERO)
 
+    @cached_property
+    def integer_form(self) -> tuple[tuple[int, int], ...]:
+        """The coordinates as ``(re, im)`` int pairs: cleared of denominators, coprime.
+
+        A positive rational multiple of the vector, so it spans the same
+        ray and has the same zero-tests.  Computed on first use, then kept.
+        """
+        den = lcm(*(part.denominator for c in self.coords for part in (c.re, c.im)))
+        ints = [int(c.re * den) for c in self.coords], [int(c.im * den) for c in self.coords]
+        content = gcd(*ints[0], *ints[1]) or 1
+        return tuple((a // content, b // content) for a, b in zip(*ints))
+
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 
@@ -255,8 +274,29 @@ def inner_product(u: ExactVector, v: ExactVector) -> ExactScalar:
     return total
 
 
+def _integer_inner(u: ExactVector, v: ExactVector) -> tuple[int, int]:
+    # <u|v> on the integer forms: a positive rational multiple of inner_product(u, v)
+    _require_same_dim(u, v)
+    re = im = 0
+    for (a, b), (c, d) in zip(u.integer_form, v.integer_form):
+        re += a * c + b * d
+        im += a * d - b * c
+    return re, im
+
+
 def orthogonal(u: ExactVector, v: ExactVector) -> bool:
-    return inner_product(u, v).is_zero
+    """Whether ``<u|v> = 0``, decided in integers."""
+    return _integer_inner(u, v) == (0, 0)
+
+
+def overlap(u: ExactVector, v: ExactVector) -> Fraction:
+    """``|<u|v>|^2 / (||u||^2 ||v||^2)``: the Born probability of ray ``u`` in pure state ``v``."""
+    re, im = _integer_inner(u, v)
+    norm_u = sum(a * a + b * b for a, b in u.integer_form)
+    norm_v = sum(a * a + b * b for a, b in v.integer_form)
+    if norm_u == 0 or norm_v == 0:
+        raise ValidationError("the overlap of a zero vector is undefined")
+    return Fraction(re * re + im * im, norm_u * norm_v)
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +336,11 @@ def canonical_ray(v: ExactVector) -> ExactVector:
     """
     if v.is_zero:
         raise ValidationError("the zero vector has no canonical ray form")
-    lcd = 1
-    for c in v.coords:
-        for part in (c.re, c.im):
-            lcd = lcd * part.denominator // gcd(lcd, part.denominator)
-    ints = [(int(c.re * lcd), int(c.im * lcd)) for c in v.coords]
+    return _canonical_from_ints(v.integer_form)
+
+
+def _canonical_from_ints(ints: Sequence[tuple[int, int]]) -> ExactVector:
+    # canonical_ray of the non-zero Gaussian-integer vector ``ints``
     g = (0, 0)
     for z in ints:
         if z != (0, 0):
@@ -331,34 +371,49 @@ def canonical_ray(v: ExactVector) -> ExactVector:
 # elimination: rank, nullspace, Gram-Schmidt
 # ---------------------------------------------------------------------------
 
-def _rref(m: list[list[ExactScalar]]) -> list[int]:
-    """In-place reduced row echelon form; returns the pivot columns."""
-    if not m:
-        return []
-    rows, cols = len(m), len(m[0])
+def _eliminate(rows: Sequence[ExactVector]) -> tuple[list[list[tuple[int, int]]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of the constraint rows over Z[i].
+
+    ``<row|psi> = sum_j conj(row_j) psi_j``, so the coefficient row is the
+    conjugate of the row's integer form; scaling a row changes neither the
+    rank nor the nullspace.  Returns the non-zero reduced rows and their
+    pivot columns: row ``i`` is non-zero at column ``pivots[i]`` and zero
+    at every other pivot column.
+    """
+    m = [[(a, -b) for a, b in row.integer_form] for row in rows]
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if not m[i][c].is_zero), None)
-        if pivot_row is None:
+    for c in range(len(m[0]) if m else 0):
+        for pivot_row in range(r, len(m)):
+            if m[pivot_row][c] != (0, 0):
+                break
+        else:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(rows):
-            if i != r and not m[i][c].is_zero:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pr, pi = m[r][c]
+        for i in range(len(m)):
+            fr, fi = m[i][c]
+            if i == r or (fr == 0 and fi == 0):
+                continue
+            # row_i <- p * row_i - f * row_r clears column c; then divide out the content
+            row = [
+                (pr * a - pi * b - fr * x + fi * y, pr * b + pi * a - fr * y - fi * x)
+                for (a, b), (x, y) in zip(m[i], m[r])
+            ]
+            content = gcd(*(part for z in row for part in z))
+            m[i] = row if content <= 1 else [(a // content, b // content) for a, b in row]
         pivots.append(c)
         r += 1
-        if r == rows:
+        if r == len(m):
             break
-    return pivots
+    return m[:r], pivots
 
 
-def _constraint_matrix(rows: Sequence[ExactVector]) -> list[list[ExactScalar]]:
-    # <row|psi> = sum_j conj(row_j) psi_j, so the coefficient row is conj(row).
-    return [[c.conjugate() for c in row.coords] for row in rows]
+def _gaussian_product(factors: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    re, im = 1, 0
+    for a, b in factors:
+        re, im = re * a - im * b, re * b + im * a
+    return re, im
 
 
 def _shared_dim(rows: Sequence[ExactVector], dim: int | None) -> int:
@@ -378,7 +433,7 @@ def _shared_dim(rows: Sequence[ExactVector], dim: int | None) -> int:
 def rank(rows: Sequence[ExactVector], dim: int | None = None) -> int:
     """Exact rank of the row family."""
     _shared_dim(rows, dim)
-    return len(_rref(_constraint_matrix(rows)))
+    return len(_eliminate(rows)[1])
 
 
 def nullspace(rows: Sequence[ExactVector], dim: int | None = None) -> list[ExactVector]:
@@ -389,16 +444,19 @@ def nullspace(rows: Sequence[ExactVector], dim: int | None = None) -> list[Exact
     empty and must match the shared row dimension otherwise.
     """
     d = _shared_dim(rows, dim)
-    m = _constraint_matrix(rows)
-    pivots = _rref(m)
-    free = [c for c in range(d) if c not in pivots]
+    m, pivots = _eliminate(rows)
+    pivot_values = [m[i][pc] for i, pc in enumerate(pivots)]
+    # row i reads p_i x[pc_i] + m[i][fc] x[fc] = 0, solved without division by
+    # x[fc] = prod_j p_j and x[pc_i] = -m[i][fc] prod_{j != i} p_j
+    all_pivots = _gaussian_product(pivot_values)
+    others = [_gaussian_product(pivot_values[:i] + pivot_values[i + 1 :]) for i in range(len(pivots))]
     basis = []
-    for fc in free:
-        coords = [ZERO] * d
-        coords[fc] = ONE
+    for fc in (c for c in range(d) if c not in pivots):
+        coords = [(0, 0)] * d
+        coords[fc] = all_pivots
         for i, pc in enumerate(pivots):
-            coords[pc] = -m[i][fc]
-        basis.append(canonical_ray(ExactVector(tuple(coords))))
+            coords[pc] = _gaussian_product((m[i][fc], others[i], (-1, 0)))
+        basis.append(_canonical_from_ints(coords))
     return basis
 
 

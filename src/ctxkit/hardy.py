@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterable
 
 from .assignments import KSAssignment, events_containing
 from .contextuality import QuantumState, _blocked_witnesses, possibilistic_model
@@ -336,7 +337,9 @@ def _unmatched(ref: ReferenceRow) -> ValidationError:
 
 
 def crosscheck_reference_observables(
-    scenario: Scenario, assignments: list[KSAssignment]
+    scenario: Scenario,
+    assignments: list[KSAssignment],
+    derivations: Iterable[ParadoxDerivation] = (),
 ) -> ReferenceCrossCheck:
     """Re-derive every reference row and flag inconsistent printings.
 
@@ -346,7 +349,9 @@ def crosscheck_reference_observables(
     the errata.  Derived matrices are authoritative either way.  Before
     anything is derived, every row's zero rays must be impossible and its
     witness possible under the row's state, so a scenario that only shares
-    the reference labels is rejected at once.
+    the reference labels is rejected at once.  ``derivations`` already
+    made for pure states on this scenario are reused; only the reference
+    states they miss are derived.
     """
     rows = []
     for ref in REFERENCE_OBSERVABLES:
@@ -360,14 +365,14 @@ def crosscheck_reference_observables(
         rows.append((ref, state, witness_idx, zeros))
     results = []
     errata = []
-    derivations: dict[tuple[int, int, int], ParadoxDerivation] = {}
+    by_state = {d.paradoxes[0].state.psi: d for d in derivations if d.paradoxes}
     for ref, state, witness_idx, zeros in rows:
-        if ref.state not in derivations:
-            derivations[ref.state] = derive_paradoxes(scenario, state, assignments)
+        if state.psi not in by_state:
+            by_state[state.psi] = derive_paradoxes(scenario, state, assignments)
         paradox = next(
             (
                 p
-                for p in derivations[ref.state].paradoxes
+                for p in by_state[state.psi].paradoxes
                 if p.witness == witness_idx and p.zero_set == zeros
             ),
             None,

@@ -25,7 +25,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ParseError, UnknownLabelError, ValidationError
-from .exact import ExactVector, canonical_ray, inner_product, nullspace, parse_scalar
+from .exact import ExactVector, canonical_ray, nullspace, orthogonal, parse_scalar
 
 _LABEL_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.-")
 
@@ -121,6 +121,7 @@ def load_scenario(text: str, source: str = "<string>") -> Scenario:
     header: tuple[str, int, str] | None = None
     rays: list[Ray] = []
     seen_labels: dict[str, int] = {}
+    seen_rays: dict[ExactVector, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -133,12 +134,12 @@ def load_scenario(text: str, source: str = "<string>") -> Scenario:
         if label in seen_labels:
             raise ValidationError(f"duplicate label {label!r} (line {lineno})")
         canon = canonical_ray(vector)
-        for other in rays:
-            if other.vector == canon:
-                raise ValidationError(
-                    f"ray {label!r} (line {lineno}) is a scalar multiple of ray {other.label!r}"
-                )
+        if canon in seen_rays:
+            raise ValidationError(
+                f"ray {label!r} (line {lineno}) is a scalar multiple of ray {seen_rays[canon]!r}"
+            )
         seen_labels[label] = lineno
+        seen_rays[canon] = label
         rays.append(Ray(label, canon))
     if header is None:
         raise ParseError(f"no header line found in {source}")
@@ -149,7 +150,7 @@ def load_scenario(text: str, source: str = "<string>") -> Scenario:
         (i, j)
         for i in range(len(rays))
         for j in range(i + 1, len(rays))
-        if inner_product(rays[i].vector, rays[j].vector).is_zero
+        if orthogonal(rays[i].vector, rays[j].vector)
     )
     return Scenario(name=name, dim=dim, field=field_kind, rays=tuple(rays), edges=edges)
 

@@ -196,8 +196,16 @@ def test_command_enumerates_once_and_derives_each_state_once(monkeypatch, tmp_pa
     derivations = count_calls(monkeypatch, ctxkit.hardy.derive_paradoxes)
     assert cli.main([command, "--scenario", "yu-oh", "--out", str(tmp_path / "out")]) == 0
     assert len(enumerations) == 1
-    # 4 contextual states, each derived once by the command and once by the crosscheck
-    assert len(derivations) <= 8
+    # 4 contextual states, each derived once; the crosscheck reuses the derivations
+    assert len(derivations) == 4
+
+
+def test_crosscheck_derives_only_the_reference_states_it_is_not_given(monkeypatch, tmp_path):
+    derivations = count_calls(monkeypatch, ctxkit.hardy.derive_paradoxes)
+    argv = ["observables", "--scenario", "yu-oh", "--state", "1,1,1", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    # the command's (1,1,1) derivation is reused; the other 3 reference states are derived
+    assert len(derivations) == 4
 
 
 @pytest.mark.parametrize("command, models", [("check", 2), ("paradoxes", 1)])

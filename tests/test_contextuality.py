@@ -7,9 +7,14 @@ from fractions import Fraction
 
 import pytest
 
+import ctxkit.contextuality
+import ctxkit.hardy
+import ctxkit.scenario
+import oracles
 from ctxkit import (
     DimensionMismatchError,
     ExactMatrix,
+    ExactScalar,
     InvalidDensityError,
     ParseError,
     QuantumState,
@@ -21,6 +26,7 @@ from ctxkit import (
     enumerate_assignments,
     enumerate_contexts,
     find_contextual_pure_states,
+    inner_product,
     is_logically_contextual,
     load_scenario,
     mixture,
@@ -252,6 +258,65 @@ def test_mixed_analysis_flags_large_solution_spaces():
     assert any(t.nullity >= 2 for t in report.triples)
     search = find_contextual_pure_states(doctored, assignments)
     assert any(f.nullity >= 2 for f in search.undetermined)
+
+
+# --- a Gaussian-field image of yu-oh against the Fraction oracle ------------------
+
+# A unitary over Q(i): its image of yu-oh has yu-oh's combinatorics but
+# coordinates with genuine imaginary parts.
+GAUSSIAN_UNITARY = ExactMatrix.from_rows(
+    [
+        [Fraction(3, 5), ExactScalar(0, Fraction(4, 5)), 0],
+        [ExactScalar(0, Fraction(4, 5)), Fraction(3, 5), 0],
+        [0, 0, 1],
+    ]
+)
+
+
+def gaussian_image_text(scenario) -> str:
+    lines = [f"scenario {scenario.name}-u dim 3 field gaussian"]
+    for ray in scenario.rays:
+        image = canonical_ray(GAUSSIAN_UNITARY.apply(ray.vector))
+        lines.append(f"{ray.label}: " + ",".join(str(c) for c in image.coords))
+    return "\n".join(lines) + "\n"
+
+
+def run_pipeline(text):
+    scenario = load_scenario(text)
+    contexts = enumerate_contexts(scenario)
+    assignments = enumerate_assignments(scenario)
+    return (
+        scenario,
+        contexts,
+        find_contextual_pure_states(scenario, assignments),
+        analyze_mixed_states(scenario, assignments),
+    )
+
+
+def test_gaussian_image_matches_the_fraction_oracle(monkeypatch, yu_oh):
+    assert GAUSSIAN_UNITARY @ GAUSSIAN_UNITARY.dagger() == ExactMatrix.identity(3)
+    text = gaussian_image_text(yu_oh)
+    scenario, contexts, search, mixed = run_pipeline(text)
+    assert scenario.edges == yu_oh.edges
+    assert any(not c.is_real for ray in scenario.rays for c in ray.vector.coords)
+    assert {s.state for s in search.states} == {
+        canonical_ray(GAUSSIAN_UNITARY.apply(s.state))
+        for s in find_contextual_pure_states(yu_oh, enumerate_assignments(yu_oh)).states
+    }
+    assert len(search.states) == 4
+    assert len(mixed.triples) == 4 * 27 and mixed.no_mixed_states
+
+    for module in (ctxkit.scenario, ctxkit.contextuality, ctxkit.hardy):
+        for name, oracle in (
+            ("rank", oracles.rank),
+            ("nullspace", oracles.nullspace),
+            ("orthogonal", lambda u, v: inner_product(u, v).is_zero),
+        ):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, oracle)
+    oracle_scenario, *oracle_results = run_pipeline(text)
+    assert oracle_scenario.edges == scenario.edges
+    assert oracle_results == [contexts, search, mixed]
 
 
 # --- state construction and parsing -------------------------------------------

@@ -29,6 +29,9 @@ from ctxkit import (
     rank1_projector,
     vec,
 )
+from ctxkit.exact import orthogonal, overlap
+
+import oracles
 
 I = ExactScalar(0, 1)  # the imaginary unit
 
@@ -211,6 +214,63 @@ def test_rank_nullity(rows):
     for b in basis:
         for row in rows:
             assert inner_product(row, b).is_zero
+
+
+# --- the integer core against the Fraction oracle --------------------------
+
+ZERO_SCALAR = ExactScalar(0)
+sparse_scalars = st.one_of(st.just(ZERO_SCALAR), scalars)
+
+
+def gaussian_vectors(d):
+    return st.lists(sparse_scalars, min_size=d, max_size=d).map(lambda cs: ExactVector(tuple(cs)))
+
+
+@st.composite
+def row_families(draw):
+    """d in 2..5 and 0..6 Gaussian-rational rows: fresh, zero, rescaled repeats, combinations."""
+    d = draw(st.integers(min_value=2, max_value=5))
+    rows: list[ExactVector] = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat", "combination"] if rows else ["fresh", "zero"]))
+        if kind == "fresh":
+            rows.append(draw(gaussian_vectors(d)))
+        elif kind == "zero":
+            rows.append(ExactVector((ZERO_SCALAR,) * d))
+        elif kind == "repeat":
+            rows.append(draw(st.sampled_from(rows)).scale(draw(nonzero_scalars)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append(a.scale(draw(nonzero_scalars)) + b.scale(draw(nonzero_scalars)))
+    return d, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_families())
+def test_rank_and_nullspace_match_the_fraction_oracle(family):
+    d, rows = family
+    assert rank(rows, dim=d) == oracles.rank(rows, dim=d)
+    assert nullspace(rows, dim=d) == oracles.nullspace(rows, dim=d)
+
+
+def test_integer_form_is_a_positive_multiple_with_coprime_parts():
+    v = ExactVector((ExactScalar(Fraction(2, 3), Fraction(-4, 3)), ExactScalar(Fraction(4, 9)), ZERO_SCALAR))
+    assert v.integer_form == ((3, -6), (2, 0), (0, 0))
+    assert ExactVector((ZERO_SCALAR, ZERO_SCALAR)).integer_form == ((0, 0), (0, 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_orthogonal_and_overlap_match_the_inner_product(data):
+    d = data.draw(st.integers(min_value=2, max_value=5))
+    u = data.draw(gaussian_vectors(d).filter(lambda v: not v.is_zero))
+    # half of the partners are drawn from u's orthogonal complement, rescaled
+    partners = [data.draw(gaussian_vectors(d).filter(lambda v: not v.is_zero))]
+    partners += [w.scale(data.draw(nonzero_scalars)) for w in oracles.nullspace([u], dim=d)]
+    v = data.draw(st.sampled_from(partners))
+    assert orthogonal(u, v) == inner_product(u, v).is_zero
+    assert orthogonal(v, u) == orthogonal(u, v)
+    assert overlap(u, v) == inner_product(u, v).abs2() / (u.norm_sq() * v.norm_sq())
 
 
 # --- Gram-Schmidt ---------------------------------------------------------
