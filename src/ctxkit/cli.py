@@ -217,12 +217,42 @@ class _Analysis:
         return "; ".join(self.skipped) if self.skipped and not self.numbered else None
 
     @cached_property
-    def observables(self) -> list[tuple[int, HardyParadox, WitnessObservable, ObservableVerification]]:
+    def observables(
+        self,
+    ) -> list[tuple[int, HardyParadox, WitnessObservable | None, ObservableVerification | str]]:
+        """Each numbered paradox with its observable and verification, or ``None`` and the reason.
+
+        A paradox of a shape the construction does not cover is skipped on
+        its own; the other observables are still built and verified.
+        """
         out = []
         for idx, paradox in self.numbered:
-            observable = build_witness_observable(self.scenario, paradox, self.config.eigenvalues)
+            try:
+                observable = build_witness_observable(self.scenario, paradox, self.config.eigenvalues)
+            except ValidationError as exc:
+                out.append((idx, paradox, None, str(exc)))
+                continue
             out.append((idx, paradox, observable, verify_observable(paradox, observable)))
         return out
+
+    def observable_blocks(self) -> list[list[str]]:
+        """One text block per numbered paradox: its observable, or its skip line."""
+        return [
+            [f"observable {idx}: skipped ({result})"]
+            if observable is None
+            else rp.observable_lines(self.scenario, idx, paradox, observable, result)
+            for idx, paradox, observable, result in self.observables
+        ]
+
+    def observables_json(self) -> tuple[list[dict], list[str]]:
+        """The built observables, and ``observable N: <reason>`` for each skipped one."""
+        built, skipped = [], []
+        for idx, paradox, observable, result in self.observables:
+            if observable is None:
+                skipped.append(f"observable {idx}: {result}")
+            else:
+                built.append(rp.observable_json(self.scenario, idx, paradox, observable, result))
+        return built, skipped
 
     @cached_property
     def crosscheck(self) -> ReferenceCrossCheck | None:
@@ -305,14 +335,15 @@ def _cmd_paradoxes(config: RunConfig, scenario: Scenario) -> str:
 def _cmd_observables(config: RunConfig, scenario: Scenario) -> str:
     a = _Analysis(config, scenario)
     if config.fmt == "json":
+        observables, skipped = a.observables_json()
         return a.json(
-            observables=[rp.observable_json(scenario, *o) for o in a.observables],
-            skipped=a.skipped,
+            observables=observables,
+            skipped=a.skipped + skipped,
             **a.crosscheck_json(),
         )
     lines = [] if a.none_reason is None else [f"observables: none ({a.none_reason})"]
-    for o in a.observables:
-        lines += rp.observable_lines(scenario, *o)
+    for block in a.observable_blocks():
+        lines += block
     if a.crosscheck is not None:
         lines += ["", *rp.crosscheck_lines(a.crosscheck)]
     return _text(lines)
@@ -352,6 +383,7 @@ def _cmd_report(config: RunConfig, scenario: Scenario) -> str:
     mixed = analyze_mixed_states(scenario, a.assignments)
     basis_free_rays = [i for i, count in enumerate(basis_membership(scenario)) if count == 0]
     if config.fmt == "json":
+        observables, skipped = a.observables_json()
         return a.json(
             seed=config.seed,
             contexts=rp.contexts_json(scenario, a.complement_check),
@@ -361,7 +393,9 @@ def _cmd_report(config: RunConfig, scenario: Scenario) -> str:
             witnesses_basis_free=check_witnesses_basis_free(scenario, a.search),
             mixed_analysis=rp.mixed_json(scenario, mixed),
             paradoxes=[rp.paradox_json(scenario, i, p) for i, p in a.numbered],
-            observables=[rp.observable_json(scenario, *o) for o in a.observables],
+            observables=observables,
+            # absent when nothing is skipped, as in every yu-oh report
+            **({"skipped": skipped} if skipped else {}),
             **a.crosscheck_json(),
         )
     return _text(
@@ -372,7 +406,7 @@ def _cmd_report(config: RunConfig, scenario: Scenario) -> str:
         rp.states_lines(scenario, a.search),
         rp.mixed_lines(scenario, mixed),
         rp.paradox_lines(scenario, a.numbered, a.none_reason),
-        *(rp.observable_lines(scenario, *o) for o in a.observables),
+        *a.observable_blocks(),
         *([] if a.crosscheck is None else [rp.crosscheck_lines(a.crosscheck)]),
     )
 

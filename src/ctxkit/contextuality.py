@@ -40,7 +40,7 @@ from .exact import (
     ExactMatrix,
     ExactVector,
     canonical_ray,
-    inner_product,
+    expectation,
     nullspace,
     orthogonal,
     overlap,
@@ -88,8 +88,7 @@ class QuantumState:
             raise ValidationError("events must be non-zero vectors")
         if self.psi is not None:
             return overlap(v, self.psi)
-        value = inner_product(v, self.rho.apply(v))
-        return value.as_fraction() / v.norm_sq()
+        return expectation(self.rho, v)
 
     def describe(self) -> str:
         return str(self.psi) if self.psi is not None else "density"
@@ -278,20 +277,24 @@ def find_contextual_pure_states(
     For every ray with a non-empty global-event set, solve the
     orthogonality system of every selection of one non-witness ray per
     event (repeated picks collapse, as the selections are multisets over
-    distinct rays).  One-dimensional solution rays not orthogonal to the
-    witness are collected, deduplicated by canonical form and re-verified
-    with :func:`is_logically_contextual`.
+    distinct rays); a selection shared by several witnesses is solved
+    once.  One-dimensional solution rays not orthogonal to the witness are
+    collected, deduplicated by canonical form and re-verified with
+    :func:`is_logically_contextual`.
     """
     found: list[WitnessedState] = []
     undetermined: list[UndeterminedFamily] = []
     seen_states: set[ExactVector] = set()
+    bases: dict[tuple[int, ...], list[ExactVector]] = {}
     for k in range(len(scenario.rays)):
         events = events_containing(scenario, assignments, k)
         if not events:
             continue
         witness_vector = scenario.rays[k].vector
         for selection in dict.fromkeys(s for _, s in _selections(events, k)):
-            basis = nullspace([scenario.rays[i].vector for i in selection], dim=scenario.dim)
+            if selection not in bases:
+                bases[selection] = nullspace([scenario.rays[i].vector for i in selection], dim=scenario.dim)
+            basis = bases[selection]
             if len(basis) >= 2:
                 undetermined.append(UndeterminedFamily(k, selection, len(basis)))
                 continue
@@ -359,6 +362,7 @@ def analyze_mixed_states(
     counts = basis_membership(scenario)
     triples: list[TripleAnalysis] = []
     violations: list[tuple[int, tuple[int, ...]]] = []
+    rank_cache: dict[tuple[int, ...], int] = {}
     for k in range(len(scenario.rays)):
         if counts[k] != 0:
             continue
@@ -371,7 +375,6 @@ def analyze_mixed_states(
         common.discard(k)
         if common:
             violations.append((k, tuple(sorted(common))))
-        rank_cache: dict[tuple[int, ...], int] = {}
         for picks, selection in _selections(events, k):
             if selection not in rank_cache:
                 rank_cache[selection] = rank(

@@ -12,17 +12,20 @@ the entries, then rotate by a unit in ``{1, -1, i, -i}`` so the first
 non-zero coordinate has positive real part (and non-negative imaginary
 part).  Structural equality of canonical forms then decides ray equality.
 
-Ray linear algebra runs on Gaussian integers.  Every vector caches its
+Linear algebra runs on Gaussian integers.  Every vector caches its
 :attr:`ExactVector.integer_form`, a positive rational multiple with
 coprime ``(re, im)`` int parts; such a multiple spans the same ray, so
-orthogonality, rank and nullspace can be decided on it.  :func:`rank` and
-:func:`nullspace` use fraction-free Gauss-Jordan elimination over Z[i]
-(Bareiss 1968), dividing each updated row by the integer gcd of its parts
-to limit growth.  ``Fraction`` values are built only where an exact value
-leaves this layer: Born probabilities (:func:`overlap`), Gram-Schmidt and
-matrices.  The density-operator validity check (Hermitian, unit trace, all
-principal minors non-negative) enumerates subsets and is intended for
-small dimensions.
+orthogonality, rank, nullspace and Gram-Schmidt can be decided on it.
+:func:`rank` and :func:`nullspace` use fraction-free Gauss-Jordan
+elimination over Z[i] (Bareiss 1968), dividing each updated row by the
+integer gcd of its parts to limit growth.  An :class:`ExactMatrix` keeps
+Gaussian-integer numerators over one common denominator, so projectors,
+density states and their products, traces and principal minors are int
+arithmetic too.  ``Fraction`` values are built only where an exact value
+leaves this layer: Born probabilities (:func:`overlap`,
+:func:`expectation`), traces and printed entries.  The density-operator
+validity check (Hermitian, unit trace, all principal minors non-negative)
+enumerates subsets and is intended for small dimensions.
 """
 
 from __future__ import annotations
@@ -183,6 +186,18 @@ def parse_scalar(text: str, field: str = "gaussian") -> ExactScalar:
     return ExactScalar(re_part, im_part)
 
 
+def _over_common_denominator(
+    scalars: Iterable[ExactScalar],
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    # (den, nums) with scalars[k] == nums[k] / den and den the least common denominator
+    scalars = tuple(scalars)
+    den = lcm(*(part.denominator for s in scalars for part in (s.re, s.im)))
+    return den, tuple(
+        (s.re.numerator * (den // s.re.denominator), s.im.numerator * (den // s.im.denominator))
+        for s in scalars
+    )
+
+
 @dataclass(frozen=True)
 class ExactVector:
     """A vector over :class:`ExactScalar`, dimension at least 2."""
@@ -234,10 +249,9 @@ class ExactVector:
         A positive rational multiple of the vector, so it spans the same
         ray and has the same zero-tests.  Computed on first use, then kept.
         """
-        den = lcm(*(part.denominator for c in self.coords for part in (c.re, c.im)))
-        ints = [int(c.re * den) for c in self.coords], [int(c.im * den) for c in self.coords]
-        content = gcd(*ints[0], *ints[1]) or 1
-        return tuple((a // content, b // content) for a, b in zip(*ints))
+        _, nums = _over_common_denominator(self.coords)
+        content = gcd(*(part for z in nums for part in z)) or 1
+        return tuple((a // content, b // content) for a, b in nums)
 
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
@@ -465,17 +479,29 @@ def gram_schmidt(ordered: Sequence[ExactVector]) -> list[ExactVector]:
 
     Returns mutually orthogonal vectors spanning the same nested flags, in
     canonical ray form.  Raises :class:`LinearDependenceError` when a
-    residual vanishes, i.e. the input family is linearly dependent.
+    residual vanishes, i.e. the input family is linearly dependent.  Runs
+    on integer forms: with ``L = lcm ||u||^2`` over the earlier outputs,
+    ``L z - sum_u (L / ||u||^2) <u|z> u`` is a positive multiple of the
+    rational residual of ``z``, so it has the same canonical ray.
     """
     out: list[ExactVector] = []
+    norms: list[int] = []
     for v in ordered:
-        residual = v
-        for u in out:
-            coef = inner_product(u, residual) / ExactScalar(u.norm_sq())
-            residual = residual - u.scale(coef)
-        if residual.is_zero:
+        big = lcm(*norms)
+        residual = [(big * a, big * b) for a, b in v.integer_form]
+        for u, norm in zip(out, norms):
+            cr, ci = _integer_inner(u, v)
+            f = big // norm
+            cr, ci = cr * f, ci * f
+            residual = [
+                (x - (cr * a - ci * b), y - (cr * b + ci * a))
+                for (x, y), (a, b) in zip(residual, u.integer_form)
+            ]
+        if all(z == (0, 0) for z in residual):
             raise LinearDependenceError(f"vector {v} is linearly dependent on its predecessors")
-        out.append(canonical_ray(residual))
+        u = _canonical_from_ints(residual)
+        out.append(u)
+        norms.append(sum(a * a + b * b for a, b in u.integer_form))
     return out
 
 
@@ -483,30 +509,63 @@ def gram_schmidt(ordered: Sequence[ExactVector]) -> list[ExactVector]:
 # matrices, projectors, Born probabilities
 # ---------------------------------------------------------------------------
 
+def _dot(xs: Iterable[tuple[int, int]], ys: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    # sum_k x_k y_k over Z[i], without conjugation
+    re = im = 0
+    for (a, b), (c, d) in zip(xs, ys):
+        re += a * c - b * d
+        im += a * d + b * c
+    return re, im
+
+
 @dataclass(frozen=True)
 class ExactMatrix:
-    """A dense matrix of :class:`ExactScalar`, row-major."""
+    """A dense Gaussian-rational matrix: ``nums[i * cols + j] / den``.
+
+    ``nums`` holds row-major Gaussian-integer numerators as ``(re, im)``
+    int pairs over one positive common denominator ``den``.  The
+    constructor brings them to lowest terms (``gcd(den, all parts) == 1``),
+    so ``==`` and ``hash`` are structural.  Every operation runs in ints;
+    :attr:`entries` builds :class:`ExactScalar` values only when read.
+    """
 
     rows: int
     cols: int
-    entries: tuple[ExactScalar, ...]
+    den: int
+    nums: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        entries = tuple(ExactScalar.coerce(e) for e in self.entries)
-        if self.rows <= 0 or self.cols <= 0 or len(entries) != self.rows * self.cols:
+        nums = tuple(self.nums)
+        if self.rows <= 0 or self.cols <= 0 or len(nums) != self.rows * self.cols:
             raise ValidationError("matrix shape does not match entry count")
-        object.__setattr__(self, "entries", entries)
+        if self.den <= 0:
+            raise ValidationError("matrix denominator must be positive")
+        g = gcd(self.den, *(part for z in nums for part in z))
+        if g > 1:
+            object.__setattr__(self, "den", self.den // g)
+            nums = tuple((a // g, b // g) for a, b in nums)
+        object.__setattr__(self, "nums", nums)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[ScalarLike]]) -> "ExactMatrix":
         data = [[ExactScalar.coerce(x) for x in row] for row in rows]
         if not data or any(len(r) != len(data[0]) for r in data):
             raise ValidationError("matrix rows must be non-empty and of equal length")
-        return cls(len(data), len(data[0]), tuple(x for row in data for x in row))
+        den, nums = _over_common_denominator(x for row in data for x in row)
+        return cls(len(data), len(data[0]), den, nums)
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
+        return cls(n, n, 1, tuple((1, 0) if i == j else (0, 0) for i in range(n) for j in range(n)))
+
+    @cached_property
+    def entries(self) -> tuple[ExactScalar, ...]:
+        """The entries as :class:`ExactScalar`, row-major; built on first read."""
+        return tuple(ExactScalar(Fraction(a, self.den), Fraction(b, self.den)) for a, b in self.nums)
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(a or b for a, b in self.nums)
 
     def entry(self, i: int, j: int) -> ExactScalar:
         return self.entries[i * self.cols + j]
@@ -514,51 +573,66 @@ class ExactMatrix:
     def row(self, i: int) -> tuple[ExactScalar, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+    def _combine(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
+        # self + sign * other over the least common denominator
         self._require_same_shape(other)
-        return ExactMatrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, sign * (den // other.den)
+        return ExactMatrix(
+            self.rows,
+            self.cols,
+            den,
+            tuple((s * a + t * c, s * b + t * d) for (a, b), (c, d) in zip(self.nums, other.nums)),
+        )
+
+    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._require_same_shape(other)
-        return ExactMatrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return self._combine(other, -1)
 
     def scale(self, factor: ScalarLike) -> "ExactMatrix":
-        f = ExactScalar.coerce(factor)
-        return ExactMatrix(self.rows, self.cols, tuple(f * e for e in self.entries))
+        fden, ((fr, fi),) = _over_common_denominator((ExactScalar.coerce(factor),))
+        return ExactMatrix(
+            self.rows,
+            self.cols,
+            self.den * fden,
+            tuple((a * fr - b * fi, a * fi + b * fr) for a, b in self.nums),
+        )
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise DimensionMismatchError("matrix shapes do not compose")
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = ZERO
-                for k in range(self.cols):
-                    acc = acc + self.entry(i, k) * other.entry(k, j)
-                out.append(acc)
-        return ExactMatrix(self.rows, other.cols, tuple(out))
+        n, m = self.cols, other.cols
+        columns = [other.nums[j::m] for j in range(m)]
+        return ExactMatrix(
+            self.rows,
+            m,
+            self.den * other.den,
+            tuple(_dot(self.nums[i * n : (i + 1) * n], col) for i in range(self.rows) for col in columns),
+        )
 
     def apply(self, v: ExactVector) -> ExactVector:
         if self.cols != v.dim:
             raise DimensionMismatchError("matrix and vector dimensions do not match")
+        vden, z = _over_common_denominator(v.coords)
+        den = self.den * vden
         return ExactVector(
             tuple(
-                sum((self.entry(i, j) * v[j] for j in range(self.cols)), ZERO)
-                for i in range(self.rows)
+                ExactScalar(Fraction(re, den), Fraction(im, den))
+                for re, im in (_dot(self.nums[i * v.dim : (i + 1) * v.dim], z) for i in range(self.rows))
             )
         )
 
     def trace(self) -> ExactScalar:
         if self.rows != self.cols:
             raise DimensionMismatchError("trace of a non-square matrix")
-        return sum((self.entry(i, i) for i in range(self.rows)), ZERO)
+        re, im = map(sum, zip(*self.nums[:: self.cols + 1]))
+        return ExactScalar(Fraction(re, self.den), Fraction(im, self.den))
 
     def dagger(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entry(i, j).conjugate() for j in range(self.cols) for i in range(self.rows)),
-        )
+        c = self.cols
+        return ExactMatrix(c, self.rows, self.den, tuple((a, -b) for j in range(c) for a, b in self.nums[j::c]))
 
     def is_hermitian(self) -> bool:
         return self.rows == self.cols and self == self.dagger()
@@ -572,27 +646,52 @@ class ExactMatrix:
 
 
 def rank1_projector(v: ExactVector) -> ExactMatrix:
-    """The projector ``|v><v| / ||v||^2`` onto the ray through ``v``."""
+    """The projector ``|v><v| / ||v||^2`` onto the ray through ``v``.
+
+    Built from the integer form ``z``: numerators ``z_i conj(z_j)`` over
+    ``||z||^2``.
+    """
     if v.is_zero:
         raise ValidationError("cannot project onto the zero vector")
-    n = ExactScalar(v.norm_sq())
+    z = v.integer_form
     return ExactMatrix(
         v.dim,
         v.dim,
-        tuple(v[i] * v[j].conjugate() / n for i in range(v.dim) for j in range(v.dim)),
+        sum(a * a + b * b for a, b in z),
+        tuple((a * c + b * d, b * c - a * d) for a, b in z for c, d in z),
     )
 
 
-def _det(entries: list[list[ExactScalar]]) -> ExactScalar:
-    n = len(entries)
-    if n == 1:
-        return entries[0][0]
-    total = ZERO
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in entries[1:]]
-        term = entries[0][j] * _det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+def _det(m: list[list[tuple[int, int]]]) -> tuple[int, int]:
+    """Determinant over Z[i] by fraction-free (Bareiss) elimination; overwrites ``m``.
+
+    Step ``k`` sets ``m[i][j] <- (p m[i][j] - m[i][k] m[k][j]) / prev`` for
+    the pivot ``p = m[k][k]`` and the previous pivot ``prev``; the division
+    is exact in any integral domain.  A zero pivot swaps in a later row.
+    """
+    n = len(m)
+    sign = 1
+    qr, qi = 1, 0
+    for k in range(n - 1):
+        if m[k][k] == (0, 0):
+            swap = next((i for i in range(k + 1, n) if m[i][k] != (0, 0)), None)
+            if swap is None:
+                return 0, 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pr, pi = m[k][k]
+        qn = qr * qr + qi * qi
+        for i in range(k + 1, n):
+            fr, fi = m[i][k]
+            for j in range(k + 1, n):
+                (a, b), (c, d) = m[i][j], m[k][j]
+                nr = pr * a - pi * b - fr * c + fi * d
+                ni = pr * b + pi * a - fr * d - fi * c
+                # (nr + ni i) / (qr + qi i) = (nr + ni i)(qr - qi i) / |q|^2
+                m[i][j] = ((nr * qr + ni * qi) // qn, (ni * qr - nr * qi) // qn)
+        qr, qi = pr, pi
+    re, im = m[n - 1][n - 1]
+    return sign * re, sign * im
 
 
 def validate_density(rho: ExactMatrix):
@@ -600,8 +699,10 @@ def validate_density(rho: ExactMatrix):
 
     Positive semidefiniteness is decided exactly by non-negativity of all
     principal minors (not only the leading ones, which is inconclusive for
-    singular matrices).  Subset enumeration is exponential in the dimension
-    and intended for small state spaces.
+    singular matrices).  Each minor is taken on the numerators: a k x k
+    minor of ``nums`` is ``den**k`` times that minor of ``rho``, so it has
+    the same sign.  Subset enumeration is exponential in the dimension and
+    intended for small state spaces.
     """
     if rho.rows != rho.cols:
         raise InvalidDensityError("density matrix must be square")
@@ -612,12 +713,30 @@ def validate_density(rho: ExactMatrix):
     n = rho.rows
     for mask in range(1, 1 << n):
         idx = [i for i in range(n) if mask >> i & 1]
-        sub = [[rho.entry(i, j) for j in idx] for i in idx]
-        minor = _det(sub)
-        if not minor.is_real:
+        minor_re, minor_im = _det([[rho.nums[i * n + j] for j in idx] for i in idx])
+        if minor_im != 0:
             raise InvalidDensityError("principal minor of a Hermitian matrix must be real")
-        if minor.re < 0:
+        if minor_re < 0:
             raise InvalidDensityError(f"principal minor {idx} is negative: matrix is not PSD")
+
+
+def expectation(rho: ExactMatrix, v: ExactVector) -> Fraction:
+    """``<v|rho|v> / ||v||^2``: the Born probability of ray ``v`` in the density state ``rho``.
+
+    Computed on the integer form ``z`` of ``v`` as the integer
+    ``<z|nums|z>`` over ``den ||z||^2``.
+    """
+    if rho.rows != v.dim or rho.cols != v.dim:
+        raise DimensionMismatchError("matrix and vector dimensions do not match")
+    z = v.integer_form
+    norm = sum(a * a + b * b for a, b in z)
+    if norm == 0:
+        raise ValidationError("events must be non-zero vectors")
+    d = v.dim
+    re, im = _dot(((a, -b) for a, b in z), (_dot(rho.nums[i * d : (i + 1) * d], z) for i in range(d)))
+    if im != 0:
+        raise ValidationError("the expectation of a non-Hermitian matrix is not real")
+    return Fraction(re, rho.den * norm)
 
 
 def mixture(parts: Sequence[tuple[RationalLike, ExactMatrix]]) -> ExactMatrix:

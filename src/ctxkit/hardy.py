@@ -198,7 +198,7 @@ def _projector_algebra_failures(
             failures.append(f"tr(P{idx}) = 1")
     for a, b in combinations(range(3), 2):
         prod = projectors[a] @ projectors[b]
-        if any(not e.is_zero for e in prod.entries):
+        if not prod.is_zero:
             failures.append(f"P{a + 1}*P{b + 1} = 0")
     total = projectors[0] + projectors[1] + projectors[2]
     if total != ExactMatrix.identity(dim):

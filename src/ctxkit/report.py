@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd
 
 from .assignments import KSAssignment, events_containing, support_labels
 from .contextuality import (
@@ -44,16 +43,14 @@ def fraction_str(q: Fraction) -> str:
 
 def matrix_text(m: ExactMatrix) -> str:
     """Render with a common factor pulled out, e.g. ``1/6 * [[1,-2,1],...]``."""
-    if all(e.is_real for e in m.entries):
-        lcd = 1
-        for e in m.entries:
-            lcd = lcd * e.re.denominator // gcd(lcd, e.re.denominator)
+    if all(im == 0 for _, im in m.nums):
+        # in lowest terms, den is the least common denominator of the entries
         rows = [
-            "[" + ",".join(str(int(m.entry(i, j).re * lcd)) for j in range(m.cols)) + "]"
+            "[" + ",".join(str(re) for re, _ in m.nums[i * m.cols : (i + 1) * m.cols]) + "]"
             for i in range(m.rows)
         ]
         body = "[" + ",".join(rows) + "]"
-        return body if lcd == 1 else f"1/{lcd} * {body}"
+        return body if m.den == 1 else f"1/{m.den} * {body}"
     return str(m)
 
 

@@ -89,7 +89,7 @@ def _validate_projectors(projectors: list[ExactMatrix], dim: int):
     for i in range(len(projectors)):
         for j in range(i + 1, len(projectors)):
             prod = projectors[i] @ projectors[j]
-            if any(not e.is_zero for e in prod.entries):
+            if not prod.is_zero:
                 raise ValidationError(f"projectors {i + 1} and {j + 1} are not orthogonal")
     total = projectors[0]
     for p in projectors[1:]:

@@ -4,13 +4,27 @@
 ``ExactScalar`` entries, with ``Fraction`` keeping every intermediate in
 lowest terms.  They take the same arguments as :func:`ctxkit.exact.rank`
 and :func:`ctxkit.exact.nullspace`, so tests can patch them in.
+
+The matrix oracles work entry by entry on ``ExactMatrix.entries`` with
+``ExactScalar`` arithmetic and return plain row lists (``list[list[ExactScalar]]``)
+or scalars, never an ``ExactMatrix`` built by the code under test.
+``validate_density`` expands every principal minor by cofactors,
+``gram_schmidt`` subtracts ``Fraction`` projections and ``expectation`` is
+``<v|rho v> / ||v||^2`` through the entrywise product.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
-from ctxkit.exact import ONE, ZERO, ExactScalar, ExactVector, canonical_ray
+from ctxkit.errors import (
+    DimensionMismatchError,
+    InvalidDensityError,
+    LinearDependenceError,
+    ValidationError,
+)
+from ctxkit.exact import ONE, ZERO, ExactMatrix, ExactScalar, ExactVector, canonical_ray, inner_product
 
 
 def _rref(m: list[list[ExactScalar]]) -> list[int]:
@@ -59,3 +73,102 @@ def nullspace(rows: Sequence[ExactVector], dim: int | None = None) -> list[Exact
             coords[pc] = -m[i][fc]
         basis.append(canonical_ray(ExactVector(tuple(coords))))
     return basis
+
+
+# ---------------------------------------------------------------------------
+# entrywise matrix algebra
+# ---------------------------------------------------------------------------
+
+def rows_of(m: ExactMatrix) -> list[list[ExactScalar]]:
+    return [[m.entries[i * m.cols + j] for j in range(m.cols)] for i in range(m.rows)]
+
+
+def matmul(a: ExactMatrix, b: ExactMatrix) -> list[list[ExactScalar]]:
+    x, y = rows_of(a), rows_of(b)
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = ZERO
+            for k in range(a.cols):
+                acc = acc + x[i][k] * y[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def add(a: ExactMatrix, b: ExactMatrix) -> list[list[ExactScalar]]:
+    return [[p + q for p, q in zip(r, s)] for r, s in zip(rows_of(a), rows_of(b))]
+
+
+def sub(a: ExactMatrix, b: ExactMatrix) -> list[list[ExactScalar]]:
+    return [[p - q for p, q in zip(r, s)] for r, s in zip(rows_of(a), rows_of(b))]
+
+
+def scale(m: ExactMatrix, factor: ExactScalar) -> list[list[ExactScalar]]:
+    return [[factor * e for e in row] for row in rows_of(m)]
+
+
+def trace(m: ExactMatrix) -> ExactScalar:
+    return sum((m.entries[i * m.cols + i] for i in range(m.rows)), ZERO)
+
+
+def dagger(m: ExactMatrix) -> list[list[ExactScalar]]:
+    x = rows_of(m)
+    return [[x[i][j].conjugate() for i in range(m.rows)] for j in range(m.cols)]
+
+
+def apply(m: ExactMatrix, v: ExactVector) -> ExactVector:
+    return ExactVector(tuple(sum((e * c for e, c in zip(row, v.coords)), ZERO) for row in rows_of(m)))
+
+
+def _det(entries: list[list[ExactScalar]]) -> ExactScalar:
+    n = len(entries)
+    if n == 1:
+        return entries[0][0]
+    total = ZERO
+    for j in range(n):
+        minor = [row[:j] + row[j + 1 :] for row in entries[1:]]
+        term = entries[0][j] * _det(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def validate_density(rho: ExactMatrix):
+    """Hermitian, unit trace, every principal minor (by cofactors) non-negative."""
+    if rho.rows != rho.cols:
+        raise InvalidDensityError("density matrix must be square")
+    if dagger(rho) != rows_of(rho):
+        raise InvalidDensityError("density matrix must be Hermitian")
+    if trace(rho) != ONE:
+        raise InvalidDensityError(f"density matrix must have trace 1, got {trace(rho)}")
+    n = rho.rows
+    x = rows_of(rho)
+    for mask in range(1, 1 << n):
+        idx = [i for i in range(n) if mask >> i & 1]
+        minor = _det([[x[i][j] for j in idx] for i in idx])
+        if not minor.is_real:
+            raise InvalidDensityError("principal minor of a Hermitian matrix must be real")
+        if minor.re < 0:
+            raise InvalidDensityError(f"principal minor {idx} is negative: matrix is not PSD")
+
+
+def expectation(rho: ExactMatrix, v: ExactVector) -> Fraction:
+    if rho.cols != v.dim:
+        raise DimensionMismatchError("matrix and vector dimensions do not match")
+    if v.is_zero:
+        raise ValidationError("events must be non-zero vectors")
+    return inner_product(v, apply(rho, v)).as_fraction() / v.norm_sq()
+
+
+def gram_schmidt(ordered: Sequence[ExactVector]) -> list[ExactVector]:
+    out: list[ExactVector] = []
+    for v in ordered:
+        residual = v
+        for u in out:
+            coef = inner_product(u, residual) / ExactScalar(u.norm_sq())
+            residual = residual - u.scale(coef)
+        if residual.is_zero:
+            raise LinearDependenceError(f"vector {v} is linearly dependent on its predecessors")
+        out.append(canonical_ray(residual))
+    return out

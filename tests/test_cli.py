@@ -5,13 +5,25 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from itertools import product
+from math import gcd
 
 import pytest
 
 import ctxkit.assignments
 import ctxkit.contextuality
 import ctxkit.hardy
-from ctxkit import cli, enumerate_assignments, load_bundled, support_labels
+from ctxkit import (
+    QuantumState,
+    cli,
+    derive_paradoxes,
+    enumerate_assignments,
+    load_bundled,
+    load_scenario_path,
+    support_labels,
+    vec,
+)
+from ctxkit.contextuality import MixedAnalysisReport, PureStateSearch, WitnessedState
 
 
 def run_cli(*args, **kwargs):
@@ -123,6 +135,75 @@ def test_observables_output():
     assert "P3 = 1/3 * [[1,1,1],[1,1,1],[1,1,1]]" in result.stdout
     assert "verification: ok" in result.stdout
     assert "errata rows: 4, 5, 6, 7" in result.stdout
+
+
+def box_d3_m2_prefix_text(n: int) -> str:
+    """The first ``n`` rays of the integer box {-2..2}^3 (primitive, leading entry positive)."""
+    rays = [
+        v
+        for v in product(range(-2, 3), repeat=3)
+        if any(v) and gcd(*v) == 1 and next(x for x in v if x) > 0
+    ][:n]
+    lines = [f"r{i}: {','.join(map(str, v))}" for i, v in enumerate(rays, start=1)]
+    return "\n".join([f"scenario box-d3-m2-n{n} dim 3 field rational", *lines]) + "\n"
+
+
+@pytest.mark.parametrize("state", ["0,0,1", "2,1,0"])
+def test_one_zero_paradoxes_skip_only_their_observables(tmp_path, state):
+    # (0,0,1) has 21 paradoxes, all with one zero ray; (2,1,0) has 6 such and 5 with two
+    path = tmp_path / "box.scenario"
+    path.write_text(box_d3_m2_prefix_text(38), encoding="utf-8")
+    args = ("--scenario", str(path), "--state", state)
+    paradoxes = json.loads(run_cli("paradoxes", *args, "--format", "json").stdout)["paradoxes"]
+    one_zero = [p["index"] for p in paradoxes if len(p["zeros"]) == 1]
+    two_zero = [p["index"] for p in paradoxes if len(p["zeros"]) == 2]
+    assert one_zero and len(one_zero) + len(two_zero) == len(paradoxes)
+    reason = "witness observable needs exactly 2 zero rays, got 1"
+
+    text = run_cli("observables", *args)
+    assert text.returncode == 0, text.stderr
+    assert [line for line in text.stdout.splitlines() if "skipped" in line] == [
+        f"observable {i}: skipped ({reason})" for i in one_zero
+    ]
+    assert text.stdout.count("verification: ok") == len(two_zero)
+    assert "FAILED" not in text.stdout
+
+    result = run_cli("observables", *args, "--format", "json")
+    assert result.returncode == 0, result.stderr
+    doc = json.loads(result.stdout)
+    assert doc["skipped"] == [f"observable {i}: {reason}" for i in one_zero]
+    assert [o["index"] for o in doc["observables"]] == two_zero
+    assert all(o["verified"] for o in doc["observables"])
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_report_skips_one_zero_paradoxes(monkeypatch, tmp_path, fmt):
+    # on this prefix the pure-state search and the mixed analysis do not finish (they
+    # multiply out the global events), so the report is given one state found by hand
+    path, out = tmp_path / "box.scenario", tmp_path / "report"
+    path.write_text(box_d3_m2_prefix_text(38), encoding="utf-8")
+    scenario = load_scenario_path(path)
+    state = WitnessedState(witness=scenario.ray_index("r16"), state=vec(2, 1, 0), selection=(9, 11))
+    monkeypatch.setattr(cli, "find_contextual_pure_states", lambda s, a: PureStateSearch((state,), ()))
+    monkeypatch.setattr(cli, "analyze_mixed_states", lambda s, a: MixedAnalysisReport((), (), True))
+    paradoxes = derive_paradoxes(scenario, QuantumState.pure(state.state), enumerate_assignments(scenario)).paradoxes
+    one_zero = [i for i, p in enumerate(paradoxes, start=1) if len(p.zero_set) == 1]
+    two_zero = [i for i, p in enumerate(paradoxes, start=1) if len(p.zero_set) == 2]
+    assert len(one_zero) == 6 and len(two_zero) == 5
+    reason = "witness observable needs exactly 2 zero rays, got 1"
+
+    assert cli.main(["report", "--scenario", str(path), "--format", fmt, "--out", str(out)]) == 0
+    if fmt == "text":
+        text = out.read_text(encoding="utf-8")
+        assert [line for line in text.splitlines() if "skipped" in line] == [
+            f"observable {i}: skipped ({reason})" for i in one_zero
+        ]
+        assert text.count("verification: ok") == len(two_zero)
+    else:
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc["skipped"] == [f"observable {i}: {reason}" for i in one_zero]
+        assert [o["index"] for o in doc["observables"]] == two_zero
+        assert all(o["verified"] for o in doc["observables"])
 
 
 def test_observables_custom_eigenvalues():

@@ -29,7 +29,7 @@ from ctxkit import (
     rank1_projector,
     vec,
 )
-from ctxkit.exact import orthogonal, overlap
+from ctxkit.exact import expectation, orthogonal, overlap, validate_density
 
 import oracles
 
@@ -219,6 +219,7 @@ def test_rank_nullity(rows):
 # --- the integer core against the Fraction oracle --------------------------
 
 ZERO_SCALAR = ExactScalar(0)
+ONE_SCALAR = ExactScalar(1)
 sparse_scalars = st.one_of(st.just(ZERO_SCALAR), scalars)
 
 
@@ -388,3 +389,134 @@ def test_born_probability_matches_pure_formula(u, psi):
     state = QuantumState.density(rank1_projector(psi))
     expected = inner_product(u, psi).abs2() / (u.norm_sq() * psi.norm_sq())
     assert state.probability(u) == expected
+
+
+# --- integer matrices against the entrywise Fraction oracle ---------------
+
+
+def gaussian_matrices(rows, cols):
+    return st.lists(sparse_scalars, min_size=rows * cols, max_size=rows * cols).map(
+        lambda es: ExactMatrix.from_rows([es[i * cols : (i + 1) * cols] for i in range(rows)])
+    )
+
+
+def as_rows(m):
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def same_matrix(m, oracle_rows):
+    """Entry for entry, and structurally (== and hash) against a fresh build of the oracle's rows."""
+    expected = ExactMatrix.from_rows(oracle_rows)
+    return as_rows(m) == oracle_rows and m == expected and hash(m) == hash(expected)
+
+
+def test_matrix_is_kept_in_lowest_terms():
+    m = ExactMatrix(2, 2, 12, ((6, 0), (0, -4), (0, 4), (2, 2)))
+    assert (m.den, m.nums) == (6, ((3, 0), (0, -2), (0, 2), (1, 1)))
+    sixth = Fraction(1, 6)
+    assert m == ExactMatrix.from_rows(
+        [[3 * sixth, ExactScalar(0, -2 * sixth)], [ExactScalar(0, 2 * sixth), ExactScalar(sixth, sixth)]]
+    )
+    zero = ExactMatrix(2, 2, 7, ((0, 0),) * 4)
+    assert (zero.den, zero.is_zero) == (1, True)
+    with pytest.raises(ValidationError):
+        ExactMatrix(2, 2, 0, ((0, 0),) * 4)
+    with pytest.raises(ValidationError):
+        ExactMatrix(2, 2, 1, ((0, 0),) * 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_matrix_operations_match_the_entrywise_oracle(data):
+    d = data.draw(st.integers(min_value=2, max_value=5))
+    a, b = data.draw(gaussian_matrices(d, d)), data.draw(gaussian_matrices(d, d))
+    rect = data.draw(gaussian_matrices(d, data.draw(st.integers(min_value=2, max_value=5))))
+    f = data.draw(scalars)
+    v = data.draw(gaussian_vectors(d))
+    assert same_matrix(a @ rect, oracles.matmul(a, rect))
+    assert same_matrix(a @ b, oracles.matmul(a, b))
+    assert same_matrix(a + b, oracles.add(a, b))
+    assert same_matrix(a - b, oracles.sub(a, b))
+    assert same_matrix(a.scale(f), oracles.scale(a, f))
+    assert same_matrix(rect.dagger(), oracles.dagger(rect))
+    assert a.trace() == oracles.trace(a)
+    assert a.apply(v) == oracles.apply(a, v)
+    assert a.is_zero == all(e.is_zero for e in a.entries)
+    assert a.is_hermitian() == (oracles.dagger(a) == oracles.rows_of(a))
+    hermitian = a + a.dagger()
+    assert hermitian.is_hermitian() and oracles.dagger(hermitian) == oracles.rows_of(hermitian)
+    # == and hash do not depend on how a value was scaled on the way
+    k = data.draw(st.integers(min_value=1, max_value=30))
+    rescaled = ExactMatrix(a.rows, a.cols, a.den * k, tuple((x * k, y * k) for x, y in a.nums))
+    assert rescaled == a and hash(rescaled) == hash(a)
+    if not f.is_zero:
+        round_trip = a.scale(f).scale(ONE_SCALAR / f)
+        assert round_trip == a and hash(round_trip) == hash(a)
+    assert (a == b) == (a.entries == b.entries)
+    assert str(a) == "[" + "; ".join(",".join(str(x) for x in row) for row in oracles.rows_of(a)) + "]"
+
+
+def invalid_density_message(check, rho):
+    try:
+        check(rho)
+    except InvalidDensityError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def pure_mixtures(draw, d):
+    """A convex mixture of 1 to 3 rank-1 projectors with positive rational weights."""
+    vectors = draw(st.lists(gaussian_vectors(d).filter(lambda v: not v.is_zero), min_size=1, max_size=3))
+    weights = [draw(st.integers(min_value=1, max_value=5)) for _ in vectors]
+    return mixture([(Fraction(w, sum(weights)), rank1_projector(v)) for w, v in zip(weights, vectors)])
+
+
+@st.composite
+def density_candidates(draw):
+    """Mixtures and normalised Gram matrices (valid), Hermitian and arbitrary matrices (mostly not)."""
+    d = draw(st.integers(min_value=2, max_value=5))
+    kind = draw(st.sampled_from(["mixture", "gram", "hermitian", "arbitrary"]))
+    if kind == "mixture":
+        return kind, draw(pure_mixtures(d))
+    a = draw(gaussian_matrices(d, d))
+    m = {"gram": a @ a.dagger(), "hermitian": a + a.dagger(), "arbitrary": a}[kind]
+    t = m.trace()
+    if draw(st.booleans()) and not t.is_zero:
+        m = m.scale(ONE_SCALAR / t)
+    return kind, m
+
+
+@settings(max_examples=200, deadline=None)
+@given(density_candidates())
+def test_validate_density_matches_the_cofactor_oracle(candidate):
+    kind, rho = candidate
+    message = invalid_density_message(validate_density, rho)
+    assert message == invalid_density_message(oracles.validate_density, rho)
+    if kind == "mixture":
+        assert message is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_expectation_matches_the_oracle_on_mixtures(data):
+    d = data.draw(st.integers(min_value=2, max_value=5))
+    rho = data.draw(pure_mixtures(d))
+    v = data.draw(gaussian_vectors(d).filter(lambda v: not v.is_zero))
+    validate_density(rho)
+    assert expectation(rho, v) == oracles.expectation(rho, v)
+    assert QuantumState.density(rho).probability(v) == oracles.expectation(rho, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_families())
+def test_gram_schmidt_matches_the_fraction_oracle(family):
+    _, vectors = family
+    try:
+        expected = oracles.gram_schmidt(vectors)
+    except LinearDependenceError as exc:
+        with pytest.raises(LinearDependenceError) as raised:
+            gram_schmidt(vectors)
+        assert str(raised.value) == str(exc)
+        return
+    assert gram_schmidt(vectors) == expected
