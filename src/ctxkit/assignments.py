@@ -9,13 +9,13 @@ Deficient contexts automatically carry at most one label 1 by (O).  The
 support of an assignment is its set of label-1 rays; supports double as
 the "global event" sets used throughout the contextuality analysis.
 
-Two independent enumerators are provided.  The default backtracks over
-rays, honouring (O) and (C) along the way.  The second mirrors a
-basis-product construction: choose one ray per basis context so that the
-choices form an independent set of the exclusivity graph, then union with
-every independent set (the empty one included) of the subgraph induced on
-rays outside all basis contexts, keeping only unions that remain
-independent.  Both must return identical sets; tests enforce this, plus
+Two independent enumerators are provided.  The default searches basis
+by basis on ray bitmasks, honouring (O) and (C) along the way.  The
+second mirrors a basis-product construction: choose one ray per basis
+context so that the choices form an independent set of the exclusivity
+graph, then union with every independent set (the empty one included) of
+the subgraph induced on rays outside all basis contexts, keeping only
+unions that remain independent.  Both must return identical sets; tests enforce this, plus
 agreement with an exhaustive sweep over all bit strings.
 
 Output order is lexicographic on the sorted support tuples, which keeps
@@ -48,9 +48,6 @@ class KSAssignment:
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, b in enumerate(self.bits) if b)
 
-    def bitstring(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
 
 def support_labels(scenario: Scenario, assignment: KSAssignment) -> tuple[str, ...]:
     return tuple(scenario.rays[i].label for i in assignment.support)
@@ -71,51 +68,43 @@ def verify_assignment(scenario: Scenario, assignment: KSAssignment) -> bool:
 
 
 def enumerate_assignments(scenario: Scenario) -> list[KSAssignment]:
-    """All KS-assignments, by backtracking over rays.
+    """All KS-assignments, by a basis-first search over ray bitmasks.
+
+    Each state of the search is a pair of masks: the rays set to 1 and
+    the rays set to 0.  A step takes the basis without a 1 that has the
+    fewest undecided rays and branches on which of them is its 1; setting
+    a ray to 1 sets its neighbours to 0.  Once every basis has its 1, the
+    rays outside every basis branch on 0 and 1.  The search keeps an
+    explicit stack, so its depth is not bounded by the recursion limit.
 
     An empty result is a valid outcome and signals a KS-uncolorable set.
     """
     scenario.require_contexts()
     n = len(scenario.rays)
-    bases = [c.members for c in scenario.basis_contexts()]
-    basis_ones = [0] * len(bases)
-    basis_open = [len(b) for b in bases]
-    membership: list[list[int]] = [[] for _ in range(n)]
-    for bi, members in enumerate(bases):
-        for i in members:
-            membership[i].append(bi)
-    bits = [0] * n
+    bases = [sum(1 << i for i in c.members) for c in scenario.basis_contexts()]
+    neighbours = [sum(1 << j for j in scenario.neighbors(i)) for i in range(n)]
+    outside = (1 << n) - 1  # the rays in no basis
+    for b in bases:
+        outside &= ~b
     found: list[KSAssignment] = []
-
-    def assign(i: int, value: int) -> bool:
-        bits[i] = value
-        ok = True
-        for bi in membership[i]:
-            basis_open[bi] -= 1
-            basis_ones[bi] += value
-            if basis_ones[bi] > 1 or (basis_open[bi] == 0 and basis_ones[bi] == 0):
-                ok = False
-        return ok
-
-    def unassign(i: int, value: int):
-        bits[i] = 0
-        for bi in membership[i]:
-            basis_open[bi] += 1
-            basis_ones[bi] -= value
-
-    def recurse(i: int):
-        if i == n:
-            found.append(KSAssignment(tuple(bits)))
-            return
-        for value in (0, 1):
-            if value == 1 and any(bits[j] for j in scenario.neighbors(i) if j < i):
-                continue
-            feasible = assign(i, value)
-            if feasible:
-                recurse(i + 1)
-            unassign(i, value)
-
-    recurse(0)
+    stack = [(0, 0)]
+    while stack:
+        ones, zeros = stack.pop()
+        open_bases = [b & ~zeros for b in bases if not b & ones]
+        if open_bases:
+            # an empty candidate mask is a basis that can no longer get its 1: no branch
+            candidates = min(open_bases, key=int.bit_count)
+            while candidates:
+                ray = candidates & -candidates
+                candidates ^= ray
+                stack.append((ones | ray, zeros | neighbours[ray.bit_length() - 1]))
+        elif free := outside & ~(ones | zeros):
+            ray = free & -free
+            stack.append((ones, zeros | ray))
+            stack.append((ones | ray, zeros | neighbours[ray.bit_length() - 1]))
+        else:
+            # bits 0..n-1, lowest first; the marker bit n ends the reversed slice
+            found.append(KSAssignment(tuple(map(int, bin(ones | 1 << n)[:2:-1]))))
     found.sort(key=lambda a: a.support)
     return found
 

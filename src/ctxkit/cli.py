@@ -4,8 +4,9 @@ Every command loads a scenario (a file path or the name of a bundled
 scenario such as ``yu-oh``) and writes a deterministic text or JSON
 report to stdout or ``--out``.  Each run builds one cached analysis of
 the scenario (:class:`_Analysis`), whose pipeline stages are computed on
-first use and then kept; every command is a view of that object, so no
-stage runs twice in one command.
+first use and then kept, so no stage runs twice in one command.  Every
+command turns that analysis into one document (:func:`_command`); the
+JSON output is the document and the text output is rendered from it.
 
 Exit codes (also in ``--help``): 0 success, 2 parse/usage error, 3
 validation error, 4 unknown ray label, 5 I/O error, 1 anything else.
@@ -23,6 +24,7 @@ from pathlib import Path
 from . import report as rp
 from .assignments import KSAssignment, enumerate_assignments
 from .contextuality import (
+    MixedAnalysisReport,
     PureStateSearch,
     QuantumState,
     analyze_mixed_states,
@@ -92,32 +94,26 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_state in (
-        ("contexts", False),
-        ("assignments", False),
-        ("states", False),
-        ("check", True),
-        ("paradoxes", True),
-        ("observables", True),
-        ("simulate", True),
-        ("report", False),
-    ):
+    for name, (options, _) in _COMMANDS.items():
         p = sub.add_parser(name, epilog=_EPILOG, formatter_class=argparse.RawDescriptionHelpFormatter)
         p.add_argument("--scenario", required=True, help="scenario file path or bundled name (e.g. yu-oh)")
         p.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
         p.add_argument("--out", default=None, help="write the report to this file instead of stdout")
-        p.add_argument("--seed", type=int, default=0, help="64-bit unsigned PRNG seed (default 0)")
-        p.add_argument("--shots", type=int, default=100_000, help="measurement repetitions (default 100000)")
-        p.add_argument(
-            "--eigenvalues",
-            default="1,2,3",
-            help="three distinct rationals, e.g. 1,2,3 (write --eigenvalues=-1,0,1 for a leading minus)",
-        )
-        if needs_state:
+        if "state" in options:
             p.add_argument("--state", default=None, help='pure state coordinates, e.g. "1,1,1"')
             p.add_argument("--density", default=None, help="density matrix file (dim lines of dim literals)")
-        if name == "simulate":
+        if "eigenvalues" in options:
+            p.add_argument(
+                "--eigenvalues",
+                default="1,2,3",
+                help="three distinct rationals, e.g. 1,2,3 (write --eigenvalues=-1,0,1 for a leading minus)",
+            )
+        if "witness" in options:
             p.add_argument("--witness", required=True, help="witness ray label selecting the paradox")
+        if "seed" in options:
+            p.add_argument("--seed", type=int, default=0, help="64-bit unsigned PRNG seed (default 0)")
+        if "shots" in options:
+            p.add_argument("--shots", type=int, default=100_000, help="measurement repetitions (default 100000)")
     return parser
 
 
@@ -140,35 +136,12 @@ def _load_scenario(config: RunConfig) -> Scenario:
     raise FileNotFoundError(f"scenario file not found: {config.scenario_path}")
 
 
-def _emit(config: RunConfig, text_output: str):
-    if config.out_path is not None:
-        Path(config.out_path).write_text(text_output, encoding="utf-8")
-    else:
-        sys.stdout.write(text_output)
-
-
-def _text(*blocks: list[str]) -> str:
-    """Text report: the blocks' lines, with one blank line between blocks."""
-    return "\n\n".join("\n".join(block) for block in blocks) + "\n"
-
-
 class _Analysis:
     """The pipeline of one run; each stage is computed on first use, then kept."""
 
     def __init__(self, config: RunConfig, scenario: Scenario):
         self.config = config
         self.scenario = scenario
-
-    def json(self, **sections) -> str:
-        """JSON report: the sections under the common schema/command/scenario envelope."""
-        return rp.render_json(
-            {
-                "schema": rp.SCHEMA,
-                "command": self.config.command,
-                "scenario": rp.scenario_json(self.scenario),
-                **sections,
-            }
-        )
 
     @cached_property
     def state(self) -> QuantumState:
@@ -196,6 +169,14 @@ class _Analysis:
         return find_contextual_pure_states(self.scenario, self.assignments)
 
     @cached_property
+    def mixed(self) -> MixedAnalysisReport:
+        return analyze_mixed_states(self.scenario, self.assignments)
+
+    @property
+    def basis_free_rays(self) -> list[int]:
+        return [i for i, count in enumerate(basis_membership(self.scenario)) if count == 0]
+
+    @cached_property
     def derivations(self) -> list[ParadoxDerivation]:
         """One derivation for the given state, or one per contextual pure state."""
         if self.config.state_spec is None and self.config.density_path is None:
@@ -211,10 +192,6 @@ class _Analysis:
     @cached_property
     def skipped(self) -> list[str]:
         return [d.reason for d in self.derivations if d.reason is not None]
-
-    @property
-    def none_reason(self) -> str | None:
-        return "; ".join(self.skipped) if self.skipped and not self.numbered else None
 
     @cached_property
     def observables(
@@ -235,25 +212,6 @@ class _Analysis:
             out.append((idx, paradox, observable, verify_observable(paradox, observable)))
         return out
 
-    def observable_blocks(self) -> list[list[str]]:
-        """One text block per numbered paradox: its observable, or its skip line."""
-        return [
-            [f"observable {idx}: skipped ({result})"]
-            if observable is None
-            else rp.observable_lines(self.scenario, idx, paradox, observable, result)
-            for idx, paradox, observable, result in self.observables
-        ]
-
-    def observables_json(self) -> tuple[list[dict], list[str]]:
-        """The built observables, and ``observable N: <reason>`` for each skipped one."""
-        built, skipped = [], []
-        for idx, paradox, observable, result in self.observables:
-            if observable is None:
-                skipped.append(f"observable {idx}: {result}")
-            else:
-                built.append(rp.observable_json(self.scenario, idx, paradox, observable, result))
-        return built, skipped
-
     @cached_property
     def crosscheck(self) -> ReferenceCrossCheck | None:
         """The reference crosscheck, or None where the scenario has no reference rows."""
@@ -263,95 +221,83 @@ class _Analysis:
         except (ValidationError, UnknownLabelError):
             return None
 
-    def crosscheck_json(self) -> dict:
-        if self.crosscheck is None:
-            return {}
-        return {"reference_crosscheck": rp.crosscheck_json(self.crosscheck)}
-
 
 def run(config: RunConfig) -> int:
     """Execute one command; returns the process exit status."""
     scenario = _load_scenario(config)
-    handler = {
-        "contexts": _cmd_contexts,
-        "assignments": _cmd_assignments,
-        "states": _cmd_states,
-        "check": _cmd_check,
-        "paradoxes": _cmd_paradoxes,
-        "observables": _cmd_observables,
-        "simulate": _cmd_simulate,
-        "report": _cmd_report,
-    }[config.command]
+    _, handler = _COMMANDS[config.command]
     output = handler(config, scenario)
-    _emit(config, output)
+    if config.out_path is not None:
+        Path(config.out_path).write_text(output, encoding="utf-8")
+    else:
+        sys.stdout.write(output)
     return 0
 
 
-def _cmd_contexts(config: RunConfig, scenario: Scenario) -> str:
-    a = _Analysis(config, scenario)
-    if config.fmt == "json":
-        return a.json(contexts=rp.contexts_json(scenario, a.complement_check))
-    return _text(rp.scenario_lines(scenario), rp.contexts_lines(scenario, a.complement_check))
+# command name -> (its options beyond --scenario, --format and --out; its handler)
+_COMMANDS: dict[str, tuple] = {}
 
 
-def _cmd_assignments(config: RunConfig, scenario: Scenario) -> str:
-    a = _Analysis(config, scenario)
-    if config.fmt == "json":
-        return a.json(assignments=rp.assignments_json(scenario, a.assignments))
-    return _text(rp.assignments_lines(scenario, a.assignments))
+def _command(*options: str):
+    """Register ``_cmd_NAME``, which gives its document's sections, as the command NAME.
+
+    The registered handler ``(config, scenario) -> output`` builds the
+    document, the common schema/command/scenario envelope plus the
+    sections, and returns it as JSON or as its text rendering.
+    """
+
+    def register(sections):
+        def handler(config: RunConfig, scenario: Scenario) -> str:
+            document = {
+                "schema": rp.SCHEMA,
+                "command": config.command,
+                "scenario": rp.scenario_json(scenario),
+                **sections(_Analysis(config, scenario)),
+            }
+            return rp.render_json(document) if config.fmt == "json" else rp.render_text(document)
+
+        _COMMANDS[sections.__name__.removeprefix("_cmd_")] = (options, handler)
+        return handler
+
+    return register
 
 
-def _cmd_states(config: RunConfig, scenario: Scenario) -> str:
-    a = _Analysis(config, scenario)
-    basis_free = check_witnesses_basis_free(scenario, a.search)
-    if config.fmt == "json":
-        return a.json(search={**rp.states_json(scenario, a.search), "witnesses_basis_free": basis_free})
-    basis_free_line = f"all witnesses basis-free: {'yes' if basis_free else 'NO'}"
-    return _text(rp.states_lines(scenario, a.search) + [basis_free_line])
+@_command()
+def _cmd_contexts(a: _Analysis) -> dict:
+    return {"contexts": rp.contexts_json(a.scenario, a.complement_check)}
 
 
-def _cmd_check(config: RunConfig, scenario: Scenario) -> str:
-    a = _Analysis(config, scenario)
-    state = a.state
-    verdict = is_logically_contextual(scenario, state, a.assignments)
-    oracle = noncontextuality_oracle(scenario, state, a.assignments)
-    if config.fmt == "json":
-        obj = rp.verdict_json(scenario, state, verdict, oracle)
-        obj["model"] = {scenario.rays[i].label: v for i, v in enumerate(verdict.model.values)}
-        return a.json(verdict=obj)
-    return _text(rp.model_lines(scenario, verdict.model) + rp.verdict_lines(scenario, state, verdict, oracle))
+@_command()
+def _cmd_assignments(a: _Analysis) -> dict:
+    return {"assignments": rp.assignments_json(a.scenario, a.assignments)}
 
 
-def _cmd_paradoxes(config: RunConfig, scenario: Scenario) -> str:
-    a = _Analysis(config, scenario)
-    if config.fmt == "json":
-        return a.json(
-            paradoxes=[rp.paradox_json(scenario, i, p) for i, p in a.numbered],
-            skipped=a.skipped,
-        )
-    return _text(rp.paradox_lines(scenario, a.numbered, a.none_reason))
+@_command()
+def _cmd_states(a: _Analysis) -> dict:
+    basis_free = check_witnesses_basis_free(a.scenario, a.search)
+    return {"search": {**rp.states_json(a.scenario, a.search), "witnesses_basis_free": basis_free}}
 
 
-def _cmd_observables(config: RunConfig, scenario: Scenario) -> str:
-    a = _Analysis(config, scenario)
-    if config.fmt == "json":
-        observables, skipped = a.observables_json()
-        return a.json(
-            observables=observables,
-            skipped=a.skipped + skipped,
-            **a.crosscheck_json(),
-        )
-    lines = [] if a.none_reason is None else [f"observables: none ({a.none_reason})"]
-    for block in a.observable_blocks():
-        lines += block
-    if a.crosscheck is not None:
-        lines += ["", *rp.crosscheck_lines(a.crosscheck)]
-    return _text(lines)
+@_command("state")
+def _cmd_check(a: _Analysis) -> dict:
+    verdict = is_logically_contextual(a.scenario, a.state, a.assignments)
+    oracle = noncontextuality_oracle(a.scenario, a.state, a.assignments)
+    return {"verdict": rp.verdict_json(a.scenario, a.state, verdict, oracle)}
 
 
-def _cmd_simulate(config: RunConfig, scenario: Scenario) -> str:
-    a = _Analysis(config, scenario)
-    state = a.state
+@_command("state")
+def _cmd_paradoxes(a: _Analysis) -> dict:
+    return {"paradoxes": [rp.paradox_json(a.scenario, i, p) for i, p in a.numbered], "skipped": a.skipped}
+
+
+@_command("state", "eigenvalues")
+def _cmd_observables(a: _Analysis) -> dict:
+    return rp.observables_json(a.scenario, a.skipped, a.observables, a.crosscheck)
+
+
+@_command("state", "eigenvalues", "witness", "seed", "shots")
+def _cmd_simulate(a: _Analysis) -> dict:
+    scenario, config, state = a.scenario, a.config, a.state
     witness_idx = scenario.ray_index(config.witness)
     (derivation,) = a.derivations
     paradox = next((p for p in derivation.paradoxes if p.witness == witness_idx), None)
@@ -363,52 +309,31 @@ def _cmd_simulate(config: RunConfig, scenario: Scenario) -> str:
     rest = ExactMatrix.identity(scenario.dim) - witness_proj
     witness_sim = simulate_measurement(state, [witness_proj, rest], config.shots, config.seed)
     observable_sim = simulate_measurement(state, list(observable.projectors), config.shots, config.seed)
-    witness_names = [config.witness, "complement"]
-    outcome_names = [f"a{i}={rp.fraction_str(e)}" for i, e in enumerate(observable.eigenvalues, start=1)]
-    if config.fmt == "json":
-        return a.json(
-            paradox=rp.paradox_json(scenario, 1, paradox),
-            witness_measurement=rp.simulation_json(witness_names, witness_sim),
-            observable_measurement=rp.simulation_json(outcome_names, observable_sim),
-        )
-    return _text(
-        [f"paradox: {rp.paradox_header(scenario, paradox)}"]
-        + rp.simulation_lines("witness-event measurement", witness_names, witness_sim)
-        + rp.simulation_lines("witness-observable measurement", outcome_names, observable_sim)
-    )
+    outcome_names = [f"a{i}={e}" for i, e in enumerate(observable.eigenvalues, start=1)]
+    return {
+        "paradox": rp.paradox_json(scenario, 1, paradox),
+        "witness_measurement": rp.simulation_json([config.witness, "complement"], witness_sim),
+        "observable_measurement": rp.simulation_json(outcome_names, observable_sim),
+    }
 
 
-def _cmd_report(config: RunConfig, scenario: Scenario) -> str:
-    a = _Analysis(config, scenario)
-    mixed = analyze_mixed_states(scenario, a.assignments)
-    basis_free_rays = [i for i, count in enumerate(basis_membership(scenario)) if count == 0]
-    if config.fmt == "json":
-        observables, skipped = a.observables_json()
-        return a.json(
-            seed=config.seed,
-            contexts=rp.contexts_json(scenario, a.complement_check),
-            assignments=rp.assignments_json(scenario, a.assignments),
-            global_events=rp.global_events_json(scenario, a.assignments, basis_free_rays),
-            states=rp.states_json(scenario, a.search),
-            witnesses_basis_free=check_witnesses_basis_free(scenario, a.search),
-            mixed_analysis=rp.mixed_json(scenario, mixed),
-            paradoxes=[rp.paradox_json(scenario, i, p) for i, p in a.numbered],
-            observables=observables,
-            # absent when nothing is skipped, as in every yu-oh report
-            **({"skipped": skipped} if skipped else {}),
-            **a.crosscheck_json(),
-        )
-    return _text(
-        rp.scenario_lines(scenario),
-        rp.contexts_lines(scenario, a.complement_check),
-        rp.assignments_lines(scenario, a.assignments),
-        rp.global_event_lines(scenario, a.assignments, basis_free_rays),
-        rp.states_lines(scenario, a.search),
-        rp.mixed_lines(scenario, mixed),
-        rp.paradox_lines(scenario, a.numbered, a.none_reason),
-        *a.observable_blocks(),
-        *([] if a.crosscheck is None else [rp.crosscheck_lines(a.crosscheck)]),
-    )
+@_command("eigenvalues", "seed")
+def _cmd_report(a: _Analysis) -> dict:
+    scenario = a.scenario
+    observables = rp.observables_json(scenario, a.skipped, a.observables, a.crosscheck)
+    if not observables["skipped"]:
+        del observables["skipped"]  # absent when nothing is skipped, as in every yu-oh report
+    return {
+        "seed": a.config.seed,
+        "contexts": rp.contexts_json(scenario, a.complement_check),
+        "assignments": rp.assignments_json(scenario, a.assignments),
+        "global_events": rp.global_events_json(scenario, a.assignments, a.basis_free_rays),
+        "states": rp.states_json(scenario, a.search),
+        "witnesses_basis_free": check_witnesses_basis_free(scenario, a.search),
+        "mixed_analysis": rp.mixed_json(scenario, a.mixed),
+        "paradoxes": [rp.paradox_json(scenario, i, p) for i, p in a.numbered],
+        **observables,
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -424,14 +349,13 @@ def main(argv: list[str] | None = None) -> int:
         state_spec=getattr(args, "state", None),
         density_path=getattr(args, "density", None),
         fmt=args.fmt,
-        seed=args.seed,
-        shots=args.shots,
+        seed=getattr(args, "seed", 0),
+        shots=getattr(args, "shots", 100_000),
         out_path=args.out,
-        eigenvalues=(Fraction(1), Fraction(2), Fraction(3)),
         witness=getattr(args, "witness", None),
     )
     try:
-        config = replace(config, eigenvalues=_parse_eigenvalues(args.eigenvalues))
+        config = replace(config, eigenvalues=_parse_eigenvalues(getattr(args, "eigenvalues", "1,2,3")))
         if config.seed < 0 or config.seed > (1 << 64) - 1:
             raise ValidationError("seed must fit in 64 unsigned bits")
         if config.shots < 0:

@@ -138,9 +138,9 @@ class ExactScalar:
 
     def __str__(self) -> str:
         if self.im == 0:
-            return _format_fraction(self.re)
+            return str(self.re)
         sign = "+" if self.im > 0 else "-"
-        return f"{_format_fraction(self.re)}{sign}{_format_fraction(abs(self.im))}i"
+        return f"{self.re}{sign}{abs(self.im)}i"
 
     def __repr__(self) -> str:
         return f"ExactScalar({self})"
@@ -148,12 +148,6 @@ class ExactScalar:
 
 ZERO = ExactScalar(_ZERO)
 ONE = ExactScalar(_ONE)
-
-
-def _format_fraction(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 # Literal grammar shared by all file formats: rational `[-]INT[/INT]`,

@@ -1,25 +1,30 @@
-"""Deterministic text and JSON report emission.
+"""Report documents, rendered to JSON or to text.
 
-Text output mirrors the tabular layouts used for the bundled scenario:
-deficient contexts as a two-column members/complement table, assignments
-as one ``λk: <bitstring> support={...}`` line each, paradoxes with their
+Every command builds one JSON-able document: the ``*_json`` builders
+below are the only code that reads analysis objects.  The JSON output is
+that document under a versioned schema; the text output is rendered from
+the document alone by :func:`render_text`, with one layout per command.
+
+Text mirrors the tabular layouts used for the bundled scenario: deficient
+contexts as a two-column members/complement table, assignments as one
+``λk: <bitstring> support={...}`` line each, paradoxes with their
 possibilistic conditions and exact success probability, observables as
-exact rational matrices.  JSON output carries the same content under a
-versioned schema.  For fixed inputs the emitted bytes are identical
-across runs: nothing here depends on wall time, environment or hash
-order.
+exact rational matrices.  For fixed inputs the emitted bytes are
+identical across runs: nothing here depends on wall time, environment or
+hash order.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
+from math import gcd, lcm
 
-from .assignments import KSAssignment, events_containing, support_labels
+from .assignments import KSAssignment, events_containing
 from .contextuality import (
     ContextualityVerdict,
     MixedAnalysisReport,
-    PossibilisticModel,
     PureStateSearch,
     QuantumState,
 )
@@ -32,38 +37,9 @@ from .hardy import (
     percent,
 )
 from .sampling import SimulationResult
-from .scenario import ComplementCheck, Context, ContextKind, Scenario
+from .scenario import ComplementCheck, Scenario
 
 SCHEMA = "ctxkit-report/1"
-
-
-def fraction_str(q: Fraction) -> str:
-    return str(q) if q.denominator != 1 else str(q.numerator)
-
-
-def matrix_text(m: ExactMatrix) -> str:
-    """Render with a common factor pulled out, e.g. ``1/6 * [[1,-2,1],...]``."""
-    if all(im == 0 for _, im in m.nums):
-        # in lowest terms, den is the least common denominator of the entries
-        rows = [
-            "[" + ",".join(str(re) for re, _ in m.nums[i * m.cols : (i + 1) * m.cols]) + "]"
-            for i in range(m.rows)
-        ]
-        body = "[" + ",".join(rows) + "]"
-        return body if m.den == 1 else f"1/{m.den} * {body}"
-    return str(m)
-
-
-def matrix_json(m: ExactMatrix) -> list[list[str]]:
-    return [[str(m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)]
-
-
-def vector_json(v: ExactVector) -> list[str]:
-    return [str(c) for c in v.coords]
-
-
-def _labels(scenario: Scenario, indices) -> str:
-    return "{" + ",".join(scenario.rays[i].label for i in indices) + "}"
 
 
 def render_json(obj: dict) -> str:
@@ -71,17 +47,33 @@ def render_json(obj: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# section builders
+# document builders: analysis objects in, JSON-able dicts out
 # ---------------------------------------------------------------------------
 
-def scenario_lines(scenario: Scenario) -> list[str]:
-    lines = [
-        f"scenario {scenario.name}: dim {scenario.dim}, field {scenario.field}, "
-        f"{len(scenario.rays)} rays, {len(scenario.edges)} orthogonality edges",
-        "rays:",
+def _ratio(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for ``d > 0``, without building the Fraction."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def matrix_json(m: ExactMatrix) -> list[list[str]]:
+    # real entries straight from the integer numerators: they are most of every report
+    entries = [
+        _ratio(a, m.den) if b == 0 else str(m.entry(k // m.cols, k % m.cols)) for k, (a, b) in enumerate(m.nums)
     ]
-    lines += [f"  {r.label}: {r.vector}" for r in scenario.rays]
-    return lines
+    return [entries[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)]
+
+
+def _projectors_json(projectors) -> dict:
+    return {f"P{n}": matrix_json(p) for n, p in enumerate(projectors, start=1)}
+
+
+def vector_json(v: ExactVector) -> list[str]:
+    return [str(c) for c in v.coords]
+
+
+def _labels(scenario: Scenario, indices) -> list[str]:
+    return [scenario.rays[i].label for i in indices]
 
 
 def scenario_json(scenario: Scenario) -> dict:
@@ -90,64 +82,29 @@ def scenario_json(scenario: Scenario) -> dict:
         "dim": scenario.dim,
         "field": scenario.field,
         "rays": [{"label": r.label, "coords": vector_json(r.vector)} for r in scenario.rays],
-        "edges": sorted([scenario.rays[i].label, scenario.rays[j].label] for i, j in scenario.edges),
-    }
-
-
-def contexts_lines(scenario: Scenario, check: ComplementCheck | None = None) -> list[str]:
-    contexts = scenario.require_contexts()
-    bases = [c for c in contexts if c.kind is ContextKind.BASIS]
-    deficient = [c for c in contexts if c.kind is ContextKind.DEFICIENT]
-    lines = [f"contexts ({len(contexts)}): {len(bases)} basis, {len(deficient)} deficient"]
-    lines.append("basis contexts:")
-    lines += [f"  {_labels(scenario, c.members)}" for c in bases]
-    if deficient:
-        lines.append("deficient contexts (members | complement):")
-        for c in deficient:
-            comp = ", ".join(str(v) for v in c.complement)
-            lines.append(f"  {_labels(scenario, c.members)} | {comp}")
-    if check is not None:
-        if check.ok:
-            lines.append("pair complements pairwise distinct: yes")
-        else:
-            lines.append("pair complements pairwise distinct: NO")
-            for a, b in check.collisions:
-                lines.append(
-                    f"  collision: {_labels(scenario, a.members)} and {_labels(scenario, b.members)}"
-                    f" share complement {a.complement[0]}"
-                )
-    return lines
-
-
-def _context_json(scenario: Scenario, c: Context) -> dict:
-    return {
-        "members": [scenario.rays[i].label for i in c.members],
-        "kind": c.kind.value,
-        "complement": [vector_json(v) for v in c.complement],
+        "edges": sorted(_labels(scenario, edge) for edge in scenario.edges),
     }
 
 
 def contexts_json(scenario: Scenario, check: ComplementCheck | None = None) -> dict:
     contexts = scenario.require_contexts()
-    out = {"count": len(contexts), "contexts": [_context_json(scenario, c) for c in contexts]}
+    out = {
+        "count": len(contexts),
+        "contexts": [
+            {
+                "members": _labels(scenario, c.members),
+                "kind": c.kind.value,
+                "complement": [vector_json(v) for v in c.complement],
+            }
+            for c in contexts
+        ],
+    }
     if check is not None:
         out["distinct_pair_complements"] = check.ok
         out["complement_collisions"] = [
-            [
-                [scenario.rays[i].label for i in a.members],
-                [scenario.rays[i].label for i in b.members],
-            ]
-            for a, b in check.collisions
+            [_labels(scenario, a.members), _labels(scenario, b.members)] for a, b in check.collisions
         ]
     return out
-
-
-def assignments_lines(scenario: Scenario, assignments: list[KSAssignment]) -> list[str]:
-    lines = [f"assignments ({len(assignments)}):"]
-    for k, a in enumerate(assignments, start=1):
-        support = ",".join(support_labels(scenario, a))
-        lines.append(f"  λ{k}: {a.bitstring()} support={{{support}}}")
-    return lines
 
 
 def assignments_json(scenario: Scenario, assignments: list[KSAssignment]) -> dict:
@@ -155,51 +112,17 @@ def assignments_json(scenario: Scenario, assignments: list[KSAssignment]) -> dic
         "count": len(assignments),
         "columns": list(scenario.labels),
         "rows": [
-            {
-                "id": k,
-                "bits": list(a.bits),
-                "support": list(support_labels(scenario, a)),
-            }
+            {"id": k, "bits": list(a.bits), "support": _labels(scenario, a.support)}
             for k, a in enumerate(assignments, start=1)
         ],
     }
 
 
-def global_event_lines(scenario: Scenario, assignments: list[KSAssignment], rays: list[int]) -> list[str]:
-    lines = ["global-event sets:"]
-    for i in rays:
-        events = events_containing(scenario, assignments, i)
-        rendered = ", ".join(_labels(scenario, a.support) for a in events)
-        lines.append(f"  S_Λ({scenario.rays[i].label}) = {rendered}")
-    return lines
-
-
 def global_events_json(scenario: Scenario, assignments: list[KSAssignment], rays: list[int]) -> dict:
     return {
-        scenario.rays[i].label: [
-            list(support_labels(scenario, a)) for a in events_containing(scenario, assignments, i)
-        ]
+        scenario.rays[i].label: [_labels(scenario, a.support) for a in events_containing(scenario, assignments, i)]
         for i in rays
     }
-
-
-def model_lines(scenario: Scenario, model: PossibilisticModel) -> list[str]:
-    ones = _labels(scenario, model.possible())
-    zeros = _labels(scenario, model.impossible())
-    return [f"possibilistic model: value 1 on {ones}, value 0 on {zeros}"]
-
-
-def verdict_lines(scenario: Scenario, state: QuantumState, verdict: ContextualityVerdict, oracle: bool) -> list[str]:
-    head = "logically contextual" if verdict.contextual else "logically non-contextual"
-    lines = [f"state {state.describe()} on {scenario.name}: {head}"]
-    if verdict.contextual and verdict.witness is not None:
-        lines.append(f"witness: {scenario.rays[verdict.witness].label}")
-        for event, blocker in verdict.blockers:
-            lines.append(
-                f"  event {_labels(scenario, event.support)} blocked by {scenario.rays[blocker].label}"
-            )
-    lines.append(f"marginal-distribution oracle agrees: {'yes' if oracle != verdict.contextual else 'NO'}")
-    return lines
 
 
 def verdict_json(scenario: Scenario, state: QuantumState, verdict: ContextualityVerdict, oracle: bool) -> dict:
@@ -208,34 +131,13 @@ def verdict_json(scenario: Scenario, state: QuantumState, verdict: Contextuality
         "contextual": verdict.contextual,
         "witness": scenario.rays[verdict.witness].label if verdict.witness is not None else None,
         "blockers": [
-            {
-                "event": list(support_labels(scenario, event)),
-                "blocker": scenario.rays[blocker].label,
-            }
+            {"event": _labels(scenario, event.support), "blocker": scenario.rays[blocker].label}
             for event, blocker in verdict.blockers
         ],
         "noncontextuality_oracle": oracle,
         "oracle_agrees": oracle != verdict.contextual,
+        "model": dict(zip(scenario.labels, verdict.model.values)),
     }
-
-
-def states_lines(scenario: Scenario, search: PureStateSearch) -> list[str]:
-    lines = [f"logically contextual pure states ({len(search.states)}):"]
-    for w in search.states:
-        lines.append(
-            f"  {w.state}  [witness {scenario.rays[w.witness].label},"
-            f" zero selection {_labels(scenario, w.selection)}]"
-        )
-    if search.undetermined:
-        lines.append("undetermined families (solution space dimension >= 2):")
-        for fam in search.undetermined:
-            lines.append(
-                f"  witness {scenario.rays[fam.witness].label}"
-                f" selection {_labels(scenario, fam.selection)} nullity {fam.nullity}"
-            )
-    else:
-        lines.append("undetermined families: none")
-    return lines
 
 
 def states_json(scenario: Scenario, search: PureStateSearch) -> dict:
@@ -244,14 +146,14 @@ def states_json(scenario: Scenario, search: PureStateSearch) -> dict:
             {
                 "state": vector_json(w.state),
                 "witness": scenario.rays[w.witness].label,
-                "selection": [scenario.rays[i].label for i in w.selection],
+                "selection": _labels(scenario, w.selection),
             }
             for w in search.states
         ],
         "undetermined": [
             {
                 "witness": scenario.rays[f.witness].label,
-                "selection": [scenario.rays[i].label for i in f.selection],
+                "selection": _labels(scenario, f.selection),
                 "nullity": f.nullity,
             }
             for f in search.undetermined
@@ -259,179 +161,81 @@ def states_json(scenario: Scenario, search: PureStateSearch) -> dict:
     }
 
 
-def mixed_lines(scenario: Scenario, report: MixedAnalysisReport) -> list[str]:
-    witnesses = sorted({t.witness for t in report.triples})
-    lines = [
-        "mixed-state analysis: "
-        f"{len(report.triples)} selection systems over {len(witnesses)} basis-free witnesses"
-    ]
-    if report.triples:
-        min_rank = min(t.rank for t in report.triples)
-        max_nullity = max(t.nullity for t in report.triples)
-        lines.append(f"  minimum rank {min_rank}, maximum solution-space dimension {max_nullity}")
-    for witness, common in report.common_ray_violations:
-        lines.append(
-            f"  shared ray violation: {_labels(scenario, common)}"
-            f" lies in every event of S_Λ({scenario.rays[witness].label})"
-        )
-    lines.append(f"no logically contextual mixed states: {'yes' if report.no_mixed_states else 'NO'}")
-    return lines
-
-
 def mixed_json(scenario: Scenario, report: MixedAnalysisReport) -> dict:
     return {
         "triples": [
             {
                 "witness": scenario.rays[t.witness].label,
-                "picks": [scenario.rays[i].label for i in t.picks],
-                "selection": [scenario.rays[i].label for i in t.selection],
+                "picks": _labels(scenario, t.picks),
+                "selection": _labels(scenario, t.selection),
                 "rank": t.rank,
                 "nullity": t.nullity,
             }
             for t in report.triples
         ],
         "common_ray_violations": [
-            {
-                "witness": scenario.rays[w].label,
-                "rays": [scenario.rays[i].label for i in common],
-            }
+            {"witness": scenario.rays[w].label, "rays": _labels(scenario, common)}
             for w, common in report.common_ray_violations
         ],
         "no_mixed_states": report.no_mixed_states,
     }
 
 
-def paradox_header(scenario: Scenario, paradox: HardyParadox) -> str:
-    witness = scenario.rays[paradox.witness].label
-    zeros = "=".join(f"ρ({scenario.rays[z].label})" for z in paradox.zero_set)
-    return f"ρ({witness})>0, {zeros}=0, SP={fraction_str(paradox.sp)} ({percent(paradox.sp)})"
-
-
-def paradox_lines(scenario: Scenario, paradoxes: list[tuple[int, HardyParadox]], reason: str | None) -> list[str]:
-    if reason is not None:
-        return [f"paradoxes: none ({reason})"]
-    lines = [f"paradoxes ({len(paradoxes)}):"]
-    for idx, p in paradoxes:
-        lines.append(f"  paradox {idx} [state {p.state.describe()}]: {paradox_header(scenario, p)}")
-    return lines
-
-
-def paradox_json(scenario: Scenario, idx: int, p: HardyParadox) -> dict:
+def _paradox_fields(scenario: Scenario, idx: int, p: HardyParadox) -> dict:
     return {
         "index": idx,
         "state": vector_json(p.state.psi) if p.state.psi is not None else "density",
         "witness": scenario.rays[p.witness].label,
-        "zeros": [scenario.rays[z].label for z in p.zero_set],
-        "sp": fraction_str(p.sp),
-        "sp_percent": percent(p.sp),
+        "zeros": _labels(scenario, p.zero_set),
     }
 
 
-def observable_lines(
-    scenario: Scenario,
-    idx: int,
-    paradox: HardyParadox,
-    observable: WitnessObservable,
-    verification: ObservableVerification,
-) -> list[str]:
-    eigs = ",".join(fraction_str(e) for e in observable.eigenvalues)
-    source = ",".join(scenario.rays[i].label for i in observable.source_order)
-    lines = [
-        f"observable {idx} [state {paradox.state.describe()},"
-        f" witness {scenario.rays[paradox.witness].label}]:"
-        f" eigenvalues {eigs}, orthogonalized from ({source})"
-    ]
-    for n, p in enumerate(observable.projectors, start=1):
-        lines.append(f"  P{n} = {matrix_text(p)}")
-    if verification.ok:
-        lines.append("  verification: ok")
-    else:
-        lines.append("  verification: FAILED " + "; ".join(verification.failures))
-    return lines
+def paradox_json(scenario: Scenario, idx: int, p: HardyParadox) -> dict:
+    return {**_paradox_fields(scenario, idx, p), "sp": str(p.sp), "sp_percent": percent(p.sp)}
 
 
-def observable_json(
+def observables_json(
     scenario: Scenario,
-    idx: int,
-    paradox: HardyParadox,
-    observable: WitnessObservable,
-    verification: ObservableVerification,
+    skipped: list[str],
+    observables: list[tuple[int, HardyParadox, WitnessObservable | None, ObservableVerification | str]],
+    crosscheck: ReferenceCrossCheck | None,
 ) -> dict:
-    return {
-        "index": idx,
-        "state": vector_json(paradox.state.psi) if paradox.state.psi is not None else "density",
-        "witness": scenario.rays[paradox.witness].label,
-        "zeros": [scenario.rays[z].label for z in paradox.zero_set],
-        "eigenvalues": [fraction_str(e) for e in observable.eigenvalues],
-        "source_order": [scenario.rays[i].label for i in observable.source_order],
-        "projectors": {
-            f"P{n}": matrix_json(p) for n, p in enumerate(observable.projectors, start=1)
-        },
-        "verified": verification.ok,
-        "failures": list(verification.failures),
-    }
-
-
-def crosscheck_lines(check: ReferenceCrossCheck) -> list[str]:
-    lines = ["reference observable cross-check:"]
-    for row in check.rows:
-        ref = row.reference
-        state = "(" + ",".join(str(x) for x in ref.state) + ")"
-        marks = " ".join(
-            f"P{i + 1} {'match' if m else 'MISMATCH'}" for i, m in enumerate(row.matches)
-        )
-        if row.consistent:
-            lines.append(f"  row {ref.row} [state {state}, witness {ref.witness}]: consistent; {marks}")
-        else:
-            lines.append(
-                f"  row {ref.row} [state {state}, witness {ref.witness}]:"
-                f" ERRATUM (fails {', '.join(row.failures)}); {marks}"
-            )
-            for i, matched in enumerate(row.matches):
-                if not matched:
-                    lines.append(f"    printed P{i + 1} = {matrix_text(ref.printed[i])}")
-                    lines.append(f"    derived P{i + 1} = {matrix_text(row.derived.projectors[i])}")
-    errata = ", ".join(str(r) for r in check.errata) if check.errata else "none"
-    lines.append(f"errata rows: {errata}")
-    return lines
-
-
-def crosscheck_json(check: ReferenceCrossCheck) -> dict:
-    return {
-        "rows": [
+    """The built observables; ``skipped`` plus ``observable N: <reason>`` for
+    each one not built; and the reference crosscheck where there is one."""
+    out = {"observables": [], "skipped": list(skipped)}
+    for idx, paradox, observable, result in observables:
+        if observable is None:
+            out["skipped"].append(f"observable {idx}: {result}")
+            continue
+        out["observables"].append(
             {
-                "row": row.reference.row,
-                "state": [str(x) for x in row.reference.state],
-                "witness": row.reference.witness,
-                "zeros": list(row.reference.zeros),
-                "consistent": row.consistent,
-                "failures": list(row.failures),
-                "matches": {f"P{i + 1}": m for i, m in enumerate(row.matches)},
-                "printed": {
-                    f"P{i + 1}": matrix_json(p) for i, p in enumerate(row.reference.printed)
-                },
-                "derived": {
-                    f"P{i + 1}": matrix_json(p) for i, p in enumerate(row.derived.projectors)
-                },
+                **_paradox_fields(scenario, idx, paradox),
+                "eigenvalues": [str(e) for e in observable.eigenvalues],
+                "source_order": _labels(scenario, observable.source_order),
+                "projectors": _projectors_json(observable.projectors),
+                "verified": result.ok,
+                "failures": list(result.failures),
             }
-            for row in check.rows
-        ],
-        "errata_rows": list(check.errata),
-    }
-
-
-def simulation_lines(title: str, outcome_names: list[str], result: SimulationResult) -> list[str]:
-    lines = [
-        f"{title}: shots={result.shots} seed={result.seed} prng=xoshiro256**"
-    ]
-    for name, count, freq, p, se in zip(
-        outcome_names, result.counts, result.frequencies, result.probabilities, result.std_errors
-    ):
-        lines.append(
-            f"  {name}: count={count} freq={freq:.6f}"
-            f" exact={fraction_str(p)} ({float(p):.6f}) stderr={se:.6g}"
         )
-    return lines
+    if crosscheck is not None:
+        out["reference_crosscheck"] = {
+            "rows": [
+                {
+                    "row": row.reference.row,
+                    "state": [str(x) for x in row.reference.state],
+                    "witness": row.reference.witness,
+                    "zeros": list(row.reference.zeros),
+                    "consistent": row.consistent,
+                    "failures": list(row.failures),
+                    "matches": {f"P{i}": m for i, m in enumerate(row.matches, start=1)},
+                    "printed": _projectors_json(row.reference.printed),
+                    "derived": _projectors_json(row.derived.projectors),
+                }
+                for row in crosscheck.rows
+            ],
+            "errata_rows": list(crosscheck.errata),
+        }
+    return out
 
 
 def simulation_json(outcome_names: list[str], result: SimulationResult) -> dict:
@@ -440,19 +244,272 @@ def simulation_json(outcome_names: list[str], result: SimulationResult) -> dict:
         "seed": result.seed,
         "shots": result.shots,
         "outcomes": [
-            {
-                "name": name,
-                "count": count,
-                "frequency": freq,
-                "exact_probability": fraction_str(p),
-                "std_error": se,
-            }
+            {"name": name, "count": count, "frequency": freq, "exact_probability": str(p), "std_error": se}
             for name, count, freq, p, se in zip(
-                outcome_names,
-                result.counts,
-                result.frequencies,
-                result.probabilities,
-                result.std_errors,
+                outcome_names, result.counts, result.frequencies, result.probabilities, result.std_errors
             )
         ],
     }
+
+
+# ---------------------------------------------------------------------------
+# text rendering: document dicts in, lines out
+# ---------------------------------------------------------------------------
+
+def _vec(coords: list[str]) -> str:
+    return "(" + ",".join(coords) + ")"
+
+
+def _set(labels: list[str]) -> str:
+    return "{" + ",".join(labels) + "}"
+
+
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "NO"
+
+
+def _numbered(entries: dict) -> list:
+    """The values of ``{"P1": ..., "P2": ...}`` in numeric order (JSON sorts P10 before P2)."""
+    return [entries[f"P{n}"] for n in range(1, len(entries) + 1)]
+
+
+def _matrix_text(m: list[list[str]]) -> str:
+    """A real matrix with its common denominator pulled out, e.g. ``1/6 * [[1,-2,1],...]``."""
+    if any("i" in x for row in m for x in row):
+        return "[" + "; ".join(",".join(row) for row in m) + "]"
+    parts = [[x.partition("/") for x in row] for row in m]
+    den = lcm(*(int(d or 1) for row in parts for _, _, d in row))
+    body = ",".join(
+        "[" + ",".join(str(int(n) * (den // int(d or 1))) for n, _, d in row) + "]" for row in parts
+    )
+    return f"[{body}]" if den == 1 else f"1/{den} * [{body}]"
+
+
+_SKIPPED_OBSERVABLE = re.compile(r"observable (\d+): (.*)", re.DOTALL)
+
+
+def _skips(doc: dict) -> tuple[list[str], dict[int, str]]:
+    """The ``skipped`` entries: derivation reasons, and the reason of each skipped observable by index."""
+    reasons, observables = [], {}
+    for entry in doc.get("skipped", ()):
+        m = _SKIPPED_OBSERVABLE.fullmatch(entry)
+        if m is None:
+            reasons.append(entry)
+        else:
+            observables[int(m[1])] = m[2]
+    return reasons, observables
+
+
+def _none_reason(doc: dict) -> str | None:
+    """Why the document has no paradoxes, where the derivations gave a reason."""
+    reasons, skipped = _skips(doc)
+    if reasons and not (doc.get("paradoxes") or doc.get("observables") or skipped):
+        return "; ".join(reasons)
+    return None
+
+
+def _scenario_text(s: dict) -> list[str]:
+    return [
+        f"scenario {s['name']}: dim {s['dim']}, field {s['field']}, "
+        f"{len(s['rays'])} rays, {len(s['edges'])} orthogonality edges",
+        "rays:",
+        *(f"  {r['label']}: {_vec(r['coords'])}" for r in s["rays"]),
+    ]
+
+
+def _contexts_text(doc: dict) -> list[str]:
+    contexts = doc["contexts"]["contexts"]
+    bases = [c for c in contexts if c["kind"] == "basis"]
+    deficient = [c for c in contexts if c["kind"] == "deficient"]
+    lines = [
+        f"contexts ({len(contexts)}): {len(bases)} basis, {len(deficient)} deficient",
+        "basis contexts:",
+        *(f"  {_set(c['members'])}" for c in bases),
+    ]
+    if deficient:
+        lines.append("deficient contexts (members | complement):")
+        for c in deficient:
+            lines.append(f"  {_set(c['members'])} | {', '.join(_vec(v) for v in c['complement'])}")
+    if "distinct_pair_complements" in doc["contexts"]:
+        lines.append(f"pair complements pairwise distinct: {_yes(doc['contexts']['distinct_pair_complements'])}")
+        complement = {tuple(c["members"]): c["complement"] for c in contexts}
+        for a, b in doc["contexts"]["complement_collisions"]:
+            lines.append(
+                f"  collision: {_set(a)} and {_set(b)} share complement {_vec(complement[tuple(a)][0])}"
+            )
+    return lines
+
+
+def _assignments_text(doc: dict) -> list[str]:
+    rows = doc["assignments"]["rows"]
+    return [f"assignments ({len(rows)}):"] + [
+        f"  λ{r['id']}: {''.join(map(str, r['bits']))} support={_set(r['support'])}" for r in rows
+    ]
+
+
+def _global_events_text(doc: dict) -> list[str]:
+    # in ray order, whatever the key order of the loaded document
+    events = doc["global_events"]
+    labels = [r["label"] for r in doc["scenario"]["rays"] if r["label"] in events]
+    return ["global-event sets:"] + [
+        f"  S_Λ({label}) = {', '.join(_set(e) for e in events[label])}" for label in labels
+    ]
+
+
+def _verdict_text(doc: dict) -> list[str]:
+    verdict, labels = doc["verdict"], [r["label"] for r in doc["scenario"]["rays"]]
+    ones = _set([label for label in labels if verdict["model"][label] == 1])
+    zeros = _set([label for label in labels if verdict["model"][label] == 0])
+    head = "logically contextual" if verdict["contextual"] else "logically non-contextual"
+    lines = [
+        f"possibilistic model: value 1 on {ones}, value 0 on {zeros}",
+        f"state {verdict['state']} on {doc['scenario']['name']}: {head}",
+    ]
+    if verdict["contextual"] and verdict["witness"] is not None:
+        lines.append(f"witness: {verdict['witness']}")
+        lines += [f"  event {_set(b['event'])} blocked by {b['blocker']}" for b in verdict["blockers"]]
+    lines.append(f"marginal-distribution oracle agrees: {_yes(verdict['oracle_agrees'])}")
+    return lines
+
+
+def _states_text(search: dict) -> list[str]:
+    lines = [f"logically contextual pure states ({len(search['states'])}):"]
+    lines += [
+        f"  {_vec(w['state'])}  [witness {w['witness']}, zero selection {_set(w['selection'])}]"
+        for w in search["states"]
+    ]
+    if search["undetermined"]:
+        lines.append("undetermined families (solution space dimension >= 2):")
+        lines += [
+            f"  witness {f['witness']} selection {_set(f['selection'])} nullity {f['nullity']}"
+            for f in search["undetermined"]
+        ]
+    else:
+        lines.append("undetermined families: none")
+    return lines
+
+
+def _mixed_text(mixed: dict) -> list[str]:
+    triples = mixed["triples"]
+    lines = [
+        "mixed-state analysis: "
+        f"{len(triples)} selection systems over {len({t['witness'] for t in triples})} basis-free witnesses"
+    ]
+    if triples:
+        lines.append(
+            f"  minimum rank {min(t['rank'] for t in triples)},"
+            f" maximum solution-space dimension {max(t['nullity'] for t in triples)}"
+        )
+    lines += [
+        f"  shared ray violation: {_set(v['rays'])} lies in every event of S_Λ({v['witness']})"
+        for v in mixed["common_ray_violations"]
+    ]
+    lines.append(f"no logically contextual mixed states: {_yes(mixed['no_mixed_states'])}")
+    return lines
+
+
+def _state(state: list[str] | str) -> str:
+    return state if isinstance(state, str) else _vec(state)
+
+
+def _paradox_header(p: dict) -> str:
+    zeros = "=".join(f"ρ({z})" for z in p["zeros"])
+    return f"ρ({p['witness']})>0, {zeros}=0, SP={p['sp']} ({p['sp_percent']})"
+
+
+def _paradoxes_text(doc: dict) -> list[str]:
+    reason = _none_reason(doc)
+    if reason is not None:
+        return [f"paradoxes: none ({reason})"]
+    return [f"paradoxes ({len(doc['paradoxes'])}):"] + [
+        f"  paradox {p['index']} [state {_state(p['state'])}]: {_paradox_header(p)}" for p in doc["paradoxes"]
+    ]
+
+
+def _observable_text(o: dict) -> list[str]:
+    lines = [
+        f"observable {o['index']} [state {_state(o['state'])}, witness {o['witness']}]:"
+        f" eigenvalues {','.join(o['eigenvalues'])}, orthogonalized from ({','.join(o['source_order'])})"
+    ]
+    lines += [f"  P{n} = {_matrix_text(p)}" for n, p in enumerate(_numbered(o["projectors"]), start=1)]
+    lines.append("  verification: ok" if o["verified"] else "  verification: FAILED " + "; ".join(o["failures"]))
+    return lines
+
+
+def _observable_blocks(doc: dict) -> list[list[str]]:
+    """One block per numbered paradox, in index order: its observable, or its skip line."""
+    blocks = {o["index"]: _observable_text(o) for o in doc["observables"]}
+    blocks.update((i, [f"observable {i}: skipped ({reason})"]) for i, reason in _skips(doc)[1].items())
+    return [blocks[i] for i in sorted(blocks)]
+
+
+def _crosscheck_text(check: dict) -> list[str]:
+    lines = ["reference observable cross-check:"]
+    for row in check["rows"]:
+        matches = _numbered(row["matches"])
+        marks = " ".join(f"P{n} {'match' if m else 'MISMATCH'}" for n, m in enumerate(matches, start=1))
+        head = f"  row {row['row']} [state {_vec(row['state'])}, witness {row['witness']}]:"
+        if row["consistent"]:
+            lines.append(f"{head} consistent; {marks}")
+            continue
+        lines.append(f"{head} ERRATUM (fails {', '.join(row['failures'])}); {marks}")
+        for n, matched in enumerate(matches, start=1):
+            if not matched:
+                lines.append(f"    printed P{n} = {_matrix_text(row['printed'][f'P{n}'])}")
+                lines.append(f"    derived P{n} = {_matrix_text(row['derived'][f'P{n}'])}")
+    lines.append(f"errata rows: {', '.join(map(str, check['errata_rows'])) or 'none'}")
+    return lines
+
+
+def _simulation_text(title: str, m: dict) -> list[str]:
+    return [f"{title}: shots={m['shots']} seed={m['seed']} prng={m['prng']}"] + [
+        f"  {o['name']}: count={o['count']} freq={o['frequency']:.6f}"
+        f" exact={o['exact_probability']} ({float(Fraction(o['exact_probability'])):.6f})"
+        f" stderr={o['std_error']:.6g}"
+        for o in m["outcomes"]
+    ]
+
+
+def _observables_layout(doc: dict) -> list[list[str]]:
+    reason = _none_reason(doc)
+    lines = [] if reason is None else [f"observables: none ({reason})"]
+    for block in _observable_blocks(doc):
+        lines += block
+    if "reference_crosscheck" in doc:
+        lines += ["", *_crosscheck_text(doc["reference_crosscheck"])]
+    return [lines]
+
+
+_LAYOUTS = {
+    "contexts": lambda doc: [_scenario_text(doc["scenario"]), _contexts_text(doc)],
+    "assignments": lambda doc: [_assignments_text(doc)],
+    "states": lambda doc: [
+        _states_text(doc["search"])
+        + [f"all witnesses basis-free: {_yes(doc['search']['witnesses_basis_free'])}"]
+    ],
+    "check": lambda doc: [_verdict_text(doc)],
+    "paradoxes": lambda doc: [_paradoxes_text(doc)],
+    "observables": _observables_layout,
+    "simulate": lambda doc: [
+        [f"paradox: {_paradox_header(doc['paradox'])}"]
+        + _simulation_text("witness-event measurement", doc["witness_measurement"])
+        + _simulation_text("witness-observable measurement", doc["observable_measurement"])
+    ],
+    "report": lambda doc: [
+        _scenario_text(doc["scenario"]),
+        _contexts_text(doc),
+        _assignments_text(doc),
+        _global_events_text(doc),
+        _states_text(doc["states"]),
+        _mixed_text(doc["mixed_analysis"]),
+        _paradoxes_text(doc),
+        *_observable_blocks(doc),
+        *([_crosscheck_text(doc["reference_crosscheck"])] if "reference_crosscheck" in doc else []),
+    ],
+}
+
+
+def render_text(document: dict) -> str:
+    """The text report of one command's document: its blocks, one blank line between them."""
+    blocks = _LAYOUTS[document["command"]](document)
+    return "\n\n".join("\n".join(block) for block in blocks) + "\n"

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxkit import (
     KSAssignment,
@@ -177,3 +181,56 @@ def test_extension_pairs_present(yu_oh, yu_oh_assignments):
     supports = [support_labels(yu_oh, a) for a in yu_oh_assignments]
     assert ("v1", "v5", "v6") in supports
     assert ("v1", "v5", "v6", "vA") in supports
+
+
+def box_rays(d: int, m: int) -> list[tuple[int, ...]]:
+    """The primitive integer rays of {-m..m}^d with leading entry positive."""
+    return [
+        v
+        for v in product(range(-m, m + 1), repeat=d)
+        if any(v) and gcd(*v) == 1 and next(x for x in v if x) > 0
+    ]
+
+
+def box_scenario(d: int, m: int, indices=None):
+    """The box scenario, or its sub-scenario of the rays at ``indices``."""
+    rays = box_rays(d, m)
+    if indices is not None:
+        rays = [rays[i] for i in indices]
+    lines = [f"r{i}: {','.join(map(str, v))}" for i, v in enumerate(rays, start=1)]
+    return _tiny("\n".join([f"scenario box-d{d}-m{m} dim {d} field rational", *lines]))
+
+
+@cache
+def box_bases(d: int, m: int) -> list[tuple[int, ...]]:
+    return [c.members for c in box_scenario(d, m).basis_contexts()]
+
+
+@st.composite
+def box_subsets(draw):
+    """At most 14 rays of box-d3-m2 or box-d4-m1: a few whole bases first, then any rays."""
+    d, m = draw(st.sampled_from([(3, 2), (4, 1)]))
+    chosen = [i for b in draw(st.lists(st.sampled_from(box_bases(d, m)), max_size=4)) for i in b]
+    chosen += draw(st.lists(st.integers(0, len(box_rays(d, m)) - 1), min_size=1, max_size=14))
+    return d, m, sorted(list(dict.fromkeys(chosen))[:14])
+
+
+@settings(max_examples=100, deadline=None)
+@given(box_subsets())
+def test_enumerators_and_sweep_agree_on_box_subsets(subset):
+    s = box_scenario(*subset)
+    assignments = enumerate_assignments(s)
+    assert enumerate_assignments_by_basis_choices(s) == assignments
+    accepted = [
+        bits for bits in product((0, 1), repeat=len(s.rays)) if verify_assignment(s, KSAssignment(bits))
+    ]
+    assert sorted(accepted) == sorted(a.bits for a in assignments)
+
+
+@pytest.mark.parametrize("d, m, rays", [(5, 1, 121), (3, 3, 145), (4, 2, 272)])
+def test_uncolourable_boxes_have_no_assignments(d, m, rays):
+    # a ray-by-ray backtrack does not finish on these; the basis-first search
+    # closes every branch within a few bases
+    s = box_scenario(d, m)
+    assert len(s.rays) == rays
+    assert enumerate_assignments(s) == []

@@ -24,6 +24,7 @@ from ctxkit import (
     vec,
 )
 from ctxkit.contextuality import MixedAnalysisReport, PureStateSearch, WitnessedState
+from ctxkit.report import render_text
 
 
 def run_cli(*args, **kwargs):
@@ -176,6 +177,17 @@ def test_one_zero_paradoxes_skip_only_their_observables(tmp_path, state):
     assert all(o["verified"] for o in doc["observables"])
 
 
+@pytest.mark.parametrize("state", ["0,0,1", "2,1,0"])
+def test_observables_text_with_skips_is_rendered_from_the_json_document(tmp_path, state):
+    path = tmp_path / "box.scenario"
+    path.write_text(box_d3_m2_prefix_text(38), encoding="utf-8")
+    args = ("observables", "--scenario", str(path), "--state", state)
+    text, doc = run_cli(*args), run_cli(*args, "--format", "json")
+    assert text.returncode == doc.returncode == 0
+    assert "skipped" in text.stdout
+    assert render_text(json.loads(doc.stdout)) == text.stdout
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_report_skips_one_zero_paradoxes(monkeypatch, tmp_path, fmt):
     # on this prefix the pure-state search and the mixed analysis do not finish (they
@@ -204,6 +216,21 @@ def test_report_skips_one_zero_paradoxes(monkeypatch, tmp_path, fmt):
         assert doc["skipped"] == [f"observable {i}: {reason}" for i in one_zero]
         assert [o["index"] for o in doc["observables"]] == two_zero
         assert all(o["verified"] for o in doc["observables"])
+
+
+def test_report_text_with_skips_is_rendered_from_the_json_document(monkeypatch, tmp_path):
+    # the same stubbed search as above: skip lines sit between the built observables
+    path = tmp_path / "box.scenario"
+    path.write_text(box_d3_m2_prefix_text(38), encoding="utf-8")
+    state = WitnessedState(witness=load_scenario_path(path).ray_index("r16"), state=vec(2, 1, 0), selection=(9, 11))
+    monkeypatch.setattr(cli, "find_contextual_pure_states", lambda s, a: PureStateSearch((state,), ()))
+    monkeypatch.setattr(cli, "analyze_mixed_states", lambda s, a: MixedAnalysisReport((), (), True))
+    out = {}
+    for fmt in ("text", "json"):
+        assert cli.main(["report", "--scenario", str(path), "--format", fmt, "--out", str(tmp_path / fmt)]) == 0
+        out[fmt] = (tmp_path / fmt).read_text(encoding="utf-8")
+    assert "skipped" in out["text"]
+    assert render_text(json.loads(out["json"])) == out["text"]
 
 
 def test_observables_custom_eigenvalues():
@@ -358,6 +385,16 @@ def test_malformed_eigenvalues_exit_2():
 def test_missing_state_exits_3():
     result = run_cli("check", "--scenario", "yu-oh")
     assert result.returncode == 3
+
+
+def test_options_are_accepted_only_where_they_act():
+    assert run_cli("contexts", "--scenario", "yu-oh", "--shots", "5").returncode == 2
+    assert run_cli("check", "--scenario", "yu-oh", "--state", "1,1,1", "--seed", "1").returncode == 2
+    assert run_cli("states", "--scenario", "yu-oh", "--eigenvalues", "1,2,3").returncode == 2
+    assert run_cli("report", "--scenario", "yu-oh", "--shots", "5").returncode == 2
+    result = run_cli("report", "--scenario", "yu-oh", "--seed", "0")
+    assert result.returncode == 0, result.stderr
+    assert "paradoxes (12):" in result.stdout
 
 
 def test_usage_error_exits_2():

@@ -3,15 +3,19 @@
 Each command runs in-process through ``cli.main`` with ``--out``, so the
 digests cover the exact bytes a user would get in a file.  The two
 ``report`` digests are the ones ``perfbench/pinned.json`` pins as well.
+The text of every command is also checked to be a function of its JSON
+document alone.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
 from ctxkit import cli
+from ctxkit.report import render_text
 
 COMMANDS = {
     "contexts": ["contexts"],
@@ -59,10 +63,20 @@ GOLDEN = {
 }
 
 
+def run(tmp_path, args: list[str], fmt: str) -> bytes:
+    """The bytes ``ctxkit ARGS --scenario yu-oh --format FMT`` writes to its ``--out`` file."""
+    out = tmp_path / f"out.{fmt}"
+    assert cli.main([*args, "--scenario", "yu-oh", "--format", fmt, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("name", list(COMMANDS))
 def test_yu_oh_output_is_pinned(tmp_path, name, fmt):
-    out = tmp_path / "out"
-    argv = [*COMMANDS[name], "--scenario", "yu-oh", "--format", fmt, "--out", str(out)]
-    assert cli.main(argv) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[name, fmt]
+    assert hashlib.sha256(run(tmp_path, COMMANDS[name], fmt)).hexdigest() == GOLDEN[name, fmt]
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_text_is_rendered_from_the_json_document(tmp_path, name):
+    document = json.loads(run(tmp_path, COMMANDS[name], "json"))
+    assert render_text(document).encode("utf-8") == run(tmp_path, COMMANDS[name], "text")
