@@ -7,7 +7,8 @@ A KS-assignment is a 0/1 labelling of the rays such that
 
 Deficient contexts automatically carry at most one label 1 by (O).  The
 support of an assignment is its set of label-1 rays; supports double as
-the "global event" sets used throughout the contextuality analysis.
+the "global event" sets used throughout the contextuality analysis,
+which tests them as the int ``mask`` (bit i set iff ray i is labelled 1).
 
 Two independent enumerators are provided.  The default searches basis
 by basis on ray bitmasks, honouring (O) and (C) along the way.  The
@@ -25,7 +26,7 @@ of the bundled 13-ray scenario.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .errors import ValidationError
@@ -34,15 +35,17 @@ from .scenario import Ray, Scenario
 
 @dataclass(frozen=True)
 class KSAssignment:
-    """A 0/1 labelling of the rays, index-aligned with the scenario."""
+    """A 0/1 labelling of the rays, index-aligned with the scenario; ``mask`` is its support as an int."""
 
     bits: tuple[int, ...]
+    mask: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         bits = tuple(self.bits)
-        if any(b not in (0, 1) for b in bits):
+        if not {*bits} <= {0, 1}:
             raise ValidationError("assignment bits must be 0 or 1")
         object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "mask", sum(1 << i for i, b in enumerate(bits) if b))
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -154,5 +157,5 @@ def events_containing(
     scenario: Scenario, assignments: list[KSAssignment], ray: "Ray | str | int"
 ) -> list[KSAssignment]:
     """The sub-list of assignments whose support contains ``ray``."""
-    idx = scenario.ray_index(ray)
-    return [a for a in assignments if a.bits[idx] == 1]
+    bit = 1 << scenario.ray_index(ray)
+    return [a for a in assignments if a.mask & bit]

@@ -191,6 +191,8 @@ class _Analysis:
 
     @cached_property
     def skipped(self) -> list[str]:
+        if not self.derivations:  # no state given, and the search found none
+            return [f"no logically contextual pure state on {self.scenario.name!r}"]
         return [d.reason for d in self.derivations if d.reason is not None]
 
     @cached_property

@@ -3,8 +3,9 @@
 The possibilistic model of a state maps each ray to 1 exactly when its
 Born probability is non-zero; with exact scalars this is decidable.  A
 state is *logically contextual* when no 0/1 distribution over the global
-events (KS-assignments) reproduces that model as marginals.  Two
-equivalent decision procedures are implemented:
+events (KS-assignments) reproduces that model as marginals.  Events and
+zero sets are ray bitmasks (``KSAssignment.mask``), so every event test
+is one ``&``.  Two equivalent decision procedures are implemented:
 
 * :func:`is_logically_contextual` searches for a witness ray ``v`` that is
   possible under the state while every global event containing ``v`` also
@@ -15,9 +16,9 @@ equivalent decision procedures are implemented:
   :func:`ctxkit.hardy.derive_paradoxes`: the verdict reports its first
   witness, the derivation turns every witness into a paradox.
 * :func:`noncontextuality_oracle` builds the canonical candidate
-  distribution (an event is possible iff all its member rays are) and
-  checks the marginal equations directly.  It must equal the negation of
-  the verdict; tests enforce the agreement.
+  distribution (an event is possible iff it misses every impossible ray)
+  and checks the marginals: the possible events exist and cover exactly
+  the possible rays.  It must equal the negation of the verdict.
 
 On top of the decision procedure, :func:`find_contextual_pure_states`
 exhausts the logically contextual pure states of a scenario by solving
@@ -173,21 +174,15 @@ def _blocked_witnesses(
     """Each possible ray whose global events are non-empty and all blocked.
 
     Yields ``(k, events, hits)`` in ray order: ``events`` are the global
-    events containing ray ``k`` and ``hits[j]`` lists, in ray order, the
-    impossible rays of ``events[j]`` other than ``k``.  A ray is dropped
-    at its first event with no impossible ray.
+    events containing ray ``k`` and ``hits[j]`` is the mask of the
+    impossible rays of ``events[j]``, which never holds the possible ``k``.
     """
+    zeros = sum(1 << i for i in model.impossible())
     for k in model.possible():
         events = events_containing(scenario, assignments, k)
-        hits = []
-        for event in events:
-            blocked = [i for i in event.support if i != k and model.value(i) == 0]
-            if not blocked:
-                break
-            hits.append(blocked)
-        else:
-            if events:
-                yield k, events, hits
+        hits = [event.mask & zeros for event in events]
+        if events and all(hits):
+            yield k, events, hits
 
 
 def is_logically_contextual(
@@ -202,7 +197,7 @@ def is_logically_contextual(
     """
     model = possibilistic_model(scenario, state)
     for k, events, hits in _blocked_witnesses(scenario, model, assignments):
-        blockers = tuple((event, blocked[0]) for event, blocked in zip(events, hits))
+        blockers = tuple((event, (hit & -hit).bit_length() - 1) for event, hit in zip(events, hits))
         return ContextualityVerdict(contextual=True, witness=k, blockers=blockers, model=model)
     return ContextualityVerdict(contextual=False, witness=None, blockers=(), model=model)
 
@@ -218,16 +213,13 @@ def noncontextuality_oracle(
     state is logically non-contextual.
     """
     model = possibilistic_model(scenario, state)
-    weight = {
-        a: 1 if all(model.value(i) == 1 for i in a.support) else 0 for a in assignments
-    }
-    if not any(weight.values()):
-        return False
-    for i in range(len(scenario.rays)):
-        marginal = 1 if any(weight[a] for a in assignments if a.bits[i] == 1) else 0
-        if marginal != model.value(i):
-            return False
-    return True
+    zeros = sum(1 << i for i in model.impossible())
+    # a flag, not ``covered != 0``: the empty event is possible and covers nothing
+    some_possible, covered = False, 0
+    for a in assignments:
+        if not a.mask & zeros:
+            some_possible, covered = True, covered | a.mask
+    return some_possible and covered == sum(1 << i for i in model.possible())
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +361,11 @@ def analyze_mixed_states(
         events = events_containing(scenario, assignments, k)
         if not events:
             continue
-        common = set(events[0].support)
-        for event in events[1:]:
-            common &= set(event.support)
-        common.discard(k)
+        common = ~(1 << k)
+        for event in events:
+            common &= event.mask
         if common:
-            violations.append((k, tuple(sorted(common))))
+            violations.append((k, tuple(i for i in range(common.bit_length()) if common >> i & 1)))
         for picks, selection in _selections(events, k):
             if selection not in rank_cache:
                 rank_cache[selection] = rank(

@@ -87,12 +87,16 @@ def derive_paradoxes(
     return ParadoxDerivation(paradoxes=tuple(paradoxes))
 
 
-def _minimum_hitting_set(hit_lists: list[list[int]]) -> tuple[int, ...]:
-    universe = sorted({i for hits in hit_lists for i in hits})
+def _minimum_hitting_set(hits: list[int]) -> tuple[int, ...]:
+    """The fewest rays meeting every ray mask in ``hits``; ties go to the lexicographically first."""
+    union = 0
+    for hit in hits:
+        union |= hit
+    universe = [i for i in range(union.bit_length()) if union >> i & 1]
     for size in range(1, len(universe) + 1):
         for candidate in combinations(universe, size):
-            chosen = set(candidate)
-            if all(chosen.intersection(hits) for hits in hit_lists):
+            chosen = sum(1 << i for i in candidate)
+            if all(chosen & hit for hit in hits):
                 return candidate
     raise AssertionError("hitting-set search called with an un-hittable event")
 
@@ -114,11 +118,9 @@ def replay_contradiction(
     """
     if paradox.sp <= 0:
         return False
-    zero = set(paradox.zero_set)
+    zeros = sum(1 << i for i in paradox.zero_set)
     witness_events = events_containing(scenario, assignments, paradox.witness)
-    if not witness_events:
-        return False
-    return all(zero.intersection(a.support) for a in witness_events)
+    return bool(witness_events) and all(a.mask & zeros for a in witness_events)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,18 @@ or scalars, never an ``ExactMatrix`` built by the code under test.
 ``validate_density`` expands every principal minor by cofactors,
 ``gram_schmidt`` subtracts ``Fraction`` projections and ``expectation`` is
 ``<v|rho v> / ||v||^2`` through the entrywise product.
+
+The global-event oracles test events as bit tuples, support tuples and
+Python sets, where the package tests ``KSAssignment.mask`` with ``&``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
+from ctxkit.contextuality import ContextualityVerdict, possibilistic_model
 from ctxkit.errors import (
     DimensionMismatchError,
     InvalidDensityError,
@@ -25,6 +30,7 @@ from ctxkit.errors import (
     ValidationError,
 )
 from ctxkit.exact import ONE, ZERO, ExactMatrix, ExactScalar, ExactVector, canonical_ray, inner_product
+from ctxkit.hardy import HardyParadox
 
 
 def _rref(m: list[list[ExactScalar]]) -> list[int]:
@@ -171,4 +177,73 @@ def gram_schmidt(ordered: Sequence[ExactVector]) -> list[ExactVector]:
         if residual.is_zero:
             raise LinearDependenceError(f"vector {v} is linearly dependent on its predecessors")
         out.append(canonical_ray(residual))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# global-event tests on bit tuples and sets
+# ---------------------------------------------------------------------------
+
+def blocked_witnesses(model, assignments):
+    """``(k, events, hits)`` per blocked witness, ``hits[j]`` listing the impossible rays of ``events[j]``."""
+    for k in model.possible():
+        events = [a for a in assignments if a.bits[k] == 1]
+        hits = []
+        for event in events:
+            blocked = [i for i in event.support if i != k and model.value(i) == 0]
+            if not blocked:
+                break
+            hits.append(blocked)
+        else:
+            if events:
+                yield k, events, hits
+
+
+def is_logically_contextual(scenario, state, assignments) -> ContextualityVerdict:
+    model = possibilistic_model(scenario, state)
+    for k, events, hits in blocked_witnesses(model, assignments):
+        blockers = tuple((event, blocked[0]) for event, blocked in zip(events, hits))
+        return ContextualityVerdict(contextual=True, witness=k, blockers=blockers, model=model)
+    return ContextualityVerdict(contextual=False, witness=None, blockers=(), model=model)
+
+
+def noncontextuality_oracle(scenario, state, assignments) -> bool:
+    model = possibilistic_model(scenario, state)
+    weight = {a: 1 if all(model.value(i) == 1 for i in a.support) else 0 for a in assignments}
+    if not any(weight.values()):
+        return False
+    for i in range(len(scenario.rays)):
+        marginal = 1 if any(weight[a] for a in assignments if a.bits[i] == 1) else 0
+        if marginal != model.value(i):
+            return False
+    return True
+
+
+def minimum_hitting_set(hit_lists: list[list[int]]) -> tuple[int, ...]:
+    universe = sorted({i for hits in hit_lists for i in hits})
+    for size in range(1, len(universe) + 1):
+        for candidate in combinations(universe, size):
+            chosen = set(candidate)
+            if all(chosen.intersection(hits) for hits in hit_lists):
+                return candidate
+    raise AssertionError("hitting-set search called with an un-hittable event")
+
+
+def replay_contradiction(assignments, paradox) -> bool:
+    if paradox.sp <= 0:
+        return False
+    zero = set(paradox.zero_set)
+    witness_events = [a for a in assignments if a.bits[paradox.witness] == 1]
+    if not witness_events:
+        return False
+    return all(zero.intersection(a.support) for a in witness_events)
+
+
+def derive_paradoxes(scenario, state, assignments) -> list[tuple[int, tuple[int, ...], Fraction]]:
+    """``(witness, zero_set, sp)`` of each paradox, each checked by :func:`replay_contradiction`."""
+    out = []
+    for k, _, hits in blocked_witnesses(possibilistic_model(scenario, state), assignments):
+        paradox = HardyParadox(state, k, minimum_hitting_set(hits), state.probability(scenario.rays[k].vector))
+        assert replay_contradiction(assignments, paradox)
+        out.append((paradox.witness, paradox.zero_set, paradox.sp))
     return out

@@ -233,6 +233,24 @@ def test_report_text_with_skips_is_rendered_from_the_json_document(monkeypatch, 
     assert render_text(json.loads(out["json"])) == out["text"]
 
 
+@pytest.mark.parametrize("command", ["paradoxes", "observables", "report"])
+def test_no_contextual_pure_state_is_stated_with_its_reason(tmp_path, command):
+    # one orthonormal basis: the search finds no state, so there is nothing to derive
+    path = tmp_path / "basis.scenario"
+    path.write_text("scenario basis dim 3 field rational\na: 1,0,0\nb: 0,1,0\nc: 0,0,1\n", encoding="utf-8")
+    out = {}
+    for fmt in ("text", "json"):
+        assert cli.main([command, "--scenario", str(path), "--format", fmt, "--out", str(tmp_path / fmt)]) == 0
+        out[fmt] = (tmp_path / fmt).read_text(encoding="utf-8")
+    reason = "no logically contextual pure state on 'basis'"
+    assert json.loads(out["json"])["skipped"] == [reason]
+    if command == "report":
+        assert f"paradoxes: none ({reason})" in out["text"].splitlines()
+    else:
+        assert out["text"] == f"{command}: none ({reason})\n"
+    assert render_text(json.loads(out["json"])) == out["text"]
+
+
 def test_observables_custom_eigenvalues():
     result = run_cli(
         "observables", "--scenario", "yu-oh", "--state", "1,1,1", "--eigenvalues", "0,1/2,1"

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctxkit.contextuality
 import ctxkit.hardy
@@ -15,6 +19,7 @@ from ctxkit import (
     DimensionMismatchError,
     ExactMatrix,
     ExactScalar,
+    HardyParadox,
     InvalidDensityError,
     ParseError,
     QuantumState,
@@ -23,6 +28,7 @@ from ctxkit import (
     analyze_mixed_states,
     canonical_ray,
     check_witnesses_basis_free,
+    derive_paradoxes,
     enumerate_assignments,
     enumerate_contexts,
     find_contextual_pure_states,
@@ -31,13 +37,17 @@ from ctxkit import (
     load_scenario,
     mixture,
     noncontextuality_oracle,
+    nullspace,
     parse_density,
     parse_state,
     possibilistic_model,
     rank1_projector,
+    replay_contradiction,
     vec,
 )
+from ctxkit.hardy import _minimum_hitting_set
 from ctxkit.scenario import Ray
+from test_assignments import box_scenario, box_subsets
 
 MAXIMALLY_MIXED = ExactMatrix.from_rows(
     [[Fraction(1, 3), 0, 0], [0, Fraction(1, 3), 0], [0, 0, Fraction(1, 3)]]
@@ -136,6 +146,78 @@ def test_oracle_agrees_with_verdict(yu_oh, yu_oh_assignments):
         verdict = is_logically_contextual(yu_oh, state, yu_oh_assignments)
         oracle = noncontextuality_oracle(yu_oh, state, yu_oh_assignments)
         assert oracle == (not verdict.contextual)
+
+
+# --- ray-mask event tests against the tuple and set oracles -------------------
+
+
+def assert_event_tests_match_oracles(scenario, assignments, state):
+    """Verdict, marginal oracle, paradoxes and their replays equal the tuple and set versions."""
+    assert is_logically_contextual(scenario, state, assignments) == oracles.is_logically_contextual(
+        scenario, state, assignments
+    )
+    assert noncontextuality_oracle(scenario, state, assignments) == oracles.noncontextuality_oracle(
+        scenario, state, assignments
+    )
+    paradoxes = derive_paradoxes(scenario, state, assignments).paradoxes
+    assert [(p.witness, p.zero_set, p.sp) for p in paradoxes] == oracles.derive_paradoxes(scenario, state, assignments)
+    # replays of the paradoxes, of their shrunk zero sets, and of every ray against all impossible rays
+    impossible = possibilistic_model(scenario, state).impossible()
+    claims = [replace(p, zero_set=z) for p in paradoxes for z in (p.zero_set, p.zero_set[1:], p.zero_set[:-1])]
+    claims += [HardyParadox(state, k, impossible, state.probability(r.vector)) for k, r in enumerate(scenario.rays)]
+    for claim in claims:
+        assert replay_contradiction(scenario, assignments, claim) == oracles.replay_contradiction(assignments, claim)
+
+
+def test_empty_event_makes_a_state_orthogonal_to_every_ray_non_contextual():
+    # no basis, so the empty event is a global event; under 0,0,1 every ray is
+    # impossible and that event alone reproduces the all-zero model
+    s = load_scenario("scenario two dim 3 field rational\na: 1,0,0\nb: 0,1,0")
+    enumerate_contexts(s)
+    assignments = enumerate_assignments(s)
+    assert [a.mask for a in assignments] == [0, 1, 2]
+    state = QuantumState.pure(vec(0, 0, 1))
+    assert noncontextuality_oracle(s, state, assignments)
+    assert not is_logically_contextual(s, state, assignments)
+    assert_event_tests_match_oracles(s, assignments, state)
+
+
+def hyperplane_normals(scenario):
+    """The normals of the hyperplanes spanned by ``dim - 1`` rays, in a fixed order."""
+    vectors = [r.vector for r in scenario.rays]
+    normals = {b[0] for rays in combinations(vectors, scenario.dim - 1) if len(b := nullspace(list(rays))) == 1}
+    return sorted(normals, key=str)
+
+
+@pytest.mark.parametrize("d, m", [(3, 2), (4, 1)])
+def test_mask_event_tests_match_oracles_on_box_prefixes(d, m):
+    # 32-ray prefixes: 1024 and 216 global events, and on box-d3-m2 eight rays in no event
+    s = box_scenario(d, m, range(32))
+    assignments = enumerate_assignments(s)
+    for psi in [r.vector for r in s.rays] + hyperplane_normals(s)[::97]:
+        assert_event_tests_match_oracles(s, assignments, QuantumState.pure(psi))
+
+
+@settings(max_examples=100, deadline=None)
+@given(box_subsets(), st.data())
+def test_mask_event_tests_match_oracles_on_box_subsets(subset, data):
+    s = box_scenario(*subset)
+    assignments = enumerate_assignments(s)
+    vectors = [r.vector for r in s.rays]
+    states = data.draw(st.lists(st.sampled_from(vectors + hyperplane_normals(s)), min_size=1, max_size=4))
+    states += nullspace(vectors)[:1]  # a state orthogonal to every ray, where the rays leave room for one
+    for psi in states:
+        assert_event_tests_match_oracles(s, assignments, QuantumState.pure(psi))
+
+
+@given(st.lists(st.integers(1, (1 << 10) - 1), max_size=5))
+def test_minimum_hitting_set_matches_the_set_oracle(masks):
+    hit_lists = [[i for i in range(10) if mask >> i & 1] for mask in masks]
+    if not masks:
+        with pytest.raises(AssertionError):
+            _minimum_hitting_set(masks)
+        return
+    assert _minimum_hitting_set(masks) == oracles.minimum_hitting_set(hit_lists)
 
 
 # --- zero-sets of mixtures ---------------------------------------------------

@@ -158,9 +158,10 @@ def test_replay_contradiction(yu_oh, yu_oh_assignments):
 
 
 def test_minimum_hitting_set_prefers_small_then_lexicographic():
-    assert _minimum_hitting_set([[2, 3], [3, 4]]) == (3,)
-    assert _minimum_hitting_set([[1, 2], [3]]) == (1, 3)
-    assert _minimum_hitting_set([[5], [7]]) == (5, 7)
+    # each hit is a ray mask: bit i stands for ray i
+    assert _minimum_hitting_set([0b1100, 0b11000]) == (3,)
+    assert _minimum_hitting_set([0b110, 0b1000]) == (1, 3)
+    assert _minimum_hitting_set([1 << 5, 1 << 7]) == (5, 7)
 
 
 # --- witness observables -----------------------------------------------------
