@@ -20,20 +20,20 @@ is one ``&``.  Two equivalent decision procedures are implemented:
   and checks the marginals: the possible events exist and cover exactly
   the possible rays.  It must equal the negation of the verdict.
 
-On top of the decision procedure, :func:`find_contextual_pure_states`
-exhausts the logically contextual pure states of a scenario by solving
-the orthogonality systems drawn from the global-event sets, and
-:func:`analyze_mixed_states` records the rank/nullity bookkeeping that
-rules out logically contextual mixed states whenever every zero-selection
-system has solution-space dimension at most 1 and no foreign ray lies in
-every event of a witness.
+The zero set of every state is a flat of the rays (the rays inside a
+span of some of them), and it alone decides logical contextuality.  So
+:func:`_blocking_flats` tests each flat of rank at most ``d - 1`` once:
+:func:`find_contextual_pure_states` takes the normals of the blocking
+hyperplanes, and :func:`analyze_mixed_states` the blocking flats of lower
+rank, each the zero set of contextual mixed states.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from .assignments import KSAssignment, events_containing
 from .errors import DimensionMismatchError, ValidationError
@@ -76,10 +76,6 @@ class QuantumState:
     def density(cls, matrix: ExactMatrix) -> "QuantumState":
         validate_density(matrix)
         return cls(dim=matrix.rows, rho=matrix, psi=None)
-
-    @property
-    def is_pure(self) -> bool:
-        return self.psi is not None
 
     def probability(self, v: ExactVector) -> Fraction:
         """Exact Born probability of the event ``v`` under this state."""
@@ -168,18 +164,27 @@ class ContextualityVerdict:
         return self.contextual
 
 
-def _blocked_witnesses(
-    scenario: Scenario, model: PossibilisticModel, assignments: list[KSAssignment]
-):
-    """Each possible ray whose global events are non-empty and all blocked.
+def _events_by_ray(scenario: Scenario, assignments: list[KSAssignment]) -> list[list[KSAssignment]]:
+    return [events_containing(scenario, assignments, k) for k in range(len(scenario.rays))]
 
-    Yields ``(k, events, hits)`` in ray order: ``events`` are the global
-    events containing ray ``k`` and ``hits[j]`` is the mask of the
-    impossible rays of ``events[j]``, which never holds the possible ``k``.
+
+def _blocked_witnesses(
+    scenario: Scenario,
+    assignments: list[KSAssignment],
+    zeros: int,
+    events_by_ray: list[list[KSAssignment]] | None = None,
+):
+    """Each ray outside the zero mask whose global events are non-empty and all meet it.
+
+    The global events of ray ``k`` are ``events_by_ray[k]`` when that list
+    is given, else they are found when the scan reaches ``k``.  Yields
+    ``(k, events, hits)`` in ray order, where ``hits[j]`` is the mask of
+    the zero rays of ``events[j]``, which never holds ``k``.
     """
-    zeros = sum(1 << i for i in model.impossible())
-    for k in model.possible():
-        events = events_containing(scenario, assignments, k)
+    for k in range(len(scenario.rays)):
+        if zeros >> k & 1:
+            continue
+        events = events_containing(scenario, assignments, k) if events_by_ray is None else events_by_ray[k]
         hits = [event.mask & zeros for event in events]
         if events and all(hits):
             yield k, events, hits
@@ -196,7 +201,8 @@ def is_logically_contextual(
     order is reported together with the first blocker of each event.
     """
     model = possibilistic_model(scenario, state)
-    for k, events, hits in _blocked_witnesses(scenario, model, assignments):
+    zeros = sum(1 << i for i in model.impossible())
+    for k, events, hits in _blocked_witnesses(scenario, assignments, zeros):
         blockers = tuple((event, (hit & -hit).bit_length() - 1) for event, hit in zip(events, hits))
         return ContextualityVerdict(contextual=True, witness=k, blockers=blockers, model=model)
     return ContextualityVerdict(contextual=False, witness=None, blockers=(), model=model)
@@ -223,12 +229,61 @@ def noncontextuality_oracle(
 
 
 # ---------------------------------------------------------------------------
+# the flats of the ray arrangement
+# ---------------------------------------------------------------------------
+
+def _rays(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _minimum_hitting_set(hits: list[int]) -> tuple[int, ...]:
+    """The fewest rays meeting every ray mask in ``hits``; ties go to the lexicographically first."""
+    union = 0
+    for hit in hits:
+        union |= hit
+    universe = _rays(union)
+    for size in range(1, len(universe) + 1):
+        for candidate in combinations(universe, size):
+            chosen = sum(1 << i for i in candidate)
+            if all(chosen & hit for hit in hits):
+                return candidate
+    raise AssertionError("hitting-set search called with an un-hittable event")
+
+
+def _blocking_flats(scenario: Scenario, assignments: list[KSAssignment], max_rank: int):
+    """Each flat of rank at most ``max_rank`` that blocks a witness, rank by rank.
+
+    A flat of rank ``r + 1`` is the closure of one of rank ``r`` and a ray
+    outside it, kept once per ray mask.  Yields ``(rank, flat, normals,
+    blocked)``: ``normals`` span the flat's orthogonal complement and
+    ``blocked`` is the scan of :func:`_blocked_witnesses` with zeros ``flat``.
+    """
+    vectors = [ray.vector for ray in scenario.rays]
+    events = _events_by_ray(scenario, assignments)
+    layer = {0: ([], nullspace([], dim=scenario.dim))}
+    for r in range(max_rank + 1):
+        children: dict[int, tuple[list[int], list[ExactVector]]] = {}
+        for flat, (spanning, normals) in layer.items():
+            blocked = list(_blocked_witnesses(scenario, assignments, flat, events))
+            if blocked:
+                yield r, flat, normals, blocked
+            outside = ~flat if r < max_rank else 0
+            for i in range(len(vectors)):
+                if outside >> i & 1:
+                    basis = nullspace([vectors[j] for j in spanning + [i]], dim=scenario.dim)
+                    child = sum(1 << j for j, v in enumerate(vectors) if all(orthogonal(v, x) for x in basis))
+                    outside &= ~child
+                    children.setdefault(child, (spanning + [i], basis))
+        layer = children
+
+
+# ---------------------------------------------------------------------------
 # exhausting contextual pure states
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class WitnessedState:
-    """A contextual pure state with the witness and zero-selection that found it."""
+    """A contextual pure state, its first witness and that witness's minimum zero set."""
 
     witness: int
     state: ExactVector
@@ -237,10 +292,10 @@ class WitnessedState:
 
 @dataclass(frozen=True)
 class UndeterminedFamily:
-    """A zero-selection whose solution space has dimension 2 or more.
+    """A blocking flat of rank at most ``d - 2``, its rays in ``selection``.
 
-    Such families are reported, not classified: the rank argument that
-    excludes mixed states does not cover them.
+    Its generic states, a continuum, are logically contextual; ``nullity``
+    is the dimension of the flat's orthogonal complement.
     """
 
     witness: int
@@ -254,65 +309,37 @@ class PureStateSearch:
     undetermined: tuple[UndeterminedFamily, ...]
 
 
-def _selections(events: list[KSAssignment], k: int):
-    """Each pick of one non-witness ray per event, with its collapsed selection."""
-    pick_lists = [[i for i in e.support if i != k] for e in events]
-    for picks in product(*pick_lists):
-        yield picks, tuple(sorted(set(picks)))
-
-
 def find_contextual_pure_states(
     scenario: Scenario, assignments: list[KSAssignment]
 ) -> PureStateSearch:
     """Exhaust the logically contextual pure states of the scenario.
 
-    For every ray with a non-empty global-event set, solve the
-    orthogonality system of every selection of one non-witness ray per
-    event (repeated picks collapse, as the selections are multisets over
-    distinct rays); a selection shared by several witnesses is solved
-    once.  One-dimensional solution rays not orthogonal to the witness are
-    collected, deduplicated by canonical form and re-verified with
-    :func:`is_logically_contextual`.
+    A state's zero set is a flat, which alone decides its contextuality.
+    The normal of each blocking hyperplane (rank ``d - 1``) is a state,
+    re-verified with :func:`is_logically_contextual`; each blocking flat of
+    lower rank is an undetermined family.  States are sorted by witness
+    and selection.
     """
     found: list[WitnessedState] = []
     undetermined: list[UndeterminedFamily] = []
-    seen_states: set[ExactVector] = set()
-    bases: dict[tuple[int, ...], list[ExactVector]] = {}
-    for k in range(len(scenario.rays)):
-        events = events_containing(scenario, assignments, k)
-        if not events:
+    for r, flat, normals, blocked in _blocking_flats(scenario, assignments, scenario.dim - 1):
+        k, _, hits = blocked[0]
+        if r < scenario.dim - 1:
+            undetermined.append(UndeterminedFamily(k, _rays(flat), scenario.dim - r))
             continue
-        witness_vector = scenario.rays[k].vector
-        for selection in dict.fromkeys(s for _, s in _selections(events, k)):
-            if selection not in bases:
-                bases[selection] = nullspace([scenario.rays[i].vector for i in selection], dim=scenario.dim)
-            basis = bases[selection]
-            if len(basis) >= 2:
-                undetermined.append(UndeterminedFamily(k, selection, len(basis)))
-                continue
-            if len(basis) != 1:
-                continue
-            psi = basis[0]
-            if orthogonal(witness_vector, psi):
-                continue
-            if psi in seen_states:
-                continue
-            seen_states.add(psi)
-            state = QuantumState.pure(psi)
-            if not is_logically_contextual(scenario, state, assignments):
-                raise AssertionError(
-                    f"state {psi} emitted by the search failed the contextuality re-check"
-                )
-            found.append(WitnessedState(witness=k, state=psi, selection=selection))
+        psi = normals[0]
+        if not is_logically_contextual(scenario, QuantumState.pure(psi), assignments):
+            raise AssertionError(f"state {psi} emitted by the search failed the contextuality re-check")
+        found.append(WitnessedState(witness=k, state=psi, selection=_minimum_hitting_set(hits)))
+    found.sort(key=lambda w: (w.witness, w.selection))
     return PureStateSearch(states=tuple(found), undetermined=tuple(undetermined))
 
 
 def check_witnesses_basis_free(scenario: Scenario, search: PureStateSearch) -> bool:
-    """True iff every witness of the search lies in no basis context.
+    """True iff every witness of the search lies in no basis context, as on yu-oh.
 
-    Rays inside basis contexts always admit a fully possible global event
-    once they are possible themselves, so any witness outside the
-    basis-free class would be a counterexample worth flagging.
+    A ray in a basis can be a witness: on the 26-ray prefix of box-d3-m2,
+    every KS-assignment that gives ``r15`` the value 1 also gives ``r10`` 1.
     """
     counts = basis_membership(scenario)
     return all(counts[w.witness] == 0 for w in search.states)
@@ -321,6 +348,9 @@ def check_witnesses_basis_free(scenario: Scenario, search: PureStateSearch) -> b
 # ---------------------------------------------------------------------------
 # mixed-state analysis
 # ---------------------------------------------------------------------------
+
+TRIPLE_LISTING_BOUND = 10_000
+
 
 @dataclass(frozen=True)
 class TripleAnalysis:
@@ -335,55 +365,41 @@ class TripleAnalysis:
 
 @dataclass(frozen=True)
 class MixedAnalysisReport:
-    """Evidence that no mixed state is logically contextual on the scenario.
+    """Whether some logically contextual state has rank 2 or more.
 
-    ``no_mixed_states`` holds iff every selection system has nullity at
-    most 1 and no candidate witness has a foreign ray lying in all of its
-    global events.  Candidates are the basis-free rays with a non-empty
-    global-event set.
+    Such a state's zero set is a flat of rank at most ``d - 2``, and each
+    such flat is the zero set of a mixed state.  ``common_ray_violations``
+    holds those flats that block a witness, as ``(witness, rays)``.
+    ``triples`` is the paper's rank/nullity listing over the basis-free
+    witnesses and decides nothing; above :data:`TRIPLE_LISTING_BOUND`
+    selections it is empty and ``triples_listed`` false.
     """
 
     triples: tuple[TripleAnalysis, ...]
     common_ray_violations: tuple[tuple[int, tuple[int, ...]], ...]
     no_mixed_states: bool
+    triples_listed: bool = True
 
 
 def analyze_mixed_states(
     scenario: Scenario, assignments: list[KSAssignment]
 ) -> MixedAnalysisReport:
-    counts = basis_membership(scenario)
-    triples: list[TripleAnalysis] = []
-    violations: list[tuple[int, tuple[int, ...]]] = []
-    rank_cache: dict[tuple[int, ...], int] = {}
-    for k in range(len(scenario.rays)):
-        if counts[k] != 0:
-            continue
-        events = events_containing(scenario, assignments, k)
-        if not events:
-            continue
-        common = ~(1 << k)
-        for event in events:
-            common &= event.mask
-        if common:
-            violations.append((k, tuple(i for i in range(common.bit_length()) if common >> i & 1)))
-        for picks, selection in _selections(events, k):
-            if selection not in rank_cache:
-                rank_cache[selection] = rank(
-                    [scenario.rays[i].vector for i in selection], dim=scenario.dim
-                )
-            r = rank_cache[selection]
-            triples.append(
-                TripleAnalysis(
-                    witness=k,
-                    picks=picks,
-                    selection=selection,
-                    rank=r,
-                    nullity=scenario.dim - r,
-                )
-            )
-    ok = not violations and all(t.nullity <= 1 for t in triples)
-    return MixedAnalysisReport(
-        triples=tuple(triples),
-        common_ray_violations=tuple(violations),
-        no_mixed_states=ok,
+    """Decide the mixed states by the flats of rank at most ``d - 2``, and list the selections."""
+    violations = tuple(
+        (blocked[0][0], _rays(flat))
+        for _, flat, _, blocked in _blocking_flats(scenario, assignments, scenario.dim - 2)
     )
+    counts = basis_membership(scenario)
+    candidates = [
+        (k, events) for k, events in enumerate(_events_by_ray(scenario, assignments)) if counts[k] == 0 and events
+    ]
+    if sum(math.prod(len(e.support) - 1 for e in events) for _, events in candidates) > TRIPLE_LISTING_BOUND:
+        return MixedAnalysisReport((), violations, not violations, triples_listed=False)
+    triples = []
+    for k, events in candidates:
+        # one pick of a non-witness ray per event; repeated picks collapse in the selection
+        for picks in product(*([i for i in e.support if i != k] for e in events)):
+            selection = tuple(sorted(set(picks)))
+            r = rank([scenario.rays[i].vector for i in selection], dim=scenario.dim)
+            triples.append(TripleAnalysis(k, picks, selection, r, scenario.dim - r))
+    return MixedAnalysisReport(tuple(triples), violations, not violations)

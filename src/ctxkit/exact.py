@@ -133,9 +133,6 @@ class ExactScalar:
     def __rtruediv__(self, other: ScalarLike) -> "ExactScalar":
         return ExactScalar.coerce(other) / self
 
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
     def __str__(self) -> str:
         if self.im == 0:
             return str(self.re)

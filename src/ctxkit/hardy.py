@@ -32,7 +32,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .assignments import KSAssignment, events_containing
-from .contextuality import QuantumState, _blocked_witnesses, possibilistic_model
+from .contextuality import QuantumState, _blocked_witnesses, _minimum_hitting_set, possibilistic_model
 from .errors import LinearDependenceError, ValidationError
 from .exact import ExactMatrix, gram_schmidt, rank, rank1_projector, vec
 from .scenario import Scenario
@@ -67,9 +67,9 @@ def derive_paradoxes(
     are not logically contextual yield no paradoxes; the derivation then
     carries the reason instead.
     """
-    model = possibilistic_model(scenario, state)
+    zeros = sum(1 << i for i in possibilistic_model(scenario, state).impossible())
     paradoxes = []
-    for k, _, hits in _blocked_witnesses(scenario, model, assignments):
+    for k, _, hits in _blocked_witnesses(scenario, assignments, zeros):
         paradox = HardyParadox(
             state=state,
             witness=k,
@@ -85,20 +85,6 @@ def derive_paradoxes(
             reason=f"state {state.describe()} is not logically contextual on {scenario.name!r}",
         )
     return ParadoxDerivation(paradoxes=tuple(paradoxes))
-
-
-def _minimum_hitting_set(hits: list[int]) -> tuple[int, ...]:
-    """The fewest rays meeting every ray mask in ``hits``; ties go to the lexicographically first."""
-    union = 0
-    for hit in hits:
-        union |= hit
-    universe = [i for i in range(union.bit_length()) if union >> i & 1]
-    for size in range(1, len(universe) + 1):
-        for candidate in combinations(universe, size):
-            chosen = sum(1 << i for i in candidate)
-            if all(chosen & hit for hit in hits):
-                return candidate
-    raise AssertionError("hitting-set search called with an un-hittable event")
 
 
 def percent(value: Fraction) -> str:

@@ -27,6 +27,7 @@ from .contextuality import (
     MixedAnalysisReport,
     PureStateSearch,
     QuantumState,
+    TRIPLE_LISTING_BOUND,
 )
 from .exact import ExactMatrix, ExactVector
 from .hardy import (
@@ -162,6 +163,7 @@ def states_json(scenario: Scenario, search: PureStateSearch) -> dict:
 
 
 def mixed_json(scenario: Scenario, report: MixedAnalysisReport) -> dict:
+    skipped = f"more than {TRIPLE_LISTING_BOUND} selection systems, not listed"
     return {
         "triples": [
             {
@@ -173,9 +175,10 @@ def mixed_json(scenario: Scenario, report: MixedAnalysisReport) -> dict:
             }
             for t in report.triples
         ],
+        **({} if report.triples_listed else {"triples_skipped": skipped}),
         "common_ray_violations": [
-            {"witness": scenario.rays[w].label, "rays": _labels(scenario, common)}
-            for w, common in report.common_ray_violations
+            {"witness": scenario.rays[w].label, "rays": _labels(scenario, flat)}
+            for w, flat in report.common_ray_violations
         ],
         "no_mixed_states": report.no_mixed_states,
     }
@@ -391,17 +394,15 @@ def _states_text(search: dict) -> list[str]:
 
 def _mixed_text(mixed: dict) -> list[str]:
     triples = mixed["triples"]
-    lines = [
-        "mixed-state analysis: "
-        f"{len(triples)} selection systems over {len({t['witness'] for t in triples})} basis-free witnesses"
-    ]
+    listed = f"{len(triples)} selection systems over {len({t['witness'] for t in triples})} basis-free witnesses"
+    lines = [f"mixed-state analysis: {mixed.get('triples_skipped', listed)}"]
     if triples:
         lines.append(
             f"  minimum rank {min(t['rank'] for t in triples)},"
             f" maximum solution-space dimension {max(t['nullity'] for t in triples)}"
         )
     lines += [
-        f"  shared ray violation: {_set(v['rays'])} lies in every event of S_Λ({v['witness']})"
+        f"  blocking flat {_set(v['rays'])} meets every event of S_Λ({v['witness']})"
         for v in mixed["common_ray_violations"]
     ]
     lines.append(f"no logically contextual mixed states: {_yes(mixed['no_mixed_states'])}")

@@ -14,15 +14,23 @@ or scalars, never an ``ExactMatrix`` built by the code under test.
 
 The global-event oracles test events as bit tuples, support tuples and
 Python sets, where the package tests ``KSAssignment.mask`` with ``&``.
+
+``selection_search`` is the pure-state search the flat scan replaced: it
+solves the orthogonality system of every pick of one non-witness ray per
+global event of each ray, a product that grows exponentially with the
+events.  ``hyperplane_states`` is the plainest complete answer: the
+normal of every ``d - 1`` rays that span a hyperplane, kept when the
+verdict calls it logically contextual.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Sequence
 
-from ctxkit.contextuality import ContextualityVerdict, possibilistic_model
+from ctxkit.contextuality import ContextualityVerdict, QuantumState, possibilistic_model
 from ctxkit.errors import (
     DimensionMismatchError,
     InvalidDensityError,
@@ -247,3 +255,52 @@ def derive_paradoxes(scenario, state, assignments) -> list[tuple[int, tuple[int,
         assert replay_contradiction(assignments, paradox)
         out.append((paradox.witness, paradox.zero_set, paradox.sp))
     return out
+
+
+# ---------------------------------------------------------------------------
+# contextual pure states by zero selections and by (d - 1)-subsets
+# ---------------------------------------------------------------------------
+
+def selection_count(scenario, assignments) -> int:
+    """How many picks :func:`selection_search` walks."""
+    return sum(
+        math.prod(len(a.support) - 1 for a in assignments if a.bits[k] == 1)
+        for k in range(len(scenario.rays))
+        if any(a.bits[k] == 1 for a in assignments)
+    )
+
+
+def selection_search(scenario, assignments):
+    """``(states, undetermined)`` as ``(witness, state, selection)`` and ``(witness, selection, nullity)``.
+
+    A selection (the set of one pick per global event of the witness) with
+    a 1-dimensional solution not orthogonal to the witness gives a state,
+    kept once and re-checked by the verdict; one with a larger solution
+    space is listed as undetermined.
+    """
+    states, undetermined, seen = [], [], set()
+    for k in range(len(scenario.rays)):
+        events = [a for a in assignments if a.bits[k] == 1]
+        if not events:
+            continue
+        pick_lists = [[i for i in a.support if i != k] for a in events]
+        for selection in dict.fromkeys(tuple(sorted(set(picks))) for picks in product(*pick_lists)):
+            basis = nullspace([scenario.rays[i].vector for i in selection], dim=scenario.dim)
+            if len(basis) >= 2:
+                undetermined.append((k, selection, len(basis)))
+            elif len(basis) == 1 and not inner_product(scenario.rays[k].vector, basis[0]).is_zero:
+                psi = basis[0]
+                if psi not in seen:
+                    seen.add(psi)
+                    assert is_logically_contextual(scenario, QuantumState.pure(psi), assignments)
+                    states.append((k, psi, selection))
+    return states, undetermined
+
+
+def hyperplane_states(scenario, assignments) -> set[ExactVector]:
+    normals = set()
+    for rays in combinations(scenario.rays, scenario.dim - 1):
+        basis = nullspace([r.vector for r in rays], dim=scenario.dim)
+        if len(basis) == 1:
+            normals.add(basis[0])
+    return {psi for psi in normals if is_logically_contextual(scenario, QuantumState.pure(psi), assignments)}

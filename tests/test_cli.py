@@ -23,7 +23,7 @@ from ctxkit import (
     support_labels,
     vec,
 )
-from ctxkit.contextuality import MixedAnalysisReport, PureStateSearch, WitnessedState
+from ctxkit.contextuality import TRIPLE_LISTING_BOUND, MixedAnalysisReport, PureStateSearch, WitnessedState
 from ctxkit.report import render_text
 
 
@@ -149,6 +149,24 @@ def box_d3_m2_prefix_text(n: int) -> str:
     return "\n".join([f"scenario box-d3-m2-n{n} dim 3 field rational", *lines]) + "\n"
 
 
+@pytest.mark.parametrize("n, states", [(26, 54), (38, 172)])
+def test_report_on_box_prefixes_lists_no_selections(tmp_path, n, states):
+    # a search over one pick per global event of each witness walked about 10^355
+    # selections at 26 rays and was killed for memory at 38
+    path = tmp_path / "box.scenario"
+    path.write_text(box_d3_m2_prefix_text(n), encoding="utf-8")
+    text = run_cli("report", "--scenario", str(path), timeout=60)
+    assert text.returncode == 0, text.stderr
+    assert f"logically contextual pure states ({states}):" in text.stdout
+    assert f"mixed-state analysis: more than {TRIPLE_LISTING_BOUND} selection systems, not listed" in text.stdout
+    result = run_cli("report", "--scenario", str(path), "--format", "json", timeout=60)
+    assert result.returncode == 0, result.stderr
+    doc = json.loads(result.stdout)
+    assert len(doc["states"]["states"]) == states
+    assert doc["mixed_analysis"]["triples"] == [] and "triples_skipped" in doc["mixed_analysis"]
+    assert render_text(doc) == text.stdout
+
+
 @pytest.mark.parametrize("state", ["0,0,1", "2,1,0"])
 def test_one_zero_paradoxes_skip_only_their_observables(tmp_path, state):
     # (0,0,1) has 21 paradoxes, all with one zero ray; (2,1,0) has 6 such and 5 with two
@@ -190,8 +208,7 @@ def test_observables_text_with_skips_is_rendered_from_the_json_document(tmp_path
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_report_skips_one_zero_paradoxes(monkeypatch, tmp_path, fmt):
-    # on this prefix the pure-state search and the mixed analysis do not finish (they
-    # multiply out the global events), so the report is given one state found by hand
+    # the report is given one state found by hand, whose paradoxes are counted below
     path, out = tmp_path / "box.scenario", tmp_path / "report"
     path.write_text(box_d3_m2_prefix_text(38), encoding="utf-8")
     scenario = load_scenario_path(path)

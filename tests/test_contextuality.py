@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ctxkit.contextuality
@@ -32,6 +32,7 @@ from ctxkit import (
     enumerate_assignments,
     enumerate_contexts,
     find_contextual_pure_states,
+    gram_schmidt,
     inner_product,
     is_logically_contextual,
     load_scenario,
@@ -340,6 +341,50 @@ def test_mixed_analysis_flags_large_solution_spaces():
     assert any(t.nullity >= 2 for t in report.triples)
     search = find_contextual_pure_states(doctored, assignments)
     assert any(f.nullity >= 2 for f in search.undetermined)
+
+
+# --- the flat scan against brute force and the per-selection search ----------------
+
+# The per-selection search walks the product of a witness's global events;
+# it runs only below this many picks.
+SELECTION_BUDGET = 20_000
+
+
+def check_flat_scan(scenario):
+    assignments = enumerate_assignments(scenario)
+    search = find_contextual_pure_states(scenario, assignments)
+    states = {w.state for w in search.states}
+    assert len(states) == len(search.states)
+    assert states == oracles.hyperplane_states(scenario, assignments)
+    assert search.states == tuple(sorted(search.states, key=lambda w: (w.witness, w.selection)))
+    if oracles.selection_count(scenario, assignments) <= SELECTION_BUDGET:
+        assert {psi for _, psi, _ in oracles.selection_search(scenario, assignments)[0]} <= states
+    for family in search.undetermined:
+        complement = gram_schmidt(oracles.nullspace([scenario.rays[i].vector for i in family.selection], scenario.dim))
+        assert len(complement) == family.nullity >= 2
+        rho = QuantumState.density(mixture([(Fraction(1, len(complement)), rank1_projector(u)) for u in complement]))
+        assert possibilistic_model(scenario, rho).impossible() == family.selection
+        assert is_logically_contextual(scenario, rho, assignments)
+        assert not noncontextuality_oracle(scenario, rho, assignments)
+    mixed = analyze_mixed_states(scenario, assignments)
+    assert mixed.common_ray_violations == tuple((f.witness, f.selection) for f in search.undetermined)
+    assert mixed.no_mixed_states == (not search.undetermined)
+
+
+@settings(max_examples=30, deadline=None)
+@given(box_subsets())
+# rank-1 and rank-2 blocking flats, which random subsets seldom give; in the
+# first, hyperplanes through the blocking ray r4 give states no selection spans
+@example((3, 2, [2, 3, 4, 13, 14, 16, 19, 20, 21, 25]))
+@example((4, 1, [0, 2, 5, 7, 8, 10, 17, 19, 22, 23, 25, 27, 29, 31]))
+def test_flat_scan_matches_brute_force_on_box_subsets(subset):
+    check_flat_scan(box_scenario(*subset))
+
+
+def test_flat_scan_matches_brute_force_on_gaussian_yu_oh(yu_oh):
+    scenario = load_scenario(gaussian_image_text(yu_oh))
+    enumerate_contexts(scenario)
+    check_flat_scan(scenario)
 
 
 # --- a Gaussian-field image of yu-oh against the Fraction oracle ------------------
