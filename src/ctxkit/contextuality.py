@@ -267,11 +267,16 @@ def _blocking_flats(scenario: Scenario, assignments: list[KSAssignment], max_ran
             blocked = list(_blocked_witnesses(scenario, assignments, flat, events))
             if blocked:
                 yield r, flat, normals, blocked
+            # the flats covering ``flat`` partition the rays outside it, so the
+            # closure with ray i only tests the later rays in no earlier child
             outside = ~flat if r < max_rank else 0
             for i in range(len(vectors)):
                 if outside >> i & 1:
                     basis = nullspace([vectors[j] for j in spanning + [i]], dim=scenario.dim)
-                    child = sum(1 << j for j, v in enumerate(vectors) if all(orthogonal(v, x) for x in basis))
+                    child = flat | 1 << i
+                    for j in range(i + 1, len(vectors)):
+                        if outside >> j & 1 and all(orthogonal(vectors[j], x) for x in basis):
+                            child |= 1 << j
                     outside &= ~child
                     children.setdefault(child, (spanning + [i], basis))
         layer = children

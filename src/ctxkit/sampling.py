@@ -10,6 +10,14 @@ generator is pinned for bit-reproducible counts across platforms:
 
 Both generators are implemented here in pure integer arithmetic, so a
 given seed yields the same outcome sequence everywhere.
+
+The draw never builds the double.  The double ``(w >> 11) * 2**-53`` of
+word ``w`` reaches the float cumulative ``c`` exactly when
+``w >= ceil(c * 2**53) << 11``, so each outcome but the last gets one
+integer threshold taken from the float cumulatives and a word is placed
+by bisecting those thresholds; the counts equal those of comparing the
+doubles.  When one outcome has probability 1 every draw lands in it, so
+it takes every shot and no word is drawn.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import ceil, sqrt
 
 from .contextuality import QuantumState
 from .errors import ValidationError
@@ -34,10 +42,6 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return state, (z ^ (z >> 31)) & _MASK64
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
 class Xoshiro256StarStar:
     """xoshiro256** 1.0, seeded through splitmix64."""
 
@@ -51,17 +55,32 @@ class Xoshiro256StarStar:
             state.append(word)
         self._s = state
 
+    def words(self, n: int):
+        """Yield the next ``n`` output words.
+
+        The state lives in locals while the generator runs and is written
+        back when it finishes or is closed, after the last word yielded.
+        """
+        s0, s1, s2, s3 = self._s
+        m = _MASK64
+        try:
+            for _ in range(n):
+                x = s1 * 5 & m
+                word = ((x << 7 | x >> 57) & m) * 9 & m
+                t = s1 << 17 & m
+                s2 ^= s0
+                s3 ^= s1
+                s1 ^= s2
+                s0 ^= s3
+                s2 ^= t
+                s3 = (s3 << 45 | s3 >> 19) & m
+                yield word
+        finally:
+            self._s = [s0, s1, s2, s3]
+
     def next_uint64(self) -> int:
-        s = self._s
-        result = (_rotl((s[1] * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s[1] << 17) & _MASK64
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = _rotl(s[3], 45)
-        return result
+        (word,) = self.words(1)
+        return word
 
     def random(self) -> float:
         """A double in [0, 1) built from the top 53 bits."""
@@ -98,6 +117,27 @@ def _validate_projectors(projectors: list[ExactMatrix], dim: int):
         raise ValidationError("projectors must sum to the identity")
 
 
+def _draw_counts(probabilities: tuple[Fraction, ...], shots: int, seed: int) -> list[int]:
+    """Outcome counts of ``shots`` inverse-CDF draws from the stream of ``seed``.
+
+    Outcome ``j`` takes a word when it reaches the ``j`` thresholds below
+    it but not the next; the last outcome has no threshold.
+    """
+    counts = [0] * len(probabilities)
+    support = [j for j, p in enumerate(probabilities) if p]
+    if len(support) == 1:
+        counts[support[0]] = shots
+        return counts
+    thresholds = []
+    acc = Fraction(0)
+    for p in probabilities[:-1]:
+        acc += p
+        thresholds.append(ceil(float(acc) * 2.0**53) << 11)
+    for word in Xoshiro256StarStar(seed).words(shots):
+        counts[bisect_right(thresholds, word)] += 1
+    return counts
+
+
 def simulate_measurement(
     state: QuantumState, projectors: list[ExactMatrix], shots: int, seed: int
 ) -> SimulationResult:
@@ -116,17 +156,7 @@ def simulate_measurement(
     probabilities = tuple((state.rho @ p).trace().as_fraction() for p in projectors)
     if sum(probabilities) != 1:
         raise AssertionError("exact outcome probabilities must sum to 1")
-    cumulative = []
-    acc = Fraction(0)
-    for p in probabilities:
-        acc += p
-        cumulative.append(float(acc))
-    rng = Xoshiro256StarStar(seed)
-    counts = [0] * len(projectors)
-    last = len(projectors) - 1
-    for _ in range(shots):
-        u = rng.random()
-        counts[min(bisect_right(cumulative, u), last)] += 1
+    counts = _draw_counts(probabilities, shots, seed)
     frequencies = tuple(c / shots if shots else 0.0 for c in counts)
     std_errors = tuple(
         sqrt(float(p) * float(1 - p) / shots) if shots else 0.0 for p in probabilities

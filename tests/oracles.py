@@ -21,11 +21,17 @@ global event of each ray, a product that grows exponentially with the
 events.  ``hyperplane_states`` is the plainest complete answer: the
 normal of every ``d - 1`` rays that span a hyperplane, kept when the
 verdict calls it logically contextual.
+
+``ReferenceXoshiro`` steps xoshiro256** one word per call through a
+rotate helper, and ``sampled_counts`` draws one double per shot and
+bisects the float cumulatives, capping the index at the last outcome:
+the sampler the word-threshold loop replaced.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
@@ -39,6 +45,7 @@ from ctxkit.errors import (
 )
 from ctxkit.exact import ONE, ZERO, ExactMatrix, ExactScalar, ExactVector, canonical_ray, inner_product
 from ctxkit.hardy import HardyParadox
+from ctxkit.sampling import _splitmix64
 
 
 def _rref(m: list[list[ExactScalar]]) -> list[int]:
@@ -304,3 +311,50 @@ def hyperplane_states(scenario, assignments) -> set[ExactVector]:
         if len(basis) == 1:
             normals.add(basis[0])
     return {psi for psi in normals if is_logically_contextual(scenario, QuantumState.pure(psi), assignments)}
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _rotl(x: int, k: int) -> int:
+    return ((x << k) | (x >> (64 - k))) & _MASK64
+
+
+class ReferenceXoshiro:
+    """xoshiro256** 1.0 seeded through splitmix64, one output word per call."""
+
+    def __init__(self, seed: int):
+        sm, self._s = seed, []
+        for _ in range(4):
+            sm, word = _splitmix64(sm)
+            self._s.append(word)
+
+    def next_uint64(self) -> int:
+        s = self._s
+        result = (_rotl((s[1] * 5) & _MASK64, 7) * 9) & _MASK64
+        t = (s[1] << 17) & _MASK64
+        s[2] ^= s[0]
+        s[3] ^= s[1]
+        s[1] ^= s[2]
+        s[0] ^= s[3]
+        s[2] ^= t
+        s[3] = _rotl(s[3], 45)
+        return result
+
+    def random(self) -> float:
+        return (self.next_uint64() >> 11) * 2.0**-53
+
+
+def sampled_counts(probabilities: Sequence[Fraction], shots: int, seed: int) -> tuple[int, ...]:
+    """Inverse-CDF counts: each shot's double against the float cumulatives."""
+    cumulative = []
+    acc = Fraction(0)
+    for p in probabilities:
+        acc += p
+        cumulative.append(float(acc))
+    rng = ReferenceXoshiro(seed)
+    counts = [0] * len(probabilities)
+    last = len(probabilities) - 1
+    for _ in range(shots):
+        counts[min(bisect_right(cumulative, rng.random()), last)] += 1
+    return tuple(counts)

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+import runpy
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from ctxkit import (
     ExactMatrix,
     QuantumState,
@@ -44,6 +51,27 @@ def test_splitmix64_reference_values():
 def test_xoshiro_stream_is_pinned():
     rng = Xoshiro256StarStar(0)
     assert [rng.next_uint64() for _ in range(5)] == XOSHIRO_SEED0
+
+
+MAX_SEED = (1 << 64) - 1
+SEEDS = st.one_of(st.sampled_from([0, MAX_SEED]), st.integers(0, MAX_SEED))
+
+
+@given(SEEDS, st.integers(0, 300), st.integers(0, 5))
+def test_words_follow_the_reference_step(seed, n, after):
+    rng = Xoshiro256StarStar(seed)
+    reference = oracles.ReferenceXoshiro(seed)
+    assert list(rng.words(n)) == [reference.next_uint64() for _ in range(n)]
+    assert [rng.next_uint64() for _ in range(after)] == [reference.next_uint64() for _ in range(after)]
+
+
+def test_closed_words_generator_keeps_the_stream():
+    rng = Xoshiro256StarStar(7)
+    stream = list(Xoshiro256StarStar(7).words(5))
+    words = rng.words(5)
+    assert [next(words), next(words)] == stream[:2]
+    words.close()
+    assert rng.next_uint64() == stream[2]
 
 
 def test_xoshiro_doubles_in_unit_interval():
@@ -126,3 +154,78 @@ def test_density_state_sampling():
     assert result.probabilities == (third, third, third)
     for freq in result.frequencies:
         assert abs(freq - 1 / 3) < 0.05
+
+
+def diagonal(entries) -> ExactMatrix:
+    k = len(entries)
+    return ExactMatrix.from_rows([[entries[i] if i == j else 0 for j in range(k)] for i in range(k)])
+
+
+# 0, small weights and weights 10^25 times larger: their tiny shares make float
+# cumulatives equal each other, 0 or 1
+WEIGHTS = st.one_of(st.just(0), st.integers(1, 9), st.integers(10**25, 10**30))
+
+
+@st.composite
+def measurements(draw):
+    """(probabilities, shots, seed) with 1 to 5 outcomes.
+
+    Half of them put the first cumulative on the double of one drawn word,
+    or half a step of 2**-53 above it (for doubles below 1/2, where that
+    step is representable): the only places where comparing words with
+    integer thresholds could part from comparing doubles with cumulatives.
+    """
+    seed = draw(SEEDS)
+    shots = draw(st.integers(0, 2000))
+    weights = draw(st.lists(WEIGHTS, min_size=1, max_size=5).filter(any))
+    probabilities = [Fraction(w, sum(weights)) for w in weights]
+    if shots and len(probabilities) > 1 and draw(st.booleans()):
+        reference = oracles.ReferenceXoshiro(seed)
+        for _ in range(draw(st.integers(0, shots - 1))):
+            reference.next_uint64()
+        top = reference.next_uint64() >> 11
+        first = Fraction(2 * top + (top < 1 << 52 and draw(st.booleans())), 1 << 54)
+        rest = probabilities[1:]
+        probabilities = [first] + [(1 - first) * p / sum(rest) for p in rest] if any(rest) else [first, 1 - first]
+    return probabilities, shots, seed
+
+
+# the third seed-0 word lands on the first cumulative, or half a step below it
+ON_WORD = Fraction(XOSHIRO_SEED0[2] >> 11, 1 << 53)
+BELOW_HALF_STEP = ON_WORD + Fraction(1, 1 << 54)
+# word 86 of seed 14 has 11 low zero bits, so it equals the threshold of this cumulative
+ON_THRESHOLD = Fraction(16802887224628881408, 1 << 64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(measurements())
+@example(([Fraction(1)], 2000, 0))
+@example(([Fraction(1), Fraction(0), Fraction(0)], 2000, MAX_SEED))
+@example(([Fraction(0), Fraction(1), Fraction(0)], 2000, 0))
+@example(([Fraction(0), Fraction(0), Fraction(1)], 1, 5))
+@example(([Fraction(1, 3), Fraction(1, 10**30), Fraction(2, 3) - Fraction(1, 10**30)], 2000, 1))
+@example(([Fraction(1, 10**30), Fraction(1, 10**30), Fraction(1) - Fraction(2, 10**30)], 2000, MAX_SEED))
+@example(([Fraction(1) - Fraction(2, 10**30), Fraction(1, 10**30), Fraction(1, 10**30)], 2000, 3))
+@example(([ON_WORD, 1 - ON_WORD], 3, 0))
+@example(([BELOW_HALF_STEP, 1 - BELOW_HALF_STEP], 3, 0))
+@example(([ON_THRESHOLD, 1 - ON_THRESHOLD], 87, 14))
+def test_counts_match_the_per_draw_oracle(case):
+    probabilities, shots, seed = case
+    state = QuantumState.density(diagonal(probabilities))
+    k = len(probabilities)
+    projectors = [diagonal([int(i == j) for i in range(k)]) for j in range(k)]
+    result = simulate_measurement(state, projectors, shots, seed)
+    assert result.probabilities == tuple(probabilities)
+    assert result.counts == oracles.sampled_counts(probabilities, shots, seed)
+
+
+# SHA-256 of the script's stdout with --shots 20000 --seed 0
+SUCCESS_PROBABILITY_SHA256 = "b0f6095aea180de00ff6649b615b1b66e2662abd184bdad03696f3fae6915209"
+
+
+def test_success_probability_script_output_is_pinned(monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "estimate_success_probability.py"
+    main = runpy.run_path(str(script), run_name="estimate_success_probability")["main"]
+    monkeypatch.setattr(sys, "argv", [script.name, "--shots", "20000", "--seed", "0"])
+    assert main() == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SUCCESS_PROBABILITY_SHA256
