@@ -12,9 +12,11 @@ is one ``&``.  Two equivalent decision procedures are implemented:
   contains an impossible ray (a "blocker").  Witnesses whose global-event
   set is empty are excluded: the universal condition would hold vacuously,
   and such rays cannot start the contradiction the verdict certifies.
-  The scan for such witnesses, :func:`_blocked_witnesses`, is shared with
-  :func:`ctxkit.hardy.derive_paradoxes`: the verdict reports its first
-  witness, the derivation turns every witness into a paradox.
+  :func:`_blocked_witnesses` finds every such witness in one pass over
+  the global events, as ``reached & ~covered & ~zeros``: the rays some
+  event holds, less those held by an event that misses the zero set.  It
+  is shared with :func:`ctxkit.hardy.derive_paradoxes`: the verdict
+  reports its first witness, the derivation makes each one a paradox.
 * :func:`noncontextuality_oracle` builds the canonical candidate
   distribution (an event is possible iff it misses every impossible ray)
   and checks the marginals: the possible events exist and cover exactly
@@ -164,30 +166,22 @@ class ContextualityVerdict:
         return self.contextual
 
 
-def _events_by_ray(scenario: Scenario, assignments: list[KSAssignment]) -> list[list[KSAssignment]]:
-    return [events_containing(scenario, assignments, k) for k in range(len(scenario.rays))]
-
-
-def _blocked_witnesses(
-    scenario: Scenario,
-    assignments: list[KSAssignment],
-    zeros: int,
-    events_by_ray: list[list[KSAssignment]] | None = None,
-):
+def _blocked_witnesses(scenario: Scenario, assignments: list[KSAssignment], zeros: int):
     """Each ray outside the zero mask whose global events are non-empty and all meet it.
 
-    The global events of ray ``k`` are ``events_by_ray[k]`` when that list
-    is given, else they are found when the scan reaches ``k``.  Yields
-    ``(k, events, hits)`` in ray order, where ``hits[j]`` is the mask of
-    the zero rays of ``events[j]``, which never holds ``k``.
+    One pass ORs every event into ``reached`` and each event that misses
+    ``zeros`` into ``covered``.  For each ray ``k`` of ``reached & ~covered
+    & ~zeros``, in order, yields ``(k, events, hits)``: the global events of
+    ``k`` and the mask of each one's zero rays, which never holds ``k``.
     """
-    for k in range(len(scenario.rays)):
-        if zeros >> k & 1:
-            continue
-        events = events_containing(scenario, assignments, k) if events_by_ray is None else events_by_ray[k]
-        hits = [event.mask & zeros for event in events]
-        if events and all(hits):
-            yield k, events, hits
+    reached = covered = 0
+    for a in assignments:
+        reached |= a.mask
+        if not a.mask & zeros:
+            covered |= a.mask
+    for k in _rays(reached & ~covered & ~zeros):
+        events = events_containing(scenario, assignments, k)
+        yield k, events, [event.mask & zeros for event in events]
 
 
 def is_logically_contextual(
@@ -256,15 +250,14 @@ def _blocking_flats(scenario: Scenario, assignments: list[KSAssignment], max_ran
     A flat of rank ``r + 1`` is the closure of one of rank ``r`` and a ray
     outside it, kept once per ray mask.  Yields ``(rank, flat, normals,
     blocked)``: ``normals`` span the flat's orthogonal complement and
-    ``blocked`` is the scan of :func:`_blocked_witnesses` with zeros ``flat``.
+    ``blocked`` is the first item of :func:`_blocked_witnesses` on ``flat``.
     """
     vectors = [ray.vector for ray in scenario.rays]
-    events = _events_by_ray(scenario, assignments)
     layer = {0: ([], nullspace([], dim=scenario.dim))}
     for r in range(max_rank + 1):
         children: dict[int, tuple[list[int], list[ExactVector]]] = {}
         for flat, (spanning, normals) in layer.items():
-            blocked = list(_blocked_witnesses(scenario, assignments, flat, events))
+            blocked = next(_blocked_witnesses(scenario, assignments, flat), None)
             if blocked:
                 yield r, flat, normals, blocked
             # the flats covering ``flat`` partition the rays outside it, so the
@@ -328,7 +321,7 @@ def find_contextual_pure_states(
     found: list[WitnessedState] = []
     undetermined: list[UndeterminedFamily] = []
     for r, flat, normals, blocked in _blocking_flats(scenario, assignments, scenario.dim - 1):
-        k, _, hits = blocked[0]
+        k, _, hits = blocked
         if r < scenario.dim - 1:
             undetermined.append(UndeterminedFamily(k, _rays(flat), scenario.dim - r))
             continue
@@ -391,13 +384,11 @@ def analyze_mixed_states(
 ) -> MixedAnalysisReport:
     """Decide the mixed states by the flats of rank at most ``d - 2``, and list the selections."""
     violations = tuple(
-        (blocked[0][0], _rays(flat))
+        (blocked[0], _rays(flat))
         for _, flat, _, blocked in _blocking_flats(scenario, assignments, scenario.dim - 2)
     )
-    counts = basis_membership(scenario)
-    candidates = [
-        (k, events) for k, events in enumerate(_events_by_ray(scenario, assignments)) if counts[k] == 0 and events
-    ]
+    basis_free = [k for k, count in enumerate(basis_membership(scenario)) if count == 0]
+    candidates = [(k, events) for k in basis_free if (events := events_containing(scenario, assignments, k))]
     if sum(math.prod(len(e.support) - 1 for e in events) for _, events in candidates) > TRIPLE_LISTING_BOUND:
         return MixedAnalysisReport((), violations, not violations, triples_listed=False)
     triples = []

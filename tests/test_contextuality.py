@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -22,6 +23,7 @@ from ctxkit import (
     HardyParadox,
     InvalidDensityError,
     ParseError,
+    PossibilisticModel,
     QuantumState,
     Scenario,
     ValidationError,
@@ -46,6 +48,7 @@ from ctxkit import (
     replay_contradiction,
     vec,
 )
+from ctxkit.contextuality import _blocked_witnesses
 from ctxkit.hardy import _minimum_hitting_set
 from ctxkit.scenario import Ray
 from test_assignments import box_scenario, box_subsets
@@ -209,6 +212,41 @@ def test_mask_event_tests_match_oracles_on_box_subsets(subset, data):
     states += nullspace(vectors)[:1]  # a state orthogonal to every ray, where the rays leave room for one
     for psi in states:
         assert_event_tests_match_oracles(s, assignments, QuantumState.pure(psi))
+
+
+def assert_blocked_witnesses_match_the_oracle(scenario, assignments, zeros):
+    """The one-pass scan on the zero mask ``zeros`` equals the per-ray scan on the model it gives."""
+    n = len(scenario.rays)
+    model = PossibilisticModel(tuple(0 if zeros >> i & 1 else 1 for i in range(n)))
+    got = [
+        (k, events, [{i for i in range(n) if hit >> i & 1} for hit in hits])
+        for k, events, hits in _blocked_witnesses(scenario, assignments, zeros)
+    ]
+    want = [(k, events, [set(hit) for hit in hits]) for k, events, hits in oracles.blocked_witnesses(model, assignments)]
+    assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(box_subsets(), st.data())
+def test_blocked_witnesses_match_the_oracle_on_any_zero_mask_of_box_subsets(subset, data):
+    s = box_scenario(*subset)
+    zeros = data.draw(st.integers(0, (1 << len(s.rays)) - 1))
+    assert_blocked_witnesses_match_the_oracle(s, enumerate_assignments(s), zeros)
+
+
+@cache
+def box_d3_m2_prefix():
+    s = box_scenario(3, 2, range(32))
+    return s, enumerate_assignments(s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.integers(0, 31)))
+@example(set())
+def test_blocked_witnesses_match_the_oracle_on_any_zero_mask_of_the_box_prefix(zero_rays):
+    # eight rays of this prefix lie in no global event, so they are never witnesses
+    s, assignments = box_d3_m2_prefix()
+    assert_blocked_witnesses_match_the_oracle(s, assignments, sum(1 << i for i in zero_rays))
 
 
 @given(st.lists(st.integers(1, (1 << 10) - 1), max_size=5))
