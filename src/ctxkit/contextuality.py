@@ -5,7 +5,11 @@ Born probability is non-zero; with exact scalars this is decidable.  A
 state is *logically contextual* when no 0/1 distribution over the global
 events (KS-assignments) reproduces that model as marginals.  Events and
 zero sets are ray bitmasks (``KSAssignment.mask``), so every event test
-is one ``&``.  Two equivalent decision procedures are implemented:
+is one ``&``.  :func:`possibilistic_model` keeps the model on the
+``QuantumState`` object, keyed by the scenario's ray tuple, so the
+verdict, the oracle and the paradox derivation of one state object on
+one scenario share a single Born pass.  Two equivalent decision
+procedures are implemented:
 
 * :func:`is_logically_contextual` searches for a witness ray ``v`` that is
   possible under the state while every global event containing ``v`` also
@@ -33,7 +37,7 @@ rank, each the zero set of contextual mixed states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -60,12 +64,14 @@ class QuantumState:
     """A pure or mixed state of known dimension.
 
     Pure states are stored as canonical rays; density operators are
-    validated (Hermitian, trace 1, PSD) at construction.
+    validated (Hermitian, trace 1, PSD) at construction.  ``_model`` holds
+    the last :func:`possibilistic_model` as ``(rays, model)``.
     """
 
     dim: int
     rho: ExactMatrix
     psi: ExactVector | None = None
+    _model: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def pure(cls, vector: ExactVector) -> "QuantumState":
@@ -137,16 +143,24 @@ def possibilistic_model(scenario: Scenario, state: QuantumState) -> Possibilisti
     """Map each ray to 1 iff its Born probability under ``state`` is non-zero.
 
     For a pure state that is the ray not being orthogonal to the state.
+    The rays are the model's only input, so the model is kept on the state
+    with the ``scenario.rays`` tuple it was computed from and returned
+    again while the same tuple (by identity) is passed: every consumer of
+    one state object on one scenario shares one Born pass.
     """
     if state.dim != scenario.dim:
         raise DimensionMismatchError("state dimension does not match the scenario")
+    cached = state._model
+    if cached is not None and cached[0] is scenario.rays:
+        return cached[1]
     if state.psi is not None:
-        return PossibilisticModel(
-            tuple(0 if orthogonal(r.vector, state.psi) else 1 for r in scenario.rays)
-        )
-    return PossibilisticModel(
-        tuple(0 if state.probability(r.vector) == 0 else 1 for r in scenario.rays)
-    )
+        values = tuple(0 if orthogonal(r.vector, state.psi) else 1 for r in scenario.rays)
+    else:
+        values = tuple(0 if state.probability(r.vector) == 0 else 1 for r in scenario.rays)
+    model = PossibilisticModel(values)
+    # holding the rays keeps their identity from being reused by another tuple
+    object.__setattr__(state, "_model", (scenario.rays, model))
+    return model
 
 
 @dataclass(frozen=True)
@@ -232,14 +246,16 @@ def _rays(mask: int) -> tuple[int, ...]:
 
 def _minimum_hitting_set(hits: list[int]) -> tuple[int, ...]:
     """The fewest rays meeting every ray mask in ``hits``; ties go to the lexicographically first."""
+    # a witness's events repeat few zero masks; each candidate is tested once per mask
+    distinct = set(hits)
     union = 0
-    for hit in hits:
+    for hit in distinct:
         union |= hit
     universe = _rays(union)
     for size in range(1, len(universe) + 1):
         for candidate in combinations(universe, size):
             chosen = sum(1 << i for i in candidate)
-            if all(chosen & hit for hit in hits):
+            if all(chosen & hit for hit in distinct):
                 return candidate
     raise AssertionError("hitting-set search called with an un-hittable event")
 

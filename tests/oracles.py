@@ -12,6 +12,8 @@ or scalars, never an ``ExactMatrix`` built by the code under test.
 ``gram_schmidt`` subtracts ``Fraction`` projections and ``expectation`` is
 ``<v|rho v> / ||v||^2`` through the entrywise product.
 
+``born_model`` computes the possibilistic model afresh from the Born
+probabilities on every call, where the package keeps it on the state.
 The global-event oracles test events as bit tuples, support tuples and
 Python sets, where the package tests ``KSAssignment.mask`` with ``&``.
 
@@ -36,7 +38,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
-from ctxkit.contextuality import ContextualityVerdict, QuantumState, possibilistic_model
+from ctxkit.contextuality import ContextualityVerdict, PossibilisticModel, QuantumState
 from ctxkit.errors import (
     DimensionMismatchError,
     InvalidDensityError,
@@ -199,6 +201,11 @@ def gram_schmidt(ordered: Sequence[ExactVector]) -> list[ExactVector]:
 # global-event tests on bit tuples and sets
 # ---------------------------------------------------------------------------
 
+def born_model(scenario, state) -> PossibilisticModel:
+    """1 for each ray of non-zero Born probability under ``state``, else 0."""
+    return PossibilisticModel(tuple(1 if state.probability(r.vector) != 0 else 0 for r in scenario.rays))
+
+
 def blocked_witnesses(model, assignments):
     """``(k, events, hits)`` per blocked witness, ``hits[j]`` listing the impossible rays of ``events[j]``."""
     for k in model.possible():
@@ -215,7 +222,7 @@ def blocked_witnesses(model, assignments):
 
 
 def is_logically_contextual(scenario, state, assignments) -> ContextualityVerdict:
-    model = possibilistic_model(scenario, state)
+    model = born_model(scenario, state)
     for k, events, hits in blocked_witnesses(model, assignments):
         blockers = tuple((event, blocked[0]) for event, blocked in zip(events, hits))
         return ContextualityVerdict(contextual=True, witness=k, blockers=blockers, model=model)
@@ -223,7 +230,7 @@ def is_logically_contextual(scenario, state, assignments) -> ContextualityVerdic
 
 
 def noncontextuality_oracle(scenario, state, assignments) -> bool:
-    model = possibilistic_model(scenario, state)
+    model = born_model(scenario, state)
     weight = {a: 1 if all(model.value(i) == 1 for i in a.support) else 0 for a in assignments}
     if not any(weight.values()):
         return False
@@ -257,7 +264,7 @@ def replay_contradiction(assignments, paradox) -> bool:
 def derive_paradoxes(scenario, state, assignments) -> list[tuple[int, tuple[int, ...], Fraction]]:
     """``(witness, zero_set, sp)`` of each paradox, each checked by :func:`replay_contradiction`."""
     out = []
-    for k, _, hits in blocked_witnesses(possibilistic_model(scenario, state), assignments):
+    for k, _, hits in blocked_witnesses(born_model(scenario, state), assignments):
         paradox = HardyParadox(state, k, minimum_hitting_set(hits), state.probability(scenario.rays[k].vector))
         assert replay_contradiction(assignments, paradox)
         out.append((paradox.witness, paradox.zero_set, paradox.sp))

@@ -360,6 +360,16 @@ def test_command_computes_the_model_once_per_consumer(monkeypatch, tmp_path, com
     assert len(computed) == models
 
 
+def test_check_makes_one_born_pass(monkeypatch, tmp_path):
+    # the verdict and the oracle share the model kept on the state: one test per ray of yu-oh
+    tests = []
+    orthogonal = ctxkit.contextuality.orthogonal
+    monkeypatch.setattr(ctxkit.contextuality, "orthogonal", lambda u, v: tests.append(1) or orthogonal(u, v))
+    argv = ["check", "--scenario", "yu-oh", "--state", "1,1,1", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    assert len(tests) == 13
+
+
 # --- exit codes ----------------------------------------------------------------
 
 

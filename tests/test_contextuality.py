@@ -20,6 +20,7 @@ from ctxkit import (
     DimensionMismatchError,
     ExactMatrix,
     ExactScalar,
+    ExactVector,
     HardyParadox,
     InvalidDensityError,
     ParseError,
@@ -37,6 +38,7 @@ from ctxkit import (
     gram_schmidt,
     inner_product,
     is_logically_contextual,
+    load_bundled,
     load_scenario,
     mixture,
     noncontextuality_oracle,
@@ -98,6 +100,47 @@ def test_pure_model_hits_every_basis_context(yu_oh):
         model = possibilistic_model(yu_oh, QuantumState.pure(vec(*coords)))
         for context in yu_oh.basis_contexts():
             assert any(model.value(i) == 1 for i in context.members)
+
+
+def test_model_is_computed_once_per_state_and_scenario(yu_oh):
+    state = QuantumState.pure(vec(1, 1, 1))
+    assert possibilistic_model(yu_oh, state) is possibilistic_model(yu_oh, state)
+
+
+@cache
+def dimension_3_scenarios():
+    """yu-oh, its Gaussian image and the 32-ray box-d3-m2 prefix: three ray tuples of one dimension."""
+    yu_oh = load_bundled("yu-oh")
+    return yu_oh, load_scenario(gaussian_image_text(yu_oh)), box_d3_m2_prefix()[0]
+
+
+small_gaussian_vectors = st.lists(
+    st.builds(ExactScalar, st.integers(-2, 2), st.integers(-1, 1)), min_size=3, max_size=3
+).map(lambda cs: ExactVector(tuple(cs)))
+
+
+@st.composite
+def dimension_3_states(draw):
+    """A pure state or a mixture of up to three; the vectors are rays of the scenarios or small Gaussian vectors."""
+    rays = [r.vector for s in dimension_3_scenarios() for r in s.rays]
+    vectors = (st.sampled_from(rays) | small_gaussian_vectors).filter(lambda v: not v.is_zero)
+    parts = draw(st.lists(vectors, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        return QuantumState.pure(parts[0])
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(parts), max_size=len(parts)))
+    return QuantumState.density(mixture([(Fraction(w, sum(weights)), rank1_projector(v)) for w, v in zip(weights, parts)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dimension_3_states(), st.lists(st.integers(0, 2), min_size=2, max_size=6).filter(lambda o: len(set(o)) > 1))
+def test_model_kept_on_the_state_is_the_born_model_of_each_scenario(state, order):
+    # one state object, several ray tuples of its dimension, in any order and with repeats
+    scenarios = dimension_3_scenarios()
+    twin = QuantumState(state.dim, state.rho, state.psi)
+    for i in order:
+        assert possibilistic_model(scenarios[i], state) == oracles.born_model(scenarios[i], state)
+    # the kept model changes neither equality, nor hash, nor repr
+    assert state == twin and hash(state) == hash(twin) and repr(state) == repr(twin)
 
 
 # --- verdicts and the oracle ------------------------------------------------
@@ -249,10 +292,16 @@ def test_blocked_witnesses_match_the_oracle_on_any_zero_mask_of_the_box_prefix(z
     assert_blocked_witnesses_match_the_oracle(s, assignments, sum(1 << i for i in zero_rays))
 
 
-@given(st.lists(st.integers(1, (1 << 10) - 1), max_size=5))
+# a witness's hit list repeats a few masks many times; mask 0 is an event no ray can hit
+repeated_masks = st.lists(st.integers(0, (1 << 10) - 1) | st.just(0), min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=40)
+)
+
+
+@given(st.lists(st.integers(1, (1 << 10) - 1), max_size=5) | repeated_masks)
 def test_minimum_hitting_set_matches_the_set_oracle(masks):
     hit_lists = [[i for i in range(10) if mask >> i & 1] for mask in masks]
-    if not masks:
+    if not masks or 0 in masks:
         with pytest.raises(AssertionError):
             _minimum_hitting_set(masks)
         return
