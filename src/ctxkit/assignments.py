@@ -26,30 +26,42 @@ of the bundled 13-ray scenario.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, compress, product
+from typing import Iterable
 
 from .errors import ValidationError
+from .exact import _Record
 from .scenario import Ray, Scenario
 
+# the characters "0" and "1" as the bytes 0 and 1
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
-@dataclass(frozen=True)
-class KSAssignment:
+
+class KSAssignment(_Record):
     """A 0/1 labelling of the rays, index-aligned with the scenario; ``mask`` is its support as an int."""
 
-    bits: tuple[int, ...]
-    mask: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("bits", "mask")
+    _fields = ("bits",)
 
-    def __post_init__(self):
-        bits = tuple(self.bits)
+    def __init__(self, bits: Iterable[int]):
+        bits = tuple(bits)
         if not {*bits} <= {0, 1}:
             raise ValidationError("assignment bits must be 0 or 1")
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "mask", sum(1 << i for i, b in enumerate(bits) if b))
 
+    @classmethod
+    def _of_mask(cls, mask: int, n: int) -> "KSAssignment":
+        """The assignment of ``n`` rays with support ``mask``, whose bits are 0/1 by construction."""
+        assignment = cls.__new__(cls)
+        # bits 0..n-1, lowest first; the marker bit n ends the reversed slice
+        object.__setattr__(assignment, "bits", tuple(bin(mask | 1 << n)[:2:-1].encode().translate(_BIT_VALUES)))
+        object.__setattr__(assignment, "mask", mask)
+        return assignment
+
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.bits) if b)
+        return tuple(compress(range(len(self.bits)), self.bits))
 
 
 def support_labels(scenario: Scenario, assignment: KSAssignment) -> tuple[str, ...]:
@@ -106,8 +118,7 @@ def enumerate_assignments(scenario: Scenario) -> list[KSAssignment]:
             stack.append((ones, zeros | ray))
             stack.append((ones | ray, zeros | neighbours[ray.bit_length() - 1]))
         else:
-            # bits 0..n-1, lowest first; the marker bit n ends the reversed slice
-            found.append(KSAssignment(tuple(map(int, bin(ones | 1 << n)[:2:-1]))))
+            found.append(KSAssignment._of_mask(ones, n))
     found.sort(key=lambda a: a.support)
     return found
 

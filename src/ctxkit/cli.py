@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
@@ -36,7 +35,7 @@ from .contextuality import (
     parse_state,
 )
 from .errors import CtxkitError, UnknownLabelError, ValidationError
-from .exact import ExactMatrix, parse_scalar, rank1_projector
+from .exact import ExactMatrix, _Record, parse_scalar, rank1_projector
 from .hardy import (
     HardyParadox,
     ObservableVerification,
@@ -70,20 +69,45 @@ exit codes:
 """
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Record):
     """One CLI invocation, fully resolved."""
 
-    command: str
-    scenario_path: str
-    state_spec: str | None = None
-    density_path: str | None = None
-    fmt: str = "text"
-    seed: int = 0
-    shots: int = 100_000
-    out_path: str | None = None
-    eigenvalues: tuple[Fraction, Fraction, Fraction] = (Fraction(1), Fraction(2), Fraction(3))
-    witness: str | None = None
+    __slots__ = _fields = (
+        "command",
+        "scenario_path",
+        "state_spec",
+        "density_path",
+        "fmt",
+        "seed",
+        "shots",
+        "out_path",
+        "eigenvalues",
+        "witness",
+    )
+
+    def __init__(
+        self,
+        command: str,
+        scenario_path: str,
+        state_spec: str | None = None,
+        density_path: str | None = None,
+        fmt: str = "text",
+        seed: int = 0,
+        shots: int = 100_000,
+        out_path: str | None = None,
+        eigenvalues: tuple[Fraction, Fraction, Fraction] = (Fraction(1), Fraction(2), Fraction(3)),
+        witness: str | None = None,
+    ):
+        object.__setattr__(self, "command", command)
+        object.__setattr__(self, "scenario_path", scenario_path)
+        object.__setattr__(self, "state_spec", state_spec)
+        object.__setattr__(self, "density_path", density_path)
+        object.__setattr__(self, "fmt", fmt)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "shots", shots)
+        object.__setattr__(self, "out_path", out_path)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "witness", witness)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -345,19 +369,19 @@ def main(argv: list[str] | None = None) -> int:
         pass
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        scenario_path=args.scenario,
-        state_spec=getattr(args, "state", None),
-        density_path=getattr(args, "density", None),
-        fmt=args.fmt,
-        seed=getattr(args, "seed", 0),
-        shots=getattr(args, "shots", 100_000),
-        out_path=args.out,
-        witness=getattr(args, "witness", None),
-    )
     try:
-        config = replace(config, eigenvalues=_parse_eigenvalues(getattr(args, "eigenvalues", "1,2,3")))
+        config = RunConfig(
+            command=args.command,
+            scenario_path=args.scenario,
+            state_spec=getattr(args, "state", None),
+            density_path=getattr(args, "density", None),
+            fmt=args.fmt,
+            seed=getattr(args, "seed", 0),
+            shots=getattr(args, "shots", 100_000),
+            out_path=args.out,
+            eigenvalues=_parse_eigenvalues(getattr(args, "eigenvalues", "1,2,3")),
+            witness=getattr(args, "witness", None),
+        )
         if config.seed < 0 or config.seed > (1 << 64) - 1:
             raise ValidationError("seed must fit in 64 unsigned bits")
         if config.shots < 0:

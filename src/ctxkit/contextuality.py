@@ -37,7 +37,6 @@ rank, each the zero set of contextual mixed states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -46,6 +45,7 @@ from .errors import DimensionMismatchError, ValidationError
 from .exact import (
     ExactMatrix,
     ExactVector,
+    _Record,
     canonical_ray,
     expectation,
     nullspace,
@@ -59,19 +59,23 @@ from .exact import (
 from .scenario import Scenario, basis_membership
 
 
-@dataclass(frozen=True)
-class QuantumState:
+class QuantumState(_Record):
     """A pure or mixed state of known dimension.
 
     Pure states are stored as canonical rays; density operators are
     validated (Hermitian, trace 1, PSD) at construction.  ``_model`` holds
-    the last :func:`possibilistic_model` as ``(rays, model)``.
+    the last :func:`possibilistic_model` as ``(rays, model)`` and is unset
+    before the first; it is not a field, so equality, hashing and ``repr``
+    ignore it.
     """
 
-    dim: int
-    rho: ExactMatrix
-    psi: ExactVector | None = None
-    _model: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("dim", "rho", "psi", "_model")
+    _fields = ("dim", "rho", "psi")
+
+    def __init__(self, dim: int, rho: ExactMatrix, psi: ExactVector | None = None):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "psi", psi)
 
     @classmethod
     def pure(cls, vector: ExactVector) -> "QuantumState":
@@ -123,11 +127,13 @@ def parse_density(text: str, dim: int, field: str = "gaussian") -> QuantumState:
     return QuantumState.density(ExactMatrix.from_rows(rows))
 
 
-@dataclass(frozen=True)
-class PossibilisticModel:
+class PossibilisticModel(_Record):
     """The 0/1 coarse-graining of Born probabilities, index-aligned."""
 
-    values: tuple[int, ...]
+    __slots__ = _fields = ("values",)
+
+    def __init__(self, values: tuple[int, ...]):
+        object.__setattr__(self, "values", values)
 
     def value(self, i: int) -> int:
         return self.values[i]
@@ -150,7 +156,7 @@ def possibilistic_model(scenario: Scenario, state: QuantumState) -> Possibilisti
     """
     if state.dim != scenario.dim:
         raise DimensionMismatchError("state dimension does not match the scenario")
-    cached = state._model
+    cached = getattr(state, "_model", None)
     if cached is not None and cached[0] is scenario.rays:
         return cached[1]
     if state.psi is not None:
@@ -163,18 +169,26 @@ def possibilistic_model(scenario: Scenario, state: QuantumState) -> Possibilisti
     return model
 
 
-@dataclass(frozen=True)
-class ContextualityVerdict:
+class ContextualityVerdict(_Record):
     """Outcome of the witness search, with one blocker per global event.
 
     ``model`` is the possibilistic model the verdict was decided on, kept
     so that callers need not compute it again.
     """
 
-    contextual: bool
-    witness: int | None
-    blockers: tuple[tuple[KSAssignment, int], ...]
-    model: PossibilisticModel
+    __slots__ = _fields = ("contextual", "witness", "blockers", "model")
+
+    def __init__(
+        self,
+        contextual: bool,
+        witness: int | None,
+        blockers: tuple[tuple[KSAssignment, int], ...],
+        model: PossibilisticModel,
+    ):
+        object.__setattr__(self, "contextual", contextual)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "blockers", blockers)
+        object.__setattr__(self, "model", model)
 
     def __bool__(self) -> bool:
         return self.contextual
@@ -295,32 +309,38 @@ def _blocking_flats(scenario: Scenario, assignments: list[KSAssignment], max_ran
 # exhausting contextual pure states
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WitnessedState:
+class WitnessedState(_Record):
     """A contextual pure state, its first witness and that witness's minimum zero set."""
 
-    witness: int
-    state: ExactVector
-    selection: tuple[int, ...]
+    __slots__ = _fields = ("witness", "state", "selection")
+
+    def __init__(self, witness: int, state: ExactVector, selection: tuple[int, ...]):
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "selection", selection)
 
 
-@dataclass(frozen=True)
-class UndeterminedFamily:
+class UndeterminedFamily(_Record):
     """A blocking flat of rank at most ``d - 2``, its rays in ``selection``.
 
     Its generic states, a continuum, are logically contextual; ``nullity``
     is the dimension of the flat's orthogonal complement.
     """
 
-    witness: int
-    selection: tuple[int, ...]
-    nullity: int
+    __slots__ = _fields = ("witness", "selection", "nullity")
+
+    def __init__(self, witness: int, selection: tuple[int, ...], nullity: int):
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "selection", selection)
+        object.__setattr__(self, "nullity", nullity)
 
 
-@dataclass(frozen=True)
-class PureStateSearch:
-    states: tuple[WitnessedState, ...]
-    undetermined: tuple[UndeterminedFamily, ...]
+class PureStateSearch(_Record):
+    __slots__ = _fields = ("states", "undetermined")
+
+    def __init__(self, states: tuple[WitnessedState, ...], undetermined: tuple[UndeterminedFamily, ...]):
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "undetermined", undetermined)
 
 
 def find_contextual_pure_states(
@@ -366,19 +386,20 @@ def check_witnesses_basis_free(scenario: Scenario, search: PureStateSearch) -> b
 TRIPLE_LISTING_BOUND = 10_000
 
 
-@dataclass(frozen=True)
-class TripleAnalysis:
+class TripleAnalysis(_Record):
     """Rank/nullity record for one selection tuple of a witness candidate."""
 
-    witness: int
-    picks: tuple[int, ...]
-    selection: tuple[int, ...]
-    rank: int
-    nullity: int
+    __slots__ = _fields = ("witness", "picks", "selection", "rank", "nullity")
+
+    def __init__(self, witness: int, picks: tuple[int, ...], selection: tuple[int, ...], rank: int, nullity: int):
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "picks", picks)
+        object.__setattr__(self, "selection", selection)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "nullity", nullity)
 
 
-@dataclass(frozen=True)
-class MixedAnalysisReport:
+class MixedAnalysisReport(_Record):
     """Whether some logically contextual state has rank 2 or more.
 
     Such a state's zero set is a flat of rank at most ``d - 2``, and each
@@ -389,10 +410,19 @@ class MixedAnalysisReport:
     selections it is empty and ``triples_listed`` false.
     """
 
-    triples: tuple[TripleAnalysis, ...]
-    common_ray_violations: tuple[tuple[int, tuple[int, ...]], ...]
-    no_mixed_states: bool
-    triples_listed: bool = True
+    __slots__ = _fields = ("triples", "common_ray_violations", "no_mixed_states", "triples_listed")
+
+    def __init__(
+        self,
+        triples: tuple[TripleAnalysis, ...],
+        common_ray_violations: tuple[tuple[int, tuple[int, ...]], ...],
+        no_mixed_states: bool,
+        triples_listed: bool = True,
+    ):
+        object.__setattr__(self, "triples", triples)
+        object.__setattr__(self, "common_ray_violations", common_ray_violations)
+        object.__setattr__(self, "no_mixed_states", no_mixed_states)
+        object.__setattr__(self, "triples_listed", triples_listed)
 
 
 def analyze_mixed_states(

@@ -31,10 +31,10 @@ enumerates subsets and is intended for small dimensions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -60,16 +60,58 @@ def _as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class ExactScalar:
+class _Record:
+    """Equality, hashing, ``repr`` and immutability of ctxkit's value records.
+
+    A record names its constructor fields, in order, in ``_fields``.  Two
+    records are equal when they are of the same class with equal fields,
+    the hash is that of the field tuple, and ``repr`` reads
+    ``Name(field=value, ...)``, leaving out fields whose name starts with
+    ``_``.  The fields are set once, by ``__init__`` through
+    ``object.__setattr__``; assigning or deleting an attribute afterwards
+    raises :class:`AttributeError`.  A record that can change undoes that.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls._fields)
+        # attrgetter of one name returns the bare value; the key is always a tuple
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda record: (get(record),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields if name[0] != "_")
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild the record through its constructor
+        return type(self), self._key(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ExactScalar(_Record):
     """A Gaussian rational ``re + im*i`` in canonical lowest terms."""
 
-    re: Fraction
-    im: Fraction = _ZERO
+    __slots__ = _fields = ("re", "im")
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", _as_fraction(self.re))
-        object.__setattr__(self, "im", _as_fraction(self.im))
+    def __init__(self, re: RationalLike, im: RationalLike = _ZERO):
+        object.__setattr__(self, "re", _as_fraction(re))
+        object.__setattr__(self, "im", _as_fraction(im))
 
     @staticmethod
     def coerce(value: ScalarLike) -> "ExactScalar":
@@ -189,14 +231,14 @@ def _over_common_denominator(
     )
 
 
-@dataclass(frozen=True)
-class ExactVector:
+class ExactVector(_Record):
     """A vector over :class:`ExactScalar`, dimension at least 2."""
 
-    coords: tuple[ExactScalar, ...]
+    # no __slots__: the cached integer_form lives in the instance dict
+    _fields = ("coords",)
 
-    def __post_init__(self):
-        coords = tuple(ExactScalar.coerce(c) for c in self.coords)
+    def __init__(self, coords: Iterable[ScalarLike]):
+        coords = tuple(ExactScalar.coerce(c) for c in coords)
         if len(coords) < 2:
             raise ValidationError("vectors must have dimension >= 2")
         object.__setattr__(self, "coords", coords)
@@ -509,8 +551,7 @@ def _dot(xs: Iterable[tuple[int, int]], ys: Iterable[tuple[int, int]]) -> tuple[
     return re, im
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
+class ExactMatrix(_Record):
     """A dense Gaussian-rational matrix: ``nums[i * cols + j] / den``.
 
     ``nums`` holds row-major Gaussian-integer numerators as ``(re, im)``
@@ -520,21 +561,22 @@ class ExactMatrix:
     :attr:`entries` builds :class:`ExactScalar` values only when read.
     """
 
-    rows: int
-    cols: int
-    den: int
-    nums: tuple[tuple[int, int], ...]
+    # no __slots__: the cached entries live in the instance dict
+    _fields = ("rows", "cols", "den", "nums")
 
-    def __post_init__(self):
-        nums = tuple(self.nums)
-        if self.rows <= 0 or self.cols <= 0 or len(nums) != self.rows * self.cols:
+    def __init__(self, rows: int, cols: int, den: int, nums: Iterable[tuple[int, int]]):
+        nums = tuple(nums)
+        if rows <= 0 or cols <= 0 or len(nums) != rows * cols:
             raise ValidationError("matrix shape does not match entry count")
-        if self.den <= 0:
+        if den <= 0:
             raise ValidationError("matrix denominator must be positive")
-        g = gcd(self.den, *(part for z in nums for part in z))
+        g = gcd(den, *(part for z in nums for part in z))
         if g > 1:
-            object.__setattr__(self, "den", self.den // g)
+            den //= g
             nums = tuple((a // g, b // g) for a, b in nums)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "nums", nums)
 
     @classmethod

@@ -26,7 +26,6 @@ own state) are reported as errata rather than matched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
@@ -34,26 +33,30 @@ from typing import Iterable
 from .assignments import KSAssignment, events_containing
 from .contextuality import QuantumState, _blocked_witnesses, _minimum_hitting_set, possibilistic_model
 from .errors import LinearDependenceError, ValidationError
-from .exact import ExactMatrix, gram_schmidt, rank, rank1_projector, vec
+from .exact import ExactMatrix, _Record, gram_schmidt, rank, rank1_projector, vec
 from .scenario import Scenario
 
 
-@dataclass(frozen=True)
-class HardyParadox:
+class HardyParadox(_Record):
     """One paradox: a witness ray, a minimal zero set and the exact SP."""
 
-    state: QuantumState
-    witness: int
-    zero_set: tuple[int, ...]
-    sp: Fraction
+    __slots__ = _fields = ("state", "witness", "zero_set", "sp")
+
+    def __init__(self, state: QuantumState, witness: int, zero_set: tuple[int, ...], sp: Fraction):
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "zero_set", zero_set)
+        object.__setattr__(self, "sp", sp)
 
 
-@dataclass(frozen=True)
-class ParadoxDerivation:
+class ParadoxDerivation(_Record):
     """All paradoxes of a state, or the reason why there are none."""
 
-    paradoxes: tuple[HardyParadox, ...]
-    reason: str | None = None
+    __slots__ = _fields = ("paradoxes", "reason")
+
+    def __init__(self, paradoxes: tuple[HardyParadox, ...], reason: str | None = None):
+        object.__setattr__(self, "paradoxes", paradoxes)
+        object.__setattr__(self, "reason", reason)
 
 
 def derive_paradoxes(
@@ -113,8 +116,7 @@ def replay_contradiction(
 # single-observable witnesses
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WitnessObservable:
+class WitnessObservable(_Record):
     """Three mutually orthogonal rank-1 projectors summing to identity.
 
     ``source_order`` records the Gram-Schmidt input rays as indices
@@ -122,9 +124,17 @@ class WitnessObservable:
     eigenvalues matters; they default to 1, 2, 3.
     """
 
-    projectors: tuple[ExactMatrix, ExactMatrix, ExactMatrix]
-    eigenvalues: tuple[Fraction, Fraction, Fraction]
-    source_order: tuple[int, int, int]
+    __slots__ = _fields = ("projectors", "eigenvalues", "source_order")
+
+    def __init__(
+        self,
+        projectors: tuple[ExactMatrix, ExactMatrix, ExactMatrix],
+        eigenvalues: tuple[Fraction, Fraction, Fraction],
+        source_order: tuple[int, int, int],
+    ):
+        object.__setattr__(self, "projectors", projectors)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "source_order", source_order)
 
 
 def build_witness_observable(
@@ -162,12 +172,14 @@ def build_witness_observable(
     )
 
 
-@dataclass(frozen=True)
-class ObservableVerification:
+class ObservableVerification(_Record):
     """Named pass/fail record of the witness-observable identities."""
 
-    ok: bool
-    failures: tuple[str, ...]
+    __slots__ = _fields = ("ok", "failures")
+
+    def __init__(self, ok: bool, failures: tuple[str, ...]):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "failures", failures)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -221,15 +233,24 @@ def verify_observable(paradox: HardyParadox, observable: WitnessObservable) -> O
 # reference tabulation of the twelve observables (bundled scenario)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReferenceRow:
+class ReferenceRow(_Record):
     """One previously tabulated observable row, exactly as printed."""
 
-    row: int
-    state: tuple[int, int, int]
-    witness: str
-    zeros: tuple[str, str]
-    printed: tuple[ExactMatrix, ExactMatrix, ExactMatrix]
+    __slots__ = _fields = ("row", "state", "witness", "zeros", "printed")
+
+    def __init__(
+        self,
+        row: int,
+        state: tuple[int, int, int],
+        witness: str,
+        zeros: tuple[str, str],
+        printed: tuple[ExactMatrix, ExactMatrix, ExactMatrix],
+    ):
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "zeros", zeros)
+        object.__setattr__(self, "printed", printed)
 
 
 def _scaled(denominator: int, rows: list[list[int]]) -> ExactMatrix:
@@ -300,21 +321,32 @@ REFERENCE_OBSERVABLES: tuple[ReferenceRow, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class RowCrossCheck:
+class RowCrossCheck(_Record):
     """Comparison of one derived observable against its reference row."""
 
-    reference: ReferenceRow
-    derived: WitnessObservable
-    consistent: bool
-    failures: tuple[str, ...]
-    matches: tuple[bool, bool, bool]
+    __slots__ = _fields = ("reference", "derived", "consistent", "failures", "matches")
+
+    def __init__(
+        self,
+        reference: ReferenceRow,
+        derived: WitnessObservable,
+        consistent: bool,
+        failures: tuple[str, ...],
+        matches: tuple[bool, bool, bool],
+    ):
+        object.__setattr__(self, "reference", reference)
+        object.__setattr__(self, "derived", derived)
+        object.__setattr__(self, "consistent", consistent)
+        object.__setattr__(self, "failures", failures)
+        object.__setattr__(self, "matches", matches)
 
 
-@dataclass(frozen=True)
-class ReferenceCrossCheck:
-    rows: tuple[RowCrossCheck, ...]
-    errata: tuple[int, ...]
+class ReferenceCrossCheck(_Record):
+    __slots__ = _fields = ("rows", "errata")
+
+    def __init__(self, rows: tuple[RowCrossCheck, ...], errata: tuple[int, ...]):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "errata", errata)
 
 
 def _unmatched(ref: ReferenceRow) -> ValidationError:

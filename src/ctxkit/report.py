@@ -16,7 +16,6 @@ hash order.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from math import gcd, lcm
@@ -44,6 +43,8 @@ SCHEMA = "ctxkit-report/1"
 
 
 def render_json(obj: dict) -> str:
+    import json  # here, so that text output never loads it
+
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 

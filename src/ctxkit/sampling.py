@@ -23,13 +23,12 @@ it takes every shot and no word is drawn.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, sqrt
 
 from .contextuality import QuantumState
 from .errors import ValidationError
-from .exact import ExactMatrix
+from .exact import ExactMatrix, _Record
 
 _MASK64 = (1 << 64) - 1
 
@@ -87,16 +86,26 @@ class Xoshiro256StarStar:
         return (self.next_uint64() >> 11) * 2.0 ** -53
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(_Record):
     """Counts and frequencies next to the exact target probabilities."""
 
-    shots: int
-    seed: int
-    counts: tuple[int, ...]
-    frequencies: tuple[float, ...]
-    probabilities: tuple[Fraction, ...]
-    std_errors: tuple[float, ...]
+    __slots__ = _fields = ("shots", "seed", "counts", "frequencies", "probabilities", "std_errors")
+
+    def __init__(
+        self,
+        shots: int,
+        seed: int,
+        counts: tuple[int, ...],
+        frequencies: tuple[float, ...],
+        probabilities: tuple[Fraction, ...],
+        std_errors: tuple[float, ...],
+    ):
+        object.__setattr__(self, "shots", shots)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "frequencies", frequencies)
+        object.__setattr__(self, "probabilities", probabilities)
+        object.__setattr__(self, "std_errors", std_errors)
 
 
 def _validate_projectors(projectors: list[ExactMatrix], dim: int):

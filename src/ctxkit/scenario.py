@@ -19,23 +19,24 @@ file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 
 from .errors import ParseError, UnknownLabelError, ValidationError
-from .exact import ExactVector, canonical_ray, nullspace, orthogonal, parse_scalar
+from .exact import ExactVector, _Record, canonical_ray, nullspace, orthogonal, parse_scalar
 
 _LABEL_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.-")
 
 
-@dataclass(frozen=True)
-class Ray:
+class Ray(_Record):
     """A labelled quantum event, stored as a canonical ray representative."""
 
-    label: str
-    vector: ExactVector
+    __slots__ = _fields = ("label", "vector")
+
+    def __init__(self, label: str, vector: ExactVector):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "vector", vector)
 
 
 class ContextKind(Enum):
@@ -43,42 +44,57 @@ class ContextKind(Enum):
     DEFICIENT = "deficient"
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(_Record):
     """A maximal pairwise-orthogonal subset, as sorted ray indices.
 
     ``complement`` is an exact basis of the orthogonal complement of the
     members' span, in canonical ray form; empty exactly for ``BASIS``.
     """
 
-    members: tuple[int, ...]
-    kind: ContextKind
-    complement: tuple[ExactVector, ...]
+    __slots__ = _fields = ("members", "kind", "complement")
+
+    def __init__(self, members: tuple[int, ...], kind: ContextKind, complement: tuple[ExactVector, ...]):
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "complement", complement)
 
 
-@dataclass
-class Scenario:
+class Scenario(_Record):
     """A named vector set with its exclusivity graph.
 
     ``contexts`` is ``None`` until :func:`enumerate_contexts` fills it;
-    after that the object is treated as immutable.
+    after that the object is treated as immutable.  The only record that
+    can change, so it has no hash.
     """
 
-    name: str
-    dim: int
-    field: str
-    rays: tuple[Ray, ...]
-    edges: frozenset[tuple[int, int]]
-    contexts: tuple[Context, ...] | None = None
-    _adjacency: tuple[frozenset[int], ...] = field(default=(), repr=False)
+    __slots__ = _fields = ("name", "dim", "field", "rays", "edges", "contexts", "_adjacency")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
 
-    def __post_init__(self):
-        if not self._adjacency:
-            adj = [set() for _ in self.rays]
-            for i, j in self.edges:
+    def __init__(
+        self,
+        name: str,
+        dim: int,
+        field: str,
+        rays: tuple[Ray, ...],
+        edges: frozenset[tuple[int, int]],
+        contexts: tuple[Context, ...] | None = None,
+        _adjacency: tuple[frozenset[int], ...] = (),
+    ):
+        self.name = name
+        self.dim = dim
+        self.field = field
+        self.rays = rays
+        self.edges = edges
+        self.contexts = contexts
+        if not _adjacency:
+            adj = [set() for _ in rays]
+            for i, j in edges:
                 adj[i].add(j)
                 adj[j].add(i)
-            self._adjacency = tuple(frozenset(a) for a in adj)
+            _adjacency = tuple(frozenset(a) for a in adj)
+        self._adjacency = _adjacency
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -272,12 +288,14 @@ def basis_membership(scenario: Scenario) -> tuple[int, ...]:
     return tuple(counts)
 
 
-@dataclass(frozen=True)
-class ComplementCheck:
+class ComplementCheck(_Record):
     """Result of :func:`check_distinct_complements`."""
 
-    ok: bool
-    collisions: tuple[tuple[Context, Context], ...]
+    __slots__ = _fields = ("ok", "collisions")
+
+    def __init__(self, ok: bool, collisions: tuple[tuple[Context, Context], ...]):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "collisions", collisions)
 
 
 def check_distinct_complements(scenario: Scenario) -> ComplementCheck:

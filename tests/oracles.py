@@ -28,17 +28,35 @@ verdict calls it logically contextual.
 rotate helper, and ``sampled_counts`` draws one double per shot and
 bisects the float cumulatives, capping the index at the last outcome:
 the sampler the word-threshold loop replaced.
+
+``dataclass_twin`` rebuilds a value record as the ``dataclasses`` class it
+was declared as, from the field list in ``RECORD_FIELDS``: frozen (but
+``Scenario``), with the same defaults and compare/repr flags, so that the
+records' own ``==``, ``hash``, ``repr``, constructors and immutability can
+be compared with what ``dataclasses`` generates.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from dataclasses import field, make_dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
-from ctxkit.contextuality import ContextualityVerdict, PossibilisticModel, QuantumState
+from ctxkit.assignments import KSAssignment
+from ctxkit.cli import RunConfig
+from ctxkit.contextuality import (
+    ContextualityVerdict,
+    MixedAnalysisReport,
+    PossibilisticModel,
+    PureStateSearch,
+    QuantumState,
+    TripleAnalysis,
+    UndeterminedFamily,
+    WitnessedState,
+)
 from ctxkit.errors import (
     DimensionMismatchError,
     InvalidDensityError,
@@ -46,8 +64,17 @@ from ctxkit.errors import (
     ValidationError,
 )
 from ctxkit.exact import ONE, ZERO, ExactMatrix, ExactScalar, ExactVector, canonical_ray, inner_product
-from ctxkit.hardy import HardyParadox
-from ctxkit.sampling import _splitmix64
+from ctxkit.hardy import (
+    HardyParadox,
+    ObservableVerification,
+    ParadoxDerivation,
+    ReferenceCrossCheck,
+    ReferenceRow,
+    RowCrossCheck,
+    WitnessObservable,
+)
+from ctxkit.sampling import SimulationResult, _splitmix64
+from ctxkit.scenario import ComplementCheck, Context, Ray, Scenario
 
 
 def _rref(m: list[list[ExactScalar]]) -> list[int]:
@@ -365,3 +392,66 @@ def sampled_counts(probabilities: Sequence[Fraction], shots: int, seed: int) -> 
     for _ in range(shots):
         counts[min(bisect_right(cumulative, rng.random()), last)] += 1
     return tuple(counts)
+
+
+_HIDDEN = {"init": False, "compare": False, "repr": False}
+
+# each record's fields in constructor order, as its dataclass declared them:
+# a name, or (name, keyword arguments of dataclasses.field)
+RECORD_FIELDS: dict[type, tuple] = {
+    ExactScalar: ("re", ("im", {"default": Fraction(0)})),
+    ExactVector: ("coords",),
+    ExactMatrix: ("rows", "cols", "den", "nums"),
+    Ray: ("label", "vector"),
+    Context: ("members", "kind", "complement"),
+    Scenario: (
+        "name",
+        "dim",
+        "field",
+        "rays",
+        "edges",
+        ("contexts", {"default": None}),
+        ("_adjacency", {"default": (), "repr": False}),
+    ),
+    ComplementCheck: ("ok", "collisions"),
+    KSAssignment: ("bits", ("mask", _HIDDEN)),
+    QuantumState: ("dim", "rho", ("psi", {"default": None}), ("_model", {"default": None, **_HIDDEN})),
+    PossibilisticModel: ("values",),
+    ContextualityVerdict: ("contextual", "witness", "blockers", "model"),
+    WitnessedState: ("witness", "state", "selection"),
+    UndeterminedFamily: ("witness", "selection", "nullity"),
+    PureStateSearch: ("states", "undetermined"),
+    TripleAnalysis: ("witness", "picks", "selection", "rank", "nullity"),
+    MixedAnalysisReport: ("triples", "common_ray_violations", "no_mixed_states", ("triples_listed", {"default": True})),
+    HardyParadox: ("state", "witness", "zero_set", "sp"),
+    ParadoxDerivation: ("paradoxes", ("reason", {"default": None})),
+    WitnessObservable: ("projectors", "eigenvalues", "source_order"),
+    ObservableVerification: ("ok", "failures"),
+    ReferenceRow: ("row", "state", "witness", "zeros", "printed"),
+    RowCrossCheck: ("reference", "derived", "consistent", "failures", "matches"),
+    ReferenceCrossCheck: ("rows", "errata"),
+    SimulationResult: ("shots", "seed", "counts", "frequencies", "probabilities", "std_errors"),
+    RunConfig: (
+        "command",
+        "scenario_path",
+        ("state_spec", {"default": None}),
+        ("density_path", {"default": None}),
+        ("fmt", {"default": "text"}),
+        ("seed", {"default": 0}),
+        ("shots", {"default": 100_000}),
+        ("out_path", {"default": None}),
+        ("eigenvalues", {"default": (Fraction(1), Fraction(2), Fraction(3))}),
+        ("witness", {"default": None}),
+    ),
+}
+
+
+def dataclass_twin(record: type) -> type:
+    """The record as a dataclass of the same name and fields: frozen, but for ``Scenario``.
+
+    A ``__repr__`` or ``__str__`` the record defines itself is copied into
+    the twin, which ``dataclasses`` then keeps.
+    """
+    specs = [f if isinstance(f, str) else (f[0], object, field(**f[1])) for f in RECORD_FIELDS[record]]
+    namespace = {name: value for name, value in vars(record).items() if name in ("__repr__", "__str__")}
+    return make_dataclass(record.__name__, specs, namespace=namespace, frozen=record is not Scenario)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -210,7 +209,7 @@ def assert_event_tests_match_oracles(scenario, assignments, state):
     assert [(p.witness, p.zero_set, p.sp) for p in paradoxes] == oracles.derive_paradoxes(scenario, state, assignments)
     # replays of the paradoxes, of their shrunk zero sets, and of every ray against all impossible rays
     impossible = possibilistic_model(scenario, state).impossible()
-    claims = [replace(p, zero_set=z) for p in paradoxes for z in (p.zero_set, p.zero_set[1:], p.zero_set[:-1])]
+    claims = [HardyParadox(p.state, p.witness, z, p.sp) for p in paradoxes for z in (p.zero_set, p.zero_set[1:], p.zero_set[:-1])]
     claims += [HardyParadox(state, k, impossible, state.probability(r.vector)) for k, r in enumerate(scenario.rays)]
     for claim in claims:
         assert replay_contradiction(scenario, assignments, claim) == oracles.replay_contradiction(assignments, claim)
