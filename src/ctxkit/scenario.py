@@ -20,12 +20,13 @@ file.
 from __future__ import annotations
 
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 
 from .errors import ParseError, UnknownLabelError, ValidationError
 from .exact import ExactVector, _Record, canonical_ray, nullspace, orthogonal, parse_scalar
 
+# The bundled scenario files; read as plain files, since importlib.resources loads inspect on CPython 3.12+
+_DATA = Path(__file__).with_name("data")
 _LABEL_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.-")
 
 
@@ -177,13 +178,12 @@ def load_scenario_path(path: "Path | str") -> Scenario:
 
 
 def bundled_scenario_names() -> tuple[str, ...]:
-    files = resources.files(__package__).joinpath("data")
-    return tuple(sorted(p.name[: -len(".scenario")] for p in files.iterdir() if p.name.endswith(".scenario")))
+    return tuple(sorted(p.name[: -len(".scenario")] for p in _DATA.iterdir() if p.name.endswith(".scenario")))
 
 
 def load_bundled(name: str = "yu-oh") -> Scenario:
     """Load one of the scenarios shipped with the package."""
-    res = resources.files(__package__).joinpath("data").joinpath(f"{name}.scenario")
+    res = _DATA / f"{name}.scenario"
     if not res.is_file():
         raise FileNotFoundError(f"no bundled scenario named {name!r}")
     return load_scenario(res.read_text(encoding="utf-8"), source=f"bundled:{name}")
