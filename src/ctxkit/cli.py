@@ -194,7 +194,7 @@ class _Analysis:
 
     @cached_property
     def mixed(self) -> MixedAnalysisReport:
-        return analyze_mixed_states(self.scenario, self.assignments)
+        return analyze_mixed_states(self.scenario, self.assignments, self.search)
 
     @property
     def basis_free_rays(self) -> list[int]:

@@ -30,8 +30,9 @@ The zero set of every state is a flat of the rays (the rays inside a
 span of some of them), and it alone decides logical contextuality.  So
 :func:`_blocking_flats` tests each flat of rank at most ``d - 1`` once:
 :func:`find_contextual_pure_states` takes the normals of the blocking
-hyperplanes, and :func:`analyze_mixed_states` the blocking flats of lower
-rank, each the zero set of contextual mixed states.
+hyperplanes and keeps the blocking flats of lower rank as undetermined
+families, each the zero set of contextual mixed states, which
+:func:`analyze_mixed_states` reads from the search.
 """
 
 from __future__ import annotations
@@ -274,8 +275,8 @@ def _minimum_hitting_set(hits: list[int]) -> tuple[int, ...]:
     raise AssertionError("hitting-set search called with an un-hittable event")
 
 
-def _blocking_flats(scenario: Scenario, assignments: list[KSAssignment], max_rank: int):
-    """Each flat of rank at most ``max_rank`` that blocks a witness, rank by rank.
+def _blocking_flats(scenario: Scenario, assignments: list[KSAssignment]):
+    """Each flat of rank at most ``d - 1`` that blocks a witness, rank by rank.
 
     A flat of rank ``r + 1`` is the closure of one of rank ``r`` and a ray
     outside it, kept once per ray mask.  Yields ``(rank, flat, normals,
@@ -283,6 +284,7 @@ def _blocking_flats(scenario: Scenario, assignments: list[KSAssignment], max_ran
     ``blocked`` is the first item of :func:`_blocked_witnesses` on ``flat``.
     """
     vectors = [ray.vector for ray in scenario.rays]
+    max_rank = scenario.dim - 1
     layer = {0: ([], nullspace([], dim=scenario.dim))}
     for r in range(max_rank + 1):
         children: dict[int, tuple[list[int], list[ExactVector]]] = {}
@@ -356,7 +358,7 @@ def find_contextual_pure_states(
     """
     found: list[WitnessedState] = []
     undetermined: list[UndeterminedFamily] = []
-    for r, flat, normals, blocked in _blocking_flats(scenario, assignments, scenario.dim - 1):
+    for r, flat, normals, blocked in _blocking_flats(scenario, assignments):
         k, _, hits = blocked
         if r < scenario.dim - 1:
             undetermined.append(UndeterminedFamily(k, _rays(flat), scenario.dim - r))
@@ -404,7 +406,8 @@ class MixedAnalysisReport(_Record):
 
     Such a state's zero set is a flat of rank at most ``d - 2``, and each
     such flat is the zero set of a mixed state.  ``common_ray_violations``
-    holds those flats that block a witness, as ``(witness, rays)``.
+    holds those flats that block a witness: the search's undetermined
+    families.
     ``triples`` is the paper's rank/nullity listing over the basis-free
     witnesses and decides nothing; above :data:`TRIPLE_LISTING_BOUND`
     selections it is empty and ``triples_listed`` false.
@@ -415,7 +418,7 @@ class MixedAnalysisReport(_Record):
     def __init__(
         self,
         triples: tuple[TripleAnalysis, ...],
-        common_ray_violations: tuple[tuple[int, tuple[int, ...]], ...],
+        common_ray_violations: tuple[UndeterminedFamily, ...],
         no_mixed_states: bool,
         triples_listed: bool = True,
     ):
@@ -426,13 +429,16 @@ class MixedAnalysisReport(_Record):
 
 
 def analyze_mixed_states(
-    scenario: Scenario, assignments: list[KSAssignment]
+    scenario: Scenario, assignments: list[KSAssignment], search: PureStateSearch | None = None
 ) -> MixedAnalysisReport:
-    """Decide the mixed states by the flats of rank at most ``d - 2``, and list the selections."""
-    violations = tuple(
-        (blocked[0], _rays(flat))
-        for _, flat, _, blocked in _blocking_flats(scenario, assignments, scenario.dim - 2)
-    )
+    """Decide the mixed states by the search's undetermined families, and list the selections.
+
+    The blocking flats of rank at most ``d - 2`` are those families; a
+    search not given is run here.
+    """
+    if search is None:
+        search = find_contextual_pure_states(scenario, assignments)
+    violations = search.undetermined
     basis_free = [k for k, count in enumerate(basis_membership(scenario)) if count == 0]
     candidates = [(k, events) for k in basis_free if (events := events_containing(scenario, assignments, k))]
     if sum(math.prod(len(e.support) - 1 for e in events) for _, events in candidates) > TRIPLE_LISTING_BOUND:

@@ -20,12 +20,13 @@ orthogonality, rank, nullspace and Gram-Schmidt can be decided on it.
 elimination over Z[i] (Bareiss 1968), dividing each updated row by the
 integer gcd of its parts to limit growth.  An :class:`ExactMatrix` keeps
 Gaussian-integer numerators over one common denominator, so projectors,
-density states and their products, traces and principal minors are int
-arithmetic too.  ``Fraction`` values are built only where an exact value
-leaves this layer: Born probabilities (:func:`overlap`,
-:func:`expectation`), traces and printed entries.  The density-operator
-validity check (Hermitian, unit trace, all principal minors non-negative)
-enumerates subsets and is intended for small dimensions.
+density states and their products and traces are int arithmetic too.
+``Fraction`` values are built only where an exact value leaves this
+layer: Born probabilities (:func:`overlap`, :func:`expectation`), traces
+and printed entries.  The density-operator validity check (Hermitian,
+unit trace, positive semidefinite) decides positivity by one symmetric
+elimination with diagonal pivots, and names a negative principal minor
+when it fails.
 """
 
 from __future__ import annotations
@@ -695,47 +696,17 @@ def rank1_projector(v: ExactVector) -> ExactMatrix:
     )
 
 
-def _det(m: list[list[tuple[int, int]]]) -> tuple[int, int]:
-    """Determinant over Z[i] by fraction-free (Bareiss) elimination; overwrites ``m``.
-
-    Step ``k`` sets ``m[i][j] <- (p m[i][j] - m[i][k] m[k][j]) / prev`` for
-    the pivot ``p = m[k][k]`` and the previous pivot ``prev``; the division
-    is exact in any integral domain.  A zero pivot swaps in a later row.
-    """
-    n = len(m)
-    sign = 1
-    qr, qi = 1, 0
-    for k in range(n - 1):
-        if m[k][k] == (0, 0):
-            swap = next((i for i in range(k + 1, n) if m[i][k] != (0, 0)), None)
-            if swap is None:
-                return 0, 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pr, pi = m[k][k]
-        qn = qr * qr + qi * qi
-        for i in range(k + 1, n):
-            fr, fi = m[i][k]
-            for j in range(k + 1, n):
-                (a, b), (c, d) = m[i][j], m[k][j]
-                nr = pr * a - pi * b - fr * c + fi * d
-                ni = pr * b + pi * a - fr * d - fi * c
-                # (nr + ni i) / (qr + qi i) = (nr + ni i)(qr - qi i) / |q|^2
-                m[i][j] = ((nr * qr + ni * qi) // qn, (ni * qr - nr * qi) // qn)
-        qr, qi = pr, pi
-    re, im = m[n - 1][n - 1]
-    return sign * re, sign * im
-
-
 def validate_density(rho: ExactMatrix):
     """Check that ``rho`` is Hermitian, has unit trace and is PSD.
 
-    Positive semidefiniteness is decided exactly by non-negativity of all
-    principal minors (not only the leading ones, which is inconclusive for
-    singular matrices).  Each minor is taken on the numerators: a k x k
-    minor of ``nums`` is ``den**k`` times that minor of ``rho``, so it has
-    the same sign.  Subset enumeration is exponential in the dimension and
-    intended for small state spaces.
+    Positive semidefiniteness is decided by one symmetric elimination on
+    the numerators (``den > 0``), pivoting on the diagonal in index order.
+    A positive pivot ``p`` replaces the rest by ``p`` times its Schur
+    complement, ``p a_ij - a_ik a_kj``, over the gcd of its parts; a zero
+    pivot with a zero row is dropped.  A negative pivot, or a zero pivot
+    whose row is not zero, fails with a negative principal minor as its
+    certificate: the positive pivots so far plus the failing index (and
+    the column of the row's first non-zero entry).
     """
     if rho.rows != rho.cols:
         raise InvalidDensityError("density matrix must be square")
@@ -744,13 +715,28 @@ def validate_density(rho: ExactMatrix):
     if rho.trace() != ONE:
         raise InvalidDensityError(f"density matrix must have trace 1, got {rho.trace()}")
     n = rho.rows
-    for mask in range(1, 1 << n):
-        idx = [i for i in range(n) if mask >> i & 1]
-        minor_re, minor_im = _det([[rho.nums[i * n + j] for j in idx] for i in idx])
-        if minor_im != 0:
-            raise InvalidDensityError("principal minor of a Hermitian matrix must be real")
-        if minor_re < 0:
-            raise InvalidDensityError(f"principal minor {idx} is negative: matrix is not PSD")
+    m = [rho.nums[i * n : (i + 1) * n] for i in range(n)]
+    rest = list(range(n))
+    kept: list[int] = []
+    while m:
+        (p, _), *row = m[0]
+        k, *rest = rest
+        if p <= 0:
+            j = next((j for j, z in zip(rest, row) if z != (0, 0)), None)
+            if p < 0 or j is not None:
+                minor = kept + [k] + ([] if p < 0 else [j])
+                raise InvalidDensityError(f"principal minor {minor} is negative: matrix is not PSD")
+            m = [r[1:] for r in m[1:]]
+            continue
+        kept.append(k)
+        # row i of the rest is (a_ik, a_ij...); row holds a_kj
+        m = [
+            [(p * c - a * e + b * f, p * d - a * f - b * e) for (c, d), (e, f) in zip(r, row)]
+            for (a, b), *r in m[1:]
+        ]
+        g = gcd(*(part for r in m for z in r for part in z))
+        if g > 1:
+            m = [[(c // g, d // g) for c, d in r] for r in m]
 
 
 def expectation(rho: ExactMatrix, v: ExactVector) -> Fraction:

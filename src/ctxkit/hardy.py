@@ -254,7 +254,7 @@ class ReferenceRow(_Record):
 
 
 def _scaled(denominator: int, rows: list[list[int]]) -> ExactMatrix:
-    return ExactMatrix.from_rows(rows).scale(Fraction(1, denominator))
+    return ExactMatrix(3, 3, denominator, ((x, 0) for row in rows for x in row))
 
 
 REFERENCE_OBSERVABLES: tuple[ReferenceRow, ...] = (

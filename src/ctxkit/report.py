@@ -178,8 +178,8 @@ def mixed_json(scenario: Scenario, report: MixedAnalysisReport) -> dict:
         ],
         **({} if report.triples_listed else {"triples_skipped": skipped}),
         "common_ray_violations": [
-            {"witness": scenario.rays[w].label, "rays": _labels(scenario, flat)}
-            for w, flat in report.common_ray_violations
+            {"witness": scenario.rays[f.witness].label, "rays": _labels(scenario, f.selection)}
+            for f in report.common_ray_violations
         ],
         "no_mixed_states": report.no_mixed_states,
     }

@@ -23,7 +23,7 @@ from ctxkit import (
     support_labels,
     vec,
 )
-from ctxkit.contextuality import TRIPLE_LISTING_BOUND, MixedAnalysisReport, PureStateSearch, WitnessedState
+from ctxkit.contextuality import TRIPLE_LISTING_BOUND, PureStateSearch, WitnessedState
 from ctxkit.report import render_text
 
 
@@ -214,7 +214,6 @@ def test_report_skips_one_zero_paradoxes(monkeypatch, tmp_path, fmt):
     scenario = load_scenario_path(path)
     state = WitnessedState(witness=scenario.ray_index("r16"), state=vec(2, 1, 0), selection=(9, 11))
     monkeypatch.setattr(cli, "find_contextual_pure_states", lambda s, a: PureStateSearch((state,), ()))
-    monkeypatch.setattr(cli, "analyze_mixed_states", lambda s, a: MixedAnalysisReport((), (), True))
     paradoxes = derive_paradoxes(scenario, QuantumState.pure(state.state), enumerate_assignments(scenario)).paradoxes
     one_zero = [i for i, p in enumerate(paradoxes, start=1) if len(p.zero_set) == 1]
     two_zero = [i for i, p in enumerate(paradoxes, start=1) if len(p.zero_set) == 2]
@@ -241,7 +240,6 @@ def test_report_text_with_skips_is_rendered_from_the_json_document(monkeypatch, 
     path.write_text(box_d3_m2_prefix_text(38), encoding="utf-8")
     state = WitnessedState(witness=load_scenario_path(path).ray_index("r16"), state=vec(2, 1, 0), selection=(9, 11))
     monkeypatch.setattr(cli, "find_contextual_pure_states", lambda s, a: PureStateSearch((state,), ()))
-    monkeypatch.setattr(cli, "analyze_mixed_states", lambda s, a: MixedAnalysisReport((), (), True))
     out = {}
     for fmt in ("text", "json"):
         assert cli.main(["report", "--scenario", str(path), "--format", fmt, "--out", str(tmp_path / fmt)]) == 0
@@ -341,6 +339,13 @@ def test_command_enumerates_once_and_derives_each_state_once(monkeypatch, tmp_pa
     assert len(enumerations) == 1
     # 4 contextual states, each derived once; the crosscheck reuses the derivations
     assert len(derivations) == 4
+
+
+def test_report_scans_the_flats_once(monkeypatch, tmp_path):
+    # the mixed analysis reads its blocking flats from the search's undetermined families
+    scans = count_calls(monkeypatch, ctxkit.contextuality._blocking_flats)
+    assert cli.main(["report", "--scenario", "yu-oh", "--out", str(tmp_path / "out")]) == 0
+    assert len(scans) == 1
 
 
 def test_crosscheck_derives_only_the_reference_states_it_is_not_given(monkeypatch, tmp_path):

@@ -452,8 +452,9 @@ def check_flat_scan(scenario):
         assert possibilistic_model(scenario, rho).impossible() == family.selection
         assert is_logically_contextual(scenario, rho, assignments)
         assert not noncontextuality_oracle(scenario, rho, assignments)
-    mixed = analyze_mixed_states(scenario, assignments)
-    assert mixed.common_ray_violations == tuple((f.witness, f.selection) for f in search.undetermined)
+    mixed = analyze_mixed_states(scenario, assignments, search)
+    assert mixed.common_ray_violations == search.undetermined
+    assert analyze_mixed_states(scenario, assignments) == mixed
     assert mixed.no_mixed_states == (not search.undetermined)
 
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctxkit import (
@@ -487,12 +489,32 @@ def density_candidates(draw):
     return kind, m
 
 
+NOT_PSD = re.compile(r"principal minor (\[[0-9, ]+\]) is negative: matrix is not PSD")
+
+
 @settings(max_examples=200, deadline=None)
 @given(density_candidates())
+# a zero pivot whose row is not zero; a negative Schur pivot under a positive
+# diagonal; a zero pivot dropped before a negative one, which names [0, 2]
+# where the first negative minor in subset order is [2]
+@example(("hermitian", ExactMatrix.from_rows([[0, Fraction(1, 2)], [Fraction(1, 2), 1]])))
+@example(("hermitian", ExactMatrix.from_rows([[Fraction(1, 2), 1], [1, Fraction(1, 2)]])))
+@example(("hermitian", ExactMatrix.from_rows([[2, 0, 0], [0, 0, 0], [0, 0, -1]])))
 def test_validate_density_matches_the_cofactor_oracle(candidate):
     kind, rho = candidate
     message = invalid_density_message(validate_density, rho)
-    assert message == invalid_density_message(oracles.validate_density, rho)
+    expected = invalid_density_message(oracles.validate_density, rho)
+    certificate = NOT_PSD.fullmatch(message or "")
+    if certificate is None:
+        # accepted, or a shape, Hermitian or trace failure
+        assert message == expected
+    else:
+        # the oracle rejects too, and the named minor is negative by cofactors
+        assert NOT_PSD.fullmatch(expected or "")
+        idx = json.loads(certificate.group(1))
+        x = oracles.rows_of(rho)
+        minor = oracles._det([[x[i][j] for j in idx] for i in idx])
+        assert minor.is_real and minor.re < 0
     if kind == "mixture":
         assert message is None
 

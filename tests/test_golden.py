@@ -4,7 +4,9 @@ Each command runs in-process through ``cli.main`` with ``--out``, so the
 digests cover the exact bytes a user would get in a file.  The two
 ``report`` digests are the ones ``perfbench/pinned.json`` pins as well.
 The text of every command is also checked to be a function of its JSON
-document alone.
+document alone.  yu-oh has no blocking flat of rank 1, so the ``states``
+and ``report`` digests of the 32-ray box-d3-m2 prefix, with 13
+undetermined families, pin those sections too.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import pytest
 
 from ctxkit import cli
 from ctxkit.report import render_text
+
+from test_cli import box_d3_m2_prefix_text
 
 COMMANDS = {
     "contexts": ["contexts"],
@@ -63,10 +67,18 @@ GOLDEN = {
 }
 
 
-def run(tmp_path, args: list[str], fmt: str) -> bytes:
-    """The bytes ``ctxkit ARGS --scenario yu-oh --format FMT`` writes to its ``--out`` file."""
+BOX_GOLDEN = {
+    ("states", "text"): "5b2d34b7146fd15a7ba047fda0893471815849e4067b2e35458509e2f09a7c93",
+    ("states", "json"): "efe99655d3e7a6844207ab94f366b1a1fd01c39dd2a7f997af248593ffedd70e",
+    ("report", "text"): "a35ab26a9064c7fe215f5de6847d3ad6411b7b9f7dff3246cbf2029fba3ad9aa",
+    ("report", "json"): "f514a229b7bc5f31c249b6d17ca1ad35bedcf0c9e8f0cc4c32b14e4c8f62833e",
+}
+
+
+def run(tmp_path, args: list[str], fmt: str, scenario: str = "yu-oh") -> bytes:
+    """The bytes ``ctxkit ARGS --scenario SCENARIO --format FMT`` writes to its ``--out`` file."""
     out = tmp_path / f"out.{fmt}"
-    assert cli.main([*args, "--scenario", "yu-oh", "--format", fmt, "--out", str(out)]) == 0
+    assert cli.main([*args, "--scenario", scenario, "--format", fmt, "--out", str(out)]) == 0
     return out.read_bytes()
 
 
@@ -80,3 +92,12 @@ def test_yu_oh_output_is_pinned(tmp_path, name, fmt):
 def test_text_is_rendered_from_the_json_document(tmp_path, name):
     document = json.loads(run(tmp_path, COMMANDS[name], "json"))
     assert render_text(document).encode("utf-8") == run(tmp_path, COMMANDS[name], "text")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["states", "report"])
+def test_box_prefix_output_is_pinned(tmp_path, command, fmt):
+    path = tmp_path / "box.scenario"
+    path.write_text(box_d3_m2_prefix_text(32), encoding="utf-8")
+    digest = hashlib.sha256(run(tmp_path, [command], fmt, str(path))).hexdigest()
+    assert digest == BOX_GOLDEN[command, fmt]
