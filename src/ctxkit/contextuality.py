@@ -8,8 +8,8 @@ zero sets are ray bitmasks (``KSAssignment.mask``), so every event test
 is one ``&``.  :func:`possibilistic_model` keeps the model on the
 ``QuantumState`` object, keyed by the scenario's ray tuple, so the
 verdict, the oracle and the paradox derivation of one state object on
-one scenario share a single Born pass.  Two equivalent decision
-procedures are implemented:
+one scenario share a single Born pass.  Two decision procedures are
+implemented:
 
 * :func:`is_logically_contextual` searches for a witness ray ``v`` that is
   possible under the state while every global event containing ``v`` also
@@ -24,7 +24,13 @@ procedures are implemented:
 * :func:`noncontextuality_oracle` builds the canonical candidate
   distribution (an event is possible iff it misses every impossible ray)
   and checks the marginals: the possible events exist and cover exactly
-  the possible rays.  It must equal the negation of the verdict.
+  the possible rays.  It follows the definition.
+
+They are not equivalent: the verdict skips a possible ray that lies in no
+global event, and the oracle counts it as uncovered (an open defect,
+ROADMAP.md item 1).  They disagree on every state of Peres 24, which is
+KS-uncolourable, and on 68 of 200 random integer states on the 32-ray
+box-d3-m2 prefix.
 
 The zero set of every state is a flat of the rays (the rays inside a
 span of some of them), and it alone decides logical contextuality.  So
@@ -222,6 +228,10 @@ def is_logically_contextual(
     a non-empty set of global events containing it, and every such event
     contains a different ray with model value 0.  The first witness in ray
     order is reported together with the first blocker of each event.
+
+    A possible ray in no global event is never a witness here, although
+    it makes the state contextual by definition, so this verdict can miss
+    what :func:`noncontextuality_oracle` finds (see the module docstring).
     """
     model = possibilistic_model(scenario, state)
     zeros = sum(1 << i for i in model.impossible())

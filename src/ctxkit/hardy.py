@@ -32,8 +32,8 @@ from typing import Iterable
 
 from .assignments import KSAssignment, events_containing
 from .contextuality import QuantumState, _blocked_witnesses, _minimum_hitting_set, possibilistic_model
-from .errors import LinearDependenceError, ValidationError
-from .exact import ExactMatrix, _Record, gram_schmidt, rank, rank1_projector, vec
+from .errors import ValidationError
+from .exact import ExactMatrix, _Record, gram_schmidt, rank1_projector, vec
 from .scenario import Scenario
 
 
@@ -146,8 +146,10 @@ def build_witness_observable(
 
     Gram-Schmidt input order is (zero ray with the smaller scenario index,
     the other zero ray, witness ray), so the first projector is onto the
-    low zero ray and the third onto the state ray.  The three source rays
-    are checked to be linearly independent rather than assumed.
+    low zero ray and the third onto the state ray.  ``gram_schmidt`` raises
+    :class:`LinearDependenceError` on a dependent triple, which no derived
+    paradox has: its distinct zero rays are orthogonal to the state, its
+    witness is not.
     """
     if len(paradox.zero_set) != 2:
         raise ValidationError(
@@ -162,8 +164,6 @@ def build_witness_observable(
         scenario.rays[z_high].vector,
         scenario.rays[paradox.witness].vector,
     ]
-    if rank(ordered, dim=scenario.dim) != 3:
-        raise LinearDependenceError("witness and zero rays must be linearly independent")
     u1, u2, u3 = gram_schmidt(ordered)
     return WitnessObservable(
         projectors=(rank1_projector(u1), rank1_projector(u2), rank1_projector(u3)),
@@ -185,29 +185,28 @@ class ObservableVerification(_Record):
         return self.ok
 
 
-def _projector_algebra_failures(
-    projectors: tuple[ExactMatrix, ExactMatrix, ExactMatrix], dim: int
-) -> list[str]:
+def _measurement_failures(state: QuantumState, projectors: tuple[ExactMatrix, ...]) -> list[str]:
+    """The witness-measurement conditions the projectors fail, by name: rank-1,
+    pairwise orthogonal, summing to I, outcome probabilities (0, ..., 0, 1)."""
+    names = [f"P{k}" for k in range(1, len(projectors) + 1)]
     failures = []
-    for idx, p in enumerate(projectors, start=1):
+    for name, p in zip(names, projectors):
         if not p.is_hermitian():
-            failures.append(f"P{idx} hermitian")
+            failures.append(f"{name} hermitian")
         if p @ p != p:
-            failures.append(f"P{idx} idempotent")
+            failures.append(f"{name} idempotent")
         if p.trace().as_fraction() != 1:
-            failures.append(f"tr(P{idx}) = 1")
-    for a, b in combinations(range(3), 2):
-        prod = projectors[a] @ projectors[b]
-        if not prod.is_zero:
-            failures.append(f"P{a + 1}*P{b + 1} = 0")
-    total = projectors[0] + projectors[1] + projectors[2]
-    if total != ExactMatrix.identity(dim):
-        failures.append("P1+P2+P3 = I")
+            failures.append(f"tr({name}) = 1")
+    for (a, p), (b, q) in combinations(zip(names, projectors), 2):
+        if not (p @ q).is_zero:
+            failures.append(f"{a}*{b} = 0")
+    if sum(projectors[1:], projectors[0]) != ExactMatrix.identity(state.dim):
+        failures.append("+".join(names) + " = I")
+    for name, p in zip(names, projectors):
+        expected = int(name == names[-1])
+        if (state.rho @ p).trace().as_fraction() != expected:
+            failures.append(f"tr(rho*{name}) = {expected}")
     return failures
-
-
-def _outcome_probability(state: QuantumState, projector: ExactMatrix) -> Fraction:
-    return (state.rho @ projector).trace().as_fraction()
 
 
 def verify_observable(paradox: HardyParadox, observable: WitnessObservable) -> ObservableVerification:
@@ -216,15 +215,8 @@ def verify_observable(paradox: HardyParadox, observable: WitnessObservable) -> O
     Checks the projector algebra, the outcome probabilities (0, 0, 1) and
     that the third projector is exactly the projector onto the state ray.
     """
-    p1, p2, p3 = observable.projectors
-    failures = _projector_algebra_failures(observable.projectors, paradox.state.dim)
-    if _outcome_probability(paradox.state, p1) != 0:
-        failures.append("tr(rho*P1) = 0")
-    if _outcome_probability(paradox.state, p2) != 0:
-        failures.append("tr(rho*P2) = 0")
-    if _outcome_probability(paradox.state, p3) != 1:
-        failures.append("tr(rho*P3) = 1")
-    if paradox.state.psi is not None and p3 != rank1_projector(paradox.state.psi):
+    failures = _measurement_failures(paradox.state, observable.projectors)
+    if paradox.state.psi is not None and observable.projectors[2] != rank1_projector(paradox.state.psi):
         failures.append("P3 = state projector")
     return ObservableVerification(ok=not failures, failures=tuple(failures))
 
@@ -400,11 +392,7 @@ def crosscheck_reference_observables(
         if paradox is None:
             raise _unmatched(ref)
         derived = build_witness_observable(scenario, paradox)
-        failures = _projector_algebra_failures(ref.printed, scenario.dim)
-        probs = [_outcome_probability(state, p) for p in ref.printed]
-        for idx, expected in enumerate((0, 0, 1), start=1):
-            if probs[idx - 1] != expected:
-                failures.append(f"tr(rho*P{idx}) = {expected}")
+        failures = _measurement_failures(state, ref.printed)
         consistent = not failures
         if not consistent:
             errata.append(ref.row)

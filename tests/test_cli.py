@@ -12,6 +12,7 @@ import pytest
 
 import ctxkit.assignments
 import ctxkit.contextuality
+import ctxkit.exact
 import ctxkit.hardy
 from ctxkit import (
     QuantumState,
@@ -354,6 +355,19 @@ def test_crosscheck_derives_only_the_reference_states_it_is_not_given(monkeypatc
     assert cli.main(argv) == 0
     # the command's (1,1,1) derivation is reused; the other 3 reference states are derived
     assert len(derivations) == 4
+
+
+def test_witness_observables_make_no_rank_test(monkeypatch, yu_oh, yu_oh_assignments):
+    # gram_schmidt rejects a dependent triple itself, so the construction ranks nothing
+    paradoxes = [
+        p
+        for coords in ((1, 1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, -1))
+        for p in derive_paradoxes(yu_oh, QuantumState.pure(vec(*coords)), yu_oh_assignments).paradoxes
+    ]
+    ranks = count_calls(monkeypatch, ctxkit.exact.rank)
+    observables = [ctxkit.hardy.build_witness_observable(yu_oh, p) for p in paradoxes]
+    assert len(observables) == 12
+    assert len(ranks) == 0
 
 
 @pytest.mark.parametrize("command, models", [("check", 2), ("paradoxes", 1)])

@@ -235,8 +235,7 @@ def test_verify_observable_names_failures(yu_oh, yu_oh_assignments):
     )
     verification = verify_observable(paradox, tampered)
     assert not verification.ok
-    assert "P1+P2+P3 = I" in verification.failures
-    assert "tr(rho*P2) = 0" in verification.failures
+    assert verification.failures == ("P2*P3 = 0", "P1+P2+P3 = I", "tr(rho*P2) = 0")
 
 
 def test_observable_requires_two_zero_rays(yu_oh, yu_oh_assignments):
@@ -296,6 +295,13 @@ def test_crosscheck_errata_and_matches(yu_oh, yu_oh_assignments):
             assert row.failures == ()
         else:
             assert row.failures
+    # the printed errata fail these conditions, named in the order the check tests them
+    assert {i: by_row[i].failures for i in check.errata} == {
+        4: ("P2*P3 = 0", "P1+P2+P3 = I", "tr(rho*P3) = 1"),
+        5: ("P2*P3 = 0", "P1+P2+P3 = I", "tr(rho*P3) = 1"),
+        6: ("P3 idempotent", "tr(P3) = 1", "P1*P3 = 0", "P2*P3 = 0", "P1+P2+P3 = I", "tr(rho*P3) = 1"),
+        7: ("tr(rho*P2) = 0", "tr(rho*P3) = 1"),
+    }
 
 
 def test_crosscheck_row_seven_fails_state_conditions(yu_oh, yu_oh_assignments):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxkit import ExactMatrix, ExactScalar, ExactVector, KSAssignment, Scenario
+from ctxkit.exact import _Record
 
 import oracles
 
@@ -72,6 +73,19 @@ def _twin_of(twin, record_value):
 
 def _parameters(callable_) -> list[tuple]:
     return [(p.name, p.kind, p.default) for p in inspect.signature(callable_).parameters.values()]
+
+
+def test_every_record_has_a_dataclass_twin():
+    # a record missing from RECORD_FIELDS would skip the twin test below
+    import ctxkit.cli  # noqa: F401  (loads every module that defines records)
+
+    found, todo = set(), [_Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("ctxkit."):
+                found.add(sub)
+    assert found == set(RECORDS)
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: r.__name__)
