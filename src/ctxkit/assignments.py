@@ -26,8 +26,8 @@ of the bundled 13-ray scenario.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import combinations, compress, product
-from typing import Iterable
 
 from .errors import ValidationError
 from .exact import _Record

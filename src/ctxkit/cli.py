@@ -15,10 +15,10 @@ validation error, 4 unknown ray label, 5 I/O error, 1 anything else.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cached_property
 from fractions import Fraction
-from pathlib import Path
 
 from . import report as rp
 from .assignments import KSAssignment, enumerate_assignments
@@ -51,6 +51,7 @@ from .sampling import simulate_measurement
 from .scenario import (
     ComplementCheck,
     Scenario,
+    _read_text,
     basis_membership,
     bundled_scenario_names,
     check_distinct_complements,
@@ -152,9 +153,8 @@ def _parse_eigenvalues(text: str) -> tuple[Fraction, Fraction, Fraction]:
 
 
 def _load_scenario(config: RunConfig) -> Scenario:
-    path = Path(config.scenario_path)
-    if path.exists():
-        return load_scenario_path(path)
+    if os.path.exists(config.scenario_path):
+        return load_scenario_path(config.scenario_path)
     if config.scenario_path in bundled_scenario_names():
         return load_bundled(config.scenario_path)
     raise FileNotFoundError(f"scenario file not found: {config.scenario_path}")
@@ -175,8 +175,7 @@ class _Analysis:
         if config.state_spec is not None:
             return parse_state(config.state_spec, scenario.dim, scenario.field)
         if config.density_path is not None:
-            text = Path(config.density_path).read_text(encoding="utf-8")
-            return parse_density(text, scenario.dim, scenario.field)
+            return parse_density(_read_text(config.density_path), scenario.dim, scenario.field)
         raise ValidationError("a state is required: pass --state or --density")
 
     @cached_property
@@ -241,9 +240,8 @@ class _Analysis:
     @cached_property
     def crosscheck(self) -> ReferenceCrossCheck | None:
         """The reference crosscheck, or None where the scenario has no reference rows."""
-        derivations = self.derivations
         try:
-            return crosscheck_reference_observables(self.scenario, self.assignments, derivations)
+            return crosscheck_reference_observables(self.scenario, self.assignments)
         except (ValidationError, UnknownLabelError):
             return None
 
@@ -254,7 +252,8 @@ def run(config: RunConfig) -> int:
     _, handler = _COMMANDS[config.command]
     output = handler(config, scenario)
     if config.out_path is not None:
-        Path(config.out_path).write_text(output, encoding="utf-8")
+        with open(config.out_path, "w", encoding="utf-8") as f:
+            f.write(output)
     else:
         sys.stdout.write(output)
     return 0

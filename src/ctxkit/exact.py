@@ -32,11 +32,11 @@ when it fails.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import attrgetter
-from typing import Iterable, Sequence, Union
 
 from .errors import (
     DimensionMismatchError,
@@ -46,14 +46,11 @@ from .errors import (
     ValidationError,
 )
 
-RationalLike = Union[int, Fraction]
-ScalarLike = Union["ExactScalar", int, Fraction]
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _as_fraction(value: RationalLike) -> Fraction:
+def _as_fraction(value: int | Fraction) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -110,12 +107,12 @@ class ExactScalar(_Record):
 
     __slots__ = _fields = ("re", "im")
 
-    def __init__(self, re: RationalLike, im: RationalLike = _ZERO):
+    def __init__(self, re: int | Fraction, im: int | Fraction = _ZERO):
         object.__setattr__(self, "re", _as_fraction(re))
         object.__setattr__(self, "im", _as_fraction(im))
 
     @staticmethod
-    def coerce(value: ScalarLike) -> "ExactScalar":
+    def coerce(value: ExactScalar | int | Fraction) -> "ExactScalar":
         if isinstance(value, ExactScalar):
             return value
         return ExactScalar(_as_fraction(value))
@@ -147,33 +144,33 @@ class ExactScalar(_Record):
     def __neg__(self) -> "ExactScalar":
         return ExactScalar(-self.re, -self.im)
 
-    def __add__(self, other: ScalarLike) -> "ExactScalar":
+    def __add__(self, other: ExactScalar | int | Fraction) -> "ExactScalar":
         o = ExactScalar.coerce(other)
         return ExactScalar(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
-    def __sub__(self, other: ScalarLike) -> "ExactScalar":
+    def __sub__(self, other: ExactScalar | int | Fraction) -> "ExactScalar":
         o = ExactScalar.coerce(other)
         return ExactScalar(self.re - o.re, self.im - o.im)
 
-    def __rsub__(self, other: ScalarLike) -> "ExactScalar":
+    def __rsub__(self, other: ExactScalar | int | Fraction) -> "ExactScalar":
         return ExactScalar.coerce(other) - self
 
-    def __mul__(self, other: ScalarLike) -> "ExactScalar":
+    def __mul__(self, other: ExactScalar | int | Fraction) -> "ExactScalar":
         o = ExactScalar.coerce(other)
         return ExactScalar(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: ScalarLike) -> "ExactScalar":
+    def __truediv__(self, other: ExactScalar | int | Fraction) -> "ExactScalar":
         o = ExactScalar.coerce(other)
         n = o.abs2()
         if n == 0:
             raise ZeroDivisionError("division by zero scalar")
         return ExactScalar((self.re * o.re + self.im * o.im) / n, (self.im * o.re - self.re * o.im) / n)
 
-    def __rtruediv__(self, other: ScalarLike) -> "ExactScalar":
+    def __rtruediv__(self, other: ExactScalar | int | Fraction) -> "ExactScalar":
         return ExactScalar.coerce(other) / self
 
     def __str__(self) -> str:
@@ -192,7 +189,6 @@ ONE = ExactScalar(_ONE)
 
 # Literal grammar shared by all file formats: rational `[-]INT[/INT]`,
 # Gaussian `RAT` or `RAT(+|-)RATi`, whitespace-free.
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
 _SCALAR_RE = re.compile(r"^(-?\d+(?:/\d+)?)(?:([+-])(\d+(?:/\d+)?)i)?$")
 
 
@@ -238,7 +234,7 @@ class ExactVector(_Record):
     # no __slots__: the cached integer_form lives in the instance dict
     _fields = ("coords",)
 
-    def __init__(self, coords: Iterable[ScalarLike]):
+    def __init__(self, coords: Iterable[ExactScalar | int | Fraction]):
         coords = tuple(ExactScalar.coerce(c) for c in coords)
         if len(coords) < 2:
             raise ValidationError("vectors must have dimension >= 2")
@@ -266,7 +262,7 @@ class ExactVector(_Record):
         _require_same_dim(self, other)
         return ExactVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
-    def scale(self, factor: ScalarLike) -> "ExactVector":
+    def scale(self, factor: ExactScalar | int | Fraction) -> "ExactVector":
         f = ExactScalar.coerce(factor)
         return ExactVector(tuple(f * c for c in self.coords))
 
@@ -294,9 +290,9 @@ class ExactVector(_Record):
         return f"ExactVector{self}"
 
 
-def vec(*coords: ScalarLike) -> ExactVector:
+def vec(*coords: ExactScalar | int | Fraction) -> ExactVector:
     """Convenience constructor: ``vec(1, 0, -1)``."""
-    return ExactVector(tuple(ExactScalar.coerce(c) for c in coords))
+    return ExactVector(coords)
 
 
 def parse_vector(text: str, dim: int | None = None, field: str = "gaussian") -> ExactVector:
@@ -581,7 +577,7 @@ class ExactMatrix(_Record):
         object.__setattr__(self, "nums", nums)
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[ScalarLike]]) -> "ExactMatrix":
+    def from_rows(cls, rows: Iterable[Iterable[ExactScalar | int | Fraction]]) -> "ExactMatrix":
         data = [[ExactScalar.coerce(x) for x in row] for row in rows]
         if not data or any(len(r) != len(data[0]) for r in data):
             raise ValidationError("matrix rows must be non-empty and of equal length")
@@ -625,7 +621,7 @@ class ExactMatrix(_Record):
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         return self._combine(other, -1)
 
-    def scale(self, factor: ScalarLike) -> "ExactMatrix":
+    def scale(self, factor: ExactScalar | int | Fraction) -> "ExactMatrix":
         fden, ((fr, fi),) = _over_common_denominator((ExactScalar.coerce(factor),))
         return ExactMatrix(
             self.rows,
@@ -758,7 +754,7 @@ def expectation(rho: ExactMatrix, v: ExactVector) -> Fraction:
     return Fraction(re, rho.den * norm)
 
 
-def mixture(parts: Sequence[tuple[RationalLike, ExactMatrix]]) -> ExactMatrix:
+def mixture(parts: Sequence[tuple[int | Fraction, ExactMatrix]]) -> ExactMatrix:
     """Convex mixture ``sum_i p_i rho_i``; weights must be positive and sum to 1."""
     if not parts:
         raise ValidationError("a mixture needs at least one component")

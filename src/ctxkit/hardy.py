@@ -18,17 +18,16 @@ under the state.  The third orthogonalized ray always lands on the state
 ray itself, which makes the construction easy to audit.
 
 The module also ships a reference tabulation of the twelve observables
-for the bundled 13-ray scenario and a cross-check that re-derives each
-row.  Reference rows that fail the exact consistency oracle (projector
-algebra, completeness, and the probability conditions under the row's
-own state) are reported as errata rather than matched.
+for the bundled 13-ray scenario and a cross-check that replays each row
+as a paradox.  Reference rows that fail the exact consistency oracle
+(projector algebra, completeness, and the probability conditions under
+the row's own state) are reported as errata rather than matched.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
 
 from .assignments import KSAssignment, events_containing
 from .contextuality import QuantumState, _blocked_witnesses, _minimum_hitting_set, possibilistic_model
@@ -341,71 +340,45 @@ class ReferenceCrossCheck(_Record):
         object.__setattr__(self, "errata", errata)
 
 
-def _unmatched(ref: ReferenceRow) -> ValidationError:
-    return ValidationError(
-        f"reference row {ref.row} has no matching paradox; "
-        "the cross-check needs the bundled 13-ray scenario"
-    )
-
-
 def crosscheck_reference_observables(
-    scenario: Scenario,
-    assignments: list[KSAssignment],
-    derivations: Iterable[ParadoxDerivation] = (),
+    scenario: Scenario, assignments: list[KSAssignment]
 ) -> ReferenceCrossCheck:
-    """Re-derive every reference row and flag inconsistent printings.
+    """Replay every reference row as a paradox and flag inconsistent printings.
 
-    A printed row is *consistent* when its three matrices are mutually
-    orthogonal projectors summing to identity and reproduce outcome
-    probabilities (0, 0, 1) under the row's state; inconsistent rows are
-    the errata.  Derived matrices are authoritative either way.  Before
-    anything is derived, every row's zero rays must be impossible and its
-    witness possible under the row's state, so a scenario that only shares
-    the reference labels is rejected at once.  ``derivations`` already
-    made for pure states on this scenario are reused; only the reference
-    states they miss are derived.
+    A row is a paradox of the scenario when its zero rays are impossible
+    under the row's state and :func:`replay_contradiction` holds; any other
+    row means the scenario is not the bundled one, and the cross-check
+    raises.  A printed row is *consistent* when its three matrices are
+    mutually orthogonal projectors summing to identity and reproduce
+    outcome probabilities (0, 0, 1) under the row's state; inconsistent
+    rows are the errata.  Derived matrices are authoritative either way.
     """
-    rows = []
-    for ref in REFERENCE_OBSERVABLES:
-        state = QuantumState.pure(vec(*ref.state))
-        witness_idx = scenario.ray_index(ref.witness)
-        zeros = tuple(sorted(scenario.ray_index(z) for z in ref.zeros))
-        if state.probability(scenario.rays[witness_idx].vector) == 0 or any(
-            state.probability(scenario.rays[z].vector) != 0 for z in zeros
-        ):
-            raise _unmatched(ref)
-        rows.append((ref, state, witness_idx, zeros))
     results = []
     errata = []
-    by_state = {d.paradoxes[0].state.psi: d for d in derivations if d.paradoxes}
-    for ref, state, witness_idx, zeros in rows:
-        if state.psi not in by_state:
-            by_state[state.psi] = derive_paradoxes(scenario, state, assignments)
-        paradox = next(
-            (
-                p
-                for p in by_state[state.psi].paradoxes
-                if p.witness == witness_idx and p.zero_set == zeros
-            ),
-            None,
-        )
-        if paradox is None:
-            raise _unmatched(ref)
+    for ref in REFERENCE_OBSERVABLES:
+        state = QuantumState.pure(vec(*ref.state))
+        witness = scenario.ray_index(ref.witness)
+        zeros = tuple(sorted(scenario.ray_index(z) for z in ref.zeros))
+        paradox = HardyParadox(state, witness, zeros, state.probability(scenario.rays[witness].vector))
+        if any(state.probability(scenario.rays[z].vector) != 0 for z in zeros) or not replay_contradiction(
+            scenario, assignments, paradox
+        ):
+            raise ValidationError(
+                f"reference row {ref.row} has no matching paradox; "
+                "the cross-check needs the bundled 13-ray scenario"
+            )
         derived = build_witness_observable(scenario, paradox)
         failures = _measurement_failures(state, ref.printed)
-        consistent = not failures
-        if not consistent:
+        if failures:
             errata.append(ref.row)
-        matches = tuple(
-            derived.projectors[i] == ref.printed[i] for i in range(3)
-        )
+        (d1, d2, d3), (r1, r2, r3) = derived.projectors, ref.printed
         results.append(
             RowCrossCheck(
                 reference=ref,
                 derived=derived,
-                consistent=consistent,
+                consistent=not failures,
                 failures=tuple(failures),
-                matches=matches,  # type: ignore[arg-type]
+                matches=(d1 == r1, d2 == r2, d3 == r3),
             )
         )
     return ReferenceCrossCheck(rows=tuple(results), errata=tuple(errata))

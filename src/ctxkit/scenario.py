@@ -19,14 +19,14 @@ file.
 
 from __future__ import annotations
 
+import os
 from enum import Enum
-from pathlib import Path
 
 from .errors import ParseError, UnknownLabelError, ValidationError
 from .exact import ExactVector, _Record, canonical_ray, nullspace, orthogonal, parse_scalar
 
 # The bundled scenario files; read as plain files, since importlib.resources loads inspect on CPython 3.12+
-_DATA = Path(__file__).with_name("data")
+_DATA = os.path.join(os.path.dirname(__file__), "data")
 _LABEL_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.-")
 
 
@@ -172,21 +172,25 @@ def load_scenario(text: str, source: str = "<string>") -> Scenario:
     return Scenario(name=name, dim=dim, field=field_kind, rays=tuple(rays), edges=edges)
 
 
-def load_scenario_path(path: "Path | str") -> Scenario:
-    path = Path(path)
-    return load_scenario(path.read_text(encoding="utf-8"), source=str(path))
+def _read_text(path: str | os.PathLike) -> str:
+    with open(path, encoding="utf-8") as f:
+        return f.read()
+
+
+def load_scenario_path(path: str | os.PathLike) -> Scenario:
+    return load_scenario(_read_text(path), source=os.fspath(path))
 
 
 def bundled_scenario_names() -> tuple[str, ...]:
-    return tuple(sorted(p.name[: -len(".scenario")] for p in _DATA.iterdir() if p.name.endswith(".scenario")))
+    return tuple(sorted(n[: -len(".scenario")] for n in os.listdir(_DATA) if n.endswith(".scenario")))
 
 
 def load_bundled(name: str = "yu-oh") -> Scenario:
     """Load one of the scenarios shipped with the package."""
-    res = _DATA / f"{name}.scenario"
-    if not res.is_file():
+    res = os.path.join(_DATA, f"{name}.scenario")
+    if not os.path.isfile(res):
         raise FileNotFoundError(f"no bundled scenario named {name!r}")
-    return load_scenario(res.read_text(encoding="utf-8"), source=f"bundled:{name}")
+    return load_scenario(_read_text(res), source=f"bundled:{name}")
 
 
 def _parse_header(line: str, lineno: int) -> tuple[str, int, str]:

@@ -338,7 +338,7 @@ def test_command_enumerates_once_and_derives_each_state_once(monkeypatch, tmp_pa
     derivations = count_calls(monkeypatch, ctxkit.hardy.derive_paradoxes)
     assert cli.main([command, "--scenario", "yu-oh", "--out", str(tmp_path / "out")]) == 0
     assert len(enumerations) == 1
-    # 4 contextual states, each derived once; the crosscheck reuses the derivations
+    # 4 contextual states, each derived once; the crosscheck derives none
     assert len(derivations) == 4
 
 
@@ -349,12 +349,12 @@ def test_report_scans_the_flats_once(monkeypatch, tmp_path):
     assert len(scans) == 1
 
 
-def test_crosscheck_derives_only_the_reference_states_it_is_not_given(monkeypatch, tmp_path):
+def test_crosscheck_derives_no_paradoxes(monkeypatch, tmp_path):
     derivations = count_calls(monkeypatch, ctxkit.hardy.derive_paradoxes)
     argv = ["observables", "--scenario", "yu-oh", "--state", "1,1,1", "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 0
-    # the command's (1,1,1) derivation is reused; the other 3 reference states are derived
-    assert len(derivations) == 4
+    # the command derives its own state once; the crosscheck replays the reference rows instead
+    assert len(derivations) == 1
 
 
 def test_witness_observables_make_no_rank_test(monkeypatch, yu_oh, yu_oh_assignments):

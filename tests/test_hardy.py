@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -28,7 +28,7 @@ from ctxkit import (
     vec,
     verify_observable,
 )
-from ctxkit.hardy import REFERENCE_OBSERVABLES, _minimum_hitting_set, percent
+from ctxkit.hardy import REFERENCE_OBSERVABLES, ReferenceRow, _minimum_hitting_set, percent
 
 # (state, witness, zero set) for the twelve paradoxes of the bundled scenario
 EXPECTED_PARADOXES = {
@@ -329,6 +329,34 @@ def test_crosscheck_derived_rows_always_verify(yu_oh, yu_oh_assignments):
         derived = row.derived
         total = derived.projectors[0] + derived.projectors[1] + derived.projectors[2]
         assert total == ExactMatrix.identity(3)
+
+
+def test_each_reference_row_is_the_only_replaying_pair_of_its_witness(yu_oh, yu_oh_assignments):
+    # the crosscheck accepts a printed pair when it replays; on yu-oh no other
+    # set of at most two impossible rays replays for the row's witness, so the
+    # printed pair is also the one derive_paradoxes picks
+    for ref in REFERENCE_OBSERVABLES:
+        state = QuantumState.pure(vec(*ref.state))
+        witness = yu_oh.ray_index(ref.witness)
+        sp = state.probability(yu_oh.rays[witness].vector)
+        impossible = [i for i, r in enumerate(yu_oh.rays) if state.probability(r.vector) == 0]
+        replaying = [
+            zeros
+            for size in (0, 1, 2)
+            for zeros in combinations(impossible, size)
+            if replay_contradiction(yu_oh, yu_oh_assignments, HardyParadox(state, witness, zeros, sp))
+        ]
+        assert replaying == [tuple(sorted(yu_oh.ray_index(z) for z in ref.zeros))], ref.row
+
+
+def test_crosscheck_rejects_a_row_whose_zeros_miss_a_witness_event(monkeypatch, yu_oh, yu_oh_assignments):
+    # v4 and v5 are impossible under (1,1,1), but some global event containing vA meets neither
+    row1 = REFERENCE_OBSERVABLES[0]
+    assert (row1.witness, row1.zeros) == ("vA", ("v5", "v6"))
+    moved = ReferenceRow(1, row1.state, "vA", ("v4", "v5"), row1.printed)
+    monkeypatch.setattr(ctxkit.hardy, "REFERENCE_OBSERVABLES", (moved,) + REFERENCE_OBSERVABLES[1:])
+    with pytest.raises(ValidationError, match="reference row 1 has no matching paradox"):
+        crosscheck_reference_observables(yu_oh, yu_oh_assignments)
 
 
 def test_crosscheck_rejects_foreign_rays_before_deriving(monkeypatch, yu_oh):

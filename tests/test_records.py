@@ -138,7 +138,8 @@ def test_cli_process_loads_neither_dataclasses_nor_inspect(fmt, loaded):
     # pytest itself loads dataclasses, so the modules are read in a fresh interpreter; -S keeps site's out
     code = (
         "import sys, ctxkit.cli; ctxkit.cli.main(sys.argv[1:]); "
-        "print(*sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)), file=sys.stderr)"
+        "banned = {'dataclasses', 'inspect', 'json', 'pathlib', 'typing'}; "
+        "print(*sorted(banned & set(sys.modules)), file=sys.stderr)"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", code, "report", "--scenario", "yu-oh", "--format", fmt],
