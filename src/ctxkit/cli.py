@@ -85,30 +85,16 @@ class RunConfig(_Record):
         "eigenvalues",
         "witness",
     )
-
-    def __init__(
-        self,
-        command: str,
-        scenario_path: str,
-        state_spec: str | None = None,
-        density_path: str | None = None,
-        fmt: str = "text",
-        seed: int = 0,
-        shots: int = 100_000,
-        out_path: str | None = None,
-        eigenvalues: tuple[Fraction, Fraction, Fraction] = (Fraction(1), Fraction(2), Fraction(3)),
-        witness: str | None = None,
-    ):
-        object.__setattr__(self, "command", command)
-        object.__setattr__(self, "scenario_path", scenario_path)
-        object.__setattr__(self, "state_spec", state_spec)
-        object.__setattr__(self, "density_path", density_path)
-        object.__setattr__(self, "fmt", fmt)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "shots", shots)
-        object.__setattr__(self, "out_path", out_path)
-        object.__setattr__(self, "eigenvalues", eigenvalues)
-        object.__setattr__(self, "witness", witness)
+    _defaults = {
+        "state_spec": None,
+        "density_path": None,
+        "fmt": "text",
+        "seed": 0,
+        "shots": 100_000,
+        "out_path": None,
+        "eigenvalues": (Fraction(1), Fraction(2), Fraction(3)),
+        "witness": None,
+    }
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -78,11 +78,7 @@ class QuantumState(_Record):
 
     __slots__ = ("dim", "rho", "psi", "_model")
     _fields = ("dim", "rho", "psi")
-
-    def __init__(self, dim: int, rho: ExactMatrix, psi: ExactVector | None = None):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "psi", psi)
+    _defaults = {"psi": None}
 
     @classmethod
     def pure(cls, vector: ExactVector) -> "QuantumState":
@@ -139,12 +135,6 @@ class PossibilisticModel(_Record):
 
     __slots__ = _fields = ("values",)
 
-    def __init__(self, values: tuple[int, ...]):
-        object.__setattr__(self, "values", values)
-
-    def value(self, i: int) -> int:
-        return self.values[i]
-
     def possible(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.values) if v == 1)
 
@@ -184,18 +174,6 @@ class ContextualityVerdict(_Record):
     """
 
     __slots__ = _fields = ("contextual", "witness", "blockers", "model")
-
-    def __init__(
-        self,
-        contextual: bool,
-        witness: int | None,
-        blockers: tuple[tuple[KSAssignment, int], ...],
-        model: PossibilisticModel,
-    ):
-        object.__setattr__(self, "contextual", contextual)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "blockers", blockers)
-        object.__setattr__(self, "model", model)
 
     def __bool__(self) -> bool:
         return self.contextual
@@ -326,11 +304,6 @@ class WitnessedState(_Record):
 
     __slots__ = _fields = ("witness", "state", "selection")
 
-    def __init__(self, witness: int, state: ExactVector, selection: tuple[int, ...]):
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "selection", selection)
-
 
 class UndeterminedFamily(_Record):
     """A blocking flat of rank at most ``d - 2``, its rays in ``selection``.
@@ -341,18 +314,9 @@ class UndeterminedFamily(_Record):
 
     __slots__ = _fields = ("witness", "selection", "nullity")
 
-    def __init__(self, witness: int, selection: tuple[int, ...], nullity: int):
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "selection", selection)
-        object.__setattr__(self, "nullity", nullity)
-
 
 class PureStateSearch(_Record):
     __slots__ = _fields = ("states", "undetermined")
-
-    def __init__(self, states: tuple[WitnessedState, ...], undetermined: tuple[UndeterminedFamily, ...]):
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "undetermined", undetermined)
 
 
 def find_contextual_pure_states(
@@ -403,13 +367,6 @@ class TripleAnalysis(_Record):
 
     __slots__ = _fields = ("witness", "picks", "selection", "rank", "nullity")
 
-    def __init__(self, witness: int, picks: tuple[int, ...], selection: tuple[int, ...], rank: int, nullity: int):
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "picks", picks)
-        object.__setattr__(self, "selection", selection)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "nullity", nullity)
-
 
 class MixedAnalysisReport(_Record):
     """Whether some logically contextual state has rank 2 or more.
@@ -424,30 +381,16 @@ class MixedAnalysisReport(_Record):
     """
 
     __slots__ = _fields = ("triples", "common_ray_violations", "no_mixed_states", "triples_listed")
-
-    def __init__(
-        self,
-        triples: tuple[TripleAnalysis, ...],
-        common_ray_violations: tuple[UndeterminedFamily, ...],
-        no_mixed_states: bool,
-        triples_listed: bool = True,
-    ):
-        object.__setattr__(self, "triples", triples)
-        object.__setattr__(self, "common_ray_violations", common_ray_violations)
-        object.__setattr__(self, "no_mixed_states", no_mixed_states)
-        object.__setattr__(self, "triples_listed", triples_listed)
+    _defaults = {"triples_listed": True}
 
 
 def analyze_mixed_states(
-    scenario: Scenario, assignments: list[KSAssignment], search: PureStateSearch | None = None
+    scenario: Scenario, assignments: list[KSAssignment], search: PureStateSearch
 ) -> MixedAnalysisReport:
     """Decide the mixed states by the search's undetermined families, and list the selections.
 
-    The blocking flats of rank at most ``d - 2`` are those families; a
-    search not given is run here.
+    The blocking flats of rank at most ``d - 2`` are those families.
     """
-    if search is None:
-        search = find_contextual_pure_states(scenario, assignments)
     violations = search.undetermined
     basis_free = [k for k, count in enumerate(basis_membership(scenario)) if count == 0]
     candidates = [(k, events) for k in basis_free if (events := events_containing(scenario, assignments, k))]

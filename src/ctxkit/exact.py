@@ -61,23 +61,36 @@ def _as_fraction(value: int | Fraction) -> Fraction:
 class _Record:
     """Equality, hashing, ``repr`` and immutability of ctxkit's value records.
 
-    A record names its constructor fields, in order, in ``_fields``.  Two
-    records are equal when they are of the same class with equal fields,
-    the hash is that of the field tuple, and ``repr`` reads
-    ``Name(field=value, ...)``, leaving out fields whose name starts with
-    ``_``.  The fields are set once, by ``__init__`` through
-    ``object.__setattr__``; assigning or deleting an attribute afterwards
-    raises :class:`AttributeError`.  A record that can change undoes that.
+    A record names its constructor fields, in order, in ``_fields``, and
+    may give the trailing ones defaults in ``_defaults = {"field": value}``.
+    Unless the class writes its own ``__init__``, its constructor is
+    generated from these two, as ``collections.namedtuple`` builds its
+    ``__new__``: ``def __init__(self, f1, ..., fk=default)`` with one
+    ``object.__setattr__(self, "f", f)`` per field.  Two records are equal
+    when they are of the same class with equal fields, the hash is that of
+    the field tuple, and ``repr`` reads ``Name(field=value, ...)``, leaving
+    out fields whose name starts with ``_``.  The fields are set once, by
+    ``__init__``; assigning or deleting an attribute afterwards raises
+    :class:`AttributeError`.  A record that can change undoes that.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        get = attrgetter(*cls._fields)
+        fields = cls._fields
+        get = attrgetter(*fields)
         # attrgetter of one name returns the bare value; the key is always a tuple
-        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda record: (get(record),))
+        cls._key = staticmethod(get if len(fields) > 1 else lambda record: (get(record),))
+        if "__init__" not in cls.__dict__:
+            params = ", ".join(f"{f}=_defaults[{f!r}]" if f in cls._defaults else f for f in fields)
+            body = "".join(f"\n    object.__setattr__(self, {f!r}, {f})" for f in fields)
+            namespace = {"_defaults": cls._defaults, "__name__": cls.__module__}
+            exec(f"def __init__(self, {params}):{body}", namespace)
+            cls.__init__ = namespace["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -120,10 +133,6 @@ class ExactScalar(_Record):
     @property
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def as_fraction(self) -> Fraction:
         """The value as a plain rational; error if it has an imaginary part."""
@@ -268,9 +277,6 @@ class ExactVector(_Record):
 
     def conjugate(self) -> "ExactVector":
         return ExactVector(tuple(c.conjugate() for c in self.coords))
-
-    def norm_sq(self) -> Fraction:
-        return sum((c.abs2() for c in self.coords), _ZERO)
 
     @cached_property
     def integer_form(self) -> tuple[tuple[int, int], ...]:
@@ -640,18 +646,6 @@ class ExactMatrix(_Record):
             m,
             self.den * other.den,
             tuple(_dot(self.nums[i * n : (i + 1) * n], col) for i in range(self.rows) for col in columns),
-        )
-
-    def apply(self, v: ExactVector) -> ExactVector:
-        if self.cols != v.dim:
-            raise DimensionMismatchError("matrix and vector dimensions do not match")
-        vden, z = _over_common_denominator(v.coords)
-        den = self.den * vden
-        return ExactVector(
-            tuple(
-                ExactScalar(Fraction(re, den), Fraction(im, den))
-                for re, im in (_dot(self.nums[i * v.dim : (i + 1) * v.dim], z) for i in range(self.rows))
-            )
         )
 
     def trace(self) -> ExactScalar:

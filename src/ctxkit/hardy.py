@@ -41,21 +41,12 @@ class HardyParadox(_Record):
 
     __slots__ = _fields = ("state", "witness", "zero_set", "sp")
 
-    def __init__(self, state: QuantumState, witness: int, zero_set: tuple[int, ...], sp: Fraction):
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "zero_set", zero_set)
-        object.__setattr__(self, "sp", sp)
-
 
 class ParadoxDerivation(_Record):
     """All paradoxes of a state, or the reason why there are none."""
 
     __slots__ = _fields = ("paradoxes", "reason")
-
-    def __init__(self, paradoxes: tuple[HardyParadox, ...], reason: str | None = None):
-        object.__setattr__(self, "paradoxes", paradoxes)
-        object.__setattr__(self, "reason", reason)
+    _defaults = {"reason": None}
 
 
 def derive_paradoxes(
@@ -125,16 +116,6 @@ class WitnessObservable(_Record):
 
     __slots__ = _fields = ("projectors", "eigenvalues", "source_order")
 
-    def __init__(
-        self,
-        projectors: tuple[ExactMatrix, ExactMatrix, ExactMatrix],
-        eigenvalues: tuple[Fraction, Fraction, Fraction],
-        source_order: tuple[int, int, int],
-    ):
-        object.__setattr__(self, "projectors", projectors)
-        object.__setattr__(self, "eigenvalues", eigenvalues)
-        object.__setattr__(self, "source_order", source_order)
-
 
 def build_witness_observable(
     scenario: Scenario,
@@ -175,10 +156,6 @@ class ObservableVerification(_Record):
     """Named pass/fail record of the witness-observable identities."""
 
     __slots__ = _fields = ("ok", "failures")
-
-    def __init__(self, ok: bool, failures: tuple[str, ...]):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "failures", failures)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -228,20 +205,6 @@ class ReferenceRow(_Record):
     """One previously tabulated observable row, exactly as printed."""
 
     __slots__ = _fields = ("row", "state", "witness", "zeros", "printed")
-
-    def __init__(
-        self,
-        row: int,
-        state: tuple[int, int, int],
-        witness: str,
-        zeros: tuple[str, str],
-        printed: tuple[ExactMatrix, ExactMatrix, ExactMatrix],
-    ):
-        object.__setattr__(self, "row", row)
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "zeros", zeros)
-        object.__setattr__(self, "printed", printed)
 
 
 def _scaled(denominator: int, rows: list[list[int]]) -> ExactMatrix:
@@ -317,27 +280,9 @@ class RowCrossCheck(_Record):
 
     __slots__ = _fields = ("reference", "derived", "consistent", "failures", "matches")
 
-    def __init__(
-        self,
-        reference: ReferenceRow,
-        derived: WitnessObservable,
-        consistent: bool,
-        failures: tuple[str, ...],
-        matches: tuple[bool, bool, bool],
-    ):
-        object.__setattr__(self, "reference", reference)
-        object.__setattr__(self, "derived", derived)
-        object.__setattr__(self, "consistent", consistent)
-        object.__setattr__(self, "failures", failures)
-        object.__setattr__(self, "matches", matches)
-
 
 class ReferenceCrossCheck(_Record):
     __slots__ = _fields = ("rows", "errata")
-
-    def __init__(self, rows: tuple[RowCrossCheck, ...], errata: tuple[int, ...]):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "errata", errata)
 
 
 def crosscheck_reference_observables(

@@ -77,35 +77,11 @@ class Xoshiro256StarStar:
         finally:
             self._s = [s0, s1, s2, s3]
 
-    def next_uint64(self) -> int:
-        (word,) = self.words(1)
-        return word
-
-    def random(self) -> float:
-        """A double in [0, 1) built from the top 53 bits."""
-        return (self.next_uint64() >> 11) * 2.0 ** -53
-
 
 class SimulationResult(_Record):
     """Counts and frequencies next to the exact target probabilities."""
 
     __slots__ = _fields = ("shots", "seed", "counts", "frequencies", "probabilities", "std_errors")
-
-    def __init__(
-        self,
-        shots: int,
-        seed: int,
-        counts: tuple[int, ...],
-        frequencies: tuple[float, ...],
-        probabilities: tuple[Fraction, ...],
-        std_errors: tuple[float, ...],
-    ):
-        object.__setattr__(self, "shots", shots)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "frequencies", frequencies)
-        object.__setattr__(self, "probabilities", probabilities)
-        object.__setattr__(self, "std_errors", std_errors)
 
 
 def _validate_projectors(projectors: list[ExactMatrix], dim: int):

@@ -35,10 +35,6 @@ class Ray(_Record):
 
     __slots__ = _fields = ("label", "vector")
 
-    def __init__(self, label: str, vector: ExactVector):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "vector", vector)
-
 
 class ContextKind(Enum):
     BASIS = "basis"
@@ -53,11 +49,6 @@ class Context(_Record):
     """
 
     __slots__ = _fields = ("members", "kind", "complement")
-
-    def __init__(self, members: tuple[int, ...], kind: ContextKind, complement: tuple[ExactVector, ...]):
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "complement", complement)
 
 
 class Scenario(_Record):
@@ -296,10 +287,6 @@ class ComplementCheck(_Record):
     """Result of :func:`check_distinct_complements`."""
 
     __slots__ = _fields = ("ok", "collisions")
-
-    def __init__(self, ok: bool, collisions: tuple[tuple[Context, Context], ...]):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "collisions", collisions)
 
 
 def check_distinct_complements(scenario: Scenario) -> ComplementCheck:

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from ctxkit import enumerate_assignments, enumerate_contexts, load_bundled
+from ctxkit import enumerate_assignments, enumerate_contexts, find_contextual_pure_states, load_bundled
 
 
 @pytest.fixture(scope="session")
@@ -15,3 +15,8 @@ def yu_oh():
 @pytest.fixture(scope="session")
 def yu_oh_assignments(yu_oh):
     return enumerate_assignments(yu_oh)
+
+
+@pytest.fixture(scope="session")
+def yu_oh_search(yu_oh, yu_oh_assignments):
+    return find_contextual_pure_states(yu_oh, yu_oh_assignments)

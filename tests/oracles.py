@@ -172,6 +172,10 @@ def apply(m: ExactMatrix, v: ExactVector) -> ExactVector:
     return ExactVector(tuple(sum((e * c for e, c in zip(row, v.coords)), ZERO) for row in rows_of(m)))
 
 
+def norm_sq(v: ExactVector) -> Fraction:
+    return sum((c.abs2() for c in v.coords), Fraction(0))
+
+
 def _det(entries: list[list[ExactScalar]]) -> ExactScalar:
     n = len(entries)
     if n == 1:
@@ -197,7 +201,7 @@ def validate_density(rho: ExactMatrix):
     for mask in range(1, 1 << n):
         idx = [i for i in range(n) if mask >> i & 1]
         minor = _det([[x[i][j] for j in idx] for i in idx])
-        if not minor.is_real:
+        if minor.im != 0:
             raise InvalidDensityError("principal minor of a Hermitian matrix must be real")
         if minor.re < 0:
             raise InvalidDensityError(f"principal minor {idx} is negative: matrix is not PSD")
@@ -208,7 +212,7 @@ def expectation(rho: ExactMatrix, v: ExactVector) -> Fraction:
         raise DimensionMismatchError("matrix and vector dimensions do not match")
     if v.is_zero:
         raise ValidationError("events must be non-zero vectors")
-    return inner_product(v, apply(rho, v)).as_fraction() / v.norm_sq()
+    return inner_product(v, apply(rho, v)).as_fraction() / norm_sq(v)
 
 
 def gram_schmidt(ordered: Sequence[ExactVector]) -> list[ExactVector]:
@@ -216,7 +220,7 @@ def gram_schmidt(ordered: Sequence[ExactVector]) -> list[ExactVector]:
     for v in ordered:
         residual = v
         for u in out:
-            coef = inner_product(u, residual) / ExactScalar(u.norm_sq())
+            coef = inner_product(u, residual) / ExactScalar(norm_sq(u))
             residual = residual - u.scale(coef)
         if residual.is_zero:
             raise LinearDependenceError(f"vector {v} is linearly dependent on its predecessors")
@@ -239,7 +243,7 @@ def blocked_witnesses(model, assignments):
         events = [a for a in assignments if a.bits[k] == 1]
         hits = []
         for event in events:
-            blocked = [i for i in event.support if i != k and model.value(i) == 0]
+            blocked = [i for i in event.support if i != k and model.values[i] == 0]
             if not blocked:
                 break
             hits.append(blocked)
@@ -258,12 +262,12 @@ def is_logically_contextual(scenario, state, assignments) -> ContextualityVerdic
 
 def noncontextuality_oracle(scenario, state, assignments) -> bool:
     model = born_model(scenario, state)
-    weight = {a: 1 if all(model.value(i) == 1 for i in a.support) else 0 for a in assignments}
+    weight = {a: 1 if all(model.values[i] == 1 for i in a.support) else 0 for a in assignments}
     if not any(weight.values()):
         return False
     for i in range(len(scenario.rays)):
         marginal = 1 if any(weight[a] for a in assignments if a.bits[i] == 1) else 0
-        if marginal != model.value(i):
+        if marginal != model.values[i]:
             return False
     return True
 

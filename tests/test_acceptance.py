@@ -87,8 +87,8 @@ def test_criterion_04_pure_states(yu_oh, yu_oh_assignments):
     _passed(4, "exactly four contextual pure states, all witnesses basis-free")
 
 
-def test_criterion_05_no_mixed_states(yu_oh, yu_oh_assignments):
-    report = analyze_mixed_states(yu_oh, yu_oh_assignments)
+def test_criterion_05_no_mixed_states(yu_oh, yu_oh_assignments, yu_oh_search):
+    report = analyze_mixed_states(yu_oh, yu_oh_assignments, yu_oh_search)
     assert len(report.triples) == 4 * 27
     assert all(t.rank >= 2 for t in report.triples)
     assert all(t.nullity <= 1 for t in report.triples)

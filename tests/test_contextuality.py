@@ -98,7 +98,7 @@ def test_pure_model_hits_every_basis_context(yu_oh):
             continue
         model = possibilistic_model(yu_oh, QuantumState.pure(vec(*coords)))
         for context in yu_oh.basis_contexts():
-            assert any(model.value(i) == 1 for i in context.members)
+            assert any(model.values[i] == 1 for i in context.members)
 
 
 def test_model_is_computed_once_per_state_and_scenario(yu_oh):
@@ -155,7 +155,7 @@ def test_111_is_contextual_with_witness_vA(yu_oh, yu_oh_assignments):
     for event, blocker in verdict.blockers:
         assert blocker in event.support
         assert blocker != verdict.witness
-        assert model.value(blocker) == 0
+        assert model.values[blocker] == 0
 
 
 def test_basis_state_not_contextual(yu_oh, yu_oh_assignments):
@@ -330,8 +330,8 @@ def test_mixture_zero_iff_all_components_zero(yu_oh):
         mixed_model = possibilistic_model(yu_oh, rho)
         pure_models = [possibilistic_model(yu_oh, QuantumState.pure(p)) for p in pures]
         for i in range(len(yu_oh.rays)):
-            all_zero = all(m.value(i) == 0 for m in pure_models)
-            assert (mixed_model.value(i) == 0) == all_zero
+            all_zero = all(m.values[i] == 0 for m in pure_models)
+            assert (mixed_model.values[i] == 0) == all_zero
 
 
 # --- exhausting contextual pure states ---------------------------------------
@@ -375,8 +375,8 @@ def test_search_on_single_basis_scenario():
 # --- mixed-state analysis -----------------------------------------------------
 
 
-def test_mixed_analysis_yu_oh(yu_oh, yu_oh_assignments):
-    report = analyze_mixed_states(yu_oh, yu_oh_assignments)
+def test_mixed_analysis_yu_oh(yu_oh, yu_oh_assignments, yu_oh_search):
+    report = analyze_mixed_states(yu_oh, yu_oh_assignments, yu_oh_search)
     assert len(report.triples) == 4 * 27
     witnesses = {yu_oh.rays[t.witness].label for t in report.triples}
     assert witnesses == {"vA", "vB", "vC", "vD"}
@@ -389,8 +389,8 @@ def test_mixed_analysis_yu_oh(yu_oh, yu_oh_assignments):
     assert report.no_mixed_states
 
 
-def test_mixed_analysis_spot_check(yu_oh, yu_oh_assignments):
-    report = analyze_mixed_states(yu_oh, yu_oh_assignments)
+def test_mixed_analysis_spot_check(yu_oh, yu_oh_assignments, yu_oh_search):
+    report = analyze_mixed_states(yu_oh, yu_oh_assignments, yu_oh_search)
     va = yu_oh.ray_index("vA")
     v5, v6 = yu_oh.ray_index("v5"), yu_oh.ray_index("v6")
     entry = next(t for t in report.triples if t.witness == va and t.picks == (v5, v6, v5))
@@ -422,10 +422,10 @@ def test_mixed_analysis_flags_large_solution_spaces():
     assignments = enumerate_assignments(doctored)
     supports = {tuple(doctored.rays[i].label for i in a.support) for a in assignments}
     assert ("a", "e") in supports and ("d", "e") in supports
-    report = analyze_mixed_states(doctored, assignments)
+    search = find_contextual_pure_states(doctored, assignments)
+    report = analyze_mixed_states(doctored, assignments, search)
     assert not report.no_mixed_states
     assert any(t.nullity >= 2 for t in report.triples)
-    search = find_contextual_pure_states(doctored, assignments)
     assert any(f.nullity >= 2 for f in search.undetermined)
 
 
@@ -454,7 +454,6 @@ def check_flat_scan(scenario):
         assert not noncontextuality_oracle(scenario, rho, assignments)
     mixed = analyze_mixed_states(scenario, assignments, search)
     assert mixed.common_ray_violations == search.undetermined
-    assert analyze_mixed_states(scenario, assignments) == mixed
     assert mixed.no_mixed_states == (not search.undetermined)
 
 
@@ -490,7 +489,7 @@ GAUSSIAN_UNITARY = ExactMatrix.from_rows(
 def gaussian_image_text(scenario) -> str:
     lines = [f"scenario {scenario.name}-u dim 3 field gaussian"]
     for ray in scenario.rays:
-        image = canonical_ray(GAUSSIAN_UNITARY.apply(ray.vector))
+        image = canonical_ray(oracles.apply(GAUSSIAN_UNITARY, ray.vector))
         lines.append(f"{ray.label}: " + ",".join(str(c) for c in image.coords))
     return "\n".join(lines) + "\n"
 
@@ -499,12 +498,8 @@ def run_pipeline(text):
     scenario = load_scenario(text)
     contexts = enumerate_contexts(scenario)
     assignments = enumerate_assignments(scenario)
-    return (
-        scenario,
-        contexts,
-        find_contextual_pure_states(scenario, assignments),
-        analyze_mixed_states(scenario, assignments),
-    )
+    search = find_contextual_pure_states(scenario, assignments)
+    return scenario, contexts, search, analyze_mixed_states(scenario, assignments, search)
 
 
 def test_gaussian_image_matches_the_fraction_oracle(monkeypatch, yu_oh):
@@ -512,9 +507,9 @@ def test_gaussian_image_matches_the_fraction_oracle(monkeypatch, yu_oh):
     text = gaussian_image_text(yu_oh)
     scenario, contexts, search, mixed = run_pipeline(text)
     assert scenario.edges == yu_oh.edges
-    assert any(not c.is_real for ray in scenario.rays for c in ray.vector.coords)
+    assert any(c.im != 0 for ray in scenario.rays for c in ray.vector.coords)
     assert {s.state for s in search.states} == {
-        canonical_ray(GAUSSIAN_UNITARY.apply(s.state))
+        canonical_ray(oracles.apply(GAUSSIAN_UNITARY, s.state))
         for s in find_contextual_pure_states(yu_oh, enumerate_assignments(yu_oh)).states
     }
     assert len(search.states) == 4

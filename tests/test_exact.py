@@ -94,7 +94,7 @@ def test_field_axioms(a, b, c):
 def test_conjugation_and_modulus(a):
     assert a.conjugate().conjugate() == a
     sq = a * a.conjugate()
-    assert sq.is_real
+    assert sq.im == 0
     assert sq.re == a.abs2() >= 0
 
 
@@ -273,7 +273,7 @@ def test_orthogonal_and_overlap_match_the_inner_product(data):
     v = data.draw(st.sampled_from(partners))
     assert orthogonal(u, v) == inner_product(u, v).is_zero
     assert orthogonal(v, u) == orthogonal(u, v)
-    assert overlap(u, v) == inner_product(u, v).abs2() / (u.norm_sq() * v.norm_sq())
+    assert overlap(u, v) == inner_product(u, v).abs2() / (oracles.norm_sq(u) * oracles.norm_sq(v))
 
 
 # --- Gram-Schmidt ---------------------------------------------------------
@@ -308,7 +308,7 @@ def test_gram_schmidt_orthogonality_and_span(vectors):
     for v in vectors:
         recovered = vec(*([0] * 3))
         for u in out:
-            coef = inner_product(u, v) / ExactScalar(u.norm_sq())
+            coef = inner_product(u, v) / ExactScalar(oracles.norm_sq(u))
             recovered = recovered + u.scale(coef)
         assert recovered == v
 
@@ -389,7 +389,7 @@ def test_mixture_validation():
 @given(nonzero_vectors, nonzero_vectors)
 def test_born_probability_matches_pure_formula(u, psi):
     state = QuantumState.density(rank1_projector(psi))
-    expected = inner_product(u, psi).abs2() / (u.norm_sq() * psi.norm_sq())
+    expected = inner_product(u, psi).abs2() / (oracles.norm_sq(u) * oracles.norm_sq(psi))
     assert state.probability(u) == expected
 
 
@@ -434,7 +434,6 @@ def test_matrix_operations_match_the_entrywise_oracle(data):
     a, b = data.draw(gaussian_matrices(d, d)), data.draw(gaussian_matrices(d, d))
     rect = data.draw(gaussian_matrices(d, data.draw(st.integers(min_value=2, max_value=5))))
     f = data.draw(scalars)
-    v = data.draw(gaussian_vectors(d))
     assert same_matrix(a @ rect, oracles.matmul(a, rect))
     assert same_matrix(a @ b, oracles.matmul(a, b))
     assert same_matrix(a + b, oracles.add(a, b))
@@ -442,7 +441,6 @@ def test_matrix_operations_match_the_entrywise_oracle(data):
     assert same_matrix(a.scale(f), oracles.scale(a, f))
     assert same_matrix(rect.dagger(), oracles.dagger(rect))
     assert a.trace() == oracles.trace(a)
-    assert a.apply(v) == oracles.apply(a, v)
     assert a.is_zero == all(e.is_zero for e in a.entries)
     assert a.is_hermitian() == (oracles.dagger(a) == oracles.rows_of(a))
     hermitian = a + a.dagger()
@@ -514,7 +512,7 @@ def test_validate_density_matches_the_cofactor_oracle(candidate):
         idx = json.loads(certificate.group(1))
         x = oracles.rows_of(rho)
         minor = oracles._det([[x[i][j] for j in idx] for i in idx])
-        assert minor.is_real and minor.re < 0
+        assert minor.im == 0 and minor.re < 0
     if kind == "mixture":
         assert message is None
 

@@ -137,7 +137,7 @@ def test_paradoxes_exist_iff_state_is_contextual(yu_oh, yu_oh_assignments):
                     hits = [
                         i
                         for i in event.support
-                        if i != first.witness and verdict.model.value(i) == 0
+                        if i != first.witness and verdict.model.values[i] == 0
                     ]
                     assert blocker in hits
     assert contextual_on_box > 0

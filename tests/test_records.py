@@ -116,6 +116,15 @@ def test_record_behaves_as_its_dataclass_twin(record, data):
     defaults = [default for _, _, default in parameters if default is not inspect.Parameter.empty]
     required = len(parameters) - len(defaults)
     assert record(*first[:required]) == record(*first[:required], *defaults)
+    # a missing required argument, one too many positional arguments and an unknown keyword
+    assert len(first) == len(parameters)
+    for args, kwargs in ((first[: required - 1], {}), ((*first, None), {}), (first, {"not_a_field": None})):
+        messages = []
+        for make in (record, twin):
+            with pytest.raises(TypeError) as caught:
+                make(*args, **kwargs)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
 
     if record is Scenario:
         a.contexts = ()
