@@ -8,6 +8,7 @@ Gaussian-rational arithmetic.
 """
 
 from .assignments import (
+    GlobalEvents,
     KSAssignment,
     enumerate_assignments,
     enumerate_assignments_by_basis_choices,

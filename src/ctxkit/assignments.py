@@ -7,8 +7,9 @@ A KS-assignment is a 0/1 labelling of the rays such that
 
 Deficient contexts automatically carry at most one label 1 by (O).  The
 support of an assignment is its set of label-1 rays; supports double as
-the "global event" sets used throughout the contextuality analysis,
-which tests them as the int ``mask`` (bit i set iff ray i is labelled 1).
+the "global event" sets of the contextuality analysis, as the int ``mask``
+(bit i set iff ray i is labelled 1) and, transposed, as one int per ray
+over the events: ``by_ray`` of the :class:`GlobalEvents` the enumerators return.
 
 Two independent enumerators are provided.  The default searches basis
 by basis on ray bitmasks, honouring (O) and (C) along the way.  The
@@ -27,7 +28,8 @@ of the bundled 13-ray scenario.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import combinations, compress, product
+from functools import cached_property
+from itertools import chain, combinations, compress, product
 
 from .errors import ValidationError
 from .exact import _Record
@@ -64,6 +66,29 @@ class KSAssignment(_Record):
         return tuple(compress(range(len(self.bits)), self.bits))
 
 
+class GlobalEvents(tuple):
+    """The KS-assignments in order; bit j of ``by_ray[i]`` is set iff event j holds ray i.
+    ``by_ray`` is kept from first use, on a tuple so that no event changes under it; wrapping one returns it."""
+
+    def __new__(cls, events: Iterable[KSAssignment] = ()):
+        return events if type(events) is cls else super().__new__(cls, events)
+
+    @cached_property
+    def by_ray(self) -> tuple[int, ...]:
+        n = len(self[0].bits) if self else 0
+        # event j's bits as the digits j * n .. j * n + n - 1, so ray i's column is every n-th digit from i
+        flat = bytes(chain.from_iterable(a.bits for a in self)).translate(bytes.maketrans(b"\0\1", b"01"))
+        return tuple(int(flat[i::n][::-1], 2) for i in range(n))
+
+    def missing(self, zeros: int) -> int:
+        """The events that hold no ray of the ray mask ``zeros``, as a mask over the events."""
+        miss = (1 << len(self)) - 1
+        for z, column in enumerate(self.by_ray):
+            if zeros >> z & 1:
+                miss &= ~column
+        return miss
+
+
 def support_labels(scenario: Scenario, assignment: KSAssignment) -> tuple[str, ...]:
     return tuple(scenario.rays[i].label for i in assignment.support)
 
@@ -82,7 +107,7 @@ def verify_assignment(scenario: Scenario, assignment: KSAssignment) -> bool:
     return True
 
 
-def enumerate_assignments(scenario: Scenario) -> list[KSAssignment]:
+def enumerate_assignments(scenario: Scenario) -> GlobalEvents:
     """All KS-assignments, by a basis-first search over ray bitmasks.
 
     Each state of the search is a pair of masks: the rays set to 1 and
@@ -120,10 +145,10 @@ def enumerate_assignments(scenario: Scenario) -> list[KSAssignment]:
         else:
             found.append(KSAssignment._of_mask(ones, n))
     found.sort(key=lambda a: a.support)
-    return found
+    return GlobalEvents(found)
 
 
-def enumerate_assignments_by_basis_choices(scenario: Scenario) -> list[KSAssignment]:
+def enumerate_assignments_by_basis_choices(scenario: Scenario) -> GlobalEvents:
     """Independent enumerator built from per-basis choices; cross-check oracle.
 
     Exhaustive over the product of basis contexts, then over independent
@@ -161,11 +186,11 @@ def enumerate_assignments_by_basis_choices(scenario: Scenario) -> list[KSAssignm
         for s in supports
     ]
     found.sort(key=lambda a: a.support)
-    return found
+    return GlobalEvents(found)
 
 
 def events_containing(
-    scenario: Scenario, assignments: list[KSAssignment], ray: "Ray | str | int"
+    scenario: Scenario, assignments: Iterable[KSAssignment], ray: "Ray | str | int"
 ) -> list[KSAssignment]:
     """The sub-list of assignments whose support contains ``ray``."""
     bit = 1 << scenario.ray_index(ray)

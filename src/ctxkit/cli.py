@@ -21,7 +21,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from . import report as rp
-from .assignments import KSAssignment, enumerate_assignments
+from .assignments import GlobalEvents, enumerate_assignments
 from .contextuality import (
     MixedAnalysisReport,
     PureStateSearch,
@@ -170,7 +170,7 @@ class _Analysis:
         return check_distinct_complements(self.scenario) if self.scenario.dim == 3 else None
 
     @cached_property
-    def assignments(self) -> list[KSAssignment]:
+    def assignments(self) -> GlobalEvents:
         return enumerate_assignments(self.scenario)
 
     @cached_property

@@ -3,9 +3,11 @@
 The possibilistic model of a state maps each ray to 1 exactly when its
 Born probability is non-zero; with exact scalars this is decidable.  A
 state is *logically contextual* when no 0/1 distribution over the global
-events (KS-assignments) reproduces that model as marginals.  Events and
-zero sets are ray bitmasks (``KSAssignment.mask``), so every event test
-is one ``&``.  :func:`possibilistic_model` keeps the model on the
+events (KS-assignments) reproduces that model as marginals.  Zero sets
+are ray bitmasks and each ray's events one int over the events, its
+column in ``GlobalEvents.by_ray``; ``miss``, the events that miss a zero
+set, is all events less each zero ray's column.
+:func:`possibilistic_model` keeps the model on the
 ``QuantumState`` object, keyed by the scenario's ray tuple, so the
 verdict, the oracle and the paradox derivation of one state object on
 one scenario share a single Born pass.  Two decision procedures are
@@ -16,15 +18,14 @@ implemented:
   contains an impossible ray (a "blocker").  Witnesses whose global-event
   set is empty are excluded: the universal condition would hold vacuously,
   and such rays cannot start the contradiction the verdict certifies.
-  :func:`_blocked_witnesses` finds every such witness in one pass over
-  the global events, as ``reached & ~covered & ~zeros``: the rays some
-  event holds, less those held by an event that misses the zero set.  It
-  is shared with :func:`ctxkit.hardy.derive_paradoxes`: the verdict
-  reports its first witness, the derivation makes each one a paradox.
+  :func:`_blocked_witnesses` finds every such witness: a ray outside the
+  zero set whose column is non-zero and disjoint from ``miss``.  It is
+  shared with :func:`ctxkit.hardy.derive_paradoxes`: the verdict reports
+  its first witness, the derivation makes each one a paradox.
 * :func:`noncontextuality_oracle` builds the canonical candidate
   distribution (an event is possible iff it misses every impossible ray)
-  and checks the marginals: the possible events exist and cover exactly
-  the possible rays.  It follows the definition.
+  and checks the marginals: ``miss`` is not empty and its events cover
+  exactly the possible rays.  It follows the definition.
 
 They are not equivalent: the verdict skips a possible ray that lies in no
 global event, and the oracle counts it as uncovered (an open defect,
@@ -47,7 +48,7 @@ import math
 from fractions import Fraction
 from itertools import combinations, product
 
-from .assignments import KSAssignment, events_containing
+from .assignments import GlobalEvents, events_containing
 from .errors import DimensionMismatchError, ValidationError
 from .exact import (
     ExactMatrix,
@@ -179,26 +180,19 @@ class ContextualityVerdict(_Record):
         return self.contextual
 
 
-def _blocked_witnesses(scenario: Scenario, assignments: list[KSAssignment], zeros: int):
+def _blocked_witnesses(events: GlobalEvents, zeros: int):
     """Each ray outside the zero mask whose global events are non-empty and all meet it.
 
-    One pass ORs every event into ``reached`` and each event that misses
-    ``zeros`` into ``covered``.  For each ray ``k`` of ``reached & ~covered
-    & ~zeros``, in order, yields ``(k, events, hits)``: the global events of
-    ``k`` and the mask of each one's zero rays, which never holds ``k``.
+    Yields ``(k, by_ray[k])`` in ray order for each column that is non-zero and disjoint from ``missing(zeros)``.
     """
-    reached = covered = 0
-    for a in assignments:
-        reached |= a.mask
-        if not a.mask & zeros:
-            covered |= a.mask
-    for k in _rays(reached & ~covered & ~zeros):
-        events = events_containing(scenario, assignments, k)
-        yield k, events, [event.mask & zeros for event in events]
+    miss = events.missing(zeros)
+    for k, column in enumerate(events.by_ray):
+        if column and not column & miss and not zeros >> k & 1:
+            yield k, column
 
 
 def is_logically_contextual(
-    scenario: Scenario, state: QuantumState, assignments: list[KSAssignment]
+    scenario: Scenario, state: QuantumState, assignments: GlobalEvents
 ) -> ContextualityVerdict:
     """Witness-based contextuality decision.
 
@@ -213,14 +207,16 @@ def is_logically_contextual(
     """
     model = possibilistic_model(scenario, state)
     zeros = sum(1 << i for i in model.impossible())
-    for k, events, hits in _blocked_witnesses(scenario, assignments, zeros):
-        blockers = tuple((event, (hit & -hit).bit_length() - 1) for event, hit in zip(events, hits))
+    events = GlobalEvents(assignments)
+    for k, column in _blocked_witnesses(events, zeros):
+        hits = [(e, e.mask & zeros) for e in events_containing(scenario, events, k)]
+        blockers = tuple((e, (hit & -hit).bit_length() - 1) for e, hit in hits)
         return ContextualityVerdict(contextual=True, witness=k, blockers=blockers, model=model)
     return ContextualityVerdict(contextual=False, witness=None, blockers=(), model=model)
 
 
 def noncontextuality_oracle(
-    scenario: Scenario, state: QuantumState, assignments: list[KSAssignment]
+    scenario: Scenario, state: QuantumState, assignments: GlobalEvents
 ) -> bool:
     """Direct marginal check of the canonical candidate distribution.
 
@@ -230,13 +226,11 @@ def noncontextuality_oracle(
     state is logically non-contextual.
     """
     model = possibilistic_model(scenario, state)
-    zeros = sum(1 << i for i in model.impossible())
-    # a flag, not ``covered != 0``: the empty event is possible and covers nothing
-    some_possible, covered = False, 0
-    for a in assignments:
-        if not a.mask & zeros:
-            some_possible, covered = True, covered | a.mask
-    return some_possible and covered == sum(1 << i for i in model.possible())
+    events = GlobalEvents(assignments)
+    # a mask over the events, not over the rays: the empty event is possible and covers nothing
+    miss = events.missing(sum(1 << i for i in model.impossible()))
+    covered = sum(1 << i for i, column in enumerate(events.by_ray) if column & miss)
+    return miss != 0 and covered == sum(1 << i for i in model.possible())
 
 
 # ---------------------------------------------------------------------------
@@ -247,23 +241,21 @@ def _rays(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _minimum_hitting_set(hits: list[int]) -> tuple[int, ...]:
-    """The fewest rays meeting every ray mask in ``hits``; ties go to the lexicographically first."""
-    # a witness's events repeat few zero masks; each candidate is tested once per mask
-    distinct = set(hits)
-    union = 0
-    for hit in distinct:
-        union |= hit
-    universe = _rays(union)
+def _minimum_hitting_set(events: GlobalEvents, column: int, zeros: int) -> tuple[int, ...]:
+    """The fewest rays of ``zeros`` whose columns cover ``column``; ties go to the lexicographically first."""
+    by_ray = events.by_ray
+    universe = [z for z, held in enumerate(by_ray) if zeros >> z & 1 and held & column]
     for size in range(1, len(universe) + 1):
         for candidate in combinations(universe, size):
-            chosen = sum(1 << i for i in candidate)
-            if all(chosen & hit for hit in distinct):
+            unhit = column
+            for z in candidate:
+                unhit &= ~by_ray[z]
+            if not unhit:
                 return candidate
     raise AssertionError("hitting-set search called with an un-hittable event")
 
 
-def _blocking_flats(scenario: Scenario, assignments: list[KSAssignment]):
+def _blocking_flats(scenario: Scenario, events: GlobalEvents):
     """Each flat of rank at most ``d - 1`` that blocks a witness, rank by rank.
 
     A flat of rank ``r + 1`` is the closure of one of rank ``r`` and a ray
@@ -277,7 +269,7 @@ def _blocking_flats(scenario: Scenario, assignments: list[KSAssignment]):
     for r in range(max_rank + 1):
         children: dict[int, tuple[list[int], list[ExactVector]]] = {}
         for flat, (spanning, normals) in layer.items():
-            blocked = next(_blocked_witnesses(scenario, assignments, flat), None)
+            blocked = next(_blocked_witnesses(events, flat), None)
             if blocked:
                 yield r, flat, normals, blocked
             # the flats covering ``flat`` partition the rays outside it, so the
@@ -320,7 +312,7 @@ class PureStateSearch(_Record):
 
 
 def find_contextual_pure_states(
-    scenario: Scenario, assignments: list[KSAssignment]
+    scenario: Scenario, assignments: GlobalEvents
 ) -> PureStateSearch:
     """Exhaust the logically contextual pure states of the scenario.
 
@@ -330,17 +322,17 @@ def find_contextual_pure_states(
     lower rank is an undetermined family.  States are sorted by witness
     and selection.
     """
+    events = GlobalEvents(assignments)
     found: list[WitnessedState] = []
     undetermined: list[UndeterminedFamily] = []
-    for r, flat, normals, blocked in _blocking_flats(scenario, assignments):
-        k, _, hits = blocked
+    for r, flat, normals, (k, column) in _blocking_flats(scenario, events):
         if r < scenario.dim - 1:
             undetermined.append(UndeterminedFamily(k, _rays(flat), scenario.dim - r))
             continue
         psi = normals[0]
-        if not is_logically_contextual(scenario, QuantumState.pure(psi), assignments):
+        if not is_logically_contextual(scenario, QuantumState.pure(psi), events):
             raise AssertionError(f"state {psi} emitted by the search failed the contextuality re-check")
-        found.append(WitnessedState(witness=k, state=psi, selection=_minimum_hitting_set(hits)))
+        found.append(WitnessedState(witness=k, state=psi, selection=_minimum_hitting_set(events, column, flat)))
     found.sort(key=lambda w: (w.witness, w.selection))
     return PureStateSearch(states=tuple(found), undetermined=tuple(undetermined))
 
@@ -385,7 +377,7 @@ class MixedAnalysisReport(_Record):
 
 
 def analyze_mixed_states(
-    scenario: Scenario, assignments: list[KSAssignment], search: PureStateSearch
+    scenario: Scenario, assignments: GlobalEvents, search: PureStateSearch
 ) -> MixedAnalysisReport:
     """Decide the mixed states by the search's undetermined families, and list the selections.
 

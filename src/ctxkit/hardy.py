@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .assignments import KSAssignment, events_containing
+from .assignments import GlobalEvents, KSAssignment
 from .contextuality import QuantumState, _blocked_witnesses, _minimum_hitting_set, possibilistic_model
 from .errors import ValidationError
 from .exact import ExactMatrix, _Record, gram_schmidt, rank1_projector, vec
@@ -50,7 +50,7 @@ class ParadoxDerivation(_Record):
 
 
 def derive_paradoxes(
-    scenario: Scenario, state: QuantumState, assignments: list[KSAssignment]
+    scenario: Scenario, state: QuantumState, assignments: GlobalEvents
 ) -> ParadoxDerivation:
     """Construct every Hardy-type paradox the state supports.
 
@@ -61,15 +61,16 @@ def derive_paradoxes(
     carries the reason instead.
     """
     zeros = sum(1 << i for i in possibilistic_model(scenario, state).impossible())
+    events = GlobalEvents(assignments)
     paradoxes = []
-    for k, _, hits in _blocked_witnesses(scenario, assignments, zeros):
+    for k, column in _blocked_witnesses(events, zeros):
         paradox = HardyParadox(
             state=state,
             witness=k,
-            zero_set=_minimum_hitting_set(hits),
+            zero_set=_minimum_hitting_set(events, column, zeros),
             sp=state.probability(scenario.rays[k].vector),
         )
-        if not replay_contradiction(scenario, assignments, paradox):
+        if not replay_contradiction(scenario, events, paradox):
             raise AssertionError("derived paradox failed the contradiction replay")
         paradoxes.append(paradox)
     if not paradoxes:
@@ -86,20 +87,25 @@ def percent(value: Fraction) -> str:
 
 
 def replay_contradiction(
-    scenario: Scenario, assignments: list[KSAssignment], paradox: HardyParadox
+    scenario: Scenario, assignments: tuple[KSAssignment, ...], paradox: HardyParadox
 ) -> bool:
     """Re-derive the inconsistency the paradox encodes.
 
     Forcing weight 0 on every global event that meets the zero set must
     force the witness marginal to 0 even though the witness is possible:
-    true iff every event containing the witness meets the zero set and the
-    witness probability is positive.
+    true iff some event holds the witness, each such event meets the zero
+    set and the witness probability is positive.  It reads each event's
+    ``mask``, never the ``by_ray`` index that :func:`derive_paradoxes` reads.
     """
     if paradox.sp <= 0:
         return False
-    zeros = sum(1 << i for i in paradox.zero_set)
-    witness_events = events_containing(scenario, assignments, paradox.witness)
-    return bool(witness_events) and all(a.mask & zeros for a in witness_events)
+    witness, zeros, held = 1 << paradox.witness, sum(1 << i for i in paradox.zero_set), False
+    for a in assignments:
+        if a.mask & witness:
+            if not a.mask & zeros:
+                return False
+            held = True
+    return held
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +292,7 @@ class ReferenceCrossCheck(_Record):
 
 
 def crosscheck_reference_observables(
-    scenario: Scenario, assignments: list[KSAssignment]
+    scenario: Scenario, assignments: tuple[KSAssignment, ...]
 ) -> ReferenceCrossCheck:
     """Replay every reference row as a paradox and flag inconsistent printings.
 

@@ -15,7 +15,10 @@ or scalars, never an ``ExactMatrix`` built by the code under test.
 ``born_model`` computes the possibilistic model afresh from the Born
 probabilities on every call, where the package keeps it on the state.
 The global-event oracles test events as bit tuples, support tuples and
-Python sets, where the package tests ``KSAssignment.mask`` with ``&``.
+Python sets, where the package reads the ``GlobalEvents.by_ray`` columns.
+``hitting_set_of_masks`` is no oracle: it hands the package's
+``_minimum_hitting_set`` one event per zero mask, for the tests that state
+hitting sets as plain masks.
 
 ``selection_search`` is the pure-state search the flat scan replaced: it
 solves the orthogonality system of every pick of one non-witness ray per
@@ -45,7 +48,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
-from ctxkit.assignments import KSAssignment
+from ctxkit.assignments import GlobalEvents, KSAssignment
 from ctxkit.cli import RunConfig
 from ctxkit.contextuality import (
     ContextualityVerdict,
@@ -56,6 +59,7 @@ from ctxkit.contextuality import (
     TripleAnalysis,
     UndeterminedFamily,
     WitnessedState,
+    _minimum_hitting_set,
 )
 from ctxkit.errors import (
     DimensionMismatchError,
@@ -280,6 +284,12 @@ def minimum_hitting_set(hit_lists: list[list[int]]) -> tuple[int, ...]:
             if all(chosen.intersection(hits) for hits in hit_lists):
                 return candidate
     raise AssertionError("hitting-set search called with an un-hittable event")
+
+
+def hitting_set_of_masks(masks: list[int], width: int = 10) -> tuple[int, ...]:
+    """``_minimum_hitting_set`` on one event per zero mask, each also holding the witness ray ``width``."""
+    events = GlobalEvents(KSAssignment([mask >> i & 1 for i in range(width)] + [1]) for mask in masks)
+    return _minimum_hitting_set(events, events.by_ray[width] if events else 0, (1 << width) - 1)
 
 
 def replay_contradiction(assignments, paradox) -> bool:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxkit import (
+    GlobalEvents,
     KSAssignment,
     UnknownLabelError,
     ValidationError,
@@ -233,4 +234,30 @@ def test_uncolourable_boxes_have_no_assignments(d, m, rays):
     # closes every branch within a few bases
     s = box_scenario(d, m)
     assert len(s.rays) == rays
-    assert enumerate_assignments(s) == []
+    assert enumerate_assignments(s) == ()
+
+
+@settings(max_examples=100, deadline=None)
+@given(box_subsets())
+def test_by_ray_is_the_transpose_of_the_bits_on_box_subsets(subset):
+    s = box_scenario(*subset)
+    events = enumerate_assignments(s)
+    n = len(s.rays)
+    # with no events there are no columns to read
+    columns = tuple(sum(1 << j for j, a in enumerate(events) if a.bits[i]) for i in range(n)) if events else ()
+    assert events.by_ray == columns
+    for given_events in (events, list(events)):
+        for i in range(n):
+            assert events_containing(s, given_events, i) == [a for a in events if a.mask >> i & 1]
+
+
+def test_by_ray_is_built_on_first_use(yu_oh):
+    events = enumerate_assignments(yu_oh)
+    assert isinstance(events, GlobalEvents)
+    assert "by_ray" not in vars(events)
+    column = events.by_ray[yu_oh.ray_index("vA")]
+    assert vars(events)["by_ray"] is events.by_ray
+    held = [a for j, a in enumerate(events) if column >> j & 1]
+    assert [support_labels(yu_oh, a) for a in held] == GLOBAL_EVENT_SETS["vA"]
+    assert GlobalEvents(events) is events
+    assert GlobalEvents(list(events)) == events and "by_ray" not in vars(GlobalEvents(list(events)))

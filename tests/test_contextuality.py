@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, compress
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +20,7 @@ from ctxkit import (
     ExactMatrix,
     ExactScalar,
     ExactVector,
+    GlobalEvents,
     HardyParadox,
     InvalidDensityError,
     ParseError,
@@ -50,7 +51,6 @@ from ctxkit import (
     vec,
 )
 from ctxkit.contextuality import _blocked_witnesses
-from ctxkit.hardy import _minimum_hitting_set
 from ctxkit.scenario import Ray
 from test_assignments import box_scenario, box_subsets
 
@@ -257,13 +257,14 @@ def test_mask_event_tests_match_oracles_on_box_subsets(subset, data):
 
 
 def assert_blocked_witnesses_match_the_oracle(scenario, assignments, zeros):
-    """The one-pass scan on the zero mask ``zeros`` equals the per-ray scan on the model it gives."""
+    """The column scan on the zero mask ``zeros`` equals the per-ray scan on the model it gives."""
     n = len(scenario.rays)
     model = PossibilisticModel(tuple(0 if zeros >> i & 1 else 1 for i in range(n)))
-    got = [
-        (k, events, [{i for i in range(n) if hit >> i & 1} for hit in hits])
-        for k, events, hits in _blocked_witnesses(scenario, assignments, zeros)
-    ]
+    events = GlobalEvents(assignments)
+    got = []
+    for k, column in _blocked_witnesses(events, zeros):
+        held = list(compress(events, (column >> j & 1 for j in range(len(events)))))
+        got.append((k, held, [{i for i in range(n) if (e.mask & zeros) >> i & 1} for e in held]))
     want = [(k, events, [set(hit) for hit in hits]) for k, events, hits in oracles.blocked_witnesses(model, assignments)]
     assert got == want
 
@@ -302,9 +303,9 @@ def test_minimum_hitting_set_matches_the_set_oracle(masks):
     hit_lists = [[i for i in range(10) if mask >> i & 1] for mask in masks]
     if not masks or 0 in masks:
         with pytest.raises(AssertionError):
-            _minimum_hitting_set(masks)
+            oracles.hitting_set_of_masks(masks)
         return
-    assert _minimum_hitting_set(masks) == oracles.minimum_hitting_set(hit_lists)
+    assert oracles.hitting_set_of_masks(masks) == oracles.minimum_hitting_set(hit_lists)
 
 
 # --- zero-sets of mixtures ---------------------------------------------------

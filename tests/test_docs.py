@@ -1,9 +1,10 @@
-"""The README's library example and the table script, run as a user runs them."""
+"""The README's library example and the scripts, run as a user runs them."""
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import os
 import re
@@ -37,3 +38,22 @@ def test_reproduce_tables_prints_the_golden_report(fmt):
     result = subprocess.run([sys.executable, script, *args], capture_output=True, env=env)
     assert result.returncode == 0, result.stderr
     assert hashlib.sha256(result.stdout).hexdigest() == GOLDEN["report", fmt]
+
+
+def test_bench_pairs_counts_a_win_in_each_metric_direction():
+    spec = importlib.util.spec_from_file_location("bench_pairs", os.path.join(ROOT, "scripts", "bench_pairs.py"))
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    metrics = [{"name": "latency_p50_s", "better": "lower"}, {"name": "ops_per_s", "better": "higher"}]
+    pairs = [
+        {"parent": {"latency_p50_s": 2.0, "ops_per_s": 10.0}, "change": {"latency_p50_s": 1.0, "ops_per_s": 10.0}},
+        {"parent": {"latency_p50_s": 2.0, "ops_per_s": 10.0}, "change": {"latency_p50_s": 3.0, "ops_per_s": 12.0}},
+        {"parent": {"latency_p50_s": 4.0, "ops_per_s": 8.0}, "change": {"latency_p50_s": 1.0, "ops_per_s": 9.0}},
+    ]
+    summary = bench_pairs.summary(pairs, metrics)
+    assert summary["change_wins"] == {"latency_p50_s": 2, "ops_per_s": 2}  # a tie counts for neither side
+    assert summary["median"] == {
+        "parent": {"latency_p50_s": 2.0, "ops_per_s": 10.0},
+        "change": {"latency_p50_s": 1.0, "ops_per_s": 10.0},
+    }
+    assert summary["pairs"] == 3

@@ -9,8 +9,10 @@ from math import gcd
 import pytest
 
 import ctxkit.hardy
+import oracles
 from ctxkit import (
     ExactMatrix,
+    GlobalEvents,
     HardyParadox,
     LinearDependenceError,
     QuantumState,
@@ -25,10 +27,11 @@ from ctxkit import (
     load_scenario,
     rank1_projector,
     replay_contradiction,
+    support_labels,
     vec,
     verify_observable,
 )
-from ctxkit.hardy import REFERENCE_OBSERVABLES, ReferenceRow, _minimum_hitting_set, percent
+from ctxkit.hardy import REFERENCE_OBSERVABLES, ReferenceRow, percent
 
 # (state, witness, zero set) for the twelve paradoxes of the bundled scenario
 EXPECTED_PARADOXES = {
@@ -158,10 +161,23 @@ def test_replay_contradiction(yu_oh, yu_oh_assignments):
 
 
 def test_minimum_hitting_set_prefers_small_then_lexicographic():
-    # each hit is a ray mask: bit i stands for ray i
-    assert _minimum_hitting_set([0b1100, 0b11000]) == (3,)
-    assert _minimum_hitting_set([0b110, 0b1000]) == (1, 3)
-    assert _minimum_hitting_set([1 << 5, 1 << 7]) == (5, 7)
+    # one event per mask, bit i standing for zero ray i
+    assert oracles.hitting_set_of_masks([0b1100, 0b11000]) == (3,)
+    assert oracles.hitting_set_of_masks([0b110, 0b1000]) == (1, 3)
+    assert oracles.hitting_set_of_masks([1 << 5, 1 << 7]) == (5, 7)
+
+
+def test_replay_is_independent_of_the_event_index(yu_oh, yu_oh_assignments):
+    # vA's events are {v1,v5,v6,vA}, {v2,v6,v7,vA} and {v3,v5,v7,vA}; with the second
+    # cleared from vA's column the columns give the zero set (v5,), which misses that
+    # event, and the replay over the events themselves must reject it
+    events = GlobalEvents(list(yu_oh_assignments))
+    by_ray = list(yu_oh_assignments.by_ray)
+    dropped = next(j for j, a in enumerate(events) if support_labels(yu_oh, a) == ("v2", "v6", "v7", "vA"))
+    by_ray[yu_oh.ray_index("vA")] &= ~(1 << dropped)
+    vars(events)["by_ray"] = tuple(by_ray)
+    with pytest.raises(AssertionError, match="^derived paradox failed the contradiction replay$"):
+        paradoxes_for(yu_oh, events, (1, 1, 1))
 
 
 # --- witness observables -----------------------------------------------------
