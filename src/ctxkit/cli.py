@@ -3,10 +3,12 @@
 Every command loads a scenario (a file path or the name of a bundled
 scenario such as ``yu-oh``) and writes a deterministic text or JSON
 report to stdout or ``--out``.  Each run builds one cached analysis of
-the scenario (:class:`_Analysis`), whose pipeline stages are computed on
-first use and then kept, so no stage runs twice in one command.  Every
-command turns that analysis into one document (:func:`_command`); the
-JSON output is the document and the text output is rendered from it.
+the scenario (:class:`_Analysis`) that reads the parsed arguments, with
+the defaults :func:`_build_parser` gives; its pipeline stages are
+computed on first use and then kept, so no stage runs twice in one
+command.  Every command turns that analysis into one document
+(:func:`_command`); the JSON output is the document and the text output
+is rendered from it.
 
 Exit codes (also in ``--help``): 0 success, 2 parse/usage error, 3
 validation error, 4 unknown ray label, 5 I/O error, 1 anything else.
@@ -35,7 +37,7 @@ from .contextuality import (
     parse_state,
 )
 from .errors import CtxkitError, UnknownLabelError, ValidationError
-from .exact import ExactMatrix, _Record, parse_scalar, rank1_projector
+from .exact import ExactMatrix, parse_scalar, rank1_projector
 from .hardy import (
     HardyParadox,
     ObservableVerification,
@@ -70,33 +72,6 @@ exit codes:
 """
 
 
-class RunConfig(_Record):
-    """One CLI invocation, fully resolved."""
-
-    __slots__ = _fields = (
-        "command",
-        "scenario_path",
-        "state_spec",
-        "density_path",
-        "fmt",
-        "seed",
-        "shots",
-        "out_path",
-        "eigenvalues",
-        "witness",
-    )
-    _defaults = {
-        "state_spec": None,
-        "density_path": None,
-        "fmt": "text",
-        "seed": 0,
-        "shots": 100_000,
-        "out_path": None,
-        "eigenvalues": (Fraction(1), Fraction(2), Fraction(3)),
-        "witness": None,
-    }
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ctxkit",
@@ -104,6 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog=_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
+    # report has no --state option: it derives the paradoxes of every contextual pure state
+    parser.set_defaults(state=None, density=None)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (options, _) in _COMMANDS.items():
         p = sub.add_parser(name, epilog=_EPILOG, formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -116,6 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if "eigenvalues" in options:
             p.add_argument(
                 "--eigenvalues",
+                type=_parse_eigenvalues,
                 default="1,2,3",
                 help="three distinct rationals, e.g. 1,2,3 (write --eigenvalues=-1,0,1 for a leading minus)",
             )
@@ -138,30 +116,30 @@ def _parse_eigenvalues(text: str) -> tuple[Fraction, Fraction, Fraction]:
     return eigs  # type: ignore[return-value]
 
 
-def _load_scenario(config: RunConfig) -> Scenario:
-    if os.path.exists(config.scenario_path):
-        return load_scenario_path(config.scenario_path)
-    if config.scenario_path in bundled_scenario_names():
-        return load_bundled(config.scenario_path)
-    raise FileNotFoundError(f"scenario file not found: {config.scenario_path}")
+def _load_scenario(path: str) -> Scenario:
+    if os.path.exists(path):
+        return load_scenario_path(path)
+    if path in bundled_scenario_names():
+        return load_bundled(path)
+    raise FileNotFoundError(f"scenario file not found: {path}")
 
 
 class _Analysis:
-    """The pipeline of one run; each stage is computed on first use, then kept."""
+    """The pipeline of one run on its parsed arguments; each stage is computed on first use, then kept."""
 
-    def __init__(self, config: RunConfig, scenario: Scenario):
-        self.config = config
+    def __init__(self, args: argparse.Namespace, scenario: Scenario):
+        self.args = args
         self.scenario = scenario
 
     @cached_property
     def state(self) -> QuantumState:
-        config, scenario = self.config, self.scenario
-        if config.state_spec is not None and config.density_path is not None:
+        args, scenario = self.args, self.scenario
+        if args.state is not None and args.density is not None:
             raise ValidationError("--state and --density are mutually exclusive")
-        if config.state_spec is not None:
-            return parse_state(config.state_spec, scenario.dim, scenario.field)
-        if config.density_path is not None:
-            return parse_density(_read_text(config.density_path), scenario.dim, scenario.field)
+        if args.state is not None:
+            return parse_state(args.state, scenario.dim, scenario.field)
+        if args.density is not None:
+            return parse_density(_read_text(args.density), scenario.dim, scenario.field)
         raise ValidationError("a state is required: pass --state or --density")
 
     @cached_property
@@ -188,7 +166,7 @@ class _Analysis:
     @cached_property
     def derivations(self) -> list[ParadoxDerivation]:
         """One derivation for the given state, or one per contextual pure state."""
-        if self.config.state_spec is None and self.config.density_path is None:
+        if self.args.state is None and self.args.density is None:
             states = [QuantumState.pure(w.state) for w in self.search.states]
         else:
             states = [self.state]
@@ -216,7 +194,7 @@ class _Analysis:
         out = []
         for idx, paradox in self.numbered:
             try:
-                observable = build_witness_observable(self.scenario, paradox, self.config.eigenvalues)
+                observable = build_witness_observable(self.scenario, paradox, self.args.eigenvalues)
             except ValidationError as exc:
                 out.append((idx, paradox, None, str(exc)))
                 continue
@@ -232,13 +210,13 @@ class _Analysis:
             return None
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit status."""
-    scenario = _load_scenario(config)
-    _, handler = _COMMANDS[config.command]
-    output = handler(config, scenario)
-    if config.out_path is not None:
-        with open(config.out_path, "w", encoding="utf-8") as f:
+def run(args: argparse.Namespace) -> int:
+    """Execute the command of the parsed arguments; returns the process exit status."""
+    scenario = _load_scenario(args.scenario)
+    _, handler = _COMMANDS[args.command]
+    output = handler(args, scenario)
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8") as f:
             f.write(output)
     else:
         sys.stdout.write(output)
@@ -252,20 +230,20 @@ _COMMANDS: dict[str, tuple] = {}
 def _command(*options: str):
     """Register ``_cmd_NAME``, which gives its document's sections, as the command NAME.
 
-    The registered handler ``(config, scenario) -> output`` builds the
+    The registered handler ``(args, scenario) -> output`` builds the
     document, the common schema/command/scenario envelope plus the
     sections, and returns it as JSON or as its text rendering.
     """
 
     def register(sections):
-        def handler(config: RunConfig, scenario: Scenario) -> str:
+        def handler(args: argparse.Namespace, scenario: Scenario) -> str:
             document = {
                 "schema": rp.SCHEMA,
-                "command": config.command,
+                "command": args.command,
                 "scenario": rp.scenario_json(scenario),
-                **sections(_Analysis(config, scenario)),
+                **sections(_Analysis(args, scenario)),
             }
-            return rp.render_json(document) if config.fmt == "json" else rp.render_text(document)
+            return rp.render_json(document) if args.fmt == "json" else rp.render_text(document)
 
         _COMMANDS[sections.__name__.removeprefix("_cmd_")] = (options, handler)
         return handler
@@ -308,22 +286,22 @@ def _cmd_observables(a: _Analysis) -> dict:
 
 @_command("state", "eigenvalues", "witness", "seed", "shots")
 def _cmd_simulate(a: _Analysis) -> dict:
-    scenario, config, state = a.scenario, a.config, a.state
-    witness_idx = scenario.ray_index(config.witness)
+    scenario, args, state = a.scenario, a.args, a.state
+    witness_idx = scenario.ray_index(args.witness)
     (derivation,) = a.derivations
     paradox = next((p for p in derivation.paradoxes if p.witness == witness_idx), None)
     if paradox is None:
-        detail = derivation.reason or f"no paradox with witness {config.witness!r} for this state"
+        detail = derivation.reason or f"no paradox with witness {args.witness!r} for this state"
         raise ValidationError(detail)
-    observable = build_witness_observable(scenario, paradox, config.eigenvalues)
+    observable = build_witness_observable(scenario, paradox, args.eigenvalues)
     witness_proj = rank1_projector(scenario.rays[witness_idx].vector)
     rest = ExactMatrix.identity(scenario.dim) - witness_proj
-    witness_sim = simulate_measurement(state, [witness_proj, rest], config.shots, config.seed)
-    observable_sim = simulate_measurement(state, list(observable.projectors), config.shots, config.seed)
+    witness_sim = simulate_measurement(state, [witness_proj, rest], args.shots, args.seed)
+    observable_sim = simulate_measurement(state, list(observable.projectors), args.shots, args.seed)
     outcome_names = [f"a{i}={e}" for i, e in enumerate(observable.eigenvalues, start=1)]
     return {
         "paradox": rp.paradox_json(scenario, 1, paradox),
-        "witness_measurement": rp.simulation_json([config.witness, "complement"], witness_sim),
+        "witness_measurement": rp.simulation_json([args.witness, "complement"], witness_sim),
         "observable_measurement": rp.simulation_json(outcome_names, observable_sim),
     }
 
@@ -335,7 +313,7 @@ def _cmd_report(a: _Analysis) -> dict:
     if not observables["skipped"]:
         del observables["skipped"]  # absent when nothing is skipped, as in every yu-oh report
     return {
-        "seed": a.config.seed,
+        "seed": a.args.seed,
         "contexts": rp.contexts_json(scenario, a.complement_check),
         "assignments": rp.assignments_json(scenario, a.assignments),
         "global_events": rp.global_events_json(scenario, a.assignments, a.basis_free_rays),
@@ -352,26 +330,14 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.reconfigure(encoding="utf-8")
     except AttributeError:
         pass
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = RunConfig(
-            command=args.command,
-            scenario_path=args.scenario,
-            state_spec=getattr(args, "state", None),
-            density_path=getattr(args, "density", None),
-            fmt=args.fmt,
-            seed=getattr(args, "seed", 0),
-            shots=getattr(args, "shots", 100_000),
-            out_path=args.out,
-            eigenvalues=_parse_eigenvalues(getattr(args, "eigenvalues", "1,2,3")),
-            witness=getattr(args, "witness", None),
-        )
-        if config.seed < 0 or config.seed > (1 << 64) - 1:
+        # argparse parses --eigenvalues, so an eigenvalue error maps to its exit code here
+        args = _build_parser().parse_args(argv)
+        if "seed" in args and not 0 <= args.seed <= (1 << 64) - 1:
             raise ValidationError("seed must fit in 64 unsigned bits")
-        if config.shots < 0:
+        if "shots" in args and args.shots < 0:
             raise ValidationError("shots must be non-negative")
-        return run(config)
+        return run(args)
     except CtxkitError as exc:
         print(f"ctxkit: error: {exc}", file=sys.stderr)
         return exc.exit_code

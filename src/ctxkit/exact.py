@@ -35,6 +35,7 @@ import re
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import gcd, lcm
 from operator import attrgetter
 
@@ -684,6 +685,29 @@ def rank1_projector(v: ExactVector) -> ExactMatrix:
         sum(a * a + b * b for a, b in z),
         tuple((a * c + b * d, b * c - a * d) for a, b in z for c, d in z),
     )
+
+
+def projector_failures(projectors: Sequence[ExactMatrix], dim: int, rank_one: bool = False) -> list[str]:
+    """The conditions of a projective measurement that ``projectors`` fail, by name: each
+    ``Pk`` a ``dim`` x ``dim`` Hermitian idempotent (of trace 1 if ``rank_one``), each
+    ``Pa*Pb = 0``, the sum I.  A wrong shape is reported alone, as products need the shape."""
+    names = [f"P{k}" for k in range(1, len(projectors) + 1)]
+    failures = [f"{name} is {dim}x{dim}" for name, p in zip(names, projectors) if (p.rows, p.cols) != (dim, dim)]
+    if failures:
+        return failures
+    for name, p in zip(names, projectors):
+        if not p.is_hermitian():
+            failures.append(f"{name} hermitian")
+        if p @ p != p:
+            failures.append(f"{name} idempotent")
+        if rank_one and p.trace().as_fraction() != 1:
+            failures.append(f"tr({name}) = 1")
+    for (a, p), (b, q) in combinations(zip(names, projectors), 2):
+        if not (p @ q).is_zero:
+            failures.append(f"{a}*{b} = 0")
+    if sum(projectors[1:], projectors[0]) != ExactMatrix.identity(dim):
+        failures.append("+".join(names) + " = I")
+    return failures
 
 
 def validate_density(rho: ExactMatrix):

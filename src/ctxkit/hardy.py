@@ -27,12 +27,11 @@ the row's own state) are reported as errata rather than matched.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 from .assignments import GlobalEvents, KSAssignment
 from .contextuality import QuantumState, _blocked_witnesses, _minimum_hitting_set, possibilistic_model
 from .errors import ValidationError
-from .exact import ExactMatrix, _Record, gram_schmidt, rank1_projector, vec
+from .exact import ExactMatrix, _Record, gram_schmidt, projector_failures, rank1_projector, vec
 from .scenario import Scenario
 
 
@@ -70,7 +69,7 @@ def derive_paradoxes(
             zero_set=_minimum_hitting_set(events, column, zeros),
             sp=state.probability(scenario.rays[k].vector),
         )
-        if not replay_contradiction(scenario, events, paradox):
+        if not replay_contradiction(events, paradox):
             raise AssertionError("derived paradox failed the contradiction replay")
         paradoxes.append(paradox)
     if not paradoxes:
@@ -86,9 +85,7 @@ def percent(value: Fraction) -> str:
     return f"{float(value) * 100:.3g}%"
 
 
-def replay_contradiction(
-    scenario: Scenario, assignments: tuple[KSAssignment, ...], paradox: HardyParadox
-) -> bool:
+def replay_contradiction(assignments: tuple[KSAssignment, ...], paradox: HardyParadox) -> bool:
     """Re-derive the inconsistency the paradox encodes.
 
     Forcing weight 0 on every global event that meets the zero set must
@@ -168,26 +165,14 @@ class ObservableVerification(_Record):
 
 
 def _measurement_failures(state: QuantumState, projectors: tuple[ExactMatrix, ...]) -> list[str]:
-    """The witness-measurement conditions the projectors fail, by name: rank-1,
-    pairwise orthogonal, summing to I, outcome probabilities (0, ..., 0, 1)."""
-    names = [f"P{k}" for k in range(1, len(projectors) + 1)]
-    failures = []
-    for name, p in zip(names, projectors):
-        if not p.is_hermitian():
-            failures.append(f"{name} hermitian")
-        if p @ p != p:
-            failures.append(f"{name} idempotent")
-        if p.trace().as_fraction() != 1:
-            failures.append(f"tr({name}) = 1")
-    for (a, p), (b, q) in combinations(zip(names, projectors), 2):
-        if not (p @ q).is_zero:
-            failures.append(f"{a}*{b} = 0")
-    if sum(projectors[1:], projectors[0]) != ExactMatrix.identity(state.dim):
-        failures.append("+".join(names) + " = I")
-    for name, p in zip(names, projectors):
-        expected = int(name == names[-1])
+    """The witness-measurement conditions the projectors fail, by name: the
+    rank-1 projector algebra of :func:`projector_failures`, then outcome
+    probabilities (0, ..., 0, 1)."""
+    failures = projector_failures(projectors, state.dim, rank_one=True)
+    for k, p in enumerate(projectors, start=1):
+        expected = int(k == len(projectors))
         if (state.rho @ p).trace().as_fraction() != expected:
-            failures.append(f"tr(rho*{name}) = {expected}")
+            failures.append(f"tr(rho*P{k}) = {expected}")
     return failures
 
 
@@ -312,7 +297,7 @@ def crosscheck_reference_observables(
         zeros = tuple(sorted(scenario.ray_index(z) for z in ref.zeros))
         paradox = HardyParadox(state, witness, zeros, state.probability(scenario.rays[witness].vector))
         if any(state.probability(scenario.rays[z].vector) != 0 for z in zeros) or not replay_contradiction(
-            scenario, assignments, paradox
+            assignments, paradox
         ):
             raise ValidationError(
                 f"reference row {ref.row} has no matching paradox; "

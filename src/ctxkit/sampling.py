@@ -1,8 +1,10 @@
 """Seeded Born-rule measurement simulation.
 
-Outcome probabilities are computed exactly as ``tr(rho P_i)``; floating
-point enters only in the sampler's inverse-CDF step.  The pseudo-random
-generator is pinned for bit-reproducible counts across platforms:
+Outcome probabilities are computed exactly as ``tr(rho P_i)`` for projectors
+that pass :func:`ctxkit.exact.projector_failures`, the check the witness
+observables pass; floating point enters only in the sampler's inverse-CDF
+step.  The pseudo-random generator is pinned for bit-reproducible counts
+across platforms:
 
 * state seeding: four rounds of **splitmix64** applied to the 64-bit seed;
 * stream: **xoshiro256\\*\\*** (Blackman-Vigna, version 1.0), with doubles
@@ -28,7 +30,7 @@ from math import ceil, sqrt
 
 from .contextuality import QuantumState
 from .errors import ValidationError
-from .exact import ExactMatrix, _Record
+from .exact import ExactMatrix, _Record, projector_failures
 
 _MASK64 = (1 << 64) - 1
 
@@ -84,24 +86,6 @@ class SimulationResult(_Record):
     __slots__ = _fields = ("shots", "seed", "counts", "frequencies", "probabilities", "std_errors")
 
 
-def _validate_projectors(projectors: list[ExactMatrix], dim: int):
-    for idx, p in enumerate(projectors, start=1):
-        if p.rows != dim or p.cols != dim:
-            raise ValidationError(f"projector {idx} has the wrong shape")
-        if not p.is_hermitian() or p @ p != p:
-            raise ValidationError(f"projector {idx} is not an orthogonal projector")
-    for i in range(len(projectors)):
-        for j in range(i + 1, len(projectors)):
-            prod = projectors[i] @ projectors[j]
-            if not prod.is_zero:
-                raise ValidationError(f"projectors {i + 1} and {j + 1} are not orthogonal")
-    total = projectors[0]
-    for p in projectors[1:]:
-        total = total + p
-    if total != ExactMatrix.identity(dim):
-        raise ValidationError("projectors must sum to the identity")
-
-
 def _draw_counts(probabilities: tuple[Fraction, ...], shots: int, seed: int) -> list[int]:
     """Outcome counts of ``shots`` inverse-CDF draws from the stream of ``seed``.
 
@@ -128,7 +112,9 @@ def simulate_measurement(
 ) -> SimulationResult:
     """Draw ``shots`` outcomes of the projective measurement under ``state``.
 
-    The projectors must be mutually orthogonal and sum to the identity.
+    The projectors must pass :func:`ctxkit.exact.projector_failures`, the
+    check the witness observables pass; the first failure is named in the
+    raised :class:`ValidationError`.
     Sampling is inverse-CDF over the exact outcome probabilities with one
     xoshiro256** stream per call, so counts are a pure function of
     (state, projectors, shots, seed).
@@ -137,7 +123,9 @@ def simulate_measurement(
         raise ValidationError("shots must be non-negative")
     if not projectors:
         raise ValidationError("at least one projector is required")
-    _validate_projectors(projectors, state.dim)
+    failures = projector_failures(projectors, state.dim)
+    if failures:
+        raise ValidationError(f"the projectors fail the condition {failures[0]}")
     probabilities = tuple((state.rho @ p).trace().as_fraction() for p in projectors)
     if sum(probabilities) != 1:
         raise AssertionError("exact outcome probabilities must sum to 1")

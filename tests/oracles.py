@@ -49,7 +49,6 @@ from itertools import combinations, product
 from typing import Sequence
 
 from ctxkit.assignments import GlobalEvents, KSAssignment
-from ctxkit.cli import RunConfig
 from ctxkit.contextuality import (
     ContextualityVerdict,
     MixedAnalysisReport,
@@ -445,18 +444,6 @@ RECORD_FIELDS: dict[type, tuple] = {
     RowCrossCheck: ("reference", "derived", "consistent", "failures", "matches"),
     ReferenceCrossCheck: ("rows", "errata"),
     SimulationResult: ("shots", "seed", "counts", "frequencies", "probabilities", "std_errors"),
-    RunConfig: (
-        "command",
-        "scenario_path",
-        ("state_spec", {"default": None}),
-        ("density_path", {"default": None}),
-        ("fmt", {"default": "text"}),
-        ("seed", {"default": 0}),
-        ("shots", {"default": 100_000}),
-        ("out_path", {"default": None}),
-        ("eigenvalues", {"default": (Fraction(1), Fraction(2), Fraction(3))}),
-        ("witness", {"default": None}),
-    ),
 }
 
 

@@ -34,7 +34,7 @@ from ctxkit import (
     verify_assignment,
     verify_observable,
 )
-from ctxkit.cli import RunConfig, _cmd_report
+from ctxkit.cli import _build_parser, _cmd_report
 
 from test_assignments import EXPECTED_SUPPORTS, GLOBAL_EVENT_SETS
 from test_hardy import EXPECTED_PARADOXES
@@ -168,11 +168,11 @@ def test_criterion_09_simulation(yu_oh, yu_oh_assignments):
 
 
 def test_criterion_10_report_determinism():
-    config = RunConfig(command="report", scenario_path="yu-oh", fmt="json", seed=0)
+    args = _build_parser().parse_args(["report", "--scenario", "yu-oh", "--format", "json", "--seed", "0"])
     from ctxkit.scenario import load_bundled
 
-    first = _cmd_report(config, load_bundled("yu-oh"))
-    second = _cmd_report(config, load_bundled("yu-oh"))
+    first = _cmd_report(args, load_bundled("yu-oh"))
+    second = _cmd_report(args, load_bundled("yu-oh"))
     assert first == second
     assert first.encode("utf-8") == second.encode("utf-8")
     _passed(10, "report generation is byte-identical across runs")

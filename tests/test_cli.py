@@ -451,6 +451,20 @@ def test_missing_state_exits_3():
     assert result.returncode == 3
 
 
+def test_every_option_default_is_the_documented_value(tmp_path, capsys):
+    def output(*argv):
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
+        return (tmp_path / "out").read_bytes()
+
+    simulate = ("simulate", "--scenario", "yu-oh", "--state", "1,1,1", "--witness", "vA")
+    assert output(*simulate) == output(*simulate, "--shots", "100000", "--seed", "0")
+    observables = ("observables", "--scenario", "yu-oh", "--state", "1,1,1")
+    assert output(*observables) == output(*observables, "--eigenvalues", "1,2,3")
+    assert json.loads(output("report", "--scenario", "yu-oh", "--format", "json"))["seed"] == 0
+    assert cli.main(["report", "--scenario", "yu-oh", "--seed", "-1"]) == 3
+    assert capsys.readouterr().err == "ctxkit: error: seed must fit in 64 unsigned bits\n"
+
+
 def test_options_are_accepted_only_where_they_act():
     assert run_cli("contexts", "--scenario", "yu-oh", "--shots", "5").returncode == 2
     assert run_cli("check", "--scenario", "yu-oh", "--state", "1,1,1", "--seed", "1").returncode == 2

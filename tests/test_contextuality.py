@@ -212,7 +212,7 @@ def assert_event_tests_match_oracles(scenario, assignments, state):
     claims = [HardyParadox(p.state, p.witness, z, p.sp) for p in paradoxes for z in (p.zero_set, p.zero_set[1:], p.zero_set[:-1])]
     claims += [HardyParadox(state, k, impossible, state.probability(r.vector)) for k, r in enumerate(scenario.rays)]
     for claim in claims:
-        assert replay_contradiction(scenario, assignments, claim) == oracles.replay_contradiction(assignments, claim)
+        assert replay_contradiction(assignments, claim) == oracles.replay_contradiction(assignments, claim)
 
 
 def test_empty_event_makes_a_state_orthogonal_to_every_ray_non_contextual():

@@ -148,7 +148,7 @@ def test_paradoxes_exist_iff_state_is_contextual(yu_oh, yu_oh_assignments):
 
 def test_replay_contradiction(yu_oh, yu_oh_assignments):
     for p in all_twelve(yu_oh, yu_oh_assignments):
-        assert replay_contradiction(yu_oh, yu_oh_assignments, p)
+        assert replay_contradiction(yu_oh_assignments, p)
     # dropping one zero ray leaves an unblocked event, so the replay fails
     genuine = paradoxes_for(yu_oh, yu_oh_assignments, (1, 1, 1)).paradoxes[0]
     broken = HardyParadox(
@@ -157,7 +157,7 @@ def test_replay_contradiction(yu_oh, yu_oh_assignments):
         zero_set=genuine.zero_set[:1],
         sp=genuine.sp,
     )
-    assert not replay_contradiction(yu_oh, yu_oh_assignments, broken)
+    assert not replay_contradiction(yu_oh_assignments, broken)
 
 
 def test_minimum_hitting_set_prefers_small_then_lexicographic():
@@ -360,7 +360,7 @@ def test_each_reference_row_is_the_only_replaying_pair_of_its_witness(yu_oh, yu_
             zeros
             for size in (0, 1, 2)
             for zeros in combinations(impossible, size)
-            if replay_contradiction(yu_oh, yu_oh_assignments, HardyParadox(state, witness, zeros, sp))
+            if replay_contradiction(yu_oh_assignments, HardyParadox(state, witness, zeros, sp))
         ]
         assert replaying == [tuple(sorted(yu_oh.ray_index(z) for z in ref.zeros))], ref.row
 

@@ -155,6 +155,24 @@ def diagonal(entries) -> ExactMatrix:
     return ExactMatrix.from_rows([[entries[i] if i == j else 0 for j in range(k)] for i in range(k)])
 
 
+@pytest.mark.parametrize(
+    "projectors, condition",
+    [
+        ([ExactMatrix.identity(2)], "P1 is 3x3"),
+        ([ExactMatrix.from_rows([[1, 1, 0], [0, 0, 0], [0, 0, 0]]), diagonal([0, 1, 1])], "P1 hermitian"),
+        ([diagonal([2, 0, 0]), diagonal([0, 1, 1])], "P1 idempotent"),
+        ([diagonal([1, 0, 0]), diagonal([1, 1, 0]), diagonal([0, 0, 1])], "P1*P2 = 0"),
+        ([diagonal([1, 0, 0]), diagonal([0, 1, 0])], "P1+P2 = I"),
+    ],
+    ids=["shape", "hermitian", "idempotent", "orthogonal", "complete"],
+)
+def test_simulate_names_the_first_failed_projector_condition(projectors, condition):
+    state = QuantumState.pure(vec(1, 0, 0))
+    with pytest.raises(ValidationError) as caught:
+        simulate_measurement(state, projectors, shots=10, seed=0)
+    assert str(caught.value) == f"the projectors fail the condition {condition}"
+
+
 # 0, small weights and weights 10^25 times larger: their tiny shares make float
 # cumulatives equal each other, 0 or 1
 WEIGHTS = st.one_of(st.just(0), st.integers(1, 9), st.integers(10**25, 10**30))
