@@ -8,8 +8,9 @@ A KS-assignment is a 0/1 labelling of the rays such that
 Deficient contexts automatically carry at most one label 1 by (O).  The
 support of an assignment is its set of label-1 rays; supports double as
 the "global event" sets of the contextuality analysis, as the int ``mask``
-(bit i set iff ray i is labelled 1) and, transposed, as one int per ray
-over the events: ``by_ray`` of the :class:`GlobalEvents` the enumerators return.
+(bit i set iff ray i is labelled 1), transposed, as one int per ray
+over the events: ``by_ray`` of the :class:`GlobalEvents` the enumerators return,
+and packed, as one int of every event's ``mask``: its ``rows``.
 
 Two independent enumerators are provided.  The default searches basis
 by basis on ray bitmasks, honouring (O) and (C) along the way.  The
@@ -68,7 +69,8 @@ class KSAssignment(_Record):
 
 class GlobalEvents(tuple):
     """The KS-assignments in order; bit j of ``by_ray[i]`` is set iff event j holds ray i.
-    ``by_ray`` is kept from first use, on a tuple so that no event changes under it; wrapping one returns it."""
+    ``by_ray`` and ``rows`` are kept from first use, on a tuple so that no event changes under them;
+    wrapping one returns it."""
 
     def __new__(cls, events: Iterable[KSAssignment] = ()):
         return events if type(events) is cls else super().__new__(cls, events)
@@ -79,6 +81,17 @@ class GlobalEvents(tuple):
         # event j's bits as the digits j * n .. j * n + n - 1, so ray i's column is every n-th digit from i
         flat = bytes(chain.from_iterable(a.bits for a in self)).translate(bytes.maketrans(b"\0\1", b"01"))
         return tuple(int(flat[i::n][::-1], 2) for i in range(n))
+
+    @cached_property
+    def rows(self) -> tuple[int, int, int]:
+        """``(rows, ones, n)``: event j's ``mask`` in slot j of ``rows``, ``ones`` with bit 0 of every slot set,
+        and the ray count ``n``.  A slot has ``8 * (n // 8 + 1)`` bits, at least n + 1, so a carry out of a
+        slot's n mask bits stays in its own slot.  Built from ``mask``, never from ``by_ray``."""
+        n = len(self[0].bits) if self else 0
+        width = n // 8 + 1
+        rows = int.from_bytes(b"".join(a.mask.to_bytes(width, "little") for a in self), "little")
+        ones = int.from_bytes((b"\1" + bytes(width - 1)) * len(self), "little")
+        return rows, ones, n
 
     def missing(self, zeros: int) -> int:
         """The events that hold no ray of the ray mask ``zeros``, as a mask over the events."""

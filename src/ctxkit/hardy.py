@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .assignments import GlobalEvents, KSAssignment
+from .assignments import GlobalEvents
 from .contextuality import QuantumState, _blocked_witnesses, _minimum_hitting_set, possibilistic_model
 from .errors import ValidationError
 from .exact import ExactMatrix, _Record, gram_schmidt, projector_failures, rank1_projector, vec
@@ -85,24 +85,26 @@ def percent(value: Fraction) -> str:
     return f"{float(value) * 100:.3g}%"
 
 
-def replay_contradiction(assignments: tuple[KSAssignment, ...], paradox: HardyParadox) -> bool:
+def replay_contradiction(assignments: GlobalEvents, paradox: HardyParadox) -> bool:
     """Re-derive the inconsistency the paradox encodes.
 
     Forcing weight 0 on every global event that meets the zero set must
     force the witness marginal to 0 even though the witness is possible:
     true iff some event holds the witness, each such event meets the zero
-    set and the witness probability is positive.  It reads each event's
-    ``mask``, never the ``by_ray`` index that :func:`derive_paradoxes` reads.
+    set and the witness probability is positive.  It reads the packed
+    event masks of ``GlobalEvents.rows``, never the ``by_ray`` index that
+    :func:`derive_paradoxes` reads: one shift marks the events that hold
+    the witness, and adding 2^n - 1 to each slot's zero-set bits carries
+    into its bit n iff the event meets the zero set.
     """
-    if paradox.sp <= 0:
+    rows, ones, n = GlobalEvents(assignments).rows
+    if paradox.sp <= 0 or paradox.witness >= n:
         return False
-    witness, zeros, held = 1 << paradox.witness, sum(1 << i for i in paradox.zero_set), False
-    for a in assignments:
-        if a.mask & witness:
-            if not a.mask & zeros:
-                return False
-            held = True
-    return held
+    full = (1 << n) - 1
+    zeros = sum(1 << i for i in paradox.zero_set) & full
+    held = rows >> paradox.witness & ones
+    met = ((rows & zeros * ones) + ones * full) >> n
+    return held != 0 and held & met == held
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +278,7 @@ class ReferenceCrossCheck(_Record):
     __slots__ = _fields = ("rows", "errata")
 
 
-def crosscheck_reference_observables(
-    scenario: Scenario, assignments: tuple[KSAssignment, ...]
-) -> ReferenceCrossCheck:
+def crosscheck_reference_observables(scenario: Scenario, assignments: GlobalEvents) -> ReferenceCrossCheck:
     """Replay every reference row as a paradox and flag inconsistent printings.
 
     A row is a paradox of the scenario when its zero rays are impossible
@@ -289,6 +289,7 @@ def crosscheck_reference_observables(
     outcome probabilities (0, 0, 1) under the row's state; inconsistent
     rows are the errata.  Derived matrices are authoritative either way.
     """
+    events = GlobalEvents(assignments)
     results = []
     errata = []
     for ref in REFERENCE_OBSERVABLES:
@@ -297,7 +298,7 @@ def crosscheck_reference_observables(
         zeros = tuple(sorted(scenario.ray_index(z) for z in ref.zeros))
         paradox = HardyParadox(state, witness, zeros, state.probability(scenario.rays[witness].vector))
         if any(state.probability(scenario.rays[z].vector) != 0 for z in zeros) or not replay_contradiction(
-            assignments, paradox
+            events, paradox
         ):
             raise ValidationError(
                 f"reference row {ref.row} has no matching paradox; "

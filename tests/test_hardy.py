@@ -7,6 +7,8 @@ from itertools import combinations, product
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctxkit.hardy
 import oracles
@@ -14,6 +16,7 @@ from ctxkit import (
     ExactMatrix,
     GlobalEvents,
     HardyParadox,
+    KSAssignment,
     LinearDependenceError,
     QuantumState,
     ValidationError,
@@ -178,6 +181,52 @@ def test_replay_is_independent_of_the_event_index(yu_oh, yu_oh_assignments):
     vars(events)["by_ray"] = tuple(by_ray)
     with pytest.raises(AssertionError, match="^derived paradox failed the contradiction replay$"):
         paradoxes_for(yu_oh, events, (1, 1, 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("n", range(1, 41))
+def test_packed_replay_agrees_with_the_set_replay(n, data):
+    # a slot of n + 1 bits rounded up to bytes; n = 7, 8, 15, 16, 31, 32 and 33 put n + 1 on either side of a byte
+    masks = data.draw(st.lists(st.just(0) | st.integers(0, (1 << n) - 1), max_size=12))
+    witness = data.draw(st.integers(0, n - 1))
+    zero_set = sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=4)))
+    if zero_set and data.draw(st.booleans()):
+        # block every event that holds the witness, so that accepted replays are drawn too
+        masks = [m | 1 << data.draw(st.sampled_from(zero_set)) if m >> witness & 1 else m for m in masks]
+    sp = data.draw(st.sampled_from([Fraction(0), Fraction(1, 9), Fraction(1)]))
+    events = GlobalEvents(KSAssignment(m >> i & 1 for i in range(n)) for m in masks)
+    paradox = HardyParadox(None, witness, tuple(zero_set), sp)
+    assert replay_contradiction(events, paradox) == oracles.replay_contradiction(events, paradox)
+
+
+@pytest.mark.parametrize(
+    "masks, witness, zero_set, sp, expected",
+    [
+        ([], 0, (1,), Fraction(1, 9), False),  # no events
+        ([0b000, 0b011], 0, (1,), Fraction(1, 9), True),  # an all-zero event holds nothing
+        ([0b001], 0, (), Fraction(1, 9), False),  # an empty zero set meets no event
+        ([0b010, 0b110], 0, (1,), Fraction(1, 9), False),  # a witness in no event
+        ([0b011, 0b101], 0, (1, 2), Fraction(0), False),  # an impossible witness
+        ([0b011, 0b101], 0, (1, 2), Fraction(1, 9), True),
+        ([0b011, 0b001], 0, (1, 2), Fraction(1, 9), False),
+        # rays past the 3 of the scenario, which land in the next event's slot of 8 bits unless dropped
+        ([0b010, 0b011], 8, (1,), Fraction(1, 9), False),
+        ([0b010, 0b011], 0, (9,), Fraction(1, 9), False),
+    ],
+)
+def test_packed_replay_on_the_edge_cases(masks, witness, zero_set, sp, expected):
+    events = GlobalEvents(KSAssignment(m >> i & 1 for i in range(3)) for m in masks)
+    assert replay_contradiction(events, HardyParadox(None, witness, zero_set, sp)) is expected
+
+
+def test_replay_packs_the_masks_on_first_use_and_leaves_the_index_unbuilt(yu_oh, yu_oh_assignments):
+    events = enumerate_assignments(yu_oh)
+    assert "rows" not in vars(events)
+    fresh = GlobalEvents(list(events))
+    paradox = paradoxes_for(yu_oh, yu_oh_assignments, (1, 1, 1)).paradoxes[0]
+    assert replay_contradiction(fresh, paradox)
+    assert "rows" in vars(fresh) and "by_ray" not in vars(fresh)
 
 
 # --- witness observables -----------------------------------------------------
