@@ -30,7 +30,9 @@ verdict calls it logically contextual.
 ``ReferenceXoshiro`` steps xoshiro256** one word per call through a
 rotate helper, and ``sampled_counts`` draws one double per shot and
 bisects the float cumulatives, capping the index at the last outcome:
-the sampler the word-threshold loop replaced.
+the sampler the word-threshold lanes replaced.  ``xoshiro_charpoly``
+finds the characteristic polynomial of the state update afresh, by
+Berlekamp-Massey over 512 successive values of one state bit.
 
 ``dataclass_twin`` rebuilds a value record as the ``dataclasses`` class it
 was declared as, from the field list in ``RECORD_FIELDS``: frozen (but
@@ -390,6 +392,35 @@ class ReferenceXoshiro:
 
     def random(self) -> float:
         return (self.next_uint64() >> 11) * 2.0**-53
+
+
+def xoshiro_charpoly() -> int:
+    """The update's characteristic polynomial, bit i the coefficient of x**i.
+
+    Berlekamp-Massey over GF(2) finds the shortest recurrence of the low
+    bit of ``s0``; its 512 values pin any recurrence of length up to 256.
+    Read backwards, that recurrence divides the characteristic
+    polynomial, so it is the polynomial when its length is 256.
+    """
+    rng = ReferenceXoshiro(1)
+    bits = []
+    for _ in range(512):
+        bits.append(rng._s[0] & 1)
+        rng.next_uint64()
+    recurrence, previous, length, gap = 1, 1, 0, 1
+    for n, bit in enumerate(bits):
+        for i in range(1, length + 1):
+            bit ^= recurrence >> i & bits[n - i]
+        if not bit:
+            gap += 1
+            continue
+        update = recurrence ^ previous << gap
+        if 2 * length <= n:
+            previous, length, gap = recurrence, n + 1 - length, 1
+        else:
+            gap += 1
+        recurrence = update
+    return int(format(recurrence, f"0{length + 1}b")[::-1], 2)
 
 
 def sampled_counts(probabilities: Sequence[Fraction], shots: int, seed: int) -> tuple[int, ...]:

@@ -24,7 +24,7 @@ from ctxkit import (
     simulate_measurement,
     vec,
 )
-from ctxkit.sampling import _splitmix64
+from ctxkit.sampling import _CHARPOLY, _draw_counts, _splitmix64
 
 # first outputs of the splitmix64 reference implementation seeded with 0
 SPLITMIX64_SEED0 = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
@@ -53,7 +53,7 @@ def test_xoshiro_stream_is_pinned():
     assert list(rng.words(5)) == XOSHIRO_SEED0
 
 
-MAX_SEED = (1 << 64) - 1
+MAX_SEED = MASK64 = (1 << 64) - 1
 SEEDS = st.one_of(st.sampled_from([0, MAX_SEED]), st.integers(0, MAX_SEED))
 
 
@@ -73,6 +73,33 @@ def test_closed_words_generator_keeps_the_stream():
     words.close()
     (word,) = rng.words(1)
     assert word == stream[2]
+
+
+def test_characteristic_polynomial_is_pinned():
+    assert oracles.xoshiro_charpoly() == _CHARPOLY
+    assert _CHARPOLY.bit_length() == 257
+
+
+@pytest.mark.parametrize("jump", [0, 1, 255, 256, 257, 100_000])
+def test_jump_equals_reference_steps(jump):
+    rng = Xoshiro256StarStar(MAX_SEED)
+    rng.split(2, jump)
+    reference = oracles.ReferenceXoshiro(MAX_SEED)
+    start = list(reference._s)
+    for _ in range(jump):
+        reference.next_uint64()
+    assert [s & MASK64 for s in rng._s] == start
+    assert [s >> 72 for s in rng._s] == reference._s
+
+
+@given(SEEDS, st.sampled_from([1, 2, 4, 8]), st.integers(0, 40), st.integers(0, 40))
+def test_lanes_follow_the_reference_stream(seed, lanes, stride, n):
+    rng = Xoshiro256StarStar(seed)
+    rng.split(lanes, stride)
+    reference = oracles.ReferenceXoshiro(seed)
+    stream = [reference.next_uint64() for _ in range((lanes - 1) * stride + n)]
+    expected = [sum(stream[j * stride + t] << 72 * j for j in range(lanes)) for t in range(n)]
+    assert list(rng.words(n)) == expected
 
 
 def test_seed_range_validated():
@@ -118,6 +145,7 @@ def test_witness_frequency_golden(yu_oh, yu_oh_assignments):
     result = simulate_measurement(state, [witness, rest], shots=100_000, seed=0)
     assert result.counts == (11196, 88804)
     assert result.probabilities[0] == Fraction(1, 9)
+    assert _draw_counts((Fraction(1, 9), Fraction(8, 9)), 100_000, 0) == [11196, 88804]
 
 
 def test_certain_outcome_is_always_drawn(yu_oh, yu_oh_assignments):
@@ -229,6 +257,22 @@ def test_counts_match_the_per_draw_oracle(case):
     result = simulate_measurement(state, projectors, shots, seed)
     assert result.probabilities == tuple(probabilities)
     assert result.counts == oracles.sampled_counts(probabilities, shots, seed)
+
+
+# shots on each side of every change in the lane count (doubled while
+# lanes * 1024 <= shots, up to 256), so that each lane count runs with a full and
+# with a short last lane
+LANE_BOUNDARY_SHOTS = [2**m * 1024 + d for m in range(9) for d in (-1, 0, 1)] + [100_001]
+OUTCOME_WEIGHTS = [(1, 8), (2, 3, 4), (1, 0, 5, 3), (3, 1, 4, 1, 5)]
+LANE_SEEDS = [0, MAX_SEED, 0x3C6EF372FE94F82B]
+
+
+@pytest.mark.parametrize("i, shots", list(enumerate(LANE_BOUNDARY_SHOTS)), ids=[str(s) for s in LANE_BOUNDARY_SHOTS])
+def test_lane_draw_matches_the_per_draw_oracle_across_lane_counts(i, shots):
+    weights = OUTCOME_WEIGHTS[i % len(OUTCOME_WEIGHTS)]
+    probabilities = tuple(Fraction(w, sum(weights)) for w in weights)
+    seed = LANE_SEEDS[i % len(LANE_SEEDS)]
+    assert tuple(_draw_counts(probabilities, shots, seed)) == oracles.sampled_counts(probabilities, shots, seed)
 
 
 # SHA-256 of the script's stdout with --shots 20000 --seed 0
