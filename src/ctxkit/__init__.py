@@ -11,10 +11,8 @@ from .assignments import (
     GlobalEvents,
     KSAssignment,
     enumerate_assignments,
-    enumerate_assignments_by_basis_choices,
     events_containing,
     support_labels,
-    verify_assignment,
 )
 from .contextuality import (
     ContextualityVerdict,

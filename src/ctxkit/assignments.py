@@ -9,17 +9,14 @@ Deficient contexts automatically carry at most one label 1 by (O).  The
 support of an assignment is its set of label-1 rays; supports double as
 the "global event" sets of the contextuality analysis, as the int ``mask``
 (bit i set iff ray i is labelled 1), transposed, as one int per ray
-over the events: ``by_ray`` of the :class:`GlobalEvents` the enumerators return,
+over the events: ``by_ray`` of the :class:`GlobalEvents` the enumerator returns,
 and packed, as one int of every event's ``mask``: its ``rows``.
 
-Two independent enumerators are provided.  The default searches basis
-by basis on ray bitmasks, honouring (O) and (C) along the way.  The
-second mirrors a basis-product construction: choose one ray per basis
-context so that the choices form an independent set of the exclusivity
-graph, then union with every independent set (the empty one included) of
-the subgraph induced on rays outside all basis contexts, keeping only
-unions that remain independent.  Both must return identical sets; tests enforce this, plus
-agreement with an exhaustive sweep over all bit strings.
+:func:`enumerate_assignments` searches basis by basis on ray bitmasks,
+honouring (O) and (C) along the way.  The tests hold it to a
+basis-product enumerator and to an exhaustive sweep over all bit
+strings, both kept with their direct check of (O) and (C) in
+``tests/oracles.py``.
 
 Output order is lexicographic on the sorted support tuples, which keeps
 assignment numbering stable across runs and matches the usual tabulation
@@ -30,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from functools import cached_property
-from itertools import chain, combinations, compress, product
+from itertools import chain, compress
 
 from .errors import ValidationError
 from .exact import _Record
@@ -106,20 +103,6 @@ def support_labels(scenario: Scenario, assignment: KSAssignment) -> tuple[str, .
     return tuple(scenario.rays[i].label for i in assignment.support)
 
 
-def verify_assignment(scenario: Scenario, assignment: KSAssignment) -> bool:
-    """Check conditions (O) and (C) directly; the acceptance oracle."""
-    bits = assignment.bits
-    if len(bits) != len(scenario.rays):
-        raise ValidationError("assignment must cover every ray")
-    for i, j in scenario.edges:
-        if bits[i] and bits[j]:
-            return False
-    for context in scenario.basis_contexts():
-        if sum(bits[i] for i in context.members) != 1:
-            return False
-    return True
-
-
 def enumerate_assignments(scenario: Scenario) -> GlobalEvents:
     """All KS-assignments, by a basis-first search over ray bitmasks.
 
@@ -157,47 +140,6 @@ def enumerate_assignments(scenario: Scenario) -> GlobalEvents:
             stack.append((ones | ray, zeros | neighbours[ray.bit_length() - 1]))
         else:
             found.append(KSAssignment._of_mask(ones, n))
-    found.sort(key=lambda a: a.support)
-    return GlobalEvents(found)
-
-
-def enumerate_assignments_by_basis_choices(scenario: Scenario) -> GlobalEvents:
-    """Independent enumerator built from per-basis choices; cross-check oracle.
-
-    Exhaustive over the product of basis contexts, then over independent
-    sets of the residual subgraph of rays outside every basis; intended for
-    small scenarios only.
-    """
-    scenario.require_contexts()
-    n = len(scenario.rays)
-    bases = [c.members for c in scenario.basis_contexts()]
-    in_basis = set(i for members in bases for i in members)
-    outside = [i for i in range(n) if i not in in_basis]
-
-    def independent(rays: frozenset[int]) -> bool:
-        return not any(j in rays and scenario.adjacent(i, j) for i in rays for j in rays if j > i)
-
-    residual_sets = [frozenset(c) for r in range(len(outside) + 1) for c in combinations(outside, r)]
-    residual_sets = [s for s in residual_sets if independent(s)]
-
-    supports: set[frozenset[int]] = set()
-    if bases:
-        choice_lists = [list(members) for members in bases]
-        for picks in product(*choice_lists):
-            base_set = frozenset(picks)
-            if not independent(base_set):
-                continue
-            for extra in residual_sets:
-                candidate = base_set | extra
-                if independent(candidate):
-                    supports.add(candidate)
-    else:
-        supports.update(residual_sets)
-
-    found = [
-        KSAssignment(tuple(1 if i in s else 0 for i in range(n)))
-        for s in supports
-    ]
     found.sort(key=lambda a: a.support)
     return GlobalEvents(found)
 

@@ -271,7 +271,7 @@ def _cmd_states(a: _Analysis) -> dict:
 def _cmd_check(a: _Analysis) -> dict:
     verdict = is_logically_contextual(a.scenario, a.state, a.assignments)
     oracle = noncontextuality_oracle(a.scenario, a.state, a.assignments)
-    return {"verdict": rp.verdict_json(a.scenario, a.state, verdict, oracle)}
+    return {"verdict": rp.verdict_json(a.scenario, a.assignments, a.state, verdict, oracle)}
 
 
 @_command("state")

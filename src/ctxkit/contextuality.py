@@ -20,8 +20,10 @@ implemented:
   and such rays cannot start the contradiction the verdict certifies.
   :func:`_blocked_witnesses` finds every such witness: a ray outside the
   zero set whose column is non-zero and disjoint from ``miss``.  It is
-  shared with :func:`ctxkit.hardy.derive_paradoxes`: the verdict reports
-  its first witness, the derivation makes each one a paradox.
+  shared with :func:`ctxkit.hardy.derive_paradoxes`: the verdict stops at
+  its first witness, the derivation makes each one a paradox.  The
+  verdict lists no events; :func:`witness_blockers` reads them, and the
+  first blocker of each, from the witness's column when a report asks.
 * :func:`noncontextuality_oracle` builds the canonical candidate
   distribution (an event is possible iff it misses every impossible ray)
   and checks the marginals: ``miss`` is not empty and its events cover
@@ -48,12 +50,13 @@ import math
 from fractions import Fraction
 from itertools import combinations, product
 
-from .assignments import GlobalEvents, events_containing
+from .assignments import GlobalEvents, KSAssignment, events_containing
 from .errors import DimensionMismatchError, ValidationError
 from .exact import (
     ExactMatrix,
     ExactVector,
     _Record,
+    _dot,
     canonical_ray,
     expectation,
     nullspace,
@@ -146,7 +149,9 @@ class PossibilisticModel(_Record):
 def possibilistic_model(scenario: Scenario, state: QuantumState) -> PossibilisticModel:
     """Map each ray to 1 iff its Born probability under ``state`` is non-zero.
 
-    For a pure state that is the ray not being orthogonal to the state.
+    For a pure state that is the ray not being orthogonal to the state; for
+    a density operator ``rho``, which is PSD, ``<z|rho|z> = 0`` iff
+    ``rho z = 0``, tested on the integer numerators of ``rho`` and ``z``.
     The rays are the model's only input, so the model is kept on the state
     with the ``scenario.rays`` tuple it was computed from and returned
     again while the same tuple (by identity) is passed: every consumer of
@@ -160,7 +165,11 @@ def possibilistic_model(scenario: Scenario, state: QuantumState) -> Possibilisti
     if state.psi is not None:
         values = tuple(0 if orthogonal(r.vector, state.psi) else 1 for r in scenario.rays)
     else:
-        values = tuple(0 if state.probability(r.vector) == 0 else 1 for r in scenario.rays)
+        d = state.dim
+        rows = [state.rho.nums[i * d : (i + 1) * d] for i in range(d)]
+        values = tuple(
+            int(any(_dot(row, r.vector.integer_form) != (0, 0) for row in rows)) for r in scenario.rays
+        )
     model = PossibilisticModel(values)
     # holding the rays keeps their identity from being reused by another tuple
     object.__setattr__(state, "_model", (scenario.rays, model))
@@ -168,13 +177,13 @@ def possibilistic_model(scenario: Scenario, state: QuantumState) -> Possibilisti
 
 
 class ContextualityVerdict(_Record):
-    """Outcome of the witness search, with one blocker per global event.
+    """Outcome of the witness search: its first witness, or ``None``.
 
     ``model`` is the possibilistic model the verdict was decided on, kept
     so that callers need not compute it again.
     """
 
-    __slots__ = _fields = ("contextual", "witness", "blockers", "model")
+    __slots__ = _fields = ("contextual", "witness", "model")
 
     def __bool__(self) -> bool:
         return self.contextual
@@ -199,7 +208,7 @@ def is_logically_contextual(
     The state is logically contextual iff some ray ``v`` has model value 1,
     a non-empty set of global events containing it, and every such event
     contains a different ray with model value 0.  The first witness in ray
-    order is reported together with the first blocker of each event.
+    order is reported; :func:`witness_blockers` lists its events.
 
     A possible ray in no global event is never a witness here, although
     it makes the state contextual by definition, so this verdict can miss
@@ -207,12 +216,25 @@ def is_logically_contextual(
     """
     model = possibilistic_model(scenario, state)
     zeros = sum(1 << i for i in model.impossible())
+    k, _ = next(_blocked_witnesses(GlobalEvents(assignments), zeros), (None, 0))
+    return ContextualityVerdict(contextual=k is not None, witness=k, model=model)
+
+
+def witness_blockers(
+    assignments: GlobalEvents, verdict: ContextualityVerdict
+) -> tuple[tuple[KSAssignment, int], ...]:
+    """Each global event holding the verdict's witness, in order, with its lowest impossible ray."""
+    if verdict.witness is None:
+        return ()
     events = GlobalEvents(assignments)
-    for k, column in _blocked_witnesses(events, zeros):
-        hits = [(e, e.mask & zeros) for e in events_containing(scenario, events, k)]
-        blockers = tuple((e, (hit & -hit).bit_length() - 1) for e, hit in hits)
-        return ContextualityVerdict(contextual=True, witness=k, blockers=blockers, model=model)
-    return ContextualityVerdict(contextual=False, witness=None, blockers=(), model=model)
+    zeros = sum(1 << i for i in verdict.model.impossible())
+    column, blockers = events.by_ray[verdict.witness], []
+    while column:
+        event = events[(column & -column).bit_length() - 1]
+        hit = event.mask & zeros
+        blockers.append((event, (hit & -hit).bit_length() - 1))
+        column &= column - 1
+    return tuple(blockers)
 
 
 def noncontextuality_oracle(

@@ -57,21 +57,22 @@ def derive_paradoxes(
     by zero-probability rays, emit the paradox carrying a minimum-size
     hitting set (ties broken lexicographically by ray index).  States that
     are not logically contextual yield no paradoxes; the derivation then
-    carries the reason instead.
+    carries the reason instead.  Every paradox is replayed, all in one
+    :func:`replay_contradiction` pass, and a failed replay raises.
     """
     zeros = sum(1 << i for i in possibilistic_model(scenario, state).impossible())
     events = GlobalEvents(assignments)
-    paradoxes = []
-    for k, column in _blocked_witnesses(events, zeros):
-        paradox = HardyParadox(
+    paradoxes = [
+        HardyParadox(
             state=state,
             witness=k,
             zero_set=_minimum_hitting_set(events, column, zeros),
             sp=state.probability(scenario.rays[k].vector),
         )
-        if not replay_contradiction(events, paradox):
-            raise AssertionError("derived paradox failed the contradiction replay")
-        paradoxes.append(paradox)
+        for k, column in _blocked_witnesses(events, zeros)
+    ]
+    if not all(replay_contradiction(events, paradoxes)):
+        raise AssertionError("derived paradox failed the contradiction replay")
     if not paradoxes:
         return ParadoxDerivation(
             paradoxes=(),
@@ -85,8 +86,8 @@ def percent(value: Fraction) -> str:
     return f"{float(value) * 100:.3g}%"
 
 
-def replay_contradiction(assignments: GlobalEvents, paradox: HardyParadox) -> bool:
-    """Re-derive the inconsistency the paradox encodes.
+def replay_contradiction(assignments: GlobalEvents, paradoxes: list[HardyParadox]) -> list[bool]:
+    """Re-derive the inconsistency each paradox encodes, one result per paradox.
 
     Forcing weight 0 on every global event that meets the zero set must
     force the witness marginal to 0 even though the witness is possible:
@@ -95,16 +96,23 @@ def replay_contradiction(assignments: GlobalEvents, paradox: HardyParadox) -> bo
     event masks of ``GlobalEvents.rows``, never the ``by_ray`` index that
     :func:`derive_paradoxes` reads: one shift marks the events that hold
     the witness, and adding 2^n - 1 to each slot's zero-set bits carries
-    into its bit n iff the event meets the zero set.
+    into its bit n iff the event meets the zero set.  That ``met`` word is
+    computed once per distinct zero set of the batch.
     """
     rows, ones, n = GlobalEvents(assignments).rows
-    if paradox.sp <= 0 or paradox.witness >= n:
-        return False
     full = (1 << n) - 1
-    zeros = sum(1 << i for i in paradox.zero_set) & full
-    held = rows >> paradox.witness & ones
-    met = ((rows & zeros * ones) + ones * full) >> n
-    return held != 0 and held & met == held
+    met: dict[int, int] = {}
+    replays = []
+    for paradox in paradoxes:
+        if paradox.sp <= 0 or paradox.witness >= n:
+            replays.append(False)
+            continue
+        zeros = sum(1 << i for i in paradox.zero_set) & full
+        if zeros not in met:
+            met[zeros] = ((rows & zeros * ones) + ones * full) >> n
+        held = rows >> paradox.witness & ones
+        replays.append(held != 0 and held & met[zeros] == held)
+    return replays
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +306,8 @@ def crosscheck_reference_observables(scenario: Scenario, assignments: GlobalEven
         zeros = tuple(sorted(scenario.ray_index(z) for z in ref.zeros))
         paradox = HardyParadox(state, witness, zeros, state.probability(scenario.rays[witness].vector))
         if any(state.probability(scenario.rays[z].vector) != 0 for z in zeros) or not replay_contradiction(
-            events, paradox
-        ):
+            events, [paradox]
+        )[0]:
             raise ValidationError(
                 f"reference row {ref.row} has no matching paradox; "
                 "the cross-check needs the bundled 13-ray scenario"

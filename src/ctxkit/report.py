@@ -27,6 +27,7 @@ from .contextuality import (
     PureStateSearch,
     QuantumState,
     TRIPLE_LISTING_BOUND,
+    witness_blockers,
 )
 from .exact import ExactMatrix, ExactVector
 from .hardy import (
@@ -127,14 +128,16 @@ def global_events_json(scenario: Scenario, assignments: list[KSAssignment], rays
     }
 
 
-def verdict_json(scenario: Scenario, state: QuantumState, verdict: ContextualityVerdict, oracle: bool) -> dict:
+def verdict_json(
+    scenario: Scenario, assignments: list[KSAssignment], state: QuantumState, verdict: ContextualityVerdict, oracle: bool
+) -> dict:
     return {
         "state": state.describe(),
         "contextual": verdict.contextual,
         "witness": scenario.rays[verdict.witness].label if verdict.witness is not None else None,
         "blockers": [
             {"event": _labels(scenario, event.support), "blocker": scenario.rays[blocker].label}
-            for event, blocker in verdict.blockers
+            for event, blocker in witness_blockers(assignments, verdict)
         ],
         "noncontextuality_oracle": oracle,
         "oracle_agrees": oracle != verdict.contextual,

@@ -12,6 +12,11 @@ or scalars, never an ``ExactMatrix`` built by the code under test.
 ``gram_schmidt`` subtracts ``Fraction`` projections and ``expectation`` is
 ``<v|rho v> / ||v||^2`` through the entrywise product.
 
+``verify_assignment`` checks conditions (O) and (C) of one labelling
+directly, and ``enumerate_assignments_by_basis_choices`` lists the
+KS-assignments as one ray per basis times every independent set of the
+rays outside all bases: the two checks the basis-first search is held to.
+
 ``born_model`` computes the possibilistic model afresh from the Born
 probabilities on every call, where the package keeps it on the state.
 The global-event oracles test events as bit tuples, support tuples and
@@ -234,6 +239,65 @@ def gram_schmidt(ordered: Sequence[ExactVector]) -> list[ExactVector]:
 
 
 # ---------------------------------------------------------------------------
+# KS-assignments by conditions (O) and (C), and by basis choices
+# ---------------------------------------------------------------------------
+
+def verify_assignment(scenario: Scenario, assignment: KSAssignment) -> bool:
+    """Check conditions (O) and (C) directly; the acceptance oracle."""
+    bits = assignment.bits
+    if len(bits) != len(scenario.rays):
+        raise ValidationError("assignment must cover every ray")
+    for i, j in scenario.edges:
+        if bits[i] and bits[j]:
+            return False
+    for context in scenario.basis_contexts():
+        if sum(bits[i] for i in context.members) != 1:
+            return False
+    return True
+
+
+def enumerate_assignments_by_basis_choices(scenario: Scenario) -> GlobalEvents:
+    """Independent enumerator built from per-basis choices; cross-check oracle.
+
+    Exhaustive over the product of basis contexts, then over independent
+    sets of the residual subgraph of rays outside every basis; intended for
+    small scenarios only.
+    """
+    scenario.require_contexts()
+    n = len(scenario.rays)
+    bases = [c.members for c in scenario.basis_contexts()]
+    in_basis = set(i for members in bases for i in members)
+    outside = [i for i in range(n) if i not in in_basis]
+
+    def independent(rays: frozenset[int]) -> bool:
+        return not any(j in rays and scenario.adjacent(i, j) for i in rays for j in rays if j > i)
+
+    residual_sets = [frozenset(c) for r in range(len(outside) + 1) for c in combinations(outside, r)]
+    residual_sets = [s for s in residual_sets if independent(s)]
+
+    supports: set[frozenset[int]] = set()
+    if bases:
+        choice_lists = [list(members) for members in bases]
+        for picks in product(*choice_lists):
+            base_set = frozenset(picks)
+            if not independent(base_set):
+                continue
+            for extra in residual_sets:
+                candidate = base_set | extra
+                if independent(candidate):
+                    supports.add(candidate)
+    else:
+        supports.update(residual_sets)
+
+    found = [
+        KSAssignment(tuple(1 if i in s else 0 for i in range(n)))
+        for s in supports
+    ]
+    found.sort(key=lambda a: a.support)
+    return GlobalEvents(found)
+
+
+# ---------------------------------------------------------------------------
 # global-event tests on bit tuples and sets
 # ---------------------------------------------------------------------------
 
@@ -259,10 +323,16 @@ def blocked_witnesses(model, assignments):
 
 def is_logically_contextual(scenario, state, assignments) -> ContextualityVerdict:
     model = born_model(scenario, state)
-    for k, events, hits in blocked_witnesses(model, assignments):
-        blockers = tuple((event, blocked[0]) for event, blocked in zip(events, hits))
-        return ContextualityVerdict(contextual=True, witness=k, blockers=blockers, model=model)
-    return ContextualityVerdict(contextual=False, witness=None, blockers=(), model=model)
+    for k, _, _ in blocked_witnesses(model, assignments):
+        return ContextualityVerdict(contextual=True, witness=k, model=model)
+    return ContextualityVerdict(contextual=False, witness=None, model=model)
+
+
+def witness_blockers(scenario, state, assignments) -> tuple:
+    """``(event, blocker)`` for each event of the first blocked witness, the blocker its first impossible ray."""
+    for _, events, hits in blocked_witnesses(born_model(scenario, state), assignments):
+        return tuple((event, blocked[0]) for event, blocked in zip(events, hits))
+    return ()
 
 
 def noncontextuality_oracle(scenario, state, assignments) -> bool:
@@ -461,7 +531,7 @@ RECORD_FIELDS: dict[type, tuple] = {
     KSAssignment: ("bits", ("mask", _HIDDEN)),
     QuantumState: ("dim", "rho", ("psi", {"default": None}), ("_model", {"default": None, **_HIDDEN})),
     PossibilisticModel: ("values",),
-    ContextualityVerdict: ("contextual", "witness", "blockers", "model"),
+    ContextualityVerdict: ("contextual", "witness", "model"),
     WitnessedState: ("witness", "state", "selection"),
     UndeterminedFamily: ("witness", "selection", "nullity"),
     PureStateSearch: ("states", "undetermined"),

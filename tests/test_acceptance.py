@@ -22,7 +22,6 @@ from ctxkit import (
     check_witnesses_basis_free,
     crosscheck_reference_observables,
     derive_paradoxes,
-    enumerate_assignments_by_basis_choices,
     events_containing,
     find_contextual_pure_states,
     is_logically_contextual,
@@ -31,11 +30,11 @@ from ctxkit import (
     simulate_measurement,
     support_labels,
     vec,
-    verify_assignment,
     verify_observable,
 )
 from ctxkit.cli import _build_parser, _cmd_report
 
+from oracles import enumerate_assignments_by_basis_choices, verify_assignment
 from test_assignments import EXPECTED_SUPPORTS, GLOBAL_EVENT_SETS
 from test_hardy import EXPECTED_PARADOXES
 from test_scenario import PAIR_COMPLEMENTS

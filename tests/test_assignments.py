@@ -16,13 +16,13 @@ from ctxkit import (
     UnknownLabelError,
     ValidationError,
     enumerate_assignments,
-    enumerate_assignments_by_basis_choices,
     enumerate_contexts,
     events_containing,
     load_scenario,
     support_labels,
-    verify_assignment,
 )
+
+from oracles import enumerate_assignments_by_basis_choices, verify_assignment
 
 # the 24 supports of the bundled scenario, in enumeration order
 EXPECTED_SUPPORTS = [

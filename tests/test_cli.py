@@ -139,15 +139,19 @@ def test_observables_output():
     assert "errata rows: 4, 5, 6, 7" in result.stdout
 
 
-def box_d3_m2_prefix_text(n: int) -> str:
-    """The first ``n`` rays of the integer box {-2..2}^3 (primitive, leading entry positive)."""
+def box_prefix_text(d: int, m: int, n: int) -> str:
+    """The first ``n`` rays of the integer box {-m..m}^d (primitive, leading entry positive)."""
     rays = [
         v
-        for v in product(range(-2, 3), repeat=3)
+        for v in product(range(-m, m + 1), repeat=d)
         if any(v) and gcd(*v) == 1 and next(x for x in v if x) > 0
     ][:n]
     lines = [f"r{i}: {','.join(map(str, v))}" for i, v in enumerate(rays, start=1)]
-    return "\n".join([f"scenario box-d3-m2-n{n} dim 3 field rational", *lines]) + "\n"
+    return "\n".join([f"scenario box-d{d}-m{m}-n{n} dim {d} field rational", *lines]) + "\n"
+
+
+def box_d3_m2_prefix_text(n: int) -> str:
+    return box_prefix_text(3, 2, n)
 
 
 @pytest.mark.parametrize("n, states", [(26, 54), (38, 172)])

@@ -8,7 +8,7 @@ from functools import cache
 from itertools import combinations, compress
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ctxkit.contextuality
@@ -46,11 +46,12 @@ from ctxkit import (
     parse_density,
     parse_state,
     possibilistic_model,
+    rank,
     rank1_projector,
     replay_contradiction,
     vec,
 )
-from ctxkit.contextuality import _blocked_witnesses
+from ctxkit.contextuality import _blocked_witnesses, witness_blockers
 from ctxkit.scenario import Ray
 from test_assignments import box_scenario, box_subsets
 
@@ -142,6 +143,39 @@ def test_model_kept_on_the_state_is_the_born_model_of_each_scenario(state, order
     assert state == twin and hash(state) == hash(twin) and repr(state) == repr(twin)
 
 
+def gaussian_integer_vectors(dim):
+    return st.lists(
+        st.builds(ExactScalar, st.integers(-3, 3), st.integers(-3, 3)), min_size=dim, max_size=dim
+    ).map(lambda cs: ExactVector(tuple(cs)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_density_model_is_the_born_model_for_every_rank(dim, data):
+    # rho = sum of w_k |v_k><v_k| / |v_k|^2 over r independent Gaussian-integer vectors, r = 1..dim;
+    # the rays hold kernel vectors of rho, sums of two, a kernel vector plus some v_k, for each i the
+    # vectors z with (rho z)_j = 0 for every j != i, so that each row of rho alone decides, and random vectors
+    r = data.draw(st.integers(1, dim))
+    parts = data.draw(st.lists(gaussian_integer_vectors(dim), min_size=r, max_size=r))
+    assume(rank(parts, dim=dim) == r)
+    weights = data.draw(st.lists(st.integers(1, 5), min_size=r, max_size=r))
+    rho = mixture([(Fraction(w, sum(weights)), rank1_projector(v)) for w, v in zip(weights, parts)])
+    kernel = nullspace(parts, dim=dim)
+    vectors = kernel + [a + b for a, b in combinations(kernel, 2)] + [k + v for k in kernel for v in parts]
+    columns = [ExactVector(rho.entries[j::dim]) for j in range(dim)]
+    vectors += [z for i in range(dim) for z in nullspace(columns[:i] + columns[i + 1 :], dim=dim)]
+    vectors += parts + data.draw(st.lists(gaussian_integer_vectors(dim), max_size=6))
+    rays = {canonical_ray(v): None for v in vectors if not v.is_zero}
+    lines = [f"r{i}: " + ",".join(str(c) for c in v.coords) for i, v in enumerate(rays)]
+    scenario = load_scenario("\n".join([f"scenario rho dim {dim} field gaussian", *lines]))
+    state = QuantumState.density(rho)
+    model = possibilistic_model(scenario, state)
+    assert model == oracles.born_model(scenario, state)
+    assert model.values == tuple(int(oracles.expectation(rho, ray.vector) != 0) for ray in scenario.rays)
+    assert model.values[: len(kernel)] == (0,) * len(kernel)
+
+
 # --- verdicts and the oracle ------------------------------------------------
 
 
@@ -150,9 +184,10 @@ def test_111_is_contextual_with_witness_vA(yu_oh, yu_oh_assignments):
     assert verdict.contextual
     assert yu_oh.rays[verdict.witness].label == "vA"
     events = [a for a in yu_oh_assignments if a.bits[verdict.witness] == 1]
-    assert [event for event, _ in verdict.blockers] == events
+    blockers = witness_blockers(yu_oh_assignments, verdict)
+    assert [event for event, _ in blockers] == events
     model = possibilistic_model(yu_oh, QuantumState.pure(vec(1, 1, 1)))
-    for event, blocker in verdict.blockers:
+    for event, blocker in blockers:
         assert blocker in event.support
         assert blocker != verdict.witness
         assert model.values[blocker] == 0
@@ -161,7 +196,7 @@ def test_111_is_contextual_with_witness_vA(yu_oh, yu_oh_assignments):
 def test_basis_state_not_contextual(yu_oh, yu_oh_assignments):
     verdict = is_logically_contextual(yu_oh, QuantumState.pure(vec(1, 0, 0)), yu_oh_assignments)
     assert not verdict.contextual
-    assert verdict.witness is None and verdict.blockers == ()
+    assert verdict.witness is None and witness_blockers(yu_oh_assignments, verdict) == ()
 
 
 def test_maximally_mixed_not_contextual(yu_oh, yu_oh_assignments):
@@ -198,10 +233,10 @@ def test_oracle_agrees_with_verdict(yu_oh, yu_oh_assignments):
 
 
 def assert_event_tests_match_oracles(scenario, assignments, state):
-    """Verdict, marginal oracle, paradoxes and their replays equal the tuple and set versions."""
-    assert is_logically_contextual(scenario, state, assignments) == oracles.is_logically_contextual(
-        scenario, state, assignments
-    )
+    """Verdict, its blockers, marginal oracle, paradoxes and their replays equal the tuple and set versions."""
+    verdict = is_logically_contextual(scenario, state, assignments)
+    assert verdict == oracles.is_logically_contextual(scenario, state, assignments)
+    assert witness_blockers(assignments, verdict) == oracles.witness_blockers(scenario, state, assignments)
     assert noncontextuality_oracle(scenario, state, assignments) == oracles.noncontextuality_oracle(
         scenario, state, assignments
     )
@@ -211,8 +246,8 @@ def assert_event_tests_match_oracles(scenario, assignments, state):
     impossible = possibilistic_model(scenario, state).impossible()
     claims = [HardyParadox(p.state, p.witness, z, p.sp) for p in paradoxes for z in (p.zero_set, p.zero_set[1:], p.zero_set[:-1])]
     claims += [HardyParadox(state, k, impossible, state.probability(r.vector)) for k, r in enumerate(scenario.rays)]
-    for claim in claims:
-        assert replay_contradiction(assignments, claim) == oracles.replay_contradiction(assignments, claim)
+    # one batch, whose paradoxes share zero sets
+    assert replay_contradiction(assignments, claims) == [oracles.replay_contradiction(assignments, c) for c in claims]
 
 
 def test_empty_event_makes_a_state_orthogonal_to_every_ray_non_contextual():

@@ -6,7 +6,12 @@ digests cover the exact bytes a user would get in a file.  The two
 The text of every command is also checked to be a function of its JSON
 document alone.  yu-oh has no blocking flat of rank 1, so the ``states``
 and ``report`` digests of the 32-ray box-d3-m2 prefix, with 13
-undetermined families, pin those sections too.
+undetermined families, pin those sections too.  The ``check`` and
+``paradoxes`` digests of three states on the 32-ray prefixes pin the
+blockers and the paradox derivation beyond yu-oh: the pure state
+(0,1,2) with 21 paradoxes and a rank-2 mixture with 23 on box-d3-m2, and
+a rank-2 mixture with 4 on box-d4-m1.  On each, the verdict and the
+marginal oracle agree.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import pytest
 from ctxkit import cli
 from ctxkit.report import render_text
 
-from test_cli import box_d3_m2_prefix_text
+from test_cli import box_prefix_text
 
 COMMANDS = {
     "contexts": ["contexts"],
@@ -67,11 +72,41 @@ GOLDEN = {
 }
 
 
+# density files by name, each a mixture 1/3 |a><a| + 2/3 |b><b| of two unit rays
+BOX_DENSITIES = {
+    "mixture-d3": "0 0 0\n0 13/15 4/15\n0 4/15 2/15\n",  # a = (0,1,0), b = (0,2,1)/sqrt(5)
+    "mixture-d4": "1/6 1/6 0 0\n1/6 1/6 0 0\n0 0 1/3 1/3\n0 0 1/3 1/3\n",  # a = (1,1,0,0), b = (0,0,1,1), normalised
+}
+
+# (d, m) of the 32-ray box prefix each command runs on, and its arguments
+BOX_COMMANDS = {
+    "states": ((3, 2), ["states"]),
+    "report": ((3, 2), ["report"]),
+    "check 0,1,2": ((3, 2), ["check", "--state", "0,1,2"]),
+    "paradoxes 0,1,2": ((3, 2), ["paradoxes", "--state", "0,1,2"]),
+    "check mixture-d3": ((3, 2), ["check", "--density", "mixture-d3"]),
+    "paradoxes mixture-d3": ((3, 2), ["paradoxes", "--density", "mixture-d3"]),
+    "check mixture-d4": ((4, 1), ["check", "--density", "mixture-d4"]),
+    "paradoxes mixture-d4": ((4, 1), ["paradoxes", "--density", "mixture-d4"]),
+}
+
 BOX_GOLDEN = {
     ("states", "text"): "5b2d34b7146fd15a7ba047fda0893471815849e4067b2e35458509e2f09a7c93",
     ("states", "json"): "efe99655d3e7a6844207ab94f366b1a1fd01c39dd2a7f997af248593ffedd70e",
     ("report", "text"): "a35ab26a9064c7fe215f5de6847d3ad6411b7b9f7dff3246cbf2029fba3ad9aa",
     ("report", "json"): "f514a229b7bc5f31c249b6d17ca1ad35bedcf0c9e8f0cc4c32b14e4c8f62833e",
+    ("check 0,1,2", "text"): "b94c157c478863f8a08c99820f44c00e960330dcbc2c8151da51922e54c5c218",
+    ("check 0,1,2", "json"): "38c648f307025feb2f92ecc165b38a8cdb944dd5c11cf648032aea25f8133ec2",
+    ("paradoxes 0,1,2", "text"): "c3ebee04a954c90a8860202397315d8d54c22a454a23c9c11f98f2c4cbb2d26f",
+    ("paradoxes 0,1,2", "json"): "313bcb6530ac78aada43763af0ffe9294b6d139d69cfb944b7d35205e45cc22d",
+    ("check mixture-d3", "text"): "72ebf6795ef5f35c4a02ecfa6a75fdf361e090fe7cd4b9dbf5b943d683e9b965",
+    ("check mixture-d3", "json"): "5b35a3b1b07f3d933e0225389e5ed28cbce9e76f9b0e05ca051a990a096c4b1a",
+    ("paradoxes mixture-d3", "text"): "057650015dbbd638eb87305e63fd54ada3dbd80622197cbc4dbca345687b49e4",
+    ("paradoxes mixture-d3", "json"): "ee480211abbeeaf03d5faee10e96210fb306216af4f22cb13e9555272214c307",
+    ("check mixture-d4", "text"): "9a980a6406dec73f2ad5f863baa7a9931dd9ffb46d2aa41fe52a2031f4cabb04",
+    ("check mixture-d4", "json"): "9b693d356c6ecadb49367ea7df5b825de64f0428834dc7cafdd164d617de4473",
+    ("paradoxes mixture-d4", "text"): "eba2b67c0959c8c5ef5e6031b0417c936d3ca9a1ff7cf2ba32503ecd661cb18d",
+    ("paradoxes mixture-d4", "json"): "3c5a2820f096b46f1f8377c53b64b9b2187327ed35d204d1b8601aad498e6566",
 }
 
 
@@ -95,9 +130,13 @@ def test_text_is_rendered_from_the_json_document(tmp_path, name):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("command", ["states", "report"])
+@pytest.mark.parametrize("command", list(BOX_COMMANDS))
 def test_box_prefix_output_is_pinned(tmp_path, command, fmt):
+    (d, m), args = BOX_COMMANDS[command]
     path = tmp_path / "box.scenario"
-    path.write_text(box_d3_m2_prefix_text(32), encoding="utf-8")
-    digest = hashlib.sha256(run(tmp_path, [command], fmt, str(path))).hexdigest()
+    path.write_text(box_prefix_text(d, m, 32), encoding="utf-8")
+    for name, rows in BOX_DENSITIES.items():
+        (tmp_path / name).write_text(rows, encoding="utf-8")
+    args = [str(tmp_path / a) if a in BOX_DENSITIES else a for a in args]
+    digest = hashlib.sha256(run(tmp_path, args, fmt, str(path))).hexdigest()
     assert digest == BOX_GOLDEN[command, fmt]

@@ -34,6 +34,7 @@ from ctxkit import (
     vec,
     verify_observable,
 )
+from ctxkit.contextuality import witness_blockers
 from ctxkit.hardy import REFERENCE_OBSERVABLES, ReferenceRow, percent
 
 # (state, witness, zero set) for the twelve paradoxes of the bundled scenario
@@ -139,7 +140,7 @@ def test_paradoxes_exist_iff_state_is_contextual(yu_oh, yu_oh_assignments):
                 contextual_on_box += 1
                 first = derivation.paradoxes[0]
                 assert first.witness == verdict.witness
-                for event, blocker in verdict.blockers:
+                for event, blocker in witness_blockers(assignments, verdict):
                     hits = [
                         i
                         for i in event.support
@@ -150,8 +151,7 @@ def test_paradoxes_exist_iff_state_is_contextual(yu_oh, yu_oh_assignments):
 
 
 def test_replay_contradiction(yu_oh, yu_oh_assignments):
-    for p in all_twelve(yu_oh, yu_oh_assignments):
-        assert replay_contradiction(yu_oh_assignments, p)
+    assert replay_contradiction(yu_oh_assignments, all_twelve(yu_oh, yu_oh_assignments)) == [True] * 12
     # dropping one zero ray leaves an unblocked event, so the replay fails
     genuine = paradoxes_for(yu_oh, yu_oh_assignments, (1, 1, 1)).paradoxes[0]
     broken = HardyParadox(
@@ -160,7 +160,7 @@ def test_replay_contradiction(yu_oh, yu_oh_assignments):
         zero_set=genuine.zero_set[:1],
         sp=genuine.sp,
     )
-    assert not replay_contradiction(yu_oh_assignments, broken)
+    assert replay_contradiction(yu_oh_assignments, [genuine, broken]) == [True, False]
 
 
 def test_minimum_hitting_set_prefers_small_then_lexicographic():
@@ -197,7 +197,28 @@ def test_packed_replay_agrees_with_the_set_replay(n, data):
     sp = data.draw(st.sampled_from([Fraction(0), Fraction(1, 9), Fraction(1)]))
     events = GlobalEvents(KSAssignment(m >> i & 1 for i in range(n)) for m in masks)
     paradox = HardyParadox(None, witness, tuple(zero_set), sp)
-    assert replay_contradiction(events, paradox) == oracles.replay_contradiction(events, paradox)
+    assert replay_contradiction(events, [paradox]) == [oracles.replay_contradiction(events, paradox)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("n", [3, 8, 13, 33])
+def test_one_replay_pass_agrees_with_the_set_replay_on_shared_zero_sets(n, data):
+    # a batch drawn from at most three zero sets and their copies less one ray, so that
+    # most paradoxes share their zero set with another and the rest differ from one by a ray
+    pool = data.draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4), min_size=1, max_size=3))
+    pool = [tuple(sorted(z)) for z in pool] + [tuple(sorted(z))[1:] for z in pool]
+    claims = data.draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(pool), st.booleans()), min_size=1, max_size=10)
+    )
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+    for witness, zero_set, block in claims:
+        if block and zero_set:
+            # block every event that holds the witness, so that accepted replays are drawn too
+            masks = [m | 1 << data.draw(st.sampled_from(zero_set)) if m >> witness & 1 else m for m in masks]
+    events = GlobalEvents(KSAssignment(m >> i & 1 for i in range(n)) for m in masks)
+    batch = [HardyParadox(None, witness, zero_set, Fraction(1, 9)) for witness, zero_set, _ in claims]
+    assert replay_contradiction(events, batch) == [oracles.replay_contradiction(events, p) for p in batch]
 
 
 @pytest.mark.parametrize(
@@ -217,7 +238,7 @@ def test_packed_replay_agrees_with_the_set_replay(n, data):
 )
 def test_packed_replay_on_the_edge_cases(masks, witness, zero_set, sp, expected):
     events = GlobalEvents(KSAssignment(m >> i & 1 for i in range(3)) for m in masks)
-    assert replay_contradiction(events, HardyParadox(None, witness, zero_set, sp)) is expected
+    assert replay_contradiction(events, [HardyParadox(None, witness, zero_set, sp)]) == [expected]
 
 
 def test_replay_packs_the_masks_on_first_use_and_leaves_the_index_unbuilt(yu_oh, yu_oh_assignments):
@@ -225,7 +246,7 @@ def test_replay_packs_the_masks_on_first_use_and_leaves_the_index_unbuilt(yu_oh,
     assert "rows" not in vars(events)
     fresh = GlobalEvents(list(events))
     paradox = paradoxes_for(yu_oh, yu_oh_assignments, (1, 1, 1)).paradoxes[0]
-    assert replay_contradiction(fresh, paradox)
+    assert replay_contradiction(fresh, [paradox]) == [True]
     assert "rows" in vars(fresh) and "by_ray" not in vars(fresh)
 
 
@@ -409,7 +430,7 @@ def test_each_reference_row_is_the_only_replaying_pair_of_its_witness(yu_oh, yu_
             zeros
             for size in (0, 1, 2)
             for zeros in combinations(impossible, size)
-            if replay_contradiction(yu_oh_assignments, HardyParadox(state, witness, zeros, sp))
+            if replay_contradiction(yu_oh_assignments, [HardyParadox(state, witness, zeros, sp)]) == [True]
         ]
         assert replaying == [tuple(sorted(yu_oh.ray_index(z) for z in ref.zeros))], ref.row
 
