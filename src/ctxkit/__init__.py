@@ -7,13 +7,7 @@ probabilities and build the single-observable witnesses, all in exact
 Gaussian-rational arithmetic.
 """
 
-from .assignments import (
-    GlobalEvents,
-    KSAssignment,
-    enumerate_assignments,
-    events_containing,
-    support_labels,
-)
+from .assignments import GlobalEvents, KSAssignment, enumerate_assignments
 from .contextuality import (
     ContextualityVerdict,
     MixedAnalysisReport,

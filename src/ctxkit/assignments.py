@@ -10,10 +10,11 @@ support of an assignment is its set of label-1 rays; supports double as
 the "global event" sets of the contextuality analysis, as the int ``mask``
 (bit i set iff ray i is labelled 1), transposed, as one int per ray
 over the events: ``by_ray`` of the :class:`GlobalEvents` the enumerator returns,
+whose ``holding(ray)`` lists the events of a ray from its column,
 and packed, as one int of every event's ``mask``: its ``rows``.
 
 :func:`enumerate_assignments` searches basis by basis on ray bitmasks,
-honouring (O) and (C) along the way.  The tests hold it to a
+the scenario's ``neighbours``, honouring (O) and (C) along the way.  The tests hold it to a
 basis-product enumerator and to an exhaustive sweep over all bit
 strings, both kept with their direct check of (O) and (C) in
 ``tests/oracles.py``.
@@ -31,7 +32,7 @@ from itertools import chain, compress
 
 from .errors import ValidationError
 from .exact import _Record
-from .scenario import Ray, Scenario
+from .scenario import Scenario
 
 # the characters "0" and "1" as the bytes 0 and 1
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
@@ -90,6 +91,14 @@ class GlobalEvents(tuple):
         ones = int.from_bytes((b"\1" + bytes(width - 1)) * len(self), "little")
         return rows, ones, n
 
+    def holding(self, ray: int) -> list[KSAssignment]:
+        """The events that hold ray index ``ray``, in order, read from its column; none if there are no events."""
+        column, held = self.by_ray[ray] if self else 0, []
+        while column:
+            held.append(self[(column & -column).bit_length() - 1])
+            column &= column - 1
+        return held
+
     def missing(self, zeros: int) -> int:
         """The events that hold no ray of the ray mask ``zeros``, as a mask over the events."""
         miss = (1 << len(self)) - 1
@@ -97,10 +106,6 @@ class GlobalEvents(tuple):
             if zeros >> z & 1:
                 miss &= ~column
         return miss
-
-
-def support_labels(scenario: Scenario, assignment: KSAssignment) -> tuple[str, ...]:
-    return tuple(scenario.rays[i].label for i in assignment.support)
 
 
 def enumerate_assignments(scenario: Scenario) -> GlobalEvents:
@@ -115,10 +120,8 @@ def enumerate_assignments(scenario: Scenario) -> GlobalEvents:
 
     An empty result is a valid outcome and signals a KS-uncolorable set.
     """
-    scenario.require_contexts()
-    n = len(scenario.rays)
+    n, neighbours = len(scenario.rays), scenario.neighbours
     bases = [sum(1 << i for i in c.members) for c in scenario.basis_contexts()]
-    neighbours = [sum(1 << j for j in scenario.neighbors(i)) for i in range(n)]
     outside = (1 << n) - 1  # the rays in no basis
     for b in bases:
         outside &= ~b
@@ -143,10 +146,3 @@ def enumerate_assignments(scenario: Scenario) -> GlobalEvents:
     found.sort(key=lambda a: a.support)
     return GlobalEvents(found)
 
-
-def events_containing(
-    scenario: Scenario, assignments: Iterable[KSAssignment], ray: "Ray | str | int"
-) -> list[KSAssignment]:
-    """The sub-list of assignments whose support contains ``ray``."""
-    bit = 1 << scenario.ray_index(ray)
-    return [a for a in assignments if a.mask & bit]

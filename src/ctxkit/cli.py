@@ -57,7 +57,6 @@ from .scenario import (
     basis_membership,
     bundled_scenario_names,
     check_distinct_complements,
-    enumerate_contexts,
     load_bundled,
     load_scenario_path,
 )
@@ -144,7 +143,6 @@ class _Analysis:
 
     @cached_property
     def complement_check(self) -> ComplementCheck | None:
-        enumerate_contexts(self.scenario)
         return check_distinct_complements(self.scenario) if self.scenario.dim == 3 else None
 
     @cached_property

@@ -4,9 +4,10 @@ The possibilistic model of a state maps each ray to 1 exactly when its
 Born probability is non-zero; with exact scalars this is decidable.  A
 state is *logically contextual* when no 0/1 distribution over the global
 events (KS-assignments) reproduces that model as marginals.  Zero sets
-are ray bitmasks and each ray's events one int over the events, its
-column in ``GlobalEvents.by_ray``; ``miss``, the events that miss a zero
-set, is all events less each zero ray's column.
+are ray bitmasks, a model's impossible rays its ``zeros``, and each
+ray's events one int over the events, its column in
+``GlobalEvents.by_ray``; ``miss``, the events that miss a zero set, is
+all events less each zero ray's column.
 :func:`possibilistic_model` keeps the model on the
 ``QuantumState`` object, keyed by the scenario's ray tuple, so the
 verdict, the oracle and the paradox derivation of one state object on
@@ -23,11 +24,13 @@ implemented:
   shared with :func:`ctxkit.hardy.derive_paradoxes`: the verdict stops at
   its first witness, the derivation makes each one a paradox.  The
   verdict lists no events; :func:`witness_blockers` reads them, and the
-  first blocker of each, from the witness's column when a report asks.
+  first blocker of each, from the witness's column
+  (``GlobalEvents.holding``) when a report asks.
 * :func:`noncontextuality_oracle` builds the canonical candidate
   distribution (an event is possible iff it misses every impossible ray)
   and checks the marginals: ``miss`` is not empty and its events cover
-  exactly the possible rays.  It follows the definition.
+  exactly the possible rays, the complement of ``zeros``.  It follows
+  the definition.
 
 They are not equivalent: the verdict skips a possible ray that lies in no
 global event, and the oracle counts it as uncovered (an open defect,
@@ -50,7 +53,7 @@ import math
 from fractions import Fraction
 from itertools import combinations, product
 
-from .assignments import GlobalEvents, KSAssignment, events_containing
+from .assignments import GlobalEvents, KSAssignment
 from .errors import DimensionMismatchError, ValidationError
 from .exact import (
     ExactMatrix,
@@ -67,7 +70,7 @@ from .exact import (
     rank1_projector,
     validate_density,
 )
-from .scenario import Scenario, basis_membership
+from .scenario import Scenario, _rays, basis_membership
 
 
 class QuantumState(_Record):
@@ -135,15 +138,18 @@ def parse_density(text: str, dim: int, field: str = "gaussian") -> QuantumState:
 
 
 class PossibilisticModel(_Record):
-    """The 0/1 coarse-graining of Born probabilities, index-aligned."""
+    """The 0/1 coarse-graining of Born probabilities, index-aligned.
 
-    __slots__ = _fields = ("values",)
+    ``zeros``, the impossible rays as a mask (bit i set iff ``values[i]``
+    is 0), is derived from ``values`` by the constructor.
+    """
 
-    def possible(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.values) if v == 1)
+    __slots__ = ("values", "zeros")
+    _fields = ("values",)
 
-    def impossible(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.values) if v == 0)
+    def __init__(self, values: tuple[int, ...]):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "zeros", sum(1 << i for i, v in enumerate(values) if v == 0))
 
 
 def possibilistic_model(scenario: Scenario, state: QuantumState) -> PossibilisticModel:
@@ -215,8 +221,7 @@ def is_logically_contextual(
     what :func:`noncontextuality_oracle` finds (see the module docstring).
     """
     model = possibilistic_model(scenario, state)
-    zeros = sum(1 << i for i in model.impossible())
-    k, _ = next(_blocked_witnesses(GlobalEvents(assignments), zeros), (None, 0))
+    k, _ = next(_blocked_witnesses(GlobalEvents(assignments), model.zeros), (None, 0))
     return ContextualityVerdict(contextual=k is not None, witness=k, model=model)
 
 
@@ -226,14 +231,10 @@ def witness_blockers(
     """Each global event holding the verdict's witness, in order, with its lowest impossible ray."""
     if verdict.witness is None:
         return ()
-    events = GlobalEvents(assignments)
-    zeros = sum(1 << i for i in verdict.model.impossible())
-    column, blockers = events.by_ray[verdict.witness], []
-    while column:
-        event = events[(column & -column).bit_length() - 1]
-        hit = event.mask & zeros
+    blockers = []
+    for event in GlobalEvents(assignments).holding(verdict.witness):
+        hit = event.mask & verdict.model.zeros
         blockers.append((event, (hit & -hit).bit_length() - 1))
-        column &= column - 1
     return tuple(blockers)
 
 
@@ -250,18 +251,14 @@ def noncontextuality_oracle(
     model = possibilistic_model(scenario, state)
     events = GlobalEvents(assignments)
     # a mask over the events, not over the rays: the empty event is possible and covers nothing
-    miss = events.missing(sum(1 << i for i in model.impossible()))
+    miss = events.missing(model.zeros)
     covered = sum(1 << i for i, column in enumerate(events.by_ray) if column & miss)
-    return miss != 0 and covered == sum(1 << i for i in model.possible())
+    return miss != 0 and covered == ~model.zeros & (1 << len(model.values)) - 1
 
 
 # ---------------------------------------------------------------------------
 # the flats of the ray arrangement
 # ---------------------------------------------------------------------------
-
-def _rays(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
 
 def _minimum_hitting_set(events: GlobalEvents, column: int, zeros: int) -> tuple[int, ...]:
     """The fewest rays of ``zeros`` whose columns cover ``column``; ties go to the lexicographically first."""
@@ -407,13 +404,14 @@ def analyze_mixed_states(
     """
     violations = search.undetermined
     basis_free = [k for k, count in enumerate(basis_membership(scenario)) if count == 0]
-    candidates = [(k, events) for k in basis_free if (events := events_containing(scenario, assignments, k))]
-    if sum(math.prod(len(e.support) - 1 for e in events) for _, events in candidates) > TRIPLE_LISTING_BOUND:
+    events = GlobalEvents(assignments)
+    candidates = [(k, held) for k in basis_free if (held := events.holding(k))]
+    if sum(math.prod(len(e.support) - 1 for e in held) for _, held in candidates) > TRIPLE_LISTING_BOUND:
         return MixedAnalysisReport((), violations, not violations, triples_listed=False)
     triples = []
-    for k, events in candidates:
+    for k, held in candidates:
         # one pick of a non-witness ray per event; repeated picks collapse in the selection
-        for picks in product(*([i for i in e.support if i != k] for e in events)):
+        for picks in product(*([i for i in e.support if i != k] for e in held)):
             selection = tuple(sorted(set(picks)))
             r = rank([scenario.rays[i].vector for i in selection], dim=scenario.dim)
             triples.append(TripleAnalysis(k, picks, selection, r, scenario.dim - r))

@@ -72,7 +72,7 @@ class _Record:
     the field tuple, and ``repr`` reads ``Name(field=value, ...)``, leaving
     out fields whose name starts with ``_``.  The fields are set once, by
     ``__init__``; assigning or deleting an attribute afterwards raises
-    :class:`AttributeError`.  A record that can change undoes that.
+    :class:`AttributeError`.
     """
 
     __slots__ = ()

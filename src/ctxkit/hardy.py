@@ -60,7 +60,7 @@ def derive_paradoxes(
     carries the reason instead.  Every paradox is replayed, all in one
     :func:`replay_contradiction` pass, and a failed replay raises.
     """
-    zeros = sum(1 << i for i in possibilistic_model(scenario, state).impossible())
+    zeros = possibilistic_model(scenario, state).zeros
     events = GlobalEvents(assignments)
     paradoxes = [
         HardyParadox(

@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from .assignments import KSAssignment, events_containing
+from .assignments import GlobalEvents, KSAssignment
 from .contextuality import (
     ContextualityVerdict,
     MixedAnalysisReport,
@@ -90,7 +90,7 @@ def scenario_json(scenario: Scenario) -> dict:
 
 
 def contexts_json(scenario: Scenario, check: ComplementCheck | None = None) -> dict:
-    contexts = scenario.require_contexts()
+    contexts = scenario.contexts
     out = {
         "count": len(contexts),
         "contexts": [
@@ -121,11 +121,9 @@ def assignments_json(scenario: Scenario, assignments: list[KSAssignment]) -> dic
     }
 
 
-def global_events_json(scenario: Scenario, assignments: list[KSAssignment], rays: list[int]) -> dict:
-    return {
-        scenario.rays[i].label: [_labels(scenario, a.support) for a in events_containing(scenario, assignments, i)]
-        for i in rays
-    }
+def global_events_json(scenario: Scenario, assignments: GlobalEvents, rays: list[int]) -> dict:
+    events = GlobalEvents(assignments)
+    return {scenario.rays[i].label: [_labels(scenario, a.support) for a in events.holding(i)] for i in rays}
 
 
 def verdict_json(

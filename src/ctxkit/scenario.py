@@ -7,6 +7,10 @@ i.e. a maximal clique of that graph.  A context of full dimension is an
 orthogonal basis (kind ``BASIS``); smaller ones are ``DEFICIENT`` and carry
 an exact basis of their orthogonal complement.
 
+A :class:`Scenario` is complete once built: its constructor keeps the
+graph as one int mask of neighbours per ray and finds the contexts on
+those masks, so every later stage reads both and none builds them again.
+
 Scenario files are UTF-8 text: a header line
 
     scenario NAME dim D field (rational|gaussian)
@@ -52,41 +56,26 @@ class Context(_Record):
 
 
 class Scenario(_Record):
-    """A named vector set with its exclusivity graph.
+    """A named vector set with its exclusivity graph, complete once built.
 
-    ``contexts`` is ``None`` until :func:`enumerate_contexts` fills it;
-    after that the object is treated as immutable.  The only record that
-    can change, so it has no hash.
+    The constructor derives the rest from ``edges``: bit j of
+    ``neighbours[i]`` is set iff rays i and j are joined, and ``contexts``
+    are the maximal cliques (see :func:`enumerate_contexts`).  Neither is a
+    field, so equality, hashing and ``repr`` read only the arguments.
     """
 
-    __slots__ = _fields = ("name", "dim", "field", "rays", "edges", "contexts", "_adjacency")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None  # type: ignore[assignment]
+    __slots__ = ("name", "dim", "field", "rays", "edges", "neighbours", "contexts")
+    _fields = ("name", "dim", "field", "rays", "edges")
 
-    def __init__(
-        self,
-        name: str,
-        dim: int,
-        field: str,
-        rays: tuple[Ray, ...],
-        edges: frozenset[tuple[int, int]],
-        contexts: tuple[Context, ...] | None = None,
-        _adjacency: tuple[frozenset[int], ...] = (),
-    ):
-        self.name = name
-        self.dim = dim
-        self.field = field
-        self.rays = rays
-        self.edges = edges
-        self.contexts = contexts
-        if not _adjacency:
-            adj = [set() for _ in rays]
-            for i, j in edges:
-                adj[i].add(j)
-                adj[j].add(i)
-            _adjacency = tuple(frozenset(a) for a in adj)
-        self._adjacency = _adjacency
+    def __init__(self, name: str, dim: int, field: str, rays: tuple[Ray, ...], edges: frozenset[tuple[int, int]]):
+        for key, value in zip(self._fields, (name, dim, field, rays, edges)):
+            object.__setattr__(self, key, value)
+        neighbours = [0] * len(rays)
+        for i, j in edges:
+            neighbours[i] |= 1 << j
+            neighbours[j] |= 1 << i
+        object.__setattr__(self, "neighbours", tuple(neighbours))
+        object.__setattr__(self, "contexts", _contexts(dim, rays, self.neighbours))
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -103,20 +92,8 @@ class Scenario(_Record):
                 return i
         raise UnknownLabelError(f"unknown ray label {label!r}")
 
-    def adjacent(self, i: int, j: int) -> bool:
-        return j in self._adjacency[i]
-
-    def neighbors(self, i: int) -> frozenset[int]:
-        return self._adjacency[i]
-
-    def require_contexts(self) -> tuple[Context, ...]:
-        if self.contexts is None:
-            enumerate_contexts(self)
-        assert self.contexts is not None
-        return self.contexts
-
     def basis_contexts(self) -> tuple[Context, ...]:
-        return tuple(c for c in self.require_contexts() if c.kind is ContextKind.BASIS)
+        return tuple(c for c in self.contexts if c.kind is ContextKind.BASIS)
 
 
 def load_scenario(text: str, source: str = "<string>") -> Scenario:
@@ -234,44 +211,47 @@ def _parse_ray_line(raw: str, lineno: int, dim: int, field_kind: str) -> tuple[s
 # ---------------------------------------------------------------------------
 
 def enumerate_contexts(scenario: Scenario) -> tuple[Context, ...]:
-    """All maximal cliques of the exclusivity graph, as Context records.
+    """All maximal cliques of the exclusivity graph, as Context records, sorted by member tuples.
 
-    Uses Bron-Kerbosch with pivoting; output is sorted by member tuples, so
-    the order is independent of the search path.  Results are cached on the
-    scenario, which is immutable afterwards.
+    The scenario's constructor finds them, by Bron-Kerbosch with pivoting
+    on the ``neighbours`` masks, so the order is independent of the search
+    path; this returns ``scenario.contexts``.
     """
-    if scenario.contexts is not None:
-        return scenario.contexts
-    cliques: list[tuple[int, ...]] = []
-    _bron_kerbosch(scenario, set(), set(range(len(scenario.rays))), set(), cliques)
-    cliques.sort()
-    contexts = []
-    for members in cliques:
-        if len(members) > scenario.dim:
-            raise AssertionError("orthogonal clique larger than the dimension")
-        vectors = [scenario.rays[i].vector for i in members]
-        complement = tuple(nullspace(vectors, dim=scenario.dim))
-        kind = ContextKind.BASIS if len(members) == scenario.dim else ContextKind.DEFICIENT
-        contexts.append(Context(members=members, kind=kind, complement=complement))
-    scenario.contexts = tuple(contexts)
     return scenario.contexts
 
 
-def _bron_kerbosch(scenario: Scenario, r: set[int], p: set[int], x: set[int], out: list[tuple[int, ...]]):
+def _rays(mask: int) -> tuple[int, ...]:
+    """The set bits of a ray mask, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _contexts(dim: int, rays: tuple[Ray, ...], neighbours: tuple[int, ...]) -> tuple[Context, ...]:
+    cliques: list[int] = []
+    _bron_kerbosch(neighbours, 0, (1 << len(rays)) - 1, 0, cliques)
+    contexts = []
+    for members in sorted(map(_rays, cliques)):
+        if len(members) > dim:
+            raise AssertionError("orthogonal clique larger than the dimension")
+        complement = tuple(nullspace([rays[i].vector for i in members], dim=dim))
+        kind = ContextKind.BASIS if len(members) == dim else ContextKind.DEFICIENT
+        contexts.append(Context(members=members, kind=kind, complement=complement))
+    return tuple(contexts)
+
+
+def _bron_kerbosch(neighbours: tuple[int, ...], r: int, p: int, x: int, out: list[int]):
+    """Each maximal clique that contains ``r``, draws from ``p`` and avoids ``x``, all ray masks."""
     if not p and not x:
-        out.append(tuple(sorted(r)))
+        out.append(r)
         return
-    pivot = max(sorted(p | x), key=lambda u: len(p & scenario.neighbors(u)))
-    for v in sorted(p - scenario.neighbors(pivot)):
-        _bron_kerbosch(
-            scenario,
-            r | {v},
-            p & scenario.neighbors(v),
-            x & scenario.neighbors(v),
-            out,
-        )
-        p.remove(v)
-        x.add(v)
+    pivot = max(_rays(p | x), key=lambda u: (p & neighbours[u]).bit_count())
+    candidates = p & ~neighbours[pivot]
+    while candidates:
+        bit = candidates & -candidates
+        candidates ^= bit
+        joined = neighbours[bit.bit_length() - 1]
+        _bron_kerbosch(neighbours, r | bit, p & joined, x & joined, out)
+        p ^= bit
+        x |= bit
 
 
 def basis_membership(scenario: Scenario) -> tuple[int, ...]:
@@ -301,7 +281,7 @@ def check_distinct_complements(scenario: Scenario) -> ComplementCheck:
         raise ValidationError("complement distinctness check requires dimension 3")
     pairs = [
         c
-        for c in scenario.require_contexts()
+        for c in scenario.contexts
         if c.kind is ContextKind.DEFICIENT and len(c.members) == 2
     ]
     collisions = []

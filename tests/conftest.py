@@ -2,14 +2,12 @@ from __future__ import annotations
 
 import pytest
 
-from ctxkit import enumerate_assignments, enumerate_contexts, find_contextual_pure_states, load_bundled
+from ctxkit import enumerate_assignments, find_contextual_pure_states, load_bundled
 
 
 @pytest.fixture(scope="session")
 def yu_oh():
-    scenario = load_bundled("yu-oh")
-    enumerate_contexts(scenario)
-    return scenario
+    return load_bundled("yu-oh")
 
 
 @pytest.fixture(scope="session")

@@ -17,10 +17,16 @@ directly, and ``enumerate_assignments_by_basis_choices`` lists the
 KS-assignments as one ray per basis times every independent set of the
 rays outside all bases: the two checks the basis-first search is held to.
 
+``maximal_cliques`` lists every clique of pairwise-orthogonal rays and
+keeps those that no ray extends, where the package runs Bron-Kerbosch on
+its neighbour masks.
+
 ``born_model`` computes the possibilistic model afresh from the Born
 probabilities on every call, where the package keeps it on the state.
 The global-event oracles test events as bit tuples, support tuples and
-Python sets, where the package reads the ``GlobalEvents.by_ray`` columns.
+Python sets, where the package reads the ``GlobalEvents.by_ray`` columns;
+``events_containing`` scans every event for a ray, where the package
+walks the ray's column (``GlobalEvents.holding``).
 ``hitting_set_of_masks`` is no oracle: it hands the package's
 ``_minimum_hitting_set`` one event per zero mask, for the tests that state
 hitting sets as plain masks.
@@ -40,8 +46,8 @@ finds the characteristic polynomial of the state update afresh, by
 Berlekamp-Massey over 512 successive values of one state bit.
 
 ``dataclass_twin`` rebuilds a value record as the ``dataclasses`` class it
-was declared as, from the field list in ``RECORD_FIELDS``: frozen (but
-``Scenario``), with the same defaults and compare/repr flags, so that the
+was declared as, from the field list in ``RECORD_FIELDS``: frozen, with
+the same defaults and compare/repr flags, so that the
 records' own ``==``, ``hash``, ``repr``, constructors and immutability can
 be compared with what ``dataclasses`` generates.
 """
@@ -263,14 +269,13 @@ def enumerate_assignments_by_basis_choices(scenario: Scenario) -> GlobalEvents:
     sets of the residual subgraph of rays outside every basis; intended for
     small scenarios only.
     """
-    scenario.require_contexts()
     n = len(scenario.rays)
     bases = [c.members for c in scenario.basis_contexts()]
     in_basis = set(i for members in bases for i in members)
     outside = [i for i in range(n) if i not in in_basis]
 
     def independent(rays: frozenset[int]) -> bool:
-        return not any(j in rays and scenario.adjacent(i, j) for i in rays for j in rays if j > i)
+        return not any((i, j) in scenario.edges for i in rays for j in rays if j > i)
 
     residual_sets = [frozenset(c) for r in range(len(outside) + 1) for c in combinations(outside, r)]
     residual_sets = [s for s in residual_sets if independent(s)]
@@ -297,9 +302,35 @@ def enumerate_assignments_by_basis_choices(scenario: Scenario) -> GlobalEvents:
     return GlobalEvents(found)
 
 
+def maximal_cliques(scenario: Scenario) -> list[tuple[int, ...]]:
+    """The maximal pairwise-orthogonal ray sets, sorted: every clique, grown in index order, that no ray extends."""
+    n = len(scenario.rays)
+    vectors = [ray.vector for ray in scenario.rays]
+    joined = {(i, j) for i in range(n) for j in range(n) if i != j and inner_product(vectors[i], vectors[j]).is_zero}
+    cliques, frontier = [], [()]
+    while frontier:
+        clique = frontier.pop()
+        cliques.append(clique)
+        start = clique[-1] + 1 if clique else 0
+        frontier += [clique + (j,) for j in range(start, n) if all((i, j) in joined for i in clique)]
+    return sorted(
+        c for c in cliques if c and not any(all((i, j) in joined for i in c) for j in range(n) if j not in c)
+    )
+
+
 # ---------------------------------------------------------------------------
 # global-event tests on bit tuples and sets
 # ---------------------------------------------------------------------------
+
+def events_containing(scenario, assignments, ray) -> list[KSAssignment]:
+    """The assignments whose support holds ``ray`` (an index or a label), by a scan of every event."""
+    bit = 1 << scenario.ray_index(ray)
+    return [a for a in assignments if a.mask & bit]
+
+
+def support_labels(scenario, assignment) -> tuple[str, ...]:
+    return tuple(scenario.rays[i].label for i in assignment.support)
+
 
 def born_model(scenario, state) -> PossibilisticModel:
     """1 for each ray of non-zero Born probability under ``state``, else 0."""
@@ -308,7 +339,7 @@ def born_model(scenario, state) -> PossibilisticModel:
 
 def blocked_witnesses(model, assignments):
     """``(k, events, hits)`` per blocked witness, ``hits[j]`` listing the impossible rays of ``events[j]``."""
-    for k in model.possible():
+    for k in [k for k, value in enumerate(model.values) if value == 1]:
         events = [a for a in assignments if a.bits[k] == 1]
         hits = []
         for event in events:
@@ -518,19 +549,11 @@ RECORD_FIELDS: dict[type, tuple] = {
     ExactMatrix: ("rows", "cols", "den", "nums"),
     Ray: ("label", "vector"),
     Context: ("members", "kind", "complement"),
-    Scenario: (
-        "name",
-        "dim",
-        "field",
-        "rays",
-        "edges",
-        ("contexts", {"default": None}),
-        ("_adjacency", {"default": (), "repr": False}),
-    ),
+    Scenario: ("name", "dim", "field", "rays", "edges", ("neighbours", _HIDDEN), ("contexts", _HIDDEN)),
     ComplementCheck: ("ok", "collisions"),
     KSAssignment: ("bits", ("mask", _HIDDEN)),
     QuantumState: ("dim", "rho", ("psi", {"default": None}), ("_model", {"default": None, **_HIDDEN})),
-    PossibilisticModel: ("values",),
+    PossibilisticModel: ("values", ("zeros", _HIDDEN)),
     ContextualityVerdict: ("contextual", "witness", "model"),
     WitnessedState: ("witness", "state", "selection"),
     UndeterminedFamily: ("witness", "selection", "nullity"),
@@ -549,11 +572,11 @@ RECORD_FIELDS: dict[type, tuple] = {
 
 
 def dataclass_twin(record: type) -> type:
-    """The record as a dataclass of the same name and fields: frozen, but for ``Scenario``.
+    """The record as a frozen dataclass of the same name and fields.
 
     A ``__repr__`` or ``__str__`` the record defines itself is copied into
     the twin, which ``dataclasses`` then keeps.
     """
     specs = [f if isinstance(f, str) else (f[0], object, field(**f[1])) for f in RECORD_FIELDS[record]]
     namespace = {name: value for name, value in vars(record).items() if name in ("__repr__", "__str__")}
-    return make_dataclass(record.__name__, specs, namespace=namespace, frozen=record is not Scenario)
+    return make_dataclass(record.__name__, specs, namespace=namespace, frozen=True)

@@ -22,19 +22,17 @@ from ctxkit import (
     check_witnesses_basis_free,
     crosscheck_reference_observables,
     derive_paradoxes,
-    events_containing,
     find_contextual_pure_states,
     is_logically_contextual,
     noncontextuality_oracle,
     rank1_projector,
     simulate_measurement,
-    support_labels,
     vec,
     verify_observable,
 )
 from ctxkit.cli import _build_parser, _cmd_report
 
-from oracles import enumerate_assignments_by_basis_choices, verify_assignment
+from oracles import enumerate_assignments_by_basis_choices, support_labels, verify_assignment
 from test_assignments import EXPECTED_SUPPORTS, GLOBAL_EVENT_SETS
 from test_hardy import EXPECTED_PARADOXES
 from test_scenario import PAIR_COMPLEMENTS
@@ -45,7 +43,7 @@ def _passed(number: int, text: str):
 
 
 def test_criterion_01_contexts(yu_oh):
-    contexts = yu_oh.require_contexts()
+    contexts = yu_oh.contexts
     assert len(contexts) == 16
     bases = [c for c in contexts if c.kind is ContextKind.BASIS]
     pairs = [c for c in contexts if c.kind is ContextKind.DEFICIENT]
@@ -72,7 +70,7 @@ def test_criterion_02_assignments(yu_oh, yu_oh_assignments):
 
 def test_criterion_03_global_event_sets(yu_oh, yu_oh_assignments):
     for label, expected in GLOBAL_EVENT_SETS.items():
-        events = events_containing(yu_oh, yu_oh_assignments, label)
+        events = yu_oh_assignments.holding(yu_oh.ray_index(label))
         assert [support_labels(yu_oh, a) for a in events] == expected
     _passed(3, "global-event sets of the four basis-free rays")
 

@@ -16,13 +16,10 @@ from ctxkit import (
     UnknownLabelError,
     ValidationError,
     enumerate_assignments,
-    enumerate_contexts,
-    events_containing,
     load_scenario,
-    support_labels,
 )
 
-from oracles import enumerate_assignments_by_basis_choices, verify_assignment
+from oracles import enumerate_assignments_by_basis_choices, events_containing, support_labels, verify_assignment
 
 # the 24 supports of the bundled scenario, in enumeration order
 EXPECTED_SUPPORTS = [
@@ -99,7 +96,7 @@ def test_supports_are_independent_sets(yu_oh, yu_oh_assignments):
         for i in sup:
             for j in sup:
                 if i < j:
-                    assert not yu_oh.adjacent(i, j)
+                    assert not yu_oh.neighbours[i] >> j & 1
 
 
 def test_verify_assignment_examples(yu_oh):
@@ -122,27 +119,22 @@ def test_verify_assignment_requires_full_cover(yu_oh):
 
 def test_events_containing(yu_oh, yu_oh_assignments):
     for label, expected in GLOBAL_EVENT_SETS.items():
-        events = events_containing(yu_oh, yu_oh_assignments, label)
+        events = yu_oh_assignments.holding(yu_oh.ray_index(label))
         assert [support_labels(yu_oh, a) for a in events] == expected
-    assert len(events_containing(yu_oh, yu_oh_assignments, "v1")) == 8
+        assert events == events_containing(yu_oh, yu_oh_assignments, label)
+    assert len(yu_oh_assignments.holding(yu_oh.ray_index("v1"))) == 8
     with pytest.raises(UnknownLabelError):
         events_containing(yu_oh, yu_oh_assignments, "vX")
 
 
 def test_events_containing_preserves_order(yu_oh, yu_oh_assignments):
-    events = events_containing(yu_oh, yu_oh_assignments, "v5")
+    events = yu_oh_assignments.holding(yu_oh.ray_index("v5"))
     positions = [yu_oh_assignments.index(e) for e in events]
     assert positions == sorted(positions)
 
 
-def _tiny(text):
-    s = load_scenario(text)
-    enumerate_contexts(s)
-    return s
-
-
 def test_single_basis_scenario():
-    s = _tiny("scenario basis dim 3 field rational\na: 1,0,0\nb: 0,1,0\nc: 0,0,1")
+    s = load_scenario("scenario basis dim 3 field rational\na: 1,0,0\nb: 0,1,0\nc: 0,0,1")
     assignments = enumerate_assignments(s)
     assert [support_labels(s, a) for a in assignments] == [("a",), ("b",), ("c",)]
     assert enumerate_assignments_by_basis_choices(s) == assignments
@@ -150,21 +142,21 @@ def test_single_basis_scenario():
 
 def test_no_basis_scenario_allows_empty_support():
     # two non-orthogonal rays: no completeness constraint at all
-    s = _tiny("scenario free dim 3 field rational\na: 1,0,0\nb: 1,1,0")
+    s = load_scenario("scenario free dim 3 field rational\na: 1,0,0\nb: 1,1,0")
     assignments = enumerate_assignments(s)
     assert [a.support for a in assignments] == [(), (0,), (0, 1), (1,)]
     assert enumerate_assignments_by_basis_choices(s) == assignments
 
 
 def test_enumerators_agree_on_collision_fixture():
-    s = _tiny("scenario coll dim 3 field rational\na: 1,0,0\nb: 0,1,0\nc: 1,1,0\nd: 1,-1,0")
+    s = load_scenario("scenario coll dim 3 field rational\na: 1,0,0\nb: 0,1,0\nc: 1,1,0\nd: 1,-1,0")
     assert enumerate_assignments(s) == enumerate_assignments_by_basis_choices(s)
 
 
 def test_orthogonal_rays_outside_every_basis():
     # r and s are orthogonal to each other but lie in no basis, so the
     # residual subgraph has an edge; at most one of them joins a support
-    s = _tiny(
+    s = load_scenario(
         "scenario outer dim 3 field rational\n"
         "e1: 1,0,0\ne2: 0,1,0\ne3: 0,0,1\nr: 1,1,0\ns: 1,-1,2"
     )
@@ -199,7 +191,7 @@ def box_scenario(d: int, m: int, indices=None):
     if indices is not None:
         rays = [rays[i] for i in indices]
     lines = [f"r{i}: {','.join(map(str, v))}" for i, v in enumerate(rays, start=1)]
-    return _tiny("\n".join([f"scenario box-d{d}-m{m} dim {d} field rational", *lines]))
+    return load_scenario("\n".join([f"scenario box-d{d}-m{m} dim {d} field rational", *lines]))
 
 
 @cache
@@ -234,7 +226,10 @@ def test_uncolourable_boxes_have_no_assignments(d, m, rays):
     # closes every branch within a few bases
     s = box_scenario(d, m)
     assert len(s.rays) == rays
-    assert enumerate_assignments(s) == ()
+    events = enumerate_assignments(s)
+    assert events == ()
+    # no columns to read, and no ray is held
+    assert all(events.holding(i) == [] for i in range(rays))
 
 
 @settings(max_examples=100, deadline=None)
@@ -249,6 +244,7 @@ def test_by_ray_is_the_transpose_of_the_bits_on_box_subsets(subset):
     for given_events in (events, list(events)):
         for i in range(n):
             assert events_containing(s, given_events, i) == [a for a in events if a.mask >> i & 1]
+            assert GlobalEvents(given_events).holding(i) == events_containing(s, given_events, i)
 
 
 def test_by_ray_is_built_on_first_use(yu_oh):

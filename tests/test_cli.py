@@ -21,11 +21,12 @@ from ctxkit import (
     enumerate_assignments,
     load_bundled,
     load_scenario_path,
-    support_labels,
     vec,
 )
 from ctxkit.contextuality import TRIPLE_LISTING_BOUND, PureStateSearch, WitnessedState
 from ctxkit.report import render_text
+
+from oracles import support_labels
 
 
 def run_cli(*args, **kwargs):

@@ -243,7 +243,8 @@ def assert_event_tests_match_oracles(scenario, assignments, state):
     paradoxes = derive_paradoxes(scenario, state, assignments).paradoxes
     assert [(p.witness, p.zero_set, p.sp) for p in paradoxes] == oracles.derive_paradoxes(scenario, state, assignments)
     # replays of the paradoxes, of their shrunk zero sets, and of every ray against all impossible rays
-    impossible = possibilistic_model(scenario, state).impossible()
+    zeros = possibilistic_model(scenario, state).zeros
+    impossible = tuple(i for i in range(len(scenario.rays)) if zeros >> i & 1)
     claims = [HardyParadox(p.state, p.witness, z, p.sp) for p in paradoxes for z in (p.zero_set, p.zero_set[1:], p.zero_set[:-1])]
     claims += [HardyParadox(state, k, impossible, state.probability(r.vector)) for k, r in enumerate(scenario.rays)]
     # one batch, whose paradoxes share zero sets
@@ -254,7 +255,6 @@ def test_empty_event_makes_a_state_orthogonal_to_every_ray_non_contextual():
     # no basis, so the empty event is a global event; under 0,0,1 every ray is
     # impossible and that event alone reproduces the all-zero model
     s = load_scenario("scenario two dim 3 field rational\na: 1,0,0\nb: 0,1,0")
-    enumerate_contexts(s)
     assignments = enumerate_assignments(s)
     assert [a.mask for a in assignments] == [0, 1, 2]
     state = QuantumState.pure(vec(0, 0, 1))
@@ -402,7 +402,6 @@ def test_witnesses_are_basis_free(yu_oh, yu_oh_assignments):
 
 def test_search_on_single_basis_scenario():
     s = load_scenario("scenario basis dim 3 field rational\na: 1,0,0\nb: 0,1,0\nc: 0,0,1")
-    enumerate_contexts(s)
     search = find_contextual_pure_states(s, enumerate_assignments(s))
     assert search.states == ()
     assert check_witnesses_basis_free(s, search)
@@ -454,7 +453,6 @@ def test_mixed_analysis_flags_large_solution_spaces():
         rays=rays,
         edges=frozenset(basis_edges | {(1, 4), (2, 4)}),
     )
-    enumerate_contexts(doctored)
     assignments = enumerate_assignments(doctored)
     supports = {tuple(doctored.rays[i].label for i in a.support) for a in assignments}
     assert ("a", "e") in supports and ("d", "e") in supports
@@ -485,7 +483,7 @@ def check_flat_scan(scenario):
         complement = gram_schmidt(oracles.nullspace([scenario.rays[i].vector for i in family.selection], scenario.dim))
         assert len(complement) == family.nullity >= 2
         rho = QuantumState.density(mixture([(Fraction(1, len(complement)), rank1_projector(u)) for u in complement]))
-        assert possibilistic_model(scenario, rho).impossible() == family.selection
+        assert possibilistic_model(scenario, rho).zeros == sum(1 << i for i in family.selection)
         assert is_logically_contextual(scenario, rho, assignments)
         assert not noncontextuality_oracle(scenario, rho, assignments)
     mixed = analyze_mixed_states(scenario, assignments, search)
@@ -505,7 +503,6 @@ def test_flat_scan_matches_brute_force_on_box_subsets(subset):
 
 def test_flat_scan_matches_brute_force_on_gaussian_yu_oh(yu_oh):
     scenario = load_scenario(gaussian_image_text(yu_oh))
-    enumerate_contexts(scenario)
     check_flat_scan(scenario)
 
 

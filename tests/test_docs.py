@@ -30,14 +30,26 @@ def test_readme_library_example_prints_the_three_paradoxes():
     assert out.getvalue().splitlines() == ["vA 1/9", "vB 1/9", "vC 1/9"]
 
 
+def run_script(name: str, *args: str) -> bytes:
+    """The stdout of ``scripts/NAME`` run with ``ctxkit`` importable, which must exit 0."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args], capture_output=True, env=env)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_reproduce_tables_prints_the_golden_report(fmt):
-    script = os.path.join(ROOT, "scripts", "reproduce_tables.py")
-    args = [] if fmt == "text" else ["--format", "json"]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, script, *args], capture_output=True, env=env)
-    assert result.returncode == 0, result.stderr
-    assert hashlib.sha256(result.stdout).hexdigest() == GOLDEN["report", fmt]
+    stdout = run_script("reproduce_tables.py", *([] if fmt == "text" else ["--format", "json"]))
+    assert hashlib.sha256(stdout).hexdigest() == GOLDEN["report", fmt]
+
+
+def test_estimate_success_probability_prints_the_twelve_paradoxes():
+    stdout = run_script("estimate_success_probability.py", "--shots", "2000", "--seed", "0")
+    rows = stdout.decode().splitlines()[2:]
+    assert len(rows) == 12 and all(row.split()[2] == "1/9" for row in rows)
+    # the seeded xoshiro256** draw makes the whole table byte-stable
+    assert hashlib.sha256(stdout).hexdigest() == "6a39a61be1930a6e0c951714053d4f6757530c816c9f3974263da76d56811022"
 
 
 def test_bench_pairs_counts_a_win_in_each_metric_direction():

@@ -25,12 +25,9 @@ from ctxkit import (
     crosscheck_reference_observables,
     derive_paradoxes,
     enumerate_assignments,
-    enumerate_contexts,
-    events_containing,
     load_scenario,
     rank1_projector,
     replay_contradiction,
-    support_labels,
     vec,
     verify_observable,
 )
@@ -103,9 +100,7 @@ def box_d3_m2_prefix():
         if any(v) and gcd(*v) == 1 and next(x for x in v if x) > 0
     ][:32]
     lines = [f"r{i}: {','.join(map(str, v))}" for i, v in enumerate(rays, start=1)]
-    s = load_scenario("\n".join(["scenario box-d3-m2-n32 dim 3 field rational", *lines]))
-    enumerate_contexts(s)
-    return s
+    return load_scenario("\n".join(["scenario box-d3-m2-n32 dim 3 field rational", *lines]))
 
 
 def test_paradoxes_exist_iff_state_is_contextual(yu_oh, yu_oh_assignments):
@@ -119,7 +114,7 @@ def test_paradoxes_exist_iff_state_is_contextual(yu_oh, yu_oh_assignments):
     box = box_d3_m2_prefix()
     box_assignments = enumerate_assignments(box)
     assert len(box_assignments) == 1024
-    assert sum(1 for i in range(len(box.rays)) if not events_containing(box, box_assignments, i)) == 8
+    assert sum(1 for i in range(len(box.rays)) if not oracles.events_containing(box, box_assignments, i)) == 8
 
     yu_oh_states = [QuantumState.pure(vec(*c)) for c in EXPECTED_PARADOXES]
     yu_oh_states += [QuantumState.pure(r.vector) for r in yu_oh.rays]
@@ -176,7 +171,7 @@ def test_replay_is_independent_of_the_event_index(yu_oh, yu_oh_assignments):
     # event, and the replay over the events themselves must reject it
     events = GlobalEvents(list(yu_oh_assignments))
     by_ray = list(yu_oh_assignments.by_ray)
-    dropped = next(j for j, a in enumerate(events) if support_labels(yu_oh, a) == ("v2", "v6", "v7", "vA"))
+    dropped = next(j for j, a in enumerate(events) if oracles.support_labels(yu_oh, a) == ("v2", "v6", "v7", "vA"))
     by_ray[yu_oh.ray_index("vA")] &= ~(1 << dropped)
     vars(events)["by_ray"] = tuple(by_ray)
     with pytest.raises(AssertionError, match="^derived paradox failed the contradiction replay$"):
@@ -280,7 +275,6 @@ def test_observable_for_fourth_paradox(yu_oh, yu_oh_assignments):
 
 def test_observable_on_already_orthogonal_triple():
     s = load_scenario("scenario axes dim 3 field rational\na: 1,0,0\nb: 0,1,0\nc: 0,0,1")
-    enumerate_contexts(s)
     paradox = HardyParadox(
         state=QuantumState.pure(vec(0, 0, 1)),
         witness=2,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
 from ctxkit import (
     ContextKind,
@@ -17,7 +18,12 @@ from ctxkit import (
     load_scenario,
     vec,
 )
+from ctxkit.exact import orthogonal
 from ctxkit.scenario import basis_membership
+
+import oracles
+from test_assignments import box_scenario, box_subsets
+from test_contextuality import gaussian_image_text
 
 # complements of the twelve two-member contexts, keyed by member labels
 PAIR_COMPLEMENTS = {
@@ -56,8 +62,8 @@ def test_edges_equal_exact_orthogonality(yu_oh):
         for j in range(i + 1, len(yu_oh.rays)):
             expected = inner_product(yu_oh.rays[i].vector, yu_oh.rays[j].vector).is_zero
             assert ((i, j) in yu_oh.edges) == expected
-            assert yu_oh.adjacent(i, j) == expected
-    assert all(not yu_oh.adjacent(i, i) for i in range(len(yu_oh.rays)))
+            assert (yu_oh.neighbours[i] >> j & 1) == (yu_oh.neighbours[j] >> i & 1) == expected
+    assert all(not yu_oh.neighbours[i] >> i & 1 for i in range(len(yu_oh.rays)))
 
 
 # --- parsing and validation ------------------------------------------------
@@ -133,7 +139,7 @@ def test_unknown_label():
 
 
 def test_yu_oh_contexts(yu_oh):
-    contexts = yu_oh.require_contexts()
+    contexts = yu_oh.contexts
     assert len(contexts) == 16
     bases = [c for c in contexts if c.kind is ContextKind.BASIS]
     pairs = [c for c in contexts if c.kind is ContextKind.DEFICIENT]
@@ -145,7 +151,7 @@ def test_yu_oh_contexts(yu_oh):
 
 
 def test_yu_oh_pair_complements_match_reference(yu_oh):
-    pairs = [c for c in yu_oh.require_contexts() if c.kind is ContextKind.DEFICIENT]
+    pairs = [c for c in yu_oh.contexts if c.kind is ContextKind.DEFICIENT]
     seen = {}
     for c in pairs:
         key = tuple(yu_oh.rays[i].label for i in c.members)
@@ -169,22 +175,22 @@ def _conjugate_cross(u, v):
 
 def test_pair_complements_agree_with_cross_product(yu_oh):
     # independent route to the complement of a two-member context in dim 3
-    for c in yu_oh.require_contexts():
+    for c in yu_oh.contexts:
         if c.kind is ContextKind.DEFICIENT:
             u, v = (yu_oh.rays[i].vector for i in c.members)
             assert canonical_ray(_conjugate_cross(u, v)) == c.complement[0]
 
 
 def test_contexts_are_orthogonal_and_maximal(yu_oh):
-    for c in yu_oh.require_contexts():
+    for c in yu_oh.contexts:
         members = list(c.members)
         for a in members:
             for b in members:
                 if a < b:
-                    assert yu_oh.adjacent(a, b)
+                    assert yu_oh.neighbours[a] >> b & 1
         outside = set(range(len(yu_oh.rays))) - set(members)
         for o in outside:
-            assert not all(yu_oh.adjacent(o, m) for m in members)
+            assert not all(yu_oh.neighbours[o] >> m & 1 for m in members)
         for comp in c.complement:
             for m in members:
                 assert inner_product(yu_oh.rays[m].vector, comp).is_zero
@@ -192,7 +198,7 @@ def test_contexts_are_orthogonal_and_maximal(yu_oh):
 
 
 def test_contexts_sorted_deterministically(yu_oh):
-    members = [c.members for c in yu_oh.require_contexts()]
+    members = [c.members for c in yu_oh.contexts]
     assert members == sorted(members)
 
 
@@ -203,9 +209,26 @@ def test_classify_rays(yu_oh):
     assert all(counts[at(f"v{i}")] == 1 for i in range(4, 10))
     assert all(counts[at(v)] == 0 for v in ("vA", "vB", "vC", "vD"))
     # the counts are exactly the basis-membership indicator sums
-    bases = [c for c in yu_oh.require_contexts() if c.kind is ContextKind.BASIS]
+    bases = [c for c in yu_oh.contexts if c.kind is ContextKind.BASIS]
     for i in range(len(yu_oh.rays)):
         assert counts[i] == sum(1 for c in bases if i in c.members)
+
+
+def assert_masks_match_oracles(s):
+    for i, u in enumerate(s.rays):
+        for j, v in enumerate(s.rays):
+            assert (s.neighbours[i] >> j & 1) == orthogonal(u.vector, v.vector)
+    assert [c.members for c in s.contexts] == oracles.maximal_cliques(s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(box_subsets())
+def test_neighbours_and_contexts_match_oracles_on_box_subsets(subset):
+    assert_masks_match_oracles(box_scenario(*subset))
+
+
+def test_neighbours_and_contexts_match_oracles_on_gaussian_yu_oh(yu_oh):
+    assert_masks_match_oracles(load_scenario(gaussian_image_text(yu_oh)))
 
 
 def test_singleton_scenario():
@@ -226,7 +249,6 @@ def test_distinct_complements_yu_oh(yu_oh):
 def test_distinct_complements_collision_fixture():
     # both pair contexts span the xy-plane, hence share the complement (0,0,1)
     s = scenario_from("a: 1,0,0", "b: 0,1,0", "c: 1,1,0", "d: 1,-1,0")
-    enumerate_contexts(s)
     check = check_distinct_complements(s)
     assert not check.ok
     assert len(check.collisions) == 1
@@ -239,6 +261,5 @@ def test_distinct_complements_collision_fixture():
 
 def test_distinct_complements_requires_dim_3():
     s = load_scenario("scenario t dim 2 field rational\na: 1,0\nb: 0,1")
-    enumerate_contexts(s)
     with pytest.raises(ValidationError):
         check_distinct_complements(s)
