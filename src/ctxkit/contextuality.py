@@ -8,8 +8,12 @@ are ray bitmasks, a model's impossible rays its ``zeros``, and each
 ray's events one int over the events, its column in
 ``GlobalEvents.by_ray``; ``miss``, the events that miss a zero set, is
 all events less each zero ray's column.
-:func:`possibilistic_model` keeps the model on the
-``QuantumState`` object, keyed by the scenario's ray tuple, so the
+:func:`possibilistic_model` computes the model of a pure or a density
+state in one pass on ints: ray ``z`` is impossible iff ``M z = 0`` for
+the state's integer rows ``M``, and each row meets every ray at once
+through the rays' packed integer coordinates.  A pure state keeps only
+its canonical ray; no check builds its projector.  The model is kept on
+the ``QuantumState`` object, keyed by the scenario's ray tuple, so the
 verdict, the oracle and the paradox derivation of one state object on
 one scenario share a single Born pass.  Two decision procedures are
 implemented:
@@ -59,7 +63,6 @@ from .exact import (
     ExactMatrix,
     ExactVector,
     _Record,
-    _dot,
     canonical_ray,
     expectation,
     nullspace,
@@ -76,34 +79,52 @@ from .scenario import Scenario, _rays, basis_membership
 class QuantumState(_Record):
     """A pure or mixed state of known dimension.
 
-    Pure states are stored as canonical rays; density operators are
-    validated (Hermitian, trace 1, PSD) at construction.  ``_model`` holds
-    the last :func:`possibilistic_model` as ``(rays, model)`` and is unset
-    before the first; it is not a field, so equality, hashing and ``repr``
-    ignore it.
+    Pure states are stored as canonical rays, ``psi``; ``rho``, the
+    projector onto ``psi``, is built on first read and then kept, and no
+    check reads it.  Density operators are validated (Hermitian, trace 1,
+    PSD) at construction.  ``_model`` holds the last
+    :func:`possibilistic_model` as ``(rays, model)`` and is unset before
+    the first; it is not a field, so equality, hashing and ``repr`` ignore
+    it.  They read ``rho``, so they build a pure state's projector.
     """
 
-    __slots__ = ("dim", "rho", "psi", "_model")
+    __slots__ = ("dim", "_rho", "psi", "_model")
     _fields = ("dim", "rho", "psi")
     _defaults = {"psi": None}
+
+    def __init__(self, dim: int, rho: ExactMatrix, psi: ExactVector | None = None):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "_rho", rho)
+        object.__setattr__(self, "psi", psi)
 
     @classmethod
     def pure(cls, vector: ExactVector) -> "QuantumState":
         if vector.is_zero:
             raise ValidationError("a pure state must be a non-zero vector")
         psi = canonical_ray(vector)
-        return cls(dim=psi.dim, rho=rank1_projector(psi), psi=psi)
+        state = cls.__new__(cls)
+        object.__setattr__(state, "dim", psi.dim)
+        object.__setattr__(state, "psi", psi)
+        return state
 
     @classmethod
     def density(cls, matrix: ExactMatrix) -> "QuantumState":
         validate_density(matrix)
         return cls(dim=matrix.rows, rho=matrix, psi=None)
 
+    @property
+    def rho(self) -> ExactMatrix:
+        try:
+            return self._rho
+        except AttributeError:  # a pure state builds its projector on first read
+            object.__setattr__(self, "_rho", rank1_projector(self.psi))
+            return self._rho
+
     def probability(self, v: ExactVector) -> Fraction:
         """Exact Born probability of the event ``v`` under this state."""
         if v.dim != self.dim:
             raise DimensionMismatchError("state and event dimensions differ")
-        if v.is_zero:
+        if not v.integer_norm:
             raise ValidationError("events must be non-zero vectors")
         if self.psi is not None:
             return overlap(v, self.psi)
@@ -152,12 +173,54 @@ class PossibilisticModel(_Record):
         object.__setattr__(self, "zeros", sum(1 << i for i, v in enumerate(values) if v == 0))
 
 
+def _packed_rays(scenario: Scenario, row_bytes: int) -> tuple[int, int, list[tuple[int, int]]]:
+    """``(width, ones, columns)``: the rays' integer coordinates packed for rows whose parts fit in ``row_bytes`` bytes.
+
+    ``columns[j]`` holds the re and im parts of coordinate j of every
+    ray's integer form, ray k's in the ``width``-bit slot k, as signed
+    sums ``sum_k x_k << k * width``; ``ones`` has bit 0 of every slot set.
+    ``width`` is ``row_bytes`` bytes more than the rays need, so that a
+    row's product with any ray has parts below ``2 ** (width - 2)`` in
+    absolute value.  Built on first use and kept on the scenario, one
+    packing per ``row_bytes``, so one per width.
+    """
+    packing = scenario._packings.get(row_bytes)
+    if packing is None:
+        forms = [ray.vector.integer_form for ray in scenario.rays]
+        ray_bits = max((abs(x) for z in forms for part in z for x in part), default=0).bit_length()
+        # each part of sum_j a_j z_j is below 2d * 2 ** (row_bits + ray_bits) in absolute value
+        width = 8 * (row_bytes + -(-(ray_bits + scenario.dim.bit_length() + 3) // 8))
+        columns = [
+            tuple(sum(z[j][part] << k * width for k, z in enumerate(forms)) for part in (0, 1))
+            for j in range(scenario.dim)
+        ]
+        ones = sum(1 << k * width for k in range(len(forms)))
+        packing = scenario._packings[row_bytes] = (width, ones, columns)
+    return packing
+
+
+def _integer_rows(state: QuantumState) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The integer rows M of ``state``, ``M z = 0`` iff ray ``z`` is impossible: ``conj(psi)`` for a pure
+    state, read before ``rho`` so that no projector is built, or the numerator rows of a density's ``rho``."""
+    if state.psi is not None:
+        return (tuple((a, -b) for a, b in state.psi.integer_form),)
+    d, nums = state.dim, state.rho.nums
+    return tuple(nums[i * d : (i + 1) * d] for i in range(d))
+
+
 def possibilistic_model(scenario: Scenario, state: QuantumState) -> PossibilisticModel:
     """Map each ray to 1 iff its Born probability under ``state`` is non-zero.
 
-    For a pure state that is the ray not being orthogonal to the state; for
-    a density operator ``rho``, which is PSD, ``<z|rho|z> = 0`` iff
-    ``rho z = 0``, tested on the integer numerators of ``rho`` and ``z``.
+    Ray ``z`` is impossible iff ``M z = 0`` for the state's integer rows
+    ``M``: for a pure state that is ``z`` orthogonal to the state; for a
+    density operator ``rho``, which is PSD, ``<z|rho|z> = 0`` iff
+    ``rho z = 0``.  One pass serves both: each row of ``M`` meets every ray
+    at once, in ``2d`` multiplies of its parts by the packed coordinates of
+    :func:`_packed_rays` (``4d`` for a row with imaginary parts).  A bias of ``2 ** (width - 2)`` in every slot
+    keeps each slot's product in its own slot, exclusive-or with the bias
+    leaves a slot zero iff its product is, and adding
+    ``2 ** (width - 1) - 1`` to each slot then carries into its top bit
+    iff it is not.
     The rays are the model's only input, so the model is kept on the state
     with the ``scenario.rays`` tuple it was computed from and returned
     again while the same tuple (by identity) is passed: every consumer of
@@ -168,15 +231,24 @@ def possibilistic_model(scenario: Scenario, state: QuantumState) -> Possibilisti
     cached = getattr(state, "_model", None)
     if cached is not None and cached[0] is scenario.rays:
         return cached[1]
-    if state.psi is not None:
-        values = tuple(0 if orthogonal(r.vector, state.psi) else 1 for r in scenario.rays)
-    else:
-        d = state.dim
-        rows = [state.rho.nums[i * d : (i + 1) * d] for i in range(d)]
-        values = tuple(
-            int(any(_dot(row, r.vector.integer_form) != (0, 0) for row in rows)) for r in scenario.rays
-        )
-    model = PossibilisticModel(values)
+    rows = _integer_rows(state)
+    row_bits = max(abs(x) for row in rows for z in row for x in z).bit_length()
+    width, ones, columns = _packed_rays(scenario, -(-row_bits // 8))
+    bias = ones << width - 2
+    nonzero = 0
+    for row in rows:
+        re = im = bias
+        for (a, b), (zr, zi) in zip(row, columns):
+            if a:
+                re += a * zr
+                im += a * zi
+            if b:
+                re -= b * zi
+                im += b * zr
+        nonzero |= re ^ bias | im ^ bias
+    nonzero = (nonzero + (bias << 1) - ones) >> width - 1 & ones
+    step = width // 8
+    model = PossibilisticModel(tuple(nonzero.to_bytes(len(scenario.rays) * step, "little")[::step]))
     # holding the rays keeps their identity from being reused by another tuple
     object.__setattr__(state, "_model", (scenario.rays, model))
     return model

@@ -290,6 +290,11 @@ class ExactVector(_Record):
         content = gcd(*(part for z in nums for part in z)) or 1
         return tuple((a // content, b // content) for a, b in nums)
 
+    @cached_property
+    def integer_norm(self) -> int:
+        """``||integer_form||^2`` as an int; computed on first use, then kept."""
+        return sum(a * a + b * b for a, b in self.integer_form)
+
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 
@@ -343,8 +348,7 @@ def orthogonal(u: ExactVector, v: ExactVector) -> bool:
 def overlap(u: ExactVector, v: ExactVector) -> Fraction:
     """``|<u|v>|^2 / (||u||^2 ||v||^2)``: the Born probability of ray ``u`` in pure state ``v``."""
     re, im = _integer_inner(u, v)
-    norm_u = sum(a * a + b * b for a, b in u.integer_form)
-    norm_v = sum(a * a + b * b for a, b in v.integer_form)
+    norm_u, norm_v = u.integer_norm, v.integer_norm
     if norm_u == 0 or norm_v == 0:
         raise ValidationError("the overlap of a zero vector is undefined")
     return Fraction(re * re + im * im, norm_u * norm_v)
@@ -410,12 +414,11 @@ def _canonical_from_ints(ints: Sequence[tuple[int, int]]) -> ExactVector:
         if fr > 0 and fi >= 0:
             unit = (ur, ui)
             break
-    return ExactVector(
-        tuple(
-            ExactScalar(Fraction(zr * unit[0] - zi * unit[1]), Fraction(zr * unit[1] + zi * unit[0]))
-            for (zr, zi) in reduced
-        )
-    )
+    ints = tuple((zr * unit[0] - zi * unit[1], zr * unit[1] + zi * unit[0]) for (zr, zi) in reduced)
+    ray = ExactVector(tuple(ExactScalar(Fraction(zr), Fraction(zi)) for zr, zi in ints))
+    # coprime Gaussian integers with unit gcd have integer content 1: they are the integer form
+    vars(ray)["integer_form"] = ints
+    return ray
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +541,7 @@ def gram_schmidt(ordered: Sequence[ExactVector]) -> list[ExactVector]:
             raise LinearDependenceError(f"vector {v} is linearly dependent on its predecessors")
         u = _canonical_from_ints(residual)
         out.append(u)
-        norms.append(sum(a * a + b * b for a, b in u.integer_form))
+        norms.append(u.integer_norm)
     return out
 
 
@@ -682,7 +685,7 @@ def rank1_projector(v: ExactVector) -> ExactMatrix:
     return ExactMatrix(
         v.dim,
         v.dim,
-        sum(a * a + b * b for a, b in z),
+        v.integer_norm,
         tuple((a * c + b * d, b * c - a * d) for a, b in z for c, d in z),
     )
 
@@ -762,7 +765,7 @@ def expectation(rho: ExactMatrix, v: ExactVector) -> Fraction:
     if rho.rows != v.dim or rho.cols != v.dim:
         raise DimensionMismatchError("matrix and vector dimensions do not match")
     z = v.integer_form
-    norm = sum(a * a + b * b for a, b in z)
+    norm = v.integer_norm
     if norm == 0:
         raise ValidationError("events must be non-zero vectors")
     d = v.dim

@@ -86,6 +86,16 @@ def percent(value: Fraction) -> str:
     return f"{float(value) * 100:.3g}%"
 
 
+def _fold(words: int, slots: int, width: int) -> int:
+    """The OR of the ``slots`` ``width``-bit slots of ``words``, by halving: about twice the word's size in work."""
+    while slots > 1:
+        half = (slots + 1) // 2
+        low = half * width
+        words = words >> low | words & (1 << low) - 1
+        slots = half
+    return words
+
+
 def replay_contradiction(assignments: GlobalEvents, paradoxes: list[HardyParadox]) -> list[bool]:
     """Re-derive the inconsistency each paradox encodes, one result per paradox.
 
@@ -94,24 +104,31 @@ def replay_contradiction(assignments: GlobalEvents, paradoxes: list[HardyParadox
     true iff some event holds the witness, each such event meets the zero
     set and the witness probability is positive.  It reads the packed
     event masks of ``GlobalEvents.rows``, never the ``by_ray`` index that
-    :func:`derive_paradoxes` reads: one shift marks the events that hold
-    the witness, and adding 2^n - 1 to each slot's zero-set bits carries
-    into its bit n iff the event meets the zero set.  That ``met`` word is
-    computed once per distinct zero set of the batch.
+    :func:`derive_paradoxes` reads.  Adding 2^n - 1 to each slot's
+    zero-set bits carries into its bit n iff the event meets the zero set;
+    the masks of the slots without that carry, OR-folded into one n-bit
+    word, are the rays of the events that miss the zero set.  So each
+    distinct zero set of the batch costs one fold, the union of all masks
+    is folded once, and each paradox is a bit test: its witness is in the
+    union and not in its zero set's word.
     """
-    rows, ones, n = GlobalEvents(assignments).rows
-    full = (1 << n) - 1
-    met: dict[int, int] = {}
+    events = GlobalEvents(assignments)
+    rows, ones, n, width = events.rows
+    full, carry = (1 << n) - 1, (ones << n) - ones
+    union = _fold(rows, len(events), width)
+    unmet: dict[int, int] = {}
     replays = []
     for paradox in paradoxes:
-        if paradox.sp <= 0 or paradox.witness >= n:
+        witness = paradox.witness
+        if paradox.sp <= 0 or witness >= n or not union >> witness & 1:
             replays.append(False)
             continue
         zeros = sum(1 << i for i in paradox.zero_set) & full
-        if zeros not in met:
-            met[zeros] = ((rows & zeros * ones) + ones * full) >> n
-        held = rows >> paradox.witness & ones
-        replays.append(held != 0 and held & met[zeros] == held)
+        if zeros not in unmet:
+            met = ((rows & zeros * ones) + carry) >> n & ones
+            # met * full marks every mask bit of the slots that meet the zero set
+            unmet[zeros] = _fold(rows & ~((met << n) - met), len(events), width)
+        replays.append(not unmet[zeros] >> witness & 1)
     return replays
 
 

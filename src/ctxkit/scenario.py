@@ -62,9 +62,11 @@ class Scenario(_Record):
     ``neighbours[i]`` is set iff rays i and j are joined, and ``contexts``
     are the maximal cliques (see :func:`enumerate_contexts`).  Neither is a
     field, so equality, hashing and ``repr`` read only the arguments.
+    ``_packings`` starts empty and keeps the rays' packed integer
+    coordinates that ``contextuality._packed_rays`` builds on first use.
     """
 
-    __slots__ = ("name", "dim", "field", "rays", "edges", "neighbours", "contexts")
+    __slots__ = ("name", "dim", "field", "rays", "edges", "neighbours", "contexts", "_packings")
     _fields = ("name", "dim", "field", "rays", "edges")
 
     def __init__(self, name: str, dim: int, field: str, rays: tuple[Ray, ...], edges: frozenset[tuple[int, int]]):
@@ -76,6 +78,7 @@ class Scenario(_Record):
             neighbours[j] |= 1 << i
         object.__setattr__(self, "neighbours", tuple(neighbours))
         object.__setattr__(self, "contexts", _contexts(dim, rays, self.neighbours))
+        object.__setattr__(self, "_packings", {})
 
     @property
     def labels(self) -> tuple[str, ...]:

@@ -23,6 +23,10 @@ its neighbour masks.
 
 ``born_model`` computes the possibilistic model afresh from the Born
 probabilities on every call, where the package keeps it on the state.
+``integer_model`` is the per-ray integer model the packed Born pass
+replaced: one ``orthogonal`` call per ray for a pure state, and for a
+density ``rho`` one ``_dot`` of each numerator row with each ray's
+integer form.
 The global-event oracles test events as bit tuples, support tuples and
 Python sets, where the package reads the ``GlobalEvents.by_ray`` columns;
 ``events_containing`` scans every event for a ray, where the package
@@ -30,6 +34,10 @@ walks the ray's column (``GlobalEvents.holding``).
 ``hitting_set_of_masks`` is no oracle: it hands the package's
 ``_minimum_hitting_set`` one event per zero mask, for the tests that state
 hitting sets as plain masks.
+
+``shift_replay`` is the replay the folded one replaced: per paradox, one
+shift of the packed ``GlobalEvents.rows`` marks the events that hold the
+witness, against one word per zero set of the events that meet it.
 
 ``selection_search`` is the pure-state search the flat scan replaced: it
 solves the orthogonality system of every pick of one non-witness ray per
@@ -79,7 +87,17 @@ from ctxkit.errors import (
     LinearDependenceError,
     ValidationError,
 )
-from ctxkit.exact import ONE, ZERO, ExactMatrix, ExactScalar, ExactVector, canonical_ray, inner_product
+from ctxkit.exact import (
+    ONE,
+    ZERO,
+    ExactMatrix,
+    ExactScalar,
+    ExactVector,
+    _dot,
+    canonical_ray,
+    inner_product,
+    orthogonal,
+)
 from ctxkit.hardy import (
     HardyParadox,
     ObservableVerification,
@@ -337,6 +355,17 @@ def born_model(scenario, state) -> PossibilisticModel:
     return PossibilisticModel(tuple(1 if state.probability(r.vector) != 0 else 0 for r in scenario.rays))
 
 
+def integer_model(scenario, state) -> PossibilisticModel:
+    """The model ray by ray: orthogonality to ``psi``, or a non-zero row product with ``rho``'s numerators."""
+    if state.psi is not None:
+        return PossibilisticModel(tuple(0 if orthogonal(r.vector, state.psi) else 1 for r in scenario.rays))
+    d = state.dim
+    rows = [state.rho.nums[i * d : (i + 1) * d] for i in range(d)]
+    return PossibilisticModel(
+        tuple(int(any(_dot(row, r.vector.integer_form) != (0, 0) for row in rows)) for r in scenario.rays)
+    )
+
+
 def blocked_witnesses(model, assignments):
     """``(k, events, hits)`` per blocked witness, ``hits[j]`` listing the impossible rays of ``events[j]``."""
     for k in [k for k, value in enumerate(model.values) if value == 1]:
@@ -402,6 +431,25 @@ def replay_contradiction(assignments, paradox) -> bool:
     if not witness_events:
         return False
     return all(zero.intersection(a.support) for a in witness_events)
+
+
+def shift_replay(assignments, paradoxes) -> list[bool]:
+    """One result per paradox: ``rows >> witness & ones`` marks the events that hold the witness,
+    and adding 2^n - 1 to each slot's zero-set bits carries into its bit n iff the event meets the zero set."""
+    rows, ones, n, _ = GlobalEvents(assignments).rows
+    full = (1 << n) - 1
+    met: dict[int, int] = {}
+    replays = []
+    for paradox in paradoxes:
+        if paradox.sp <= 0 or paradox.witness >= n:
+            replays.append(False)
+            continue
+        zeros = sum(1 << i for i in paradox.zero_set) & full
+        if zeros not in met:
+            met[zeros] = ((rows & zeros * ones) + ones * full) >> n
+        held = rows >> paradox.witness & ones
+        replays.append(held != 0 and held & met[zeros] == held)
+    return replays
 
 
 def derive_paradoxes(scenario, state, assignments) -> list[tuple[int, tuple[int, ...], Fraction]]:

@@ -385,13 +385,15 @@ def test_command_computes_the_model_once_per_consumer(monkeypatch, tmp_path, com
 
 
 def test_check_makes_one_born_pass(monkeypatch, tmp_path):
-    # the verdict and the oracle share the model kept on the state: one test per ray of yu-oh
+    # the verdict and the oracle share the model kept on the state: one packed pass over the rays of yu-oh,
+    # and no orthogonality test of a single ray
+    passes = count_calls(monkeypatch, ctxkit.contextuality._packed_rays)
     tests = []
     orthogonal = ctxkit.contextuality.orthogonal
     monkeypatch.setattr(ctxkit.contextuality, "orthogonal", lambda u, v: tests.append(1) or orthogonal(u, v))
     argv = ["check", "--scenario", "yu-oh", "--state", "1,1,1", "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 0
-    assert len(tests) == 13
+    assert len(passes) == 1 and len(tests) == 0
 
 
 # --- exit codes ----------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ctxkit.contextuality
+import ctxkit.exact
 import ctxkit.hardy
 import ctxkit.scenario
 import oracles
@@ -174,6 +175,108 @@ def test_density_model_is_the_born_model_for_every_rank(dim, data):
     assert model == oracles.born_model(scenario, state)
     assert model.values == tuple(int(oracles.expectation(rho, ray.vector) != 0) for ray in scenario.rays)
     assert model.values[: len(kernel)] == (0,) * len(kernel)
+
+
+@cache
+def box_prefix(d):
+    """The first 32 rays of box-d3-m2, box-d4-m1 or box-d5-m1."""
+    return box_scenario(d, 2 if d == 3 else 1, range(32))
+
+
+def gaussian_integers(bits):
+    return st.integers(-(1 << bits), 1 << bits)
+
+
+@st.composite
+def states_with_zeros(draw, scenario):
+    """A pure state or a mixture of up to ``dim`` parts, each part orthogonal to the same few rays.
+
+    The parts combine a basis of those rays' orthogonal complement with Gaussian-integer
+    coefficients of 1 to 100 bits, so that the state's integer rows cross the slot widths;
+    a mixture of fewer than ``dim`` parts is rank-deficient.
+    """
+    d = scenario.dim
+    picks = draw(st.lists(st.sampled_from([r.vector for r in scenario.rays]), max_size=d - 1))
+    basis = nullspace(picks, dim=d)
+    bits = draw(st.sampled_from([1, 4, 8, 20, 40, 41, 64, 100]))
+    coefficient = st.builds(ExactScalar, gaussian_integers(bits), st.just(0) | gaussian_integers(bits))
+    parts = []
+    for _ in range(draw(st.integers(1, d))):
+        v = basis[0]
+        for b in basis:
+            v = v + b.scale(draw(coefficient))
+        parts.append(v if not v.is_zero else basis[0])
+    if len(parts) == 1 and draw(st.booleans()):
+        return QuantumState.pure(parts[0])
+    weight = st.integers(1, 1 << draw(st.sampled_from([2, 50])))
+    weights = draw(st.lists(weight, min_size=len(parts), max_size=len(parts)))
+    return QuantumState.density(mixture([(Fraction(w, sum(weights)), rank1_projector(v)) for w, v in zip(weights, parts)]))
+
+
+def assert_packed_model_is_the_per_ray_model(scenario, state):
+    model = possibilistic_model(scenario, state)
+    assert model == oracles.integer_model(scenario, state)
+    assert model.zeros == PossibilisticModel(model.values).zeros
+    # the same state from the bare constructor, with no model kept yet
+    assert possibilistic_model(scenario, QuantumState(state.dim, state.rho, state.psi)) == model
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_packed_model_matches_the_per_ray_model_on_box_prefixes(d, data):
+    scenario = box_prefix(d)
+    assert_packed_model_is_the_per_ray_model(scenario, data.draw(states_with_zeros(scenario)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_packed_model_matches_the_per_ray_model_on_the_gaussian_image(data):
+    scenario = dimension_3_scenarios()[1]
+    assert any(c.im for r in scenario.rays for c in r.vector.coords)
+    assert_packed_model_is_the_per_ray_model(scenario, data.draw(states_with_zeros(scenario)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_packed_model_matches_the_per_ray_model_on_rays_of_many_bits(data):
+    # random Gaussian-integer rays of up to 64 bits and the normals of pairs of them, whose parts reach about 130 bits
+    bits = data.draw(st.sampled_from([3, 40, 64]))
+    wide = gaussian_integer_vectors(3).map(lambda v: v.scale(1 + (1 << bits)))
+    vectors = data.draw(st.lists(wide, min_size=2, max_size=5))
+    vectors = [v + vec(1, 0, 0) for v in vectors]
+    vectors += [b[0] for u, v in combinations(vectors, 2) if len(b := nullspace([u, v], dim=3)) == 1]
+    rays = {canonical_ray(v): None for v in vectors if not v.is_zero}
+    lines = [f"r{i}: " + ",".join(str(c) for c in v.coords) for i, v in enumerate(rays)]
+    scenario = load_scenario("\n".join(["scenario wide dim 3 field gaussian", *lines]))
+    assert_packed_model_is_the_per_ray_model(scenario, data.draw(states_with_zeros(scenario)))
+
+
+def test_rows_of_one_byte_length_share_one_packing():
+    scenario = box_scenario(3, 2, range(32))
+    # rows of 1-, 2- and 7-bit parts need the same slot width
+    for coords in [(1, 1, 1), (1, 2, 3), (100, 1, 7)]:
+        possibilistic_model(scenario, QuantumState.pure(vec(*coords)))
+    assert list(scenario._packings) == [1]
+    possibilistic_model(scenario, QuantumState.pure(vec(256, 1, 1)))
+    assert list(scenario._packings) == [1, 2]
+
+
+@pytest.mark.parametrize("coords", [(1, 1, 1), (0, 1, 2), (1, 0, 0)])
+def test_a_pure_check_builds_no_projector(monkeypatch, yu_oh, yu_oh_assignments, coords):
+    from test_cli import count_calls
+
+    projector = rank1_projector(vec(*coords))
+    built = count_calls(monkeypatch, ctxkit.exact.rank1_projector)
+    for scenario, events in ((yu_oh, yu_oh_assignments), box_d3_m2_prefix()):
+        state = QuantumState.pure(vec(*coords))
+        is_logically_contextual(scenario, state, events)
+        noncontextuality_oracle(scenario, state, events)
+        derive_paradoxes(scenario, state, events)
+    assert built == []
+    # rho is the projector, built on its first read and kept
+    assert state.rho == projector and state.rho is state.rho
+    assert len(built) == 1
 
 
 # --- verdicts and the oracle ------------------------------------------------

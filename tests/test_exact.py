@@ -174,6 +174,14 @@ def test_canonical_ray_scale_invariant(v, c):
     assert canonical_ray(v) == canonical_ray(v.scale(c))
 
 
+@given(nonzero_vectors, nonzero_scalars)
+def test_canonical_ray_keeps_the_integer_form_a_fresh_vector_computes(v, c):
+    # the canonical ray holds its integer form from construction; a copy of its coordinates computes it
+    ray = canonical_ray(v.scale(c))
+    assert ray.integer_form == ExactVector(ray.coords).integer_form
+    assert ray.integer_norm == oracles.norm_sq(ray)
+
+
 def test_canonical_ray_rejects_zero():
     with pytest.raises(ValidationError):
         canonical_ray(vec(0, 0, 0))
@@ -385,12 +393,12 @@ def test_mixture_validation():
         mixture([(Fraction(-1, 2), p1), (Fraction(3, 2), p2)])
 
 
-@settings(max_examples=25)
+@settings(max_examples=25, deadline=None)
 @given(nonzero_vectors, nonzero_vectors)
 def test_born_probability_matches_pure_formula(u, psi):
-    state = QuantumState.density(rank1_projector(psi))
     expected = inner_product(u, psi).abs2() / (oracles.norm_sq(u) * oracles.norm_sq(psi))
-    assert state.probability(u) == expected
+    assert QuantumState.density(rank1_projector(psi)).probability(u) == expected
+    assert QuantumState.pure(psi).probability(u) == expected
 
 
 # --- integer matrices against the entrywise Fraction oracle ---------------

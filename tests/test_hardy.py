@@ -236,6 +236,61 @@ def test_packed_replay_on_the_edge_cases(masks, witness, zero_set, sp, expected)
     assert replay_contradiction(events, [HardyParadox(None, witness, zero_set, sp)]) == [expected]
 
 
+def mutated(paradoxes, n):
+    """Each paradox, then copies with a zero ray dropped, with sp 0, and moved to every witness below n + 2."""
+    out = list(paradoxes)
+    for p in paradoxes:
+        for i in range(len(p.zero_set)):
+            out.append(HardyParadox(p.state, p.witness, p.zero_set[:i] + p.zero_set[i + 1 :], p.sp))
+        out.append(HardyParadox(p.state, p.witness, p.zero_set, Fraction(0)))
+        out += [HardyParadox(p.state, k, p.zero_set, p.sp) for k in range(n + 2)]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("n", [1, 7, 8, 13, 32, 33])
+def test_folded_replay_matches_the_shift_replay(n, data):
+    # up to 70 events, so that the fold halves an odd slot count; the empty list is the scenario with no events
+    masks = data.draw(st.lists(st.just(0) | st.integers(0, (1 << n) - 1), max_size=70))
+    zero_sets = st.sets(st.integers(0, n + 1), max_size=4).map(sorted).map(tuple)
+    pool = data.draw(st.lists(zero_sets, min_size=1, max_size=3))
+    claims = data.draw(st.lists(st.tuples(st.integers(0, n + 1), st.sampled_from(pool)), min_size=1, max_size=6))
+    for witness, zero_set in claims:
+        if zero_set and witness < n and data.draw(st.booleans()):
+            # block every event that holds the witness, so that accepted replays are drawn too
+            masks = [m | 1 << data.draw(st.sampled_from(zero_set)) % n if m >> witness & 1 else m for m in masks]
+    events = GlobalEvents(KSAssignment(m >> i & 1 for i in range(n)) for m in masks)
+    batch = mutated([HardyParadox(None, witness, zero_set, Fraction(1, 9)) for witness, zero_set in claims], n)
+    replays = replay_contradiction(events, batch)
+    assert replays == oracles.shift_replay(events, batch)
+    # the set replay indexes the bits by witness, so it takes only the rays of the scenario
+    assert [r for r, p in zip(replays, batch) if p.witness < n] == [
+        oracles.replay_contradiction(events, p) for p in batch if p.witness < n
+    ]
+
+
+@pytest.mark.parametrize("d, m, prefix", [(3, 2, 32), (4, 1, 32), (4, 1, 40)])
+def test_folded_replay_matches_the_shift_replay_on_box_scenarios(d, m, prefix):
+    # box-d3-m2-n32 has eight rays in no event; the whole box-d4-m1 (40 rays) has no event at all
+    from test_assignments import box_scenario
+    from test_contextuality import hyperplane_normals
+
+    s = box_scenario(d, m, range(prefix))
+    events = enumerate_assignments(s)
+    assert (len(events) == 0) == (prefix == 40)
+    states = [QuantumState.pure(psi) for psi in hyperplane_normals(s)[::41]]
+    paradoxes = [p for state in states for p in derive_paradoxes(s, state, events).paradoxes]
+    if events:
+        assert paradoxes
+    else:
+        # with no events there is nothing to derive, so the claims come from the 32-ray prefix
+        prefix_scenario = box_scenario(d, m, range(32))
+        paradoxes = derive_paradoxes(prefix_scenario, states[0], enumerate_assignments(prefix_scenario)).paradoxes
+    batch = mutated(paradoxes, len(s.rays))
+    assert replay_contradiction(events, batch) == oracles.shift_replay(events, batch)
+
+
 def test_replay_packs_the_masks_on_first_use_and_leaves_the_index_unbuilt(yu_oh, yu_oh_assignments):
     events = enumerate_assignments(yu_oh)
     assert "rows" not in vars(events)
