@@ -9,8 +9,11 @@ For each workload and seed it runs ``python3 perfbench/run.py --workload W
 alternating which side goes first from one seed to the next.  ``T`` is the
 ``run_seconds`` of the change's ``BENCHMARK.json``, the same on both sides.
 Each run's end-to-end metrics (the ``end_to_end`` names of that file),
-``attempted``, ``failed`` and ``correct`` go to the output file, with per workload the median of each metric on each side and
-the number of pairs the change won.  A run that exits non-zero stops the
+``attempted``, ``failed`` and ``correct`` go to the output file, with per
+workload the median and the first and third quartiles (``statistics.quantiles``,
+inclusive method) of each metric on each side, and the number of pairs
+the change won.  A difference in medians is read against the distance
+between the parent's quartiles.  A run that exits non-zero stops the
 script with its stderr.
 """
 
@@ -39,13 +42,15 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, names: li
 
 
 def summary(pairs: list[dict], metrics: list[dict]) -> dict:
-    medians = {side: {m["name"]: statistics.median(p[side][m["name"]] for p in pairs) for m in metrics}
-               for side in SIDES}
+    values = {side: {m["name"]: [p[side][m["name"]] for p in pairs] for m in metrics} for side in SIDES}
+    medians = {side: {name: statistics.median(v) for name, v in values[side].items()} for side in SIDES}
+    quartiles = {side: {name: statistics.quantiles(v, n=4, method="inclusive")[::2] for name, v in values[side].items()}
+                 for side in SIDES}
     wins = {}
     for m in metrics:
         sign = 1 if m["better"] == "higher" else -1
         wins[m["name"]] = sum(sign * (p["change"][m["name"]] - p["parent"][m["name"]]) > 0 for p in pairs)
-    return {"median": medians, "change_wins": wins, "pairs": len(pairs)}
+    return {"median": medians, "quartiles": quartiles, "change_wins": wins, "pairs": len(pairs)}
 
 
 def main(argv=None) -> int:

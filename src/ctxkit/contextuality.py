@@ -11,12 +11,12 @@ all events less each zero ray's column.
 :func:`possibilistic_model` computes the model of a pure or a density
 state in one pass on ints: ray ``z`` is impossible iff ``M z = 0`` for
 the state's integer rows ``M``, and each row meets every ray at once
-through the rays' packed integer coordinates.  A pure state keeps only
-its canonical ray; no check builds its projector.  The model is kept on
-the ``QuantumState`` object, keyed by the scenario's ray tuple, so the
-verdict, the oracle and the paradox derivation of one state object on
-one scenario share a single Born pass.  Two decision procedures are
-implemented:
+through the rays' packed integer coordinates (:func:`_nonzero_flags`).
+A pure state holds only its canonical ray; its ``rho`` is ``None``.  The
+model is kept on the ``QuantumState`` object, keyed by the scenario's ray
+tuple, so the verdict, the oracle and the paradox derivation of one
+state object on one scenario share a single Born pass.  Two decision
+procedures are implemented:
 
 * :func:`is_logically_contextual` searches for a witness ray ``v`` that is
   possible under the state while every global event containing ``v`` also
@@ -44,7 +44,9 @@ box-d3-m2 prefix.
 
 The zero set of every state is a flat of the rays (the rays inside a
 span of some of them), and it alone decides logical contextuality.  So
-:func:`_blocking_flats` tests each flat of rank at most ``d - 1`` once:
+:func:`_blocking_flats` tests each flat of rank at most ``d - 1`` once,
+closing each flat with the same null test over the conjugates of its
+integer normals (Oxley, *Matroid Theory*, 2011):
 :func:`find_contextual_pure_states` takes the normals of the blocking
 hyperplanes and keeps the blocking flats of lower rank as undetermined
 families, each the zero set of contextual mixed states, which
@@ -62,15 +64,14 @@ from .errors import DimensionMismatchError, ValidationError
 from .exact import (
     ExactMatrix,
     ExactVector,
+    _canonical_from_ints,
+    _null_basis,
     _Record,
     canonical_ray,
     expectation,
-    nullspace,
-    orthogonal,
     overlap,
     parse_scalar,
     rank,
-    rank1_projector,
     validate_density,
 )
 from .scenario import Scenario, _rays, basis_membership
@@ -79,46 +80,27 @@ from .scenario import Scenario, _rays, basis_membership
 class QuantumState(_Record):
     """A pure or mixed state of known dimension.
 
-    Pure states are stored as canonical rays, ``psi``; ``rho``, the
-    projector onto ``psi``, is built on first read and then kept, and no
-    check reads it.  Density operators are validated (Hermitian, trace 1,
-    PSD) at construction.  ``_model`` holds the last
-    :func:`possibilistic_model` as ``(rays, model)`` and is unset before
-    the first; it is not a field, so equality, hashing and ``repr`` ignore
-    it.  They read ``rho``, so they build a pure state's projector.
+    A pure state is its canonical ray ``psi``, with ``rho = None``; a
+    density operator ``rho`` is validated (Hermitian, trace 1, PSD) at
+    construction, with ``psi = None``.  ``_model``, unset before the first
+    :func:`possibilistic_model`, holds the last as ``(rays, model)``; it is
+    not a field, so equality, hashing and ``repr`` ignore it.
     """
 
-    __slots__ = ("dim", "_rho", "psi", "_model")
+    __slots__ = ("dim", "rho", "psi", "_model")
     _fields = ("dim", "rho", "psi")
     _defaults = {"psi": None}
-
-    def __init__(self, dim: int, rho: ExactMatrix, psi: ExactVector | None = None):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_rho", rho)
-        object.__setattr__(self, "psi", psi)
 
     @classmethod
     def pure(cls, vector: ExactVector) -> "QuantumState":
         if vector.is_zero:
             raise ValidationError("a pure state must be a non-zero vector")
-        psi = canonical_ray(vector)
-        state = cls.__new__(cls)
-        object.__setattr__(state, "dim", psi.dim)
-        object.__setattr__(state, "psi", psi)
-        return state
+        return cls(vector.dim, None, canonical_ray(vector))
 
     @classmethod
     def density(cls, matrix: ExactMatrix) -> "QuantumState":
         validate_density(matrix)
         return cls(dim=matrix.rows, rho=matrix, psi=None)
-
-    @property
-    def rho(self) -> ExactMatrix:
-        try:
-            return self._rho
-        except AttributeError:  # a pure state builds its projector on first read
-            object.__setattr__(self, "_rho", rank1_projector(self.psi))
-            return self._rho
 
     def probability(self, v: ExactVector) -> Fraction:
         """Exact Born probability of the event ``v`` under this state."""
@@ -129,6 +111,12 @@ class QuantumState(_Record):
         if self.psi is not None:
             return overlap(v, self.psi)
         return expectation(self.rho, v)
+
+    def outcome_probability(self, p: ExactMatrix) -> Fraction:
+        """``tr(rho P)``: the probability of the outcome with projector ``P``, no projector built for a pure state."""
+        if self.psi is not None:
+            return expectation(p, self.psi)
+        return (self.rho @ p).trace().as_fraction()
 
     def describe(self) -> str:
         return str(self.psi) if self.psi is not None else "density"
@@ -201,37 +189,23 @@ def _packed_rays(scenario: Scenario, row_bytes: int) -> tuple[int, int, list[tup
 
 def _integer_rows(state: QuantumState) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The integer rows M of ``state``, ``M z = 0`` iff ray ``z`` is impossible: ``conj(psi)`` for a pure
-    state, read before ``rho`` so that no projector is built, or the numerator rows of a density's ``rho``."""
+    state or the numerator rows of a density's ``rho``."""
     if state.psi is not None:
         return (tuple((a, -b) for a, b in state.psi.integer_form),)
     d, nums = state.dim, state.rho.nums
     return tuple(nums[i * d : (i + 1) * d] for i in range(d))
 
 
-def possibilistic_model(scenario: Scenario, state: QuantumState) -> PossibilisticModel:
-    """Map each ray to 1 iff its Born probability under ``state`` is non-zero.
+def _nonzero_flags(scenario: Scenario, rows) -> bytes:
+    """One byte per ray, 0 iff ``M z = 0`` for the integer rows ``M``: the rays' null test, all at once.
 
-    Ray ``z`` is impossible iff ``M z = 0`` for the state's integer rows
-    ``M``: for a pure state that is ``z`` orthogonal to the state; for a
-    density operator ``rho``, which is PSD, ``<z|rho|z> = 0`` iff
-    ``rho z = 0``.  One pass serves both: each row of ``M`` meets every ray
-    at once, in ``2d`` multiplies of its parts by the packed coordinates of
-    :func:`_packed_rays` (``4d`` for a row with imaginary parts).  A bias of ``2 ** (width - 2)`` in every slot
-    keeps each slot's product in its own slot, exclusive-or with the bias
-    leaves a slot zero iff its product is, and adding
-    ``2 ** (width - 1) - 1`` to each slot then carries into its top bit
-    iff it is not.
-    The rays are the model's only input, so the model is kept on the state
-    with the ``scenario.rays`` tuple it was computed from and returned
-    again while the same tuple (by identity) is passed: every consumer of
-    one state object on one scenario shares one Born pass.
+    Each row of ``M`` meets every ray in ``2d`` multiplies of its parts by
+    the packed coordinates of :func:`_packed_rays` (``4d`` for a row with
+    imaginary parts).  A bias of ``2 ** (width - 2)`` in every slot keeps
+    each slot's product in its own slot, exclusive-or with the bias leaves
+    a slot zero iff its product is, and adding ``2 ** (width - 1) - 1`` to
+    each slot then carries into its top bit iff it is not.
     """
-    if state.dim != scenario.dim:
-        raise DimensionMismatchError("state dimension does not match the scenario")
-    cached = getattr(state, "_model", None)
-    if cached is not None and cached[0] is scenario.rays:
-        return cached[1]
-    rows = _integer_rows(state)
     row_bits = max(abs(x) for row in rows for z in row for x in z).bit_length()
     width, ones, columns = _packed_rays(scenario, -(-row_bits // 8))
     bias = ones << width - 2
@@ -248,7 +222,27 @@ def possibilistic_model(scenario: Scenario, state: QuantumState) -> Possibilisti
         nonzero |= re ^ bias | im ^ bias
     nonzero = (nonzero + (bias << 1) - ones) >> width - 1 & ones
     step = width // 8
-    model = PossibilisticModel(tuple(nonzero.to_bytes(len(scenario.rays) * step, "little")[::step]))
+    return nonzero.to_bytes(len(scenario.rays) * step, "little")[::step]
+
+
+def possibilistic_model(scenario: Scenario, state: QuantumState) -> PossibilisticModel:
+    """Map each ray to 1 iff its Born probability under ``state`` is non-zero.
+
+    Ray ``z`` is impossible iff ``M z = 0`` for the state's integer rows
+    ``M`` (:func:`_nonzero_flags`): for a pure state that is ``z``
+    orthogonal to the state; for a density operator ``rho``, which is PSD,
+    ``<z|rho|z> = 0`` iff ``rho z = 0``.  The rays are the model's only
+    input, so the model is kept on the state with the ``scenario.rays``
+    tuple it was computed from and returned again while the same tuple (by
+    identity) is passed: every consumer of one state object on one
+    scenario shares one Born pass.
+    """
+    if state.dim != scenario.dim:
+        raise DimensionMismatchError("state dimension does not match the scenario")
+    cached = getattr(state, "_model", None)
+    if cached is not None and cached[0] is scenario.rays:
+        return cached[1]
+    model = PossibilisticModel(tuple(_nonzero_flags(scenario, _integer_rows(state))))
     # holding the rays keeps their identity from being reused by another tuple
     object.__setattr__(state, "_model", (scenario.rays, model))
     return model
@@ -350,29 +344,28 @@ def _blocking_flats(scenario: Scenario, events: GlobalEvents):
     """Each flat of rank at most ``d - 1`` that blocks a witness, rank by rank.
 
     A flat of rank ``r + 1`` is the closure of one of rank ``r`` and a ray
-    outside it, kept once per ray mask.  Yields ``(rank, flat, normals,
-    blocked)``: ``normals`` span the flat's orthogonal complement and
-    ``blocked`` is the first item of :func:`_blocked_witnesses` on ``flat``.
+    outside it, kept once per ray mask: the rays that meet none of its
+    normals, by the null test over ``conj(normals)``.  Yields ``(rank,
+    flat, normals, blocked)``: ``normals``, a Gaussian-integer basis of the
+    flat's orthogonal complement, and ``blocked``, the first item of
+    :func:`_blocked_witnesses` on ``flat``.
     """
     vectors = [ray.vector for ray in scenario.rays]
     max_rank = scenario.dim - 1
-    layer = {0: ([], nullspace([], dim=scenario.dim))}
+    layer = {0: ([], _null_basis([], scenario.dim))}
     for r in range(max_rank + 1):
-        children: dict[int, tuple[list[int], list[ExactVector]]] = {}
+        children: dict[int, tuple[list[int], list[list[tuple[int, int]]]]] = {}
         for flat, (spanning, normals) in layer.items():
             blocked = next(_blocked_witnesses(events, flat), None)
             if blocked:
                 yield r, flat, normals, blocked
-            # the flats covering ``flat`` partition the rays outside it, so the
-            # closure with ray i only tests the later rays in no earlier child
+            # the flats covering ``flat`` partition the rays outside it
             outside = ~flat if r < max_rank else 0
             for i in range(len(vectors)):
                 if outside >> i & 1:
-                    basis = nullspace([vectors[j] for j in spanning + [i]], dim=scenario.dim)
-                    child = flat | 1 << i
-                    for j in range(i + 1, len(vectors)):
-                        if outside >> j & 1 and all(orthogonal(vectors[j], x) for x in basis):
-                            child |= 1 << j
+                    basis = _null_basis([vectors[j] for j in spanning + [i]], scenario.dim)
+                    flags = _nonzero_flags(scenario, [[(a, -b) for a, b in n] for n in basis])
+                    child = sum(1 << j for j, nonzero in enumerate(flags) if not nonzero)
                     outside &= ~child
                     children.setdefault(child, (spanning + [i], basis))
         layer = children
@@ -420,7 +413,7 @@ def find_contextual_pure_states(
         if r < scenario.dim - 1:
             undetermined.append(UndeterminedFamily(k, _rays(flat), scenario.dim - r))
             continue
-        psi = normals[0]
+        psi = _canonical_from_ints(normals[0])
         if not is_logically_contextual(scenario, QuantumState.pure(psi), events):
             raise AssertionError(f"state {psi} emitted by the search failed the contextuality re-check")
         found.append(WitnessedState(witness=k, state=psi, selection=_minimum_hitting_set(events, column, flat)))

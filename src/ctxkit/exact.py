@@ -493,10 +493,15 @@ def rank(rows: Sequence[ExactVector], dim: int | None = None) -> int:
 def nullspace(rows: Sequence[ExactVector], dim: int | None = None) -> list[ExactVector]:
     """Exact basis of ``{psi : <row_i|psi> = 0 for all i}``.
 
-    Basis vectors are returned in canonical ray form; an empty list means
-    only the zero solution exists.  ``dim`` is required when ``rows`` is
-    empty and must match the shared row dimension otherwise.
+    The canonical rays of :func:`_null_basis`; an empty list means only
+    the zero solution exists.  ``dim`` is required when ``rows`` is empty
+    and must match the shared row dimension otherwise.
     """
+    return [_canonical_from_ints(z) for z in _null_basis(rows, dim)]
+
+
+def _null_basis(rows: Sequence[ExactVector], dim: int | None) -> list[list[tuple[int, int]]]:
+    """A Gaussian-integer basis of ``{psi : <row_i|psi> = 0 for all i}``, one vector per free column."""
     d = _shared_dim(rows, dim)
     m, pivots = _eliminate(rows)
     pivot_values = [m[i][pc] for i, pc in enumerate(pivots)]
@@ -510,7 +515,7 @@ def nullspace(rows: Sequence[ExactVector], dim: int | None = None) -> list[Exact
         coords[fc] = all_pivots
         for i, pc in enumerate(pivots):
             coords[pc] = _gaussian_product((m[i][fc], others[i], (-1, 0)))
-        basis.append(_canonical_from_ints(coords))
+        basis.append(coords)
     return basis
 
 

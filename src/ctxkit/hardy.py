@@ -198,7 +198,7 @@ def _measurement_failures(state: QuantumState, projectors: tuple[ExactMatrix, ..
     failures = projector_failures(projectors, state.dim, rank_one=True)
     for k, p in enumerate(projectors, start=1):
         expected = int(k == len(projectors))
-        if (state.rho @ p).trace().as_fraction() != expected:
+        if state.outcome_probability(p) != expected:
             failures.append(f"tr(rho*P{k}) = {expected}")
     return failures
 
@@ -210,7 +210,8 @@ def verify_observable(paradox: HardyParadox, observable: WitnessObservable) -> O
     that the third projector is exactly the projector onto the state ray.
     """
     failures = _measurement_failures(paradox.state, observable.projectors)
-    if paradox.state.psi is not None and observable.projectors[2] != rank1_projector(paradox.state.psi):
+    # a Hermitian idempotent P3 of trace 1 is |u><u|; tr(rho*P3) = 1 then holds iff u spans the pure state's ray
+    if paradox.state.psi is not None and {"P3 hermitian", "P3 idempotent", "tr(P3) = 1", "tr(rho*P3) = 1"} & {*failures}:
         failures.append("P3 = state projector")
     return ObservableVerification(ok=not failures, failures=tuple(failures))
 

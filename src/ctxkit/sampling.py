@@ -226,7 +226,7 @@ def simulate_measurement(
     failures = projector_failures(projectors, state.dim)
     if failures:
         raise ValidationError(f"the projectors fail the condition {failures[0]}")
-    probabilities = tuple((state.rho @ p).trace().as_fraction() for p in projectors)
+    probabilities = tuple(state.outcome_probability(p) for p in projectors)
     if sum(probabilities) != 1:
         raise AssertionError("exact outcome probabilities must sum to 1")
     counts = _draw_counts(probabilities, shots, seed)

@@ -600,7 +600,7 @@ RECORD_FIELDS: dict[type, tuple] = {
     Scenario: ("name", "dim", "field", "rays", "edges", ("neighbours", _HIDDEN), ("contexts", _HIDDEN)),
     ComplementCheck: ("ok", "collisions"),
     KSAssignment: ("bits", ("mask", _HIDDEN)),
-    QuantumState: ("dim", "rho", ("psi", {"default": None}), ("_model", {"default": None, **_HIDDEN})),
+    QuantumState: ("dim", "rho", ("psi", {"default": None}), ("_model", _HIDDEN)),
     PossibilisticModel: ("values", ("zeros", _HIDDEN)),
     ContextualityVerdict: ("contextual", "witness", "model"),
     WitnessedState: ("witness", "state", "selection"),

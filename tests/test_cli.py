@@ -324,11 +324,11 @@ def test_report_stable_under_comment_shuffle(tmp_path):
 
 
 def count_calls(monkeypatch, function) -> list:
-    """Wrap ``function`` wherever a ctxkit module binds it; the list grows by one per call."""
+    """Wrap ``function`` wherever a ctxkit module binds it; the list grows by one per call, by its positional arguments."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return function(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -386,11 +386,11 @@ def test_command_computes_the_model_once_per_consumer(monkeypatch, tmp_path, com
 
 def test_check_makes_one_born_pass(monkeypatch, tmp_path):
     # the verdict and the oracle share the model kept on the state: one packed pass over the rays of yu-oh,
-    # and no orthogonality test of a single ray
+    # and no orthogonality test of a single ray once the scenario, whose edges are such tests, is loaded
+    scenario = load_bundled("yu-oh")
+    monkeypatch.setattr(cli, "_load_scenario", lambda path: scenario)
     passes = count_calls(monkeypatch, ctxkit.contextuality._packed_rays)
-    tests = []
-    orthogonal = ctxkit.contextuality.orthogonal
-    monkeypatch.setattr(ctxkit.contextuality, "orthogonal", lambda u, v: tests.append(1) or orthogonal(u, v))
+    tests = count_calls(monkeypatch, ctxkit.exact.orthogonal)
     argv = ["check", "--scenario", "yu-oh", "--state", "1,1,1", "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 0
     assert len(passes) == 1 and len(tests) == 0

@@ -31,6 +31,7 @@ from ctxkit import (
     ValidationError,
     analyze_mixed_states,
     canonical_ray,
+    build_witness_observable,
     check_witnesses_basis_free,
     derive_paradoxes,
     enumerate_assignments,
@@ -50,7 +51,9 @@ from ctxkit import (
     rank,
     rank1_projector,
     replay_contradiction,
+    simulate_measurement,
     vec,
+    verify_observable,
 )
 from ctxkit.contextuality import _blocked_witnesses, witness_blockers
 from ctxkit.scenario import Ray
@@ -266,17 +269,36 @@ def test_rows_of_one_byte_length_share_one_packing():
 def test_a_pure_check_builds_no_projector(monkeypatch, yu_oh, yu_oh_assignments, coords):
     from test_cli import count_calls
 
-    projector = rank1_projector(vec(*coords))
+    state = QuantumState.pure(vec(*coords))
+    assert state.rho is None
+    # the observables are built first: their third projector is the one onto the state's ray
+    derivation = derive_paradoxes(yu_oh, state, yu_oh_assignments)
+    measured = [(p, build_witness_observable(yu_oh, p)) for p in derivation.paradoxes if len(p.zero_set) == 2]
+    axes = [rank1_projector(vec(*row)) for row in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     built = count_calls(monkeypatch, ctxkit.exact.rank1_projector)
     for scenario, events in ((yu_oh, yu_oh_assignments), box_d3_m2_prefix()):
-        state = QuantumState.pure(vec(*coords))
-        is_logically_contextual(scenario, state, events)
-        noncontextuality_oracle(scenario, state, events)
-        derive_paradoxes(scenario, state, events)
-    assert built == []
-    # rho is the projector, built on its first read and kept
-    assert state.rho == projector and state.rho is state.rho
-    assert len(built) == 1
+        fresh = QuantumState.pure(vec(*coords))
+        is_logically_contextual(scenario, fresh, events)
+        noncontextuality_oracle(scenario, fresh, events)
+        derive_paradoxes(scenario, fresh, events)
+    simulate_measurement(state, axes, shots=10, seed=0)
+    for paradox, observable in measured:
+        simulate_measurement(state, list(observable.projectors), shots=10, seed=0)
+        assert verify_observable(paradox, observable)
+    assert [args for args in built if canonical_ray(args[0]) == state.psi] == []
+    assert bool(measured) == (coords == (1, 1, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dimension_3_states(), st.lists(small_gaussian_vectors.filter(lambda v: not v.is_zero), min_size=1, max_size=3))
+def test_outcome_probability_is_the_trace_of_rho_p(state, vectors):
+    # pure states against their projector, densities against the matrix; each P a projector or a mixture of them
+    rho = rank1_projector(state.psi) if state.rho is None else state.rho
+    projectors = [rank1_projector(v) for v in vectors]
+    projectors.append(mixture([(Fraction(1, len(projectors)), p) for p in projectors]))
+    for p in projectors:
+        want = oracles.trace(ExactMatrix.from_rows(oracles.matmul(rho, p))).as_fraction()
+        assert state.outcome_probability(p) == want
 
 
 # --- verdicts and the oracle ------------------------------------------------
@@ -600,6 +622,8 @@ def check_flat_scan(scenario):
 # first, hyperplanes through the blocking ray r4 give states no selection spans
 @example((3, 2, [2, 3, 4, 13, 14, 16, 19, 20, 21, 25]))
 @example((4, 1, [0, 2, 5, 7, 8, 10, 17, 19, 22, 23, 25, 27, 29, 31]))
+# d = 5, where the null test meets the normals of rank-2 and rank-3 flats
+@example((5, 1, [7, 9, 10, 16, 23, 25, 26, 30, 32, 39, 69, 77, 80, 83]))
 def test_flat_scan_matches_brute_force_on_box_subsets(subset):
     check_flat_scan(box_scenario(*subset))
 
@@ -655,6 +679,7 @@ def test_gaussian_image_matches_the_fraction_oracle(monkeypatch, yu_oh):
         for name, oracle in (
             ("rank", oracles.rank),
             ("nullspace", oracles.nullspace),
+            ("_null_basis", lambda rows, dim: [list(v.integer_form) for v in oracles.nullspace(rows, dim)]),
             ("orthogonal", lambda u, v: inner_product(u, v).is_zero),
         ):
             if hasattr(module, name):

@@ -68,4 +68,9 @@ def test_bench_pairs_counts_a_win_in_each_metric_direction():
         "parent": {"latency_p50_s": 2.0, "ops_per_s": 10.0},
         "change": {"latency_p50_s": 1.0, "ops_per_s": 10.0},
     }
+    # first and third quartiles, inclusive method: the parent's 2, 2, 4 give 2 and 3
+    assert summary["quartiles"] == {
+        "parent": {"latency_p50_s": [2.0, 3.0], "ops_per_s": [9.0, 10.0]},
+        "change": {"latency_p50_s": [1.0, 2.0], "ops_per_s": [9.5, 11.0]},
+    }
     assert summary["pairs"] == 3

@@ -6,7 +6,9 @@ digests cover the exact bytes a user would get in a file.  The two
 The text of every command is also checked to be a function of its JSON
 document alone.  yu-oh has no blocking flat of rank 1, so the ``states``
 and ``report`` digests of the 32-ray box-d3-m2 prefix, with 13
-undetermined families, pin those sections too.  The ``check`` and
+undetermined families, pin those sections too, and the ``states`` digests
+of the 32-ray box-d4-m1 prefix (189 states, 56 undetermined families)
+pin the flat scan in d = 4, where flats of rank 2 block.  The ``check`` and
 ``paradoxes`` digests of three states on the 32-ray prefixes pin the
 blockers and the paradox derivation beyond yu-oh: the pure state
 (0,1,2) with 21 paradoxes and a rank-2 mixture with 23 on box-d3-m2, and
@@ -82,6 +84,7 @@ BOX_DENSITIES = {
 BOX_COMMANDS = {
     "states": ((3, 2), ["states"]),
     "report": ((3, 2), ["report"]),
+    "states d4": ((4, 1), ["states"]),
     "check 0,1,2": ((3, 2), ["check", "--state", "0,1,2"]),
     "paradoxes 0,1,2": ((3, 2), ["paradoxes", "--state", "0,1,2"]),
     "check mixture-d3": ((3, 2), ["check", "--density", "mixture-d3"]),
@@ -95,6 +98,8 @@ BOX_GOLDEN = {
     ("states", "json"): "efe99655d3e7a6844207ab94f366b1a1fd01c39dd2a7f997af248593ffedd70e",
     ("report", "text"): "a35ab26a9064c7fe215f5de6847d3ad6411b7b9f7dff3246cbf2029fba3ad9aa",
     ("report", "json"): "f514a229b7bc5f31c249b6d17ca1ad35bedcf0c9e8f0cc4c32b14e4c8f62833e",
+    ("states d4", "text"): "44a103c389c294190f553bc3cf880dfac74d0ef0a8217c1bf95a207821547331",
+    ("states d4", "json"): "12d450951861db2f32ff316679e1f75f72e9d9b814d8da89f0a46533d6b48b5d",
     ("check 0,1,2", "text"): "b94c157c478863f8a08c99820f44c00e960330dcbc2c8151da51922e54c5c218",
     ("check 0,1,2", "json"): "38c648f307025feb2f92ecc165b38a8cdb944dd5c11cf648032aea25f8133ec2",
     ("paradoxes 0,1,2", "text"): "c3ebee04a954c90a8860202397315d8d54c22a454a23c9c11f98f2c4cbb2d26f",

@@ -26,6 +26,7 @@ from ctxkit import (
     derive_paradoxes,
     enumerate_assignments,
     load_scenario,
+    mixture,
     rank1_projector,
     replay_contradiction,
     vec,
@@ -371,6 +372,21 @@ def test_verify_observable_names_failures(yu_oh, yu_oh_assignments):
     verification = verify_observable(paradox, tampered)
     assert not verification.ok
     assert verification.failures == ("P2*P3 = 0", "P1+P2+P3 = I", "tr(rho*P2) = 0")
+
+
+small_int_vectors = st.lists(st.integers(-2, 2), min_size=3, max_size=3).filter(any).map(lambda cs: vec(*cs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_int_vectors, st.lists(small_int_vectors, min_size=3, max_size=3), st.integers(0, 5))
+def test_state_projector_failure_is_the_matrix_comparison(psi, vectors, pick):
+    # Hermitian third projectors: the state's, other rank-1 ones, twice one, a sum and a mixture of two
+    state = QuantumState.pure(psi)
+    own, (u, v, w) = rank1_projector(psi), (rank1_projector(x) for x in vectors)
+    p3 = [own, u, v, u.scale(2), u + own, mixture([(Fraction(1, 2), u), (Fraction(1, 2), w)])][pick]
+    observable = WitnessObservable((v, w, p3), (1, 2, 3), (0, 1, 2))
+    failures = verify_observable(HardyParadox(state, 2, (0, 1), Fraction(1)), observable).failures
+    assert ("P3 = state projector" in failures) == (p3 != own)
 
 
 def test_observable_requires_two_zero_rays(yu_oh, yu_oh_assignments):
