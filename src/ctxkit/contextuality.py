@@ -45,8 +45,8 @@ box-d3-m2 prefix.
 The zero set of every state is a flat of the rays (the rays inside a
 span of some of them), and it alone decides logical contextuality.  So
 :func:`_blocking_flats` tests each flat of rank at most ``d - 1`` once,
-closing each flat with the same null test over the conjugates of its
-integer normals (Oxley, *Matroid Theory*, 2011):
+narrowing its parent's integer normals by one ray and closing it with
+the same null test over their conjugates (Oxley, *Matroid Theory*, 2011):
 :func:`find_contextual_pure_states` takes the normals of the blocking
 hyperplanes and keeps the blocking flats of lower rank as undetermined
 families, each the zero set of contextual mixed states, which
@@ -65,6 +65,7 @@ from .exact import (
     ExactMatrix,
     ExactVector,
     _canonical_from_ints,
+    _narrow,
     _null_basis,
     _Record,
     canonical_ray,
@@ -344,30 +345,31 @@ def _blocking_flats(scenario: Scenario, events: GlobalEvents):
     """Each flat of rank at most ``d - 1`` that blocks a witness, rank by rank.
 
     A flat of rank ``r + 1`` is the closure of one of rank ``r`` and a ray
-    outside it, kept once per ray mask: the rays that meet none of its
-    normals, by the null test over ``conj(normals)``.  Yields ``(rank,
-    flat, normals, blocked)``: ``normals``, a Gaussian-integer basis of the
-    flat's orthogonal complement, and ``blocked``, the first item of
-    :func:`_blocked_witnesses` on ``flat``.
+    outside it, kept once per ray mask.  Its normals are the parent's
+    narrowed by that ray (:func:`ctxkit.exact._narrow`), and it holds the
+    rays that meet none of them, by the null test over ``conj(normals)``.
+    Yields ``(rank, flat, normals, blocked)``: ``normals``, a
+    Gaussian-integer basis of the flat's orthogonal complement, and
+    ``blocked``, the first item of :func:`_blocked_witnesses` on ``flat``.
     """
-    vectors = [ray.vector for ray in scenario.rays]
+    forms = [ray.vector.integer_form for ray in scenario.rays]
     max_rank = scenario.dim - 1
-    layer = {0: ([], _null_basis([], scenario.dim))}
+    layer = {0: _null_basis([], scenario.dim)}
     for r in range(max_rank + 1):
-        children: dict[int, tuple[list[int], list[list[tuple[int, int]]]]] = {}
-        for flat, (spanning, normals) in layer.items():
+        children: dict[int, list[list[tuple[int, int]]]] = {}
+        for flat, normals in layer.items():
             blocked = next(_blocked_witnesses(events, flat), None)
             if blocked:
                 yield r, flat, normals, blocked
             # the flats covering ``flat`` partition the rays outside it
             outside = ~flat if r < max_rank else 0
-            for i in range(len(vectors)):
+            for i in range(len(forms)):
                 if outside >> i & 1:
-                    basis = _null_basis([vectors[j] for j in spanning + [i]], scenario.dim)
+                    basis = _narrow(normals, forms[i])
                     flags = _nonzero_flags(scenario, [[(a, -b) for a, b in n] for n in basis])
                     child = sum(1 << j for j, nonzero in enumerate(flags) if not nonzero)
                     outside &= ~child
-                    children.setdefault(child, (spanning + [i], basis))
+                    children.setdefault(child, basis)
         layer = children
 
 

@@ -16,9 +16,13 @@ Linear algebra runs on Gaussian integers.  Every vector caches its
 :attr:`ExactVector.integer_form`, a positive rational multiple with
 coprime ``(re, im)`` int parts; such a multiple spans the same ray, so
 orthogonality, rank, nullspace and Gram-Schmidt can be decided on it.
-:func:`rank` and :func:`nullspace` use fraction-free Gauss-Jordan
-elimination over Z[i] (Bareiss 1968), dividing each updated row by the
-integer gcd of its parts to limit growth.  An :class:`ExactMatrix` keeps
+Every subspace is found by one fraction-free step over Z[i],
+:func:`_narrow`: it takes a Gaussian-integer basis of a subspace to one
+of the vectors in it orthogonal to a row, and divides each new vector by
+the integer gcd of its parts to limit growth.  :func:`nullspace` narrows
+the unit vectors by each row, :func:`rank` counts what is left, and the
+flat scan of :mod:`ctxkit.contextuality` narrows a flat's normals by one
+ray to reach each flat above it.  An :class:`ExactMatrix` keeps
 Gaussian-integer numerators over one common denominator, so projectors,
 density states and their products and traces are int arithmetic too.
 ``Fraction`` values are built only where an exact value leaves this
@@ -422,52 +426,40 @@ def _canonical_from_ints(ints: Sequence[tuple[int, int]]) -> ExactVector:
 
 
 # ---------------------------------------------------------------------------
-# elimination: rank, nullspace, Gram-Schmidt
+# subspaces: rank, nullspace, Gram-Schmidt
 # ---------------------------------------------------------------------------
 
-def _eliminate(rows: Sequence[ExactVector]) -> tuple[list[list[tuple[int, int]]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination of the constraint rows over Z[i].
+def _narrow(normals: list[list[tuple[int, int]]], row: Sequence[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """A Gaussian-integer basis of the vectors in ``span(normals)`` orthogonal to ``row``.
 
-    ``<row|psi> = sum_j conj(row_j) psi_j``, so the coefficient row is the
-    conjugate of the row's integer form; scaling a row changes neither the
-    rank nor the nullspace.  Returns the non-zero reduced rows and their
-    pivot columns: row ``i`` is non-zero at column ``pivots[i]`` and zero
-    at every other pivot column.
+    With ``c_j = <row|n_j>`` and ``p`` the first ``j`` with ``c_j != 0``,
+    the basis is ``c_p n_j - c_j n_p`` for every ``j != p``, divided by the
+    integer gcd of its parts; ``n_j`` itself when ``c_j = 0``.  ``normals``
+    is returned unchanged when every ``c_j`` is 0.  Narrowed from the unit
+    vectors with the first ``p``, each normal stays non-zero at its own
+    column and zero at the other normals' columns, so :func:`nullspace`
+    gets multiples of the reduced row echelon null basis, in column order.
     """
-    m = [[(a, -b) for a, b in row.integer_form] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(len(m[0]) if m else 0):
-        for pivot_row in range(r, len(m)):
-            if m[pivot_row][c] != (0, 0):
-                break
-        else:
+    conj = [(a, -b) for a, b in row]
+    cs = [_dot(conj, n) for n in normals]
+    p = next((j for j, c in enumerate(cs) if c != (0, 0)), None)
+    if p is None:
+        return normals
+    (pr, pi), pivot = cs[p], normals[p]
+    out = []
+    for j, ((cr, ci), n) in enumerate(zip(cs, normals)):
+        if j == p:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pr, pi = m[r][c]
-        for i in range(len(m)):
-            fr, fi = m[i][c]
-            if i == r or (fr == 0 and fi == 0):
-                continue
-            # row_i <- p * row_i - f * row_r clears column c; then divide out the content
-            row = [
-                (pr * a - pi * b - fr * x + fi * y, pr * b + pi * a - fr * y - fi * x)
-                for (a, b), (x, y) in zip(m[i], m[r])
+        if cr or ci:
+            n = [
+                (pr * a - pi * b - cr * x + ci * y, pr * b + pi * a - cr * y - ci * x)
+                for (a, b), (x, y) in zip(n, pivot)
             ]
-            content = gcd(*(part for z in row for part in z))
-            m[i] = row if content <= 1 else [(a // content, b // content) for a, b in row]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
-
-
-def _gaussian_product(factors: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    re, im = 1, 0
-    for a, b in factors:
-        re, im = re * a - im * b, re * b + im * a
-    return re, im
+            content = gcd(*(part for z in n for part in z))
+            if content > 1:
+                n = [(a // content, b // content) for a, b in n]
+        out.append(n)
+    return out
 
 
 def _shared_dim(rows: Sequence[ExactVector], dim: int | None) -> int:
@@ -484,39 +476,29 @@ def _shared_dim(rows: Sequence[ExactVector], dim: int | None) -> int:
     return dim
 
 
+def _null_basis(rows: Sequence[ExactVector], dim: int | None) -> list[list[tuple[int, int]]]:
+    """A Gaussian-integer basis of ``{psi : <row_i|psi> = 0 for all i}``: the unit vectors narrowed by each row."""
+    d = _shared_dim(rows, dim)
+    normals = [[(1, 0) if j == i else (0, 0) for j in range(d)] for i in range(d)]
+    for row in rows:
+        normals = _narrow(normals, row.integer_form)
+    return normals
+
+
 def rank(rows: Sequence[ExactVector], dim: int | None = None) -> int:
-    """Exact rank of the row family."""
-    _shared_dim(rows, dim)
-    return len(_eliminate(rows)[1])
+    """Exact rank of the row family: the dimension less that of its nullspace."""
+    return _shared_dim(rows, dim) - len(_null_basis(rows, dim))
 
 
 def nullspace(rows: Sequence[ExactVector], dim: int | None = None) -> list[ExactVector]:
     """Exact basis of ``{psi : <row_i|psi> = 0 for all i}``.
 
-    The canonical rays of :func:`_null_basis`; an empty list means only
-    the zero solution exists.  ``dim`` is required when ``rows`` is empty
-    and must match the shared row dimension otherwise.
+    The canonical rays of :func:`_null_basis`, one per free column of the
+    rows' reduced row echelon form, in column order; an empty list means
+    only the zero solution exists.  ``dim`` is required when ``rows`` is
+    empty and must match the shared row dimension otherwise.
     """
     return [_canonical_from_ints(z) for z in _null_basis(rows, dim)]
-
-
-def _null_basis(rows: Sequence[ExactVector], dim: int | None) -> list[list[tuple[int, int]]]:
-    """A Gaussian-integer basis of ``{psi : <row_i|psi> = 0 for all i}``, one vector per free column."""
-    d = _shared_dim(rows, dim)
-    m, pivots = _eliminate(rows)
-    pivot_values = [m[i][pc] for i, pc in enumerate(pivots)]
-    # row i reads p_i x[pc_i] + m[i][fc] x[fc] = 0, solved without division by
-    # x[fc] = prod_j p_j and x[pc_i] = -m[i][fc] prod_{j != i} p_j
-    all_pivots = _gaussian_product(pivot_values)
-    others = [_gaussian_product(pivot_values[:i] + pivot_values[i + 1 :]) for i in range(len(pivots))]
-    basis = []
-    for fc in (c for c in range(d) if c not in pivots):
-        coords = [(0, 0)] * d
-        coords[fc] = all_pivots
-        for i, pc in enumerate(pivots):
-            coords[pc] = _gaussian_product((m[i][fc], others[i], (-1, 0)))
-        basis.append(coords)
-    return basis
 
 
 def gram_schmidt(ordered: Sequence[ExactVector]) -> list[ExactVector]:

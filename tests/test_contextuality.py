@@ -675,15 +675,25 @@ def test_gaussian_image_matches_the_fraction_oracle(monkeypatch, yu_oh):
     assert len(search.states) == 4
     assert len(mixed.triples) == 4 * 27 and mixed.no_mixed_states
 
+    def narrow(normals, row):
+        # span(N) and row^perp meet in the nullspace of a basis of N^perp and the row
+        *spanning, row_vector = (ExactVector(tuple(ExactScalar(a, b) for a, b in z)) for z in [*normals, row])
+        complement = oracles.nullspace(spanning, len(row))
+        return [list(v.integer_form) for v in oracles.nullspace(complement + [row_vector], len(row))]
+
+    substitutes = {
+        "rank": oracles.rank,
+        "nullspace": oracles.nullspace,
+        "_narrow": narrow,
+        "orthogonal": lambda u, v: inner_product(u, v).is_zero,
+    }
+    patched = set()
     for module in (ctxkit.scenario, ctxkit.contextuality, ctxkit.hardy):
-        for name, oracle in (
-            ("rank", oracles.rank),
-            ("nullspace", oracles.nullspace),
-            ("_null_basis", lambda rows, dim: [list(v.integer_form) for v in oracles.nullspace(rows, dim)]),
-            ("orthogonal", lambda u, v: inner_product(u, v).is_zero),
-        ):
+        for name, oracle in substitutes.items():
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, oracle)
+                patched.add(name)
+    assert patched == set(substitutes), f"no module binds {set(substitutes) - patched}"
     oracle_scenario, *oracle_results = run_pipeline(text)
     assert oracle_scenario.edges == scenario.edges
     assert oracle_results == [contexts, search, mixed]

@@ -195,6 +195,8 @@ def test_nullspace_examples():
     empty_basis = nullspace([], dim=3)
     assert len(empty_basis) == 3
     assert nullspace([vec(0, 1, -1), vec(1, 0, 1), vec(0, 1, 0)]) == []
+    # the first row's pivot is column 2, the second's column 0: the basis stays in column order
+    assert nullspace([vec(0, 0, 1, 0), vec(1, 1, 0, 0)]) == [vec(1, -1, 0, 0), vec(0, 0, 0, 1)]
 
 
 def test_nullspace_needs_dim_when_empty():
@@ -239,10 +241,10 @@ def gaussian_vectors(d):
 
 @st.composite
 def row_families(draw):
-    """d in 2..5 and 0..6 Gaussian-rational rows: fresh, zero, rescaled repeats, combinations."""
-    d = draw(st.integers(min_value=2, max_value=5))
+    """d in 2..6 and 0..8 Gaussian-rational rows: fresh, zero, rescaled repeats, combinations."""
+    d = draw(st.integers(min_value=2, max_value=6))
     rows: list[ExactVector] = []
-    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
         kind = draw(st.sampled_from(["fresh", "zero", "repeat", "combination"] if rows else ["fresh", "zero"]))
         if kind == "fresh":
             rows.append(draw(gaussian_vectors(d)))
