@@ -11,7 +11,7 @@ the "global event" sets of the contextuality analysis, as the int ``mask``
 (bit i set iff ray i is labelled 1), transposed, as one int per ray
 over the events: ``by_ray`` of the :class:`GlobalEvents` the enumerator returns,
 whose ``holding(ray)`` lists the events of a ray from its column,
-and packed, as one int of every event's ``mask``: its ``rows``.
+and packed, as one int of every event's ``mask``: its ``rows``; their OR is its ``union``.
 
 :func:`enumerate_assignments` searches basis by basis on ray bitmasks,
 the scenario's ``neighbours``, honouring (O) and (C) along the way.  The tests hold it to a
@@ -27,8 +27,9 @@ of the bundled 13-ray scenario.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, compress
+from operator import or_
 
 from .errors import ValidationError
 from .exact import _Record
@@ -36,6 +37,11 @@ from .scenario import Scenario
 
 # the characters "0" and "1" as the bytes 0 and 1
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(mask: int) -> bytes:
+    """The bits of ``mask`` >= 0, lowest first, as the bytes 0 and 1, up to its highest set bit (``b"\\0"`` for 0)."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_VALUES)
 
 
 class KSAssignment(_Record):
@@ -55,8 +61,8 @@ class KSAssignment(_Record):
     def _of_mask(cls, mask: int, n: int) -> "KSAssignment":
         """The assignment of ``n`` rays with support ``mask``, whose bits are 0/1 by construction."""
         assignment = cls.__new__(cls)
-        # bits 0..n-1, lowest first; the marker bit n ends the reversed slice
-        object.__setattr__(assignment, "bits", tuple(bin(mask | 1 << n)[:2:-1].encode().translate(_BIT_VALUES)))
+        # the marker bit n keeps the high zeros
+        object.__setattr__(assignment, "bits", tuple(_bits(mask | 1 << n)[:n]))
         object.__setattr__(assignment, "mask", mask)
         return assignment
 
@@ -67,8 +73,8 @@ class KSAssignment(_Record):
 
 class GlobalEvents(tuple):
     """The KS-assignments in order; bit j of ``by_ray[i]`` is set iff event j holds ray i.
-    ``by_ray`` and ``rows`` are kept from first use, on a tuple so that no event changes under them;
-    wrapping one returns it."""
+    ``by_ray``, ``rows`` and ``union`` are kept from first use, on a tuple so that no event changes
+    under them; wrapping one returns it."""
 
     def __new__(cls, events: Iterable[KSAssignment] = ()):
         return events if type(events) is cls else super().__new__(cls, events)
@@ -92,20 +98,21 @@ class GlobalEvents(tuple):
         ones = int.from_bytes((b"\1" + bytes(step - 1)) * len(self), "little")
         return rows, ones, n, 8 * step
 
+    @cached_property
+    def union(self) -> int:
+        """The rays that some event holds: the OR of every ``mask``, never read from ``by_ray``."""
+        return reduce(or_, (a.mask for a in self), 0)
+
     def holding(self, ray: int) -> list[KSAssignment]:
         """The events that hold ray index ``ray``, in order, read from its column; none if there are no events."""
-        column, held = self.by_ray[ray] if self else 0, []
-        while column:
-            held.append(self[(column & -column).bit_length() - 1])
-            column &= column - 1
-        return held
+        return list(compress(self, _bits(self.by_ray[ray] if self else 0)))
 
     def missing(self, zeros: int) -> int:
-        """The events that hold no ray of the ray mask ``zeros``, as a mask over the events."""
+        """The events that hold no ray of the ray mask ``zeros``, as a mask over the events;
+        only the columns of its set bits are read."""
         miss = (1 << len(self)) - 1
-        for z, column in enumerate(self.by_ray):
-            if zeros >> z & 1:
-                miss &= ~column
+        for column in compress(self.by_ray, _bits(zeros)):
+            miss &= ~column
         return miss
 
 

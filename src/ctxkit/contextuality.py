@@ -57,9 +57,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, compress, product
 
-from .assignments import GlobalEvents, KSAssignment
+from .assignments import GlobalEvents, KSAssignment, _bits
 from .errors import DimensionMismatchError, ValidationError
 from .exact import (
     ExactMatrix,
@@ -104,11 +104,7 @@ class QuantumState(_Record):
         return cls(dim=matrix.rows, rho=matrix, psi=None)
 
     def probability(self, v: ExactVector) -> Fraction:
-        """Exact Born probability of the event ``v`` under this state."""
-        if v.dim != self.dim:
-            raise DimensionMismatchError("state and event dimensions differ")
-        if not v.integer_norm:
-            raise ValidationError("events must be non-zero vectors")
+        """Exact Born probability of the event ``v`` under this state; ``overlap`` or ``expectation`` checks ``v``."""
         if self.psi is not None:
             return overlap(v, self.psi)
         return expectation(self.rho, v)
@@ -327,17 +323,23 @@ def noncontextuality_oracle(
 # the flats of the ray arrangement
 # ---------------------------------------------------------------------------
 
-def _minimum_hitting_set(events: GlobalEvents, column: int, zeros: int) -> tuple[int, ...]:
-    """The fewest rays of ``zeros`` whose columns cover ``column``; ties go to the lexicographically first."""
-    by_ray = events.by_ray
-    universe = [z for z, held in enumerate(by_ray) if zeros >> z & 1 and held & column]
-    for size in range(1, len(universe) + 1):
+def _minimum_hitting_set(zero_columns: list[tuple[int, int]], column: int) -> tuple[int, ...]:
+    """The fewest zero rays whose columns cover ``column``; ties go to the lexicographically first.
+    ``zero_columns`` holds ``(z, by_ray[z])`` for each zero ray in order, read once for all of a state's
+    witnesses; the pass that keeps the rays meeting ``column`` returns the first that covers it alone."""
+    universe = []
+    for z, held in zero_columns:
+        if held & column:
+            if not column & ~held:
+                return (z,)
+            universe.append((z, held))
+    for size in range(2, len(universe) + 1):
         for candidate in combinations(universe, size):
             unhit = column
-            for z in candidate:
-                unhit &= ~by_ray[z]
+            for _, held in candidate:
+                unhit &= ~held
             if not unhit:
-                return candidate
+                return tuple([z for z, _ in candidate])
     raise AssertionError("hitting-set search called with an un-hittable event")
 
 
@@ -418,7 +420,8 @@ def find_contextual_pure_states(
         psi = _canonical_from_ints(normals[0])
         if not is_logically_contextual(scenario, QuantumState.pure(psi), events):
             raise AssertionError(f"state {psi} emitted by the search failed the contextuality re-check")
-        found.append(WitnessedState(witness=k, state=psi, selection=_minimum_hitting_set(events, column, flat)))
+        zero_columns = list(compress(enumerate(events.by_ray), _bits(flat)))
+        found.append(WitnessedState(witness=k, state=psi, selection=_minimum_hitting_set(zero_columns, column)))
     found.sort(key=lambda w: (w.witness, w.selection))
     return PureStateSearch(states=tuple(found), undetermined=tuple(undetermined))
 

@@ -336,9 +336,11 @@ def inner_product(u: ExactVector, v: ExactVector) -> ExactScalar:
 
 def _integer_inner(u: ExactVector, v: ExactVector) -> tuple[int, int]:
     # <u|v> on the integer forms: a positive rational multiple of inner_product(u, v)
-    _require_same_dim(u, v)
+    us, vs = u.integer_form, v.integer_form
+    if len(us) != len(vs):
+        raise DimensionMismatchError(f"dimension mismatch: {len(us)} vs {len(vs)}")
     re = im = 0
-    for (a, b), (c, d) in zip(u.integer_form, v.integer_form):
+    for (a, b), (c, d) in zip(us, vs):
         re += a * c + b * d
         im += a * d - b * c
     return re, im
@@ -755,8 +757,13 @@ def expectation(rho: ExactMatrix, v: ExactVector) -> Fraction:
     norm = v.integer_norm
     if norm == 0:
         raise ValidationError("events must be non-zero vectors")
-    d = v.dim
-    re, im = _dot(((a, -b) for a, b in z), (_dot(rho.nums[i * d : (i + 1) * d], z) for i in range(d)))
+    d, nums = v.dim, rho.nums
+    re = im = 0
+    for i, (a, b) in enumerate(z):
+        # conj(z_i) times row i of nums times z
+        x, y = _dot(nums[i * d : (i + 1) * d], z)
+        re += a * x + b * y
+        im += a * y - b * x
     if im != 0:
         raise ValidationError("the expectation of a non-Hermitian matrix is not real")
     return Fraction(re, rho.den * norm)

@@ -27,8 +27,9 @@ the row's own state) are reported as errata rather than matched.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 
-from .assignments import GlobalEvents
+from .assignments import GlobalEvents, _bits
 from .contextuality import QuantumState, _blocked_witnesses, _minimum_hitting_set, possibilistic_model
 from .errors import ValidationError
 from .exact import ExactMatrix, _Record, gram_schmidt, projector_failures, rank1_projector, vec
@@ -62,11 +63,12 @@ def derive_paradoxes(
     """
     zeros = possibilistic_model(scenario, state).zeros
     events = GlobalEvents(assignments)
+    zero_columns = list(compress(enumerate(events.by_ray), _bits(zeros)))
     paradoxes = [
         HardyParadox(
             state=state,
             witness=k,
-            zero_set=_minimum_hitting_set(events, column, zeros),
+            zero_set=_minimum_hitting_set(zero_columns, column),
             sp=state.probability(scenario.rays[k].vector),
         )
         for k, column in _blocked_witnesses(events, zeros)
@@ -103,32 +105,30 @@ def replay_contradiction(assignments: GlobalEvents, paradoxes: list[HardyParadox
     force the witness marginal to 0 even though the witness is possible:
     true iff some event holds the witness, each such event meets the zero
     set and the witness probability is positive.  It reads the packed
-    event masks of ``GlobalEvents.rows``, never the ``by_ray`` index that
-    :func:`derive_paradoxes` reads.  Adding 2^n - 1 to each slot's
-    zero-set bits carries into its bit n iff the event meets the zero set;
-    the masks of the slots without that carry, OR-folded into one n-bit
-    word, are the rays of the events that miss the zero set.  So each
-    distinct zero set of the batch costs one fold, the union of all masks
-    is folded once, and each paradox is a bit test: its witness is in the
-    union and not in its zero set's word.
+    event masks ``GlobalEvents.rows`` and their kept ``union``, never the
+    ``by_ray`` index that :func:`derive_paradoxes` reads.  Adding 2^n - 1
+    to each slot's zero-set bits carries into its bit n iff the event meets
+    the zero set; the masks of the slots without that carry, OR-folded into
+    one n-bit word, are the rays of the events that miss the zero set.  So
+    each distinct ``zero_set`` tuple of the batch costs one fold, and each
+    paradox is a bit test: its witness is in the union and not in that word.
     """
     events = GlobalEvents(assignments)
     rows, ones, n, width = events.rows
-    full, carry = (1 << n) - 1, (ones << n) - ones
-    union = _fold(rows, len(events), width)
-    unmet: dict[int, int] = {}
+    full, carry, union = (1 << n) - 1, (ones << n) - ones, events.union
+    unmet: dict[tuple[int, ...], int] = {}
     replays = []
     for paradox in paradoxes:
-        witness = paradox.witness
+        witness, zero_set = paradox.witness, paradox.zero_set
         if paradox.sp <= 0 or witness >= n or not union >> witness & 1:
             replays.append(False)
             continue
-        zeros = sum(1 << i for i in paradox.zero_set) & full
-        if zeros not in unmet:
+        if zero_set not in unmet:
+            zeros = sum(1 << i for i in zero_set) & full
             met = ((rows & zeros * ones) + carry) >> n & ones
             # met * full marks every mask bit of the slots that meet the zero set
-            unmet[zeros] = _fold(rows & ~((met << n) - met), len(events), width)
-        replays.append(not unmet[zeros] >> witness & 1)
+            unmet[zero_set] = _fold(rows & ~((met << n) - met), len(events), width)
+        replays.append(not unmet[zero_set] >> witness & 1)
     return replays
 
 

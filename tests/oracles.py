@@ -32,8 +32,8 @@ Python sets, where the package reads the ``GlobalEvents.by_ray`` columns;
 ``events_containing`` scans every event for a ray, where the package
 walks the ray's column (``GlobalEvents.holding``).
 ``hitting_set_of_masks`` is no oracle: it hands the package's
-``_minimum_hitting_set`` one event per zero mask, for the tests that state
-hitting sets as plain masks.
+``_minimum_hitting_set`` the zero rays' columns over one event per zero
+mask, for the tests that state hitting sets as plain masks.
 
 ``shift_replay`` is the replay the folded one replaced: per paradox, one
 shift of the packed ``GlobalEvents.rows`` marks the events that hold the
@@ -418,9 +418,12 @@ def minimum_hitting_set(hit_lists: list[list[int]]) -> tuple[int, ...]:
 
 
 def hitting_set_of_masks(masks: list[int], width: int = 10) -> tuple[int, ...]:
-    """``_minimum_hitting_set`` on one event per zero mask, each also holding the witness ray ``width``."""
+    """``_minimum_hitting_set`` on one event per zero mask, each also holding the witness ray ``width``:
+    rays 0 .. width - 1 are the zero rays, each given with its column."""
     events = GlobalEvents(KSAssignment([mask >> i & 1 for i in range(width)] + [1]) for mask in masks)
-    return _minimum_hitting_set(events, events.by_ray[width] if events else 0, (1 << width) - 1)
+    # with no events there are no columns; every column is then empty
+    by_ray = events.by_ray or (0,) * (width + 1)
+    return _minimum_hitting_set(list(enumerate(by_ray[:width])), by_ray[width])
 
 
 def replay_contradiction(assignments, paradox) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from functools import cache
 from itertools import product
 from math import gcd
@@ -245,6 +246,37 @@ def test_by_ray_is_the_transpose_of_the_bits_on_box_subsets(subset):
         for i in range(n):
             assert events_containing(s, given_events, i) == [a for a in events if a.mask >> i & 1]
             assert GlobalEvents(given_events).holding(i) == events_containing(s, given_events, i)
+
+
+ray_counts_and_masks = st.integers(1, 12).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=80))
+)
+
+
+def events_of_masks(n, masks):
+    return GlobalEvents(KSAssignment(m >> i & 1 for i in range(n)) for m in masks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ray_counts_and_masks)
+def test_holding_and_missing_match_the_event_scans(case):
+    n, masks = case
+    events = events_of_masks(n, masks)
+    for i in range(n):
+        assert events.holding(i) == [a for a in events if a.bits[i]]
+    # zero masks with bits past the last ray, which no event holds
+    for zeros in (0, 1, (1 << n) - 1, 0b101 << n - 1, 1 << n + 2, sum(masks[:2]) | 1 << 40):
+        assert events.missing(zeros) == sum(1 << j for j, a in enumerate(events) if not a.mask & zeros)
+
+
+def test_holding_reads_a_column_over_thousands_of_events():
+    # 3000 events over six rays; ray 5 is held by the last event only, so its column's one bit is the highest
+    rng = random.Random(26)
+    events = events_of_masks(6, [rng.getrandbits(5) for _ in range(2999)] + [1 << 5])
+    for i in range(6):
+        assert events.holding(i) == [a for a in events if a.bits[i]]
+    assert events.holding(5) == [events[-1]]
+    assert len(events.holding(0)) > 1000
 
 
 def test_by_ray_is_built_on_first_use(yu_oh):

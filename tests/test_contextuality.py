@@ -452,6 +452,26 @@ def test_blocked_witnesses_match_the_oracle_on_any_zero_mask_of_the_box_prefix(z
     assert_blocked_witnesses_match_the_oracle(s, assignments, sum(1 << i for i in zero_rays))
 
 
+def cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 31), st.integers(0, 31) | st.tuples(*[st.integers(-3, 3)] * 3))
+@example(20, 6)  # (1,0,0) x (0,2,-1) = (0,1,2): 21 witnesses, four zero rays, two of them the zero sets
+@example(21, 23)  # (1,0,1) x (1,1,-2) = (-1,3,1): 7 witnesses, three zero sets of two rays
+def test_derived_paradoxes_match_the_oracle_on_states_orthogonal_to_a_box_ray(ray, other):
+    # a state orthogonal to a ray of the prefix, often to a second ray too: the states whose
+    # zero rays each block many witnesses, so one state's witnesses share its zero rays' columns
+    s, assignments = box_d3_m2_prefix()
+    rays = [tuple(int(c.re) for c in r.vector.coords) for r in s.rays]
+    psi = cross(rays[ray], rays[other] if isinstance(other, int) else other)
+    assume(any(psi))
+    state = QuantumState.pure(vec(*psi))
+    paradoxes = derive_paradoxes(s, state, assignments).paradoxes
+    assert [(p.witness, p.zero_set, p.sp) for p in paradoxes] == oracles.derive_paradoxes(s, state, assignments)
+
+
 # a witness's hit list repeats a few masks many times; mask 0 is an event no ray can hit
 repeated_masks = st.lists(st.integers(0, (1 << 10) - 1) | st.just(0), min_size=1, max_size=4).flatmap(
     lambda pool: st.lists(st.sampled_from(pool), max_size=40)

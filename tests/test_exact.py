@@ -286,6 +286,20 @@ def test_orthogonal_and_overlap_match_the_inner_product(data):
     assert overlap(u, v) == inner_product(u, v).abs2() / (oracles.norm_sq(u) * oracles.norm_sq(v))
 
 
+def test_overlap_and_born_probability_reject_another_dimension():
+    with pytest.raises(DimensionMismatchError, match="^dimension mismatch: 2 vs 3$"):
+        overlap(vec(1, 0), vec(1, 0, 0))
+    with pytest.raises(DimensionMismatchError, match="^dimension mismatch: 3 vs 2$"):
+        overlap(vec(1, 0, 0), vec(1, 0))
+    for state in (QuantumState.pure(vec(1, 1, 1)), QuantumState.density(rank1_projector(vec(1, 1, 1)))):
+        with pytest.raises(DimensionMismatchError):
+            state.probability(vec(1, 1))
+        with pytest.raises(DimensionMismatchError):
+            state.probability(vec(1, 1, 1, 1))
+        with pytest.raises(ValidationError):
+            state.probability(vec(0, 0, 0))
+
+
 # --- Gram-Schmidt ---------------------------------------------------------
 
 

@@ -179,6 +179,23 @@ def test_replay_is_independent_of_the_event_index(yu_oh, yu_oh_assignments):
         paradoxes_for(yu_oh, events, (1, 1, 1))
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_kept_union_holds_across_batches_and_event_lists(data):
+    # one event list replayed in two batches with different zero sets, then a second list of another ray count
+    for n in data.draw(st.lists(st.integers(2, 20), min_size=2, max_size=2, unique=True)):
+        masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+        zero_sets = st.sets(st.integers(0, n - 1), min_size=1, max_size=3).map(sorted).map(tuple)
+        first, second = data.draw(st.lists(zero_sets, min_size=2, max_size=2, unique=True))
+        # block every event that holds ray 0 with the first zero set, so that accepted replays are drawn too
+        masks = [m | 1 << first[0] if m & 1 else m for m in masks]
+        events = GlobalEvents(KSAssignment(m >> i & 1 for i in range(n)) for m in masks)
+        for zero_set in (first, second):
+            batch = [HardyParadox(None, witness, zero_set, Fraction(1, 9)) for witness in range(n)]
+            assert replay_contradiction(events, batch) == [oracles.replay_contradiction(events, p) for p in batch]
+        assert events.union == sum(1 << i for i in range(n) if any(a.bits[i] for a in events))
+
+
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 @pytest.mark.parametrize("n", range(1, 41))
