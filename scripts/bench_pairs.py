@@ -13,8 +13,9 @@ Each run's end-to-end metrics (the ``end_to_end`` names of that file),
 workload the median and the first and third quartiles (``statistics.quantiles``,
 inclusive method) of each metric on each side, and the number of pairs
 the change won.  A difference in medians is read against the distance
-between the parent's quartiles.  A run that exits non-zero stops the
-script with its stderr.
+between the parent's quartiles, so fewer than two seeds is an argument
+error (exit 2), raised before any run.  A run that exits non-zero stops
+the script with its stderr.
 """
 
 from __future__ import annotations
@@ -61,6 +62,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    if len(args.seeds) < 2:
+        parser.error("--seeds needs at least two seeds: the quartiles of a side need two runs")
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     names = [m["name"] for m in metrics]

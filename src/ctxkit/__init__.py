@@ -38,7 +38,6 @@ from .exact import (
     ExactVector,
     canonical_ray,
     gram_schmidt,
-    inner_product,
     mixture,
     nullspace,
     parse_scalar,

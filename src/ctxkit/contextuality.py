@@ -116,7 +116,7 @@ class QuantumState(_Record):
         return (self.rho @ p).trace().as_fraction()
 
     def describe(self) -> str:
-        return str(self.psi) if self.psi is not None else "density"
+        return "(" + ",".join(self.psi.coordinate_texts()) + ")" if self.psi is not None else "density"
 
 
 def parse_state(text: str, dim: int, field: str = "gaussian") -> QuantumState:

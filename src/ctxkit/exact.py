@@ -4,31 +4,28 @@ Scalars are numbers ``a + b*i`` with ``a``, ``b`` rational, kept in lowest
 terms by :class:`fractions.Fraction`, so every zero-test is decidable and
 all field operations are exact.  No floating point enters this module.
 
-Vectors representing quantum events are compared *as rays*: two non-zero
-vectors are the same ray when one is a non-zero scalar multiple of the
-other.  :func:`canonical_ray` maps every vector of a ray class to a unique
-representative: clear denominators, divide by the Gaussian-integer gcd of
-the entries, then rotate by a unit in ``{1, -1, i, -i}`` so the first
-non-zero coordinate has positive real part (and non-negative imaginary
-part).  Structural equality of canonical forms then decides ray equality.
+Vectors and matrices are stored alike: Gaussian-integer numerators as
+``(re, im)`` int pairs over one positive denominator, in lowest terms.  A
+vector also holds its :attr:`~ExactVector.integer_form`, the numerators
+over the integer gcd of their parts, which spans the same ray.  Two
+non-zero vectors are the same ray when one is a non-zero multiple of the
+other; :func:`canonical_ray` picks the one integer vector of each ray whose
+entries have Gaussian gcd 1 and whose first non-zero entry lies in the
+quadrant ``re > 0, im >= 0``, so ``==`` decides ray equality.
 
-Linear algebra runs on Gaussian integers.  Every vector caches its
-:attr:`ExactVector.integer_form`, a positive rational multiple with
-coprime ``(re, im)`` int parts; such a multiple spans the same ray, so
-orthogonality, rank, nullspace and Gram-Schmidt can be decided on it.
 Every subspace is found by one fraction-free step over Z[i],
 :func:`_narrow`: it takes a Gaussian-integer basis of a subspace to one
 of the vectors in it orthogonal to a row, and divides each new vector by
 the integer gcd of its parts to limit growth.  :func:`nullspace` narrows
 the unit vectors by each row, :func:`rank` counts what is left, and the
 flat scan of :mod:`ctxkit.contextuality` narrows a flat's normals by one
-ray to reach each flat above it.  An :class:`ExactMatrix` keeps
-Gaussian-integer numerators over one common denominator, so projectors,
-density states and their products and traces are int arithmetic too.
-``Fraction`` values are built only where an exact value leaves this
-layer: Born probabilities (:func:`overlap`, :func:`expectation`), traces
-and printed entries.  The density-operator validity check (Hermitian,
-unit trace, positive semidefinite) decides positivity by one symmetric
+ray to reach each flat above it.  Projectors, density states, their
+products and traces are int arithmetic on the numerators.  ``Fraction``
+values are built only where an exact value leaves this layer: Born
+probabilities (:func:`overlap`, :func:`expectation`), traces, and
+coordinates or entries read as :class:`ExactScalar`; printing writes them
+from the ints.  The density-operator validity check (Hermitian, unit
+trace, positive semidefinite) decides positivity by one symmetric
 elimination with diagonal pivots, and names a negative principal minor
 when it fails.
 """
@@ -38,7 +35,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from functools import cached_property
+from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
 from operator import attrgetter
@@ -52,7 +49,6 @@ from .errors import (
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _as_fraction(value: int | Fraction) -> Fraction:
@@ -197,8 +193,7 @@ class ExactScalar(_Record):
         return f"ExactScalar({self})"
 
 
-ZERO = ExactScalar(_ZERO)
-ONE = ExactScalar(_ONE)
+ONE = ExactScalar(1)
 
 
 # Literal grammar shared by all file formats: rational `[-]INT[/INT]`,
@@ -230,74 +225,93 @@ def parse_scalar(text: str, field: str = "gaussian") -> ExactScalar:
     return ExactScalar(re_part, im_part)
 
 
-def _over_common_denominator(
-    scalars: Iterable[ExactScalar],
-) -> tuple[int, tuple[tuple[int, int], ...]]:
-    # (den, nums) with scalars[k] == nums[k] / den and den the least common denominator
-    scalars = tuple(scalars)
-    den = lcm(*(part.denominator for s in scalars for part in (s.re, s.im)))
-    return den, tuple(
-        (s.re.numerator * (den // s.re.denominator), s.im.numerator * (den // s.im.denominator))
-        for s in scalars
-    )
+def _over_common_denominator(values: Iterable[ExactScalar | int | Fraction]) -> tuple[int, tuple[tuple[int, int], ...]]:
+    # (den, nums) with values[k] == nums[k] / den and den the least common denominator; ints and Fractions are real
+    parts = [(v.re, v.im) if isinstance(v, ExactScalar) else (_as_fraction(v), _ZERO) for v in values]
+    den = lcm(*(x.denominator for z in parts for x in z))
+    return den, tuple((a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)) for a, b in parts)
+
+
+def _lowest_terms(den: int, nums: tuple[tuple[int, int], ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
+    # nums and den > 0 divided by gcd(den, all parts): the one form of the values nums[k] / den
+    g = gcd(den, *(part for z in nums for part in z))
+    if g > 1:
+        den //= g
+        nums = tuple((a // g, b // g) for a, b in nums)
+    return den, nums
+
+
+def _scalar(z: tuple[int, int], den: int) -> ExactScalar:
+    return ExactScalar(Fraction(z[0], den), Fraction(z[1], den))
+
+
+def _ratio(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for ``d > 0``, without building the Fraction."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _scalar_text(z: tuple[int, int], den: int) -> str:
+    """``str(_scalar(z, den))``, written from the ints."""
+    a, b = z
+    return _ratio(a, den) if b == 0 else f"{_ratio(a, den)}{'+' if b > 0 else '-'}{_ratio(abs(b), den)}i"
 
 
 class ExactVector(_Record):
-    """A vector over :class:`ExactScalar`, dimension at least 2."""
+    """A Gaussian-rational vector ``nums[k] / den`` of dimension at least 2, stored as an :class:`ExactMatrix` is.
 
-    # no __slots__: the cached integer_form lives in the instance dict
+    ``==`` compares ``(den, nums)``.  The constructor takes coordinates and
+    sets :attr:`integer_form` and :attr:`integer_norm`; :attr:`coords`
+    builds the coordinates back when read, and hashing, ``repr``, copy and
+    pickle read them, as for a record of the one field ``coords``.
+    """
+
+    __slots__ = ("den", "nums", "integer_form", "integer_norm")
     _fields = ("coords",)
 
     def __init__(self, coords: Iterable[ExactScalar | int | Fraction]):
-        coords = tuple(ExactScalar.coerce(c) for c in coords)
-        if len(coords) < 2:
+        self._hold(*_over_common_denominator(coords))
+
+    @classmethod
+    def _of_ints(cls, nums: Iterable[tuple[int, int]]) -> "ExactVector":
+        """The Gaussian-integer vector ``nums``, ``(re, im)`` int pairs, built without a scalar."""
+        vector = cls.__new__(cls)
+        vector._hold(1, tuple(nums))
+        return vector
+
+    def _hold(self, den: int, nums: tuple[tuple[int, int], ...]):
+        if len(nums) < 2:
             raise ValidationError("vectors must have dimension >= 2")
-        object.__setattr__(self, "coords", coords)
+        den, nums = _lowest_terms(den, nums)
+        form = _lowest_terms(0, nums)[1]  # nums over the integer gcd of their parts
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "integer_form", form)
+        object.__setattr__(self, "integer_norm", sum(a * a + b * b for a, b in form))
+
+    @property
+    def coords(self) -> tuple[ExactScalar, ...]:
+        """The coordinates as :class:`ExactScalar`; built on each read."""
+        return tuple(_scalar(z, self.den) for z in self.nums)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.den == other.den and self.nums == other.nums
+        return NotImplemented
+
+    __hash__ = _Record.__hash__
 
     @property
     def dim(self) -> int:
-        return len(self.coords)
+        return len(self.nums)
 
     @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coords)
+        return self.integer_norm == 0
 
-    def __len__(self) -> int:
-        return len(self.coords)
-
-    def __getitem__(self, i: int) -> ExactScalar:
-        return self.coords[i]
-
-    def __add__(self, other: "ExactVector") -> "ExactVector":
-        _require_same_dim(self, other)
-        return ExactVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "ExactVector") -> "ExactVector":
-        _require_same_dim(self, other)
-        return ExactVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, factor: ExactScalar | int | Fraction) -> "ExactVector":
-        f = ExactScalar.coerce(factor)
-        return ExactVector(tuple(f * c for c in self.coords))
-
-    def conjugate(self) -> "ExactVector":
-        return ExactVector(tuple(c.conjugate() for c in self.coords))
-
-    @cached_property
-    def integer_form(self) -> tuple[tuple[int, int], ...]:
-        """The coordinates as ``(re, im)`` int pairs: cleared of denominators, coprime.
-
-        A positive rational multiple of the vector, so it spans the same
-        ray and has the same zero-tests.  Computed on first use, then kept.
-        """
-        _, nums = _over_common_denominator(self.coords)
-        content = gcd(*(part for z in nums for part in z)) or 1
-        return tuple((a // content, b // content) for a, b in nums)
-
-    @cached_property
-    def integer_norm(self) -> int:
-        """``||integer_form||^2`` as an int; computed on first use, then kept."""
-        return sum(a * a + b * b for a, b in self.integer_form)
+    def coordinate_texts(self) -> list[str]:
+        """``str`` of each coordinate, written from the ints: what reports and messages print."""
+        return [_scalar_text(z, self.den) for z in self.nums]
 
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
@@ -320,22 +334,8 @@ def parse_vector(text: str, dim: int | None = None, field: str = "gaussian") -> 
     return v
 
 
-def _require_same_dim(u: ExactVector, v: ExactVector):
-    if u.dim != v.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {u.dim} vs {v.dim}")
-
-
-def inner_product(u: ExactVector, v: ExactVector) -> ExactScalar:
-    """Hermitian inner product, conjugate-linear in the first argument."""
-    _require_same_dim(u, v)
-    total = ZERO
-    for a, b in zip(u.coords, v.coords):
-        total = total + a.conjugate() * b
-    return total
-
-
 def _integer_inner(u: ExactVector, v: ExactVector) -> tuple[int, int]:
-    # <u|v> on the integer forms: a positive rational multiple of inner_product(u, v)
+    # <u|v> on the integer forms: a positive rational multiple of <u|v>
     us, vs = u.integer_form, v.integer_form
     if len(us) != len(vs):
         raise DimensionMismatchError(f"dimension mismatch: {len(us)} vs {len(vs)}")
@@ -402,10 +402,7 @@ def canonical_ray(v: ExactVector) -> ExactVector:
 
 def _canonical_from_ints(ints: Sequence[tuple[int, int]]) -> ExactVector:
     # canonical_ray of the non-zero Gaussian-integer vector ``ints``
-    g = (0, 0)
-    for z in ints:
-        if z != (0, 0):
-            g = z if g == (0, 0) else _gaussian_gcd(g, z)
+    g = reduce(_gaussian_gcd, ints, (0, 0))
     ng = g[0] * g[0] + g[1] * g[1]
     reduced = []
     for (zr, zi) in ints:
@@ -414,17 +411,9 @@ def _canonical_from_ints(ints: Sequence[tuple[int, int]]) -> ExactVector:
         if nr % ng or ni % ng:
             raise AssertionError("gaussian gcd division was not exact")
         reduced.append((nr // ng, ni // ng))
-    first = next(z for z in reduced if z != (0, 0))
-    for (ur, ui) in _UNITS:
-        fr, fi = first[0] * ur - first[1] * ui, first[0] * ui + first[1] * ur
-        if fr > 0 and fi >= 0:
-            unit = (ur, ui)
-            break
-    ints = tuple((zr * unit[0] - zi * unit[1], zr * unit[1] + zi * unit[0]) for (zr, zi) in reduced)
-    ray = ExactVector(tuple(ExactScalar(Fraction(zr), Fraction(zi)) for zr, zi in ints))
-    # coprime Gaussian integers with unit gcd have integer content 1: they are the integer form
-    vars(ray)["integer_form"] = ints
-    return ray
+    fr, fi = next(z for z in reduced if z != (0, 0))
+    ur, ui = next((ur, ui) for ur, ui in _UNITS if fr * ur - fi * ui > 0 and fr * ui + fi * ur >= 0)
+    return ExactVector._of_ints((zr * ur - zi * ui, zr * ui + zi * ur) for zr, zi in reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -554,11 +543,11 @@ class ExactMatrix(_Record):
     int pairs over one positive common denominator ``den``.  The
     constructor brings them to lowest terms (``gcd(den, all parts) == 1``),
     so ``==`` and ``hash`` are structural.  Every operation runs in ints;
-    :attr:`entries` builds :class:`ExactScalar` values only when read.
+    :meth:`entry`, :meth:`row` and :attr:`entries` build
+    :class:`ExactScalar` values only when read.
     """
 
-    # no __slots__: the cached entries live in the instance dict
-    _fields = ("rows", "cols", "den", "nums")
+    __slots__ = _fields = ("rows", "cols", "den", "nums")
 
     def __init__(self, rows: int, cols: int, den: int, nums: Iterable[tuple[int, int]]):
         nums = tuple(nums)
@@ -566,10 +555,7 @@ class ExactMatrix(_Record):
             raise ValidationError("matrix shape does not match entry count")
         if den <= 0:
             raise ValidationError("matrix denominator must be positive")
-        g = gcd(den, *(part for z in nums for part in z))
-        if g > 1:
-            den //= g
-            nums = tuple((a // g, b // g) for a, b in nums)
+        den, nums = _lowest_terms(den, nums)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "den", den)
@@ -577,7 +563,7 @@ class ExactMatrix(_Record):
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[ExactScalar | int | Fraction]]) -> "ExactMatrix":
-        data = [[ExactScalar.coerce(x) for x in row] for row in rows]
+        data = [list(row) for row in rows]
         if not data or any(len(r) != len(data[0]) for r in data):
             raise ValidationError("matrix rows must be non-empty and of equal length")
         den, nums = _over_common_denominator(x for row in data for x in row)
@@ -587,20 +573,20 @@ class ExactMatrix(_Record):
     def identity(cls, n: int) -> "ExactMatrix":
         return cls(n, n, 1, tuple((1, 0) if i == j else (0, 0) for i in range(n) for j in range(n)))
 
-    @cached_property
+    @property
     def entries(self) -> tuple[ExactScalar, ...]:
-        """The entries as :class:`ExactScalar`, row-major; built on first read."""
-        return tuple(ExactScalar(Fraction(a, self.den), Fraction(b, self.den)) for a, b in self.nums)
+        """The entries as :class:`ExactScalar`, row-major; built on each read."""
+        return tuple(_scalar(z, self.den) for z in self.nums)
 
     @property
     def is_zero(self) -> bool:
         return not any(a or b for a, b in self.nums)
 
     def entry(self, i: int, j: int) -> ExactScalar:
-        return self.entries[i * self.cols + j]
+        return _scalar(self.nums[i * self.cols + j], self.den)
 
     def row(self, i: int) -> tuple[ExactScalar, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return tuple(_scalar(z, self.den) for z in self.nums[i * self.cols : (i + 1) * self.cols])
 
     def _combine(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
         # self + sign * other over the least common denominator
@@ -621,7 +607,7 @@ class ExactMatrix(_Record):
         return self._combine(other, -1)
 
     def scale(self, factor: ExactScalar | int | Fraction) -> "ExactMatrix":
-        fden, ((fr, fi),) = _over_common_denominator((ExactScalar.coerce(factor),))
+        fden, ((fr, fi),) = _over_common_denominator((factor,))
         return ExactMatrix(
             self.rows,
             self.cols,
@@ -645,7 +631,7 @@ class ExactMatrix(_Record):
         if self.rows != self.cols:
             raise DimensionMismatchError("trace of a non-square matrix")
         re, im = map(sum, zip(*self.nums[:: self.cols + 1]))
-        return ExactScalar(Fraction(re, self.den), Fraction(im, self.den))
+        return _scalar((re, im), self.den)
 
     def dagger(self) -> "ExactMatrix":
         c = self.cols

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .assignments import GlobalEvents, KSAssignment
 from .contextuality import (
@@ -29,7 +29,7 @@ from .contextuality import (
     TRIPLE_LISTING_BOUND,
     witness_blockers,
 )
-from .exact import ExactMatrix, ExactVector
+from .exact import ExactMatrix, _scalar_text
 from .hardy import (
     HardyParadox,
     ObservableVerification,
@@ -53,26 +53,13 @@ def render_json(obj: dict) -> str:
 # document builders: analysis objects in, JSON-able dicts out
 # ---------------------------------------------------------------------------
 
-def _ratio(n: int, d: int) -> str:
-    """``str(Fraction(n, d))`` for ``d > 0``, without building the Fraction."""
-    g = gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
-
-
 def matrix_json(m: ExactMatrix) -> list[list[str]]:
-    # real entries straight from the integer numerators: they are most of every report
-    entries = [
-        _ratio(a, m.den) if b == 0 else str(m.entry(k // m.cols, k % m.cols)) for k, (a, b) in enumerate(m.nums)
-    ]
+    entries = [_scalar_text(z, m.den) for z in m.nums]
     return [entries[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)]
 
 
 def _projectors_json(projectors) -> dict:
     return {f"P{n}": matrix_json(p) for n, p in enumerate(projectors, start=1)}
-
-
-def vector_json(v: ExactVector) -> list[str]:
-    return [str(c) for c in v.coords]
 
 
 def _labels(scenario: Scenario, indices) -> list[str]:
@@ -84,7 +71,7 @@ def scenario_json(scenario: Scenario) -> dict:
         "name": scenario.name,
         "dim": scenario.dim,
         "field": scenario.field,
-        "rays": [{"label": r.label, "coords": vector_json(r.vector)} for r in scenario.rays],
+        "rays": [{"label": r.label, "coords": r.vector.coordinate_texts()} for r in scenario.rays],
         "edges": sorted(_labels(scenario, edge) for edge in scenario.edges),
     }
 
@@ -97,7 +84,7 @@ def contexts_json(scenario: Scenario, check: ComplementCheck | None = None) -> d
             {
                 "members": _labels(scenario, c.members),
                 "kind": c.kind.value,
-                "complement": [vector_json(v) for v in c.complement],
+                "complement": [v.coordinate_texts() for v in c.complement],
             }
             for c in contexts
         ],
@@ -147,7 +134,7 @@ def states_json(scenario: Scenario, search: PureStateSearch) -> dict:
     return {
         "states": [
             {
-                "state": vector_json(w.state),
+                "state": w.state.coordinate_texts(),
                 "witness": scenario.rays[w.witness].label,
                 "selection": _labels(scenario, w.selection),
             }
@@ -189,7 +176,7 @@ def mixed_json(scenario: Scenario, report: MixedAnalysisReport) -> dict:
 def _paradox_fields(scenario: Scenario, idx: int, p: HardyParadox) -> dict:
     return {
         "index": idx,
-        "state": vector_json(p.state.psi) if p.state.psi is not None else "density",
+        "state": p.state.psi.coordinate_texts() if p.state.psi is not None else "density",
         "witness": scenario.rays[p.witness].label,
         "zeros": _labels(scenario, p.zero_set),
     }

@@ -1,5 +1,12 @@
 """Slow, obvious reference implementations the fast paths are tested against.
 
+``inner_product``, ``add_vectors``, ``sub_vectors``, ``scale_vector`` and
+``conjugate_vector`` are vector arithmetic on ``ExactVector.coords`` with
+``ExactScalar`` arithmetic: the Fraction side of every orthogonality,
+overlap and subspace test, and the generators' way to rescale and combine
+vectors.  The package has no vector arithmetic; it decides on integer
+forms.
+
 ``rank`` and ``nullspace`` are exact Gauss-Jordan elimination over
 ``ExactScalar`` entries, with ``Fraction`` keeping every intermediate in
 lowest terms.  They take the same arguments as :func:`ctxkit.exact.rank`
@@ -89,13 +96,11 @@ from ctxkit.errors import (
 )
 from ctxkit.exact import (
     ONE,
-    ZERO,
     ExactMatrix,
     ExactScalar,
     ExactVector,
     _dot,
     canonical_ray,
-    inner_product,
     orthogonal,
 )
 from ctxkit.hardy import (
@@ -109,6 +114,45 @@ from ctxkit.hardy import (
 )
 from ctxkit.sampling import SimulationResult, _splitmix64
 from ctxkit.scenario import ComplementCheck, Context, Ray, Scenario
+
+ZERO = ExactScalar(0)
+
+
+# ---------------------------------------------------------------------------
+# vector arithmetic on ExactScalar coordinates
+# ---------------------------------------------------------------------------
+
+def _require_same_dim(u: ExactVector, v: ExactVector):
+    if u.dim != v.dim:
+        raise DimensionMismatchError(f"dimension mismatch: {u.dim} vs {v.dim}")
+
+
+def inner_product(u: ExactVector, v: ExactVector) -> ExactScalar:
+    """Hermitian inner product, conjugate-linear in the first argument."""
+    _require_same_dim(u, v)
+    total = ZERO
+    for a, b in zip(u.coords, v.coords):
+        total = total + a.conjugate() * b
+    return total
+
+
+def add_vectors(u: ExactVector, v: ExactVector) -> ExactVector:
+    _require_same_dim(u, v)
+    return ExactVector(tuple(a + b for a, b in zip(u.coords, v.coords)))
+
+
+def sub_vectors(u: ExactVector, v: ExactVector) -> ExactVector:
+    _require_same_dim(u, v)
+    return ExactVector(tuple(a - b for a, b in zip(u.coords, v.coords)))
+
+
+def scale_vector(v: ExactVector, factor: ExactScalar | int | Fraction) -> ExactVector:
+    f = ExactScalar.coerce(factor)
+    return ExactVector(tuple(f * c for c in v.coords))
+
+
+def conjugate_vector(v: ExactVector) -> ExactVector:
+    return ExactVector(tuple(c.conjugate() for c in v.coords))
 
 
 def _rref(m: list[list[ExactScalar]]) -> list[int]:
@@ -255,7 +299,7 @@ def gram_schmidt(ordered: Sequence[ExactVector]) -> list[ExactVector]:
         residual = v
         for u in out:
             coef = inner_product(u, residual) / ExactScalar(norm_sq(u))
-            residual = residual - u.scale(coef)
+            residual = sub_vectors(residual, scale_vector(u, coef))
         if residual.is_zero:
             raise LinearDependenceError(f"vector {v} is linearly dependent on its predecessors")
         out.append(canonical_ray(residual))

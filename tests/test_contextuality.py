@@ -38,7 +38,6 @@ from ctxkit import (
     enumerate_contexts,
     find_contextual_pure_states,
     gram_schmidt,
-    inner_product,
     is_logically_contextual,
     load_bundled,
     load_scenario,
@@ -166,7 +165,8 @@ def test_density_model_is_the_born_model_for_every_rank(dim, data):
     weights = data.draw(st.lists(st.integers(1, 5), min_size=r, max_size=r))
     rho = mixture([(Fraction(w, sum(weights)), rank1_projector(v)) for w, v in zip(weights, parts)])
     kernel = nullspace(parts, dim=dim)
-    vectors = kernel + [a + b for a, b in combinations(kernel, 2)] + [k + v for k in kernel for v in parts]
+    vectors = kernel + [oracles.add_vectors(a, b) for a, b in combinations(kernel, 2)]
+    vectors += [oracles.add_vectors(k, v) for k in kernel for v in parts]
     columns = [ExactVector(rho.entries[j::dim]) for j in range(dim)]
     vectors += [z for i in range(dim) for z in nullspace(columns[:i] + columns[i + 1 :], dim=dim)]
     vectors += parts + data.draw(st.lists(gaussian_integer_vectors(dim), max_size=6))
@@ -207,7 +207,7 @@ def states_with_zeros(draw, scenario):
     for _ in range(draw(st.integers(1, d))):
         v = basis[0]
         for b in basis:
-            v = v + b.scale(draw(coefficient))
+            v = oracles.add_vectors(v, oracles.scale_vector(b, draw(coefficient)))
         parts.append(v if not v.is_zero else basis[0])
     if len(parts) == 1 and draw(st.booleans()):
         return QuantumState.pure(parts[0])
@@ -245,9 +245,9 @@ def test_packed_model_matches_the_per_ray_model_on_the_gaussian_image(data):
 def test_packed_model_matches_the_per_ray_model_on_rays_of_many_bits(data):
     # random Gaussian-integer rays of up to 64 bits and the normals of pairs of them, whose parts reach about 130 bits
     bits = data.draw(st.sampled_from([3, 40, 64]))
-    wide = gaussian_integer_vectors(3).map(lambda v: v.scale(1 + (1 << bits)))
+    wide = gaussian_integer_vectors(3).map(lambda v: oracles.scale_vector(v, 1 + (1 << bits)))
     vectors = data.draw(st.lists(wide, min_size=2, max_size=5))
-    vectors = [v + vec(1, 0, 0) for v in vectors]
+    vectors = [oracles.add_vectors(v, vec(1, 0, 0)) for v in vectors]
     vectors += [b[0] for u, v in combinations(vectors, 2) if len(b := nullspace([u, v], dim=3)) == 1]
     rays = {canonical_ray(v): None for v in vectors if not v.is_zero}
     lines = [f"r{i}: " + ",".join(str(c) for c in v.coords) for i, v in enumerate(rays)]
@@ -275,12 +275,19 @@ def test_a_pure_check_builds_no_projector(monkeypatch, yu_oh, yu_oh_assignments,
     derivation = derive_paradoxes(yu_oh, state, yu_oh_assignments)
     measured = [(p, build_witness_observable(yu_oh, p)) for p in derivation.paradoxes if len(p.zero_set) == 2]
     axes = [rank1_projector(vec(*row)) for row in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    scenarios = ((yu_oh, yu_oh_assignments), box_d3_m2_prefix())
     built = count_calls(monkeypatch, ctxkit.exact.rank1_projector)
-    for scenario, events in ((yu_oh, yu_oh_assignments), box_d3_m2_prefix()):
+    # nor a scalar: rays and states are integer vectors, and a check reads only their integers
+    scalars = []
+    init = ExactScalar.__init__
+    monkeypatch.setattr(ExactScalar, "__init__", lambda self, *args: scalars.append(args) or init(self, *args))
+    for scenario, events in scenarios:
         fresh = QuantumState.pure(vec(*coords))
         is_logically_contextual(scenario, fresh, events)
         noncontextuality_oracle(scenario, fresh, events)
         derive_paradoxes(scenario, fresh, events)
+    find_contextual_pure_states(yu_oh, yu_oh_assignments)
+    assert scalars == []
     simulate_measurement(state, axes, shots=10, seed=0)
     for paradox, observable in measured:
         simulate_measurement(state, list(observable.projectors), shots=10, seed=0)
@@ -705,7 +712,7 @@ def test_gaussian_image_matches_the_fraction_oracle(monkeypatch, yu_oh):
         "rank": oracles.rank,
         "nullspace": oracles.nullspace,
         "_narrow": narrow,
-        "orthogonal": lambda u, v: inner_product(u, v).is_zero,
+        "orthogonal": lambda u, v: oracles.inner_product(u, v).is_zero,
     }
     patched = set()
     for module in (ctxkit.scenario, ctxkit.contextuality, ctxkit.hardy):

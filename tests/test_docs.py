@@ -52,10 +52,15 @@ def test_estimate_success_probability_prints_the_twelve_paradoxes():
     assert hashlib.sha256(stdout).hexdigest() == "6a39a61be1930a6e0c951714053d4f6757530c816c9f3974263da76d56811022"
 
 
-def test_bench_pairs_counts_a_win_in_each_metric_direction():
+def load_bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", os.path.join(ROOT, "scripts", "bench_pairs.py"))
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def test_bench_pairs_counts_a_win_in_each_metric_direction():
+    bench_pairs = load_bench_pairs()
     metrics = [{"name": "latency_p50_s", "better": "lower"}, {"name": "ops_per_s", "better": "higher"}]
     pairs = [
         {"parent": {"latency_p50_s": 2.0, "ops_per_s": 10.0}, "change": {"latency_p50_s": 1.0, "ops_per_s": 10.0}},
@@ -74,3 +79,17 @@ def test_bench_pairs_counts_a_win_in_each_metric_direction():
         "change": {"latency_p50_s": [1.0, 2.0], "ops_per_s": [9.5, 11.0]},
     }
     assert summary["pairs"] == 3
+
+
+def test_bench_pairs_rejects_a_single_seed_before_any_run(monkeypatch, tmp_path, capsys):
+    # the quartiles need two runs a side: with one seed, every pair would run and then no output be written
+    bench_pairs = load_bench_pairs()
+    runs = []
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: runs.append(args))
+    out = tmp_path / "bench.json"
+    argv = [str(tmp_path), str(tmp_path), "--workload", "check-stream", "--seeds", "11", "--out", str(out)]
+    with pytest.raises(SystemExit) as caught:
+        bench_pairs.main(argv)
+    assert caught.value.code == 2
+    assert "--seeds needs at least two seeds" in capsys.readouterr().err
+    assert runs == [] and not out.exists()

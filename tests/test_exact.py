@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +23,6 @@ from ctxkit import (
     ValidationError,
     canonical_ray,
     gram_schmidt,
-    inner_product,
     mixture,
     nullspace,
     parse_scalar,
@@ -32,6 +32,7 @@ from ctxkit import (
     vec,
 )
 from ctxkit.exact import expectation, orthogonal, overlap, validate_density
+from ctxkit.report import matrix_json
 
 import oracles
 
@@ -117,33 +118,65 @@ def test_vector_dimension_floor():
         ExactVector((ExactScalar(1),))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(scalars, min_size=2, max_size=4))
+def test_a_vector_holds_numerators_over_one_denominator_in_lowest_terms(coords):
+    v = ExactVector(coords)
+    assert v.den > 0 and gcd(v.den, *(part for z in v.nums for part in z)) == 1
+    assert v.coords == tuple(coords)
+    assert all(c == ExactScalar(Fraction(a, v.den), Fraction(b, v.den)) for c, (a, b) in zip(coords, v.nums))
+    assert ExactVector._of_ints(v.nums) == ExactVector([v.den * c for c in coords])
+    assert v.coordinate_texts() == [str(c) for c in coords]
+    assert str(v) == "(" + ",".join(v.coordinate_texts()) + ")"
+    assert not hasattr(v, "__dict__")
+
+
+def test_equality_and_the_integer_forms_build_no_scalar(monkeypatch):
+    u = vec(Fraction(1, 2), 1, 0)
+    v = ExactVector((ExactScalar(Fraction(2, 4)), ExactScalar(1), ExactScalar(0)))
+    m = ExactMatrix.from_rows([[1, I], [-I, 2]])
+    built = []
+    init = ExactScalar.__init__
+    monkeypatch.setattr(ExactScalar, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    assert u == v and u != vec(1, 2, 0) and u.dim == 3 and not u.is_zero
+    assert canonical_ray(u) == vec(1, 2, 0) and u.integer_form == ((1, 0), (2, 0), (0, 0)) and u.integer_norm == 5
+    assert orthogonal(u, vec(2, -1, 7)) and overlap(u, vec(1, 0, 0)) == Fraction(1, 5)
+    assert built == []
+    # a matrix entry builds the one scalar it returns
+    assert m.entry(0, 1) == I and len(built) == 1
+    assert not hasattr(m, "__dict__")
+
+
 def test_parse_vector():
     assert parse_vector("1,0,-1") == vec(1, 0, -1)
     with pytest.raises(DimensionMismatchError):
         parse_vector("1,0", dim=3)
 
 
+# the inner product is the Fraction oracle's; these tests hold it to hand-worked values
+
+
 def test_inner_product_examples():
-    assert inner_product(vec(0, 1, -1), vec(-1, 1, 1)).is_zero
-    assert inner_product(vec(1, 0, 0), vec(1, 0, 0)) == ExactScalar(1)
-    assert inner_product(vec(1, 1, 1), vec(-1, 1, 1)) == ExactScalar(1)
+    assert oracles.inner_product(vec(0, 1, -1), vec(-1, 1, 1)).is_zero
+    assert oracles.inner_product(vec(1, 0, 0), vec(1, 0, 0)) == ExactScalar(1)
+    assert oracles.inner_product(vec(1, 1, 1), vec(-1, 1, 1)) == ExactScalar(1)
 
 
 def test_inner_product_conjugates_first_argument():
     u = ExactVector((I, ExactScalar(1), ExactScalar(0)))
     v = vec(1, 0, 0)
-    assert inner_product(u, v) == ExactScalar(0, -1)
-    assert inner_product(v, u) == I
+    assert oracles.inner_product(u, v) == ExactScalar(0, -1)
+    assert oracles.inner_product(v, u) == I
 
 
 def test_inner_product_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        inner_product(vec(1, 0), vec(1, 0, 0))
+        oracles.inner_product(vec(1, 0), vec(1, 0, 0))
 
 
 @given(int_vectors, int_vectors)
 def test_inner_product_conjugate_symmetry(u, v):
-    assert inner_product(u, v) == inner_product(v, u).conjugate()
+    assert oracles.inner_product(u, v) == oracles.inner_product(v, u).conjugate()
 
 
 # --- canonical rays -------------------------------------------------------
@@ -171,13 +204,13 @@ def test_canonical_ray_gaussian():
 
 @given(nonzero_vectors, nonzero_scalars)
 def test_canonical_ray_scale_invariant(v, c):
-    assert canonical_ray(v) == canonical_ray(v.scale(c))
+    assert canonical_ray(v) == canonical_ray(oracles.scale_vector(v, c))
 
 
 @given(nonzero_vectors, nonzero_scalars)
 def test_canonical_ray_keeps_the_integer_form_a_fresh_vector_computes(v, c):
     # the canonical ray holds its integer form from construction; a copy of its coordinates computes it
-    ray = canonical_ray(v.scale(c))
+    ray = canonical_ray(oracles.scale_vector(v, c))
     assert ray.integer_form == ExactVector(ray.coords).integer_form
     assert ray.integer_norm == oracles.norm_sq(ray)
 
@@ -209,7 +242,7 @@ def test_nullspace_gaussian_row():
     basis = nullspace([row])
     assert len(basis) == 2
     for b in basis:
-        assert inner_product(row, b).is_zero
+        assert oracles.inner_product(row, b).is_zero
 
 
 def test_rank_examples():
@@ -225,7 +258,7 @@ def test_rank_nullity(rows):
     assert r + len(basis) == 3
     for b in basis:
         for row in rows:
-            assert inner_product(row, b).is_zero
+            assert oracles.inner_product(row, b).is_zero
 
 
 # --- the integer core against the Fraction oracle --------------------------
@@ -251,10 +284,11 @@ def row_families(draw):
         elif kind == "zero":
             rows.append(ExactVector((ZERO_SCALAR,) * d))
         elif kind == "repeat":
-            rows.append(draw(st.sampled_from(rows)).scale(draw(nonzero_scalars)))
+            rows.append(oracles.scale_vector(draw(st.sampled_from(rows)), draw(nonzero_scalars)))
         else:
             a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
-            rows.append(a.scale(draw(nonzero_scalars)) + b.scale(draw(nonzero_scalars)))
+            a, b = oracles.scale_vector(a, draw(nonzero_scalars)), oracles.scale_vector(b, draw(nonzero_scalars))
+            rows.append(oracles.add_vectors(a, b))
     return d, rows
 
 
@@ -279,11 +313,11 @@ def test_orthogonal_and_overlap_match_the_inner_product(data):
     u = data.draw(gaussian_vectors(d).filter(lambda v: not v.is_zero))
     # half of the partners are drawn from u's orthogonal complement, rescaled
     partners = [data.draw(gaussian_vectors(d).filter(lambda v: not v.is_zero))]
-    partners += [w.scale(data.draw(nonzero_scalars)) for w in oracles.nullspace([u], dim=d)]
+    partners += [oracles.scale_vector(w, data.draw(nonzero_scalars)) for w in oracles.nullspace([u], dim=d)]
     v = data.draw(st.sampled_from(partners))
-    assert orthogonal(u, v) == inner_product(u, v).is_zero
+    assert orthogonal(u, v) == oracles.inner_product(u, v).is_zero
     assert orthogonal(v, u) == orthogonal(u, v)
-    assert overlap(u, v) == inner_product(u, v).abs2() / (oracles.norm_sq(u) * oracles.norm_sq(v))
+    assert overlap(u, v) == oracles.inner_product(u, v).abs2() / (oracles.norm_sq(u) * oracles.norm_sq(v))
 
 
 def test_overlap_and_born_probability_reject_another_dimension():
@@ -327,13 +361,13 @@ def test_gram_schmidt_orthogonality_and_span(vectors):
     out = gram_schmidt(vectors)
     for i in range(len(out)):
         for j in range(i + 1, len(out)):
-            assert inner_product(out[i], out[j]).is_zero
+            assert oracles.inner_product(out[i], out[j]).is_zero
     # each input is exactly recovered from its projections onto the output
     for v in vectors:
         recovered = vec(*([0] * 3))
         for u in out:
-            coef = inner_product(u, v) / ExactScalar(oracles.norm_sq(u))
-            recovered = recovered + u.scale(coef)
+            coef = oracles.inner_product(u, v) / ExactScalar(oracles.norm_sq(u))
+            recovered = oracles.add_vectors(recovered, oracles.scale_vector(u, coef))
         assert recovered == v
 
 
@@ -412,7 +446,7 @@ def test_mixture_validation():
 @settings(max_examples=25, deadline=None)
 @given(nonzero_vectors, nonzero_vectors)
 def test_born_probability_matches_pure_formula(u, psi):
-    expected = inner_product(u, psi).abs2() / (oracles.norm_sq(u) * oracles.norm_sq(psi))
+    expected = oracles.inner_product(u, psi).abs2() / (oracles.norm_sq(u) * oracles.norm_sq(psi))
     assert QuantumState.density(rank1_projector(psi)).probability(u) == expected
     assert QuantumState.pure(psi).probability(u) == expected
 
@@ -478,6 +512,7 @@ def test_matrix_operations_match_the_entrywise_oracle(data):
         assert round_trip == a and hash(round_trip) == hash(a)
     assert (a == b) == (a.entries == b.entries)
     assert str(a) == "[" + "; ".join(",".join(str(x) for x in row) for row in oracles.rows_of(a)) + "]"
+    assert matrix_json(a) == [[str(x) for x in row] for row in oracles.rows_of(a)]
 
 
 def invalid_density_message(check, rho):

@@ -13,7 +13,9 @@ pin the flat scan in d = 4, where flats of rank 2 block.  The ``check`` and
 blockers and the paradox derivation beyond yu-oh: the pure state
 (0,1,2) with 21 paradoxes and a rank-2 mixture with 23 on box-d3-m2, and
 a rank-2 mixture with 4 on box-d4-m1.  On each, the verdict and the
-marginal oracle agree.
+marginal oracle agree.  The ``contexts`` and ``report`` digests of the
+Gaussian image of yu-oh pin the printed complex coordinates and complex
+matrix entries, which no rational scenario reaches.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from ctxkit import cli
 from ctxkit.report import render_text
 
 from test_cli import box_prefix_text
+from test_contextuality import gaussian_image_text
 
 COMMANDS = {
     "contexts": ["contexts"],
@@ -114,6 +117,13 @@ BOX_GOLDEN = {
     ("paradoxes mixture-d4", "json"): "3c5a2820f096b46f1f8377c53b64b9b2187327ed35d204d1b8601aad498e6566",
 }
 
+GAUSSIAN_GOLDEN = {
+    ("contexts", "text"): "5aefa3483a95c25bf7352569725a8e016d9cb0e3b084d8019e07749bbd625480",
+    ("contexts", "json"): "f12a3edcf8c20e0279fc0273da5762b7df85a4a5adb5159bf0c3d919092651ef",
+    ("report", "text"): "21e2374318714e58e1c7749cce78ae855673f6e6ce336824ed9fe051827e2f4b",
+    ("report", "json"): "a1fcd6cc06d584cb7289f241cf54214485ef806345f969271d1f26a5de0d4ab4",
+}
+
 
 def run(tmp_path, args: list[str], fmt: str, scenario: str = "yu-oh") -> bytes:
     """The bytes ``ctxkit ARGS --scenario SCENARIO --format FMT`` writes to its ``--out`` file."""
@@ -145,3 +155,12 @@ def test_box_prefix_output_is_pinned(tmp_path, command, fmt):
     args = [str(tmp_path / a) if a in BOX_DENSITIES else a for a in args]
     digest = hashlib.sha256(run(tmp_path, args, fmt, str(path))).hexdigest()
     assert digest == BOX_GOLDEN[command, fmt]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["contexts", "report"])
+def test_gaussian_image_output_is_pinned(tmp_path, yu_oh, command, fmt):
+    path = tmp_path / "yu-oh-u.scenario"
+    path.write_text(gaussian_image_text(yu_oh), encoding="utf-8")
+    digest = hashlib.sha256(run(tmp_path, [command], fmt, str(path))).hexdigest()
+    assert digest == GAUSSIAN_GOLDEN[command, fmt]
