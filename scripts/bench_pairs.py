@@ -15,7 +15,8 @@ inclusive method) of each metric on each side, and the number of pairs
 the change won.  A difference in medians is read against the distance
 between the parent's quartiles, so fewer than two seeds is an argument
 error (exit 2), raised before any run.  A run that exits non-zero stops
-the script with its stderr.
+the script with its stderr, and a run whose own check failed (``correct``
+false) stops it with its last line, so that neither enters the medians.
 """
 
 from __future__ import annotations
@@ -36,7 +37,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, names: li
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
         sys.exit(f"{' '.join(cmd)} in {checkout} exited {done.returncode}:\n{done.stderr}")
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+    last = done.stdout.strip().splitlines()[-1]
+    result = json.loads(last)
+    if not result["correct"]:
+        sys.exit(f"{' '.join(cmd)} in {checkout} failed its benchmark check:\n{last}")
     run = {name: result["metrics"][name]["value"] for name in names}
     run.update({key: result[key] for key in ("attempted", "failed", "correct")})
     return run

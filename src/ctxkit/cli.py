@@ -53,8 +53,8 @@ from .sampling import simulate_measurement
 from .scenario import (
     ComplementCheck,
     Scenario,
+    _rays,
     _read_text,
-    basis_membership,
     bundled_scenario_names,
     check_distinct_complements,
     load_bundled,
@@ -156,10 +156,6 @@ class _Analysis:
     @cached_property
     def mixed(self) -> MixedAnalysisReport:
         return analyze_mixed_states(self.scenario, self.assignments, self.search)
-
-    @property
-    def basis_free_rays(self) -> list[int]:
-        return [i for i, count in enumerate(basis_membership(self.scenario)) if count == 0]
 
     @cached_property
     def derivations(self) -> list[ParadoxDerivation]:
@@ -314,7 +310,7 @@ def _cmd_report(a: _Analysis) -> dict:
         "seed": a.args.seed,
         "contexts": rp.contexts_json(scenario, a.complement_check),
         "assignments": rp.assignments_json(scenario, a.assignments),
-        "global_events": rp.global_events_json(scenario, a.assignments, a.basis_free_rays),
+        "global_events": rp.global_events_json(scenario, a.assignments, _rays(scenario.free)),
         "states": rp.states_json(scenario, a.search),
         "witnesses_basis_free": check_witnesses_basis_free(scenario, a.search),
         "mixed_analysis": rp.mixed_json(scenario, a.mixed),

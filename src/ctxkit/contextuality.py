@@ -10,8 +10,8 @@ ray's events one int over the events, its column in
 all events less each zero ray's column.
 :func:`possibilistic_model` computes the model of a pure or a density
 state in one pass on ints: ray ``z`` is impossible iff ``M z = 0`` for
-the state's integer rows ``M``, and each row meets every ray at once
-through the rays' packed integer coordinates (:func:`_nonzero_flags`).
+the state's integer rows ``M``: the scenario's packed null test
+(:func:`ctxkit.scenario._null_rays`) answers for every ray at once.
 A pure state holds only its canonical ray; its ``rho`` is ``None``.  The
 model is kept on the ``QuantumState`` object, keyed by the scenario's ray
 tuple, so the verdict, the oracle and the paradox derivation of one
@@ -57,9 +57,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, compress, product
+from itertools import combinations, product
 
-from .assignments import GlobalEvents, KSAssignment, _bits
+from .assignments import GlobalEvents, KSAssignment
 from .errors import DimensionMismatchError, ValidationError
 from .exact import (
     ExactMatrix,
@@ -75,7 +75,7 @@ from .exact import (
     rank,
     validate_density,
 )
-from .scenario import Scenario, _rays, basis_membership
+from .scenario import Scenario, _bits, _mask, _null_rays, _rays
 
 
 class QuantumState(_Record):
@@ -155,33 +155,15 @@ class PossibilisticModel(_Record):
 
     def __init__(self, values: tuple[int, ...]):
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "zeros", sum(1 << i for i, v in enumerate(values) if v == 0))
+        object.__setattr__(self, "zeros", _mask(bytes(values)) ^ (1 << len(values)) - 1)
 
-
-def _packed_rays(scenario: Scenario, row_bytes: int) -> tuple[int, int, list[tuple[int, int]]]:
-    """``(width, ones, columns)``: the rays' integer coordinates packed for rows whose parts fit in ``row_bytes`` bytes.
-
-    ``columns[j]`` holds the re and im parts of coordinate j of every
-    ray's integer form, ray k's in the ``width``-bit slot k, as signed
-    sums ``sum_k x_k << k * width``; ``ones`` has bit 0 of every slot set.
-    ``width`` is ``row_bytes`` bytes more than the rays need, so that a
-    row's product with any ray has parts below ``2 ** (width - 2)`` in
-    absolute value.  Built on first use and kept on the scenario, one
-    packing per ``row_bytes``, so one per width.
-    """
-    packing = scenario._packings.get(row_bytes)
-    if packing is None:
-        forms = [ray.vector.integer_form for ray in scenario.rays]
-        ray_bits = max((abs(x) for z in forms for part in z for x in part), default=0).bit_length()
-        # each part of sum_j a_j z_j is below 2d * 2 ** (row_bits + ray_bits) in absolute value
-        width = 8 * (row_bytes + -(-(ray_bits + scenario.dim.bit_length() + 3) // 8))
-        columns = [
-            tuple(sum(z[j][part] << k * width for k, z in enumerate(forms)) for part in (0, 1))
-            for j in range(scenario.dim)
-        ]
-        ones = sum(1 << k * width for k in range(len(forms)))
-        packing = scenario._packings[row_bytes] = (width, ones, columns)
-    return packing
+    @classmethod
+    def _of_zeros(cls, zeros: int, n: int) -> "PossibilisticModel":
+        """The model of ``n`` rays with the impossible rays ``zeros``; the marker bit n keeps the high ones."""
+        model = cls.__new__(cls)
+        object.__setattr__(model, "values", tuple(_bits(zeros ^ (2 << n) - 1)[:n]))
+        object.__setattr__(model, "zeros", zeros)
+        return model
 
 
 def _integer_rows(state: QuantumState) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -193,40 +175,11 @@ def _integer_rows(state: QuantumState) -> tuple[tuple[tuple[int, int], ...], ...
     return tuple(nums[i * d : (i + 1) * d] for i in range(d))
 
 
-def _nonzero_flags(scenario: Scenario, rows) -> bytes:
-    """One byte per ray, 0 iff ``M z = 0`` for the integer rows ``M``: the rays' null test, all at once.
-
-    Each row of ``M`` meets every ray in ``2d`` multiplies of its parts by
-    the packed coordinates of :func:`_packed_rays` (``4d`` for a row with
-    imaginary parts).  A bias of ``2 ** (width - 2)`` in every slot keeps
-    each slot's product in its own slot, exclusive-or with the bias leaves
-    a slot zero iff its product is, and adding ``2 ** (width - 1) - 1`` to
-    each slot then carries into its top bit iff it is not.
-    """
-    row_bits = max(abs(x) for row in rows for z in row for x in z).bit_length()
-    width, ones, columns = _packed_rays(scenario, -(-row_bits // 8))
-    bias = ones << width - 2
-    nonzero = 0
-    for row in rows:
-        re = im = bias
-        for (a, b), (zr, zi) in zip(row, columns):
-            if a:
-                re += a * zr
-                im += a * zi
-            if b:
-                re -= b * zi
-                im += b * zr
-        nonzero |= re ^ bias | im ^ bias
-    nonzero = (nonzero + (bias << 1) - ones) >> width - 1 & ones
-    step = width // 8
-    return nonzero.to_bytes(len(scenario.rays) * step, "little")[::step]
-
-
 def possibilistic_model(scenario: Scenario, state: QuantumState) -> PossibilisticModel:
     """Map each ray to 1 iff its Born probability under ``state`` is non-zero.
 
     Ray ``z`` is impossible iff ``M z = 0`` for the state's integer rows
-    ``M`` (:func:`_nonzero_flags`): for a pure state that is ``z``
+    ``M`` (:func:`ctxkit.scenario._null_rays`): for a pure state that is ``z``
     orthogonal to the state; for a density operator ``rho``, which is PSD,
     ``<z|rho|z> = 0`` iff ``rho z = 0``.  The rays are the model's only
     input, so the model is kept on the state with the ``scenario.rays``
@@ -239,7 +192,7 @@ def possibilistic_model(scenario: Scenario, state: QuantumState) -> Possibilisti
     cached = getattr(state, "_model", None)
     if cached is not None and cached[0] is scenario.rays:
         return cached[1]
-    model = PossibilisticModel(tuple(_nonzero_flags(scenario, _integer_rows(state))))
+    model = PossibilisticModel._of_zeros(_null_rays(scenario, _integer_rows(state)), len(scenario.rays))
     # holding the rays keeps their identity from being reused by another tuple
     object.__setattr__(state, "_model", (scenario.rays, model))
     return model
@@ -355,7 +308,7 @@ def _blocking_flats(scenario: Scenario, events: GlobalEvents):
     ``blocked``, the first item of :func:`_blocked_witnesses` on ``flat``.
     """
     forms = [ray.vector.integer_form for ray in scenario.rays]
-    max_rank = scenario.dim - 1
+    full, max_rank = (1 << len(forms)) - 1, scenario.dim - 1
     layer = {0: _null_basis([], scenario.dim)}
     for r in range(max_rank + 1):
         children: dict[int, list[list[tuple[int, int]]]] = {}
@@ -364,14 +317,13 @@ def _blocking_flats(scenario: Scenario, events: GlobalEvents):
             if blocked:
                 yield r, flat, normals, blocked
             # the flats covering ``flat`` partition the rays outside it
-            outside = ~flat if r < max_rank else 0
-            for i in range(len(forms)):
-                if outside >> i & 1:
-                    basis = _narrow(normals, forms[i])
-                    flags = _nonzero_flags(scenario, [[(a, -b) for a, b in n] for n in basis])
-                    child = sum(1 << j for j, nonzero in enumerate(flags) if not nonzero)
-                    outside &= ~child
-                    children.setdefault(child, basis)
+            outside = full & ~flat if r < max_rank else 0
+            while outside:
+                # the lowest ray outside is in its own child, so each pass clears it
+                basis = _narrow(normals, forms[(outside & -outside).bit_length() - 1])
+                child = _null_rays(scenario, [[(a, -b) for a, b in n] for n in basis])
+                outside &= ~child
+                children.setdefault(child, basis)
         layer = children
 
 
@@ -420,8 +372,7 @@ def find_contextual_pure_states(
         psi = _canonical_from_ints(normals[0])
         if not is_logically_contextual(scenario, QuantumState.pure(psi), events):
             raise AssertionError(f"state {psi} emitted by the search failed the contextuality re-check")
-        zero_columns = list(compress(enumerate(events.by_ray), _bits(flat)))
-        found.append(WitnessedState(witness=k, state=psi, selection=_minimum_hitting_set(zero_columns, column)))
+        found.append(WitnessedState(witness=k, state=psi, selection=_minimum_hitting_set(events.columns(flat), column)))
     found.sort(key=lambda w: (w.witness, w.selection))
     return PureStateSearch(states=tuple(found), undetermined=tuple(undetermined))
 
@@ -432,8 +383,7 @@ def check_witnesses_basis_free(scenario: Scenario, search: PureStateSearch) -> b
     A ray in a basis can be a witness: on the 26-ray prefix of box-d3-m2,
     every KS-assignment that gives ``r15`` the value 1 also gives ``r10`` 1.
     """
-    counts = basis_membership(scenario)
-    return all(counts[w.witness] == 0 for w in search.states)
+    return all(scenario.free >> w.witness & 1 for w in search.states)
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +423,8 @@ def analyze_mixed_states(
     The blocking flats of rank at most ``d - 2`` are those families.
     """
     violations = search.undetermined
-    basis_free = [k for k, count in enumerate(basis_membership(scenario)) if count == 0]
     events = GlobalEvents(assignments)
-    candidates = [(k, held) for k in basis_free if (held := events.holding(k))]
+    candidates = [(k, held) for k in _rays(scenario.free) if (held := events.holding(k))]
     if sum(math.prod(len(e.support) - 1 for e in held) for _, held in candidates) > TRIPLE_LISTING_BOUND:
         return MixedAnalysisReport((), violations, not violations, triples_listed=False)
     triples = []

@@ -27,9 +27,8 @@ the row's own state) are reported as errata rather than matched.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
 
-from .assignments import GlobalEvents, _bits
+from .assignments import GlobalEvents
 from .contextuality import QuantumState, _blocked_witnesses, _minimum_hitting_set, possibilistic_model
 from .errors import ValidationError
 from .exact import ExactMatrix, _Record, gram_schmidt, projector_failures, rank1_projector, vec
@@ -63,7 +62,7 @@ def derive_paradoxes(
     """
     zeros = possibilistic_model(scenario, state).zeros
     events = GlobalEvents(assignments)
-    zero_columns = list(compress(enumerate(events.by_ray), _bits(zeros)))
+    zero_columns = events.columns(zeros)
     paradoxes = [
         HardyParadox(
             state=state,

@@ -108,7 +108,7 @@ def assignments_json(scenario: Scenario, assignments: list[KSAssignment]) -> dic
     }
 
 
-def global_events_json(scenario: Scenario, assignments: GlobalEvents, rays: list[int]) -> dict:
+def global_events_json(scenario: Scenario, assignments: GlobalEvents, rays: tuple[int, ...]) -> dict:
     events = GlobalEvents(assignments)
     return {scenario.rays[i].label: [_labels(scenario, a.support) for a in events.holding(i)] for i in rays}
 

@@ -8,8 +8,9 @@ orthogonal basis (kind ``BASIS``); smaller ones are ``DEFICIENT`` and carry
 an exact basis of their orthogonal complement.
 
 A :class:`Scenario` is complete once built: its constructor keeps the
-graph as one int mask of neighbours per ray and finds the contexts on
-those masks, so every later stage reads both and none builds them again.
+graph as one int mask of neighbours per ray, the contexts found on those
+masks, each basis's mask and the rays in no basis.  This module owns ray
+masks: their one decoder and the packed null test that answers with one.
 
 Scenario files are UTF-8 text: a header line
 
@@ -25,6 +26,9 @@ from __future__ import annotations
 
 import os
 from enum import Enum
+from functools import reduce
+from itertools import combinations, compress, count
+from operator import or_
 
 from .errors import ParseError, UnknownLabelError, ValidationError
 from .exact import ExactVector, _Record, canonical_ray, nullspace, orthogonal, parse_scalar
@@ -59,14 +63,15 @@ class Scenario(_Record):
     """A named vector set with its exclusivity graph, complete once built.
 
     The constructor derives the rest from ``edges``: bit j of
-    ``neighbours[i]`` is set iff rays i and j are joined, and ``contexts``
-    are the maximal cliques (see :func:`enumerate_contexts`).  Neither is a
-    field, so equality, hashing and ``repr`` read only the arguments.
-    ``_packings`` starts empty and keeps the rays' packed integer
-    coordinates that ``contextuality._packed_rays`` builds on first use.
+    ``neighbours[i]`` is set iff rays i and j are joined, ``contexts``
+    are the maximal cliques (see :func:`enumerate_contexts`), ``bases``
+    the member mask of each basis context, in context order, and ``free``
+    the rays in no basis.  None is a field, so equality, hashing and
+    ``repr`` read only the arguments.  ``_packings`` starts empty and
+    keeps the packed rays that :func:`_packed_rays` builds on first use.
     """
 
-    __slots__ = ("name", "dim", "field", "rays", "edges", "neighbours", "contexts", "_packings")
+    __slots__ = ("name", "dim", "field", "rays", "edges", "neighbours", "contexts", "bases", "free", "_packings")
     _fields = ("name", "dim", "field", "rays", "edges")
 
     def __init__(self, name: str, dim: int, field: str, rays: tuple[Ray, ...], edges: frozenset[tuple[int, int]]):
@@ -78,6 +83,9 @@ class Scenario(_Record):
             neighbours[j] |= 1 << i
         object.__setattr__(self, "neighbours", tuple(neighbours))
         object.__setattr__(self, "contexts", _contexts(dim, rays, self.neighbours))
+        bases = tuple(sum(1 << i for i in c.members) for c in self.basis_contexts())
+        object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "free", reduce(or_, bases, 0) ^ (1 << len(rays)) - 1)
         object.__setattr__(self, "_packings", {})
 
     @property
@@ -211,8 +219,85 @@ def _parse_ray_line(raw: str, lineno: int, dim: int, field_kind: str) -> tuple[s
 
 
 # ---------------------------------------------------------------------------
-# context enumeration
+# ray masks, the packed null test and context enumeration
 # ---------------------------------------------------------------------------
+
+# the bytes 0 and 1 as the characters "0" and "1", and back
+_BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bits(mask: int) -> bytes:
+    """The bits of ``mask`` >= 0, lowest first, as the bytes 0 and 1, up to its highest set bit (``b"\\0"`` for 0)."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_VALUES)
+
+
+def _mask(flags: bytes) -> int:
+    """The mask with bit i set iff ``flags[i]`` is 1, for bytes 0 and 1: the inverse of :func:`_bits`."""
+    return int(flags[::-1].translate(_BIT_CHARS) or b"0", 2)
+
+
+def _rays(mask: int) -> tuple[int, ...]:
+    """The set bits of a ray mask, ascending."""
+    return tuple(compress(count(), _bits(mask)))
+
+
+def _packed_rays(scenario: Scenario, row_bytes: int) -> tuple[int, int, list[tuple[int, int]]]:
+    """``(width, ones, columns)``: the rays' integer coordinates packed for rows whose parts fit in ``row_bytes`` bytes.
+
+    ``columns[j]`` holds the re and im parts of coordinate j of every
+    ray's integer form, ray k's in the ``width``-bit slot k, as signed
+    sums ``sum_k x_k << k * width``; ``ones`` has bit 0 of every slot set.
+    ``width`` is ``row_bytes`` bytes more than the rays need, so that a
+    row's product with any ray has parts below ``2 ** (width - 2)`` in
+    absolute value.  Built on first use and kept on the scenario, one
+    packing per ``row_bytes``, so one per width.
+    """
+    packing = scenario._packings.get(row_bytes)
+    if packing is None:
+        forms = [ray.vector.integer_form for ray in scenario.rays]
+        ray_bits = max((abs(x) for z in forms for part in z for x in part), default=0).bit_length()
+        # each part of sum_j a_j z_j is below 2d * 2 ** (row_bits + ray_bits) in absolute value
+        width = 8 * (row_bytes + -(-(ray_bits + scenario.dim.bit_length() + 3) // 8))
+        columns = [
+            tuple(sum(z[j][part] << k * width for k, z in enumerate(forms)) for part in (0, 1))
+            for j in range(scenario.dim)
+        ]
+        ones = sum(1 << k * width for k in range(len(forms)))
+        packing = scenario._packings[row_bytes] = (width, ones, columns)
+    return packing
+
+
+def _null_rays(scenario: Scenario, rows) -> int:
+    """The mask of the rays z with ``M z = 0`` for the Gaussian-integer rows ``M``: the null test of every ray at once.
+
+    Each row of ``M`` meets every ray in ``2d`` multiplies of its parts by
+    the packed coordinates of :func:`_packed_rays` (``4d`` for a row with
+    imaginary parts).  A bias of ``2 ** (width - 2)`` in every slot keeps
+    each slot's product in its own slot, exclusive-or with the bias leaves
+    a slot zero iff its product is, and adding ``2 ** (width - 1) - 1`` to
+    each slot then carries into its top bit iff it is not.  The slots'
+    low bytes, one per ray, are then the flags that :func:`_mask` reads.
+    """
+    row_bits = max(abs(x) for row in rows for z in row for x in z).bit_length()
+    width, ones, columns = _packed_rays(scenario, -(-row_bits // 8))
+    bias = ones << width - 2
+    nonzero = 0
+    for row in rows:
+        re = im = bias
+        for (a, b), (zr, zi) in zip(row, columns):
+            if a:
+                re += a * zr
+                im += a * zi
+            if b:
+                re -= b * zi
+                im += b * zr
+        nonzero |= re ^ bias | im ^ bias
+    null = ones ^ (nonzero + (bias << 1) - ones) >> width - 1 & ones
+    step = width // 8
+    return _mask(null.to_bytes(len(scenario.rays) * step, "little")[::step])
+
+
 
 def enumerate_contexts(scenario: Scenario) -> tuple[Context, ...]:
     """All maximal cliques of the exclusivity graph, as Context records, sorted by member tuples.
@@ -222,11 +307,6 @@ def enumerate_contexts(scenario: Scenario) -> tuple[Context, ...]:
     path; this returns ``scenario.contexts``.
     """
     return scenario.contexts
-
-
-def _rays(mask: int) -> tuple[int, ...]:
-    """The set bits of a ray mask, ascending."""
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _contexts(dim: int, rays: tuple[Ray, ...], neighbours: tuple[int, ...]) -> tuple[Context, ...]:
@@ -258,15 +338,6 @@ def _bron_kerbosch(neighbours: tuple[int, ...], r: int, p: int, x: int, out: lis
         x |= bit
 
 
-def basis_membership(scenario: Scenario) -> tuple[int, ...]:
-    """Number of basis contexts each ray belongs to, indexed by ray position."""
-    counts = [0] * len(scenario.rays)
-    for c in scenario.basis_contexts():
-        for i in c.members:
-            counts[i] += 1
-    return tuple(counts)
-
-
 class ComplementCheck(_Record):
     """Result of :func:`check_distinct_complements`."""
 
@@ -288,10 +359,5 @@ def check_distinct_complements(scenario: Scenario) -> ComplementCheck:
         for c in scenario.contexts
         if c.kind is ContextKind.DEFICIENT and len(c.members) == 2
     ]
-    collisions = []
-    for a_idx in range(len(pairs)):
-        for b_idx in range(a_idx + 1, len(pairs)):
-            a, b = pairs[a_idx], pairs[b_idx]
-            if a.complement[0] == b.complement[0]:
-                collisions.append((a, b))
+    collisions = [(a, b) for a, b in combinations(pairs, 2) if a.complement[0] == b.complement[0]]
     return ComplementCheck(ok=not collisions, collisions=tuple(collisions))

@@ -267,6 +267,7 @@ def test_holding_and_missing_match_the_event_scans(case):
     # zero masks with bits past the last ray, which no event holds
     for zeros in (0, 1, (1 << n) - 1, 0b101 << n - 1, 1 << n + 2, sum(masks[:2]) | 1 << 40):
         assert events.missing(zeros) == sum(1 << j for j, a in enumerate(events) if not a.mask & zeros)
+        assert events.columns(zeros) == [(z, column) for z, column in enumerate(events.by_ray) if zeros >> z & 1]
 
 
 def test_holding_reads_a_column_over_thousands_of_events():

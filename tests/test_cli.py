@@ -14,6 +14,7 @@ import ctxkit.assignments
 import ctxkit.contextuality
 import ctxkit.exact
 import ctxkit.hardy
+import ctxkit.scenario
 from ctxkit import (
     QuantumState,
     cli,
@@ -389,7 +390,7 @@ def test_check_makes_one_born_pass(monkeypatch, tmp_path):
     # and no orthogonality test of a single ray once the scenario, whose edges are such tests, is loaded
     scenario = load_bundled("yu-oh")
     monkeypatch.setattr(cli, "_load_scenario", lambda path: scenario)
-    passes = count_calls(monkeypatch, ctxkit.contextuality._packed_rays)
+    passes = count_calls(monkeypatch, ctxkit.scenario._packed_rays)
     tests = count_calls(monkeypatch, ctxkit.exact.orthogonal)
     argv = ["check", "--scenario", "yu-oh", "--state", "1,1,1", "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 0

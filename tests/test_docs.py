@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import json
 import os
 import re
 import subprocess
@@ -93,3 +94,18 @@ def test_bench_pairs_rejects_a_single_seed_before_any_run(monkeypatch, tmp_path,
     assert caught.value.code == 2
     assert "--seeds needs at least two seeds" in capsys.readouterr().err
     assert runs == [] and not out.exists()
+
+
+def test_bench_pairs_stops_on_a_run_that_failed_its_check(monkeypatch, tmp_path):
+    # the run exits 0, but its own benchmark check failed: its metrics must not enter the medians
+    bench_pairs = load_bench_pairs()
+    last = json.dumps({"correct": False, "attempted": 5, "failed": 1, "metrics": {"ops_per_s": {"value": 1.0}}})
+    done = subprocess.CompletedProcess([], 0, stdout=f'{{"diagnostics": {{}}}}\n{last}\n', stderr="")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *args, **kwargs: done)
+    with pytest.raises(SystemExit) as caught:
+        bench_pairs.run_once(tmp_path, "check-stream", 11, 1.0, ["ops_per_s"])
+    assert "failed its benchmark check" in caught.value.code and caught.value.code.endswith(last)
+    done.stdout = done.stdout.replace('"correct": false', '"correct": true')
+    assert bench_pairs.run_once(tmp_path, "check-stream", 11, 1.0, ["ops_per_s"]) == {
+        "ops_per_s": 1.0, "attempted": 5, "failed": 1, "correct": True
+    }

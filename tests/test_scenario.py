@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxkit import (
     ContextKind,
@@ -18,7 +19,7 @@ from ctxkit import (
     vec,
 )
 from ctxkit.exact import orthogonal
-from ctxkit.scenario import basis_membership
+from ctxkit.scenario import _bits, _mask, _rays
 
 import oracles
 from test_assignments import box_scenario, box_subsets
@@ -201,16 +202,45 @@ def test_contexts_sorted_deterministically(yu_oh):
     assert members == sorted(members)
 
 
+def assert_bases_and_free_match_the_basis_contexts(s):
+    bases = s.basis_contexts()
+    assert s.bases == tuple(sum(1 << i for i in c.members) for c in bases)
+    in_a_basis = {i for c in bases for i in c.members}
+    assert s.free == sum(1 << i for i in range(len(s.rays)) if i not in in_a_basis)
+
+
 def test_classify_rays(yu_oh):
-    counts = basis_membership(yu_oh)
     at = yu_oh.ray_index
-    assert counts[at("v1")] == counts[at("v2")] == counts[at("v3")] == 2
-    assert all(counts[at(f"v{i}")] == 1 for i in range(4, 10))
-    assert all(counts[at(v)] == 0 for v in ("vA", "vB", "vC", "vD"))
-    # the counts are exactly the basis-membership indicator sums
-    bases = [c for c in yu_oh.contexts if c.kind is ContextKind.BASIS]
-    for i in range(len(yu_oh.rays)):
-        assert counts[i] == sum(1 for c in bases if i in c.members)
+    in_bases = [sum(b >> i & 1 for b in yu_oh.bases) for i in range(len(yu_oh.rays))]
+    assert in_bases[at("v1")] == in_bases[at("v2")] == in_bases[at("v3")] == 2
+    assert all(in_bases[at(f"v{i}")] == 1 for i in range(4, 10))
+    assert yu_oh.free == sum(1 << at(v) for v in ("vA", "vB", "vC", "vD"))
+    assert_bases_and_free_match_the_basis_contexts(yu_oh)
+
+
+@pytest.mark.parametrize("d, m, n", [(3, 2, 13), (3, 2, 26), (3, 2, 49), (4, 1, 32), (4, 1, 40)])
+def test_bases_and_free_match_the_basis_contexts_on_box_prefixes(d, m, n):
+    assert_bases_and_free_match_the_basis_contexts(box_scenario(d, m, range(n)))
+
+
+MASKS = st.one_of(st.just(0), st.integers(0, 299).map(lambda i: 1 << i), st.integers(0, (1 << 300) - 1))
+
+
+@settings(max_examples=200)
+@given(MASKS)
+def test_a_mask_survives_its_bits_and_its_rays(mask):
+    bits = _bits(mask)
+    assert bits == bytes(mask >> i & 1 for i in range(max(mask.bit_length(), 1)))
+    assert _mask(bits) == _mask(bits + bytes(7)) == mask
+    assert _rays(mask) == tuple(i for i in range(300) if mask >> i & 1)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(0, 1), max_size=300))
+def test_flags_survive_their_mask(flags):
+    mask = _mask(bytes(flags))
+    assert mask == sum(1 << i for i, flag in enumerate(flags) if flag)
+    assert _bits(mask).rstrip(b"\0") == bytes(flags).rstrip(b"\0")
 
 
 def assert_masks_match_oracles(s):
