@@ -1,0 +1,135 @@
+#!/usr/bin/env python3
+"""Where the time of a ``check-stream`` state check goes, per phase, in-process.
+
+    python3 scripts/check_phases.py SEED... [--ops N] [--repeat R]
+
+For each seed it regenerates the ops that ``perfbench/run.py --workload
+check-stream --seed SEED`` sends (the ``run_seconds`` of ``BENCHMARK.json``
+times ``CheckStream.cycles_per_s`` cycles, or the first ``N`` ops), reading
+the generators of ``perfbench/`` without changing them.  Each op runs as
+the benchmark's worker runs it: state, model, verdict, oracle and, for a
+contextual state, ``derive_paradoxes``; ``replay`` is its
+``replay_contradiction`` call timed again on its paradoxes, a part of
+``derive``.  Every phase is the best of ``R`` runs on a fresh state object,
+and an op's time is the sum of its phases but the replay.  As in the
+benchmark, each cycle's times are scaled to the reference core speed by
+``spin`` readings taken just before and after it.
+
+It prints p50 and p98 of the op times, overall and per op kind (pure or
+density) and dimension, and the mean time of each phase over the slowest
+2% of ops: those that set ``latency_tail_s``.  Times are in microseconds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import random
+import statistics
+import sys
+import time
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.dont_write_bytecode = True  # no cache files appear under perfbench/
+
+from ctxkit import contextuality, exact, hardy  # noqa: E402
+from ctxkit.assignments import enumerate_assignments  # noqa: E402
+from ctxkit.scenario import load_scenario  # noqa: E402
+from run import CAL_LOOPS, CheckStream, at_reference, spin  # noqa: E402
+from scenarios import box_rays, scenario_text  # noqa: E402
+from worker import density_rows  # noqa: E402
+
+PHASES = ("model", "verdict", "oracle", "derive", "replay")
+
+
+def load(names_and_rays):
+    loaded = []
+    for name, rays in names_and_rays:
+        scenario = load_scenario(scenario_text(name, rays))
+        loaded.append((scenario, enumerate_assignments(scenario)))
+    return loaded
+
+
+def phases(scenario, assignments, msg) -> dict[str, float]:
+    """One run of the op's phases, in seconds; the state is built afresh, so no model is kept from an earlier run."""
+    if msg["kind"] == "pure":
+        vector = exact.vec(*msg["psi"])
+        build = lambda: contextuality.QuantumState.pure(vector)  # noqa: E731
+    else:
+        matrix = exact.ExactMatrix.from_rows(density_rows(msg["parts"], scenario.dim))
+        build = lambda: contextuality.QuantumState.density(matrix)  # noqa: E731
+    clock = time.perf_counter
+    t0 = clock()
+    state = build()
+    contextuality.possibilistic_model(scenario, state)
+    t1 = clock()
+    verdict = contextuality.is_logically_contextual(scenario, state, assignments)
+    t2 = clock()
+    contextuality.noncontextuality_oracle(scenario, state, assignments)
+    t3 = clock()
+    paradoxes = hardy.derive_paradoxes(scenario, state, assignments).paradoxes if verdict.contextual else ()
+    t4 = clock()
+    if paradoxes:
+        hardy.replay_contradiction(assignments, list(paradoxes))
+    t5 = clock()
+    return dict(zip(PHASES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)))
+
+
+def seed_ops(seed: int, limit: int | None):
+    """The seed's ops as the benchmark sends them, in cycles of eight."""
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    stream = CheckStream()
+    count = max(1, round(benchmark["run_seconds"] * stream.cycles_per_s))
+    cycles = itertools.islice(stream.cycles(random.Random(seed), None), count)
+    ops = [[msg for msg, _ in cycle] for cycle in cycles]
+    if limit is not None:
+        flat = list(itertools.chain.from_iterable(ops))[:limit]
+        ops = [flat[i : i + 8] for i in range(0, len(flat), 8)]
+    return ops
+
+
+def percentile(values, q):
+    return statistics.quantiles(values, n=100, method="inclusive")[q - 1] if len(values) > 1 else values[0]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("seeds", type=int, nargs="+")
+    parser.add_argument("--ops", type=int, help="only the first N ops of each seed")
+    parser.add_argument("--repeat", type=int, default=3, help="runs per op; each phase keeps its best")
+    args = parser.parse_args(argv)
+    stream = CheckStream()
+    loaded = load(zip(stream.setup, (box_rays(3, 2)[:32], box_rays(4, 1)[:32])))
+    for seed in args.seeds:
+        rows = []
+        for cycle in seed_ops(seed, args.ops):
+            before, timed = spin(CAL_LOOPS), []
+            for msg in cycle:
+                scenario, assignments = loaded[msg["scenario"]]
+                runs = [phases(scenario, assignments, msg) for _ in range(args.repeat)]
+                timed.append((msg, {p: min(r[p] for r in runs) for p in PHASES}))
+            after = spin(CAL_LOOPS)
+            for msg, best in timed:
+                best = {p: at_reference(t, before, after) * 1e6 for p, t in best.items()}
+                group = f"{msg['kind']} d{loaded[msg['scenario']][0].dim}"
+                rows.append((sum(best[p] for p in PHASES[:4]), group, best))
+        print(f"seed {seed}: {len(rows)} ops")
+        groups = sorted({g for _, g, _ in rows})
+        for label, subset in [("all", rows)] + [(g, [r for r in rows if r[1] == g]) for g in groups]:
+            totals = [t for t, _, _ in subset]
+            print(f"  {label:<10} {len(totals):>4} ops  p50 {statistics.median(totals):8.1f}  "
+                  f"p98 {percentile(totals, 98):8.1f}")
+        tail = sorted(rows, key=lambda r: r[0], reverse=True)[: max(1, round(len(rows) * 0.02))]
+        means = {p: statistics.fmean(best[p] for _, _, best in tail) for p in PHASES}
+        print(f"  slowest {len(tail)} ops, mean per phase: "
+              + "  ".join(f"{p} {means[p]:.1f}" for p in PHASES)
+              + f"  ({', '.join(f'{n} {g}' for g, n in sorted(Counter(g for _, g, _ in tail).items()))})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

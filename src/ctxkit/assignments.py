@@ -79,16 +79,15 @@ class GlobalEvents(tuple):
         return tuple(_mask(flat[i::n]) for i in range(n))
 
     @cached_property
-    def rows(self) -> tuple[int, int, int, int]:
-        """``(rows, ones, n, width)``: event j's ``mask`` in the ``width``-bit slot j of ``rows``, ``ones`` with
-        bit 0 of every slot set, and the ray count ``n``.  A slot has ``width = 8 * (n // 8 + 1)`` bits, at
-        least n + 1, so a carry out of a slot's n mask bits stays in its own slot.  Built from ``mask``, never
-        from ``by_ray``."""
+    def rows(self) -> tuple[int, int, int]:
+        """``(rows, ones, n)``: event j's ``mask`` in slot j of ``rows``, ``ones`` with bit 0 of every slot
+        set, and the ray count ``n``.  A slot has ``8 * (n // 8 + 1)`` bits, at least n + 1, so a carry or
+        borrow at a slot's bit n stays in its own slot.  Built from ``mask``, never from ``by_ray``."""
         n = len(self[0].bits) if self else 0
         step = n // 8 + 1
         rows = int.from_bytes(b"".join(a.mask.to_bytes(step, "little") for a in self), "little")
         ones = int.from_bytes((b"\1" + bytes(step - 1)) * len(self), "little")
-        return rows, ones, n, 8 * step
+        return rows, ones, n
 
     @cached_property
     def union(self) -> int:

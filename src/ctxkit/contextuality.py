@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, compress, product
 
 from .assignments import GlobalEvents, KSAssignment
 from .errors import DimensionMismatchError, ValidationError
@@ -268,8 +268,9 @@ def noncontextuality_oracle(
     events = GlobalEvents(assignments)
     # a mask over the events, not over the rays: the empty event is possible and covers nothing
     miss = events.missing(model.zeros)
-    covered = sum(1 << i for i, column in enumerate(events.by_ray) if column & miss)
-    return miss != 0 and covered == ~model.zeros & (1 << len(model.values)) - 1
+    # no zero ray's column meets ``miss``, so the marginals hold iff each possible ray's column meets it
+    possible = ~model.zeros & (1 << len(model.values)) - 1
+    return miss != 0 and all(column & miss for column in compress(events.by_ray, _bits(possible)))
 
 
 # ---------------------------------------------------------------------------
@@ -278,22 +279,44 @@ def noncontextuality_oracle(
 
 def _minimum_hitting_set(zero_columns: list[tuple[int, int]], column: int) -> tuple[int, ...]:
     """The fewest zero rays whose columns cover ``column``; ties go to the lexicographically first.
+
     ``zero_columns`` holds ``(z, by_ray[z])`` for each zero ray in order, read once for all of a state's
-    witnesses; the pass that keeps the rays meeting ``column`` returns the first that covers it alone."""
+    witnesses; the pass that keeps the rays meeting ``column`` returns the first that covers it alone.
+    That pass also marks the events hit ``once`` and ``twice``: a ray that holds an event of
+    ``once & ~twice`` is its only zero ray, so it is *forced* into every hitting set.  The forced rays,
+    if they cover ``column``, are the unique minimum; otherwise the ``combinations`` search runs over the
+    other rays and the events the forced ones leave, and the forced rays are merged in.  Adding one set
+    to every candidate keeps their lexicographic order, so the ties come out as in a search over all
+    the rays (``tests/oracles.py`` keeps that search).
+    """
     universe = []
+    once = twice = 0
     for z, held in zero_columns:
-        if held & column:
-            if not column & ~held:
+        if meet := held & column:
+            if meet == column:
                 return (z,)
-            universe.append((z, held))
-    for size in range(2, len(universe) + 1):
-        for candidate in combinations(universe, size):
-            unhit = column
-            for _, held in candidate:
-                unhit &= ~held
-            if not unhit:
-                return tuple([z for z, _ in candidate])
-    raise AssertionError("hitting-set search called with an un-hittable event")
+            universe.append((z, meet))
+            twice |= once & meet
+            once |= meet
+    if not column or column & ~once:
+        raise AssertionError("hitting-set search called with an un-hittable event")
+    sole, forced, rest, unhit = once & ~twice, [], [], column
+    for z, meet in universe:
+        if meet & sole:
+            forced.append(z)
+            unhit &= ~meet
+        else:
+            rest.append((z, meet))
+    if not unhit:
+        return tuple(forced)
+    for size in range(1, len(rest) + 1):
+        for candidate in combinations(rest, size):
+            left = unhit
+            for _, meet in candidate:
+                left &= ~meet
+            if not left:
+                return tuple(sorted(forced + [z for z, _ in candidate]))
+    raise AssertionError("hitting-set search found no cover of a hittable event")
 
 
 def _blocking_flats(scenario: Scenario, events: GlobalEvents):
@@ -428,10 +451,13 @@ def analyze_mixed_states(
     if sum(math.prod(len(e.support) - 1 for e in held) for _, held in candidates) > TRIPLE_LISTING_BOUND:
         return MixedAnalysisReport((), violations, not violations, triples_listed=False)
     triples = []
+    # picks repeat selections (71 distinct among yu-oh's 108), so each selection is ranked once
+    ranks: dict[tuple[int, ...], int] = {}
     for k, held in candidates:
         # one pick of a non-witness ray per event; repeated picks collapse in the selection
         for picks in product(*([i for i in e.support if i != k] for e in held)):
             selection = tuple(sorted(set(picks)))
-            r = rank([scenario.rays[i].vector for i in selection], dim=scenario.dim)
+            if (r := ranks.get(selection)) is None:
+                r = ranks[selection] = rank([scenario.rays[i].vector for i in selection], dim=scenario.dim)
             triples.append(TripleAnalysis(k, picks, selection, r, scenario.dim - r))
     return MixedAnalysisReport(tuple(triples), violations, not violations)

@@ -735,7 +735,7 @@ def expectation(rho: ExactMatrix, v: ExactVector) -> Fraction:
     """``<v|rho|v> / ||v||^2``: the Born probability of ray ``v`` in the density state ``rho``.
 
     Computed on the integer form ``z`` of ``v`` as the integer
-    ``<z|nums|z>`` over ``den ||z||^2``.
+    ``<z|nums|z>`` over ``den ||z||^2``, in one pass over ``nums``.
     """
     if rho.rows != v.dim or rho.cols != v.dim:
         raise DimensionMismatchError("matrix and vector dimensions do not match")
@@ -743,11 +743,14 @@ def expectation(rho: ExactMatrix, v: ExactVector) -> Fraction:
     norm = v.integer_norm
     if norm == 0:
         raise ValidationError("events must be non-zero vectors")
-    d, nums = v.dim, rho.nums
+    entries = iter(rho.nums)
     re = im = 0
-    for i, (a, b) in enumerate(z):
-        # conj(z_i) times row i of nums times z
-        x, y = _dot(nums[i * d : (i + 1) * d], z)
+    for a, b in z:
+        # row i of nums times z, then times conj(z_i); z leads the zip, so no entry of the next row is drawn
+        x = y = 0
+        for (c, e), (p, q) in zip(z, entries):
+            x += p * c - q * e
+            y += p * e + q * c
         re += a * x + b * y
         im += a * y - b * x
     if im != 0:

@@ -17,6 +17,12 @@ first two projectors have probability 0 and the third probability 1
 under the state.  The third orthogonalized ray always lands on the state
 ray itself, which makes the construction easy to audit.
 
+:func:`derive_paradoxes` works per state, not per witness and event: the
+zero rays' columns are read once, each witness's minimum hitting set
+starts from the zero rays forced into it (each the only one that hits
+some event), and :func:`replay_contradiction` checks the paradoxes with
+one test per distinct zero set on the packed event masks.
+
 The module also ships a reference tabulation of the twelve observables
 for the bundled 13-ray scenario and a cross-check that replays each row
 as a paradox.  Reference rows that fail the exact consistency oracle
@@ -58,18 +64,14 @@ def derive_paradoxes(
     hitting set (ties broken lexicographically by ray index).  States that
     are not logically contextual yield no paradoxes; the derivation then
     carries the reason instead.  Every paradox is replayed, all in one
-    :func:`replay_contradiction` pass, and a failed replay raises.
+    :func:`replay_contradiction` call, and a failed replay raises.
     """
     zeros = possibilistic_model(scenario, state).zeros
     events = GlobalEvents(assignments)
     zero_columns = events.columns(zeros)
+    rays = scenario.rays
     paradoxes = [
-        HardyParadox(
-            state=state,
-            witness=k,
-            zero_set=_minimum_hitting_set(zero_columns, column),
-            sp=state.probability(scenario.rays[k].vector),
-        )
+        HardyParadox(state, k, _minimum_hitting_set(zero_columns, column), state.probability(rays[k].vector))
         for k, column in _blocked_witnesses(events, zeros)
     ]
     if not all(replay_contradiction(events, paradoxes)):
@@ -87,16 +89,6 @@ def percent(value: Fraction) -> str:
     return f"{float(value) * 100:.3g}%"
 
 
-def _fold(words: int, slots: int, width: int) -> int:
-    """The OR of the ``slots`` ``width``-bit slots of ``words``, by halving: about twice the word's size in work."""
-    while slots > 1:
-        half = (slots + 1) // 2
-        low = half * width
-        words = words >> low | words & (1 << low) - 1
-        slots = half
-    return words
-
-
 def replay_contradiction(assignments: GlobalEvents, paradoxes: list[HardyParadox]) -> list[bool]:
     """Re-derive the inconsistency each paradox encodes, one result per paradox.
 
@@ -105,30 +97,37 @@ def replay_contradiction(assignments: GlobalEvents, paradoxes: list[HardyParadox
     true iff some event holds the witness, each such event meets the zero
     set and the witness probability is positive.  It reads the packed
     event masks ``GlobalEvents.rows`` and their kept ``union``, never the
-    ``by_ray`` index that :func:`derive_paradoxes` reads.  Adding 2^n - 1
-    to each slot's zero-set bits carries into its bit n iff the event meets
-    the zero set; the masks of the slots without that carry, OR-folded into
-    one n-bit word, are the rays of the events that miss the zero set.  So
-    each distinct ``zero_set`` tuple of the batch costs one fold, and each
-    paradox is a bit test: its witness is in the union and not in that word.
+    ``by_ray`` index that :func:`derive_paradoxes` reads.  The paradoxes
+    are grouped by ``zero_set``, and each group is one test on the packed
+    masks.  Subtracting a slot's zero-set bits from 2^n leaves its bit n set
+    iff the event misses the zero set; that bit times ``W``, the mask of
+    the group's witnesses, puts ``W`` at bits n and up of each such slot,
+    and those bits of the masks shifted up by n are ``bad``: ray i at bit
+    n + i of each slot that misses the zero set and holds i, for i in ``W``.
+    A paradox replays iff its SP is positive, its witness is in the union
+    and no slot of ``bad`` holds it; when ``bad`` is 0, as for every derived
+    paradox, its whole group replays without a further test.
     """
     events = GlobalEvents(assignments)
-    rows, ones, n, width = events.rows
-    full, carry, union = (1 << n) - 1, (ones << n) - ones, events.union
-    unmet: dict[tuple[int, ...], int] = {}
-    replays = []
-    for paradox in paradoxes:
-        witness, zero_set = paradox.witness, paradox.zero_set
-        if paradox.sp <= 0 or witness >= n or not union >> witness & 1:
-            replays.append(False)
-            continue
-        if zero_set not in unmet:
-            zeros = sum(1 << i for i in zero_set) & full
-            met = ((rows & zeros * ones) + carry) >> n & ones
-            # met * full marks every mask bit of the slots that meet the zero set
-            unmet[zero_set] = _fold(rows & ~((met << n) - met), len(events), width)
-        replays.append(not unmet[zero_set] >> witness & 1)
-    return replays
+    rows, ones, n = events.rows
+    full, top, union = (1 << n) - 1, ones << n, events.union
+    # the numerator's sign is the SP's, without Fraction's rich comparison
+    live = [paradox.sp.numerator > 0 and union >> paradox.witness & 1 == 1 for paradox in paradoxes]
+    groups: dict[tuple[int, ...], int] = {}
+    for paradox, ok in zip(paradoxes, live):
+        if ok:
+            groups[paradox.zero_set] = groups.get(paradox.zero_set, 0) | 1 << paradox.witness
+    shifted, bad = rows << n if groups else 0, {}
+    for zero_set, witnesses in groups.items():
+        zeros = sum(1 << i for i in zero_set) & full
+        # each slot's 2^n less its zero-set bits borrows from no other slot
+        missed = (top - (rows & zeros * ones)) & top
+        # a slot is at least n + 1 bits wide, so the products of missed slots do not overlap
+        bad[zero_set] = shifted & missed * witnesses
+    return [
+        ok and not ((slots := bad[paradox.zero_set]) and slots >> n + paradox.witness & ones)
+        for paradox, ok in zip(paradoxes, live)
+    ]
 
 
 # ---------------------------------------------------------------------------

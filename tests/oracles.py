@@ -42,9 +42,10 @@ walks the ray's column (``GlobalEvents.holding``).
 ``_minimum_hitting_set`` the zero rays' columns over one event per zero
 mask, for the tests that state hitting sets as plain masks.
 
-``shift_replay`` is the replay the folded one replaced: per paradox, one
-shift of the packed ``GlobalEvents.rows`` marks the events that hold the
-witness, against one word per zero set of the events that meet it.
+``shift_replay`` is the replay that the OR-fold, and then the test per
+zero set, replaced: per paradox, one shift of the packed
+``GlobalEvents.rows`` marks the events that hold the witness, against one
+word per zero set of the events that meet it.
 
 ``selection_search`` is the pure-state search the flat scan replaced: it
 solves the orthogonality system of every pick of one non-witness ray per
@@ -483,7 +484,7 @@ def replay_contradiction(assignments, paradox) -> bool:
 def shift_replay(assignments, paradoxes) -> list[bool]:
     """One result per paradox: ``rows >> witness & ones`` marks the events that hold the witness,
     and adding 2^n - 1 to each slot's zero-set bits carries into its bit n iff the event meets the zero set."""
-    rows, ones, n, _ = GlobalEvents(assignments).rows
+    rows, ones, n = GlobalEvents(assignments).rows
     full = (1 << n) - 1
     met: dict[int, int] = {}
     replays = []

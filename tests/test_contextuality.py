@@ -495,6 +495,23 @@ def test_minimum_hitting_set_matches_the_set_oracle(masks):
     assert oracles.hitting_set_of_masks(masks) == oracles.minimum_hitting_set(hit_lists)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.permutations(range(10)), st.integers(1, 3), st.integers(4, 7), st.data())
+@example(list(range(10)), 1, 4, None)  # forced ray 0, then the tie {1, 3} or {2, 4} on the cycle 1-2-3-4
+def test_forced_rays_merge_with_the_residual_search(rays, forced_count, cycle_length, data):
+    # each forced ray alone hits one event; the rest of the events form a cycle on other rays, which the
+    # forced ones never hit, so the residual search adds ceil(length / 2) >= 2 rays, with ties
+    forced, cycle = rays[:forced_count], rays[forced_count : forced_count + cycle_length]
+    masks = [1 << z for z in forced] + [1 << a | 1 << b for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+    if data is not None:
+        # events that a forced ray hits too, among others, leave the residual as it is
+        masks += [m | 1 << data.draw(st.sampled_from(forced)) for m in data.draw(st.lists(st.integers(0, 1023)))]
+        masks = data.draw(st.permutations(masks))
+    got = oracles.hitting_set_of_masks(masks)
+    assert got == oracles.minimum_hitting_set([[i for i in range(10) if mask >> i & 1] for mask in masks])
+    assert set(forced) <= set(got) and len(got) == forced_count + (cycle_length + 1) // 2
+
+
 # --- zero-sets of mixtures ---------------------------------------------------
 
 

@@ -53,6 +53,18 @@ def test_estimate_success_probability_prints_the_twelve_paradoxes():
     assert hashlib.sha256(stdout).hexdigest() == "6a39a61be1930a6e0c951714053d4f6757530c816c9f3974263da76d56811022"
 
 
+def test_check_phases_times_the_first_ops_of_a_seed():
+    # two cycles of the check stream: per scenario, two normals and a generic state (pure) and a mixture
+    lines = run_script("check_phases.py", "1", "--ops", "16", "--repeat", "1").decode().splitlines()
+    assert lines[0] == "seed 1: 16 ops"
+    counts = {"all": 16, "density d3": 2, "density d4": 2, "pure d3": 6, "pure d4": 6}
+    for line, (label, count) in zip(lines[1:6], counts.items()):
+        assert re.fullmatch(rf"  {label} +{count} ops  p50 +\d+\.\d  p98 +\d+\.\d", line), line
+    phases = "  ".join(rf"{phase} \d+\.\d" for phase in ("model", "verdict", "oracle", "derive", "replay"))
+    assert re.fullmatch(rf"  slowest 1 ops, mean per phase: {phases}  \(1 (pure|density) d[34]\)", lines[6]), lines[6]
+    assert len(lines) == 7
+
+
 def load_bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", os.path.join(ROOT, "scripts", "bench_pairs.py"))
     bench_pairs = importlib.util.module_from_spec(spec)

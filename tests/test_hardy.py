@@ -33,6 +33,7 @@ from ctxkit import (
     verify_observable,
 )
 from ctxkit.contextuality import witness_blockers
+from ctxkit.exact import orthogonal
 from ctxkit.hardy import REFERENCE_OBSERVABLES, ReferenceRow, percent
 
 # (state, witness, zero set) for the twelve paradoxes of the bundled scenario
@@ -234,6 +235,23 @@ def test_one_replay_pass_agrees_with_the_set_replay_on_shared_zero_sets(n, data)
     assert replay_contradiction(events, batch) == [oracles.replay_contradiction(events, p) for p in batch]
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("n", [3, 8, 33])
+def test_a_zero_set_group_holds_a_passing_and_a_failing_paradox(n, data):
+    # two witnesses share one zero set: every event holding the first meets it, and the event {second} misses it
+    first, second, *rest = data.draw(st.permutations(range(n)))
+    zero_set = tuple(sorted(data.draw(st.sets(st.sampled_from(rest), min_size=1, max_size=3))))
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12)) + [1 << first, 1 << second]
+    masks = [m | 1 << data.draw(st.sampled_from(zero_set)) if m >> first & 1 else m for m in masks]
+    events = GlobalEvents(KSAssignment(m >> i & 1 for i in range(n)) for m in masks)
+    order = data.draw(st.permutations([first, second]))
+    batch = mutated([HardyParadox(None, w, zero_set, Fraction(1, 9)) for w in order], n)
+    replays = replay_contradiction(events, batch)
+    assert replays == oracles.shift_replay(events, batch)
+    assert replays[:2] == [w == first for w in order]
+
+
 @pytest.mark.parametrize(
     "masks, witness, zero_set, sp, expected",
     [
@@ -269,7 +287,8 @@ def mutated(paradoxes, n):
 @given(data=st.data())
 @pytest.mark.parametrize("n", [1, 7, 8, 13, 32, 33])
 def test_folded_replay_matches_the_shift_replay(n, data):
-    # up to 70 events, so that the fold halves an odd slot count; the empty list is the scenario with no events
+    # up to 70 events in packed slots of 8 to 40 bits; the empty list is the scenario with no events.  The name
+    # is kept from the OR-fold that this test held to the shift replay before the grouped test replaced it
     masks = data.draw(st.lists(st.just(0) | st.integers(0, (1 << n) - 1), max_size=70))
     zero_sets = st.sets(st.integers(0, n + 1), max_size=4).map(sorted).map(tuple)
     pool = data.draw(st.lists(zero_sets, min_size=1, max_size=3))
@@ -307,6 +326,38 @@ def test_folded_replay_matches_the_shift_replay_on_box_scenarios(d, m, prefix):
         paradoxes = derive_paradoxes(prefix_scenario, states[0], enumerate_assignments(prefix_scenario)).paradoxes
     batch = mutated(paradoxes, len(s.rays))
     assert replay_contradiction(events, batch) == oracles.shift_replay(events, batch)
+
+
+@pytest.mark.parametrize("d, m", [(3, 2), (4, 1)])
+def test_derived_paradoxes_match_the_oracle_on_box_prefixes(d, m):
+    # the states of the check stream on the 32-ray prefixes: hyperplane normals, and 1/3, 2/3 mixtures of
+    # two normals, some of them both orthogonal to one ray of the prefix
+    from test_assignments import box_scenario
+    from test_contextuality import hyperplane_normals
+
+    s = box_scenario(d, m, range(32))
+    events = enumerate_assignments(s)
+    normals = hyperplane_normals(s)
+    pairs = list(zip(normals[::19], normals[5::23]))
+    for ray in s.rays[::3]:
+        meeting = [n for n in normals if orthogonal(n, ray.vector)]
+        pairs.append((meeting[0], meeting[-1]))
+    pure = [QuantumState.pure(psi) for psi in normals[::17]]
+    mixed = [
+        QuantumState.density(mixture([(Fraction(1, 3), rank1_projector(a)), (Fraction(2, 3), rank1_projector(b))]))
+        for a, b in pairs
+    ]
+    zero_sets = {}
+    for state in pure + mixed:
+        paradoxes = derive_paradoxes(s, state, events).paradoxes
+        assert [(p.witness, p.zero_set, p.sp) for p in paradoxes] == oracles.derive_paradoxes(s, state, events)
+        if state.rho is not None:
+            # the oracle reads the SPs from the package; the Fraction expectation checks the density ones
+            for p in paradoxes:
+                assert p.sp == oracles.expectation(state.rho, s.rays[p.witness].vector)
+        zero_sets.setdefault(state.rho is None, []).extend(p.zero_set for p in paradoxes)
+    # both kinds of state yield paradoxes, and the pure states of d = 4 zero sets of up to three rays
+    assert zero_sets[False] and max(map(len, zero_sets[True])) == (2 if d == 3 else 3)
 
 
 def test_replay_packs_the_masks_on_first_use_and_leaves_the_index_unbuilt(yu_oh, yu_oh_assignments):
