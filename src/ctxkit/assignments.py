@@ -102,10 +102,15 @@ class GlobalEvents(tuple):
         """``(z, by_ray[z])`` for each ray ``z`` of the ray mask ``rays``, in order; only those columns are read."""
         return list(compress(enumerate(self.by_ray), _bits(rays)))
 
+    _missing = (-1, 0)
+
     def missing(self, zeros: int) -> int:
         """The events that hold no ray of the ray mask ``zeros``, as a mask over the events; only the columns of
-        its set bits are read, not the pairs of ``columns``, whose tuples make each call about 25% slower."""
-        return (1 << len(self)) - 1 & ~reduce(or_, compress(self.by_ray, _bits(zeros)), 0)
+        its set bits are read, not the pairs of ``columns``, whose tuples make each call about 25% slower.  The
+        last ``(zeros, miss)`` is kept: the verdict, the oracle and the derivation of one state compute it once."""
+        if self._missing[0] != zeros:
+            self._missing = (zeros, (1 << len(self)) - 1 & ~reduce(or_, compress(self.by_ray, _bits(zeros)), 0))
+        return self._missing[1]
 
 
 def enumerate_assignments(scenario: Scenario) -> GlobalEvents:

@@ -10,12 +10,15 @@ ray's events one int over the events, its column in
 all events less each zero ray's column.
 :func:`possibilistic_model` computes the model of a pure or a density
 state in one pass on ints: ray ``z`` is impossible iff ``M z = 0`` for
-the state's integer rows ``M``: the scenario's packed null test
-(:func:`ctxkit.scenario._null_rays`) answers for every ray at once.
+the state's integer rows ``M``: the scenario's packed Born pass
+(:func:`ctxkit.scenario._born_pass`) answers for every ray at once.
 A pure state holds only its canonical ray; its ``rho`` is ``None``.  The
 model is kept on the ``QuantumState`` object, keyed by the scenario's ray
-tuple, so the verdict, the oracle and the paradox derivation of one
-state object on one scenario share a single Born pass.  Two decision
+tuple, with the pass's packed products, so the verdict, the oracle and
+the paradox derivation of one state object on one scenario share a
+single Born pass, and the derivation reads each witness's probability
+from its slot (:func:`_pass_probability`).  ``GlobalEvents.missing``
+keeps its last ``miss``, so they compute it once.  Two decision
 procedures are implemented:
 
 * :func:`is_logically_contextual` searches for a witness ray ``v`` that is
@@ -75,7 +78,7 @@ from .exact import (
     rank,
     validate_density,
 )
-from .scenario import Scenario, _bits, _mask, _null_rays, _rays
+from .scenario import Scenario, _bits, _born_pass, _mask, _null_rays, _rays, _slots
 
 
 class QuantumState(_Record):
@@ -84,8 +87,10 @@ class QuantumState(_Record):
     A pure state is its canonical ray ``psi``, with ``rho = None``; a
     density operator ``rho`` is validated (Hermitian, trace 1, PSD) at
     construction, with ``psi = None``.  ``_model``, unset before the first
-    :func:`possibilistic_model`, holds the last as ``(rays, model)``; it is
-    not a field, so equality, hashing and ``repr`` ignore it.
+    :func:`possibilistic_model`, holds the last as ``(rays, model, width,
+    products)``, with the packed products of its Born pass
+    (:func:`ctxkit.scenario._born_pass`) that :func:`_pass_probability`
+    reads; it is not a field, so equality, hashing and ``repr`` ignore it.
     """
 
     __slots__ = ("dim", "rho", "psi", "_model")
@@ -179,23 +184,37 @@ def possibilistic_model(scenario: Scenario, state: QuantumState) -> Possibilisti
     """Map each ray to 1 iff its Born probability under ``state`` is non-zero.
 
     Ray ``z`` is impossible iff ``M z = 0`` for the state's integer rows
-    ``M`` (:func:`ctxkit.scenario._null_rays`): for a pure state that is ``z``
+    ``M`` (:func:`ctxkit.scenario._born_pass`): for a pure state that is ``z``
     orthogonal to the state; for a density operator ``rho``, which is PSD,
     ``<z|rho|z> = 0`` iff ``rho z = 0``.  The rays are the model's only
     input, so the model is kept on the state with the ``scenario.rays``
-    tuple it was computed from and returned again while the same tuple (by
-    identity) is passed: every consumer of one state object on one
-    scenario shares one Born pass.
+    tuple it was computed from, and the pass's products, and returned
+    again while the same tuple (by identity) is passed: every consumer of
+    one state object on one scenario shares one Born pass.
     """
     if state.dim != scenario.dim:
         raise DimensionMismatchError("state dimension does not match the scenario")
     cached = getattr(state, "_model", None)
     if cached is not None and cached[0] is scenario.rays:
         return cached[1]
-    model = PossibilisticModel._of_zeros(_null_rays(scenario, _integer_rows(state)), len(scenario.rays))
+    zeros, width, products = _born_pass(scenario, _integer_rows(state))
+    model = PossibilisticModel._of_zeros(zeros, len(scenario.rays))
     # holding the rays keeps their identity from being reused by another tuple
-    object.__setattr__(state, "_model", (scenario.rays, model))
+    object.__setattr__(state, "_model", (scenario.rays, model, width, products))
     return model
+
+
+def _pass_probability(state: QuantumState, k: int, z: ExactVector) -> Fraction:
+    """:meth:`QuantumState.probability` of ray ``k``, the vector ``z``, read off slot ``k`` of the products kept by the
+    last :func:`possibilistic_model` call on ``state``: ``(a^2 + b^2) / (||psi||^2 ||z||^2)`` for a pure state, whose
+    one row's product is ``(a, b) = <psi|z>``; ``sum_i conj(z_i) (N z)_i / (den ||z||^2)`` for a density ``N / den``."""
+    _, _, width, products = state._model
+    parts = _slots(products, k, width)
+    if state.psi is not None:
+        ((a, b),) = parts
+        return Fraction(a * a + b * b, state.psi.integer_norm * z.integer_norm)
+    re = sum(zr * a + zi * b for (zr, zi), (a, b) in zip(z.integer_form, parts))
+    return Fraction(re, state.rho.den * z.integer_norm)
 
 
 class ContextualityVerdict(_Record):

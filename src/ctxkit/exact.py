@@ -270,20 +270,21 @@ class ExactVector(_Record):
     _fields = ("coords",)
 
     def __init__(self, coords: Iterable[ExactScalar | int | Fraction]):
-        self._hold(*_over_common_denominator(coords))
+        den, nums = _lowest_terms(*_over_common_denominator(coords))
+        self._hold(den, nums, _lowest_terms(0, nums)[1])  # nums over the integer gcd of their parts
 
     @classmethod
-    def _of_ints(cls, nums: Iterable[tuple[int, int]]) -> "ExactVector":
-        """The Gaussian-integer vector ``nums``, ``(re, im)`` int pairs, built without a scalar."""
+    def _of_ints(cls, form: Iterable[tuple[int, int]]) -> "ExactVector":
+        """The Gaussian-integer vector ``form``, ``(re, im)`` int pairs whose parts have gcd 1, so that it is
+        its own integer form: built without a scalar or a gcd."""
         vector = cls.__new__(cls)
-        vector._hold(1, tuple(nums))
+        form = tuple(form)
+        vector._hold(1, form, form)
         return vector
 
-    def _hold(self, den: int, nums: tuple[tuple[int, int], ...]):
+    def _hold(self, den: int, nums: tuple[tuple[int, int], ...], form: tuple[tuple[int, int], ...]):
         if len(nums) < 2:
             raise ValidationError("vectors must have dimension >= 2")
-        den, nums = _lowest_terms(den, nums)
-        form = _lowest_terms(0, nums)[1]  # nums over the integer gcd of their parts
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "integer_form", form)
@@ -401,7 +402,12 @@ def canonical_ray(v: ExactVector) -> ExactVector:
 
 
 def _canonical_from_ints(ints: Sequence[tuple[int, int]]) -> ExactVector:
-    # canonical_ray of the non-zero Gaussian-integer vector ``ints``
+    # canonical_ray of the non-zero Gaussian-integer vector ``ints``; its entries come out with Gaussian gcd 1
+    if not any(zi for _, zi in ints):
+        # the Gaussian gcd of real integers is their integer gcd up to a unit: the sign of the first non-zero entry
+        g = gcd(*(zr for zr, _ in ints))
+        g = g if next(zr for zr, _ in ints if zr) > 0 else -g
+        return ExactVector._of_ints((zr // g, 0) for zr, _ in ints)
     g = reduce(_gaussian_gcd, ints, (0, 0))
     ng = g[0] * g[0] + g[1] * g[1]
     reduced = []
@@ -477,8 +483,12 @@ def _null_basis(rows: Sequence[ExactVector], dim: int | None) -> list[list[tuple
 
 
 def rank(rows: Sequence[ExactVector], dim: int | None = None) -> int:
-    """Exact rank of the row family: the dimension less that of its nullspace."""
-    return _shared_dim(rows, dim) - len(_null_basis(rows, dim))
+    """Exact rank of the row family: the dimension less the nullity of all rows but the last, plus 1 if the last
+    row has a pivot, ``<row|n_j> != 0`` for some of their normals ``n_j``; its narrowed normals are never built."""
+    d = _shared_dim(rows, dim)
+    normals = _null_basis(rows[:-1], d)
+    conj = [(a, -b) for a, b in rows[-1].integer_form] if rows else []
+    return d - len(normals) + any(_dot(conj, n) != (0, 0) for n in normals)
 
 
 def nullspace(rows: Sequence[ExactVector], dim: int | None = None) -> list[ExactVector]:
@@ -638,7 +648,11 @@ class ExactMatrix(_Record):
         return ExactMatrix(c, self.rows, self.den, tuple((a, -b) for j in range(c) for a, b in self.nums[j::c]))
 
     def is_hermitian(self) -> bool:
-        return self.rows == self.cols and self == self.dagger()
+        """Whether the matrix is square and equals :meth:`dagger`: each entry against its mirror's conjugate,
+        in place."""
+        n, nums = self.cols, self.nums
+        mirrored = (z for j in range(n) for z in nums[j::n])
+        return self.rows == n and all(a == c and b == -d for (a, b), (c, d) in zip(nums, mirrored))
 
     def _require_same_shape(self, other: "ExactMatrix"):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -691,6 +705,8 @@ def projector_failures(projectors: Sequence[ExactMatrix], dim: int, rank_one: bo
 def validate_density(rho: ExactMatrix):
     """Check that ``rho`` is Hermitian, has unit trace and is PSD.
 
+    All three are decided on the numerators; the trace is 1 iff the
+    diagonal sums to ``den + 0i``, and a scalar is built only for its message.
     Positive semidefiniteness is decided by one symmetric elimination on
     the numerators (``den > 0``), pivoting on the diagonal in index order.
     A positive pivot ``p`` replaces the rest by ``p`` times its Schur
@@ -704,9 +720,10 @@ def validate_density(rho: ExactMatrix):
         raise InvalidDensityError("density matrix must be square")
     if not rho.is_hermitian():
         raise InvalidDensityError("density matrix must be Hermitian")
-    if rho.trace() != ONE:
-        raise InvalidDensityError(f"density matrix must have trace 1, got {rho.trace()}")
     n = rho.rows
+    re, im = map(sum, zip(*rho.nums[:: n + 1]))
+    if re != rho.den or im:
+        raise InvalidDensityError(f"density matrix must have trace 1, got {rho.trace()}")
     m = [rho.nums[i * n : (i + 1) * n] for i in range(n)]
     rest = list(range(n))
     kept: list[int] = []

@@ -8,7 +8,8 @@ possibilistic conditions of the form
 where the zero set hits every global event containing the witness.  No
 0/1 distribution over global events can satisfy such conditions, so each
 one is a Hardy-type paradox; its *success probability* is the exact Born
-probability of the witness ray.
+probability of the witness ray, read off the packed products of the
+state's one Born pass (:func:`ctxkit.contextuality._pass_probability`).
 
 For a paradox whose zero set has exactly two rays, a single observable
 certifies the conditions: Gram-Schmidt the triple (low zero ray, high
@@ -35,7 +36,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .assignments import GlobalEvents
-from .contextuality import QuantumState, _blocked_witnesses, _minimum_hitting_set, possibilistic_model
+from .contextuality import QuantumState, _blocked_witnesses, _minimum_hitting_set, _pass_probability
+from .contextuality import possibilistic_model
 from .errors import ValidationError
 from .exact import ExactMatrix, _Record, gram_schmidt, projector_failures, rank1_projector, vec
 from .scenario import Scenario
@@ -63,15 +65,18 @@ def derive_paradoxes(
     by zero-probability rays, emit the paradox carrying a minimum-size
     hitting set (ties broken lexicographically by ray index).  States that
     are not logically contextual yield no paradoxes; the derivation then
-    carries the reason instead.  Every paradox is replayed, all in one
-    :func:`replay_contradiction` call, and a failed replay raises.
+    carries the reason instead.  The model is computed once, and each
+    witness's SP is read off its slot of the model's Born pass, equal to
+    ``state.probability`` of the witness ray.  Every paradox is replayed,
+    all in one :func:`replay_contradiction` call, and a failed replay
+    raises.
     """
     zeros = possibilistic_model(scenario, state).zeros
     events = GlobalEvents(assignments)
     zero_columns = events.columns(zeros)
     rays = scenario.rays
     paradoxes = [
-        HardyParadox(state, k, _minimum_hitting_set(zero_columns, column), state.probability(rays[k].vector))
+        HardyParadox(state, k, _minimum_hitting_set(zero_columns, column), _pass_probability(state, k, rays[k].vector))
         for k, column in _blocked_witnesses(events, zeros)
     ]
     if not all(replay_contradiction(events, paradoxes)):

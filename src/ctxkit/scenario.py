@@ -268,21 +268,23 @@ def _packed_rays(scenario: Scenario, row_bytes: int) -> tuple[int, int, list[tup
     return packing
 
 
-def _null_rays(scenario: Scenario, rows) -> int:
-    """The mask of the rays z with ``M z = 0`` for the Gaussian-integer rows ``M``: the null test of every ray at once.
+def _born_pass(scenario: Scenario, rows) -> tuple[int, int, list[tuple[int, int]]]:
+    """``(null, width, products)``: the mask of the rays z with ``M z = 0`` for the Gaussian-integer rows ``M``,
+    the slot width, and each row's packed product with every ray, ``(re, im)``.
 
     Each row of ``M`` meets every ray in ``2d`` multiplies of its parts by
     the packed coordinates of :func:`_packed_rays` (``4d`` for a row with
     imaginary parts).  A bias of ``2 ** (width - 2)`` in every slot keeps
-    each slot's product in its own slot, exclusive-or with the bias leaves
-    a slot zero iff its product is, and adding ``2 ** (width - 1) - 1`` to
-    each slot then carries into its top bit iff it is not.  The slots'
-    low bytes, one per ray, are then the flags that :func:`_mask` reads.
+    each slot's product in its own slot, so :func:`_slots` reads it back.
+    Exclusive-or with the bias leaves a slot zero iff its product is, and
+    adding ``2 ** (width - 1) - 1`` to each slot then carries into its top
+    bit iff it is not.  The slots' low bytes, one per ray, are then the
+    flags that :func:`_mask` reads.
     """
     row_bits = max(abs(x) for row in rows for z in row for x in z).bit_length()
     width, ones, columns = _packed_rays(scenario, -(-row_bits // 8))
     bias = ones << width - 2
-    nonzero = 0
+    nonzero, products = 0, []
     for row in rows:
         re = im = bias
         for (a, b), (zr, zi) in zip(row, columns):
@@ -293,10 +295,22 @@ def _null_rays(scenario: Scenario, rows) -> int:
                 re -= b * zi
                 im += b * zr
         nonzero |= re ^ bias | im ^ bias
+        products.append((re, im))
     null = ones ^ (nonzero + (bias << 1) - ones) >> width - 1 & ones
     step = width // 8
-    return _mask(null.to_bytes(len(scenario.rays) * step, "little")[::step])
+    return _mask(null.to_bytes(len(scenario.rays) * step, "little")[::step]), width, products
 
+
+def _slots(products: list[tuple[int, int]], k: int, width: int) -> list[tuple[int, int]]:
+    """Each row's product with ray ``k``: slot ``k`` of its parts in the ``products`` of :func:`_born_pass`, less
+    the bias."""
+    shift, low, bias = k * width, (1 << width) - 1, 1 << width - 2
+    return [((re >> shift & low) - bias, (im >> shift & low) - bias) for re, im in products]
+
+
+def _null_rays(scenario: Scenario, rows) -> int:
+    """The null test of every ray at once, as the flat scan asks it: :func:`_born_pass`'s mask alone."""
+    return _born_pass(scenario, rows)[0]
 
 
 def enumerate_contexts(scenario: Scenario) -> tuple[Context, ...]:

@@ -397,6 +397,26 @@ def test_check_makes_one_born_pass(monkeypatch, tmp_path):
     assert len(passes) == 1 and len(tests) == 0
 
 
+def test_paradoxes_read_their_sps_off_the_one_born_pass(monkeypatch, tmp_path):
+    # the derivation reads each witness's SP from the slots of the model's packed pass: no per-witness Born probability
+    scenario = load_bundled("yu-oh")
+    monkeypatch.setattr(cli, "_load_scenario", lambda path: scenario)
+    passes = count_calls(monkeypatch, ctxkit.scenario._packed_rays)
+    overlaps = count_calls(monkeypatch, ctxkit.exact.overlap)
+    expectations = count_calls(monkeypatch, ctxkit.exact.expectation)
+    argv = ["paradoxes", "--scenario", "yu-oh", "--state", "1,1,1", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    assert "SP=1/9" in (tmp_path / "out").read_text(encoding="utf-8")
+    assert len(passes) == 1 and len(overlaps) == 0 and len(expectations) == 0
+
+
+def test_mixed_analysis_ranks_each_selection_once(monkeypatch, yu_oh, yu_oh_assignments, yu_oh_search):
+    # yu-oh's 108 triples pick 71 distinct selections, each ranked by one call
+    ranks = count_calls(monkeypatch, ctxkit.exact.rank)
+    assert len(ctxkit.contextuality.analyze_mixed_states(yu_oh, yu_oh_assignments, yu_oh_search).triples) == 108
+    assert len(ranks) == 71
+
+
 # --- exit codes ----------------------------------------------------------------
 
 

@@ -54,7 +54,7 @@ from ctxkit import (
     vec,
     verify_observable,
 )
-from ctxkit.contextuality import _blocked_witnesses, witness_blockers
+from ctxkit.contextuality import _blocked_witnesses, _pass_probability, witness_blockers
 from ctxkit.scenario import Ray
 from test_assignments import box_scenario, box_subsets
 
@@ -253,6 +253,52 @@ def test_packed_model_matches_the_per_ray_model_on_rays_of_many_bits(data):
     lines = [f"r{i}: " + ",".join(str(c) for c in v.coords) for i, v in enumerate(rays)]
     scenario = load_scenario("\n".join(["scenario wide dim 3 field gaussian", *lines]))
     assert_packed_model_is_the_per_ray_model(scenario, data.draw(states_with_zeros(scenario)))
+
+
+@cache
+def events_of(scenario_key):
+    """The global events of ``box_prefix(d)`` for d = 3 or 4, or of the Gaussian image of yu-oh for ``"image"``."""
+    return enumerate_assignments(dimension_3_scenarios()[1] if scenario_key == "image" else box_prefix(scenario_key))
+
+
+def assert_pass_probabilities_are_the_born_probabilities(scenario, events, state):
+    # every ray's probability read off the kept Born pass, against the per-ray slow paths
+    possibilistic_model(scenario, state)
+    rho = rank1_projector(state.psi) if state.rho is None else state.rho
+    for k, ray in enumerate(scenario.rays):
+        sp = _pass_probability(state, k, ray.vector)
+        assert sp == state.probability(ray.vector) == oracles.expectation(rho, ray.vector)
+    for paradox in derive_paradoxes(scenario, state, events).paradoxes:
+        assert paradox.sp == state.probability(scenario.rays[paradox.witness].vector)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("d", [3, 4])
+def test_pass_probabilities_match_born_probabilities_on_box_prefixes(d, data):
+    scenario = box_prefix(d)
+    assert_pass_probabilities_are_the_born_probabilities(scenario, events_of(d), data.draw(states_with_zeros(scenario)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pass_probabilities_match_born_probabilities_on_the_gaussian_image(data):
+    # 7-digit coordinates: the widest slots of the three scenarios
+    scenario = dimension_3_scenarios()[1]
+    state = data.draw(states_with_zeros(scenario))
+    assert_pass_probabilities_are_the_born_probabilities(scenario, events_of("image"), state)
+
+
+def test_pass_probabilities_of_the_gaussian_image_paradoxes():
+    # the image's four contextual states, pure and as rank-1 densities: 12 paradoxes each way, every SP 1/9
+    scenario = dimension_3_scenarios()[1]
+    for as_density in (False, True):
+        sps = []
+        for found in find_contextual_pure_states(scenario, events_of("image")).states:
+            state = QuantumState.density(rank1_projector(found.state)) if as_density else QuantumState.pure(found.state)
+            assert_pass_probabilities_are_the_born_probabilities(scenario, events_of("image"), state)
+            sps += [p.sp for p in derive_paradoxes(scenario, state, events_of("image")).paradoxes]
+        assert sps == [Fraction(1, 9)] * 12
 
 
 def test_rows_of_one_byte_length_share_one_packing():

@@ -60,7 +60,7 @@ def test_check_phases_times_the_first_ops_of_a_seed():
     counts = {"all": 16, "density d3": 2, "density d4": 2, "pure d3": 6, "pure d4": 6}
     for line, (label, count) in zip(lines[1:6], counts.items()):
         assert re.fullmatch(rf"  {label} +{count} ops  p50 +\d+\.\d  p98 +\d+\.\d", line), line
-    phases = "  ".join(rf"{phase} \d+\.\d" for phase in ("model", "verdict", "oracle", "derive", "replay"))
+    phases = "  ".join(rf"{phase} \d+\.\d" for phase in ("build", "model", "verdict", "oracle", "derive", "replay"))
     assert re.fullmatch(rf"  slowest 1 ops, mean per phase: {phases}  \(1 (pure|density) d[34]\)", lines[6]), lines[6]
     assert len(lines) == 7
 

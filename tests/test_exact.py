@@ -125,7 +125,9 @@ def test_a_vector_holds_numerators_over_one_denominator_in_lowest_terms(coords):
     assert v.den > 0 and gcd(v.den, *(part for z in v.nums for part in z)) == 1
     assert v.coords == tuple(coords)
     assert all(c == ExactScalar(Fraction(a, v.den), Fraction(b, v.den)) for c, (a, b) in zip(coords, v.nums))
-    assert ExactVector._of_ints(v.nums) == ExactVector([v.den * c for c in coords])
+    # the integer form, built directly, is the vector the constructor builds from the same ints
+    ints, built = ExactVector._of_ints(v.integer_form), ExactVector([ExactScalar(a, b) for a, b in v.integer_form])
+    assert (ints, ints.integer_form, ints.integer_norm) == (built, built.integer_form, built.integer_norm)
     assert v.coordinate_texts() == [str(c) for c in coords]
     assert str(v) == "(" + ",".join(v.coordinate_texts()) + ")"
     assert not hasattr(v, "__dict__")
@@ -215,6 +217,32 @@ def test_canonical_ray_keeps_the_integer_form_a_fresh_vector_computes(v, c):
     assert ray.integer_norm == oracles.norm_sq(ray)
 
 
+@st.composite
+def real_integer_vectors(draw):
+    """A real integer vector of dimension 2 to 5 whose first entries may be zero and leading entry may be negative."""
+    d = draw(st.integers(2, 5))
+    zeros = draw(st.integers(0, d - 1))
+    lead = draw(st.integers(1, 12)) * draw(st.sampled_from([1, -1]))
+    rest = draw(st.lists(st.integers(-12, 12), min_size=d - zeros - 1, max_size=d - zeros - 1))
+    return vec(*([0] * zeros + [lead] + rest))
+
+
+gaussian_units = st.builds(ExactScalar, st.integers(-5, 5), st.integers(1, 5) | st.integers(-5, -1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(real_integer_vectors(), gaussian_units)
+@example(vec(0, -4, 6), ExactScalar(1, 1))
+@example(vec(0, 0, -3), ExactScalar(0, 1))
+def test_canonical_ray_of_a_real_vector_matches_the_gaussian_euclid(v, c):
+    # v times a non-real scalar has non-real entries, so its canonical ray goes through the Gaussian gcd
+    scaled = oracles.scale_vector(v, c)
+    assert any(z.im for z in scaled.coords)
+    ray = canonical_ray(v)
+    assert ray == canonical_ray(scaled)
+    assert ray.integer_form == ExactVector(ray.coords).integer_form and ray.integer_norm == oracles.norm_sq(ray)
+
+
 def test_canonical_ray_rejects_zero():
     with pytest.raises(ValidationError):
         canonical_ray(vec(0, 0, 0))
@@ -290,6 +318,33 @@ def row_families(draw):
             a, b = oracles.scale_vector(a, draw(nonzero_scalars)), oracles.scale_vector(b, draw(nonzero_scalars))
             rows.append(oracles.add_vectors(a, b))
     return d, rows
+
+
+@st.composite
+def few_dependent_rows(draw):
+    """d in {3, 4} and 1 to 4 rows: fresh, zero, rescaled repeats and combinations of earlier rows."""
+    d = draw(st.sampled_from([3, 4]))
+    rows = [draw(gaussian_vectors(d))]
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        rows.append(draw(st.one_of([
+            gaussian_vectors(d),
+            st.just(ExactVector((ZERO_SCALAR,) * d)),
+            nonzero_scalars.map(lambda f: oracles.scale_vector(a, f)),
+            st.tuples(nonzero_scalars, nonzero_scalars).map(
+                lambda fs: oracles.add_vectors(oracles.scale_vector(a, fs[0]), oracles.scale_vector(b, fs[1]))
+            ),
+        ])))
+    return d, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(few_dependent_rows())
+@example((3, [vec(1, 0, 0), vec(2, 0, 0)]))
+@example((4, [vec(1, 1, 0, 0), vec(0, 0, 1, 1), vec(1, 1, 1, 1)]))
+def test_rank_tests_only_the_last_row_for_a_pivot_and_matches_the_fraction_oracle(family):
+    d, rows = family
+    assert rank(rows, dim=d) == oracles.rank(rows, dim=d)
 
 
 @settings(max_examples=300, deadline=None)
@@ -574,6 +629,43 @@ def test_validate_density_matches_the_cofactor_oracle(candidate):
         assert minor.im == 0 and minor.re < 0
     if kind == "mixture":
         assert message is None
+
+
+@st.composite
+def near_densities(draw):
+    """Hermitian matrices of trace 1 or not, with complex off-diagonals, and the same with one entry broken."""
+    d = draw(st.integers(2, 4))
+    a = draw(gaussian_matrices(d, d))
+    m = a + a.dagger() if draw(st.booleans()) else a @ a.dagger()
+    t = m.trace()
+    if not t.is_zero and draw(st.booleans()):
+        m = m.scale(ONE_SCALAR / t)
+    if draw(st.booleans()):
+        # break one entry: a diagonal entry gets an imaginary part, an off-diagonal one loses its mirror's conjugate
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        entries = list(m.entries)
+        entries[i * d + j] = entries[i * d + j] + draw(nonzero_scalars)
+        m = ExactMatrix.from_rows([entries[r * d : (r + 1) * d] for r in range(d)])
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_densities())
+@example(ExactMatrix.from_rows([[Fraction(1, 2), ExactScalar(0, 1)], [ExactScalar(0, 1), Fraction(1, 2)]]))
+@example(ExactMatrix.from_rows([[Fraction(1, 2), ExactScalar(0, 1)], [ExactScalar(0, -1), 1]]))
+@example(ExactMatrix.from_rows([[ExactScalar(1, 1), 0], [0, ExactScalar(0, -1)]]))
+def test_hermitian_and_trace_checks_match_the_entrywise_oracles(m):
+    # is_hermitian against the oracle's dagger; validate_density's messages against the cofactor oracle's,
+    # which builds the dagger and the trace as scalars, up to the minor a PSD failure names
+    assert m.is_hermitian() == (oracles.dagger(m) == oracles.rows_of(m))
+    message = invalid_density_message(validate_density, m)
+    expected = invalid_density_message(oracles.validate_density, m)
+    if NOT_PSD.fullmatch(message or ""):
+        assert NOT_PSD.fullmatch(expected or "")
+    else:
+        assert message == expected
+    if m.is_hermitian() and oracles.trace(m) != ONE_SCALAR:
+        assert message == f"density matrix must have trace 1, got {oracles.trace(m)}"
 
 
 @settings(max_examples=150, deadline=None)
