@@ -17,8 +17,10 @@ sum of its phases but the replay.  As in the benchmark, each cycle's
 times are scaled to the reference core speed by ``spin`` readings taken
 just before and after it.
 
-It prints p50 and p98 of the op times, overall and per op kind (pure or
-density) and dimension, and the mean time of each phase, ``build``
+It first prints each scenario's global events (KS-assignments) and core
+events, the labellings of the basis rays that the checks read.  Then, per
+seed, it prints p50 and p98 of the op times, overall and per op kind (pure
+or density) and dimension, and the mean time of each phase, ``build``
 included, over the slowest 2% of ops: those that set ``latency_tail_s``.
 Times are in microseconds.
 """
@@ -53,7 +55,9 @@ def load(names_and_rays):
     loaded = []
     for name, rays in names_and_rays:
         scenario = load_scenario(scenario_text(name, rays))
-        loaded.append((scenario, enumerate_assignments(scenario)))
+        assignments = enumerate_assignments(scenario)
+        print(f"{name}: {len(assignments)} events, {len(assignments.core)} core events")
+        loaded.append((scenario, assignments))
     return loaded
 
 
@@ -66,7 +70,8 @@ def phases(scenario, assignments, msg) -> dict[str, float]:
         matrix = exact.ExactMatrix.from_rows(density_rows(msg["parts"], scenario.dim))
         build = lambda: contextuality.QuantumState.density(matrix)  # noqa: E731
     clock = time.perf_counter
-    # events keep the last zero set's missing events; forget them, so each run's verdict computes them as an op's does
+    # the events keep the last zero set's missing core events; forget them, so each run's verdict computes them as
+    # an op's does
     vars(assignments).pop("_missing", None)
     t0 = clock()
     state = build()

@@ -8,16 +8,26 @@ A KS-assignment is a 0/1 labelling of the rays such that
 Deficient contexts automatically carry at most one label 1 by (O).  The
 support of an assignment is its set of label-1 rays; supports double as
 the "global event" sets of the contextuality analysis, as the int ``mask``
-(bit i set iff ray i is labelled 1), transposed, as one int per ray
-over the events: ``by_ray`` of the :class:`GlobalEvents` the enumerator returns,
-whose ``holding(ray)`` lists the events of a ray from its column,
-and packed, as one int of every event's ``mask``: its ``rows``; their OR is its ``union``.
+(bit i set iff ray i is labelled 1).
+
+Every event is a *core event*, its labelling of the rays that lie in some
+basis, plus an independent set of the rays in no basis (the scenario's
+``free`` rays), none of them a neighbour of the core event's rays.  So the
+state checks read the core events, which are far fewer (8 under 1024
+events on the 32-ray box-d3-m2 prefix): ``compatible`` of the
+:class:`GlobalEvents` the enumerator returns holds one int per ray over
+the core events, its column, and ``rows`` packs the core events' masks
+into one int.  A basis ray's column holds the core events that hold it,
+and a free ray's the core events that hold none of its neighbours.
+``by_ray``, the same transposition over every event, and ``holding(ray)``,
+which lists the events of a ray from its column there, serve the listings.
 
 :func:`enumerate_assignments` searches basis by basis on ray bitmasks,
-the scenario's ``neighbours``, ``bases`` and ``free``, honouring (O) and (C) along the way.  The tests hold it to a
-basis-product enumerator and to an exhaustive sweep over all bit
-strings, both kept with their direct check of (O) and (C) in
-``tests/oracles.py``.
+the scenario's ``neighbours`` and ``bases``, honouring (O) and (C) along
+the way, for the core events, then adds the independent sets of the free
+rays to each.  The tests hold it to a basis-product enumerator and to an
+exhaustive sweep over all bit strings, both kept with their direct check
+of (O) and (C) in ``tests/oracles.py``.
 
 Output order is lexicographic on the sorted support tuples, which keeps
 assignment numbering stable across runs and matches the usual tabulation
@@ -33,7 +43,7 @@ from operator import or_
 
 from .errors import ValidationError
 from .exact import _Record
-from .scenario import Scenario, _bits, _mask
+from .scenario import Scenario, _bits, _mask, _rays
 
 
 class KSAssignment(_Record):
@@ -64,15 +74,55 @@ class KSAssignment(_Record):
 
 
 class GlobalEvents(tuple):
-    """The KS-assignments in order; bit j of ``by_ray[i]`` is set iff event j holds ray i.
-    ``by_ray``, ``rows`` and ``union`` are kept from first use, on a tuple so that no event changes
-    under them; wrapping one returns it."""
+    """The KS-assignments in order, and the core events they factor into.
+
+    Every event is a *core event*, its labelling of the rays in some basis,
+    plus an independent set of the ``free`` rays (those in no basis), none
+    of them a neighbour of the core event's rays (``neighbours``, the
+    scenario's masks).  :func:`enumerate_assignments` sets ``core``, the
+    core events' masks, with ``free`` and ``neighbours``; a tuple built from
+    a bare list of events has ``free = 0``, so each event is its own core
+    event.  The state checks read the core events: ``compatible[i]`` is ray
+    i's column over them, and ``missing``, ``columns``, ``rows`` and
+    ``union`` answer from the core events too.  ``by_ray[i]`` and
+    ``holding(i)`` read every event, for the listings.  The cached
+    attributes are kept from first use, on a tuple so that no event changes
+    under them; wrapping one returns it.
+    """
+
+    free = 0
+    neighbours: tuple[int, ...] = ()
 
     def __new__(cls, events: Iterable[KSAssignment] = ()):
         return events if type(events) is cls else super().__new__(cls, events)
 
     @cached_property
+    def core(self) -> tuple[int, ...]:
+        """The core events' masks; each event's own ``mask``, in order, unless :func:`enumerate_assignments` set them."""
+        return tuple(a.mask for a in self)
+
+    @cached_property
+    def compatible(self) -> tuple[int, ...]:
+        """Ray i's column over the core events: bit j is set iff some event of core event j holds ray i.
+
+        For a basis ray that is core event j holding it; for a free ray, core
+        event j holding none of its neighbours, since the event that adds
+        the free ray alone to core event j then holds it.  With no events
+        there are no columns, as for ``by_ray``.
+        """
+        if not self:
+            return ()
+        n, core, neighbours = len(self[0].bits), self.core, self.neighbours
+        # core event j's bits as the bytes j * n .. j * n + n - 1, so ray i's column is every n-th byte from i
+        flat = b"".join(_bits(c | 1 << n)[:n] for c in core)
+        columns = [_mask(flat[i::n]) for i in range(n)]
+        for f in _rays(self.free):
+            columns[f] = _mask(bytes(not c & neighbours[f] for c in core))
+        return tuple(columns)
+
+    @cached_property
     def by_ray(self) -> tuple[int, ...]:
+        """Bit j of ``by_ray[i]`` is set iff event j holds ray i: the columns over every event, for the listings."""
         n = len(self[0].bits) if self else 0
         # event j's bits as the bytes j * n .. j * n + n - 1, so ray i's column is every n-th byte from i
         flat = bytes(chain.from_iterable(a.bits for a in self))
@@ -80,70 +130,103 @@ class GlobalEvents(tuple):
 
     @cached_property
     def rows(self) -> tuple[int, int, int]:
-        """``(rows, ones, n)``: event j's ``mask`` in slot j of ``rows``, ``ones`` with bit 0 of every slot
-        set, and the ray count ``n``.  A slot has ``8 * (n // 8 + 1)`` bits, at least n + 1, so a carry or
-        borrow at a slot's bit n stays in its own slot.  Built from ``mask``, never from ``by_ray``."""
+        """``(rows, ones, n)``: core event j's mask in slot j of ``rows``, ``ones`` with bit 0 of every slot set,
+        and the ray count ``n``.  A slot has ``8 * (n // 8 + 1)`` bits, at least n + 1, so a carry or borrow at a
+        slot's bit n stays in its own slot.  Built from ``core``, never from the columns."""
         n = len(self[0].bits) if self else 0
         step = n // 8 + 1
-        rows = int.from_bytes(b"".join(a.mask.to_bytes(step, "little") for a in self), "little")
-        ones = int.from_bytes((b"\1" + bytes(step - 1)) * len(self), "little")
+        rows = int.from_bytes(b"".join(c.to_bytes(step, "little") for c in self.core), "little")
+        ones = int.from_bytes((b"\1" + bytes(step - 1)) * len(self.core), "little")
         return rows, ones, n
 
     @cached_property
     def union(self) -> int:
-        """The rays that some event holds: the OR of every ``mask``, never read from ``by_ray``."""
-        return reduce(or_, (a.mask for a in self), 0)
+        """The rays that some event holds: the core events' rays, and each free ray that some core event holds none
+        of the neighbours of; never read from the columns."""
+        core, neighbours = self.core, self.neighbours
+        held = reduce(or_, core, 0)
+        for f in _rays(self.free):
+            if not all(c & neighbours[f] for c in core):
+                held |= 1 << f
+        return held
 
     def holding(self, ray: int) -> list[KSAssignment]:
         """The events that hold ray index ``ray``, in order, read from its column; none if there are no events."""
         return list(compress(self, _bits(self.by_ray[ray] if self else 0)))
 
     def columns(self, rays: int) -> list[tuple[int, int]]:
-        """``(z, by_ray[z])`` for each ray ``z`` of the ray mask ``rays``, in order; only those columns are read."""
-        return list(compress(enumerate(self.by_ray), _bits(rays)))
+        """``(z, compatible[z])`` for each basis ray ``z`` of the ray mask ``rays``, in order; only those columns are
+        read.  A free ray hits no core event: the event that adds no free ray to a core event holds none."""
+        return list(compress(enumerate(self.compatible), _bits(rays & ~self.free)))
 
     _missing = (-1, 0)
 
     def missing(self, zeros: int) -> int:
-        """The events that hold no ray of the ray mask ``zeros``, as a mask over the events; only the columns of
-        its set bits are read, not the pairs of ``columns``, whose tuples make each call about 25% slower.  The
-        last ``(zeros, miss)`` is kept: the verdict, the oracle and the derivation of one state compute it once."""
+        """The core events that hold no ray of the ray mask ``zeros``, as a mask over the core events: some event of
+        a core event misses ``zeros`` iff the core event does, since the core event alone is an event.  Only the
+        columns of the basis rays of ``zeros`` are read, not the pairs of ``columns``, whose tuples make each call
+        about 25% slower.  The last ``(zeros, miss)`` is kept: the verdict, the oracle and the derivation of one
+        state compute it once."""
         if self._missing[0] != zeros:
-            self._missing = (zeros, (1 << len(self)) - 1 & ~reduce(or_, compress(self.by_ray, _bits(zeros)), 0))
+            hit = reduce(or_, compress(self.compatible, _bits(zeros & ~self.free)), 0)
+            self._missing = (zeros, (1 << len(self.core)) - 1 & ~hit)
         return self._missing[1]
 
 
 def enumerate_assignments(scenario: Scenario) -> GlobalEvents:
-    """All KS-assignments, by a basis-first search over ray bitmasks.
+    """All KS-assignments, by a basis-first search over ray bitmasks, then the free rays of each core event.
 
     Each state of the search is a pair of masks: the rays set to 1 and
     the rays set to 0.  A step takes the basis without a 1 that has the
     fewest undecided rays and branches on which of them is its 1; setting
     a ray to 1 sets its neighbours to 0.  Once every basis has its 1, the
-    rays outside every basis branch on 0 and 1.  The search keeps an
-    explicit stack, so its depth is not bounded by the recursion limit.
+    ones are a core event.  Each core event then takes every independent
+    set of the free rays that are not set to 0, found once per such set of
+    free rays.  The searches keep an explicit stack, so their depth is not
+    bounded by the recursion limit.  The events are sorted, and the core
+    events are kept on the result, sorted too.
 
     An empty result is a valid outcome and signals a KS-uncolorable set.
     """
-    n, neighbours, bases, outside = len(scenario.rays), scenario.neighbours, scenario.bases, scenario.free
-    found: list[KSAssignment] = []
+    n, neighbours, bases, free = len(scenario.rays), scenario.neighbours, scenario.bases, scenario.free
+    core: list[tuple[int, int]] = []
     stack = [(0, 0)]
     while stack:
         ones, zeros = stack.pop()
         open_bases = [b & ~zeros for b in bases if not b & ones]
-        if open_bases:
-            # an empty candidate mask is a basis that can no longer get its 1: no branch
-            candidates = min(open_bases, key=int.bit_count)
-            while candidates:
-                ray = candidates & -candidates
-                candidates ^= ray
-                stack.append((ones | ray, zeros | neighbours[ray.bit_length() - 1]))
-        elif free := outside & ~(ones | zeros):
-            ray = free & -free
-            stack.append((ones, zeros | ray))
+        if not open_bases:
+            core.append((ones, zeros))
+            continue
+        # an empty candidate mask is a basis that can no longer get its 1: no branch
+        candidates = min(open_bases, key=int.bit_count)
+        while candidates:
+            ray = candidates & -candidates
+            candidates ^= ray
             stack.append((ones | ray, zeros | neighbours[ray.bit_length() - 1]))
-        else:
-            found.append(KSAssignment._of_mask(ones, n))
-    found.sort(key=lambda a: a.support)
-    return GlobalEvents(found)
+    extensions: dict[int, list[int]] = {}
+    masks = []
+    for ones, zeros in core:
+        allowed = free & ~zeros
+        if (sets := extensions.get(allowed)) is None:
+            sets = extensions[allowed] = _independent_sets(allowed, neighbours)
+        masks += [ones | s for s in sets]
+    masks.sort(key=_rays)
+    events = GlobalEvents(KSAssignment._of_mask(m, n) for m in masks)
+    vars(events).update(core=tuple(sorted((ones for ones, _ in core), key=_rays)), free=free, neighbours=neighbours)
+    return events
 
+
+def _independent_sets(rays: int, neighbours: tuple[int, ...]) -> list[int]:
+    """Every set of the ray mask ``rays`` with no two members neighbours, the empty one included, as masks."""
+    found = []
+    stack = [(0, rays)]
+    while stack:
+        ones, open_rays = stack.pop()
+        if not open_rays:
+            found.append(ones)
+            continue
+        ray = open_rays & -open_rays
+        open_rays ^= ray
+        stack.append((ones, open_rays))
+        stack.append((ones | ray, open_rays & ~neighbours[ray.bit_length() - 1]))
+    return found

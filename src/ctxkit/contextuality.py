@@ -4,10 +4,14 @@ The possibilistic model of a state maps each ray to 1 exactly when its
 Born probability is non-zero; with exact scalars this is decidable.  A
 state is *logically contextual* when no 0/1 distribution over the global
 events (KS-assignments) reproduces that model as marginals.  Zero sets
-are ray bitmasks, a model's impossible rays its ``zeros``, and each
-ray's events one int over the events, its column in
-``GlobalEvents.by_ray``; ``miss``, the events that miss a zero set, is
-all events less each zero ray's column.
+are ray bitmasks, a model's impossible rays its ``zeros``.  The checks
+read the core events (see :mod:`ctxkit.assignments`): each ray's column
+``GlobalEvents.compatible`` is one int over them, and ``miss``, the core
+events that miss a zero set, is all core events less each basis zero
+ray's column.  An event misses the zero set iff the event that adds no
+free ray to its core event does, and the events of a core event that
+hold a ray are there iff its column holds the core event, so every test
+below gives on the core events what it gives on all the events.
 :func:`possibilistic_model` computes the model of a pure or a density
 state in one pass on ints: ray ``z`` is impossible iff ``M z = 0`` for
 the state's integer rows ``M``: the scenario's packed Born pass
@@ -17,7 +21,7 @@ model is kept on the ``QuantumState`` object, keyed by the scenario's ray
 tuple, with the pass's packed products, so the verdict, the oracle and
 the paradox derivation of one state object on one scenario share a
 single Born pass, and the derivation reads each witness's probability
-from its slot (:func:`_pass_probability`).  ``GlobalEvents.missing``
+from its slot (:func:`_pass_probabilities`).  ``GlobalEvents.missing``
 keeps its last ``miss``, so they compute it once.  Two decision
 procedures are implemented:
 
@@ -31,13 +35,13 @@ procedures are implemented:
   shared with :func:`ctxkit.hardy.derive_paradoxes`: the verdict stops at
   its first witness, the derivation makes each one a paradox.  The
   verdict lists no events; :func:`witness_blockers` reads them, and the
-  first blocker of each, from the witness's column
+  first blocker of each, from the witness's column over every event
   (``GlobalEvents.holding``) when a report asks.
 * :func:`noncontextuality_oracle` builds the canonical candidate
   distribution (an event is possible iff it misses every impossible ray)
-  and checks the marginals: ``miss`` is not empty and its events cover
-  exactly the possible rays, the complement of ``zeros``.  It follows
-  the definition.
+  and checks the marginals: ``miss`` is not empty and its core events
+  cover exactly the possible rays, the complement of ``zeros``.  It
+  follows the definition.
 
 They are not equivalent: the verdict skips a possible ray that lies in no
 global event, and the oracle counts it as uncovered (an open defect,
@@ -89,7 +93,7 @@ class QuantumState(_Record):
     construction, with ``psi = None``.  ``_model``, unset before the first
     :func:`possibilistic_model`, holds the last as ``(rays, model, width,
     products)``, with the packed products of its Born pass
-    (:func:`ctxkit.scenario._born_pass`) that :func:`_pass_probability`
+    (:func:`ctxkit.scenario._born_pass`) that :func:`_pass_probabilities`
     reads; it is not a field, so equality, hashing and ``repr`` ignore it.
     """
 
@@ -204,17 +208,24 @@ def possibilistic_model(scenario: Scenario, state: QuantumState) -> Possibilisti
     return model
 
 
-def _pass_probability(state: QuantumState, k: int, z: ExactVector) -> Fraction:
-    """:meth:`QuantumState.probability` of ray ``k``, the vector ``z``, read off slot ``k`` of the products kept by the
-    last :func:`possibilistic_model` call on ``state``: ``(a^2 + b^2) / (||psi||^2 ||z||^2)`` for a pure state, whose
-    one row's product is ``(a, b) = <psi|z>``; ``sum_i conj(z_i) (N z)_i / (den ||z||^2)`` for a density ``N / den``."""
+def _pass_probabilities(state: QuantumState, rays, witnesses) -> list[Fraction]:
+    """:meth:`QuantumState.probability` of ray ``rays[k]`` for each ``k`` of ``witnesses``, read off slot ``k`` of the
+    products kept by the last :func:`possibilistic_model` call on ``state`` (:func:`ctxkit.scenario._slots`):
+    ``(a^2 + b^2) / (||psi||^2 ||z||^2)`` for a pure state, whose one row's product is ``(a, b) = <psi|z>``;
+    ``sum_i conj(z_i) (N z)_i / (den ||z||^2)`` for a density ``N / den``."""
     _, _, width, products = state._model
-    parts = _slots(products, k, width)
+    slots = _slots(products, width, len(rays), witnesses)
     if state.psi is not None:
-        ((a, b),) = parts
-        return Fraction(a * a + b * b, state.psi.integer_norm * z.integer_norm)
-    re = sum(zr * a + zi * b for (zr, zi), (a, b) in zip(z.integer_form, parts))
-    return Fraction(re, state.rho.den * z.integer_norm)
+        norm = state.psi.integer_norm
+        pairs = [(a * a + b * b, norm * rays[k].vector.integer_norm) for k, (a, b) in zip(witnesses, slots[0])]
+    else:
+        den, pairs = state.rho.den, []
+        for k, parts in zip(witnesses, zip(*slots)):
+            z = rays[k].vector
+            pairs.append((sum(zr * a + zi * b for (zr, zi), (a, b) in zip(z.integer_form, parts)), den * z.integer_norm))
+    # the witnesses of a state share few SPs, and a Fraction's gcd is most of its cost: each pair is reduced once
+    reduced = {pair: Fraction(*pair) for pair in dict.fromkeys(pairs)}
+    return [reduced[pair] for pair in pairs]
 
 
 class ContextualityVerdict(_Record):
@@ -233,10 +244,11 @@ class ContextualityVerdict(_Record):
 def _blocked_witnesses(events: GlobalEvents, zeros: int):
     """Each ray outside the zero mask whose global events are non-empty and all meet it.
 
-    Yields ``(k, by_ray[k])`` in ray order for each column that is non-zero and disjoint from ``missing(zeros)``.
+    Yields ``(k, compatible[k])`` in ray order for each column over the core events that is non-zero and disjoint
+    from ``missing(zeros)``.
     """
     miss = events.missing(zeros)
-    for k, column in enumerate(events.by_ray):
+    for k, column in enumerate(events.compatible):
         if column and not column & miss and not zeros >> k & 1:
             yield k, column
 
@@ -289,7 +301,7 @@ def noncontextuality_oracle(
     miss = events.missing(model.zeros)
     # no zero ray's column meets ``miss``, so the marginals hold iff each possible ray's column meets it
     possible = ~model.zeros & (1 << len(model.values)) - 1
-    return miss != 0 and all(column & miss for column in compress(events.by_ray, _bits(possible)))
+    return miss != 0 and all(column & miss for column in compress(events.compatible, _bits(possible)))
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +311,11 @@ def noncontextuality_oracle(
 def _minimum_hitting_set(zero_columns: list[tuple[int, int]], column: int) -> tuple[int, ...]:
     """The fewest zero rays whose columns cover ``column``; ties go to the lexicographically first.
 
-    ``zero_columns`` holds ``(z, by_ray[z])`` for each zero ray in order, read once for all of a state's
-    witnesses; the pass that keeps the rays meeting ``column`` returns the first that covers it alone.
-    That pass also marks the events hit ``once`` and ``twice``: a ray that holds an event of
+    ``zero_columns`` holds ``(z, compatible[z])`` for each basis zero ray in order (``GlobalEvents.columns``),
+    read once for all of a state's witnesses: a free zero ray is in no event that adds no free ray but the
+    witness to its core event, so no minimum hitting set holds one.  The pass that keeps the rays meeting
+    ``column`` returns the first that covers it alone.
+    That pass also marks the core events hit ``once`` and ``twice``: a ray that holds an event of
     ``once & ~twice`` is its only zero ray, so it is *forced* into every hitting set.  The forced rays,
     if they cover ``column``, are the unique minimum; otherwise the ``combinations`` search runs over the
     other rays and the events the forced ones leave, and the forced rays are merged in.  Adding one set

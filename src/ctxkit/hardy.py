@@ -9,7 +9,7 @@ where the zero set hits every global event containing the witness.  No
 0/1 distribution over global events can satisfy such conditions, so each
 one is a Hardy-type paradox; its *success probability* is the exact Born
 probability of the witness ray, read off the packed products of the
-state's one Born pass (:func:`ctxkit.contextuality._pass_probability`).
+state's one Born pass (:func:`ctxkit.contextuality._pass_probabilities`).
 
 For a paradox whose zero set has exactly two rays, a single observable
 certifies the conditions: Gram-Schmidt the triple (low zero ray, high
@@ -18,11 +18,14 @@ first two projectors have probability 0 and the third probability 1
 under the state.  The third orthogonalized ray always lands on the state
 ray itself, which makes the construction easy to audit.
 
-:func:`derive_paradoxes` works per state, not per witness and event: the
-zero rays' columns are read once, each witness's minimum hitting set
-starts from the zero rays forced into it (each the only one that hits
-some event), and :func:`replay_contradiction` checks the paradoxes with
-one test per distinct zero set on the packed event masks.
+:func:`derive_paradoxes` works per state, not per witness and event,
+and on the core events, not on every event (see
+:mod:`ctxkit.assignments`): the basis zero rays' columns over the core
+events are read once, each witness's minimum hitting set starts from the
+zero rays forced into it (each the only one that hits some core event),
+the SPs are read from one ``to_bytes`` of each product of the Born pass,
+and :func:`replay_contradiction` checks the paradoxes with one test per
+distinct zero set on the packed core event masks.
 
 The module also ships a reference tabulation of the twelve observables
 for the bundled 13-ray scenario and a cross-check that replays each row
@@ -36,11 +39,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .assignments import GlobalEvents
-from .contextuality import QuantumState, _blocked_witnesses, _minimum_hitting_set, _pass_probability
+from .contextuality import QuantumState, _blocked_witnesses, _minimum_hitting_set, _pass_probabilities
 from .contextuality import possibilistic_model
 from .errors import ValidationError
 from .exact import ExactMatrix, _Record, gram_schmidt, projector_failures, rank1_projector, vec
-from .scenario import Scenario
+from .scenario import Scenario, _rays
 
 
 class HardyParadox(_Record):
@@ -67,17 +70,19 @@ def derive_paradoxes(
     are not logically contextual yield no paradoxes; the derivation then
     carries the reason instead.  The model is computed once, and each
     witness's SP is read off its slot of the model's Born pass, equal to
-    ``state.probability`` of the witness ray.  Every paradox is replayed,
+    ``state.probability`` of the witness ray.  The witnesses, hitting sets
+    and replay read the core events of ``assignments``.  Every paradox is replayed,
     all in one :func:`replay_contradiction` call, and a failed replay
     raises.
     """
     zeros = possibilistic_model(scenario, state).zeros
     events = GlobalEvents(assignments)
     zero_columns = events.columns(zeros)
-    rays = scenario.rays
+    blocked = list(_blocked_witnesses(events, zeros))
+    sps = _pass_probabilities(state, scenario.rays, [k for k, _ in blocked])
     paradoxes = [
-        HardyParadox(state, k, _minimum_hitting_set(zero_columns, column), _pass_probability(state, k, rays[k].vector))
-        for k, column in _blocked_witnesses(events, zeros)
+        HardyParadox(state, k, _minimum_hitting_set(zero_columns, column), sp)
+        for (k, column), sp in zip(blocked, sps)
     ]
     if not all(replay_contradiction(events, paradoxes)):
         raise AssertionError("derived paradox failed the contradiction replay")
@@ -100,22 +105,30 @@ def replay_contradiction(assignments: GlobalEvents, paradoxes: list[HardyParadox
     Forcing weight 0 on every global event that meets the zero set must
     force the witness marginal to 0 even though the witness is possible:
     true iff some event holds the witness, each such event meets the zero
-    set and the witness probability is positive.  It reads the packed
-    event masks ``GlobalEvents.rows`` and their kept ``union``, never the
-    ``by_ray`` index that :func:`derive_paradoxes` reads.  The paradoxes
-    are grouped by ``zero_set``, and each group is one test on the packed
-    masks.  Subtracting a slot's zero-set bits from 2^n leaves its bit n set
-    iff the event misses the zero set; that bit times ``W``, the mask of
-    the group's witnesses, puts ``W`` at bits n and up of each such slot,
-    and those bits of the masks shifted up by n are ``bad``: ray i at bit
-    n + i of each slot that misses the zero set and holds i, for i in ``W``.
-    A paradox replays iff its SP is positive, its witness is in the union
-    and no slot of ``bad`` holds it; when ``bad`` is 0, as for every derived
-    paradox, its whole group replays without a further test.
+    set and the witness probability is positive.  It reads the packed core
+    event masks ``GlobalEvents.rows``, the ``neighbours`` of the free rays
+    and the kept ``union``, never the columns that :func:`derive_paradoxes`
+    reads.  Every event of a core event meets the zero set iff the core
+    event itself does or the event holds a free zero ray, so an event that
+    holds the witness misses the zero set iff one does that adds no free ray
+    but the witness to its core event: for a basis witness, a core event
+    that holds it and misses the zero set; for a free witness outside the
+    zero set, a core event that holds none of its neighbours and misses it.
+    The paradoxes are grouped by ``zero_set``, and each group is one test
+    on the packed masks.  Subtracting a slot's zero-set bits from 2^n leaves
+    its bit n set iff the core event misses the zero set; that bit times
+    ``W``, the mask of the group's basis witnesses, puts ``W`` at bits n and
+    up of each such slot, and those bits of the masks shifted up by n are
+    ``bad``: ray i at bit n + i of each slot that misses the zero set and
+    holds i, for i in ``W``.  A free witness w that fails its test, made the
+    same way with its neighbours as the zero set, is put at bit n + w of
+    ``bad``.  A paradox replays iff its SP is positive, its witness is in the
+    union and no slot of ``bad`` holds it; when ``bad`` is 0, as for every
+    derived paradox, its whole group replays without a further test.
     """
     events = GlobalEvents(assignments)
     rows, ones, n = events.rows
-    full, top, union = (1 << n) - 1, ones << n, events.union
+    full, top, union, free, neighbours = (1 << n) - 1, ones << n, events.union, events.free, events.neighbours
     # the numerator's sign is the SP's, without Fraction's rich comparison
     live = [paradox.sp.numerator > 0 and union >> paradox.witness & 1 == 1 for paradox in paradoxes]
     groups: dict[tuple[int, ...], int] = {}
@@ -128,7 +141,12 @@ def replay_contradiction(assignments: GlobalEvents, paradoxes: list[HardyParadox
         # each slot's 2^n less its zero-set bits borrows from no other slot
         missed = (top - (rows & zeros * ones)) & top
         # a slot is at least n + 1 bits wide, so the products of missed slots do not overlap
-        bad[zero_set] = shifted & missed * witnesses
+        slots = shifted & missed * (witnesses & ~free)
+        for w in _rays(witnesses & free & ~zeros):
+            # bit n of each slot whose core event holds none of w's neighbours, and so some event of it holds w
+            if missed & (top - (rows & neighbours[w] * ones)):
+                slots |= 1 << n + w
+        bad[zero_set] = slots
     return [
         ok and not ((slots := bad[paradox.zero_set]) and slots >> n + paradox.witness & ones)
         for paradox, ok in zip(paradoxes, live)

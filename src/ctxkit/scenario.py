@@ -11,6 +11,8 @@ A :class:`Scenario` is complete once built: its constructor keeps the
 graph as one int mask of neighbours per ray, the contexts found on those
 masks, each basis's mask and the rays in no basis.  This module owns ray
 masks: their one decoder and the packed null test that answers with one.
+:func:`load_scenario` finds the edges with that test, one pass per ray
+over all the rays.
 
 Scenario files are UTF-8 text: a header line
 
@@ -31,7 +33,7 @@ from itertools import combinations, compress, count
 from operator import or_
 
 from .errors import ParseError, UnknownLabelError, ValidationError
-from .exact import ExactVector, _Record, canonical_ray, nullspace, orthogonal, parse_scalar
+from .exact import ExactVector, _Record, canonical_ray, nullspace, parse_scalar
 
 # The bundled scenario files; read as plain files, since importlib.resources loads inspect on CPython 3.12+
 _DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -143,13 +145,7 @@ def load_scenario(text: str, source: str = "<string>") -> Scenario:
     name, dim, field_kind = header
     if not rays:
         raise ValidationError(f"scenario {name!r} declares no rays")
-    edges = frozenset(
-        (i, j)
-        for i in range(len(rays))
-        for j in range(i + 1, len(rays))
-        if orthogonal(rays[i].vector, rays[j].vector)
-    )
-    return Scenario(name=name, dim=dim, field=field_kind, rays=tuple(rays), edges=edges)
+    return Scenario(name=name, dim=dim, field=field_kind, rays=tuple(rays), edges=_edges(rays, dim))
 
 
 def _read_text(path: str | os.PathLike) -> str:
@@ -243,37 +239,49 @@ def _rays(mask: int) -> tuple[int, ...]:
 
 
 def _packed_rays(scenario: Scenario, row_bytes: int) -> tuple[int, int, list[tuple[int, int]]]:
-    """``(width, ones, columns)``: the rays' integer coordinates packed for rows whose parts fit in ``row_bytes`` bytes.
+    """:func:`_packing` of the scenario's rays, built on first use and kept on the scenario, one packing per
+    ``row_bytes``, so one per width."""
+    packing = scenario._packings.get(row_bytes)
+    if packing is None:
+        forms = [ray.vector.integer_form for ray in scenario.rays]
+        packing = scenario._packings[row_bytes] = _packing(forms, scenario.dim, row_bytes)
+    return packing
+
+
+def _packing(forms, dim: int, row_bytes: int) -> tuple[int, int, list[tuple[int, int]]]:
+    """``(width, ones, columns)``: the integer forms ``forms`` packed for rows whose parts fit in ``row_bytes`` bytes.
 
     ``columns[j]`` holds the re and im parts of coordinate j of every
     ray's integer form, ray k's in the ``width``-bit slot k, as signed
     sums ``sum_k x_k << k * width``; ``ones`` has bit 0 of every slot set.
     ``width`` is ``row_bytes`` bytes more than the rays need, so that a
     row's product with any ray has parts below ``2 ** (width - 2)`` in
-    absolute value.  Built on first use and kept on the scenario, one
-    packing per ``row_bytes``, so one per width.
+    absolute value.
     """
-    packing = scenario._packings.get(row_bytes)
-    if packing is None:
-        forms = [ray.vector.integer_form for ray in scenario.rays]
-        ray_bits = max((abs(x) for z in forms for part in z for x in part), default=0).bit_length()
-        # each part of sum_j a_j z_j is below 2d * 2 ** (row_bits + ray_bits) in absolute value
-        width = 8 * (row_bytes + -(-(ray_bits + scenario.dim.bit_length() + 3) // 8))
-        columns = [
-            tuple(sum(z[j][part] << k * width for k, z in enumerate(forms)) for part in (0, 1))
-            for j in range(scenario.dim)
-        ]
-        ones = sum(1 << k * width for k in range(len(forms)))
-        packing = scenario._packings[row_bytes] = (width, ones, columns)
-    return packing
+    ray_bits = max((abs(x) for z in forms for part in z for x in part), default=0).bit_length()
+    # each part of sum_j a_j z_j is below 2d * 2 ** (row_bits + ray_bits) in absolute value
+    width = 8 * (row_bytes + -(-(ray_bits + dim.bit_length() + 3) // 8))
+    columns = [tuple(sum(z[j][part] << k * width for k, z in enumerate(forms)) for part in (0, 1)) for j in range(dim)]
+    ones = sum(1 << k * width for k in range(len(forms)))
+    return width, ones, columns
+
+
+def _row_bytes(rows) -> int:
+    """The bytes that the largest part of the Gaussian-integer rows ``rows`` needs."""
+    return -(-max(abs(x) for row in rows for z in row for x in z).bit_length() // 8)
 
 
 def _born_pass(scenario: Scenario, rows) -> tuple[int, int, list[tuple[int, int]]]:
-    """``(null, width, products)``: the mask of the rays z with ``M z = 0`` for the Gaussian-integer rows ``M``,
-    the slot width, and each row's packed product with every ray, ``(re, im)``.
+    """:func:`_pass` of the rows over the scenario's kept packing for their byte length."""
+    return _pass(_packed_rays(scenario, _row_bytes(rows)), len(scenario.rays), rows)
+
+
+def _pass(packing, n: int, rows) -> tuple[int, int, list[tuple[int, int]]]:
+    """``(null, width, products)``: the mask of the ``n`` packed rays z with ``M z = 0`` for the Gaussian-integer
+    rows ``M``, the slot width, and each row's packed product with every ray, ``(re, im)``.
 
     Each row of ``M`` meets every ray in ``2d`` multiplies of its parts by
-    the packed coordinates of :func:`_packed_rays` (``4d`` for a row with
+    the packed coordinates of :func:`_packing` (``4d`` for a row with
     imaginary parts).  A bias of ``2 ** (width - 2)`` in every slot keeps
     each slot's product in its own slot, so :func:`_slots` reads it back.
     Exclusive-or with the bias leaves a slot zero iff its product is, and
@@ -281,8 +289,7 @@ def _born_pass(scenario: Scenario, rows) -> tuple[int, int, list[tuple[int, int]
     bit iff it is not.  The slots' low bytes, one per ray, are then the
     flags that :func:`_mask` reads.
     """
-    row_bits = max(abs(x) for row in rows for z in row for x in z).bit_length()
-    width, ones, columns = _packed_rays(scenario, -(-row_bits // 8))
+    width, ones, columns = packing
     bias = ones << width - 2
     nonzero, products = 0, []
     for row in rows:
@@ -298,14 +305,31 @@ def _born_pass(scenario: Scenario, rows) -> tuple[int, int, list[tuple[int, int]
         products.append((re, im))
     null = ones ^ (nonzero + (bias << 1) - ones) >> width - 1 & ones
     step = width // 8
-    return _mask(null.to_bytes(len(scenario.rays) * step, "little")[::step]), width, products
+    return _mask(null.to_bytes(n * step, "little")[::step]), width, products
 
 
-def _slots(products: list[tuple[int, int]], k: int, width: int) -> list[tuple[int, int]]:
-    """Each row's product with ray ``k``: slot ``k`` of its parts in the ``products`` of :func:`_born_pass`, less
-    the bias."""
-    shift, low, bias = k * width, (1 << width) - 1, 1 << width - 2
-    return [((re >> shift & low) - bias, (im >> shift & low) - bias) for re, im in products]
+def _slots(products: list[tuple[int, int]], width: int, n: int, rays) -> list[list[tuple[int, int]]]:
+    """Each row's products with the rays ``rays``: for each row of the ``products`` of :func:`_pass` over ``n`` rays,
+    slot k of its parts less the bias for each k of ``rays``, read from one ``to_bytes`` of each part."""
+    step, bias, read = width // 8, 1 << width - 2, int.from_bytes
+    spans = [(k * step, k * step + step) for k in rays]
+    slots = []
+    for re, im in products:
+        re, im = re.to_bytes(n * step, "little"), im.to_bytes(n * step, "little")
+        slots.append([(read(re[lo:hi], "little") - bias, read(im[lo:hi], "little") - bias) for lo, hi in spans])
+    return slots
+
+
+def _edges(rays: list[Ray], dim: int) -> frozenset[tuple[int, int]]:
+    """The orthogonal pairs ``(i, j)``, ``i < j``: one :func:`_pass` per ray, with its conjugate as the one row,
+    over a packing of the rays made for rows of their own byte length."""
+    forms = [ray.vector.integer_form for ray in rays]
+    packing = _packing(forms, dim, _row_bytes(forms))
+    edges = []
+    for i, z in enumerate(forms):
+        later = _pass(packing, len(forms), [[(a, -b) for a, b in z]])[0] >> i + 1
+        edges += [(i, i + 1 + j) for j in _rays(later)]
+    return frozenset(edges)
 
 
 def _null_rays(scenario: Scenario, rows) -> int:

@@ -35,17 +35,21 @@ replaced: one ``orthogonal`` call per ray for a pure state, and for a
 density ``rho`` one ``_dot`` of each numerator row with each ray's
 integer form.
 The global-event oracles test events as bit tuples, support tuples and
-Python sets, where the package reads the ``GlobalEvents.by_ray`` columns;
+Python sets, where the package reads the columns over the core events;
 ``events_containing`` scans every event for a ray, where the package
 walks the ray's column (``GlobalEvents.holding``).
 ``hitting_set_of_masks`` is no oracle: it hands the package's
 ``_minimum_hitting_set`` the zero rays' columns over one event per zero
 mask, for the tests that state hitting sets as plain masks.
 
-``shift_replay`` is the replay that the OR-fold, and then the test per
-zero set, replaced: per paradox, one shift of the packed
-``GlobalEvents.rows`` marks the events that hold the witness, against one
-word per zero set of the events that meet it.
+``full_events`` is the full-event path that the core events replaced:
+the same events as a bare list, each its own core event, so that the
+package's verdict, oracle, derivation and replay run on columns and
+packed masks over every KS-assignment.  ``shift_replay`` is the replay
+that the OR-fold, and then the test per zero set, replaced: per
+paradox, one shift of the packed masks of every event marks the events
+that hold the witness, against one word per zero set of the events that
+meet it.
 
 ``selection_search`` is the pure-state search the flat scan replaced: it
 solves the orthogonality system of every pick of one non-witness ray per
@@ -481,10 +485,16 @@ def replay_contradiction(assignments, paradox) -> bool:
     return all(zero.intersection(a.support) for a in witness_events)
 
 
+def full_events(assignments) -> GlobalEvents:
+    """The events as a bare list, whose ``free`` is 0, so that each event is its own core event: the verdict, the
+    oracle, the derivation and the replay then read columns and packed masks over every KS-assignment."""
+    return GlobalEvents(list(assignments))
+
+
 def shift_replay(assignments, paradoxes) -> list[bool]:
     """One result per paradox: ``rows >> witness & ones`` marks the events that hold the witness,
     and adding 2^n - 1 to each slot's zero-set bits carries into its bit n iff the event meets the zero set."""
-    rows, ones, n = GlobalEvents(assignments).rows
+    rows, ones, n = full_events(assignments).rows
     full = (1 << n) - 1
     met: dict[int, int] = {}
     replays = []

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, compress
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -54,7 +54,7 @@ from ctxkit import (
     vec,
     verify_observable,
 )
-from ctxkit.contextuality import _blocked_witnesses, _pass_probability, witness_blockers
+from ctxkit.contextuality import _blocked_witnesses, _pass_probabilities, witness_blockers
 from ctxkit.scenario import Ray
 from test_assignments import box_scenario, box_subsets
 
@@ -265,8 +265,7 @@ def assert_pass_probabilities_are_the_born_probabilities(scenario, events, state
     # every ray's probability read off the kept Born pass, against the per-ray slow paths
     possibilistic_model(scenario, state)
     rho = rank1_projector(state.psi) if state.rho is None else state.rho
-    for k, ray in enumerate(scenario.rays):
-        sp = _pass_probability(state, k, ray.vector)
+    for ray, sp in zip(scenario.rays, _pass_probabilities(state, scenario.rays, range(len(scenario.rays)))):
         assert sp == state.probability(ray.vector) == oracles.expectation(rho, ray.vector)
     for paradox in derive_paradoxes(scenario, state, events).paradoxes:
         assert paradox.sp == state.probability(scenario.rays[paradox.witness].vector)
@@ -470,13 +469,14 @@ def test_mask_event_tests_match_oracles_on_box_subsets(subset, data):
 
 
 def assert_blocked_witnesses_match_the_oracle(scenario, assignments, zeros):
-    """The column scan on the zero mask ``zeros`` equals the per-ray scan on the model it gives."""
+    """The column scan on the zero mask ``zeros`` equals the per-ray scan on the model it gives; the columns are over
+    the core events, so each witness's events are listed from the events themselves."""
     n = len(scenario.rays)
     model = PossibilisticModel(tuple(0 if zeros >> i & 1 else 1 for i in range(n)))
     events = GlobalEvents(assignments)
     got = []
-    for k, column in _blocked_witnesses(events, zeros):
-        held = list(compress(events, (column >> j & 1 for j in range(len(events)))))
+    for k, _ in _blocked_witnesses(events, zeros):
+        held = events.holding(k)
         got.append((k, held, [{i for i in range(n) if (e.mask & zeros) >> i & 1} for e in held]))
     want = [(k, events, [set(hit) for hit in hits]) for k, events, hits in oracles.blocked_witnesses(model, assignments)]
     assert got == want
@@ -775,7 +775,12 @@ def test_gaussian_image_matches_the_fraction_oracle(monkeypatch, yu_oh):
         "rank": oracles.rank,
         "nullspace": oracles.nullspace,
         "_narrow": narrow,
-        "orthogonal": lambda u, v: oracles.inner_product(u, v).is_zero,
+        "_edges": lambda rays, dim: frozenset(
+            (i, j)
+            for i in range(len(rays))
+            for j in range(i + 1, len(rays))
+            if oracles.inner_product(rays[i].vector, rays[j].vector).is_zero
+        ),
     }
     patched = set()
     for module in (ctxkit.scenario, ctxkit.contextuality, ctxkit.hardy):

@@ -171,11 +171,12 @@ def test_replay_is_independent_of_the_event_index(yu_oh, yu_oh_assignments):
     # vA's events are {v1,v5,v6,vA}, {v2,v6,v7,vA} and {v3,v5,v7,vA}; with the second
     # cleared from vA's column the columns give the zero set (v5,), which misses that
     # event, and the replay over the events themselves must reject it
+    # (as a bare list, each event is its own core event, so bit j of a column is event j)
     events = GlobalEvents(list(yu_oh_assignments))
-    by_ray = list(yu_oh_assignments.by_ray)
+    columns = list(events.compatible)
     dropped = next(j for j, a in enumerate(events) if oracles.support_labels(yu_oh, a) == ("v2", "v6", "v7", "vA"))
-    by_ray[yu_oh.ray_index("vA")] &= ~(1 << dropped)
-    vars(events)["by_ray"] = tuple(by_ray)
+    columns[yu_oh.ray_index("vA")] &= ~(1 << dropped)
+    vars(events)["compatible"] = tuple(columns)
     with pytest.raises(AssertionError, match="^derived paradox failed the contradiction replay$"):
         paradoxes_for(yu_oh, events, (1, 1, 1))
 
@@ -366,7 +367,7 @@ def test_replay_packs_the_masks_on_first_use_and_leaves_the_index_unbuilt(yu_oh,
     fresh = GlobalEvents(list(events))
     paradox = paradoxes_for(yu_oh, yu_oh_assignments, (1, 1, 1)).paradoxes[0]
     assert replay_contradiction(fresh, [paradox]) == [True]
-    assert "rows" in vars(fresh) and "by_ray" not in vars(fresh)
+    assert "rows" in vars(fresh) and "by_ray" not in vars(fresh) and "compatible" not in vars(fresh)
 
 
 # --- witness observables -----------------------------------------------------

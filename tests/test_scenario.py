@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxkit import (
     ContextKind,
+    ExactScalar,
     ExactVector,
     ParseError,
     UnknownLabelError,
@@ -16,6 +19,7 @@ from ctxkit import (
     check_distinct_complements,
     enumerate_contexts,
     load_scenario,
+    nullspace,
     vec,
 )
 from ctxkit.exact import orthogonal
@@ -258,6 +262,25 @@ def test_neighbours_and_contexts_match_oracles_on_box_subsets(subset):
 
 def test_neighbours_and_contexts_match_oracles_on_gaussian_yu_oh(yu_oh):
     assert_masks_match_oracles(load_scenario(gaussian_image_text(yu_oh)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_edges_match_orthogonal_on_rays_of_many_bits(data):
+    # the edges come from one packed null test per ray, with slots as wide as the rays' own parts: Gaussian rays
+    # of up to 64-bit parts, and the normals of pairs of them, which are orthogonal to both
+    bits, dim = data.draw(st.sampled_from([3, 40, 64])), data.draw(st.sampled_from([3, 4]))
+    part = st.integers(-(1 << bits), 1 << bits)
+    vector = st.lists(st.builds(ExactScalar, part, st.just(0) | part), min_size=dim, max_size=dim)
+    # plus a unit vector, so that no vector is zero
+    vectors = [ExactVector((x + 1, *rest)) for x, *rest in data.draw(st.lists(vector, min_size=2, max_size=6))]
+    vectors += [b[0] for us in combinations(vectors, dim - 1) if len(b := nullspace(list(us), dim=dim)) == 1]
+    rays = {canonical_ray(v): None for v in vectors if not v.is_zero}
+    lines = [f"r{i}: " + ",".join(str(c) for c in v.coords) for i, v in enumerate(rays)]
+    s = load_scenario("\n".join([f"scenario wide dim {dim} field gaussian", *lines]))
+    assert s.edges == {
+        (i, j) for i, u in enumerate(s.rays) for j, v in enumerate(s.rays) if i < j and orthogonal(u.vector, v.vector)
+    }
 
 
 def test_singleton_scenario():
