@@ -137,15 +137,18 @@ def replay_contradiction(assignments: GlobalEvents, paradoxes: list[HardyParadox
             groups[paradox.zero_set] = groups.get(paradox.zero_set, 0) | 1 << paradox.witness
     shifted, bad = rows << n if groups else 0, {}
     for zero_set, witnesses in groups.items():
-        zeros = sum(1 << i for i in zero_set) & full
+        zeros = 0
+        for i in zero_set:
+            zeros |= 1 << i
         # each slot's 2^n less its zero-set bits borrows from no other slot
-        missed = (top - (rows & zeros * ones)) & top
+        missed = (top - (rows & (zeros & full) * ones)) & top
         # a slot is at least n + 1 bits wide, so the products of missed slots do not overlap
         slots = shifted & missed * (witnesses & ~free)
-        for w in _rays(witnesses & free & ~zeros):
-            # bit n of each slot whose core event holds none of w's neighbours, and so some event of it holds w
-            if missed & (top - (rows & neighbours[w] * ones)):
-                slots |= 1 << n + w
+        if loose := witnesses & free & ~zeros:
+            for w in _rays(loose):
+                # bit n of each slot whose core event holds none of w's neighbours, and so some event of it holds w
+                if missed & (top - (rows & neighbours[w] * ones)):
+                    slots |= 1 << n + w
         bad[zero_set] = slots
     return [
         ok and not ((slots := bad[paradox.zero_set]) and slots >> n + paradox.witness & ones)
