@@ -11,16 +11,10 @@ the "global event" sets of the contextuality analysis, as the int ``mask``
 (bit i set iff ray i is labelled 1).
 
 Every event is a *core event*, its labelling of the rays that lie in some
-basis, plus an independent set of the rays in no basis (the scenario's
-``free`` rays), none of them a neighbour of the core event's rays.  So the
-state checks read the core events, which are far fewer (8 under 1024
-events on the 32-ray box-d3-m2 prefix): ``compatible`` of the
-:class:`GlobalEvents` the enumerator returns holds one int per ray over
-the core events, its column, and ``rows`` packs the core events' masks
-into one int.  A basis ray's column holds the core events that hold it,
-and a free ray's the core events that hold none of its neighbours.
-``by_ray``, the same transposition over every event, and ``holding(ray)``,
-which lists the events of a ray from its column there, serve the listings.
+basis, plus an independent set of the rays in no basis (``free``), none of
+them a neighbour of the core event's rays.  The state checks read the
+core events of the :class:`GlobalEvents` the enumerator returns, which are
+far fewer (8 under 1024 events on the 32-ray box-d3-m2 prefix).
 
 :func:`enumerate_assignments` searches basis by basis on ray bitmasks,
 the scenario's ``neighbours`` and ``bases``, honouring (O) and (C) along
@@ -76,18 +70,13 @@ class KSAssignment(_Record):
 class GlobalEvents(tuple):
     """The KS-assignments in order, and the core events they factor into.
 
-    Every event is a *core event*, its labelling of the rays in some basis,
-    plus an independent set of the ``free`` rays (those in no basis), none
-    of them a neighbour of the core event's rays (``neighbours``, the
-    scenario's masks).  :func:`enumerate_assignments` sets ``core``, the
-    core events' masks, with ``free`` and ``neighbours``; a tuple built from
-    a bare list of events has ``free = 0``, so each event is its own core
-    event.  The state checks read the core events: ``compatible[i]`` is ray
-    i's column over them, and ``missing``, ``columns``, ``rows`` and
-    ``union`` answer from the core events too.  ``by_ray[i]`` and
-    ``holding(i)`` read every event, for the listings.  The cached
-    attributes are kept from first use, on a tuple so that no event changes
-    under them; wrapping one returns it.
+    :func:`enumerate_assignments` sets ``core``, the core events' masks, with
+    the scenario's ``free`` and ``neighbours``; a tuple of a bare list of
+    events has ``free = 0``, so each event is its own core event.
+    ``compatible``, ``missing``, ``columns``, ``rows`` and ``union`` answer
+    from the core events; ``by_ray`` and ``holding`` read every event, for
+    the listings.  The cached attributes are kept from first use, on a tuple
+    so that no event changes under them; wrapping one returns it.
     """
 
     free = 0
@@ -98,7 +87,7 @@ class GlobalEvents(tuple):
 
     @cached_property
     def core(self) -> tuple[int, ...]:
-        """The core events' masks; each event's own ``mask``, in order, unless :func:`enumerate_assignments` set them."""
+        """The core events' masks: each event's ``mask``, in order, unless :func:`enumerate_assignments` set them."""
         return tuple(a.mask for a in self)
 
     @cached_property
@@ -163,10 +152,9 @@ class GlobalEvents(tuple):
 
     def missing(self, zeros: int) -> int:
         """The core events that hold no ray of the ray mask ``zeros``, as a mask over the core events: some event of
-        a core event misses ``zeros`` iff the core event does, since the core event alone is an event.  Only the
-        columns of the basis rays of ``zeros`` are read, not the pairs of ``columns``, whose tuples make each call
-        about 25% slower.  The last ``(zeros, miss)`` is kept: the verdict, the oracle and the derivation of one
-        state compute it once."""
+        a core event misses ``zeros`` iff the core event alone does.  Only the columns of its basis rays are read,
+        not the pairs of ``columns``, whose tuples make each call about 25% slower.  The last ``(zeros, miss)`` is
+        kept: the verdict, the oracle and the derivation of one state compute it once."""
         if self._missing[0] != zeros:
             hit = reduce(or_, compress(self.compatible, _bits(zeros & ~self.free)), 0)
             self._missing = (zeros, (1 << len(self.core)) - 1 & ~hit)
@@ -180,11 +168,9 @@ def enumerate_assignments(scenario: Scenario) -> GlobalEvents:
     the rays set to 0.  A step takes the basis without a 1 that has the
     fewest undecided rays and branches on which of them is its 1; setting
     a ray to 1 sets its neighbours to 0.  Once every basis has its 1, the
-    ones are a core event.  Each core event then takes every independent
-    set of the free rays that are not set to 0, found once per such set of
-    free rays.  The searches keep an explicit stack, so their depth is not
-    bounded by the recursion limit.  The events are sorted, and the core
-    events are kept on the result, sorted too.
+    ones are a core event, which takes every independent set of the free
+    rays not set to 0.  The searches keep an explicit stack, so their depth
+    is not bounded by the recursion limit.
 
     An empty result is a valid outcome and signals a KS-uncolorable set.
     """

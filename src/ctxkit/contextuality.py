@@ -5,13 +5,10 @@ Born probability is non-zero; with exact scalars this is decidable.  A
 state is *logically contextual* when no 0/1 distribution over the global
 events (KS-assignments) reproduces that model as marginals.  Zero sets
 are ray bitmasks, a model's impossible rays its ``zeros``.  The checks
-read the core events (see :mod:`ctxkit.assignments`): each ray's column
+read the core events (:mod:`ctxkit.assignments`): each ray's column
 ``GlobalEvents.compatible`` is one int over them, and ``miss``, the core
 events that miss a zero set, is all core events less each basis zero
-ray's column.  An event misses the zero set iff the event that adds no
-free ray to its core event does, and the events of a core event that
-hold a ray are there iff its column holds the core event, so every test
-below gives on the core events what it gives on all the events.
+ray's column.
 :func:`possibilistic_model` computes the model of a pure or a density
 state in one pass on ints: ray ``z`` is impossible iff ``M z = 0`` for
 the state's integer rows ``M``: the scenario's packed Born pass
@@ -222,7 +219,8 @@ def _pass_probabilities(state: QuantumState, rays, witnesses) -> list[Fraction]:
         den, pairs = state.rho.den, []
         for k, parts in zip(witnesses, zip(*slots)):
             z = rays[k].vector
-            pairs.append((sum(zr * a + zi * b for (zr, zi), (a, b) in zip(z.integer_form, parts)), den * z.integer_norm))
+            re = sum(zr * a + zi * b for (zr, zi), (a, b) in zip(z.integer_form, parts))
+            pairs.append((re, den * z.integer_norm))
     # the witnesses of a state share few SPs, and a Fraction's gcd is most of its cost: each pair is reduced once
     reduced = {pair: Fraction(*pair) for pair in dict.fromkeys(pairs)}
     return [reduced[pair] for pair in pairs]
@@ -311,10 +309,9 @@ def noncontextuality_oracle(
 def _minimum_hitting_set(zero_columns: list[tuple[int, int]], column: int) -> tuple[int, ...]:
     """The fewest zero rays whose columns cover ``column``; ties go to the lexicographically first.
 
-    ``zero_columns`` holds ``(z, compatible[z])`` for each basis zero ray in order (``GlobalEvents.columns``),
-    read once for all of a state's witnesses: a free zero ray is in no event that adds no free ray but the
-    witness to its core event, so no minimum hitting set holds one.  The pass that keeps the rays meeting
-    ``column`` returns the first that covers it alone.
+    ``zero_columns`` holds ``(z, compatible[z])`` for each basis zero ray in order (``GlobalEvents.columns``; a
+    free zero ray is in no minimum hitting set), read once for all of a state's witnesses; the pass that keeps
+    the rays meeting ``column`` returns the first that covers it alone.
     That pass also marks the core events hit ``once`` and ``twice``: a ray that holds an event of
     ``once & ~twice`` is its only zero ray, so it is *forced* into every hitting set.  The forced rays,
     if they cover ``column``, are the unique minimum; otherwise the ``combinations`` search runs over the

@@ -18,13 +18,11 @@ first two projectors have probability 0 and the third probability 1
 under the state.  The third orthogonalized ray always lands on the state
 ray itself, which makes the construction easy to audit.
 
-:func:`derive_paradoxes` works per state, not per witness and event,
-and on the core events, not on every event (see
-:mod:`ctxkit.assignments`): the basis zero rays' columns over the core
-events are read once, each witness's minimum hitting set starts from the
-zero rays forced into it (each the only one that hits some core event),
-the SPs are read from one ``to_bytes`` of each product of the Born pass,
-and :func:`replay_contradiction` checks the paradoxes with one test per
+:func:`derive_paradoxes` works per state and on the core events
+(:mod:`ctxkit.assignments`): the zero rays' columns are read once, each
+witness's minimum hitting set starts from the zero rays forced into it
+(each the only one that hits some core event), and
+:func:`replay_contradiction` checks the paradoxes with one test per
 distinct zero set on the packed core event masks.
 
 The module also ships a reference tabulation of the twelve observables
@@ -70,8 +68,7 @@ def derive_paradoxes(
     are not logically contextual yield no paradoxes; the derivation then
     carries the reason instead.  The model is computed once, and each
     witness's SP is read off its slot of the model's Born pass, equal to
-    ``state.probability`` of the witness ray.  The witnesses, hitting sets
-    and replay read the core events of ``assignments``.  Every paradox is replayed,
+    ``state.probability`` of the witness ray.  Every paradox is replayed,
     all in one :func:`replay_contradiction` call, and a failed replay
     raises.
     """
@@ -108,19 +105,17 @@ def replay_contradiction(assignments: GlobalEvents, paradoxes: list[HardyParadox
     set and the witness probability is positive.  It reads the packed core
     event masks ``GlobalEvents.rows``, the ``neighbours`` of the free rays
     and the kept ``union``, never the columns that :func:`derive_paradoxes`
-    reads.  Every event of a core event meets the zero set iff the core
-    event itself does or the event holds a free zero ray, so an event that
-    holds the witness misses the zero set iff one does that adds no free ray
-    but the witness to its core event: for a basis witness, a core event
-    that holds it and misses the zero set; for a free witness outside the
-    zero set, a core event that holds none of its neighbours and misses it.
-    The paradoxes are grouped by ``zero_set``, and each group is one test
-    on the packed masks.  Subtracting a slot's zero-set bits from 2^n leaves
-    its bit n set iff the core event misses the zero set; that bit times
-    ``W``, the mask of the group's basis witnesses, puts ``W`` at bits n and
-    up of each such slot, and those bits of the masks shifted up by n are
-    ``bad``: ray i at bit n + i of each slot that misses the zero set and
-    holds i, for i in ``W``.  A free witness w that fails its test, made the
+    reads.  An event that holds the witness misses the zero set iff the
+    event that adds no free ray but the witness to its core event does: for
+    a basis witness, a core event that holds it and misses the zero set; for
+    a free witness outside the zero set, a core event that holds none of its
+    neighbours and misses it.  The paradoxes are grouped by ``zero_set``,
+    and each group is one test on the packed masks.  Subtracting a slot's
+    zero-set bits from 2^n leaves its bit n set iff the core event misses
+    the zero set; that bit times ``W``, the mask of the group's basis
+    witnesses, puts ``W`` at bits n and up of each such slot, and those bits
+    of the masks shifted up by n are ``bad``: ray i at bit n + i of each slot
+    that misses the zero set and holds i, for i in ``W``.  A free witness w that fails its test, made the
     same way with its neighbours as the zero set, is put at bit n + w of
     ``bad``.  A paradox replays iff its SP is positive, its witness is in the
     union and no slot of ``bad`` holds it; when ``bad`` is 0, as for every

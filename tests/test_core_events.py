@@ -51,7 +51,8 @@ def test_the_generated_prefixes_have_free_rays_and_the_edge_cases():
     assert prefix(5, 1, 20)[1].core == (0,) and len(prefix(5, 1, 20)[1]) == 2370
     assert prefix(3, 2, 43)[1].core == () and prefix(3, 2, 43)[0].free
     # the 32-ray prefixes of the check stream: 1024 and 216 events over 8 and 18 core events
-    assert [(len(prefix(*key)[1]), len(prefix(*key)[1].core)) for key in [(3, 2, 32), (4, 1, 32)]] == [(1024, 8), (216, 18)]
+    counts = [(len(prefix(*key)[1]), len(prefix(*key)[1].core)) for key in [(3, 2, 32), (4, 1, 32)]]
+    assert counts == [(1024, 8), (216, 18)]
 
 
 @pytest.mark.parametrize("key", PREFIXES[::3] + PREFIXES[-2:])
