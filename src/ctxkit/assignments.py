@@ -139,6 +139,15 @@ class GlobalEvents(tuple):
                 held |= 1 << f
         return held
 
+    def clear_of(self, ray: int) -> int:
+        """Bit n of each slot of ``rows`` whose core event holds none of the free ray ``ray``'s neighbours, so that
+        the event adding ``ray`` alone to it holds ``ray``: the packed form of ``compatible[ray]``, made from ``rows``
+        and never from the columns."""
+        rows, ones, n = self.rows
+        top = ones << n
+        # each slot's 2^n less its bits among the neighbours borrows from no other slot
+        return top - (rows & self.neighbours[ray] * ones) & top
+
     def holding(self, ray: int) -> list[KSAssignment]:
         """The events that hold ray index ``ray``, in order, read from its column; none if there are no events."""
         return list(compress(self, _bits(self.by_ray[ray] if self else 0)))

@@ -103,27 +103,28 @@ def replay_contradiction(assignments: GlobalEvents, paradoxes: list[HardyParadox
     force the witness marginal to 0 even though the witness is possible:
     true iff some event holds the witness, each such event meets the zero
     set and the witness probability is positive.  It reads the packed core
-    event masks ``GlobalEvents.rows``, the ``neighbours`` of the free rays
-    and the kept ``union``, never the columns that :func:`derive_paradoxes`
-    reads.  An event that holds the witness misses the zero set iff the
-    event that adds no free ray but the witness to its core event does: for
-    a basis witness, a core event that holds it and misses the zero set; for
-    a free witness outside the zero set, a core event that holds none of its
-    neighbours and misses it.  The paradoxes are grouped by ``zero_set``,
-    and each group is one test on the packed masks.  Subtracting a slot's
-    zero-set bits from 2^n leaves its bit n set iff the core event misses
-    the zero set; that bit times ``W``, the mask of the group's basis
-    witnesses, puts ``W`` at bits n and up of each such slot, and those bits
-    of the masks shifted up by n are ``bad``: ray i at bit n + i of each slot
-    that misses the zero set and holds i, for i in ``W``.  A free witness w that fails its test, made the
-    same way with its neighbours as the zero set, is put at bit n + w of
-    ``bad``.  A paradox replays iff its SP is positive, its witness is in the
-    union and no slot of ``bad`` holds it; when ``bad`` is 0, as for every
-    derived paradox, its whole group replays without a further test.
+    event masks ``GlobalEvents.rows``, their test of a free ray
+    ``GlobalEvents.clear_of`` and the kept ``union``, never the columns
+    that :func:`derive_paradoxes` reads.  An event that holds the witness
+    misses the zero set iff the event that adds no free ray but the witness
+    to its core event does: for a basis witness, a core event that holds it
+    and misses the zero set; for a free witness outside the zero set, a core
+    event that holds none of its neighbours and misses it.  The paradoxes
+    are grouped by ``zero_set``, and each group is one test on the packed
+    masks.  Subtracting a slot's zero-set bits from 2^n leaves its bit n set
+    iff the core event misses the zero set; that bit times ``W``, the mask
+    of the group's basis witnesses, puts ``W`` at bits n and up of each such
+    slot, and those bits of the masks shifted up by n are ``bad``: ray i at
+    bit n + i of each slot that misses the zero set and holds i, for i in
+    ``W``.  A free witness w outside the zero set whose ``clear_of`` slots
+    meet the missed ones is put at bit n + w of ``bad``.  A paradox replays
+    iff its SP is positive, its witness is in the union and no slot of
+    ``bad`` holds it; when ``bad`` is 0, as for every derived paradox, its
+    whole group replays without a further test.
     """
     events = GlobalEvents(assignments)
     rows, ones, n = events.rows
-    full, top, union, free, neighbours = (1 << n) - 1, ones << n, events.union, events.free, events.neighbours
+    full, top, union, free = (1 << n) - 1, ones << n, events.union, events.free
     # the numerator's sign is the SP's, without Fraction's rich comparison
     live = [paradox.sp.numerator > 0 and union >> paradox.witness & 1 == 1 for paradox in paradoxes]
     groups: dict[tuple[int, ...], int] = {}
@@ -141,8 +142,7 @@ def replay_contradiction(assignments: GlobalEvents, paradoxes: list[HardyParadox
         slots = shifted & missed * (witnesses & ~free)
         if loose := witnesses & free & ~zeros:
             for w in _rays(loose):
-                # bit n of each slot whose core event holds none of w's neighbours, and so some event of it holds w
-                if missed & (top - (rows & neighbours[w] * ones)):
+                if missed & events.clear_of(w):
                     slots |= 1 << n + w
         bad[zero_set] = slots
     return [

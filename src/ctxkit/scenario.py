@@ -27,8 +27,6 @@ file.
 from __future__ import annotations
 
 import os
-import sys
-from array import array
 from enum import Enum
 from functools import reduce
 from itertools import combinations, compress, count
@@ -220,8 +218,6 @@ def _parse_ray_line(raw: str, lineno: int, dim: int, field_kind: str) -> tuple[s
 # ray masks, the packed null test and context enumeration
 # ---------------------------------------------------------------------------
 
-# an unsigned array type code for each item size
-_ARRAY_CODES = {array(code).itemsize: code for code in "QLIHB"}
 # the bytes 0 and 1 as the characters "0" and "1", and back
 _BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
@@ -314,22 +310,13 @@ def _pass(packing, n: int, rows) -> tuple[int, int, list[tuple[int, int]]]:
 
 def _slots(products: list[tuple[int, int]], width: int, n: int, rays) -> list[list[tuple[int, int]]]:
     """Each row's products with the rays ``rays``: for each row of the ``products`` of :func:`_pass` over ``n`` rays,
-    slot k of its parts less the bias for each k of ``rays``, read from one ``to_bytes`` of each part.  A slot of
-    an array item's size is read from an ``array`` of the bytes, any other from its own slice."""
-    step, bias, code = width // 8, 1 << width - 2, _ARRAY_CODES.get(width // 8)
+    slot k of its parts less the bias for each k of ``rays``, sliced from one ``to_bytes`` of each part."""
+    step, bias, read = width // 8, 1 << width - 2, int.from_bytes
+    spans = [(k * step, k * step + step) for k in rays]
     slots = []
     for re, im in products:
         re, im = re.to_bytes(n * step, "little"), im.to_bytes(n * step, "little")
-        if code:
-            re, im = array(code, re), array(code, im)
-            if sys.byteorder == "big":
-                re.byteswap()
-                im.byteswap()
-            slots.append([(re[k] - bias, im[k] - bias) for k in rays])
-        else:
-            read = int.from_bytes
-            spans = [(k * step, k * step + step) for k in rays]
-            slots.append([(read(re[lo:hi], "little") - bias, read(im[lo:hi], "little") - bias) for lo, hi in spans])
+        slots.append([(read(re[lo:hi], "little") - bias, read(im[lo:hi], "little") - bias) for lo, hi in spans])
     return slots
 
 

@@ -71,6 +71,24 @@ def test_each_event_is_a_core_event_and_free_rays_none_of_its_neighbours(key):
     assert [bool(column) for column in events.compatible] == [bool(column) for column in full.by_ray]
 
 
+@pytest.mark.parametrize("key", PREFIXES[1::3] + PREFIXES[-2:])
+def test_compatible_bits_are_the_core_events_of_the_events_holding_each_ray(key):
+    # bit j of compatible[i] iff some event whose core (mask less the free rays) is core[j] holds ray i, and
+    # clear_of(f) packs a free ray f's column as bit n of slot j of rows; with no events there are no columns
+    s, events, _ = prefix(*key)
+    n, slot = len(s.rays), 8 * (len(s.rays) // 8 + 1)
+    slots = {c: j for j, c in enumerate(events.core)}
+    want = [0] * n
+    for event in events:
+        for i in _rays(event.mask):
+            want[i] |= 1 << slots[event.mask & ~s.free]
+    assert list(events.compatible) == (want if events else [])
+    for f in _rays(s.free):
+        packed = events.clear_of(f)
+        assert [packed >> j * slot + n & 1 for j in range(len(events.core))] == [want[f] >> j & 1 for j in slots.values()]
+        assert packed & ~sum(1 << j * slot + n for j in range(len(events.core))) == 0
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(PREFIXES), st.data())
 def test_the_core_path_matches_the_full_event_path(key, data):

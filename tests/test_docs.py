@@ -54,12 +54,12 @@ def test_estimate_success_probability_prints_the_twelve_paradoxes():
 
 
 def test_check_phases_times_the_first_ops_of_a_seed():
-    # two cycles of the check stream: per scenario, two normals and a generic state (pure) and a mixture
-    lines = run_script("check_phases.py", "1", "--ops", "16", "--repeat", "1").decode().splitlines()
+    # five cycles of the check stream: per scenario, two normals and a generic state (pure) and a mixture
+    lines = run_script("check_phases.py", "1", "--ops", "40", "--repeat", "1").decode().splitlines()
     head, lines = lines[:2], lines[2:]
     assert head == ["box-d3-m2-n32: 1024 events, 8 core events", "box-d4-m1-n32: 216 events, 18 core events"]
-    assert lines[0] == "seed 1: 16 ops"
-    counts = {"all": 16, "density d3": 2, "density d4": 2, "pure d3": 6, "pure d4": 6}
+    assert lines[0] == "seed 1: 40 ops"
+    counts = {"all": 40, "density d3": 5, "density d4": 5, "pure d3": 15, "pure d4": 15}
     for line, (label, count) in zip(lines[1:6], counts.items()):
         assert re.fullmatch(rf"  {label} +{count} ops  p50 +\d+\.\d  p98 +\d+\.\d", line), line
     phases = "  ".join(rf"{phase} \d+\.\d" for phase in ("build", "model", "verdict", "oracle", "derive", "replay"))
