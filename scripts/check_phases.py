@@ -21,8 +21,9 @@ It first prints each scenario's global events (KS-assignments) and core
 events, the labellings of the basis rays that the checks read.  Then, per
 seed, it prints p50 and p98 of the op times, overall and per op kind (pure
 or density) and dimension, and the mean time of each phase, ``build``
-included, over the slowest 2% of ops: those that set ``latency_tail_s``.
-Times are in microseconds.
+included, over the slowest 2% of ops: those that set ``latency_tail_s``,
+and the mean paradox count of those ops with their ``derive`` time per
+paradox.  Times are in microseconds.
 """
 
 from __future__ import annotations
@@ -61,8 +62,9 @@ def load(names_and_rays):
     return loaded
 
 
-def phases(scenario, assignments, msg) -> dict[str, float]:
-    """One run of the op's phases, in seconds; the state is built afresh, so no model is kept from an earlier run."""
+def phases(scenario, assignments, msg) -> tuple[dict[str, float], int]:
+    """One run of the op's phases, in seconds, and its paradox count; the state is built afresh, so no model is kept
+    from an earlier run."""
     if msg["kind"] == "pure":
         vector = exact.vec(*msg["psi"])
         build = lambda: contextuality.QuantumState.pure(vector)  # noqa: E731
@@ -87,7 +89,7 @@ def phases(scenario, assignments, msg) -> dict[str, float]:
     if paradoxes:
         hardy.replay_contradiction(assignments, list(paradoxes))
     t5 = clock()
-    return dict(zip(PHASES, (tb - t0, t1 - tb, t2 - t1, t3 - t2, t4 - t3, t5 - t4)))
+    return dict(zip(PHASES, (tb - t0, t1 - tb, t2 - t1, t3 - t2, t4 - t3, t5 - t4))), len(paradoxes)
 
 
 def seed_ops(seed: int, limit: int | None):
@@ -122,23 +124,27 @@ def main(argv=None) -> int:
             for msg in cycle:
                 scenario, assignments = loaded[msg["scenario"]]
                 runs = [phases(scenario, assignments, msg) for _ in range(args.repeat)]
-                timed.append((msg, {p: min(r[p] for r in runs) for p in PHASES}))
+                timed.append((msg, {p: min(r[p] for r, _ in runs) for p in PHASES}, runs[0][1]))
             after = spin(CAL_LOOPS)
-            for msg, best in timed:
+            for msg, best, count in timed:
                 best = {p: at_reference(t, before, after) * 1e6 for p, t in best.items()}
                 group = f"{msg['kind']} d{loaded[msg['scenario']][0].dim}"
-                rows.append((sum(best[p] for p in PHASES[:-1]), group, best))
+                rows.append((sum(best[p] for p in PHASES[:-1]), group, best, count))
         print(f"seed {seed}: {len(rows)} ops")
-        groups = sorted({g for _, g, _ in rows})
+        groups = sorted({r[1] for r in rows})
         for label, subset in [("all", rows)] + [(g, [r for r in rows if r[1] == g]) for g in groups]:
-            totals = [t for t, _, _ in subset]
+            totals = [r[0] for r in subset]
             print(f"  {label:<10} {len(totals):>4} ops  p50 {statistics.median(totals):8.1f}  "
                   f"p98 {percentile(totals, 98):8.1f}")
         tail = sorted(rows, key=lambda r: r[0], reverse=True)[: max(1, round(len(rows) * 0.02))]
-        means = {p: statistics.fmean(best[p] for _, _, best in tail) for p in PHASES}
+        means = {p: statistics.fmean(r[2][p] for r in tail) for p in PHASES}
         print(f"  slowest {len(tail)} ops, mean per phase: "
               + "  ".join(f"{p} {means[p]:.1f}" for p in PHASES)
-              + f"  ({', '.join(f'{n} {g}' for g, n in sorted(Counter(g for _, g, _ in tail).items()))})")
+              + f"  ({', '.join(f'{n} {g}' for g, n in sorted(Counter(r[1] for r in tail).items()))})")
+        paradoxes = statistics.fmean(r[3] for r in tail)
+        # no paradox among the slowest ops leaves the derive time per paradox undefined
+        per_paradox = f"{means['derive'] / paradoxes:.2f}" if paradoxes else "-"
+        print(f"  slowest {len(tail)} ops: {paradoxes:.1f} paradoxes per op, derive {per_paradox} per paradox")
     return 0
 
 

@@ -50,16 +50,14 @@ class KSAssignment(_Record):
         bits = tuple(bits)
         if not {*bits} <= {0, 1}:
             raise ValidationError("assignment bits must be 0 or 1")
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "mask", _mask(bytes(bits)))
+        self._fill(bits, _mask(bytes(bits)))
 
     @classmethod
     def _of_mask(cls, mask: int, n: int) -> "KSAssignment":
         """The assignment of ``n`` rays with support ``mask``, whose bits are 0/1 by construction."""
         assignment = cls.__new__(cls)
         # the marker bit n keeps the high zeros
-        object.__setattr__(assignment, "bits", tuple(_bits(mask | 1 << n)[:n]))
-        object.__setattr__(assignment, "mask", mask)
+        assignment._fill(tuple(_bits(mask | 1 << n)[:n]), mask)
         return assignment
 
     @property

@@ -15,11 +15,12 @@ the state's integer rows ``M``: the scenario's packed Born pass
 (:func:`ctxkit.scenario._born_pass`) answers for every ray at once.
 A pure state holds only its canonical ray; its ``rho`` is ``None``.  The
 model is kept on the ``QuantumState`` object, keyed by the scenario's ray
-tuple, with the pass's packed products, so the verdict, the oracle and
-the paradox derivation of one state object on one scenario share a
-single Born pass, and the derivation reads each witness's probability
-from its slot (:func:`_pass_probabilities`).  ``GlobalEvents.missing``
-keeps its last ``miss``, so they compute it once.  Two decision
+tuple, with the pass's packing and products, so the verdict, the oracle
+and the paradox derivation of one state object on one scenario share a
+single Born pass.  The derivation reads each witness's probability from
+one slot (:func:`_pass_probabilities`): of that pass for a pure state, of
+one packed Hermitian form for a density.  ``GlobalEvents.missing`` keeps
+its last ``miss``, so they compute it once.  Two decision
 procedures are implemented:
 
 * :func:`is_logically_contextual` searches for a witness ray ``v`` that is
@@ -79,7 +80,7 @@ from .exact import (
     rank,
     validate_density,
 )
-from .scenario import Scenario, _bits, _born_pass, _mask, _null_rays, _rays, _slots
+from .scenario import Scenario, _bits, _born_pass, _hermitian_pass, _mask, _rays
 
 
 class QuantumState(_Record):
@@ -88,8 +89,8 @@ class QuantumState(_Record):
     A pure state is its canonical ray ``psi``, with ``rho = None``; a
     density operator ``rho`` is validated (Hermitian, trace 1, PSD) at
     construction, with ``psi = None``.  ``_model``, unset before the first
-    :func:`possibilistic_model`, holds the last as ``(rays, model, width,
-    products)``, with the packed products of its Born pass
+    :func:`possibilistic_model`, holds the last as ``(rays, model, packing,
+    products)``, with the packing and products of its Born pass
     (:func:`ctxkit.scenario._born_pass`) that :func:`_pass_probabilities`
     reads; it is not a field, so equality, hashing and ``repr`` ignore it.
     """
@@ -160,15 +161,13 @@ class PossibilisticModel(_Record):
     _fields = ("values",)
 
     def __init__(self, values: tuple[int, ...]):
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "zeros", _mask(bytes(values)) ^ (1 << len(values)) - 1)
+        self._fill(values, _mask(bytes(values)) ^ (1 << len(values)) - 1)
 
     @classmethod
     def _of_zeros(cls, zeros: int, n: int) -> "PossibilisticModel":
         """The model of ``n`` rays with the impossible rays ``zeros``; the marker bit n keeps the high ones."""
         model = cls.__new__(cls)
-        object.__setattr__(model, "values", tuple(_bits(zeros ^ (2 << n) - 1)[:n]))
-        object.__setattr__(model, "zeros", zeros)
+        model._fill(tuple(_bits(zeros ^ (2 << n) - 1)[:n]), zeros)
         return model
 
 
@@ -189,38 +188,39 @@ def possibilistic_model(scenario: Scenario, state: QuantumState) -> Possibilisti
     orthogonal to the state; for a density operator ``rho``, which is PSD,
     ``<z|rho|z> = 0`` iff ``rho z = 0``.  The rays are the model's only
     input, so the model is kept on the state with the ``scenario.rays``
-    tuple it was computed from, and the pass's products, and returned
-    again while the same tuple (by identity) is passed: every consumer of
-    one state object on one scenario shares one Born pass.
+    tuple it was computed from, and the pass's packing and products, and
+    returned again while the same tuple (by identity) is passed: every
+    consumer of one state object on one scenario shares one Born pass.
     """
     if state.dim != scenario.dim:
         raise DimensionMismatchError("state dimension does not match the scenario")
     cached = getattr(state, "_model", None)
     if cached is not None and cached[0] is scenario.rays:
         return cached[1]
-    zeros, width, products = _born_pass(scenario, _integer_rows(state))
+    zeros, products, packing = _born_pass(scenario, _integer_rows(state))
     model = PossibilisticModel._of_zeros(zeros, len(scenario.rays))
     # holding the rays keeps their identity from being reused by another tuple
-    object.__setattr__(state, "_model", (scenario.rays, model, width, products))
+    QuantumState._model.__set__(state, (scenario.rays, model, packing, products))
     return model
 
 
-def _pass_probabilities(state: QuantumState, rays, witnesses) -> list[Fraction]:
-    """:meth:`QuantumState.probability` of ray ``rays[k]`` for each ``k`` of ``witnesses``, read off slot ``k`` of the
-    products kept by the last :func:`possibilistic_model` call on ``state`` (:func:`ctxkit.scenario._slots`):
-    ``(a^2 + b^2) / (||psi||^2 ||z||^2)`` for a pure state, whose one row's product is ``(a, b) = <psi|z>``;
-    ``sum_i conj(z_i) (N z)_i / (den ||z||^2)`` for a density ``N / den``."""
-    _, _, width, products = state._model
-    slots = _slots(products, width, len(rays), witnesses)
+def _pass_probabilities(state: QuantumState, scenario: Scenario, witnesses) -> list[Fraction]:
+    """:meth:`QuantumState.probability` of ray ``scenario.rays[k]`` for each ``k`` of ``witnesses``, one slot read
+    each, over the norms ``||z||^2`` kept with the packing of the last :func:`possibilistic_model` call on ``state``.
+
+    Pure: ``(a^2 + b^2) / (||psi||^2 ||z||^2)`` for ``(a, b) = <psi|z>`` in the slot of the Born pass's one row.
+    Density ``N / den``: ``<z|N|z> / (den ||z||^2)``, the slot of one packed Hermitian form
+    (:func:`ctxkit.scenario._hermitian_pass`)."""
+    _, _, (width, _, _, norms), products = state._model
     if state.psi is not None:
-        norm = state.psi.integer_norm
-        pairs = [(a * a + b * b, norm * rays[k].vector.integer_norm) for k, (a, b) in zip(witnesses, slots[0])]
+        (re, im), norm, bias, mask = products[0], state.psi.integer_norm, 1 << width - 2, (1 << width) - 1
+        pairs = []
+        for k in witnesses:
+            a, b = (re >> k * width & mask) - bias, (im >> k * width & mask) - bias
+            pairs.append((a * a + b * b, norm * norms[k]))
     else:
-        den, pairs = state.rho.den, []
-        for k, parts in zip(witnesses, zip(*slots)):
-            z = rays[k].vector
-            re = sum(zr * a + zi * b for (zr, zi), (a, b) in zip(z.integer_form, parts))
-            pairs.append((re, den * z.integer_norm))
+        form, den, mask = _hermitian_pass(scenario, width, state.rho.nums), state.rho.den, (1 << 2 * width) - 1
+        pairs = [(form >> 2 * k * width & mask, den * norms[k]) for k in witnesses]
     # the witnesses of a state share few SPs, and a Fraction's gcd is most of its cost: each pair is reduced once
     reduced = {pair: Fraction(*pair) for pair in dict.fromkeys(pairs)}
     return [reduced[pair] for pair in pairs]
@@ -374,7 +374,7 @@ def _blocking_flats(scenario: Scenario, events: GlobalEvents):
             while outside:
                 # the lowest ray outside is in its own child, so each pass clears it
                 basis = _narrow(normals, forms[(outside & -outside).bit_length() - 1])
-                child = _null_rays(scenario, [[(a, -b) for a, b in n] for n in basis])
+                child = _born_pass(scenario, [[(a, -b) for a, b in n] for n in basis])[0]
                 outside &= ~child
                 children.setdefault(child, basis)
         layer = children

@@ -66,13 +66,13 @@ class _Record:
     may give the trailing ones defaults in ``_defaults = {"field": value}``.
     Unless the class writes its own ``__init__``, its constructor is
     generated from these two, as ``collections.namedtuple`` builds its
-    ``__new__``: ``def __init__(self, f1, ..., fk=default)`` with one
-    ``object.__setattr__(self, "f", f)`` per field.  Two records are equal
-    when they are of the same class with equal fields, the hash is that of
-    the field tuple, and ``repr`` reads ``Name(field=value, ...)``, leaving
-    out fields whose name starts with ``_``.  The fields are set once, by
-    ``__init__``; assigning or deleting an attribute afterwards raises
-    :class:`AttributeError`.
+    ``__new__``: ``def __init__(self, f1, ..., fk=default)``, with one call
+    of a slot's member descriptor ``__set__`` per field; a class with its
+    own ``__init__`` gets ``_fill(self, s1, ..., sk)``, which sets its
+    ``__slots__`` so.  Records of one class with equal fields are equal, the
+    hash is that of the field tuple, and ``repr`` reads ``Name(field=value,
+    ...)``, leaving out fields whose name starts with ``_``.  The fields are
+    set once; assigning or deleting an attribute raises AttributeError.
     """
 
     __slots__ = ()
@@ -81,17 +81,18 @@ class _Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        fields = cls._fields
+        fields, slots = cls._fields, cls.__dict__["__slots__"]
         get = attrgetter(*fields)
         # attrgetter of one name returns the bare value; the key is always a tuple
         cls._key = staticmethod(get if len(fields) > 1 else lambda record: (get(record),))
-        if "__init__" not in cls.__dict__:
-            params = ", ".join(f"{f}=_defaults[{f!r}]" if f in cls._defaults else f for f in fields)
-            body = "".join(f"\n    object.__setattr__(self, {f!r}, {f})" for f in fields)
-            namespace = {"_defaults": cls._defaults, "__name__": cls.__module__}
-            exec(f"def __init__(self, {params}):{body}", namespace)
-            cls.__init__ = namespace["__init__"]
-            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        name, names = ("_fill", slots) if "__init__" in cls.__dict__ else ("__init__", fields)
+        params = ", ".join(f"{f}=_defaults[{f!r}]" if f in cls._defaults else f for f in names)
+        body = "".join(f"\n    _set_{f}(self, {f})" for f in names)
+        namespace = {"_defaults": cls._defaults, "__name__": cls.__module__}
+        namespace.update((f"_set_{f}", getattr(cls, f).__set__) for f in names)
+        exec(f"def {name}(self, {params}):{body}", namespace)
+        setattr(cls, name, namespace[name])
+        namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -122,8 +123,7 @@ class ExactScalar(_Record):
     __slots__ = _fields = ("re", "im")
 
     def __init__(self, re: int | Fraction, im: int | Fraction = _ZERO):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        self._fill(_as_fraction(re), _as_fraction(im))
 
     @staticmethod
     def coerce(value: ExactScalar | int | Fraction) -> "ExactScalar":
@@ -285,10 +285,7 @@ class ExactVector(_Record):
     def _hold(self, den: int, nums: tuple[tuple[int, int], ...], form: tuple[tuple[int, int], ...]):
         if len(nums) < 2:
             raise ValidationError("vectors must have dimension >= 2")
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "integer_form", form)
-        object.__setattr__(self, "integer_norm", sum(a * a + b * b for a, b in form))
+        self._fill(den, nums, form, sum(a * a + b * b for a, b in form))
 
     @property
     def coords(self) -> tuple[ExactScalar, ...]:
@@ -565,11 +562,7 @@ class ExactMatrix(_Record):
             raise ValidationError("matrix shape does not match entry count")
         if den <= 0:
             raise ValidationError("matrix denominator must be positive")
-        den, nums = _lowest_terms(den, nums)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", nums)
+        self._fill(rows, cols, *_lowest_terms(den, nums))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[ExactScalar | int | Fraction]]) -> "ExactMatrix":

@@ -76,19 +76,15 @@ def derive_paradoxes(
     events = GlobalEvents(assignments)
     zero_columns = events.columns(zeros)
     blocked = list(_blocked_witnesses(events, zeros))
-    sps = _pass_probabilities(state, scenario.rays, [k for k, _ in blocked])
+    sps = _pass_probabilities(state, scenario, [k for k, _ in blocked]) if blocked else []
     paradoxes = [
         HardyParadox(state, k, _minimum_hitting_set(zero_columns, column), sp)
         for (k, column), sp in zip(blocked, sps)
     ]
     if not all(replay_contradiction(events, paradoxes)):
         raise AssertionError("derived paradox failed the contradiction replay")
-    if not paradoxes:
-        return ParadoxDerivation(
-            paradoxes=(),
-            reason=f"state {state.describe()} is not logically contextual on {scenario.name!r}",
-        )
-    return ParadoxDerivation(paradoxes=tuple(paradoxes))
+    reason = None if paradoxes else f"state {state.describe()} is not logically contextual on {scenario.name!r}"
+    return ParadoxDerivation(tuple(paradoxes), reason)
 
 
 def percent(value: Fraction) -> str:
@@ -104,33 +100,35 @@ def replay_contradiction(assignments: GlobalEvents, paradoxes: list[HardyParadox
     true iff some event holds the witness, each such event meets the zero
     set and the witness probability is positive.  It reads the packed core
     event masks ``GlobalEvents.rows``, their test of a free ray
-    ``GlobalEvents.clear_of`` and the kept ``union``, never the columns
-    that :func:`derive_paradoxes` reads.  An event that holds the witness
-    misses the zero set iff the event that adds no free ray but the witness
-    to its core event does: for a basis witness, a core event that holds it
-    and misses the zero set; for a free witness outside the zero set, a core
+    ``GlobalEvents.clear_of`` and the kept ``union``, never the columns that
+    :func:`derive_paradoxes` reads.  An event that holds the witness misses
+    the zero set iff the event that adds no free ray but the witness to its
+    core event does: for a basis witness, a core event that holds it and
+    misses the zero set; for a free witness outside the zero set, a core
     event that holds none of its neighbours and misses it.  The paradoxes
-    are grouped by ``zero_set``, and each group is one test on the packed
-    masks.  Subtracting a slot's zero-set bits from 2^n leaves its bit n set
-    iff the core event misses the zero set; that bit times ``W``, the mask
-    of the group's basis witnesses, puts ``W`` at bits n and up of each such
-    slot, and those bits of the masks shifted up by n are ``bad``: ray i at
-    bit n + i of each slot that misses the zero set and holds i, for i in
-    ``W``.  A free witness w outside the zero set whose ``clear_of`` slots
-    meet the missed ones is put at bit n + w of ``bad``.  A paradox replays
-    iff its SP is positive, its witness is in the union and no slot of
-    ``bad`` holds it; when ``bad`` is 0, as for every derived paradox, its
-    whole group replays without a further test.
+    are grouped by ``zero_set`` in the one loop that tests the SPs and the
+    union, and each group is one test on the packed masks.  Subtracting a
+    slot's zero-set bits from 2^n leaves its bit n set iff the core event
+    misses the zero set; that bit times ``W``, the mask of the group's basis
+    witnesses, puts ``W`` at bits n and up of each such slot, and those bits
+    of the masks shifted up by n are ``bad``: ray i at bit n + i of each
+    slot that misses the zero set and holds i, for i in ``W``.  A free
+    witness w outside the zero set whose ``clear_of`` slots meet the missed
+    ones is put at bit n + w of ``bad``.  A paradox replays iff its SP is
+    positive, its witness is in the union and no slot of ``bad`` holds it;
+    when no group has a ``bad`` slot, as for every derived paradox, the
+    first loop's results are returned as they are.
     """
     events = GlobalEvents(assignments)
     rows, ones, n = events.rows
     full, top, union, free = (1 << n) - 1, ones << n, events.union, events.free
-    # the numerator's sign is the SP's, without Fraction's rich comparison
-    live = [paradox.sp.numerator > 0 and union >> paradox.witness & 1 == 1 for paradox in paradoxes]
-    groups: dict[tuple[int, ...], int] = {}
-    for paradox, ok in zip(paradoxes, live):
+    live, groups = [], {}
+    for paradox in paradoxes:
+        w, z = paradox.witness, paradox.zero_set
+        # the numerator's sign is the SP's, without Fraction's rich comparison
+        live.append(ok := paradox.sp.numerator > 0 and union >> w & 1 == 1)
         if ok:
-            groups[paradox.zero_set] = groups.get(paradox.zero_set, 0) | 1 << paradox.witness
+            groups[z] = groups.get(z, 0) | 1 << w
     shifted, bad = rows << n if groups else 0, {}
     for zero_set, witnesses in groups.items():
         zeros = 0
@@ -145,6 +143,8 @@ def replay_contradiction(assignments: GlobalEvents, paradoxes: list[HardyParadox
                 if missed & events.clear_of(w):
                     slots |= 1 << n + w
         bad[zero_set] = slots
+    if not any(bad.values()):
+        return live
     return [
         ok and not ((slots := bad[paradox.zero_set]) and slots >> n + paradox.witness & ones)
         for paradox, ok in zip(paradoxes, live)

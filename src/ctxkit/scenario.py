@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 from enum import Enum
 from functools import reduce
-from itertools import combinations, compress, count
+from itertools import combinations, combinations_with_replacement, compress, count
 from operator import or_
 
 from .errors import ParseError, UnknownLabelError, ValidationError
@@ -69,26 +69,23 @@ class Scenario(_Record):
     are the maximal cliques (see :func:`enumerate_contexts`), ``bases``
     the member mask of each basis context, in context order, and ``free``
     the rays in no basis.  None is a field, so equality, hashing and
-    ``repr`` read only the arguments.  ``_packings`` starts empty and
-    keeps the packed rays that :func:`_packed_rays` builds on first use.
+    ``repr`` read only the arguments.  ``_packings`` starts empty and keeps
+    the packings :func:`_packed_rays` and :func:`_hermitian_pass` build.
     """
 
     __slots__ = ("name", "dim", "field", "rays", "edges", "neighbours", "contexts", "bases", "free", "_packings")
     _fields = ("name", "dim", "field", "rays", "edges")
 
     def __init__(self, name: str, dim: int, field: str, rays: tuple[Ray, ...], edges: frozenset[tuple[int, int]]):
-        for key, value in zip(self._fields, (name, dim, field, rays, edges)):
-            object.__setattr__(self, key, value)
         neighbours = [0] * len(rays)
         for i, j in edges:
             neighbours[i] |= 1 << j
             neighbours[j] |= 1 << i
-        object.__setattr__(self, "neighbours", tuple(neighbours))
-        object.__setattr__(self, "contexts", _contexts(dim, rays, self.neighbours))
-        bases = tuple(sum(1 << i for i in c.members) for c in self.basis_contexts())
-        object.__setattr__(self, "bases", bases)
-        object.__setattr__(self, "free", reduce(or_, bases, 0) ^ (1 << len(rays)) - 1)
-        object.__setattr__(self, "_packings", {})
+        neighbours = tuple(neighbours)
+        contexts = _contexts(dim, rays, neighbours)
+        bases = tuple(sum(1 << i for i in c.members) for c in _basis_contexts(contexts))
+        free = reduce(or_, bases, 0) ^ (1 << len(rays)) - 1
+        self._fill(name, dim, field, rays, edges, neighbours, contexts, bases, free, {})
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -106,7 +103,7 @@ class Scenario(_Record):
         raise UnknownLabelError(f"unknown ray label {label!r}")
 
     def basis_contexts(self) -> tuple[Context, ...]:
-        return tuple(c for c in self.contexts if c.kind is ContextKind.BASIS)
+        return _basis_contexts(self.contexts)
 
 
 def load_scenario(text: str, source: str = "<string>") -> Scenario:
@@ -238,13 +235,14 @@ def _rays(mask: int) -> tuple[int, ...]:
     return tuple(compress(count(), _bits(mask)))
 
 
-def _packed_rays(scenario: Scenario, row_bytes: int) -> tuple[int, int, list[tuple[int, int]]]:
-    """:func:`_packing` of the scenario's rays, built on first use and kept on the scenario, one packing per
-    ``row_bytes``, so one per width."""
+def _packed_rays(scenario: Scenario, row_bytes: int) -> tuple[int, int, list[tuple[int, int]], tuple[int, ...]]:
+    """:func:`_packing` of the scenario's rays and their integer norms, built on first use and kept on the scenario,
+    one packing per ``row_bytes``, so one per width."""
     packing = scenario._packings.get(row_bytes)
     if packing is None:
-        forms = [ray.vector.integer_form for ray in scenario.rays]
-        packing = scenario._packings[row_bytes] = _packing(forms, scenario.dim, row_bytes)
+        vectors = [ray.vector for ray in scenario.rays]
+        packing = _packing([v.integer_form for v in vectors], scenario.dim, row_bytes)
+        packing = scenario._packings[row_bytes] = (*packing, tuple(v.integer_norm for v in vectors))
     return packing
 
 
@@ -271,25 +269,26 @@ def _row_bytes(rows) -> int:
     return -(-max(abs(x) for row in rows for z in row for x in z).bit_length() // 8)
 
 
-def _born_pass(scenario: Scenario, rows) -> tuple[int, int, list[tuple[int, int]]]:
-    """:func:`_pass` of the rows over the scenario's kept packing for their byte length."""
-    return _pass(_packed_rays(scenario, _row_bytes(rows)), len(scenario.rays), rows)
+def _born_pass(scenario: Scenario, rows) -> tuple[int, list[tuple[int, int]], tuple]:
+    """:func:`_pass` of the rows over the scenario's kept packing for their byte length, and that packing."""
+    packing = _packed_rays(scenario, _row_bytes(rows))
+    return (*_pass(packing, len(scenario.rays), rows), packing)
 
 
-def _pass(packing, n: int, rows) -> tuple[int, int, list[tuple[int, int]]]:
-    """``(null, width, products)``: the mask of the ``n`` packed rays z with ``M z = 0`` for the Gaussian-integer
-    rows ``M``, the slot width, and each row's packed product with every ray, ``(re, im)``.
+def _pass(packing, n: int, rows) -> tuple[int, list[tuple[int, int]]]:
+    """``(null, products)``: the mask of the ``n`` packed rays z with ``M z = 0`` for the Gaussian-integer rows ``M``,
+    and each row's packed product with every ray, ``(re, im)``.
 
     Each row of ``M`` meets every ray in ``2d`` multiplies of its parts by
     the packed coordinates of :func:`_packing` (``4d`` for a row with
     imaginary parts).  A bias of ``2 ** (width - 2)`` in every slot keeps
-    each slot's product in its own slot, so :func:`_slots` reads it back.
-    Exclusive-or with the bias leaves a slot zero iff its product is, and
-    adding ``2 ** (width - 1) - 1`` to each slot then carries into its top
-    bit iff it is not.  The slots' low bytes, one per ray, are then the
-    flags that :func:`_mask` reads.
+    each slot's product in its own ``width`` bits, so slot k, less the bias,
+    is ray k's product.  Exclusive-or with the bias leaves a slot zero iff
+    its product is, and adding ``2 ** (width - 1) - 1`` to each slot then
+    carries into its top bit iff it is not.  The slots' low bytes, one per
+    ray, are then the flags that :func:`_mask` reads.
     """
-    width, ones, columns = packing
+    width, ones, columns = packing[:3]
     bias = ones << width - 2
     nonzero, products = 0, []
     for row in rows:
@@ -305,19 +304,29 @@ def _pass(packing, n: int, rows) -> tuple[int, int, list[tuple[int, int]]]:
         products.append((re, im))
     null = ones ^ (nonzero + (bias << 1) - ones) >> width - 1 & ones
     step = width // 8
-    return _mask(null.to_bytes(n * step, "little")[::step]), width, products
+    return _mask(null.to_bytes(n * step, "little")[::step]), products
 
 
-def _slots(products: list[tuple[int, int]], width: int, n: int, rays) -> list[list[tuple[int, int]]]:
-    """Each row's products with the rays ``rays``: for each row of the ``products`` of :func:`_pass` over ``n`` rays,
-    slot k of its parts less the bias for each k of ``rays``, sliced from one ``to_bytes`` of each part."""
-    step, bias, read = width // 8, 1 << width - 2, int.from_bytes
-    spans = [(k * step, k * step + step) for k in rays]
-    slots = []
-    for re, im in products:
-        re, im = re.to_bytes(n * step, "little"), im.to_bytes(n * step, "little")
-        slots.append([(read(re[lo:hi], "little") - bias, read(im[lo:hi], "little") - bias) for lo, hi in spans])
-    return slots
+def _hermitian_pass(scenario: Scenario, width: int, nums) -> int:
+    """``<z|N|z>`` of every ray z in the ``2 * width``-bit slot of its index, for the PSD Gaussian-integer numerators
+    ``nums`` of a density whose rows :func:`_pass` packed at ``width``: ``sum_{i<=j} Re(N_ij P_ij)`` over the kept pair
+    packings ``P_ij`` of ``conj(z_i) z_j``, doubled for i < j.  Each slot is in ``[0, tr N ||z||^2]``: none borrows."""
+    pairs = scenario._packings.get(("pairs", width))
+    if pairs is None:
+        d, w, forms = scenario.dim, 2 * width, [ray.vector.integer_form for ray in scenario.rays]
+        pairs = scenario._packings["pairs", width] = []
+        for i, j in combinations_with_replacement(range(d), 2):
+            c, re, im = 1 + (i < j), 0, 0
+            for k, z in enumerate(forms):
+                (a, b), (x, y) = z[i], z[j]
+                re += c * (a * x + b * y) << k * w
+                im += c * (a * y - b * x) << k * w
+            pairs.append((i * d + j, re, im))
+    form = 0
+    for ij, re, im in pairs:
+        p, q = nums[ij]
+        form += p * re - q * im if q else p * re
+    return form
 
 
 def _edges(rays: list[Ray], dim: int) -> frozenset[tuple[int, int]]:
@@ -332,11 +341,6 @@ def _edges(rays: list[Ray], dim: int) -> frozenset[tuple[int, int]]:
     return frozenset(edges)
 
 
-def _null_rays(scenario: Scenario, rows) -> int:
-    """The null test of every ray at once, as the flat scan asks it: :func:`_born_pass`'s mask alone."""
-    return _born_pass(scenario, rows)[0]
-
-
 def enumerate_contexts(scenario: Scenario) -> tuple[Context, ...]:
     """All maximal cliques of the exclusivity graph, as Context records, sorted by member tuples.
 
@@ -345,6 +349,10 @@ def enumerate_contexts(scenario: Scenario) -> tuple[Context, ...]:
     path; this returns ``scenario.contexts``.
     """
     return scenario.contexts
+
+
+def _basis_contexts(contexts: tuple[Context, ...]) -> tuple[Context, ...]:
+    return tuple(c for c in contexts if c.kind is ContextKind.BASIS)
 
 
 def _contexts(dim: int, rays: tuple[Ray, ...], neighbours: tuple[int, ...]) -> tuple[Context, ...]:

@@ -255,17 +255,24 @@ def test_packed_model_matches_the_per_ray_model_on_rays_of_many_bits(data):
     assert_packed_model_is_the_per_ray_model(scenario, data.draw(states_with_zeros(scenario)))
 
 
+def scenario_of(scenario_key):
+    """``box_prefix(d)`` for d = 3 or 4, yu-oh for ``"yu-oh"`` or its Gaussian image for ``"image"``."""
+    if scenario_key in ("yu-oh", "image"):
+        return dimension_3_scenarios()[scenario_key == "image"]
+    return box_prefix(scenario_key)
+
+
 @cache
 def events_of(scenario_key):
-    """The global events of ``box_prefix(d)`` for d = 3 or 4, or of the Gaussian image of yu-oh for ``"image"``."""
-    return enumerate_assignments(dimension_3_scenarios()[1] if scenario_key == "image" else box_prefix(scenario_key))
+    """The global events of ``scenario_of(scenario_key)``."""
+    return enumerate_assignments(scenario_of(scenario_key))
 
 
 def assert_pass_probabilities_are_the_born_probabilities(scenario, events, state):
     # every ray's probability read off the kept Born pass, against the per-ray slow paths
     possibilistic_model(scenario, state)
     rho = rank1_projector(state.psi) if state.rho is None else state.rho
-    for ray, sp in zip(scenario.rays, _pass_probabilities(state, scenario.rays, range(len(scenario.rays)))):
+    for ray, sp in zip(scenario.rays, _pass_probabilities(state, scenario, range(len(scenario.rays)))):
         assert sp == state.probability(ray.vector) == oracles.expectation(rho, ray.vector)
     for paradox in derive_paradoxes(scenario, state, events).paradoxes:
         assert paradox.sp == state.probability(scenario.rays[paradox.witness].vector)
@@ -298,6 +305,43 @@ def test_pass_probabilities_of_the_gaussian_image_paradoxes():
             assert_pass_probabilities_are_the_born_probabilities(scenario, events_of("image"), state)
             sps += [p.sp for p in derive_paradoxes(scenario, state, events_of("image")).paradoxes]
         assert sps == [Fraction(1, 9)] * 12
+
+
+@st.composite
+def real_or_complex_states(draw, dim):
+    """A pure state, or a density of 1 to 3 rank-1 parts, of small Gaussian-integer vectors: all real, or complex
+    as a rule, so that the densities' off-diagonal entries are imaginary too."""
+    im = st.just(0) if draw(st.booleans()) else st.integers(-3, 3)
+    vectors = st.lists(st.builds(ExactScalar, st.integers(-3, 3), im), min_size=dim, max_size=dim)
+    parts = draw(st.lists(vectors.map(lambda cs: ExactVector(tuple(cs))).filter(lambda v: not v.is_zero), min_size=1,
+                          max_size=3))
+    if len(parts) == 1 and draw(st.booleans()):
+        return QuantumState.pure(parts[0])
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(parts), max_size=len(parts)))
+    return QuantumState.density(mixture([(Fraction(w, sum(weights)), rank1_projector(v)) for w, v in zip(weights, parts)]))
+
+
+def complex_states_on_real_rays(dim):
+    """(1, i, 0, ...) as a pure state, and the rank-2 density of it and (0, 1, i, 0, ...) in equal parts."""
+    a, b = vec(1, ExactScalar(0, 1), *[0] * (dim - 2)), vec(0, 1, ExactScalar(0, 1), *[0] * (dim - 3))
+    return [QuantumState.pure(a), QuantumState.density(mixture([(Fraction(1, 2), rank1_projector(v)) for v in (a, b)]))]
+
+
+@pytest.mark.parametrize("scenario_key", ["yu-oh", "image", 4])
+def test_pass_probabilities_of_complex_states(scenario_key):
+    # a complex state on real rays, as (1, i, 0) on yu-oh, has complex products that the imaginary slot holds
+    for state in complex_states_on_real_rays(scenario_of(scenario_key).dim):
+        assert_pass_probabilities_are_the_born_probabilities(scenario_of(scenario_key), events_of(scenario_key), state)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("scenario_key", ["yu-oh", "image", 4])
+def test_pass_probabilities_of_real_and_complex_states(scenario_key, data):
+    # pure reads take the real and the imaginary slot; densities read one Hermitian form
+    scenario = scenario_of(scenario_key)
+    state = data.draw(real_or_complex_states(scenario.dim))
+    assert_pass_probabilities_are_the_born_probabilities(scenario, events_of(scenario_key), state)
 
 
 def test_rows_of_one_byte_length_share_one_packing():

@@ -64,7 +64,8 @@ def test_check_phases_times_the_first_ops_of_a_seed():
         assert re.fullmatch(rf"  {label} +{count} ops  p50 +\d+\.\d  p98 +\d+\.\d", line), line
     phases = "  ".join(rf"{phase} \d+\.\d" for phase in ("build", "model", "verdict", "oracle", "derive", "replay"))
     assert re.fullmatch(rf"  slowest 1 ops, mean per phase: {phases}  \(1 (pure|density) d[34]\)", lines[6]), lines[6]
-    assert len(lines) == 7
+    assert re.fullmatch(r"  slowest 1 ops: \d+\.\d paradoxes per op, derive (\d+\.\d\d|-) per paradox", lines[7]), lines[7]
+    assert len(lines) == 8
 
 
 def load_bench_pairs():

@@ -15,7 +15,11 @@ blockers and the paradox derivation beyond yu-oh: the pure state
 a rank-2 mixture with 4 on box-d4-m1.  On each, the verdict and the
 marginal oracle agree.  The ``contexts`` and ``report`` digests of the
 Gaussian image of yu-oh pin the printed complex coordinates and complex
-matrix entries, which no rational scenario reaches.
+matrix entries, which no rational scenario reaches.  On that image the
+``check`` and ``paradoxes`` digests of two densities with imaginary
+entries pin their models and SPs: a rank-2 density, with no paradoxes, as
+no mixed state of the image is contextual, and the rank-1 density of the
+image of vD, with three.  yu-oh is rational and refuses their literals.
 """
 
 from __future__ import annotations
@@ -117,11 +121,35 @@ BOX_GOLDEN = {
     ("paradoxes mixture-d4", "json"): "3c5a2820f096b46f1f8377c53b64b9b2187327ed35d204d1b8601aad498e6566",
 }
 
+# complex densities by name: 3/4 |a><a| + 1/4 |b><b| for a, b = (1, +-i, 0)/sqrt(2), whose kernel is v3 on yu-oh
+# and on its Gaussian image, and |vD><vD| / 15 for the image of vD, (2+i, 2+i, 2-i)
+COMPLEX_DENSITIES = {
+    "rank-2": "1/2 0-1/4i 0\n0+1/4i 1/2 0\n0 0 0\n",
+    "vD": "1/3 1/3 1/5+4/15i\n1/3 1/3 1/5+4/15i\n1/5-4/15i 1/5-4/15i 1/3\n",
+}
+
+GAUSSIAN_COMMANDS = {
+    "contexts": ["contexts"],
+    "report": ["report"],
+    "check rank-2": ["check", "--density", "rank-2"],
+    "paradoxes rank-2": ["paradoxes", "--density", "rank-2"],
+    "check vD": ["check", "--density", "vD"],
+    "paradoxes vD": ["paradoxes", "--density", "vD"],
+}
+
 GAUSSIAN_GOLDEN = {
     ("contexts", "text"): "5aefa3483a95c25bf7352569725a8e016d9cb0e3b084d8019e07749bbd625480",
     ("contexts", "json"): "f12a3edcf8c20e0279fc0273da5762b7df85a4a5adb5159bf0c3d919092651ef",
     ("report", "text"): "21e2374318714e58e1c7749cce78ae855673f6e6ce336824ed9fe051827e2f4b",
     ("report", "json"): "a1fcd6cc06d584cb7289f241cf54214485ef806345f969271d1f26a5de0d4ab4",
+    ("check rank-2", "text"): "5a9bd802a1da05c0d0aa0a9eac2dec4493eab3807d78a4ab534635fe7fd6d4f0",
+    ("check rank-2", "json"): "caa3037e09a7456e6a835685ca0c1660f4c5f39766bf0d9961655b70f0e05a8a",
+    ("paradoxes rank-2", "text"): "a52eee65699913c233da1377d9a3f8f1d74eb96aa8dc0128a0cdafd951241829",
+    ("paradoxes rank-2", "json"): "2cff4d468129199ab3479446cc1668ccef1b843137a1308cd8e7fcafda70ad99",
+    ("check vD", "text"): "d2be684f08c23b5fe6f211e276387a6c6cfff5ccd249fdb726af83cd12806883",
+    ("check vD", "json"): "6929343a593c477bcc01f2fc13a70171e7acf11ecea13edb9e96e0c43dd55cbd",
+    ("paradoxes vD", "text"): "82476212e34fdfaab38cf728762b3cb2ceaebea82a5d759b43558e382a2e7b6a",
+    ("paradoxes vD", "json"): "999d9df011a6f046abcc7ca13677646ac425bde45d92a689c9ed628bf6554076",
 }
 
 
@@ -157,10 +185,26 @@ def test_box_prefix_output_is_pinned(tmp_path, command, fmt):
     assert digest == BOX_GOLDEN[command, fmt]
 
 
+def write_complex_densities(tmp_path) -> dict[str, str]:
+    for name, rows in COMPLEX_DENSITIES.items():
+        (tmp_path / name).write_text(rows, encoding="utf-8")
+    return {name: str(tmp_path / name) for name in COMPLEX_DENSITIES}
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("command", ["contexts", "report"])
+@pytest.mark.parametrize("command", list(GAUSSIAN_COMMANDS))
 def test_gaussian_image_output_is_pinned(tmp_path, yu_oh, command, fmt):
     path = tmp_path / "yu-oh-u.scenario"
     path.write_text(gaussian_image_text(yu_oh), encoding="utf-8")
-    digest = hashlib.sha256(run(tmp_path, [command], fmt, str(path))).hexdigest()
+    files = write_complex_densities(tmp_path)
+    args = [files.get(a, a) for a in GAUSSIAN_COMMANDS[command]]
+    digest = hashlib.sha256(run(tmp_path, args, fmt, str(path))).hexdigest()
     assert digest == GAUSSIAN_GOLDEN[command, fmt]
+
+
+@pytest.mark.parametrize("name", list(COMPLEX_DENSITIES))
+def test_rational_yu_oh_refuses_complex_densities(tmp_path, capsys, name):
+    density = write_complex_densities(tmp_path)[name]
+    for command in ("check", "paradoxes"):
+        assert cli.main([command, "--scenario", "yu-oh", "--density", density]) == 2
+        assert "not allowed in a rational context" in capsys.readouterr().err
