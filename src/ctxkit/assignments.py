@@ -12,16 +12,17 @@ the "global event" sets of the contextuality analysis, as the int ``mask``
 
 Every event is a *core event*, its labelling of the rays that lie in some
 basis, plus an independent set of the rays in no basis (``free``), none of
-them a neighbour of the core event's rays.  The state checks read the
-core events of the :class:`GlobalEvents` the enumerator returns, which are
-far fewer (8 under 1024 events on the 32-ray box-d3-m2 prefix).
-
-:func:`enumerate_assignments` searches basis by basis on ray bitmasks,
-the scenario's ``neighbours`` and ``bases``, honouring (O) and (C) along
-the way, for the core events, then adds the independent sets of the free
-rays to each.  The tests hold it to a basis-product enumerator and to an
-exhaustive sweep over all bit strings, both kept with their direct check
-of (O) and (C) in ``tests/oracles.py``.
+them a neighbour of the core event's rays.  :func:`enumerate_assignments`
+searches basis by basis on ray bitmasks, the scenario's ``neighbours`` and
+``bases``, honouring (O) and (C) along the way, for the core events, and
+returns them as a :class:`GlobalEvents`.  The state checks read only the
+core events, which are far fewer (8 under 1024 events on the 32-ray
+box-d3-m2 prefix, 247 under 715,200 on the 48-ray box-d3-m3 prefix); the
+events themselves are listed, each core event with the independent sets
+of the free rays it leaves open, only where a command prints them.  The
+tests hold the listing to a basis-product enumerator and to an exhaustive
+sweep over all bit strings, both kept with their direct check of (O) and
+(C) in ``tests/oracles.py``.
 
 Output order is lexicographic on the sorted support tuples, which keeps
 assignment numbering stable across runs and matches the usual tabulation
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from functools import cached_property, reduce
-from itertools import chain, compress
+from itertools import compress
 from operator import or_
 
 from .errors import ValidationError
@@ -65,28 +66,48 @@ class KSAssignment(_Record):
         return tuple(compress(range(len(self.bits)), self.bits))
 
 
-class GlobalEvents(tuple):
-    """The KS-assignments in order, and the core events they factor into.
+class GlobalEvents:
+    """The core events of a scenario of ``n`` rays, and the KS-assignments they expand to.
 
-    :func:`enumerate_assignments` sets ``core``, the core events' masks, with
-    the scenario's ``free`` and ``neighbours``; a tuple of a bare list of
-    events has ``free = 0``, so each event is its own core event.
-    ``compatible``, ``missing``, ``columns``, ``rows`` and ``union`` answer
-    from the core events; ``by_ray`` and ``holding`` read every event, for
-    the listings.  The cached attributes are kept from first use, on a tuple
-    so that no event changes under them; wrapping one returns it.
+    ``core`` holds the core events' masks, ``free`` the rays in no basis and
+    ``neighbours`` the scenario's neighbour masks; with ``free = 0`` each
+    core event is an event.  ``compatible``, ``missing``, ``columns``,
+    ``rows``, ``clear_of`` and ``union`` answer from the core events.
+    ``listing``, the events in order, and ``holding`` expand them into
+    records, for the commands that print events; iterating, ``len`` and
+    indexing read ``listing``.  The cached attributes are kept from first use.
     """
 
-    free = 0
-    neighbours: tuple[int, ...] = ()
+    def __init__(self, n: int, core: Iterable[int], free: int, neighbours: tuple[int, ...]):
+        self.n, self.core, self.free, self.neighbours = n, tuple(core), free, neighbours
 
-    def __new__(cls, events: Iterable[KSAssignment] = ()):
-        return events if type(events) is cls else super().__new__(cls, events)
+    def _expand(self, core: Iterable[int]) -> list[KSAssignment]:
+        """The events of the core events ``core``, sorted by support: each core event with every independent set of
+        the free rays outside it that hold none of its neighbours."""
+        free = [(1 << f, self.neighbours[f] | 1 << f) for f in _rays(self.free)]
+        extensions: dict[int, list[int]] = {}
+        masks = []
+        for c in core:
+            allowed = sum(bit for bit, near in free if not c & near)
+            if (sets := extensions.get(allowed)) is None:
+                sets = extensions[allowed] = _independent_sets(allowed, self.neighbours)
+            masks += [c | s for s in sets]
+        masks.sort(key=_rays)
+        return [KSAssignment._of_mask(m, self.n) for m in masks]
 
     @cached_property
-    def core(self) -> tuple[int, ...]:
-        """The core events' masks: each event's ``mask``, in order, unless :func:`enumerate_assignments` set them."""
-        return tuple(a.mask for a in self)
+    def listing(self) -> list[KSAssignment]:
+        """Every event, in order."""
+        return self._expand(self.core)
+
+    def __iter__(self):
+        return iter(self.listing)
+
+    def __len__(self) -> int:
+        return len(self.listing)
+
+    def __getitem__(self, index):
+        return self.listing[index]
 
     @cached_property
     def compatible(self) -> tuple[int, ...]:
@@ -94,12 +115,10 @@ class GlobalEvents(tuple):
 
         For a basis ray that is core event j holding it; for a free ray, core
         event j holding none of its neighbours, since the event that adds
-        the free ray alone to core event j then holds it.  With no events
-        there are no columns, as for ``by_ray``.
+        the free ray alone to core event j then holds it.  With no core
+        events every column is 0.
         """
-        if not self:
-            return ()
-        n, core, neighbours = len(self[0].bits), self.core, self.neighbours
+        n, core, neighbours = self.n, self.core, self.neighbours
         # core event j's bits as the bytes j * n .. j * n + n - 1, so ray i's column is every n-th byte from i
         flat = b"".join(_bits(c | 1 << n)[:n] for c in core)
         columns = [_mask(flat[i::n]) for i in range(n)]
@@ -108,23 +127,14 @@ class GlobalEvents(tuple):
         return tuple(columns)
 
     @cached_property
-    def by_ray(self) -> tuple[int, ...]:
-        """Bit j of ``by_ray[i]`` is set iff event j holds ray i: the columns over every event, for the listings."""
-        n = len(self[0].bits) if self else 0
-        # event j's bits as the bytes j * n .. j * n + n - 1, so ray i's column is every n-th byte from i
-        flat = bytes(chain.from_iterable(a.bits for a in self))
-        return tuple(_mask(flat[i::n]) for i in range(n))
-
-    @cached_property
-    def rows(self) -> tuple[int, int, int]:
-        """``(rows, ones, n)``: core event j's mask in slot j of ``rows``, ``ones`` with bit 0 of every slot set,
-        and the ray count ``n``.  A slot has ``8 * (n // 8 + 1)`` bits, at least n + 1, so a carry or borrow at a
-        slot's bit n stays in its own slot.  Built from ``core``, never from the columns."""
-        n = len(self[0].bits) if self else 0
-        step = n // 8 + 1
+    def rows(self) -> tuple[int, int]:
+        """``(rows, ones)``: core event j's mask in slot j of ``rows``, and ``ones`` with bit 0 of every slot set.
+        A slot has ``8 * (n // 8 + 1)`` bits, at least n + 1, so a carry or borrow at a slot's bit n stays in its own
+        slot.  Built from ``core``, never from the columns."""
+        step = self.n // 8 + 1
         rows = int.from_bytes(b"".join(c.to_bytes(step, "little") for c in self.core), "little")
         ones = int.from_bytes((b"\1" + bytes(step - 1)) * len(self.core), "little")
-        return rows, ones, n
+        return rows, ones
 
     @cached_property
     def union(self) -> int:
@@ -141,14 +151,15 @@ class GlobalEvents(tuple):
         """Bit n of each slot of ``rows`` whose core event holds none of the free ray ``ray``'s neighbours, so that
         the event adding ``ray`` alone to it holds ``ray``: the packed form of ``compatible[ray]``, made from ``rows``
         and never from the columns."""
-        rows, ones, n = self.rows
-        top = ones << n
+        rows, ones = self.rows
+        top = ones << self.n
         # each slot's 2^n less its bits among the neighbours borrows from no other slot
         return top - (rows & self.neighbours[ray] * ones) & top
 
     def holding(self, ray: int) -> list[KSAssignment]:
-        """The events that hold ray index ``ray``, in order, read from its column; none if there are no events."""
-        return list(compress(self, _bits(self.by_ray[ray] if self else 0)))
+        """The events that hold ray index ``ray``, in order: those of the core events its column marks, each with
+        ``ray`` added, which a basis ray's core events hold already."""
+        return self._expand(c | 1 << ray for c in compress(self.core, _bits(self.compatible[ray])))
 
     def columns(self, rays: int) -> list[tuple[int, int]]:
         """``(z, compatible[z])`` for each basis ray ``z`` of the ray mask ``rays``, in order; only those columns are
@@ -169,26 +180,26 @@ class GlobalEvents(tuple):
 
 
 def enumerate_assignments(scenario: Scenario) -> GlobalEvents:
-    """All KS-assignments, by a basis-first search over ray bitmasks, then the free rays of each core event.
+    """All KS-assignments, as their core events, by a basis-first search over ray bitmasks.
 
     Each state of the search is a pair of masks: the rays set to 1 and
     the rays set to 0.  A step takes the basis without a 1 that has the
     fewest undecided rays and branches on which of them is its 1; setting
     a ray to 1 sets its neighbours to 0.  Once every basis has its 1, the
-    ones are a core event, which takes every independent set of the free
-    rays not set to 0.  The searches keep an explicit stack, so their depth
-    is not bounded by the recursion limit.
+    ones are a core event; :class:`GlobalEvents` adds the free rays when
+    the events are listed.  The search keeps an explicit stack, so its
+    depth is not bounded by the recursion limit.
 
-    An empty result is a valid outcome and signals a KS-uncolorable set.
+    No core event is a valid outcome and signals a KS-uncolorable set.
     """
-    n, neighbours, bases, free = len(scenario.rays), scenario.neighbours, scenario.bases, scenario.free
-    core: list[tuple[int, int]] = []
+    neighbours, bases = scenario.neighbours, scenario.bases
+    core = []
     stack = [(0, 0)]
     while stack:
         ones, zeros = stack.pop()
         open_bases = [b & ~zeros for b in bases if not b & ones]
         if not open_bases:
-            core.append((ones, zeros))
+            core.append(ones)
             continue
         # an empty candidate mask is a basis that can no longer get its 1: no branch
         candidates = min(open_bases, key=int.bit_count)
@@ -196,17 +207,7 @@ def enumerate_assignments(scenario: Scenario) -> GlobalEvents:
             ray = candidates & -candidates
             candidates ^= ray
             stack.append((ones | ray, zeros | neighbours[ray.bit_length() - 1]))
-    extensions: dict[int, list[int]] = {}
-    masks = []
-    for ones, zeros in core:
-        allowed = free & ~zeros
-        if (sets := extensions.get(allowed)) is None:
-            sets = extensions[allowed] = _independent_sets(allowed, neighbours)
-        masks += [ones | s for s in sets]
-    masks.sort(key=_rays)
-    events = GlobalEvents(KSAssignment._of_mask(m, n) for m in masks)
-    vars(events).update(core=tuple(sorted((ones for ones, _ in core), key=_rays)), free=free, neighbours=neighbours)
-    return events
+    return GlobalEvents(len(scenario.rays), sorted(core, key=_rays), scenario.free, neighbours)
 
 
 def _independent_sets(rays: int, neighbours: tuple[int, ...]) -> list[int]:

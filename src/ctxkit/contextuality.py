@@ -4,11 +4,12 @@ The possibilistic model of a state maps each ray to 1 exactly when its
 Born probability is non-zero; with exact scalars this is decidable.  A
 state is *logically contextual* when no 0/1 distribution over the global
 events (KS-assignments) reproduces that model as marginals.  Zero sets
-are ray bitmasks, a model's impossible rays its ``zeros``.  The checks
-read the core events (:mod:`ctxkit.assignments`): each ray's column
-``GlobalEvents.compatible`` is one int over them, and ``miss``, the core
-events that miss a zero set, is all core events less each basis zero
-ray's column.
+are ray bitmasks, a model's impossible rays its ``zeros``.  Every
+function here takes the ``GlobalEvents`` of :mod:`ctxkit.assignments`,
+the core events, and the checks and the search list no event: each ray's
+column ``GlobalEvents.compatible`` is one int over the core events, and
+``miss``, the core events that miss a zero set, is all core events less
+each basis zero ray's column.
 :func:`possibilistic_model` computes the model of a pure or a density
 state in one pass on ints: ray ``z`` is impossible iff ``M z = 0`` for
 the state's integer rows ``M``: the scenario's packed Born pass
@@ -32,8 +33,8 @@ procedures are implemented:
   zero set whose column is non-zero and disjoint from ``miss``.  It is
   shared with :func:`ctxkit.hardy.derive_paradoxes`: the verdict stops at
   its first witness, the derivation makes each one a paradox.  The
-  verdict lists no events; :func:`witness_blockers` reads them, and the
-  first blocker of each, from the witness's column over every event
+  verdict lists no events; :func:`witness_blockers` lists them, and the
+  first blocker of each, from the core events in the witness's column
   (``GlobalEvents.holding``) when a report asks.
 * :func:`noncontextuality_oracle` builds the canonical candidate
   distribution (an event is possible iff it misses every impossible ray)
@@ -266,7 +267,7 @@ def is_logically_contextual(
     what :func:`noncontextuality_oracle` finds (see the module docstring).
     """
     model = possibilistic_model(scenario, state)
-    k, _ = next(_blocked_witnesses(GlobalEvents(assignments), model.zeros), (None, 0))
+    k, _ = next(_blocked_witnesses(assignments, model.zeros), (None, 0))
     return ContextualityVerdict(contextual=k is not None, witness=k, model=model)
 
 
@@ -277,7 +278,7 @@ def witness_blockers(
     if verdict.witness is None:
         return ()
     blockers = []
-    for event in GlobalEvents(assignments).holding(verdict.witness):
+    for event in assignments.holding(verdict.witness):
         hit = event.mask & verdict.model.zeros
         blockers.append((event, (hit & -hit).bit_length() - 1))
     return tuple(blockers)
@@ -294,12 +295,11 @@ def noncontextuality_oracle(
     state is logically non-contextual.
     """
     model = possibilistic_model(scenario, state)
-    events = GlobalEvents(assignments)
     # a mask over the events, not over the rays: the empty event is possible and covers nothing
-    miss = events.missing(model.zeros)
+    miss = assignments.missing(model.zeros)
     # no zero ray's column meets ``miss``, so the marginals hold iff each possible ray's column meets it
     possible = ~model.zeros & (1 << len(model.values)) - 1
-    return miss != 0 and all(column & miss for column in compress(events.compatible, _bits(possible)))
+    return miss != 0 and all(column & miss for column in compress(assignments.compatible, _bits(possible)))
 
 
 # ---------------------------------------------------------------------------
@@ -415,17 +415,17 @@ def find_contextual_pure_states(
     lower rank is an undetermined family.  States are sorted by witness
     and selection.
     """
-    events = GlobalEvents(assignments)
     found: list[WitnessedState] = []
     undetermined: list[UndeterminedFamily] = []
-    for r, flat, normals, (k, column) in _blocking_flats(scenario, events):
+    for r, flat, normals, (k, column) in _blocking_flats(scenario, assignments):
         if r < scenario.dim - 1:
             undetermined.append(UndeterminedFamily(k, _rays(flat), scenario.dim - r))
             continue
         psi = _canonical_from_ints(normals[0])
-        if not is_logically_contextual(scenario, QuantumState.pure(psi), events):
+        if not is_logically_contextual(scenario, QuantumState.pure(psi), assignments):
             raise AssertionError(f"state {psi} emitted by the search failed the contextuality re-check")
-        found.append(WitnessedState(witness=k, state=psi, selection=_minimum_hitting_set(events.columns(flat), column)))
+        selection = _minimum_hitting_set(assignments.columns(flat), column)
+        found.append(WitnessedState(witness=k, state=psi, selection=selection))
     found.sort(key=lambda w: (w.witness, w.selection))
     return PureStateSearch(states=tuple(found), undetermined=tuple(undetermined))
 
@@ -476,16 +476,20 @@ def analyze_mixed_states(
     The blocking flats of rank at most ``d - 2`` are those families.
     """
     violations = search.undetermined
-    events = GlobalEvents(assignments)
-    candidates = [(k, held) for k in _rays(scenario.free) if (held := events.holding(k))]
-    if sum(math.prod(len(e.support) - 1 for e in held) for _, held in candidates) > TRIPLE_LISTING_BOUND:
-        return MixedAnalysisReport((), violations, not violations, triples_listed=False)
+    candidates, size = [], 0
+    for k in _rays(scenario.free):
+        # one pick list per event holding the candidate: its rays but the candidate
+        if pick_lists := [_rays(a.mask & ~(1 << k)) for a in assignments.holding(k)]:
+            candidates.append((k, pick_lists))
+            size += math.prod(map(len, pick_lists))
+        if size > TRIPLE_LISTING_BOUND:
+            return MixedAnalysisReport((), violations, not violations, triples_listed=False)
     triples = []
     # picks repeat selections (71 distinct among yu-oh's 108), so each selection is ranked once
     ranks: dict[tuple[int, ...], int] = {}
-    for k, held in candidates:
+    for k, pick_lists in candidates:
         # one pick of a non-witness ray per event; repeated picks collapse in the selection
-        for picks in product(*([i for i in e.support if i != k] for e in held)):
+        for picks in product(*pick_lists):
             selection = tuple(sorted(set(picks)))
             if (r := ranks.get(selection)) is None:
                 r = ranks[selection] = rank([scenario.rays[i].vector for i in selection], dim=scenario.dim)

@@ -260,10 +260,10 @@ def _scalar_text(z: tuple[int, int], den: int) -> str:
 class ExactVector(_Record):
     """A Gaussian-rational vector ``nums[k] / den`` of dimension at least 2, stored as an :class:`ExactMatrix` is.
 
-    ``==`` compares ``(den, nums)``.  The constructor takes coordinates and
-    sets :attr:`integer_form` and :attr:`integer_norm`; :attr:`coords`
-    builds the coordinates back when read, and hashing, ``repr``, copy and
-    pickle read them, as for a record of the one field ``coords``.
+    ``==`` and hashing read ``(den, nums)``.  The constructor takes
+    coordinates and sets :attr:`integer_form` and :attr:`integer_norm`;
+    :attr:`coords` builds the coordinates back when read, and ``repr``,
+    copy and pickle read them, as for a record of the one field ``coords``.
     """
 
     __slots__ = ("den", "nums", "integer_form", "integer_norm")
@@ -297,7 +297,8 @@ class ExactVector(_Record):
             return self.den == other.den and self.nums == other.nums
         return NotImplemented
 
-    __hash__ = _Record.__hash__
+    def __hash__(self):
+        return hash((self.den, self.nums))
 
     @property
     def dim(self) -> int:

@@ -18,8 +18,8 @@ first two projectors have probability 0 and the third probability 1
 under the state.  The third orthogonalized ray always lands on the state
 ray itself, which makes the construction easy to audit.
 
-:func:`derive_paradoxes` works per state and on the core events
-(:mod:`ctxkit.assignments`): the zero rays' columns are read once, each
+:func:`derive_paradoxes` works per state on the core events and lists no
+event (:mod:`ctxkit.assignments`): the zero rays' columns are read once, each
 witness's minimum hitting set starts from the zero rays forced into it
 (each the only one that hits some core event), and
 :func:`replay_contradiction` checks the paradoxes with one test per
@@ -73,15 +73,14 @@ def derive_paradoxes(
     raises.
     """
     zeros = possibilistic_model(scenario, state).zeros
-    events = GlobalEvents(assignments)
-    zero_columns = events.columns(zeros)
-    blocked = list(_blocked_witnesses(events, zeros))
+    zero_columns = assignments.columns(zeros)
+    blocked = list(_blocked_witnesses(assignments, zeros))
     sps = _pass_probabilities(state, scenario, [k for k, _ in blocked]) if blocked else []
     paradoxes = [
         HardyParadox(state, k, _minimum_hitting_set(zero_columns, column), sp)
         for (k, column), sp in zip(blocked, sps)
     ]
-    if not all(replay_contradiction(events, paradoxes)):
+    if not all(replay_contradiction(assignments, paradoxes)):
         raise AssertionError("derived paradox failed the contradiction replay")
     reason = None if paradoxes else f"state {state.describe()} is not logically contextual on {scenario.name!r}"
     return ParadoxDerivation(tuple(paradoxes), reason)
@@ -119,9 +118,8 @@ def replay_contradiction(assignments: GlobalEvents, paradoxes: list[HardyParadox
     when no group has a ``bad`` slot, as for every derived paradox, the
     first loop's results are returned as they are.
     """
-    events = GlobalEvents(assignments)
-    rows, ones, n = events.rows
-    full, top, union, free = (1 << n) - 1, ones << n, events.union, events.free
+    (rows, ones), n = assignments.rows, assignments.n
+    full, top, union, free = (1 << n) - 1, ones << n, assignments.union, assignments.free
     live, groups = [], {}
     for paradox in paradoxes:
         w, z = paradox.witness, paradox.zero_set
@@ -140,7 +138,7 @@ def replay_contradiction(assignments: GlobalEvents, paradoxes: list[HardyParadox
         slots = shifted & missed * (witnesses & ~free)
         if loose := witnesses & free & ~zeros:
             for w in _rays(loose):
-                if missed & events.clear_of(w):
+                if missed & assignments.clear_of(w):
                     slots |= 1 << n + w
         bad[zero_set] = slots
     if not any(bad.values()):
@@ -334,7 +332,6 @@ def crosscheck_reference_observables(scenario: Scenario, assignments: GlobalEven
     outcome probabilities (0, 0, 1) under the row's state; inconsistent
     rows are the errata.  Derived matrices are authoritative either way.
     """
-    events = GlobalEvents(assignments)
     results = []
     errata = []
     for ref in REFERENCE_OBSERVABLES:
@@ -343,7 +340,7 @@ def crosscheck_reference_observables(scenario: Scenario, assignments: GlobalEven
         zeros = tuple(sorted(scenario.ray_index(z) for z in ref.zeros))
         paradox = HardyParadox(state, witness, zeros, state.probability(scenario.rays[witness].vector))
         if any(state.probability(scenario.rays[z].vector) != 0 for z in zeros) or not replay_contradiction(
-            events, [paradox]
+            assignments, [paradox]
         )[0]:
             raise ValidationError(
                 f"reference row {ref.row} has no matching paradox; "

@@ -109,8 +109,7 @@ def assignments_json(scenario: Scenario, assignments: list[KSAssignment]) -> dic
 
 
 def global_events_json(scenario: Scenario, assignments: GlobalEvents, rays: tuple[int, ...]) -> dict:
-    events = GlobalEvents(assignments)
-    return {scenario.rays[i].label: [_labels(scenario, a.support) for a in events.holding(i)] for i in rays}
+    return {scenario.rays[i].label: [_labels(scenario, a.support) for a in assignments.holding(i)] for i in rays}
 
 
 def verdict_json(

@@ -116,8 +116,7 @@ def load_scenario(text: str, source: str = "<string>") -> Scenario:
     header: tuple[str, int, str] | None = None
     rays: list[Ray] = []
     seen_labels: dict[str, int] = {}
-    # canonical rays by integer form: two are equal iff their forms are, and a form hashes without a scalar
-    seen_rays: dict[tuple[tuple[int, int], ...], str] = {}
+    seen_rays: dict[ExactVector, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -130,12 +129,10 @@ def load_scenario(text: str, source: str = "<string>") -> Scenario:
         if label in seen_labels:
             raise ValidationError(f"duplicate label {label!r} (line {lineno})")
         canon = canonical_ray(vector)
-        if canon.integer_form in seen_rays:
-            raise ValidationError(
-                f"ray {label!r} (line {lineno}) is a scalar multiple of ray {seen_rays[canon.integer_form]!r}"
-            )
+        if canon in seen_rays:
+            raise ValidationError(f"ray {label!r} (line {lineno}) is a scalar multiple of ray {seen_rays[canon]!r}")
         seen_labels[label] = lineno
-        seen_rays[canon.integer_form] = label
+        seen_rays[canon] = label
         rays.append(Ray(label, canon))
     if header is None:
         raise ParseError(f"no header line found in {source}")

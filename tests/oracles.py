@@ -37,15 +37,15 @@ integer form.
 The global-event oracles test events as bit tuples, support tuples and
 Python sets, where the package reads the columns over the core events;
 ``events_containing`` scans every event for a ray, where the package
-walks the ray's column (``GlobalEvents.holding``).
+expands the core events in the ray's column (``GlobalEvents.holding``).
 ``hitting_set_of_masks`` is no oracle: it hands the package's
-``_minimum_hitting_set`` the zero rays' columns over one event per zero
-mask, for the tests that state hitting sets as plain masks.
+``_minimum_hitting_set`` the zero rays' columns (``compatible``) over one
+event per zero mask, for the tests that state hitting sets as plain masks.
 
 ``full_events`` is the full-event path that the core events replaced:
-the same events as a bare list, each its own core event, so that the
-package's verdict, oracle, derivation and replay run on columns and
-packed masks over every KS-assignment.  ``shift_replay`` is the replay
+``GlobalEvents(n, masks, 0, ())`` of every event's mask, each its own
+core event, so that the package's verdict, oracle, derivation and replay
+run on columns and packed masks over every KS-assignment.  ``shift_replay`` is the replay
 that the OR-fold, and then the test per zero set, replaced: per
 paradox, one shift of the packed masks of every event marks the events
 that hold the witness, against one word per zero set of the events that
@@ -329,12 +329,14 @@ def verify_assignment(scenario: Scenario, assignment: KSAssignment) -> bool:
     return True
 
 
-def enumerate_assignments_by_basis_choices(scenario: Scenario) -> GlobalEvents:
+def enumerate_assignments_by_basis_choices(scenario: Scenario) -> list[KSAssignment]:
     """Independent enumerator built from per-basis choices; cross-check oracle.
 
     Exhaustive over the product of basis contexts, then over independent
-    sets of the residual subgraph of rays outside every basis; intended for
-    small scenarios only.
+    sets of the residual subgraph of rays outside every basis.  Both are
+    grown one basis or one ray at a time, and a partial choice is dropped
+    as soon as two of its rays are orthogonal, so that the work follows the
+    events rather than the product; intended for small scenarios only.
     """
     n = len(scenario.rays)
     bases = [c.members for c in scenario.basis_contexts()]
@@ -344,29 +346,21 @@ def enumerate_assignments_by_basis_choices(scenario: Scenario) -> GlobalEvents:
     def independent(rays: frozenset[int]) -> bool:
         return not any((i, j) in scenario.edges for i in rays for j in rays if j > i)
 
-    residual_sets = [frozenset(c) for r in range(len(outside) + 1) for c in combinations(outside, r)]
-    residual_sets = [s for s in residual_sets if independent(s)]
-
-    supports: set[frozenset[int]] = set()
-    if bases:
-        choice_lists = [list(members) for members in bases]
-        for picks in product(*choice_lists):
-            base_set = frozenset(picks)
-            if not independent(base_set):
-                continue
-            for extra in residual_sets:
-                candidate = base_set | extra
-                if independent(candidate):
-                    supports.add(candidate)
-    else:
-        supports.update(residual_sets)
+    # one pick per basis: a second pick in a basis is orthogonal to the first, so independence is "exactly one"
+    base_sets = {frozenset()}
+    for members in bases:
+        base_sets = {s | {i} for s in base_sets for i in members if independent(s | {i})}
+    residual_sets = [frozenset()]
+    for i in outside:
+        residual_sets += [s | {i} for s in residual_sets if independent(s | {i})]
+    supports = {s | extra for s in base_sets for extra in residual_sets if independent(s | extra)}
 
     found = [
         KSAssignment(tuple(1 if i in s else 0 for i in range(n)))
         for s in supports
     ]
     found.sort(key=lambda a: a.support)
-    return GlobalEvents(found)
+    return found
 
 
 def maximal_cliques(scenario: Scenario) -> list[tuple[int, ...]]:
@@ -469,10 +463,8 @@ def minimum_hitting_set(hit_lists: list[list[int]]) -> tuple[int, ...]:
 def hitting_set_of_masks(masks: list[int], width: int = 10) -> tuple[int, ...]:
     """``_minimum_hitting_set`` on one event per zero mask, each also holding the witness ray ``width``:
     rays 0 .. width - 1 are the zero rays, each given with its column."""
-    events = GlobalEvents(KSAssignment([mask >> i & 1 for i in range(width)] + [1]) for mask in masks)
-    # with no events there are no columns; every column is then empty
-    by_ray = events.by_ray or (0,) * (width + 1)
-    return _minimum_hitting_set(list(enumerate(by_ray[:width])), by_ray[width])
+    columns = GlobalEvents(width + 1, [mask | 1 << width for mask in masks], 0, ()).compatible
+    return _minimum_hitting_set(list(enumerate(columns[:width])), columns[width])
 
 
 def replay_contradiction(assignments, paradox) -> bool:
@@ -485,16 +477,16 @@ def replay_contradiction(assignments, paradox) -> bool:
     return all(zero.intersection(a.support) for a in witness_events)
 
 
-def full_events(assignments) -> GlobalEvents:
-    """The events as a bare list, whose ``free`` is 0, so that each event is its own core event: the verdict, the
-    oracle, the derivation and the replay then read columns and packed masks over every KS-assignment."""
-    return GlobalEvents(list(assignments))
+def full_events(events: GlobalEvents) -> GlobalEvents:
+    """Every event's mask as a core event, with ``free = 0``: the verdict, the oracle, the derivation and the
+    replay then read columns and packed masks over every KS-assignment."""
+    return GlobalEvents(events.n, [a.mask for a in events], 0, ())
 
 
-def shift_replay(assignments, paradoxes) -> list[bool]:
+def shift_replay(events: GlobalEvents, paradoxes) -> list[bool]:
     """One result per paradox: ``rows >> witness & ones`` marks the events that hold the witness,
     and adding 2^n - 1 to each slot's zero-set bits carries into its bit n iff the event meets the zero set."""
-    rows, ones, n = full_events(assignments).rows
+    (rows, ones), n = full_events(events).rows, events.n
     full = (1 << n) - 1
     met: dict[int, int] = {}
     replays = []

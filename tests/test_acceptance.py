@@ -58,7 +58,7 @@ def test_criterion_01_contexts(yu_oh):
 def test_criterion_02_assignments(yu_oh, yu_oh_assignments):
     assert len(yu_oh_assignments) == 24
     assert [support_labels(yu_oh, a) for a in yu_oh_assignments] == EXPECTED_SUPPORTS
-    assert enumerate_assignments_by_basis_choices(yu_oh) == yu_oh_assignments
+    assert enumerate_assignments_by_basis_choices(yu_oh) == yu_oh_assignments.listing
     brute = [
         bits
         for bits in product((0, 1), repeat=len(yu_oh.rays))

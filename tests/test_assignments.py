@@ -20,7 +20,13 @@ from ctxkit import (
     load_scenario,
 )
 
-from oracles import enumerate_assignments_by_basis_choices, events_containing, support_labels, verify_assignment
+from oracles import (
+    enumerate_assignments_by_basis_choices,
+    events_containing,
+    full_events,
+    support_labels,
+    verify_assignment,
+)
 
 # the 24 supports of the bundled scenario, in enumeration order
 EXPECTED_SUPPORTS = [
@@ -68,7 +74,7 @@ def test_support_sizes(yu_oh, yu_oh_assignments):
 
 
 def test_enumerators_agree_on_yu_oh(yu_oh, yu_oh_assignments):
-    assert enumerate_assignments_by_basis_choices(yu_oh) == yu_oh_assignments
+    assert enumerate_assignments_by_basis_choices(yu_oh) == yu_oh_assignments.listing
 
 
 def test_exhaustive_bitstring_sweep(yu_oh, yu_oh_assignments):
@@ -130,7 +136,7 @@ def test_events_containing(yu_oh, yu_oh_assignments):
 
 def test_events_containing_preserves_order(yu_oh, yu_oh_assignments):
     events = yu_oh_assignments.holding(yu_oh.ray_index("v5"))
-    positions = [yu_oh_assignments.index(e) for e in events]
+    positions = [yu_oh_assignments.listing.index(e) for e in events]
     assert positions == sorted(positions)
 
 
@@ -138,7 +144,7 @@ def test_single_basis_scenario():
     s = load_scenario("scenario basis dim 3 field rational\na: 1,0,0\nb: 0,1,0\nc: 0,0,1")
     assignments = enumerate_assignments(s)
     assert [support_labels(s, a) for a in assignments] == [("a",), ("b",), ("c",)]
-    assert enumerate_assignments_by_basis_choices(s) == assignments
+    assert enumerate_assignments_by_basis_choices(s) == assignments.listing
 
 
 def test_no_basis_scenario_allows_empty_support():
@@ -146,12 +152,12 @@ def test_no_basis_scenario_allows_empty_support():
     s = load_scenario("scenario free dim 3 field rational\na: 1,0,0\nb: 1,1,0")
     assignments = enumerate_assignments(s)
     assert [a.support for a in assignments] == [(), (0,), (0, 1), (1,)]
-    assert enumerate_assignments_by_basis_choices(s) == assignments
+    assert enumerate_assignments_by_basis_choices(s) == assignments.listing
 
 
 def test_enumerators_agree_on_collision_fixture():
     s = load_scenario("scenario coll dim 3 field rational\na: 1,0,0\nb: 0,1,0\nc: 1,1,0\nd: 1,-1,0")
-    assert enumerate_assignments(s) == enumerate_assignments_by_basis_choices(s)
+    assert enumerate_assignments(s).listing == enumerate_assignments_by_basis_choices(s)
 
 
 def test_orthogonal_rays_outside_every_basis():
@@ -167,7 +173,7 @@ def test_orthogonal_rays_outside_every_basis():
         ("e2",), ("e2", "r"), ("e2", "s"),
         ("e3",), ("e3", "s"),
     ]
-    assert enumerate_assignments_by_basis_choices(s) == assignments
+    assert enumerate_assignments_by_basis_choices(s) == assignments.listing
 
 
 def test_extension_pairs_present(yu_oh, yu_oh_assignments):
@@ -214,7 +220,7 @@ def box_subsets(draw):
 def test_enumerators_and_sweep_agree_on_box_subsets(subset):
     s = box_scenario(*subset)
     assignments = enumerate_assignments(s)
-    assert enumerate_assignments_by_basis_choices(s) == assignments
+    assert enumerate_assignments_by_basis_choices(s) == assignments.listing
     accepted = [
         bits for bits in product((0, 1), repeat=len(s.rays)) if verify_assignment(s, KSAssignment(bits))
     ]
@@ -228,24 +234,21 @@ def test_uncolourable_boxes_have_no_assignments(d, m, rays):
     s = box_scenario(d, m)
     assert len(s.rays) == rays
     events = enumerate_assignments(s)
-    assert events == ()
-    # no columns to read, and no ray is held
+    assert events.core == () and events.listing == []
+    # every column is 0, and no ray is held
+    assert events.compatible == (0,) * rays
     assert all(events.holding(i) == [] for i in range(rays))
 
 
 @settings(max_examples=100, deadline=None)
 @given(box_subsets())
-def test_by_ray_is_the_transpose_of_the_bits_on_box_subsets(subset):
+def test_holding_is_the_event_scan_on_box_subsets(subset):
+    # on the core events and on every event as its own core event
     s = box_scenario(*subset)
     events = enumerate_assignments(s)
-    n = len(s.rays)
-    # with no events there are no columns to read
-    columns = tuple(sum(1 << j for j, a in enumerate(events) if a.bits[i]) for i in range(n)) if events else ()
-    assert events.by_ray == columns
-    for given_events in (events, list(events)):
-        for i in range(n):
-            assert events_containing(s, given_events, i) == [a for a in events if a.mask >> i & 1]
-            assert GlobalEvents(given_events).holding(i) == events_containing(s, given_events, i)
+    full = full_events(events)
+    for i in range(len(s.rays)):
+        assert events.holding(i) == full.holding(i) == events_containing(s, events, i)
 
 
 ray_counts_and_masks = st.integers(1, 12).flatmap(
@@ -254,7 +257,7 @@ ray_counts_and_masks = st.integers(1, 12).flatmap(
 
 
 def events_of_masks(n, masks):
-    return GlobalEvents(KSAssignment(m >> i & 1 for i in range(n)) for m in masks)
+    return GlobalEvents(n, masks, 0, ())
 
 
 @settings(max_examples=100, deadline=None)
@@ -264,10 +267,13 @@ def test_holding_and_missing_match_the_event_scans(case):
     events = events_of_masks(n, masks)
     for i in range(n):
         assert events.holding(i) == [a for a in events if a.bits[i]]
+    # each mask is its own core event, so bit j of a column or of ``missing`` is masks[j]
+    columns = [sum(1 << j for j, m in enumerate(masks) if m >> i & 1) for i in range(n)]
+    assert list(events.compatible) == columns
     # zero masks with bits past the last ray, which no event holds
     for zeros in (0, 1, (1 << n) - 1, 0b101 << n - 1, 1 << n + 2, sum(masks[:2]) | 1 << 40):
-        assert events.missing(zeros) == sum(1 << j for j, a in enumerate(events) if not a.mask & zeros)
-        assert events.columns(zeros) == [(z, column) for z, column in enumerate(events.by_ray) if zeros >> z & 1]
+        assert events.missing(zeros) == sum(1 << j for j, m in enumerate(masks) if not m & zeros)
+        assert events.columns(zeros) == [(z, column) for z, column in enumerate(columns) if zeros >> z & 1]
 
 
 def test_holding_reads_a_column_over_thousands_of_events():
@@ -280,13 +286,12 @@ def test_holding_reads_a_column_over_thousands_of_events():
     assert len(events.holding(0)) > 1000
 
 
-def test_by_ray_is_built_on_first_use(yu_oh):
+def test_the_listing_is_built_on_first_use(yu_oh):
+    # holding expands only the core events in the ray's column; iterating or len lists every event, once
     events = enumerate_assignments(yu_oh)
-    assert isinstance(events, GlobalEvents)
-    assert "by_ray" not in vars(events)
-    column = events.by_ray[yu_oh.ray_index("vA")]
-    assert vars(events)["by_ray"] is events.by_ray
-    held = [a for j, a in enumerate(events) if column >> j & 1]
+    assert isinstance(events, GlobalEvents) and "listing" not in vars(events)
+    held = events.holding(yu_oh.ray_index("vA"))
     assert [support_labels(yu_oh, a) for a in held] == GLOBAL_EVENT_SETS["vA"]
-    assert GlobalEvents(events) is events
-    assert GlobalEvents(list(events)) == events and "by_ray" not in vars(GlobalEvents(list(events)))
+    assert "listing" not in vars(events)
+    assert len(events) == 24 and vars(events)["listing"] is events.listing
+    assert list(events) == events.listing and events[-1] is events.listing[-1]

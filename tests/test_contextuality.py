@@ -21,7 +21,6 @@ from ctxkit import (
     ExactMatrix,
     ExactScalar,
     ExactVector,
-    GlobalEvents,
     HardyParadox,
     InvalidDensityError,
     ParseError,
@@ -514,13 +513,12 @@ def test_mask_event_tests_match_oracles_on_box_subsets(subset, data):
 
 def assert_blocked_witnesses_match_the_oracle(scenario, assignments, zeros):
     """The column scan on the zero mask ``zeros`` equals the per-ray scan on the model it gives; the columns are over
-    the core events, so each witness's events are listed from the events themselves."""
+    the core events, so each witness's events are listed with ``holding``."""
     n = len(scenario.rays)
     model = PossibilisticModel(tuple(0 if zeros >> i & 1 else 1 for i in range(n)))
-    events = GlobalEvents(assignments)
     got = []
-    for k, _ in _blocked_witnesses(events, zeros):
-        held = events.holding(k)
+    for k, _ in _blocked_witnesses(assignments, zeros):
+        held = assignments.holding(k)
         got.append((k, held, [{i for i in range(n) if (e.mask & zeros) >> i & 1} for e in held]))
     want = [(k, events, [set(hit) for hit in hits]) for k, events, hits in oracles.blocked_witnesses(model, assignments)]
     assert got == want

@@ -1,11 +1,12 @@
 """The state checks on the core events, held to the same checks on every KS-assignment.
 
-``enumerate_assignments`` keeps the core events, the basis rays' labellings,
-on the events it returns; the verdict, the oracle, the derivation, the
-hitting sets and the replay read them.  ``oracles.full_events`` hands the
-package the same events as a bare list, each its own core event, so that
-every check runs on columns over all the events: the path the core events
-replaced.  The scenarios are box prefixes with rays in no basis.
+``enumerate_assignments`` returns the core events, the basis rays' labellings;
+the verdict, the oracle, the derivation, the hitting sets and the replay
+read them, and only ``listing`` and ``holding`` expand them into events.
+``oracles.full_events`` hands the package every event's mask as its own
+core event, so that every check runs on columns over all the events: the
+path the core events replaced.  The scenarios are box prefixes with rays
+in no basis.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 import oracles
 from ctxkit import (
     HardyParadox,
+    QuantumState,
     derive_paradoxes,
     enumerate_assignments,
     find_contextual_pure_states,
@@ -68,13 +70,13 @@ def test_each_event_is_a_core_event_and_free_rays_none_of_its_neighbours(key):
     # every core event with no free ray is an event, and a ray is in some event iff its column over the core isn't 0
     assert core <= {event.mask for event in events}
     assert events.union == full.union
-    assert [bool(column) for column in events.compatible] == [bool(column) for column in full.by_ray]
+    assert [bool(column) for column in events.compatible] == [bool(column) for column in full.compatible]
 
 
 @pytest.mark.parametrize("key", PREFIXES[1::3] + PREFIXES[-2:])
 def test_compatible_bits_are_the_core_events_of_the_events_holding_each_ray(key):
     # bit j of compatible[i] iff some event whose core (mask less the free rays) is core[j] holds ray i, and
-    # clear_of(f) packs a free ray f's column as bit n of slot j of rows; with no events there are no columns
+    # clear_of(f) packs a free ray f's column as bit n of slot j of rows; with no events every column is 0
     s, events, _ = prefix(*key)
     n, slot = len(s.rays), 8 * (len(s.rays) // 8 + 1)
     slots = {c: j for j, c in enumerate(events.core)}
@@ -82,7 +84,7 @@ def test_compatible_bits_are_the_core_events_of_the_events_holding_each_ray(key)
     for event in events:
         for i in _rays(event.mask):
             want[i] |= 1 << slots[event.mask & ~s.free]
-    assert list(events.compatible) == (want if events else [])
+    assert list(events.compatible) == want
     for f in _rays(s.free):
         packed = events.clear_of(f)
         assert [packed >> j * slot + n & 1 for j in range(len(events.core))] == [want[f] >> j & 1 for j in slots.values()]
@@ -116,3 +118,27 @@ def test_the_core_path_matches_the_full_event_path(key, data):
 def test_the_pure_state_search_on_the_core_events_matches_the_full_event_search(key):
     s, events, full = prefix(*key)
     assert find_contextual_pure_states(s, events) == find_contextual_pure_states(s, full)
+
+
+@pytest.mark.parametrize("key", PREFIXES[::3] + PREFIXES[-2:])
+def test_the_listing_is_the_basis_product_enumeration_and_holding_its_filter(key):
+    s, events, _ = prefix(*key)
+    assert events.listing == oracles.enumerate_assignments_by_basis_choices(s)
+    for i in range(len(s.rays)):
+        assert events.holding(i) == [a for a in events.listing if a.mask >> i & 1]
+
+
+@pytest.mark.parametrize("key", PREFIXES[::3] + PREFIXES[-2:])
+def test_the_checks_leave_the_events_unlisted(key):
+    # a fresh enumeration per prefix, so that no earlier test has listed its events
+    s = box_scenario(*key[:2], range(key[2]))
+    events = enumerate_assignments(s)
+    for psi in [ray.vector for ray in s.rays[::5]]:
+        state = QuantumState.pure(psi)
+        verdict = is_logically_contextual(s, state, events)
+        noncontextuality_oracle(s, state, events)
+        derivation = derive_paradoxes(s, state, events)
+        assert bool(derivation.paradoxes) == verdict.contextual
+        replay_contradiction(events, mutated(derivation.paradoxes, len(s.rays)))
+    find_contextual_pure_states(s, events)
+    assert "listing" not in vars(events)

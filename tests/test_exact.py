@@ -149,6 +149,20 @@ def test_equality_and_the_integer_forms_build_no_scalar(monkeypatch):
     assert not hasattr(m, "__dict__")
 
 
+def test_equal_vectors_hash_alike_and_a_hash_builds_no_scalar(monkeypatch):
+    # the same ray from ints, from Fractions over another denominator and from scalars
+    a = vec(1, 2, 0)
+    b = vec(Fraction(3, 6), Fraction(2, 2), 0)
+    c = ExactVector((ExactScalar(Fraction(1, 2)), ExactScalar(1), ExactScalar(0)))
+    built = []
+    init = ExactScalar.__init__
+    monkeypatch.setattr(ExactScalar, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    assert b == c and hash(b) == hash(c) and len({a, b, c}) == 2
+    assert hash(a) == hash(vec(Fraction(2, 2), Fraction(4, 2), Fraction(0, 5))) and hash(a) != hash(b)
+    assert hash(a) == hash((a.den, a.nums))
+    assert built == []
+
+
 def test_parse_vector():
     assert parse_vector("1,0,-1") == vec(1, 0, -1)
     with pytest.raises(DimensionMismatchError):

@@ -16,7 +16,6 @@ from ctxkit import (
     ExactMatrix,
     GlobalEvents,
     HardyParadox,
-    KSAssignment,
     LinearDependenceError,
     QuantumState,
     ValidationError,
@@ -171,8 +170,8 @@ def test_replay_is_independent_of_the_event_index(yu_oh, yu_oh_assignments):
     # vA's events are {v1,v5,v6,vA}, {v2,v6,v7,vA} and {v3,v5,v7,vA}; with the second
     # cleared from vA's column the columns give the zero set (v5,), which misses that
     # event, and the replay over the events themselves must reject it
-    # (as a bare list, each event is its own core event, so bit j of a column is event j)
-    events = GlobalEvents(list(yu_oh_assignments))
+    # (every event as its own core event, so bit j of a column is event j)
+    events = oracles.full_events(yu_oh_assignments)
     columns = list(events.compatible)
     dropped = next(j for j, a in enumerate(events) if oracles.support_labels(yu_oh, a) == ("v2", "v6", "v7", "vA"))
     columns[yu_oh.ray_index("vA")] &= ~(1 << dropped)
@@ -191,7 +190,7 @@ def test_the_kept_union_holds_across_batches_and_event_lists(data):
         first, second = data.draw(st.lists(zero_sets, min_size=2, max_size=2, unique=True))
         # block every event that holds ray 0 with the first zero set, so that accepted replays are drawn too
         masks = [m | 1 << first[0] if m & 1 else m for m in masks]
-        events = GlobalEvents(KSAssignment(m >> i & 1 for i in range(n)) for m in masks)
+        events = GlobalEvents(n, masks, 0, ())
         for zero_set in (first, second):
             batch = [HardyParadox(None, witness, zero_set, Fraction(1, 9)) for witness in range(n)]
             assert replay_contradiction(events, batch) == [oracles.replay_contradiction(events, p) for p in batch]
@@ -210,7 +209,7 @@ def test_packed_replay_agrees_with_the_set_replay(n, data):
         # block every event that holds the witness, so that accepted replays are drawn too
         masks = [m | 1 << data.draw(st.sampled_from(zero_set)) if m >> witness & 1 else m for m in masks]
     sp = data.draw(st.sampled_from([Fraction(0), Fraction(1, 9), Fraction(1)]))
-    events = GlobalEvents(KSAssignment(m >> i & 1 for i in range(n)) for m in masks)
+    events = GlobalEvents(n, masks, 0, ())
     paradox = HardyParadox(None, witness, tuple(zero_set), sp)
     assert replay_contradiction(events, [paradox]) == [oracles.replay_contradiction(events, paradox)]
 
@@ -231,7 +230,7 @@ def test_one_replay_pass_agrees_with_the_set_replay_on_shared_zero_sets(n, data)
         if block and zero_set:
             # block every event that holds the witness, so that accepted replays are drawn too
             masks = [m | 1 << data.draw(st.sampled_from(zero_set)) if m >> witness & 1 else m for m in masks]
-    events = GlobalEvents(KSAssignment(m >> i & 1 for i in range(n)) for m in masks)
+    events = GlobalEvents(n, masks, 0, ())
     batch = [HardyParadox(None, witness, zero_set, Fraction(1, 9)) for witness, zero_set, _ in claims]
     assert replay_contradiction(events, batch) == [oracles.replay_contradiction(events, p) for p in batch]
 
@@ -245,7 +244,7 @@ def test_a_zero_set_group_holds_a_passing_and_a_failing_paradox(n, data):
     zero_set = tuple(sorted(data.draw(st.sets(st.sampled_from(rest), min_size=1, max_size=3))))
     masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12)) + [1 << first, 1 << second]
     masks = [m | 1 << data.draw(st.sampled_from(zero_set)) if m >> first & 1 else m for m in masks]
-    events = GlobalEvents(KSAssignment(m >> i & 1 for i in range(n)) for m in masks)
+    events = GlobalEvents(n, masks, 0, ())
     order = data.draw(st.permutations([first, second]))
     batch = mutated([HardyParadox(None, w, zero_set, Fraction(1, 9)) for w in order], n)
     replays = replay_contradiction(events, batch)
@@ -269,7 +268,7 @@ def test_a_zero_set_group_holds_a_passing_and_a_failing_paradox(n, data):
     ],
 )
 def test_packed_replay_on_the_edge_cases(masks, witness, zero_set, sp, expected):
-    events = GlobalEvents(KSAssignment(m >> i & 1 for i in range(3)) for m in masks)
+    events = GlobalEvents(3, masks, 0, ())
     assert replay_contradiction(events, [HardyParadox(None, witness, zero_set, sp)]) == [expected]
 
 
@@ -298,7 +297,7 @@ def test_folded_replay_matches_the_shift_replay(n, data):
         if zero_set and witness < n and data.draw(st.booleans()):
             # block every event that holds the witness, so that accepted replays are drawn too
             masks = [m | 1 << data.draw(st.sampled_from(zero_set)) % n if m >> witness & 1 else m for m in masks]
-    events = GlobalEvents(KSAssignment(m >> i & 1 for i in range(n)) for m in masks)
+    events = GlobalEvents(n, masks, 0, ())
     batch = mutated([HardyParadox(None, witness, zero_set, Fraction(1, 9)) for witness, zero_set in claims], n)
     replays = replay_contradiction(events, batch)
     assert replays == oracles.shift_replay(events, batch)
@@ -364,10 +363,10 @@ def test_derived_paradoxes_match_the_oracle_on_box_prefixes(d, m):
 def test_replay_packs_the_masks_on_first_use_and_leaves_the_index_unbuilt(yu_oh, yu_oh_assignments):
     events = enumerate_assignments(yu_oh)
     assert "rows" not in vars(events)
-    fresh = GlobalEvents(list(events))
+    fresh = oracles.full_events(events)
     paradox = paradoxes_for(yu_oh, yu_oh_assignments, (1, 1, 1)).paradoxes[0]
     assert replay_contradiction(fresh, [paradox]) == [True]
-    assert "rows" in vars(fresh) and "by_ray" not in vars(fresh) and "compatible" not in vars(fresh)
+    assert "rows" in vars(fresh) and "listing" not in vars(fresh) and "compatible" not in vars(fresh)
 
 
 # --- witness observables -----------------------------------------------------
