@@ -12,10 +12,9 @@ the benchmark's worker runs it: ``build``, the state's construction
 for a contextual state, ``derive_paradoxes``; ``replay`` is its
 ``replay_contradiction`` call timed again on its paradoxes, a part of
 ``derive``.  Every phase is the best of ``R`` runs on a fresh state object,
-with no missing events kept from the run before, and an op's time is the
-sum of its phases but the replay.  As in the benchmark, each cycle's
-times are scaled to the reference core speed by ``spin`` readings taken
-just before and after it.
+and an op's time is the sum of its phases but the replay.  As in the
+benchmark, each cycle's times are scaled to the reference core speed by
+``spin`` readings taken just before and after it.
 
 It first prints each scenario's global events (KS-assignments) and core
 events, the labellings of the basis rays that the checks read.  Then, per
@@ -72,9 +71,6 @@ def phases(scenario, assignments, msg) -> tuple[dict[str, float], int]:
         matrix = exact.ExactMatrix.from_rows(density_rows(msg["parts"], scenario.dim))
         build = lambda: contextuality.QuantumState.density(matrix)  # noqa: E731
     clock = time.perf_counter
-    # the events keep the last zero set's missing core events; forget them, so each run's verdict computes them as
-    # an op's does
-    vars(assignments).pop("_missing", None)
     t0 = clock()
     state = build()
     tb = clock()

@@ -72,7 +72,7 @@ class GlobalEvents:
     ``core`` holds the core events' masks, ``free`` the rays in no basis and
     ``neighbours`` the scenario's neighbour masks; with ``free = 0`` each
     core event is an event.  ``compatible``, ``missing``, ``columns``,
-    ``rows``, ``clear_of`` and ``union`` answer from the core events.
+    ``rows`` and ``clear_of`` answer from the core events.
     ``listing``, the events in order, and ``holding`` expand them into
     records, for the commands that print events; iterating, ``len`` and
     indexing read ``listing``.  The cached attributes are kept from first use.
@@ -136,17 +136,6 @@ class GlobalEvents:
         ones = int.from_bytes((b"\1" + bytes(step - 1)) * len(self.core), "little")
         return rows, ones
 
-    @cached_property
-    def union(self) -> int:
-        """The rays that some event holds: the core events' rays, and each free ray that some core event holds none
-        of the neighbours of; never read from the columns."""
-        core, neighbours = self.core, self.neighbours
-        held = reduce(or_, core, 0)
-        for f in _rays(self.free):
-            if not all(c & neighbours[f] for c in core):
-                held |= 1 << f
-        return held
-
     def clear_of(self, ray: int) -> int:
         """Bit n of each slot of ``rows`` whose core event holds none of the free ray ``ray``'s neighbours, so that
         the event adding ``ray`` alone to it holds ``ray``: the packed form of ``compatible[ray]``, made from ``rows``
@@ -166,17 +155,12 @@ class GlobalEvents:
         read.  A free ray hits no core event: the event that adds no free ray to a core event holds none."""
         return list(compress(enumerate(self.compatible), _bits(rays & ~self.free)))
 
-    _missing = (-1, 0)
-
     def missing(self, zeros: int) -> int:
         """The core events that hold no ray of the ray mask ``zeros``, as a mask over the core events: some event of
         a core event misses ``zeros`` iff the core event alone does.  Only the columns of its basis rays are read,
-        not the pairs of ``columns``, whose tuples make each call about 25% slower.  The last ``(zeros, miss)`` is
-        kept: the verdict, the oracle and the derivation of one state compute it once."""
-        if self._missing[0] != zeros:
-            hit = reduce(or_, compress(self.compatible, _bits(zeros & ~self.free)), 0)
-            self._missing = (zeros, (1 << len(self.core)) - 1 & ~hit)
-        return self._missing[1]
+        not the pairs of ``columns``, whose tuples make each call about 25% slower."""
+        hit = reduce(or_, compress(self.compatible, _bits(zeros & ~self.free)), 0)
+        return (1 << len(self.core)) - 1 & ~hit
 
 
 def enumerate_assignments(scenario: Scenario) -> GlobalEvents:

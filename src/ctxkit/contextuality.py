@@ -20,9 +20,8 @@ tuple, with the pass's packing and products, so the verdict, the oracle
 and the paradox derivation of one state object on one scenario share a
 single Born pass.  The derivation reads each witness's probability from
 one slot (:func:`_pass_probabilities`): of that pass for a pure state, of
-one packed Hermitian form for a density.  ``GlobalEvents.missing`` keeps
-its last ``miss``, so they compute it once.  Two decision
-procedures are implemented:
+one packed Hermitian form for a density.  Two decision procedures are
+implemented:
 
 * :func:`is_logically_contextual` searches for a witness ray ``v`` that is
   possible under the state while every global event containing ``v`` also
@@ -61,7 +60,6 @@ families, each the zero set of contextual mixed states, which
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import combinations, compress, product
 
@@ -481,7 +479,13 @@ def analyze_mixed_states(
         # one pick list per event holding the candidate: its rays but the candidate
         if pick_lists := [_rays(a.mask & ~(1 << k)) for a in assignments.holding(k)]:
             candidates.append((k, pick_lists))
-            size += math.prod(map(len, pick_lists))
+            # the product of the lengths, multiplied only until it passes the bound; an empty pick list makes it 0
+            count = 1 if all(pick_lists) else 0
+            for picks in pick_lists:
+                if not 0 < count <= TRIPLE_LISTING_BOUND:
+                    break
+                count *= len(picks)
+            size += count
         if size > TRIPLE_LISTING_BOUND:
             return MixedAnalysisReport((), violations, not violations, triples_listed=False)
     triples = []

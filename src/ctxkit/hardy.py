@@ -22,8 +22,8 @@ ray itself, which makes the construction easy to audit.
 event (:mod:`ctxkit.assignments`): the zero rays' columns are read once, each
 witness's minimum hitting set starts from the zero rays forced into it
 (each the only one that hits some core event), and
-:func:`replay_contradiction` checks the paradoxes with one test per
-distinct zero set on the packed core event masks.
+:func:`replay_contradiction` checks each paradox on its own, with one
+test on the packed core event masks.
 
 The module also ships a reference tabulation of the twelve observables
 for the bundled 13-ray scenario and a cross-check that replays each row
@@ -41,7 +41,7 @@ from .contextuality import QuantumState, _blocked_witnesses, _minimum_hitting_se
 from .contextuality import possibilistic_model
 from .errors import ValidationError
 from .exact import ExactMatrix, _Record, gram_schmidt, projector_failures, rank1_projector, vec
-from .scenario import Scenario, _rays
+from .scenario import Scenario
 
 
 class HardyParadox(_Record):
@@ -96,57 +96,35 @@ def replay_contradiction(assignments: GlobalEvents, paradoxes: list[HardyParadox
 
     Forcing weight 0 on every global event that meets the zero set must
     force the witness marginal to 0 even though the witness is possible:
-    true iff some event holds the witness, each such event meets the zero
-    set and the witness probability is positive.  It reads the packed core
-    event masks ``GlobalEvents.rows``, their test of a free ray
-    ``GlobalEvents.clear_of`` and the kept ``union``, never the columns that
-    :func:`derive_paradoxes` reads.  An event that holds the witness misses
-    the zero set iff the event that adds no free ray but the witness to its
-    core event does: for a basis witness, a core event that holds it and
-    misses the zero set; for a free witness outside the zero set, a core
-    event that holds none of its neighbours and misses it.  The paradoxes
-    are grouped by ``zero_set`` in the one loop that tests the SPs and the
-    union, and each group is one test on the packed masks.  Subtracting a
-    slot's zero-set bits from 2^n leaves its bit n set iff the core event
-    misses the zero set; that bit times ``W``, the mask of the group's basis
-    witnesses, puts ``W`` at bits n and up of each such slot, and those bits
-    of the masks shifted up by n are ``bad``: ray i at bit n + i of each
-    slot that misses the zero set and holds i, for i in ``W``.  A free
-    witness w outside the zero set whose ``clear_of`` slots meet the missed
-    ones is put at bit n + w of ``bad``.  A paradox replays iff its SP is
-    positive, its witness is in the union and no slot of ``bad`` holds it;
-    when no group has a ``bad`` slot, as for every derived paradox, the
-    first loop's results are returned as they are.
+    true iff the witness probability is positive, some event holds the
+    witness and each such event meets the zero set.  Each paradox is tested
+    on its own against the packed core event masks ``GlobalEvents.rows``,
+    never against the columns that :func:`derive_paradoxes` reads.  An
+    event that holds the witness w misses the zero set iff the event that
+    adds no free ray but w to its core event does, so the slots that hold w
+    are ``rows >> w & ones`` for a basis witness and ``clear_of(w)`` for a
+    free one.  2^n less a slot's zero-set bits keeps its bit n iff its core
+    event misses the zero set.  The paradox replays iff some slot holds w
+    and, unless w is in its own zero set, none of them misses the zero set.
     """
-    (rows, ones), n = assignments.rows, assignments.n
-    full, top, union, free = (1 << n) - 1, ones << n, assignments.union, assignments.free
-    live, groups = [], {}
+    (rows, ones), n, free = assignments.rows, assignments.n, assignments.free
+    full, top = (1 << n) - 1, ones << n
+    replays = []
     for paradox in paradoxes:
-        w, z = paradox.witness, paradox.zero_set
+        w = paradox.witness
         # the numerator's sign is the SP's, without Fraction's rich comparison
-        live.append(ok := paradox.sp.numerator > 0 and union >> w & 1 == 1)
-        if ok:
-            groups[z] = groups.get(z, 0) | 1 << w
-    shifted, bad = rows << n if groups else 0, {}
-    for zero_set, witnesses in groups.items():
+        if paradox.sp.numerator <= 0 or w >= n:
+            replays.append(False)
+            continue
         zeros = 0
-        for i in zero_set:
+        for i in paradox.zero_set:
             zeros |= 1 << i
-        # each slot's 2^n less its zero-set bits borrows from no other slot
-        missed = (top - (rows & (zeros & full) * ones)) & top
-        # a slot is at least n + 1 bits wide, so the products of missed slots do not overlap
-        slots = shifted & missed * (witnesses & ~free)
-        if loose := witnesses & free & ~zeros:
-            for w in _rays(loose):
-                if missed & assignments.clear_of(w):
-                    slots |= 1 << n + w
-        bad[zero_set] = slots
-    if not any(bad.values()):
-        return live
-    return [
-        ok and not ((slots := bad[paradox.zero_set]) and slots >> n + paradox.witness & ones)
-        for paradox, ok in zip(paradoxes, live)
-    ]
+        # bit n of each slot that holds w
+        held = assignments.clear_of(w) if free >> w & 1 else (rows >> w & ones) << n
+        # each slot's 2^n less its zero-set bits borrows from no other slot and keeps bit n iff it misses them
+        missed = top - (rows & (zeros & full) * ones)
+        replays.append(held != 0 and (zeros >> w & 1 == 1 or not held & missed))
+    return replays
 
 
 # ---------------------------------------------------------------------------

@@ -46,10 +46,10 @@ event per zero mask, for the tests that state hitting sets as plain masks.
 ``GlobalEvents(n, masks, 0, ())`` of every event's mask, each its own
 core event, so that the package's verdict, oracle, derivation and replay
 run on columns and packed masks over every KS-assignment.  ``shift_replay`` is the replay
-that the OR-fold, and then the test per zero set, replaced: per
-paradox, one shift of the packed masks of every event marks the events
-that hold the witness, against one word per zero set of the events that
-meet it.
+that the OR-fold, then the test per zero set and then the test per
+paradox on the core events replaced: per paradox, one shift of the
+packed masks of every event marks the events that hold the witness,
+against one word per zero set of the events that meet it.
 
 ``selection_search`` is the pure-state search the flat scan replaced: it
 solves the orthogonality system of every pick of one non-witness ray per

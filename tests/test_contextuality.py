@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from functools import cache
@@ -54,7 +55,7 @@ from ctxkit import (
     verify_observable,
 )
 from ctxkit.contextuality import _blocked_witnesses, _pass_probabilities, witness_blockers
-from ctxkit.scenario import Ray
+from ctxkit.scenario import Ray, _rays
 from test_assignments import box_scenario, box_subsets
 
 MAXIMALLY_MIXED = ExactMatrix.from_rows(
@@ -718,6 +719,30 @@ def test_mixed_analysis_flags_large_solution_spaces():
     assert not report.no_mixed_states
     assert any(t.nullity >= 2 for t in report.triples)
     assert any(f.nullity >= 2 for f in search.undetermined)
+
+
+@pytest.mark.parametrize(
+    "key, low, high", [("yu-oh", 108, 108), ((3, 2), 10**499, 10**500), ((4, 1), 10**45, 10**46), ((5, 1), 0, 0)]
+)
+def test_the_capped_selection_count_lists_as_the_full_product(monkeypatch, yu_oh, key, low, high):
+    # the sum of the products of the pick-list lengths lies in [low, high]: yu-oh has 108 selections, which flip at
+    # bounds 107 and 108; the products of the 32-ray box-d3-m2 and box-d4-m1 prefixes run to 500 and 46 digits; the
+    # 32-ray box-d5-m1 prefix has one core event, the empty one, so {k} is an event and every product is 0
+    scenario = yu_oh if key == "yu-oh" else box_scenario(*key, range(32))
+    assignments = enumerate_assignments(scenario)
+    search = find_contextual_pure_states(scenario, assignments)
+    total = sum(
+        math.prod(len(_rays(a.mask & ~(1 << k))) for a in held)
+        for k in _rays(scenario.free)
+        if (held := assignments.holding(k))
+    )
+    assert low <= total <= high
+    full = analyze_mixed_states(scenario, assignments, search).triples if total <= 10_000 else None
+    for bound in (0, 1, 107, 108, 10_000):
+        monkeypatch.setattr(ctxkit.contextuality, "TRIPLE_LISTING_BOUND", bound)
+        report = analyze_mixed_states(scenario, assignments, search)
+        assert report.triples_listed == (total <= bound)
+        assert report.triples == (full if total <= bound else ())
 
 
 # --- the flat scan against brute force and the per-selection search ----------------

@@ -32,7 +32,7 @@ from ctxkit import (
 )
 from ctxkit.scenario import _rays
 from test_assignments import box_scenario
-from test_contextuality import states_with_zeros
+from test_contextuality import hyperplane_normals, states_with_zeros
 from test_hardy import mutated
 
 # box-d3-m2 and box-d4-m1 prefixes of 13 to 40 rays; the 20-ray box-d5-m1 prefix, which has no basis, so its one
@@ -69,7 +69,6 @@ def test_each_event_is_a_core_event_and_free_rays_none_of_its_neighbours(key):
             assert not s.neighbours[f] & event.mask
     # every core event with no free ray is an event, and a ray is in some event iff its column over the core isn't 0
     assert core <= {event.mask for event in events}
-    assert events.union == full.union
     assert [bool(column) for column in events.compatible] == [bool(column) for column in full.compatible]
 
 
@@ -112,6 +111,25 @@ def test_the_core_path_matches_the_full_event_path(key, data):
             zero_set.add(witness)
         batch.append(HardyParadox(state, witness, tuple(sorted(zero_set)), Fraction(1, 9)))
     assert replay_contradiction(events, batch) == replay_contradiction(full, batch)
+
+
+def test_the_core_replay_draws_both_results_for_basis_and_free_witnesses():
+    # box-d3-m2-n40 has free rays that no event holds as well as free rays that some event holds; the derived
+    # paradoxes of every seventh hyperplane normal, their mutants and copies with the witness put in its own zero set
+    s, events, full = prefix(3, 2, 40)
+    n = len(s.rays)
+    states = [QuantumState.pure(psi) for psi in hyperplane_normals(s)[::7]]
+    batch = mutated([p for state in states for p in derive_paradoxes(s, state, events).paradoxes], n)
+    batch += [HardyParadox(p.state, w, tuple(sorted({*p.zero_set, w})), p.sp) for p in batch if (w := p.witness) < n]
+    replays = replay_contradiction(events, batch)
+    assert replays == replay_contradiction(full, batch)
+    # (free witness, witness in its zero set, result) over the claims with a positive SP and a ray of the scenario
+    drawn = {
+        (s.free >> p.witness & 1 == 1, p.witness in p.zero_set, r)
+        for p, r in zip(batch, replays)
+        if p.witness < n and p.sp
+    }
+    assert drawn == {(free, inside, r) for free in (False, True) for inside in (False, True) for r in (False, True)}
 
 
 @pytest.mark.parametrize("key", [(3, 2, 22), (3, 2, 32), (3, 2, 40), (4, 1, 28), (4, 1, 34), (5, 1, 20), (3, 2, 43)])

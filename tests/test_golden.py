@@ -20,6 +20,9 @@ matrix entries, which no rational scenario reaches.  On that image the
 entries pin their models and SPs: a rank-2 density, with no paradoxes, as
 no mixed state of the image is contextual, and the rank-1 density of the
 image of vD, with three.  yu-oh is rational and refuses their literals.
+The ``paradoxes`` digests of the 48- and 64-ray box-d3-m3 prefixes, with
+no state, pin the derivation, its hitting sets and its replay on 201 and
+1891 paradoxes.
 """
 
 from __future__ import annotations
@@ -121,6 +124,14 @@ BOX_GOLDEN = {
     ("paradoxes mixture-d4", "json"): "3c5a2820f096b46f1f8377c53b64b9b2187327ed35d204d1b8601aad498e6566",
 }
 
+# ``paradoxes`` with no state on the first n rays of box-d3-m3, by (n, format)
+BOX_D3_M3_GOLDEN = {
+    (48, "text"): "19fdbb31bca232e81bbc9bb4bc0a8714b51ad96c5f8ab1c5310e06a3c181dccf",
+    (48, "json"): "7b6d0894d4df2d6e5af4264d233a593ef2b290774101667825e6d4671ad05716",
+    (64, "text"): "d70b8a3d6cdb19fa2e6a9ebfeda272b652f3971002f5ab1c49b35d3b4f3cf126",
+    (64, "json"): "0bbaaa2fb01af2fa13feec399238d9aae1e0770e63164951e3bc0c17ee2ca2e9",
+}
+
 # complex densities by name: 3/4 |a><a| + 1/4 |b><b| for a, b = (1, +-i, 0)/sqrt(2), whose kernel is v3 on yu-oh
 # and on its Gaussian image, and |vD><vD| / 15 for the image of vD, (2+i, 2+i, 2-i)
 COMPLEX_DENSITIES = {
@@ -183,6 +194,14 @@ def test_box_prefix_output_is_pinned(tmp_path, command, fmt):
     args = [str(tmp_path / a) if a in BOX_DENSITIES else a for a in args]
     digest = hashlib.sha256(run(tmp_path, args, fmt, str(path))).hexdigest()
     assert digest == BOX_GOLDEN[command, fmt]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("n", [48, 64])
+def test_box_d3_m3_paradoxes_are_pinned(tmp_path, n, fmt):
+    path = tmp_path / "box.scenario"
+    path.write_text(box_prefix_text(3, 3, n), encoding="utf-8")
+    assert hashlib.sha256(run(tmp_path, ["paradoxes"], fmt, str(path))).hexdigest() == BOX_D3_M3_GOLDEN[n, fmt]
 
 
 def write_complex_densities(tmp_path) -> dict[str, str]:
