@@ -12,9 +12,12 @@ the benchmark's worker runs it: ``build``, the state's construction
 for a contextual state, ``derive_paradoxes``; ``replay`` is its
 ``replay_contradiction`` call timed again on its paradoxes, a part of
 ``derive``.  Every phase is the best of ``R`` runs on a fresh state object,
-and an op's time is the sum of its phases but the replay.  As in the
-benchmark, each cycle's times are scaled to the reference core speed by
-``spin`` readings taken just before and after it.
+and an op's time is the sum of its phases but the replay.  The scenario's
+events keep the analysis of each zero set they have checked, as in a
+session, so each run starts from the analyses kept before the op: no
+repeat reads what the op's own first run stored.  As in the benchmark,
+each cycle's times are scaled to the reference core speed by ``spin``
+readings taken just before and after it.
 
 It first prints each scenario's global events (KS-assignments) and core
 events, the labellings of the basis rays that the checks read.  Then, per
@@ -22,7 +25,8 @@ seed, it prints p50 and p98 of the op times, overall and per op kind (pure
 or density) and dimension, and the mean time of each phase, ``build``
 included, over the slowest 2% of ops: those that set ``latency_tail_s``,
 and the mean paradox count of those ops with their ``derive`` time per
-paradox.  Times are in microseconds.
+paradox; last, the share of ops whose zero set was already kept.  Times
+are in microseconds.
 """
 
 from __future__ import annotations
@@ -61,9 +65,9 @@ def load(names_and_rays):
     return loaded
 
 
-def phases(scenario, assignments, msg) -> tuple[dict[str, float], int]:
-    """One run of the op's phases, in seconds, and its paradox count; the state is built afresh, so no model is kept
-    from an earlier run."""
+def phases(scenario, assignments, msg) -> tuple[dict[str, float], int, bool]:
+    """One run of the op's phases, in seconds, its paradox count and whether its zero set's analysis was kept; the
+    state is built afresh, so no model is kept from an earlier run."""
     if msg["kind"] == "pure":
         vector = exact.vec(*msg["psi"])
         build = lambda: contextuality.QuantumState.pure(vector)  # noqa: E731
@@ -74,8 +78,9 @@ def phases(scenario, assignments, msg) -> tuple[dict[str, float], int]:
     t0 = clock()
     state = build()
     tb = clock()
-    contextuality.possibilistic_model(scenario, state)
+    zeros = contextuality.possibilistic_model(scenario, state).zeros
     t1 = clock()
+    kept = zeros in assignments.analyses
     verdict = contextuality.is_logically_contextual(scenario, state, assignments)
     t2 = clock()
     contextuality.noncontextuality_oracle(scenario, state, assignments)
@@ -85,7 +90,7 @@ def phases(scenario, assignments, msg) -> tuple[dict[str, float], int]:
     if paradoxes:
         hardy.replay_contradiction(assignments, list(paradoxes))
     t5 = clock()
-    return dict(zip(PHASES, (tb - t0, t1 - tb, t2 - t1, t3 - t2, t4 - t3, t5 - t4))), len(paradoxes)
+    return dict(zip(PHASES, (tb - t0, t1 - tb, t2 - t1, t3 - t2, t4 - t3, t5 - t4))), len(paradoxes), kept
 
 
 def seed_ops(seed: int, limit: int | None):
@@ -115,17 +120,24 @@ def main(argv=None) -> int:
     loaded = load(zip(stream.setup, (box_rays(3, 2)[:32], box_rays(4, 1)[:32])))
     for seed in args.seeds:
         rows = []
+        # each seed is its own session, which starts with no analysis kept
+        for _, assignments in loaded:
+            assignments.analyses = {}
         for cycle in seed_ops(seed, args.ops):
             before, timed = spin(CAL_LOOPS), []
             for msg in cycle:
                 scenario, assignments = loaded[msg["scenario"]]
-                runs = [phases(scenario, assignments, msg) for _ in range(args.repeat)]
-                timed.append((msg, {p: min(r[p] for r, _ in runs) for p in PHASES}, runs[0][1]))
+                held, runs = assignments.analyses, []
+                for _ in range(args.repeat):
+                    # each run starts from the analyses the session held at this op
+                    assignments.analyses = dict(held)
+                    runs.append(phases(scenario, assignments, msg))
+                timed.append((msg, {p: min(r[0][p] for r in runs) for p in PHASES}, *runs[-1][1:]))
             after = spin(CAL_LOOPS)
-            for msg, best, count in timed:
+            for msg, best, count, kept in timed:
                 best = {p: at_reference(t, before, after) * 1e6 for p, t in best.items()}
                 group = f"{msg['kind']} d{loaded[msg['scenario']][0].dim}"
-                rows.append((sum(best[p] for p in PHASES[:-1]), group, best, count))
+                rows.append((sum(best[p] for p in PHASES[:-1]), group, best, count, kept))
         print(f"seed {seed}: {len(rows)} ops")
         groups = sorted({r[1] for r in rows})
         for label, subset in [("all", rows)] + [(g, [r for r in rows if r[1] == g]) for g in groups]:
@@ -141,6 +153,8 @@ def main(argv=None) -> int:
         # no paradox among the slowest ops leaves the derive time per paradox undefined
         per_paradox = f"{means['derive'] / paradoxes:.2f}" if paradoxes else "-"
         print(f"  slowest {len(tail)} ops: {paradoxes:.1f} paradoxes per op, derive {per_paradox} per paradox")
+        kept = sum(r[4] for r in rows)
+        print(f"  zero set already kept: {kept} of {len(rows)} ops ({kept / len(rows):.1%})")
     return 0
 
 

@@ -18,8 +18,8 @@ searches basis by basis on ray bitmasks, the scenario's ``neighbours`` and
 returns them as a :class:`GlobalEvents`.  The state checks read only the
 core events, which are far fewer (8 under 1024 events on the 32-ray
 box-d3-m2 prefix, 247 under 715,200 on the 48-ray box-d3-m3 prefix); the
-events themselves are listed, each core event with the independent sets
-of the free rays it leaves open, only where a command prints them.  The
+events, each core event with the independent sets of the free rays it
+leaves open, are expanded only as masks or where a command prints them.  The
 tests hold the listing to a basis-product enumerator and to an exhaustive
 sweep over all bit strings, both kept with their direct check of (O) and
 (C) in ``tests/oracles.py``.
@@ -72,18 +72,21 @@ class GlobalEvents:
     ``core`` holds the core events' masks, ``free`` the rays in no basis and
     ``neighbours`` the scenario's neighbour masks; with ``free = 0`` each
     core event is an event.  ``compatible``, ``missing``, ``columns``,
-    ``rows`` and ``clear_of`` answer from the core events.
-    ``listing``, the events in order, and ``holding`` expand them into
-    records, for the commands that print events; iterating, ``len`` and
-    indexing read ``listing``.  The cached attributes are kept from first use.
+    ``rows`` and ``clear_of`` answer from the core events; ``analyses`` keeps
+    each checked zero mask's :func:`ctxkit.contextuality._analysis`.  ``held``
+    expands them into masks; ``listing``, the events in order, and
+    ``holding`` into records, for the commands that print events;
+    iterating, ``len`` and indexing read ``listing``.  The cached attributes
+    are kept from first use.
     """
 
     def __init__(self, n: int, core: Iterable[int], free: int, neighbours: tuple[int, ...]):
         self.n, self.core, self.free, self.neighbours = n, tuple(core), free, neighbours
+        self.analyses: dict[int, tuple] = {}
 
-    def _expand(self, core: Iterable[int]) -> list[KSAssignment]:
-        """The events of the core events ``core``, sorted by support: each core event with every independent set of
-        the free rays outside it that hold none of its neighbours."""
+    def _expand(self, core: Iterable[int]) -> list[int]:
+        """The masks of the events of the core events ``core``, unsorted: each core event with every independent set
+        of the free rays outside it that hold none of its neighbours."""
         free = [(1 << f, self.neighbours[f] | 1 << f) for f in _rays(self.free)]
         extensions: dict[int, list[int]] = {}
         masks = []
@@ -92,13 +95,16 @@ class GlobalEvents:
             if (sets := extensions.get(allowed)) is None:
                 sets = extensions[allowed] = _independent_sets(allowed, self.neighbours)
             masks += [c | s for s in sets]
+        return masks
+
+    def _records(self, masks: list[int]) -> list[KSAssignment]:
         masks.sort(key=_rays)
         return [KSAssignment._of_mask(m, self.n) for m in masks]
 
     @cached_property
     def listing(self) -> list[KSAssignment]:
         """Every event, in order."""
-        return self._expand(self.core)
+        return self._records(self._expand(self.core))
 
     def __iter__(self):
         return iter(self.listing)
@@ -145,10 +151,14 @@ class GlobalEvents:
         # each slot's 2^n less its bits among the neighbours borrows from no other slot
         return top - (rows & self.neighbours[ray] * ones) & top
 
-    def holding(self, ray: int) -> list[KSAssignment]:
-        """The events that hold ray index ``ray``, in order: those of the core events its column marks, each with
-        ``ray`` added, which a basis ray's core events hold already."""
+    def held(self, ray: int) -> list[int]:
+        """The masks of the events that hold ray index ``ray``, unsorted: those of the core events its column marks,
+        each with ``ray`` added, which a basis ray's core events hold already."""
         return self._expand(c | 1 << ray for c in compress(self.core, _bits(self.compatible[ray])))
+
+    def holding(self, ray: int) -> list[KSAssignment]:
+        """The events that hold ray index ``ray``, in order."""
+        return self._records(self.held(ray))
 
     def columns(self, rays: int) -> list[tuple[int, int]]:
         """``(z, compatible[z])`` for each basis ray ``z`` of the ray mask ``rays``, in order; only those columns are

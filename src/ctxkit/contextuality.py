@@ -12,34 +12,25 @@ column ``GlobalEvents.compatible`` is one int over the core events, and
 each basis zero ray's column.
 :func:`possibilistic_model` computes the model of a pure or a density
 state in one pass on ints: ray ``z`` is impossible iff ``M z = 0`` for
-the state's integer rows ``M``: the scenario's packed Born pass
-(:func:`ctxkit.scenario._born_pass`) answers for every ray at once.
-A pure state holds only its canonical ray; its ``rho`` is ``None``.  The
-model is kept on the ``QuantumState`` object, keyed by the scenario's ray
-tuple, with the pass's packing and products, so the verdict, the oracle
-and the paradox derivation of one state object on one scenario share a
-single Born pass.  The derivation reads each witness's probability from
-one slot (:func:`_pass_probabilities`): of that pass for a pure state, of
-one packed Hermitian form for a density.  Two decision procedures are
-implemented:
+the state's integer rows ``M`` (the packed Born pass,
+:func:`ctxkit.scenario._born_pass`).  It is kept on the ``QuantumState``
+object with the pass's packing and products, which the derivation reads
+its SPs from (:func:`_pass_probabilities`).  All else depends on the zero
+mask alone: :func:`_analysis` decides each mask once per ``GlobalEvents``,
+with the derivation's witnesses and minimum zero sets, and keeps the
+answer there.  Two decision procedures read it:
 
-* :func:`is_logically_contextual` searches for a witness ray ``v`` that is
-  possible under the state while every global event containing ``v`` also
-  contains an impossible ray (a "blocker").  Witnesses whose global-event
-  set is empty are excluded: the universal condition would hold vacuously,
-  and such rays cannot start the contradiction the verdict certifies.
-  :func:`_blocked_witnesses` finds every such witness: a ray outside the
-  zero set whose column is non-zero and disjoint from ``miss``.  It is
-  shared with :func:`ctxkit.hardy.derive_paradoxes`: the verdict stops at
-  its first witness, the derivation makes each one a paradox.  The
-  verdict lists no events; :func:`witness_blockers` lists them, and the
-  first blocker of each, from the core events in the witness's column
+* :func:`is_logically_contextual` reports the first witness: a possible
+  ray ``v`` whose global events are not empty and each hold an impossible
+  ray (a "blocker"); a ray in no event is excluded, since the universal
+  condition would hold vacuously.  :func:`_blocked_witnesses` finds each
+  witness: a ray outside the zero set whose column is non-zero and
+  disjoint from ``miss``.  :func:`witness_blockers` lists the events
   (``GlobalEvents.holding``) when a report asks.
-* :func:`noncontextuality_oracle` builds the canonical candidate
-  distribution (an event is possible iff it misses every impossible ray)
-  and checks the marginals: ``miss`` is not empty and its core events
-  cover exactly the possible rays, the complement of ``zeros``.  It
-  follows the definition.
+* :func:`noncontextuality_oracle` follows the definition: the canonical
+  candidate distribution (an event is possible iff it misses every
+  impossible ray) has the model's marginals iff ``miss`` is not empty
+  and its core events cover exactly the possible rays.
 
 They are not equivalent: the verdict skips a possible ray that lies in no
 global event, and the oracle counts it as uncovered (an open defect,
@@ -238,34 +229,38 @@ class ContextualityVerdict(_Record):
         return self.contextual
 
 
-def _blocked_witnesses(events: GlobalEvents, zeros: int):
-    """Each ray outside the zero mask whose global events are non-empty and all meet it.
-
-    Yields ``(k, compatible[k])`` in ray order for each column over the core events that is non-zero and disjoint
-    from ``missing(zeros)``.
-    """
-    miss = events.missing(zeros)
+def _blocked_witnesses(events: GlobalEvents, zeros: int, miss: int):
+    """``(k, compatible[k])`` in ray order for each ray ``k`` outside the zero mask whose global events are non-empty
+    and all meet it: its column is non-zero and disjoint from ``miss``, which is ``events.missing(zeros)``."""
     for k, column in enumerate(events.compatible):
         if column and not column & miss and not zeros >> k & 1:
             yield k, column
 
 
+def _analysis(events: GlobalEvents, zeros: int) -> tuple[bool, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """``(noncontextual, shapes)`` of the zero mask ``zeros``, kept in ``events.analyses`` from first use: the
+    oracle's answer, and each witness of :func:`_blocked_witnesses` with its :func:`_minimum_hitting_set`."""
+    if (kept := events.analyses.get(zeros)) is None:
+        miss, zero_columns = events.missing(zeros), events.columns(zeros)
+        shapes = tuple((k, _minimum_hitting_set(zero_columns, c)) for k, c in _blocked_witnesses(events, zeros, miss))
+        # ``miss`` is 0 if no event is possible; else the marginals hold iff each possible ray's column meets it
+        possible = ~zeros & (1 << events.n) - 1
+        noncontextual = miss != 0 and all(column & miss for column in compress(events.compatible, _bits(possible)))
+        kept = events.analyses[zeros] = noncontextual, shapes
+    return kept
+
+
 def is_logically_contextual(
     scenario: Scenario, state: QuantumState, assignments: GlobalEvents
 ) -> ContextualityVerdict:
-    """Witness-based contextuality decision.
-
-    The state is logically contextual iff some ray ``v`` has model value 1,
-    a non-empty set of global events containing it, and every such event
-    contains a different ray with model value 0.  The first witness in ray
-    order is reported; :func:`witness_blockers` lists its events.
+    """Witness-based contextuality decision: the first witness in ray order, or none.
 
     A possible ray in no global event is never a witness here, although
     it makes the state contextual by definition, so this verdict can miss
     what :func:`noncontextuality_oracle` finds (see the module docstring).
     """
     model = possibilistic_model(scenario, state)
-    k, _ = next(_blocked_witnesses(assignments, model.zeros), (None, 0))
+    k, _ = next(iter(_analysis(assignments, model.zeros)[1]), (None, ()))
     return ContextualityVerdict(contextual=k is not None, witness=k, model=model)
 
 
@@ -292,12 +287,7 @@ def noncontextuality_oracle(
     marginal over each ray's events reproduces the model.  True means the
     state is logically non-contextual.
     """
-    model = possibilistic_model(scenario, state)
-    # a mask over the events, not over the rays: the empty event is possible and covers nothing
-    miss = assignments.missing(model.zeros)
-    # no zero ray's column meets ``miss``, so the marginals hold iff each possible ray's column meets it
-    possible = ~model.zeros & (1 << len(model.values)) - 1
-    return miss != 0 and all(column & miss for column in compress(assignments.compatible, _bits(possible)))
+    return _analysis(assignments, possibilistic_model(scenario, state).zeros)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +346,8 @@ def _blocking_flats(scenario: Scenario, events: GlobalEvents):
     rays that meet none of them, by the null test over ``conj(normals)``.
     Yields ``(rank, flat, normals, blocked)``: ``normals``, a
     Gaussian-integer basis of the flat's orthogonal complement, and
-    ``blocked``, the first item of :func:`_blocked_witnesses` on ``flat``.
+    ``blocked``, the first item of :func:`_blocked_witnesses` on ``flat``;
+    no flat is kept in ``events.analyses``.
     """
     forms = [ray.vector.integer_form for ray in scenario.rays]
     full, max_rank = (1 << len(forms)) - 1, scenario.dim - 1
@@ -364,7 +355,7 @@ def _blocking_flats(scenario: Scenario, events: GlobalEvents):
     for r in range(max_rank + 1):
         children: dict[int, list[list[tuple[int, int]]]] = {}
         for flat, normals in layer.items():
-            blocked = next(_blocked_witnesses(events, flat), None)
+            blocked = next(_blocked_witnesses(events, flat, events.missing(flat)), None)
             if blocked:
                 yield r, flat, normals, blocked
             # the flats covering ``flat`` partition the rays outside it
@@ -409,20 +400,22 @@ def find_contextual_pure_states(
 
     A state's zero set is a flat, which alone decides its contextuality.
     The normal of each blocking hyperplane (rank ``d - 1``) is a state,
-    re-verified with :func:`is_logically_contextual`; each blocking flat of
-    lower rank is an undetermined family.  States are sorted by witness
-    and selection.
+    re-verified with :func:`is_logically_contextual`, and its analysis gives
+    the selection; each blocking flat of lower rank is an undetermined
+    family.  States are sorted by witness and selection.
     """
     found: list[WitnessedState] = []
     undetermined: list[UndeterminedFamily] = []
-    for r, flat, normals, (k, column) in _blocking_flats(scenario, assignments):
+    for r, flat, normals, (k, _) in _blocking_flats(scenario, assignments):
         if r < scenario.dim - 1:
             undetermined.append(UndeterminedFamily(k, _rays(flat), scenario.dim - r))
             continue
         psi = _canonical_from_ints(normals[0])
-        if not is_logically_contextual(scenario, QuantumState.pure(psi), assignments):
+        verdict = is_logically_contextual(scenario, QuantumState.pure(psi), assignments)
+        if not verdict:
             raise AssertionError(f"state {psi} emitted by the search failed the contextuality re-check")
-        selection = _minimum_hitting_set(assignments.columns(flat), column)
+        # the state's zero set is the flat, so its first shape is the flat's witness k
+        k, selection = _analysis(assignments, verdict.model.zeros)[1][0]
         found.append(WitnessedState(witness=k, state=psi, selection=selection))
     found.sort(key=lambda w: (w.witness, w.selection))
     return PureStateSearch(states=tuple(found), undetermined=tuple(undetermined))
@@ -476,24 +469,26 @@ def analyze_mixed_states(
     violations = search.undetermined
     candidates, size = [], 0
     for k in _rays(scenario.free):
-        # one pick list per event holding the candidate: its rays but the candidate
-        if pick_lists := [_rays(a.mask & ~(1 << k)) for a in assignments.holding(k)]:
-            candidates.append((k, pick_lists))
-            # the product of the lengths, multiplied only until it passes the bound; an empty pick list makes it 0
-            count = 1 if all(pick_lists) else 0
-            for picks in pick_lists:
-                if not 0 < count <= TRIPLE_LISTING_BOUND:
-                    break
-                count *= len(picks)
+        # each event holding the candidate gives one pick list, its rays but the candidate: the lists' lengths,
+        # multiplied only until the bound; the event {k} has an empty list, so it and a ray in no event list nothing
+        held = assignments.held(k)
+        count = int(bool(held) and 1 << k not in held)
+        for mask in held:
+            if not 0 < count <= TRIPLE_LISTING_BOUND:
+                break
+            count *= mask.bit_count() - 1
+        if count:
+            candidates.append((k, held))
             size += count
         if size > TRIPLE_LISTING_BOUND:
             return MixedAnalysisReport((), violations, not violations, triples_listed=False)
     triples = []
     # picks repeat selections (71 distinct among yu-oh's 108), so each selection is ranked once
     ranks: dict[tuple[int, ...], int] = {}
-    for k, pick_lists in candidates:
-        # one pick of a non-witness ray per event; repeated picks collapse in the selection
-        for picks in product(*pick_lists):
+    for k, held in candidates:
+        held.sort(key=_rays)
+        # one pick of a non-witness ray per event, in event order; repeated picks collapse in the selection
+        for picks in product(*(_rays(mask & ~(1 << k)) for mask in held)):
             selection = tuple(sorted(set(picks)))
             if (r := ranks.get(selection)) is None:
                 r = ranks[selection] = rank([scenario.rays[i].vector for i in selection], dim=scenario.dim)

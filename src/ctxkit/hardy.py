@@ -18,12 +18,11 @@ first two projectors have probability 0 and the third probability 1
 under the state.  The third orthogonalized ray always lands on the state
 ray itself, which makes the construction easy to audit.
 
-:func:`derive_paradoxes` works per state on the core events and lists no
-event (:mod:`ctxkit.assignments`): the zero rays' columns are read once, each
-witness's minimum hitting set starts from the zero rays forced into it
-(each the only one that hits some core event), and
-:func:`replay_contradiction` checks each paradox on its own, with one
-test on the packed core event masks.
+:func:`derive_paradoxes` reads the witnesses and minimum zero sets from
+the zero mask's analysis, kept once per zero set on the core events
+(:func:`ctxkit.contextuality._analysis`), and adds per state the SPs, the
+records and :func:`replay_contradiction`, which checks each paradox on
+its own, with one test on the packed core event masks.
 
 The module also ships a reference tabulation of the twelve observables
 for the bundled 13-ray scenario and a cross-check that replays each row
@@ -37,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .assignments import GlobalEvents
-from .contextuality import QuantumState, _blocked_witnesses, _minimum_hitting_set, _pass_probabilities
+from .contextuality import QuantumState, _analysis, _pass_probabilities
 from .contextuality import possibilistic_model
 from .errors import ValidationError
 from .exact import ExactMatrix, _Record, gram_schmidt, projector_failures, rank1_projector, vec
@@ -66,20 +65,14 @@ def derive_paradoxes(
     by zero-probability rays, emit the paradox carrying a minimum-size
     hitting set (ties broken lexicographically by ray index).  States that
     are not logically contextual yield no paradoxes; the derivation then
-    carries the reason instead.  The model is computed once, and each
-    witness's SP is read off its slot of the model's Born pass, equal to
-    ``state.probability`` of the witness ray.  Every paradox is replayed,
-    all in one :func:`replay_contradiction` call, and a failed replay
-    raises.
+    carries the reason instead.  Each witness's SP is read off its slot of
+    the model's Born pass, equal to ``state.probability`` of the witness
+    ray.  Every paradox is replayed on every call, all in one
+    :func:`replay_contradiction` call, and a failed replay raises.
     """
-    zeros = possibilistic_model(scenario, state).zeros
-    zero_columns = assignments.columns(zeros)
-    blocked = list(_blocked_witnesses(assignments, zeros))
-    sps = _pass_probabilities(state, scenario, [k for k, _ in blocked]) if blocked else []
-    paradoxes = [
-        HardyParadox(state, k, _minimum_hitting_set(zero_columns, column), sp)
-        for (k, column), sp in zip(blocked, sps)
-    ]
+    _, shapes = _analysis(assignments, possibilistic_model(scenario, state).zeros)
+    sps = _pass_probabilities(state, scenario, [k for k, _ in shapes]) if shapes else []
+    paradoxes = [HardyParadox(state, k, zero_set, sp) for (k, zero_set), sp in zip(shapes, sps)]
     if not all(replay_contradiction(assignments, paradoxes)):
         raise AssertionError("derived paradox failed the contradiction replay")
     reason = None if paradoxes else f"state {state.describe()} is not logically contextual on {scenario.name!r}"

@@ -518,7 +518,7 @@ def assert_blocked_witnesses_match_the_oracle(scenario, assignments, zeros):
     n = len(scenario.rays)
     model = PossibilisticModel(tuple(0 if zeros >> i & 1 else 1 for i in range(n)))
     got = []
-    for k, _ in _blocked_witnesses(assignments, zeros):
+    for k, _ in _blocked_witnesses(assignments, zeros, assignments.missing(zeros)):
         held = assignments.holding(k)
         got.append((k, held, [{i for i in range(n) if (e.mask & zeros) >> i & 1} for e in held]))
     want = [(k, events, [set(hit) for hit in hits]) for k, events, hits in oracles.blocked_witnesses(model, assignments)]

@@ -6,7 +6,8 @@ read them, and only ``listing`` and ``holding`` expand them into events.
 ``oracles.full_events`` hands the package every event's mask as its own
 core event, so that every check runs on columns over all the events: the
 path the core events replaced.  The scenarios are box prefixes with rays
-in no basis.
+in no basis.  Each ``GlobalEvents`` keeps the analysis of every zero mask
+checked on it; the tests hold the kept answers to fresh event lists.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 import oracles
 from ctxkit import (
     HardyParadox,
+    PossibilisticModel,
     QuantumState,
     derive_paradoxes,
     enumerate_assignments,
@@ -29,7 +31,10 @@ from ctxkit import (
     noncontextuality_oracle,
     possibilistic_model,
     replay_contradiction,
+    vec,
 )
+from ctxkit.assignments import GlobalEvents
+from ctxkit.contextuality import _blocking_flats
 from ctxkit.scenario import _rays
 from test_assignments import box_scenario
 from test_contextuality import hyperplane_normals, states_with_zeros
@@ -46,6 +51,22 @@ def prefix(d, m, n):
     s = box_scenario(d, m, range(n))
     events = enumerate_assignments(s)
     return s, events, oracles.full_events(events)
+
+
+def fresh(events):
+    """The same core events with no analysis kept."""
+    return GlobalEvents(events.n, events.core, events.free, events.neighbours)
+
+
+def at_zeros(scenario, zeros):
+    """A pure state whose kept model has the zero mask ``zeros``: (1, 10, 100, ...), orthogonal to no ray of the
+    prefix, so that every witness has a positive SP, with its model's zeros replaced.  The verdict, the oracle and
+    the derivation read only the zeros and, for the SPs, the slots of the state's Born pass."""
+    state = QuantumState.pure(vec(*[10**i for i in range(scenario.dim)]))
+    assert possibilistic_model(scenario, state).zeros == 0
+    rays, _, packing, products = state._model
+    QuantumState._model.__set__(state, (rays, PossibilisticModel._of_zeros(zeros, len(rays)), packing, products))
+    return state
 
 
 def test_the_generated_prefixes_have_free_rays_and_the_edge_cases():
@@ -111,6 +132,48 @@ def test_the_core_path_matches_the_full_event_path(key, data):
             zero_set.add(witness)
         batch.append(HardyParadox(state, witness, tuple(sorted(zero_set)), Fraction(1, 9)))
     assert replay_contradiction(events, batch) == replay_contradiction(full, batch)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(PREFIXES), st.data())
+def test_kept_analyses_answer_as_fresh_event_lists_and_the_full_events(key, data):
+    # a few zero masks, each also with one free ray toggled, sent in a random order with repeats through one event
+    # list: its kept answers equal those of a fresh event list and of the full events, each built for the one call
+    s, core, full = prefix(*key)
+    events, n = fresh(core), len(s.rays)
+    masks = data.draw(st.lists(st.sets(st.integers(0, n - 1), max_size=6), min_size=1, max_size=4))
+    masks = [sum(1 << i for i in rays) for rays in masks]
+    if s.free:
+        masks += [m ^ 1 << data.draw(st.sampled_from(_rays(s.free))) for m in masks]
+    sent = data.draw(st.lists(st.sampled_from(masks), min_size=1, max_size=12))
+    for zeros in sent:
+        state = at_zeros(s, zeros)
+        answers = [
+            (is_logically_contextual(s, state, e), noncontextuality_oracle(s, state, e), derive_paradoxes(s, state, e))
+            for e in (events, fresh(core), fresh(full))
+        ]
+        assert answers[0] == answers[1] == answers[2]
+    assert sorted(events.analyses) == sorted(set(sent))
+
+
+@pytest.mark.parametrize("key", [(3, 2, 22), (3, 2, 32), (3, 2, 40), (4, 1, 28), (4, 1, 34), (5, 1, 20), (3, 2, 43)])
+def test_the_search_keeps_one_analysis_per_found_state_and_the_flat_scan_none(key):
+    s, core, _ = prefix(*key)
+    events = fresh(core)
+    for _ in _blocking_flats(s, events):
+        pass
+    assert events.analyses == {}
+    search = find_contextual_pure_states(s, events)
+    kept = len(events.analyses)
+    assert kept <= len(search.states)
+    for found in search.states:
+        # a found state's witness and selection are its first paradox's, derived on its own; deriving its paradoxes
+        # on the searched events reads the kept analysis
+        state = QuantumState.pure(found.state)
+        first = derive_paradoxes(s, state, fresh(core)).paradoxes[0]
+        assert (found.witness, found.selection) == (first.witness, first.zero_set)
+        assert derive_paradoxes(s, state, events) == derive_paradoxes(s, state, fresh(core))
+    assert len(events.analyses) == kept
 
 
 def test_the_core_replay_draws_both_results_for_basis_and_free_witnesses():

@@ -55,7 +55,7 @@ def test_estimate_success_probability_prints_the_twelve_paradoxes():
 
 def test_check_phases_times_the_first_ops_of_a_seed():
     # five cycles of the check stream: per scenario, two normals and a generic state (pure) and a mixture
-    lines = run_script("check_phases.py", "1", "--ops", "40", "--repeat", "1").decode().splitlines()
+    lines = run_script("check_phases.py", "1", "--ops", "40", "--repeat", "2").decode().splitlines()
     head, lines = lines[:2], lines[2:]
     assert head == ["box-d3-m2-n32: 1024 events, 8 core events", "box-d4-m1-n32: 216 events, 18 core events"]
     assert lines[0] == "seed 1: 40 ops"
@@ -65,7 +65,11 @@ def test_check_phases_times_the_first_ops_of_a_seed():
     phases = "  ".join(rf"{phase} \d+\.\d" for phase in ("build", "model", "verdict", "oracle", "derive", "replay"))
     assert re.fullmatch(rf"  slowest 1 ops, mean per phase: {phases}  \(1 (pure|density) d[34]\)", lines[6]), lines[6]
     assert re.fullmatch(r"  slowest 1 ops: \d+\.\d paradoxes per op, derive (\d+\.\d\d|-) per paradox", lines[7]), lines[7]
-    assert len(lines) == 8
+    # the ops repeat zero sets; the last of an op's runs reads the analyses kept before the op, not those its first
+    # run stored, so the share stays below every op
+    kept = re.fullmatch(r"  zero set already kept: (\d+) of 40 ops \((\d+\.\d)%\)", lines[8])
+    assert kept and 0 < int(kept[1]) < 40 and kept[2] == f"{int(kept[1]) / 40:.1%}"[:-1], lines[8]
+    assert len(lines) == 9
 
 
 def load_bench_pairs():
