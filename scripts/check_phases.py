@@ -22,11 +22,12 @@ readings taken just before and after it.
 It first prints each scenario's global events (KS-assignments) and core
 events, the labellings of the basis rays that the checks read.  Then, per
 seed, it prints p50 and p98 of the op times, overall and per op kind (pure
-or density) and dimension, and the mean time of each phase, ``build``
-included, over the slowest 2% of ops: those that set ``latency_tail_s``,
-and the mean paradox count of those ops with their ``derive`` time per
-paradox; last, the share of ops whose zero set was already kept.  Times
-are in microseconds.
+or density) and dimension, each with the mean ``build`` and ``model``
+times of its ops, so that a change to one kind's path shows on its own
+line; the mean time of each phase, ``build`` included, over the slowest 2%
+of ops: those that set ``latency_tail_s``, and the mean paradox count of
+those ops with their ``derive`` time per paradox; last, the share of ops
+whose zero set was already kept.  Times are in microseconds.
 """
 
 from __future__ import annotations
@@ -142,8 +143,9 @@ def main(argv=None) -> int:
         groups = sorted({r[1] for r in rows})
         for label, subset in [("all", rows)] + [(g, [r for r in rows if r[1] == g]) for g in groups]:
             totals = [r[0] for r in subset]
+            build, model = (statistics.fmean(r[2][p] for r in subset) for p in ("build", "model"))
             print(f"  {label:<10} {len(totals):>4} ops  p50 {statistics.median(totals):8.1f}  "
-                  f"p98 {percentile(totals, 98):8.1f}")
+                  f"p98 {percentile(totals, 98):8.1f}  build {build:6.1f}  model {model:6.1f}")
         tail = sorted(rows, key=lambda r: r[0], reverse=True)[: max(1, round(len(rows) * 0.02))]
         means = {p: statistics.fmean(r[2][p] for r in tail) for p in PHASES}
         print(f"  slowest {len(tail)} ops, mean per phase: "

@@ -12,13 +12,13 @@ column ``GlobalEvents.compatible`` is one int over the core events, and
 each basis zero ray's column.
 :func:`possibilistic_model` computes the model of a pure or a density
 state in one pass on ints: ray ``z`` is impossible iff ``M z = 0`` for
-the state's integer rows ``M`` (the packed Born pass,
-:func:`ctxkit.scenario._born_pass`).  It is kept on the ``QuantumState``
-object with the pass's packing and products, which the derivation reads
-its SPs from (:func:`_pass_probabilities`).  All else depends on the zero
-mask alone: :func:`_analysis` decides each mask once per ``GlobalEvents``,
-with the derivation's witnesses and minimum zero sets, and keeps the
-answer there.  Two decision procedures read it:
+the Born rows ``M`` the state holds from its construction (the packed
+Born pass, :func:`ctxkit.scenario._born_pass`).  It is kept on the
+``QuantumState`` object with the pass's packing and products, which the
+derivation reads its SPs from (:func:`_pass_probabilities`).  All else
+depends on the zero mask alone: :func:`_analysis` decides each mask once
+per ``GlobalEvents``, with the derivation's witnesses and minimum zero
+sets, and keeps the answer there.  Two decision procedures read it:
 
 * :func:`is_logically_contextual` reports the first witness: a possible
   ray ``v`` whose global events are not empty and each hold an impossible
@@ -70,24 +70,39 @@ from .exact import (
     rank,
     validate_density,
 )
-from .scenario import Scenario, _bits, _born_pass, _hermitian_pass, _mask, _rays
+from .scenario import Scenario, _bits, _born_pass, _hermitian_pass, _mask, _row_bytes, _rays
 
 
 class QuantumState(_Record):
-    """A pure or mixed state of known dimension.
+    """A pure or mixed state of known dimension, with its Born rows.
 
     A pure state is its canonical ray ``psi``, with ``rho = None``; a
-    density operator ``rho`` is validated (Hermitian, trace 1, PSD) at
-    construction, with ``psi = None``.  ``_model``, unset before the first
-    :func:`possibilistic_model`, holds the last as ``(rays, model, packing,
-    products)``, with the packing and products of its Born pass
-    (:func:`ctxkit.scenario._born_pass`) that :func:`_pass_probabilities`
-    reads; it is not a field, so equality, hashing and ``repr`` ignore it.
+    density operator ``rho``, with ``psi = None``, is validated (Hermitian,
+    trace 1, PSD) by :func:`ctxkit.exact.validate_density` at construction,
+    from this constructor as from :meth:`density`.  ``_rows`` holds the
+    Born rows ``M``, ray ``z`` impossible iff ``M z = 0``: ``conj(psi)``, or
+    the numerator rows of ``rho = N / den`` at the positive pivots that
+    validation returns, which span its range.  ``_row_bytes`` holds the
+    bytes their parts fit in: the largest part's for ``conj(psi)``, and
+    ``den``'s for a density, as trace 1 and PSD give ``|N_ij| <= sqrt(N_ii
+    N_jj) <= den`` for every entry, kept rows or not.  ``_model``, ``None``
+    before the first :func:`possibilistic_model`, holds the last as
+    ``(rays, model, packing, products)``, with the packing and products of
+    its Born pass (:func:`ctxkit.scenario._born_pass`) that
+    :func:`_pass_probabilities` reads.  None of the three is a field, so
+    equality, hashing and ``repr`` ignore them.
     """
 
-    __slots__ = ("dim", "rho", "psi", "_model")
+    __slots__ = ("dim", "rho", "psi", "_rows", "_row_bytes", "_model")
     _fields = ("dim", "rho", "psi")
-    _defaults = {"psi": None}
+
+    def __init__(self, dim: int, rho: ExactMatrix | None, psi: ExactVector | None = None):
+        if psi is not None:
+            rows = (tuple((a, -b) for a, b in psi.integer_form),)
+            return self._fill(dim, rho, psi, rows, _row_bytes(rows), None)
+        n = rho.cols
+        rows = tuple(rho.nums[i * n : (i + 1) * n] for i in validate_density(rho))
+        self._fill(dim, rho, psi, rows, -(-rho.den.bit_length() // 8), None)
 
     @classmethod
     def pure(cls, vector: ExactVector) -> "QuantumState":
@@ -97,8 +112,7 @@ class QuantumState(_Record):
 
     @classmethod
     def density(cls, matrix: ExactMatrix) -> "QuantumState":
-        validate_density(matrix)
-        return cls(dim=matrix.rows, rho=matrix, psi=None)
+        return cls(matrix.rows, matrix)
 
     def probability(self, v: ExactVector) -> Fraction:
         """Exact Born probability of the event ``v`` under this state; ``overlap`` or ``expectation`` checks ``v``."""
@@ -161,33 +175,26 @@ class PossibilisticModel(_Record):
         return model
 
 
-def _integer_rows(state: QuantumState) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The integer rows M of ``state``, ``M z = 0`` iff ray ``z`` is impossible: ``conj(psi)`` for a pure
-    state or the numerator rows of a density's ``rho``."""
-    if state.psi is not None:
-        return (tuple((a, -b) for a, b in state.psi.integer_form),)
-    d, nums = state.dim, state.rho.nums
-    return tuple(nums[i * d : (i + 1) * d] for i in range(d))
-
-
 def possibilistic_model(scenario: Scenario, state: QuantumState) -> PossibilisticModel:
     """Map each ray to 1 iff its Born probability under ``state`` is non-zero.
 
-    Ray ``z`` is impossible iff ``M z = 0`` for the state's integer rows
-    ``M`` (:func:`ctxkit.scenario._born_pass`): for a pure state that is ``z``
-    orthogonal to the state; for a density operator ``rho``, which is PSD,
-    ``<z|rho|z> = 0`` iff ``rho z = 0``.  The rays are the model's only
-    input, so the model is kept on the state with the ``scenario.rays``
-    tuple it was computed from, and the pass's packing and products, and
-    returned again while the same tuple (by identity) is passed: every
-    consumer of one state object on one scenario shares one Born pass.
+    Ray ``z`` is impossible iff ``M z = 0`` for the state's Born rows ``M``
+    (:func:`ctxkit.scenario._born_pass`), packed for the state's row bytes
+    (see :class:`QuantumState`): for a pure state that is ``z`` orthogonal
+    to the state; for a density operator ``rho``, which is PSD,
+    ``<z|rho|z> = 0`` iff ``rho z = 0``, iff ``z`` meets none of the rows
+    that span its range, one per positive pivot.  The rays are the model's
+    only input, so the model is kept on the state with the
+    ``scenario.rays`` tuple it was computed from, and the pass's packing and
+    products, and returned again while the same tuple (by identity) is
+    passed: every consumer of one state object on one scenario shares one
+    Born pass.
     """
     if state.dim != scenario.dim:
         raise DimensionMismatchError("state dimension does not match the scenario")
-    cached = getattr(state, "_model", None)
-    if cached is not None and cached[0] is scenario.rays:
+    if (cached := state._model) is not None and cached[0] is scenario.rays:
         return cached[1]
-    zeros, products, packing = _born_pass(scenario, _integer_rows(state))
+    zeros, products, packing = _born_pass(scenario, state._rows, state._row_bytes)
     model = PossibilisticModel._of_zeros(zeros, len(scenario.rays))
     # holding the rays keeps their identity from being reused by another tuple
     QuantumState._model.__set__(state, (scenario.rays, model, packing, products))
@@ -200,7 +207,8 @@ def _pass_probabilities(state: QuantumState, scenario: Scenario, witnesses) -> l
 
     Pure: ``(a^2 + b^2) / (||psi||^2 ||z||^2)`` for ``(a, b) = <psi|z>`` in the slot of the Born pass's one row.
     Density ``N / den``: ``<z|N|z> / (den ||z||^2)``, the slot of one packed Hermitian form
-    (:func:`ctxkit.scenario._hermitian_pass`)."""
+    (:func:`ctxkit.scenario._hermitian_pass`) at the width of the pass, which ``den``'s bytes set: every slot is in
+    ``[0, den ||z||^2]``, so it fits however small the kept rows are."""
     _, _, (width, _, _, norms), products = state._model
     if state.psi is not None:
         (re, im), norm, bias, mask = products[0], state.psi.integer_norm, 1 << width - 2, (1 << width) - 1
@@ -363,7 +371,8 @@ def _blocking_flats(scenario: Scenario, events: GlobalEvents):
             while outside:
                 # the lowest ray outside is in its own child, so each pass clears it
                 basis = _narrow(normals, forms[(outside & -outside).bit_length() - 1])
-                child = _born_pass(scenario, [[(a, -b) for a, b in n] for n in basis])[0]
+                rows = [[(a, -b) for a, b in n] for n in basis]
+                child = _born_pass(scenario, rows, _row_bytes(rows))[0]
                 outside &= ~child
                 children.setdefault(child, basis)
         layer = children

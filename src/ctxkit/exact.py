@@ -26,8 +26,8 @@ probabilities (:func:`overlap`, :func:`expectation`), traces, and
 coordinates or entries read as :class:`ExactScalar`; printing writes them
 from the ints.  The density-operator validity check (Hermitian, unit
 trace, positive semidefinite) decides positivity by one symmetric
-elimination with diagonal pivots, and names a negative principal minor
-when it fails.
+Bareiss elimination with diagonal pivots, names a negative principal minor
+when it fails, and returns the positive pivots, whose rows span the range.
 """
 
 from __future__ import annotations
@@ -696,19 +696,26 @@ def projector_failures(projectors: Sequence[ExactMatrix], dim: int, rank_one: bo
     return failures
 
 
-def validate_density(rho: ExactMatrix):
-    """Check that ``rho`` is Hermitian, has unit trace and is PSD.
+def validate_density(rho: ExactMatrix) -> list[int]:
+    """Check that ``rho`` is Hermitian, has unit trace and is PSD; return the indices of its positive pivots.
 
     All three are decided on the numerators; the trace is 1 iff the
     diagonal sums to ``den + 0i``, and a scalar is built only for its message.
-    Positive semidefiniteness is decided by one symmetric elimination on
-    the numerators (``den > 0``), pivoting on the diagonal in index order.
-    A positive pivot ``p`` replaces the rest by ``p`` times its Schur
-    complement, ``p a_ij - a_ik a_kj``, over the gcd of its parts; a zero
-    pivot with a zero row is dropped.  A negative pivot, or a zero pivot
-    whose row is not zero, fails with a negative principal minor as its
-    certificate: the positive pivots so far plus the failing index (and
-    the column of the row's first non-zero entry).
+    Positive semidefiniteness is decided by one symmetric Bareiss
+    elimination on the numerators (``den > 0``; Bareiss, Math. Comp. 22,
+    565, 1968), pivoting on the diagonal in index order.  A positive pivot
+    ``p`` replaces the rest by ``p a_ij - a_ik a_kj``, divided exactly by
+    the previous positive pivot (1 before the first): by Sylvester's
+    identity the rest then holds the minors ``det rho[K+i, K+j]`` of the
+    numerators over the kept pivots ``K``, so no part grows beyond a minor
+    and no gcd is taken.  A zero pivot with a zero row is dropped.  A
+    negative pivot, or a zero pivot whose row is not zero, fails with a
+    negative principal minor as its certificate: the positive pivots so far
+    plus the failing index (and the column of the row's first non-zero entry).
+
+    The returned pivots ``K`` number the rank of ``rho``, and ``rho[K, K]``
+    is non-singular, so the rows of ``rho`` at ``K`` span its range: for the
+    PSD ``rho``, ``rho z = 0`` iff each of them annihilates ``z``.
     """
     if rho.rows != rho.cols:
         raise InvalidDensityError("density matrix must be square")
@@ -719,8 +726,7 @@ def validate_density(rho: ExactMatrix):
     if re != rho.den or im:
         raise InvalidDensityError(f"density matrix must have trace 1, got {rho.trace()}")
     m = [rho.nums[i * n : (i + 1) * n] for i in range(n)]
-    rest = list(range(n))
-    kept: list[int] = []
+    rest, kept, last = list(range(n)), [], 1
     while m:
         (p, _), *row = m[0]
         k, *rest = rest
@@ -732,14 +738,13 @@ def validate_density(rho: ExactMatrix):
             m = [r[1:] for r in m[1:]]
             continue
         kept.append(k)
-        # row i of the rest is (a_ik, a_ij...); row holds a_kj
+        # row i of the rest is (a_ik, a_ij...); row holds a_kj; each quotient is exact
         m = [
-            [(p * c - a * e + b * f, p * d - a * f - b * e) for (c, d), (e, f) in zip(r, row)]
+            [((p * c - a * e + b * f) // last, (p * d - a * f - b * e) // last) for (c, d), (e, f) in zip(r, row)]
             for (a, b), *r in m[1:]
         ]
-        g = gcd(*(part for r in m for z in r for part in z))
-        if g > 1:
-            m = [[(c // g, d // g) for c, d in r] for r in m]
+        last = p
+    return kept
 
 
 def expectation(rho: ExactMatrix, v: ExactVector) -> Fraction:

@@ -266,9 +266,10 @@ def _row_bytes(rows) -> int:
     return -(-max(abs(x) for row in rows for z in row for x in z).bit_length() // 8)
 
 
-def _born_pass(scenario: Scenario, rows) -> tuple[int, list[tuple[int, int]], tuple]:
-    """:func:`_pass` of the rows over the scenario's kept packing for their byte length, and that packing."""
-    packing = _packed_rays(scenario, _row_bytes(rows))
+def _born_pass(scenario: Scenario, rows, row_bytes: int) -> tuple[int, list[tuple[int, int]], tuple]:
+    """:func:`_pass` of the rows, whose parts fit in ``row_bytes`` bytes, over the scenario's kept packing for that
+    byte length, and that packing."""
+    packing = _packed_rays(scenario, row_bytes)
     return (*_pass(packing, len(scenario.rays), rows), packing)
 
 
@@ -306,8 +307,9 @@ def _pass(packing, n: int, rows) -> tuple[int, list[tuple[int, int]]]:
 
 def _hermitian_pass(scenario: Scenario, width: int, nums) -> int:
     """``<z|N|z>`` of every ray z in the ``2 * width``-bit slot of its index, for the PSD Gaussian-integer numerators
-    ``nums`` of a density whose rows :func:`_pass` packed at ``width``: ``sum_{i<=j} Re(N_ij P_ij)`` over the kept pair
-    packings ``P_ij`` of ``conj(z_i) z_j``, doubled for i < j.  Each slot is in ``[0, tr N ||z||^2]``: none borrows."""
+    ``nums`` of a density ``N / den`` whose rows :func:`_pass` packed at ``width``: ``sum_{i<=j} Re(N_ij P_ij)`` over
+    the kept pair packings ``P_ij`` of ``conj(z_i) z_j``, doubled for i < j.  Each slot is in ``[0, den ||z||^2]``, as
+    ``tr N = den``: none borrows, and none overflows when the width was made for rows of ``den``'s bytes."""
     pairs = scenario._packings.get(("pairs", width))
     if pairs is None:
         d, w, forms = scenario.dim, 2 * width, [ray.vector.integer_form for ray in scenario.rays]

@@ -650,7 +650,7 @@ RECORD_FIELDS: dict[type, tuple] = {
     Scenario: ("name", "dim", "field", "rays", "edges", ("neighbours", _HIDDEN), ("contexts", _HIDDEN)),
     ComplementCheck: ("ok", "collisions"),
     KSAssignment: ("bits", ("mask", _HIDDEN)),
-    QuantumState: ("dim", "rho", ("psi", {"default": None}), ("_model", _HIDDEN)),
+    QuantumState: ("dim", "rho", ("psi", {"default": None}), ("_rows", _HIDDEN), ("_row_bytes", _HIDDEN), ("_model", _HIDDEN)),
     PossibilisticModel: ("values", ("zeros", _HIDDEN)),
     ContextualityVerdict: ("contextual", "witness", "model"),
     WitnessedState: ("witness", "state", "selection"),

@@ -222,6 +222,12 @@ def assert_packed_model_is_the_per_ray_model(scenario, state):
     assert model.zeros == PossibilisticModel(model.values).zeros
     # the same state from the bare constructor, with no model kept yet
     assert possibilistic_model(scenario, QuantumState(state.dim, state.rho, state.psi)) == model
+    if state.rho is not None:
+        # the model above came from the rows at the positive pivots alone; they number the rank of rho's rows
+        d = state.dim
+        kept = ctxkit.exact.validate_density(state.rho)
+        assert len(kept) == rank([ExactVector(state.rho.row(i)) for i in range(d)], dim=d)
+        assert state._rows == tuple(state.rho.nums[i * d : (i + 1) * d] for i in kept)
 
 
 @settings(max_examples=40, deadline=None)
@@ -342,6 +348,28 @@ def test_pass_probabilities_of_real_and_complex_states(scenario_key, data):
     scenario = scenario_of(scenario_key)
     state = data.draw(real_or_complex_states(scenario.dim))
     assert_pass_probabilities_are_the_born_probabilities(scenario, events_of(scenario_key), state)
+
+
+def fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def test_pass_probabilities_of_a_density_whose_kept_rows_are_narrower_than_den():
+    # the kept block [[F49, F48], [F48, F47]] has determinant 1 (Cassini); the third row and column, (p, q) =
+    # (F49, -F49) against it, are dependent, so N22 = (p, q) adj(block) (p, q)^T = F49^2 F51 and den = tr N.
+    # The kept rows' parts have 33 bits, N22 and den 100: a Hermitian form packed at the kept rows' width overflows
+    f47, f48, f49, f51 = map(fibonacci, (47, 48, 49, 51))
+    entries = [f49, f48, f49, f48, f47, -f49, f49, -f49, f49 * f49 * f51]
+    rho = ExactMatrix(3, 3, f49 + f47 + entries[-1], [(x, 0) for x in entries])
+    assert ctxkit.exact.validate_density(rho) == [0, 1]
+    state = QuantumState.density(rho)
+    assert max(abs(x) for row in state._rows for z in row for x in z).bit_length() == 33
+    assert entries[-1].bit_length() == rho.den.bit_length() == 100
+    for key in ("yu-oh", 3):
+        assert_pass_probabilities_are_the_born_probabilities(scenario_of(key), events_of(key), state)
 
 
 def test_rows_of_one_byte_length_share_one_packing():
@@ -878,6 +906,19 @@ def test_density_state_is_validated():
     bad = ExactMatrix.from_rows([[2, 0, 0], [0, 0, 0], [0, 0, -1]])
     with pytest.raises(InvalidDensityError):
         QuantumState.density(bad)
+
+
+def test_the_bare_constructor_validates_its_density():
+    # Hermitian with trace 1 but not PSD: its model would mark (1, 1, 0) possible at probability 0
+    bad = ExactMatrix.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
+    messages = []
+    for build in (lambda: QuantumState(3, bad, None), lambda: QuantumState.density(bad)):
+        with pytest.raises(InvalidDensityError) as caught:
+            build()
+        messages.append(str(caught.value))
+    assert messages == ["principal minor [0, 1] is negative: matrix is not PSD"] * 2
+    # a valid density gets the same Born rows from either constructor
+    assert QuantumState(3, MAXIMALLY_MIXED)._rows == QuantumState.density(MAXIMALLY_MIXED)._rows
 
 
 def test_parse_state():

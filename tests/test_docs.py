@@ -61,7 +61,7 @@ def test_check_phases_times_the_first_ops_of_a_seed():
     assert lines[0] == "seed 1: 40 ops"
     counts = {"all": 40, "density d3": 5, "density d4": 5, "pure d3": 15, "pure d4": 15}
     for line, (label, count) in zip(lines[1:6], counts.items()):
-        assert re.fullmatch(rf"  {label} +{count} ops  p50 +\d+\.\d  p98 +\d+\.\d", line), line
+        assert re.fullmatch(rf"  {label} +{count} ops  p50 +\d+\.\d  p98 +\d+\.\d  build +\d+\.\d  model +\d+\.\d", line), line
     phases = "  ".join(rf"{phase} \d+\.\d" for phase in ("build", "model", "verdict", "oracle", "derive", "replay"))
     assert re.fullmatch(rf"  slowest 1 ops, mean per phase: {phases}  \(1 (pure|density) d[34]\)", lines[6]), lines[6]
     assert re.fullmatch(r"  slowest 1 ops: \d+\.\d paradoxes per op, derive (\d+\.\d\d|-) per paradox", lines[7]), lines[7]
