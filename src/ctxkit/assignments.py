@@ -19,8 +19,8 @@ returns them as a :class:`GlobalEvents`.  The state checks read only the
 core events, which are far fewer (8 under 1024 events on the 32-ray
 box-d3-m2 prefix, 247 under 715,200 on the 48-ray box-d3-m3 prefix); the
 events, each core event with the independent sets of the free rays it
-leaves open, are expanded only as masks or where a command prints them.  The
-tests hold the listing to a basis-product enumerator and to an exhaustive
+leaves open, are walked lazily as masks, and are records only where a
+command prints them.  The tests hold the listing to a basis-product enumerator and to an exhaustive
 sweep over all bit strings, both kept with their direct check of (O) and
 (C) in ``tests/oracles.py``.
 
@@ -31,7 +31,7 @@ of the bundled 13-ray scenario.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from functools import cached_property, reduce
 from itertools import compress
 from operator import or_
@@ -73,38 +73,30 @@ class GlobalEvents:
     ``neighbours`` the scenario's neighbour masks; with ``free = 0`` each
     core event is an event.  ``compatible``, ``missing``, ``columns``,
     ``rows`` and ``clear_of`` answer from the core events; ``analyses`` keeps
-    each checked zero mask's :func:`ctxkit.contextuality._analysis`.  ``held``
-    expands them into masks; ``listing``, the events in order, and
-    ``holding`` into records, for the commands that print events;
-    iterating, ``len`` and indexing read ``listing``.  The cached attributes
-    are kept from first use.
+    each checked zero mask's :func:`ctxkit.contextuality._analysis`.
+    ``held(i)`` walks the masks of the events that hold ray i, keeping none;
+    ``listing`` sorts the walk of every event into records, for the
+    commands that print events, and iterating, ``len`` and indexing read
+    it.  The cached attributes are kept from first use.
     """
 
     def __init__(self, n: int, core: Iterable[int], free: int, neighbours: tuple[int, ...]):
         self.n, self.core, self.free, self.neighbours = n, tuple(core), free, neighbours
         self.analyses: dict[int, tuple] = {}
 
-    def _expand(self, core: Iterable[int]) -> list[int]:
-        """The masks of the events of the core events ``core``, unsorted: each core event with every independent set
-        of the free rays outside it that hold none of its neighbours."""
+    def _expand(self, core: Iterable[int]) -> Iterator[int]:
+        """The masks of the events of the core events ``core``, unsorted and one at a time: each core event with
+        every independent set of the free rays outside it that hold none of its neighbours."""
         free = [(1 << f, self.neighbours[f] | 1 << f) for f in _rays(self.free)]
-        extensions: dict[int, list[int]] = {}
-        masks = []
         for c in core:
             allowed = sum(bit for bit, near in free if not c & near)
-            if (sets := extensions.get(allowed)) is None:
-                sets = extensions[allowed] = _independent_sets(allowed, self.neighbours)
-            masks += [c | s for s in sets]
-        return masks
-
-    def _records(self, masks: list[int]) -> list[KSAssignment]:
-        masks.sort(key=_rays)
-        return [KSAssignment._of_mask(m, self.n) for m in masks]
+            for s in _independent_sets(allowed, self.neighbours):
+                yield c | s
 
     @cached_property
     def listing(self) -> list[KSAssignment]:
         """Every event, in order."""
-        return self._records(self._expand(self.core))
+        return [KSAssignment._of_mask(m, self.n) for m in sorted(self._expand(self.core), key=_rays)]
 
     def __iter__(self):
         return iter(self.listing)
@@ -151,14 +143,10 @@ class GlobalEvents:
         # each slot's 2^n less its bits among the neighbours borrows from no other slot
         return top - (rows & self.neighbours[ray] * ones) & top
 
-    def held(self, ray: int) -> list[int]:
-        """The masks of the events that hold ray index ``ray``, unsorted: those of the core events its column marks,
-        each with ``ray`` added, which a basis ray's core events hold already."""
+    def held(self, ray: int) -> Iterator[int]:
+        """The masks of the events that hold ray index ``ray``, unsorted and one at a time: those of the core events
+        its column marks, each with ``ray`` added, which a basis ray's core events hold already."""
         return self._expand(c | 1 << ray for c in compress(self.core, _bits(self.compatible[ray])))
-
-    def holding(self, ray: int) -> list[KSAssignment]:
-        """The events that hold ray index ``ray``, in order."""
-        return self._records(self.held(ray))
 
     def columns(self, rays: int) -> list[tuple[int, int]]:
         """``(z, compatible[z])`` for each basis ray ``z`` of the ray mask ``rays``, in order; only those columns are
@@ -204,17 +192,15 @@ def enumerate_assignments(scenario: Scenario) -> GlobalEvents:
     return GlobalEvents(len(scenario.rays), sorted(core, key=_rays), scenario.free, neighbours)
 
 
-def _independent_sets(rays: int, neighbours: tuple[int, ...]) -> list[int]:
-    """Every set of the ray mask ``rays`` with no two members neighbours, the empty one included, as masks."""
-    found = []
+def _independent_sets(rays: int, neighbours: tuple[int, ...]) -> Iterator[int]:
+    """Yield every set of the ray mask ``rays`` with no two members neighbours, the empty one included, as a mask."""
     stack = [(0, rays)]
     while stack:
         ones, open_rays = stack.pop()
         if not open_rays:
-            found.append(ones)
+            yield ones
             continue
         ray = open_rays & -open_rays
         open_rays ^= ray
         stack.append((ones, open_rays))
         stack.append((ones | ray, open_rays & ~neighbours[ray.bit_length() - 1]))
-    return found

@@ -25,8 +25,8 @@ sets, and keeps the answer there.  Two decision procedures read it:
   ray (a "blocker"); a ray in no event is excluded, since the universal
   condition would hold vacuously.  :func:`_blocked_witnesses` finds each
   witness: a ray outside the zero set whose column is non-zero and
-  disjoint from ``miss``.  :func:`witness_blockers` lists the events
-  (``GlobalEvents.holding``) when a report asks.
+  disjoint from ``miss``.  :func:`witness_blockers` lists the events'
+  masks (``GlobalEvents.held``, sorted) when a report asks.
 * :func:`noncontextuality_oracle` follows the definition: the canonical
   candidate distribution (an event is possible iff it misses every
   impossible ray) has the model's marginals iff ``miss`` is not empty
@@ -54,7 +54,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, compress, product
 
-from .assignments import GlobalEvents, KSAssignment
+from .assignments import GlobalEvents
 from .errors import DimensionMismatchError, ValidationError
 from .exact import (
     ExactMatrix,
@@ -79,7 +79,8 @@ class QuantumState(_Record):
     A pure state is its canonical ray ``psi``, with ``rho = None``; a
     density operator ``rho``, with ``psi = None``, is validated (Hermitian,
     trace 1, PSD) by :func:`ctxkit.exact.validate_density` at construction,
-    from this constructor as from :meth:`density`.  ``_rows`` holds the
+    from this constructor as from :meth:`density`, and ``dim`` must be its
+    ``psi``'s dimension or its ``rho``'s row count.  ``_rows`` holds the
     Born rows ``M``, ray ``z`` impossible iff ``M z = 0``: ``conj(psi)``, or
     the numerator rows of ``rho = N / den`` at the positive pivots that
     validation returns, which span its range.  ``_row_bytes`` holds the
@@ -97,6 +98,10 @@ class QuantumState(_Record):
     _fields = ("dim", "rho", "psi")
 
     def __init__(self, dim: int, rho: ExactMatrix | None, psi: ExactVector | None = None):
+        if psi is None and rho is None:
+            raise ValidationError("a state needs psi or rho")
+        if (size := psi.dim if psi is not None else rho.rows) != dim:
+            raise DimensionMismatchError(f"state dimension {dim} does not match the dimension {size} of psi or rho")
         if psi is not None:
             rows = (tuple((a, -b) for a, b in psi.integer_form),)
             return self._fill(dim, rho, psi, rows, _row_bytes(rows), None)
@@ -272,16 +277,15 @@ def is_logically_contextual(
     return ContextualityVerdict(contextual=k is not None, witness=k, model=model)
 
 
-def witness_blockers(
-    assignments: GlobalEvents, verdict: ContextualityVerdict
-) -> tuple[tuple[KSAssignment, int], ...]:
-    """Each global event holding the verdict's witness, in order, with its lowest impossible ray."""
+def witness_blockers(assignments: GlobalEvents, verdict: ContextualityVerdict) -> tuple[tuple[int, int], ...]:
+    """``(mask, blocker)`` for each global event holding the verdict's witness, in order: the event's mask and its
+    lowest impossible ray."""
     if verdict.witness is None:
         return ()
     blockers = []
-    for event in assignments.holding(verdict.witness):
-        hit = event.mask & verdict.model.zeros
-        blockers.append((event, (hit & -hit).bit_length() - 1))
+    for mask in sorted(assignments.held(verdict.witness), key=_rays):
+        hit = mask & verdict.model.zeros
+        blockers.append((mask, (hit & -hit).bit_length() - 1))
     return tuple(blockers)
 
 
@@ -476,26 +480,28 @@ def analyze_mixed_states(
     The blocking flats of rank at most ``d - 2`` are those families.
     """
     violations = search.undetermined
+    core, compatible = assignments.core, assignments.compatible
     candidates, size = [], 0
     for k in _rays(scenario.free):
-        # each event holding the candidate gives one pick list, its rays but the candidate: the lists' lengths,
-        # multiplied only until the bound; the event {k} has an empty list, so it and a ray in no event list nothing
-        held = assignments.held(k)
-        count = int(bool(held) and 1 << k not in held)
-        for mask in held:
-            if not 0 < count <= TRIPLE_LISTING_BOUND:
-                break
+        # each event holding k, walked with none kept, gives one pick list, its rays but k.  k lists nothing if it is
+        # in no event or the event {k} is one, the empty core event (which sorts first) with k added; else no list is
+        # empty, so the product of their lengths only grows, and is cut at the bound in any walk order
+        if not compatible[k] or compatible[k] & 1 and not core[0]:
+            continue
+        count = 1
+        for mask in assignments.held(k):
             count *= mask.bit_count() - 1
-        if count:
-            candidates.append((k, held))
-            size += count
+            if count > TRIPLE_LISTING_BOUND:
+                break
+        candidates.append(k)
+        size += count
         if size > TRIPLE_LISTING_BOUND:
             return MixedAnalysisReport((), violations, not violations, triples_listed=False)
     triples = []
     # picks repeat selections (71 distinct among yu-oh's 108), so each selection is ranked once
     ranks: dict[tuple[int, ...], int] = {}
-    for k, held in candidates:
-        held.sort(key=_rays)
+    for k in candidates:
+        held = sorted(assignments.held(k), key=_rays)
         # one pick of a non-witness ray per event, in event order; repeated picks collapse in the selection
         for picks in product(*(_rays(mask & ~(1 << k)) for mask in held)):
             selection = tuple(sorted(set(picks)))

@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 from math import lcm
 
-from .assignments import GlobalEvents, KSAssignment
+from .assignments import GlobalEvents
 from .contextuality import (
     ContextualityVerdict,
     MixedAnalysisReport,
@@ -38,7 +38,7 @@ from .hardy import (
     percent,
 )
 from .sampling import SimulationResult
-from .scenario import ComplementCheck, Scenario
+from .scenario import ComplementCheck, Scenario, _rays
 
 SCHEMA = "ctxkit-report/1"
 
@@ -97,7 +97,7 @@ def contexts_json(scenario: Scenario, check: ComplementCheck | None = None) -> d
     return out
 
 
-def assignments_json(scenario: Scenario, assignments: list[KSAssignment]) -> dict:
+def assignments_json(scenario: Scenario, assignments: GlobalEvents) -> dict:
     return {
         "count": len(assignments),
         "columns": list(scenario.labels),
@@ -109,19 +109,21 @@ def assignments_json(scenario: Scenario, assignments: list[KSAssignment]) -> dic
 
 
 def global_events_json(scenario: Scenario, assignments: GlobalEvents, rays: tuple[int, ...]) -> dict:
-    return {scenario.rays[i].label: [_labels(scenario, a.support) for a in assignments.holding(i)] for i in rays}
+    return {
+        scenario.rays[i].label: [_labels(scenario, e) for e in sorted(map(_rays, assignments.held(i)))] for i in rays
+    }
 
 
 def verdict_json(
-    scenario: Scenario, assignments: list[KSAssignment], state: QuantumState, verdict: ContextualityVerdict, oracle: bool
+    scenario: Scenario, assignments: GlobalEvents, state: QuantumState, verdict: ContextualityVerdict, oracle: bool
 ) -> dict:
     return {
         "state": state.describe(),
         "contextual": verdict.contextual,
         "witness": scenario.rays[verdict.witness].label if verdict.witness is not None else None,
         "blockers": [
-            {"event": _labels(scenario, event.support), "blocker": scenario.rays[blocker].label}
-            for event, blocker in witness_blockers(assignments, verdict)
+            {"event": _labels(scenario, _rays(mask)), "blocker": scenario.rays[blocker].label}
+            for mask, blocker in witness_blockers(assignments, verdict)
         ],
         "noncontextuality_oracle": oracle,
         "oracle_agrees": oracle != verdict.contextual,

@@ -37,7 +37,9 @@ integer form.
 The global-event oracles test events as bit tuples, support tuples and
 Python sets, where the package reads the columns over the core events;
 ``events_containing`` scans every event for a ray, where the package
-expands the core events in the ray's column (``GlobalEvents.holding``).
+walks the events of the core events in the ray's column as masks
+(``GlobalEvents.held``), which the tests sort; ``mask_labels`` names the
+rays of such a mask.
 ``hitting_set_of_masks`` is no oracle: it hands the package's
 ``_minimum_hitting_set`` the zero rays' columns (``compatible``) over one
 event per zero mask, for the tests that state hitting sets as plain masks.
@@ -391,6 +393,11 @@ def events_containing(scenario, assignments, ray) -> list[KSAssignment]:
 
 def support_labels(scenario, assignment) -> tuple[str, ...]:
     return tuple(scenario.rays[i].label for i in assignment.support)
+
+
+def mask_labels(scenario, mask: int) -> tuple[str, ...]:
+    """The labels of the rays whose bits ``mask`` sets, in ray order."""
+    return tuple(ray.label for i, ray in enumerate(scenario.rays) if mask >> i & 1)
 
 
 def born_model(scenario, state) -> PossibilisticModel:

@@ -31,8 +31,9 @@ from ctxkit import (
     verify_observable,
 )
 from ctxkit.cli import _build_parser, _cmd_report
+from ctxkit.scenario import _rays
 
-from oracles import enumerate_assignments_by_basis_choices, support_labels, verify_assignment
+from oracles import enumerate_assignments_by_basis_choices, mask_labels, support_labels, verify_assignment
 from test_assignments import EXPECTED_SUPPORTS, GLOBAL_EVENT_SETS
 from test_hardy import EXPECTED_PARADOXES
 from test_scenario import PAIR_COMPLEMENTS
@@ -70,8 +71,8 @@ def test_criterion_02_assignments(yu_oh, yu_oh_assignments):
 
 def test_criterion_03_global_event_sets(yu_oh, yu_oh_assignments):
     for label, expected in GLOBAL_EVENT_SETS.items():
-        events = yu_oh_assignments.holding(yu_oh.ray_index(label))
-        assert [support_labels(yu_oh, a) for a in events] == expected
+        events = sorted(yu_oh_assignments.held(yu_oh.ray_index(label)), key=_rays)
+        assert [mask_labels(yu_oh, mask) for mask in events] == expected
     _passed(3, "global-event sets of the four basis-free rays")
 
 

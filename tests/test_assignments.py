@@ -19,11 +19,13 @@ from ctxkit import (
     enumerate_assignments,
     load_scenario,
 )
+from ctxkit.scenario import _rays
 
 from oracles import (
     enumerate_assignments_by_basis_choices,
     events_containing,
     full_events,
+    mask_labels,
     support_labels,
     verify_assignment,
 )
@@ -126,17 +128,18 @@ def test_verify_assignment_requires_full_cover(yu_oh):
 
 def test_events_containing(yu_oh, yu_oh_assignments):
     for label, expected in GLOBAL_EVENT_SETS.items():
-        events = yu_oh_assignments.holding(yu_oh.ray_index(label))
-        assert [support_labels(yu_oh, a) for a in events] == expected
-        assert events == events_containing(yu_oh, yu_oh_assignments, label)
-    assert len(yu_oh_assignments.holding(yu_oh.ray_index("v1"))) == 8
+        events = sorted(yu_oh_assignments.held(yu_oh.ray_index(label)), key=_rays)
+        assert [mask_labels(yu_oh, mask) for mask in events] == expected
+        assert events == [a.mask for a in events_containing(yu_oh, yu_oh_assignments, label)]
+    assert len(list(yu_oh_assignments.held(yu_oh.ray_index("v1")))) == 8
     with pytest.raises(UnknownLabelError):
         events_containing(yu_oh, yu_oh_assignments, "vX")
 
 
 def test_events_containing_preserves_order(yu_oh, yu_oh_assignments):
-    events = yu_oh_assignments.holding(yu_oh.ray_index("v5"))
-    positions = [yu_oh_assignments.listing.index(e) for e in events]
+    events = sorted(yu_oh_assignments.held(yu_oh.ray_index("v5")), key=_rays)
+    masks = [a.mask for a in yu_oh_assignments.listing]
+    positions = [masks.index(mask) for mask in events]
     assert positions == sorted(positions)
 
 
@@ -237,7 +240,7 @@ def test_uncolourable_boxes_have_no_assignments(d, m, rays):
     assert events.core == () and events.listing == []
     # every column is 0, and no ray is held
     assert events.compatible == (0,) * rays
-    assert all(events.holding(i) == [] for i in range(rays))
+    assert all(list(events.held(i)) == [] for i in range(rays))
 
 
 @settings(max_examples=100, deadline=None)
@@ -248,7 +251,8 @@ def test_holding_is_the_event_scan_on_box_subsets(subset):
     events = enumerate_assignments(s)
     full = full_events(events)
     for i in range(len(s.rays)):
-        assert events.holding(i) == full.holding(i) == events_containing(s, events, i)
+        want = [a.mask for a in events_containing(s, events, i)]
+        assert sorted(events.held(i), key=_rays) == sorted(full.held(i), key=_rays) == want
 
 
 ray_counts_and_masks = st.integers(1, 12).flatmap(
@@ -266,7 +270,7 @@ def test_holding_and_missing_match_the_event_scans(case):
     n, masks = case
     events = events_of_masks(n, masks)
     for i in range(n):
-        assert events.holding(i) == [a for a in events if a.bits[i]]
+        assert sorted(events.held(i), key=_rays) == [a.mask for a in events if a.bits[i]]
     # each mask is its own core event, so bit j of a column or of ``missing`` is masks[j]
     columns = [sum(1 << j for j, m in enumerate(masks) if m >> i & 1) for i in range(n)]
     assert list(events.compatible) == columns
@@ -281,17 +285,17 @@ def test_holding_reads_a_column_over_thousands_of_events():
     rng = random.Random(26)
     events = events_of_masks(6, [rng.getrandbits(5) for _ in range(2999)] + [1 << 5])
     for i in range(6):
-        assert events.holding(i) == [a for a in events if a.bits[i]]
-    assert events.holding(5) == [events[-1]]
-    assert len(events.holding(0)) > 1000
+        assert sorted(events.held(i), key=_rays) == [a.mask for a in events if a.bits[i]]
+    assert list(events.held(5)) == [events[-1].mask]
+    assert len(list(events.held(0))) > 1000
 
 
 def test_the_listing_is_built_on_first_use(yu_oh):
-    # holding expands only the core events in the ray's column; iterating or len lists every event, once
+    # held walks only the core events in the ray's column; iterating or len lists every event, once
     events = enumerate_assignments(yu_oh)
     assert isinstance(events, GlobalEvents) and "listing" not in vars(events)
-    held = events.holding(yu_oh.ray_index("vA"))
-    assert [support_labels(yu_oh, a) for a in held] == GLOBAL_EVENT_SETS["vA"]
+    held = sorted(events.held(yu_oh.ray_index("vA")), key=_rays)
+    assert [mask_labels(yu_oh, mask) for mask in held] == GLOBAL_EVENT_SETS["vA"]
     assert "listing" not in vars(events)
     assert len(events) == 24 and vars(events)["listing"] is events.listing
     assert list(events) == events.listing and events[-1] is events.listing[-1]

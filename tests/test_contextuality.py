@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -432,12 +433,12 @@ def test_111_is_contextual_with_witness_vA(yu_oh, yu_oh_assignments):
     verdict = is_logically_contextual(yu_oh, QuantumState.pure(vec(1, 1, 1)), yu_oh_assignments)
     assert verdict.contextual
     assert yu_oh.rays[verdict.witness].label == "vA"
-    events = [a for a in yu_oh_assignments if a.bits[verdict.witness] == 1]
+    events = [a.mask for a in yu_oh_assignments if a.bits[verdict.witness] == 1]
     blockers = witness_blockers(yu_oh_assignments, verdict)
-    assert [event for event, _ in blockers] == events
+    assert [mask for mask, _ in blockers] == events
     model = possibilistic_model(yu_oh, QuantumState.pure(vec(1, 1, 1)))
-    for event, blocker in blockers:
-        assert blocker in event.support
+    for mask, blocker in blockers:
+        assert mask >> blocker & 1
         assert blocker != verdict.witness
         assert model.values[blocker] == 0
 
@@ -485,7 +486,8 @@ def assert_event_tests_match_oracles(scenario, assignments, state):
     """Verdict, its blockers, marginal oracle, paradoxes and their replays equal the tuple and set versions."""
     verdict = is_logically_contextual(scenario, state, assignments)
     assert verdict == oracles.is_logically_contextual(scenario, state, assignments)
-    assert witness_blockers(assignments, verdict) == oracles.witness_blockers(scenario, state, assignments)
+    blockers = oracles.witness_blockers(scenario, state, assignments)
+    assert witness_blockers(assignments, verdict) == tuple((event.mask, blocker) for event, blocker in blockers)
     assert noncontextuality_oracle(scenario, state, assignments) == oracles.noncontextuality_oracle(
         scenario, state, assignments
     )
@@ -542,14 +544,17 @@ def test_mask_event_tests_match_oracles_on_box_subsets(subset, data):
 
 def assert_blocked_witnesses_match_the_oracle(scenario, assignments, zeros):
     """The column scan on the zero mask ``zeros`` equals the per-ray scan on the model it gives; the columns are over
-    the core events, so each witness's events are listed with ``holding``."""
+    the core events, so each witness's events are walked with ``held`` and sorted."""
     n = len(scenario.rays)
     model = PossibilisticModel(tuple(0 if zeros >> i & 1 else 1 for i in range(n)))
     got = []
     for k, _ in _blocked_witnesses(assignments, zeros, assignments.missing(zeros)):
-        held = assignments.holding(k)
-        got.append((k, held, [{i for i in range(n) if (e.mask & zeros) >> i & 1} for e in held]))
-    want = [(k, events, [set(hit) for hit in hits]) for k, events, hits in oracles.blocked_witnesses(model, assignments)]
+        held = sorted(assignments.held(k), key=_rays)
+        got.append((k, held, [{i for i in range(n) if (mask & zeros) >> i & 1} for mask in held]))
+    want = [
+        (k, [e.mask for e in events], [set(hit) for hit in hits])
+        for k, events, hits in oracles.blocked_witnesses(model, assignments)
+    ]
     assert got == want
 
 
@@ -760,9 +765,9 @@ def test_the_capped_selection_count_lists_as_the_full_product(monkeypatch, yu_oh
     assignments = enumerate_assignments(scenario)
     search = find_contextual_pure_states(scenario, assignments)
     total = sum(
-        math.prod(len(_rays(a.mask & ~(1 << k))) for a in held)
+        math.prod(len(_rays(mask & ~(1 << k))) for mask in held)
         for k in _rays(scenario.free)
-        if (held := assignments.holding(k))
+        if (held := sorted(assignments.held(k), key=_rays))
     )
     assert low <= total <= high
     full = analyze_mixed_states(scenario, assignments, search).triples if total <= 10_000 else None
@@ -771,6 +776,27 @@ def test_the_capped_selection_count_lists_as_the_full_product(monkeypatch, yu_oh
         report = analyze_mixed_states(scenario, assignments, search)
         assert report.triples_listed == (total <= bound)
         assert report.triples == (full if total <= bound else ())
+
+
+@pytest.mark.parametrize("key, listed", [((4, 2, 48), True), ((3, 3, 64), False)])
+def test_the_mixed_analysis_sizes_the_listing_without_building_the_events(key, listed):
+    # the 48-ray box-d4-m2 prefix has no basis, so its one core event is the empty one: each free ray k makes the
+    # event {k}, whose pick list is empty, and no candidate lists a selection.  The 64-ray box-d3-m3 prefix has more
+    # selections than the bound.  Building every event that holds each candidate took minutes and 1.6 GB on the
+    # first and 4 s and 0.8 GB on the second; the sizes are read from the walk, and nothing it yields is kept
+    scenario = box_scenario(*key[:2], range(key[2]))
+    assignments = enumerate_assignments(scenario)
+    search = find_contextual_pure_states(scenario, assignments)
+    assert (assignments.core == (0,)) == listed
+    tracemalloc.start()
+    try:
+        report = analyze_mixed_states(scenario, assignments, search)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.triples == () and report.triples_listed == listed
+    assert report.no_mixed_states == (not search.undetermined)
+    assert peak < 10 * 2**20
 
 
 # --- the flat scan against brute force and the per-selection search ----------------
@@ -919,6 +945,23 @@ def test_the_bare_constructor_validates_its_density():
     assert messages == ["principal minor [0, 1] is negative: matrix is not PSD"] * 2
     # a valid density gets the same Born rows from either constructor
     assert QuantumState(3, MAXIMALLY_MIXED)._rows == QuantumState.density(MAXIMALLY_MIXED)._rows
+
+
+def test_the_bare_constructor_refuses_a_density_of_another_dimension():
+    # the Born pass would pair rho's 3 coordinates with a 4-dimensional scenario's 4
+    with pytest.raises(DimensionMismatchError):
+        QuantumState(4, MAXIMALLY_MIXED)
+
+
+def test_the_bare_constructor_refuses_a_pure_state_of_another_dimension():
+    with pytest.raises(DimensionMismatchError):
+        QuantumState(4, None, vec(1, 0, 0))
+
+
+def test_the_bare_constructor_needs_psi_or_rho():
+    with pytest.raises(ValidationError) as caught:
+        QuantumState(3, None)
+    assert type(caught.value) is ValidationError
 
 
 def test_parse_state():

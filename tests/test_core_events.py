@@ -2,7 +2,7 @@
 
 ``enumerate_assignments`` returns the core events, the basis rays' labellings;
 the verdict, the oracle, the derivation, the hitting sets and the replay
-read them, and only ``listing`` and ``holding`` expand them into events.
+read them, and only ``listing`` and ``held`` walk the events they expand to.
 ``oracles.full_events`` hands the package every event's mask as its own
 core event, so that every check runs on columns over all the events: the
 path the core events replaced.  The scenarios are box prefixes with rays
@@ -206,7 +206,7 @@ def test_the_listing_is_the_basis_product_enumeration_and_holding_its_filter(key
     s, events, _ = prefix(*key)
     assert events.listing == oracles.enumerate_assignments_by_basis_choices(s)
     for i in range(len(s.rays)):
-        assert events.holding(i) == [a for a in events.listing if a.mask >> i & 1]
+        assert sorted(events.held(i), key=_rays) == [a.mask for a in events.listing if a.mask >> i & 1]
 
 
 @pytest.mark.parametrize("key", PREFIXES[::3] + PREFIXES[-2:])

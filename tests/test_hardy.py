@@ -34,6 +34,7 @@ from ctxkit import (
 from ctxkit.contextuality import witness_blockers
 from ctxkit.exact import orthogonal
 from ctxkit.hardy import REFERENCE_OBSERVABLES, ReferenceRow, percent
+from ctxkit.scenario import _rays
 
 # (state, witness, zero set) for the twelve paradoxes of the bundled scenario
 EXPECTED_PARADOXES = {
@@ -136,10 +137,10 @@ def test_paradoxes_exist_iff_state_is_contextual(yu_oh, yu_oh_assignments):
                 contextual_on_box += 1
                 first = derivation.paradoxes[0]
                 assert first.witness == verdict.witness
-                for event, blocker in witness_blockers(assignments, verdict):
+                for mask, blocker in witness_blockers(assignments, verdict):
                     hits = [
                         i
-                        for i in event.support
+                        for i in _rays(mask)
                         if i != first.witness and verdict.model.values[i] == 0
                     ]
                     assert blocker in hits

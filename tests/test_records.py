@@ -75,16 +75,12 @@ ARGS = {
     KSAssignment: st.tuples(st.lists(st.integers(0, 1), max_size=4).map(tuple)),
     PossibilisticModel: st.tuples(st.lists(st.integers(0, 1), max_size=4).map(tuple)),
     Scenario: st.integers(0, 3).flatmap(_scenario_args),
-    # the constructor validates a density, so each draw is a valid one with psi None: the required arguments of a
-    # pure state, (dim, None), build no state
-    QuantumState: st.tuples(
-        st.integers(2, 3),
-        st.sampled_from(
-            [rank1_projector(vec(*v)) for v in ((1, 0), (1, 1), (1, ExactScalar(0, 1)))]
-            + [ExactMatrix(2, 2, 2, ((1, 0), (0, 0), (0, 0), (1, 0)))]
-        ),
-        st.none(),
-    ),
+    # the constructor validates a density and its row count against dim, so each draw is a valid one with its own
+    # dim and psi None: the required arguments of a pure state, (dim, None), build no state
+    QuantumState: st.sampled_from(
+        [rank1_projector(vec(*v)) for v in ((1, 0), (1, 1), (1, ExactScalar(0, 1)), (1, 0, 0), (1, 1, 1))]
+        + [ExactMatrix(2, 2, 2, ((1, 0), (0, 0), (0, 0), (1, 0)))]
+    ).map(lambda rho: (rho.rows, rho, None)),
 }
 
 
